@@ -13,7 +13,6 @@ Conventions used throughout:
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import (

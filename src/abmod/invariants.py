@@ -34,11 +34,6 @@ from .scalars import Scalar, ZERO
 from .series import Series
 
 
-def default_precision(rank: int, requested: int = 0) -> int:
-    """Working precision for invariant pipelines: generous by default."""
-    return max(4 * rank + 8, 2 * requested)
-
-
 # ---------------------------------------------------------------------------
 # saturation
 # ---------------------------------------------------------------------------

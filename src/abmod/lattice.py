@@ -49,6 +49,12 @@ class Lattice:
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
 
+    def __reduce__(self):
+        return (
+            Lattice,
+            (self.dim, self.shift, self.gens, self.pivots, self.precision),
+        )
+
     @property
     def rank(self) -> int:
         return len(self.gens)

@@ -55,6 +55,9 @@ class AbModule:
     def __setattr__(self, name, value):
         raise AttributeError("AbModule is immutable")
 
+    def __reduce__(self):
+        return (AbModule, (self.matrix,))
+
     # -- inspection -------------------------------------------------------
 
     def coefficient_matrix(self, k: int):
@@ -119,6 +122,9 @@ class Element:
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
+
+    def __reduce__(self):
+        return (Element, (self.coords, self.shift))
 
     @property
     def precision(self) -> int:
@@ -232,8 +238,3 @@ def apply_b(module: AbModule, x: Element) -> Element:
 def apply_b_inverse(x: Element) -> Element:
     """b^{-1}(x): always representable by raising the shift."""
     return Element(list(x.coords), x.shift + 1)
-
-
-def apply_a_column(module: AbModule, col: list, shift: int = 0) -> list:
-    """a on a bare coordinate column in the b^{-shift} frame."""
-    return apply_a(module, Element(col, shift)).coords

@@ -14,7 +14,7 @@ The invariant throughout: ``len(coeffs) == precision``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import NotAUnit, PrecisionExhausted
 from .scalars import Scalar, ZERO, ONE
@@ -44,6 +44,9 @@ class Series:
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
+
+    def __reduce__(self):
+        return (Series, (self.coeffs, self.precision))
 
     # -- constructors -----------------------------------------------------
 
@@ -244,11 +247,3 @@ class Series:
         from .textio import format_series
 
         return format_series(self)
-
-
-def series_sum(items: Iterable[Series], precision: int) -> Series:
-    """Sum of a possibly-empty iterable at a stated precision."""
-    acc = Series.zero(precision)
-    for s in items:
-        acc = acc + s
-    return acc

@@ -7,32 +7,12 @@ element in some basis.
 
 from __future__ import annotations
 
-from .scalars import Scalar
 from .series import Series
-
-
-def smat_zero(r: int, c: int, precision: int) -> list:
-    return [[Series.zero(precision) for _ in range(c)] for _ in range(r)]
-
-
-def smat_identity(n: int, precision: int) -> list:
-    return [
-        [Series.one(precision) if i == j else Series.zero(precision) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def smat_from_scalars(a, precision: int) -> list:
-    return [[Series([x], precision) for x in row] for row in a]
 
 
 def smat_coefficient(m, k: int) -> list:
     """The Scalar matrix of b^k coefficients."""
     return [[entry.coefficient(k) for entry in row] for row in m]
-
-
-def smat_add(a, b) -> list:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def smat_sub(a, b) -> list:
@@ -55,37 +35,8 @@ def smat_mul(a, b) -> list:
     return out
 
 
-def smat_vec(a, x: list) -> list:
-    out = []
-    for arow in a:
-        acc = None
-        for k, e in enumerate(arow):
-            t = e * x[k]
-            acc = t if acc is None else acc + t
-        out.append(acc)
-    return out
-
-
-def smat_scale(a, s) -> list:
-    return [[entry * s for entry in row] for row in a]
-
-
 def smat_derivative(a) -> list:
     return [[entry.derivative() for entry in row] for row in a]
-
-
-def smat_negate_variable(a) -> list:
-    return [[entry.negate_variable() for entry in row] for row in a]
-
-
-def smat_transpose(a) -> list:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
-def smat_at_precision(a, w: int) -> list:
-    return [[entry.at_precision(w) for entry in row] for row in a]
 
 
 def smat_min_precision(a) -> int:
@@ -106,10 +57,6 @@ def col_scale(x: list, s) -> list:
 
 def col_shift_up(x: list, m: int) -> list:
     return [u.shift_up(m) for u in x]
-
-
-def col_is_zero(x: list) -> bool:
-    return all(u.is_zero() for u in x)
 
 
 def col_at_precision(x: list, w: int) -> list:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abmod import NotAUnit, PrecisionExhausted, Scalar, Series
 
@@ -111,3 +112,50 @@ def test_at_precision_truncates():
 def test_equality_respects_common_precision():
     assert S([1, 2], 4) == S([1, 2, 0, 0], 4)
     assert S([1, 2], 4) != S([1, 3], 4)
+
+
+# -- ring laws ---------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+scalars = st.builds(
+    Scalar,
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)),
+)
+
+
+@st.composite
+def series(draw, precision=None):
+    w = draw(st.integers(1, 8)) if precision is None else precision
+    return Series(draw(st.lists(scalars, min_size=0, max_size=w)), w)
+
+
+@PROPERTY
+@given(series(), series(), series())
+def test_mul_is_associative(a, b, c):
+    assert (a * b) * c == a * (b * c)
+
+
+@PROPERTY
+@given(series(), series(), series())
+def test_mul_distributes_over_add(a, b, c):
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+
+
+@PROPERTY
+@given(series(), series())
+def test_mul_is_commutative_and_has_unit(a, b):
+    assert a * b == b * a
+    assert a * Series.one(a.precision) == a
+
+
+@PROPERTY
+@given(st.integers(1, 8).flatmap(series), scalars)
+def test_units_invert(s, c0):
+    if not c0:
+        c0 = Scalar(1)
+    s = Series((c0,) + s.coeffs[1:], s.precision)
+    assert s.invert() * s == Series.one(s.precision)
+    assert s * s.invert() == Series.one(s.precision)
