@@ -57,6 +57,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
@@ -205,7 +218,7 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(
         "--precision",
-        type=int,
+        type=_int_at_least(1),
         default=DEFAULT_PRECISION,
         help="working precision for catalog-expression inputs",
     )
@@ -245,7 +258,8 @@ def _build_parser() -> _Parser:
                    help="compare the level-N truncations instead of the modules")
     i.add_argument("--seed", type=int, default=0, help="search seed")
     f = add("fd", "perturb above the determination bound and verify unique lifts")
-    f.add_argument("--trials", type=int, default=20, help="number of perturbations")
+    f.add_argument("--trials", type=_int_at_least(0), default=20,
+                   help="number of perturbations")
     f.add_argument("--seed", type=int, default=0, help="perturbation seed")
     c = sub.add_parser("catalog", parents=[common],
                        help="emit a catalog module as a module file")

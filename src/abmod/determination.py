@@ -122,22 +122,6 @@ def truncate(module: AbModule, N: int) -> FiniteAbQuotient:
 # ---------------------------------------------------------------------------
 
 
-def _extend_basis(rows, vec) -> bool:
-    """Reduce vec against an rref-maintained row list; insert if independent."""
-    v = list(vec)
-    for row, piv in rows:
-        if not v[piv].is_zero():
-            f = v[piv]
-            v = [x - f * y for x, y in zip(v, row)]
-    piv = next((i for i, x in enumerate(v) if not x.is_zero()), None)
-    if piv is None:
-        return False
-    inv = v[piv].inverse()
-    v = [x * inv for x in v]
-    rows.append((v, piv))
-    return True
-
-
 def _standard_form(q: FiniteAbQuotient):
     """Recover (rank, level, structure coefficients, change of basis).
 
@@ -160,14 +144,11 @@ def _standard_form(q: FiniteAbQuotient):
     if dim % level:
         raise BadParameter("dimension is not divisible by the b-nilpotency order")
     p = dim // level
-    image_rows = []
-    for c in range(dim):
-        _extend_basis(image_rows, [b[r][c] for r in range(dim)])
-    combined = list(image_rows)
+    span = linalg.Echelon(linalg.transpose(b))
+    units = linalg.identity(dim)
     reps = []
     for r in range(dim):
-        unit = [ONE if i == r else ZERO for i in range(dim)]
-        if _extend_basis(combined, unit):
+        if span.add(units[r]) is not None:
             reps.append(r)
         if len(reps) == p:
             break
@@ -175,7 +156,7 @@ def _standard_form(q: FiniteAbQuotient):
         raise BadParameter("could not complete a basis modulo the image of b")
     cols = []
     for r in reps:
-        vec = [ONE if i == r else ZERO for i in range(dim)]
+        vec = units[r]
         for _ in range(level):
             cols.append(vec)
             vec = linalg.mat_vec(b, vec)
@@ -363,13 +344,7 @@ def _rigidity_violation(system, N: int, hi: int) -> bool:
                         nonzero = True
                 if nonzero:
                     rows.append(vec)
-    if rows:
-        directions = linalg.nullspace(rows)
-    else:
-        directions = [
-            [ONE if i == j else ZERO for j in range(len(params))]
-            for i in range(len(params))
-        ]
+    directions = linalg.nullspace(rows) if rows else linalg.identity(len(params))
     for v in directions:
         for k in range(N, hi):
             for row in system.blocks[k]:
@@ -548,9 +523,7 @@ def verify_fd(module: AbModule, trials: int, seed: int, lo: int = None) -> dict:
 
 def _annihilator(vectors, dim: int):
     if not vectors:
-        return [
-            [ONE if i == j else ZERO for j in range(dim)] for i in range(dim)
-        ]
+        return linalg.identity(dim)
     return linalg.nullspace([list(v) for v in vectors])
 
 
@@ -566,7 +539,7 @@ def recover_Eb_from_truncation(q: FiniteAbQuotient, k: int):
     b = [list(row) for row in q.B]
     at = linalg.transpose(a)
     bt = linalg.transpose(b)
-    basis = [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
+    basis = linalg.identity(dim)
     while True:
         ann_f = _annihilator(basis, dim)
         bf = [linalg.mat_vec(b, v) for v in basis]
@@ -587,17 +560,9 @@ def recover_Eb_from_truncation(q: FiniteAbQuotient, k: int):
     power = linalg.identity(dim)
     for _ in range(k):
         power = linalg.mat_mul(b, power)
-    check = list(basis)
-    rref_rows = []
-    for v in check:
-        _extend_basis(rref_rows, v)
-    for c in range(dim):
-        col = [power[r][c] for r in range(dim)]
-        if any(not x.is_zero() for x in col):
-            if _extend_basis(rref_rows, col):
-                raise NotFound(
-                    "image of b^k is not contained in the stable subspace"
-                )
+    span = linalg.Echelon(basis)
+    if not all(span.contains(col) for col in linalg.transpose(power)):
+        raise NotFound("image of b^k is not contained in the stable subspace")
     if not basis:
         return []
     canonical, _ = linalg.rref([list(v) for v in basis])

@@ -345,12 +345,12 @@ def _choose_class(values, policy: str):
     return classes[rep]
 
 
-def _jh_step(module: AbModule, policy: str):
-    """One Jordan-Hoelder step: a primitive eigenvector realizing the
-    smallest exponent of the chosen class, in the module's coordinates."""
-    eb_module, eb_lattice = biggest_simple_pole(module)
-    values = spectrum(eb_module)
-    lam = min(_choose_class(values, policy), key=Scalar.sort_key)
+def _eigen_coords(
+    module: AbModule, eb_module: AbModule, eb_lattice: Lattice, lam: Scalar
+):
+    """Coordinates in the module of an x in E^b with a.x = lam*b*x exactly,
+    lifted from a residue eigenvector of E^b for the exponent lam, and the
+    least valuation among them."""
     res = eb_module.residue_matrix()
     p = eb_module.rank
     shifted = [
@@ -372,7 +372,16 @@ def _jh_step(module: AbModule, policy: str):
     vals = [c.valuation() for c in coords if not c.is_zero()]
     if not vals:
         raise HypothesisViolated("eigenvector mapped to zero in the module")
-    v = min(vals)
+    return coords, min(vals)
+
+
+def _jh_step(module: AbModule, policy: str):
+    """One Jordan-Hoelder step: a primitive eigenvector realizing the
+    smallest exponent of the chosen class, in the module's coordinates."""
+    eb_module, eb_lattice = biggest_simple_pole(module)
+    values = spectrum(eb_module)
+    lam = min(_choose_class(values, policy), key=Scalar.sort_key)
+    coords, v = _eigen_coords(module, eb_module, eb_lattice, lam)
     primitive = [c.shift_down(v) for c in coords]
     return primitive, lam - Scalar(v)
 
@@ -501,27 +510,8 @@ def _primitive_eigen_element(module: AbModule, mu: Scalar):
     eb_module, eb_lattice = biggest_simple_pole(module)
     if all(v != mu for v in spectrum(eb_module)):
         return None
-    res = eb_module.residue_matrix()
-    p = eb_module.rank
-    shifted = [
-        [res[i][j] - mu if i == j else res[i][j] for j in range(p)]
-        for i in range(p)
-    ]
-    null = linalg.nullspace(shifted)
-    seed = Element(
-        [Series.monomial(v, 0, eb_module.precision) for v in null[0]], 0
-    )
-    lifted = eigen_lift(eb_module, mu, seed, 0)
-    inner = lifted.in_frame(0)
-    coords = []
-    for i in range(module.rank):
-        acc = Series.zero(eb_lattice.precision)
-        for j, g in enumerate(eb_lattice.gens):
-            acc = acc + g[i] * inner[j]
-        coords.append(acc)
-    if all(c.is_zero() for c in coords):
-        raise HypothesisViolated("eigenvector mapped to zero in the module")
-    if min(c.valuation() for c in coords if not c.is_zero()) != 0:
+    coords, v = _eigen_coords(module, eb_module, eb_lattice, mu)
+    if v != 0:
         return None
     return coords
 

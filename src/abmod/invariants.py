@@ -280,21 +280,10 @@ def _image_contains_power(module: AbModule, lam: Scalar, w: int) -> int:
 
     q = truncate(module, w)
     a_mat = linalg.mat_sub(q.A, linalg.mat_scale(q.B, lam))
-    dim = q.dim
-    reduced, pivots = linalg.rref(linalg.transpose(a_mat))
-    basis = reduced[: len(pivots)]
-
-    def in_image(vec) -> bool:
-        v = vec[:]
-        for brow, pc in zip(basis, pivots):
-            c = v[pc]
-            if c:
-                v = [x - c * y for x, y in zip(v, brow)]
-        return not any(v)
-
-    b_power = linalg.identity(dim)
+    image = linalg.Echelon(linalg.transpose(a_mat))
+    b_power = linalg.identity(q.dim)
     for n in range(w + 1):
-        if all(in_image(col) for col in linalg.transpose(b_power)):
+        if all(image.contains(col) for col in linalg.transpose(b_power)):
             return n
         b_power = linalg.mat_mul(q.B, b_power)
     raise PrecisionExhausted(

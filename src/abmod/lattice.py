@@ -49,6 +49,9 @@ class Lattice:
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Lattice is immutable")
+
     def __reduce__(self):
         return (
             Lattice,

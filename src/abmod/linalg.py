@@ -1,10 +1,11 @@
 """Dense exact linear algebra over Q(i).
 
 Matrices are lists of rows of ``Scalar``; vectors are lists of ``Scalar``.
-Everything here is plain Gaussian elimination with exact arithmetic — ranks,
-solves, nullspaces, determinants, characteristic polynomials — plus the one
-place the library leans on sympy: factoring a characteristic polynomial over
-Q(i) to extract exact eigenvalues.
+All exact elimination (rref, ranks, solves, nullspaces, determinants) runs
+through one kernel, the incremental row basis ``Echelon``, whose every row
+has a 1 at its pivot and a 0 at the pivots of the rows added before it.
+The one place the library leans on sympy is factoring a characteristic
+polynomial over Q(i) to extract exact eigenvalues.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import UnsupportedSpectrum
+from .errors import BadParameter, UnsupportedSpectrum
 from .scalars import Scalar, ZERO, ONE
 
 Matrix = list
@@ -25,10 +26,6 @@ def zeros(r: int, c: int) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_copy(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -88,29 +85,61 @@ def trace(a: Matrix) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
+class Echelon:
+    """A row basis grown one vector at a time, starting from ``vectors``.
+
+    ``rows[k]`` has a 1 in column ``pivots[k]`` and a 0 in the pivot column
+    of every row added before it, so reducing in insertion order clears
+    each pivot column for good.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, vectors: Sequence[Vector] = ()):
+        self.rows: list[Vector] = []
+        self.pivots: list[int] = []
+        for v in vectors:
+            self.add(v)
+
+    def reduce(self, v: Vector) -> Vector:
+        """v with every stored pivot column cleared."""
+        v = list(v)
+        for row, pc in zip(self.rows, self.pivots):
+            c = v[pc]
+            if c:
+                v = [x - c * y for x, y in zip(v, row)]
+        return v
+
+    def contains(self, v: Vector) -> bool:
+        return not any(self.reduce(v))
+
+    def add(self, v: Vector) -> Optional[Scalar]:
+        """Store v reduced and scaled to a 1 at its first nonzero column.
+
+        Returns the entry at that column before scaling, or None when v is
+        already in the span (nothing is stored).
+        """
+        v = self.reduce(v)
+        pc = next((i for i, x in enumerate(v) if x), None)
+        if pc is None:
+            return None
+        value = v[pc]
+        inv = value.inverse()
+        self.rows.append([x * inv for x in v])
+        self.pivots.append(pc)
+        return value
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    m = mat_copy(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    # Each row of the first pass leads with its 1 and is 0 at the pivots of
+    # the rows before it; adding the rows again in reverse order clears the
+    # pivots of the rows after it too, and leaves each leading 1 in place.
+    back = Echelon(Echelon(a).rows[::-1])
+    ranked = sorted(zip(back.pivots, back.rows), key=lambda pr: pr[0])
+    out = [row for _, row in ranked]
+    out.extend([ZERO] * len(a[0]) for _ in range(len(a) - len(out)))
+    return out, [pc for pc, _ in ranked]
 
 
 def rank(a: Matrix) -> int:
@@ -154,23 +183,21 @@ def solve(a: Matrix, b: Vector) -> Optional[Vector]:
 
 
 def det(a: Matrix) -> Scalar:
-    n = len(a)
-    m = mat_copy(a)
+    """Determinant of a square matrix: the product of the pivot values met
+    while adding its rows to an ``Echelon``, times the sign of the pivot
+    permutation."""
+    if any(len(row) != len(a) for row in a):
+        raise BadParameter("the determinant needs a square matrix")
+    ech = Echelon()
     d = ONE
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
+    for row in a:
+        value = ech.add(row)
+        if value is None:
             return ZERO
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            d = -d
-        d = d * m[c][c]
-        inv = m[c][c].inverse()
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return d
+        d = d * value
+    p = ech.pivots
+    inversions = sum(p[j] > p[i] for i in range(len(p)) for j in range(i))
+    return -d if inversions % 2 else d
 
 
 def is_invertible(a: Matrix) -> bool:

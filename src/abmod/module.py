@@ -55,6 +55,9 @@ class AbModule:
     def __setattr__(self, name, value):
         raise AttributeError("AbModule is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("AbModule is immutable")
+
     def __reduce__(self):
         return (AbModule, (self.matrix,))
 
@@ -121,6 +124,9 @@ class Element:
         object.__setattr__(self, "shift", shift)
 
     def __setattr__(self, name, value):
+        raise AttributeError("Element is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Element is immutable")
 
     def __reduce__(self):

@@ -55,6 +55,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Scalar is immutable")
+
     def __reduce__(self):
         return (Scalar, (self.re, self.im))
 
@@ -246,9 +249,3 @@ def _make(a: int, b: int, d: int) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-IMAG = Scalar(0, 1)
-
-
-def rational(p: int, q: int = 1) -> Scalar:
-    """Convenience constructor for the rational scalar p/q."""
-    return Scalar(Fraction(p, q))

@@ -45,6 +45,9 @@ class Series:
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Series is immutable")
+
     def __reduce__(self):
         return (Series, (self.coeffs, self.precision))
 

@@ -177,6 +177,20 @@ def test_exit_code_usage(capsys):
     assert run(["iso", "E(1/2)", "J(2;0)"], capsys)[0] == 4
 
 
+def test_exit_code_usage_for_out_of_range_counts(capsys):
+    for args, flag in (
+        (["info", "--precision", "-3", "J(2;0)"], "--precision"),
+        (["info", "--precision", "0", "J(2;0)"], "--precision"),
+        (["catalog", "E(1/2)", "--precision", "-1"], "--precision"),
+        (["fd", "J(2;0)", "--trials", "-1"], "--trials"),
+    ):
+        code, out, err = run(args, capsys)
+        assert code == 4 and out == []
+        assert err.startswith(f"abmod: error: argument {flag}: must be at least")
+    code, out, _ = run(["fd", "J(2;0)", "--trials", "0"], capsys)
+    assert code == 0 and "fd_trials: 0" in out
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"], capsys)[0] == 0
 

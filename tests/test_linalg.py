@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from abmod import Scalar, UnsupportedSpectrum
+from abmod import BadParameter, Scalar, UnsupportedSpectrum
 from abmod.linalg import (
+    Echelon,
     charpoly,
     det,
     eigenvalues,
@@ -77,6 +79,98 @@ def test_det_and_inverse_against_sympy():
             prod = mat_mul(a, inverse(a))
             eye = identity(n)
             assert all(prod[i][j] == eye[i][j] for i in range(n) for j in range(n))
+
+
+def _from_sympy(x):
+    re, im = sympy.expand(x).as_real_imag()
+    return Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+entries = st.one_of(
+    st.just(Scalar(0)),
+    st.builds(
+        lambda re, den, im: Scalar(Fraction(re, den), im),
+        st.integers(-3, 3), st.integers(1, 3), st.integers(-2, 2),
+    ),
+)
+
+
+def _dense(rows, cols):
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Dense, rank-deficient (a product of thin factors) or with zero rows."""
+    rows = draw(st.integers(1, 5))
+    cols = rows if square else draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["dense", "thin", "zero rows"]))
+    if kind == "thin":
+        k = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        return mat_mul(draw(_dense(rows, k)), draw(_dense(k, cols)))
+    a = draw(_dense(rows, cols))
+    if kind == "zero rows":
+        for i in draw(st.sets(st.integers(0, rows - 1), min_size=1)):
+            a[i] = [Scalar(0)] * cols
+    return a
+
+
+@PROPERTY
+@given(matrices())
+def test_rref_matches_sympy_row_for_row(a):
+    r, pivots = rref(a)
+    expected, expected_pivots = _to_sympy(a).rref()
+    assert pivots == list(expected_pivots)
+    assert len(r) == len(a)
+    assert r == [
+        [_from_sympy(expected[i, j]) for j in range(len(a[0]))] for i in range(len(a))
+    ]
+
+
+@PROPERTY
+@given(matrices(square=True), st.data())
+def test_det_matches_sympy_under_row_permutation(a, data):
+    perm = data.draw(st.permutations(range(len(a))))
+    permuted = [a[i] for i in perm]
+    assert det(permuted) == _from_sympy(_to_sympy(permuted).det())
+    inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
+    assert det(permuted) == (-det(a) if inversions % 2 else det(a))
+
+
+@PROPERTY
+@given(matrices())
+def test_echelon_add_is_none_exactly_when_rank_stays(a):
+    ech = Echelon()
+    for k, row in enumerate(a):
+        grows = _to_sympy(a[: k + 1]).rank() > _to_sympy(a[:k]).rank()
+        value = ech.add(row)
+        assert (value is None) == (not grows)
+        if value is not None:
+            stored = ech.rows[-1]
+            assert stored[ech.pivots[-1]] == Scalar(1)
+            assert all(not stored[pc] for pc in ech.pivots[:-1])
+        assert ech.contains(row)
+        assert not any(ech.reduce(row))
+    assert len(ech.pivots) == rank(a)
+
+
+def test_edge_cases_keep_their_values():
+    assert rref([]) == ([], [])
+    assert det([]) == Scalar(1)
+    for shape in ((1, 3), (2, 1)):
+        with pytest.raises(BadParameter):
+            det([[Scalar(1)] * shape[1] for _ in range(shape[0])])
+    zero = [[Scalar(0)] * 3 for _ in range(2)]
+    assert nullspace(zero) == identity(3)
+    assert rref(zero) == (zero, [])
+    deficient = [[Scalar(1), Scalar(2)], [Scalar(2), Scalar(4)], [Scalar(0), Scalar(0)]]
+    for a in (zero, deficient, [[Scalar(0)] * 4 for _ in range(4)]):
+        r, _ = rref(a)
+        assert len({id(row) for row in r}) == len(r)
 
 
 def test_solve_consistent_and_inconsistent():

@@ -66,3 +66,22 @@ def test_round_trip_keeps_the_module_usable():
     back = pickle.loads(pickle.dumps(module))
     assert hash(back) == hash(module)
     assert saturate(back).saturated == saturate(module).saturated
+
+
+def test_value_types_refuse_attribute_deletion():
+    module = from_expression("J(3;0)", 12)
+    s = Scalar(Fraction(2, 3), 1)
+    cases = [
+        (s, ["re_num", "im_num", "den"]),
+        (module.matrix[0][0], ["coeffs", "precision"]),
+        (module, ["matrix", "rank", "precision"]),
+        (module.basis_element(0), ["coords", "shift"]),
+        (saturate(module).lattice, ["dim", "shift", "gens", "pivots", "precision"]),
+    ]
+    for obj, names in cases:
+        for name in names:
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(obj, name)
+            assert hasattr(obj, name)
+    assert s + s == Scalar(Fraction(4, 3), 2)
+    assert saturate(module).lattice.dim == module.rank == 3
