@@ -35,10 +35,9 @@ from .invariants import (
     spectrum,
 )
 from .lattice import Lattice, lattice_from_columns, standard_lattice
-from .module import AbModule, Element, apply_a
+from .module import AbModule, Element, apply_a, base_change
 from .scalars import ONE, ZERO, Scalar
 from .series import Series
-from .seriesmat import smat_inverse
 
 __all__ = [
     "JHSequence",
@@ -533,21 +532,7 @@ def _alpha_from_presentation(module: AbModule, lam: Scalar, n: int) -> Scalar:
         [y[0], one if other == 0 else zero],
         [y[1], one if other == 1 else zero],
     ]
-    inv = smat_inverse(basis)
-    dbasis = [[entry.derivative() for entry in row] for row in basis]
-    m = module.matrix
-    mp = [
-        [
-            m[i][0] * basis[0][j] + m[i][1] * basis[1][j]
-            + dbasis[i][j].shift_up(2)
-            for j in range(2)
-        ]
-        for i in range(2)
-    ]
-    changed = [
-        [inv[i][0] * mp[0][j] + inv[i][1] * mp[1][j] for j in range(2)]
-        for i in range(2)
-    ]
+    changed = base_change(module, basis).matrix
     if not changed[1][0].is_zero():
         raise HypothesisViolated("eigen column of the changed basis is impure")
     g = changed[1][1]

@@ -29,9 +29,10 @@ from .lattice import (
     standard_lattice,
 )
 from .linalg import eigenvalues
-from .module import AbModule, Element, apply_a
+from .module import AbModule
 from .scalars import Scalar, ZERO
 from .series import Series
+from .seriesmat import a_image
 
 
 # ---------------------------------------------------------------------------
@@ -48,11 +49,8 @@ class SaturationResult:
 
 def _one_saturation_step(module: AbModule, lat: Lattice) -> Lattice:
     """lat + b^{-1} a (lat)."""
-    image_cols = []
     k = lat.shift
-    for g in lat.gens:
-        img = apply_a(module, Element(list(g), k))
-        image_cols.append(list(img.coords))
+    image_cols = a_image(module.matrix, lat.gens, k)
     # b^{-1} of a vector written in the b^{-k} frame lives in the b^{-(k+1)} frame
     image = lattice_from_columns(lat.dim, image_cols, shift=k + 1)
     return lattice_sum(lat, image)
@@ -112,10 +110,7 @@ def regularity_order(module: AbModule) -> int:
     # iterates[j][i] = coordinates of a^j e_i
     iterates = [[list(module.basis_element(i).coords) for i in range(p)]]
     for _ in range(p):
-        prev = iterates[-1]
-        iterates.append(
-            [list(apply_a(module, Element(col, 0)).coords) for col in prev]
-        )
+        iterates.append(a_image(module.matrix, iterates[-1]))
     for k in range(p):
         cols = []
         for j in range(k + 1):

@@ -25,9 +25,9 @@ from __future__ import annotations
 from .errors import NotAStable, NotContained, PrecisionExhausted
 from .scalars import Scalar
 from .series import Series
-from .seriesmat import col_at_precision, col_shift_up, scaled_col_mul
+from .seriesmat import a_image, col_at_precision, col_shift_up, scaled_col_mul
 
-from .module import AbModule, Element, apply_a
+from .module import AbModule, Element
 
 
 class Lattice:
@@ -305,8 +305,7 @@ def module_on_lattice(module: AbModule, lat: Lattice) -> AbModule:
         min(module.precision, lat.precision)
     )
     new_cols = []
-    for g in lat.gens:
-        residual = list(apply_a(wmod, Element(list(g), k)).coords)
+    for residual in a_image(wmod.matrix, lat.gens, k):
         coeffs = []
         for (row, v), gen in zip(lat.pivots, lat.gens):
             q, r = residual[row].split_at(v)

@@ -16,16 +16,19 @@ for b^{-K} times its coordinate vector, using  a b^{-K} = b^{-K}(a - K b).
 
 from __future__ import annotations
 
-from .errors import PrecisionExhausted
-from .scalars import Scalar, ZERO
+from .errors import BadParameter, PrecisionExhausted
+from .scalars import Scalar
 from .series import Series
 from .seriesmat import (
+    a_image,
     col_add,
     col_scale,
     col_shift_up,
     col_sub,
     smat_coefficient,
+    smat_inverse,
     smat_min_precision,
+    smat_mul,
 )
 
 
@@ -87,6 +90,8 @@ class AbModule:
 
     def basis_element(self, j: int) -> "Element":
         """The j-th basis vector (0-based) as an Element."""
+        if not 0 <= j < self.rank:
+            raise BadParameter(f"basis index {j} outside 0..{self.rank - 1}")
         w = self.precision
         coords = [
             Series.one(w) if i == j else Series.zero(w) for i in range(self.rank)
@@ -219,18 +224,7 @@ def apply_a(module: AbModule, x: Element) -> Element:
 
     On the b^{-K} frame:  a(b^{-K} v) = b^{-K} (M v + b^2 v' - K b v).
     """
-    k = x.shift
-    out = []
-    for i in range(module.rank):
-        acc = None
-        for j in range(module.rank):
-            t = module.matrix[i][j] * x.coords[j]
-            acc = t if acc is None else acc + t
-        acc = acc + x.coords[i].derivative().shift_up(2)
-        if k:
-            acc = acc - (x.coords[i].shift_up(1) * Scalar(k))
-        out.append(acc)
-    return Element(out, k)
+    return Element(a_image(module.matrix, [x.coords], x.shift)[0], x.shift)
 
 
 def apply_b(module: AbModule, x: Element) -> Element:
@@ -244,3 +238,15 @@ def apply_b(module: AbModule, x: Element) -> Element:
 def apply_b_inverse(x: Element) -> Element:
     """b^{-1}(x): always representable by raising the shift."""
     return Element(list(x.coords), x.shift + 1)
+
+
+def base_change(module: AbModule, q) -> AbModule:
+    """The same module in the basis formed by the columns of q.
+
+    q is a square series matrix invertible over C[[b]] (NotAUnit
+    otherwise); the new structure matrix is Q^{-1} (M Q + b^2 Q').
+    """
+    if len(q) != module.rank or any(len(row) != module.rank for row in q):
+        raise BadParameter("base change needs a square matrix of the module's rank")
+    images = a_image(module.matrix, zip(*q))
+    return AbModule(smat_mul(smat_inverse(q), list(zip(*images))))

@@ -26,7 +26,7 @@ from . import linalg
 from .errors import PrecisionExhausted
 from .scalars import ONE, ZERO, Scalar
 from .series import Series
-from .seriesmat import smat_coefficient, smat_derivative, smat_mul, smat_sub
+from .seriesmat import a_image, smat_coefficient, smat_mul, smat_sub
 
 CONST = -1
 
@@ -237,9 +237,8 @@ def find_invertible(system: IntertwinerSystem, seed: int = 0, tries: int = 40):
 
 def verify_intertwiner(source, target, P, w: int) -> bool:
     """Check P*Ms - Mt*P - b^2*P' == 0 at all orders below w."""
-    deriv = smat_derivative(P)
-    shifted = [[entry.shift_up(2) for entry in row] for row in deriv]
-    residual = smat_sub(smat_sub(smat_mul(P, source), smat_mul(target, P)), shifted)
+    images = a_image(target, zip(*P))
+    residual = smat_sub(smat_mul(P, source), list(zip(*images)))
     return all(
         entry.at_precision(min(w, entry.precision)).is_zero()
         for row in residual

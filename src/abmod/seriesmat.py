@@ -35,8 +35,27 @@ def smat_mul(a, b) -> list:
     return out
 
 
-def smat_derivative(a) -> list:
-    return [[entry.derivative() for entry in row] for row in a]
+def a_image(m, cols, shift: int = 0) -> list:
+    """The operator a on coordinate columns in the b^{-shift} frame.
+
+    For structure matrix m and each column v,
+    a(b^{-K} v) = b^{-K} (m v + b^2 v' - K b v); the images come back as
+    columns in the same frame.  Elements, lattices, base changes and the
+    intertwiner check all apply a through here; only the coefficient-level
+    forms (truncate, the intertwiner solver) write the rule out again.
+    """
+    out = []
+    for v in cols:
+        img = []
+        for row, x in zip(m, v):
+            acc = x.derivative().shift_up(2)
+            if shift:
+                acc = acc - x.shift_up(1) * shift
+            for mij, xj in zip(row, v):
+                acc = acc + mij * xj
+            img.append(acc)
+        out.append(img)
+    return out
 
 
 def smat_min_precision(a) -> int:

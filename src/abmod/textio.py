@@ -311,25 +311,20 @@ def parse_module_file(text: str):
         lineat = raw.split("#", 1)[0].strip()
         if not lineat:
             continue
-        if lineat.startswith("rank"):
-            if rank is not None:
-                raise ParseError("duplicate rank line", line=lineno)
+        key, *args = lineat.split()
+        if key in ("rank", "precision"):
+            if (rank if key == "rank" else precision) is not None:
+                raise ParseError(f"duplicate {key} line", line=lineno)
             try:
-                rank = int(lineat.split()[1])
-            except (IndexError, ValueError):
-                raise ParseError("malformed rank line", line=lineno) from None
-            if rank < 1:
-                raise ParseError("rank must be >= 1", line=lineno)
-            continue
-        if lineat.startswith("precision"):
-            if precision is not None:
-                raise ParseError("duplicate precision line", line=lineno)
-            try:
-                precision = int(lineat.split()[1])
-            except (IndexError, ValueError):
-                raise ParseError("malformed precision line", line=lineno) from None
-            if precision < 1:
-                raise ParseError("precision must be >= 1", line=lineno)
+                (value,) = map(int, args)  # exactly one integer
+            except ValueError:
+                raise ParseError(f"malformed {key} line", line=lineno) from None
+            if value < 1:
+                raise ParseError(f"{key} must be >= 1", line=lineno)
+            if key == "rank":
+                rank = value
+            else:
+                precision = value
             continue
         if lineat.startswith("m"):
             head, _, expr = lineat.partition(":")

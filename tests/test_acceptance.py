@@ -23,6 +23,7 @@ from abmod import (
     Series,
     UnsupportedSpectrum,
     alpha_invariant,
+    base_change,
     classify_rank2,
     delta_index,
     dual,
@@ -51,7 +52,6 @@ from abmod import (
 )
 from abmod import linalg
 from abmod.scalars import ONE
-from abmod.seriesmat import smat_inverse, smat_mul
 
 import oracles
 
@@ -92,11 +92,7 @@ def _random_base_change(module, rng):
         q0 = [[q[i][j].coefficient(0) for j in range(p)] for i in range(p)]
         if not linalg.det(q0).is_zero():
             break
-    qi = smat_inverse(q)
-    dq = [[e.derivative().shift_up(2) for e in row] for row in q]
-    mq = smat_mul(module.matrix, q)
-    num = [[mq[i][j] + dq[i][j] for j in range(p)] for i in range(p)]
-    return AbModule(smat_mul(qi, num))
+    return base_change(module, q)
 
 
 # ---------------------------------------------------------------------------

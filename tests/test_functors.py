@@ -15,6 +15,7 @@ from abmod import (
     alpha_invariant,
     apply_a,
     apply_b,
+    base_change,
     classify_rank2,
     dual,
     eigen_lift,
@@ -35,7 +36,6 @@ from abmod import (
 )
 from abmod.linalg import mat_mul, mat_sub
 from abmod.scalars import ONE
-from abmod.seriesmat import smat_inverse, smat_mul
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -217,11 +217,7 @@ def _random_base_change(module, rng):
         from abmod.linalg import det
         if not det(const).is_zero():
             break
-    qi = smat_inverse(q)
-    dq = [[e.derivative().shift_up(2) for e in row] for row in q]
-    mq = smat_mul(module.matrix, q)
-    num = [[mq[i][j] + dq[i][j] for j in range(p)] for i in range(p)]
-    return AbModule(smat_mul(qi, num))
+    return base_change(module, q)
 
 
 def test_classify_rejects_wrong_rank():

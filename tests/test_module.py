@@ -4,7 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from abmod import AbModule, Element, Scalar, Series, apply_a, apply_b, from_expression
+from abmod import (
+    AbModule,
+    BadParameter,
+    Element,
+    Scalar,
+    Series,
+    apply_a,
+    apply_b,
+    from_expression,
+    make_J_k,
+)
 from abmod.module import apply_b_inverse
 
 
@@ -70,3 +80,11 @@ def test_element_arithmetic_frames():
     z = x + y
     assert not z.is_zero()
     assert (z - y - x).is_zero()
+
+
+def test_basis_element_rejects_index_outside_rank():
+    m = make_J_k(Scalar(0), 2, 8)
+    assert m.basis_element(1) == Element([Series.zero(8), Series.one(8)])
+    for j in (2, -1):
+        with pytest.raises(BadParameter):
+            m.basis_element(j)

@@ -148,3 +148,16 @@ def test_parse_module_file_rejects_out_of_range_indices():
     text = "rank 1\nprecision 4\nm 2 1: b\n"
     with pytest.raises(ParseError):
         parse_module_file(text)
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["rankle 1", "rank 1 2", "rank", "rank1", "precisionxyz 6 junk", "precision 6 junk"],
+)
+def test_parse_module_file_requires_exact_header_keyword_and_one_integer(header):
+    # Only the keyword itself followed by exactly one integer is a header.
+    lines = ["rank 1", "precision 6", "m 1 1: b"]
+    lines[0 if header.startswith("rank") else 1] = header
+    with pytest.raises(ParseError) as info:
+        parse_module_file("\n".join(lines) + "\n")
+    assert info.value.line == (1 if header.startswith("rank") else 2)
