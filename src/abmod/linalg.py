@@ -4,13 +4,14 @@ Matrices are lists of rows of ``Scalar``; vectors are lists of ``Scalar``.
 All exact elimination (rref, ranks, solves, nullspaces, determinants) runs
 through one kernel, the incremental row basis ``Echelon``, whose every row
 has a 1 at its pivot and a 0 at the pivots of the rows added before it.
-The one place the library leans on sympy is factoring a characteristic
-polynomial over Q(i) to extract exact eigenvalues.
+Exact eigenvalues come from ``poly_roots_qi``: the roots in Q(i) of the
+characteristic polynomial, found p-adically (Hensel lifting at a prime
+p = 1 mod 4) and each verified by exact division, with no sympy.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import isqrt, lcm
 from typing import Optional, Sequence
 
 from .errors import BadParameter, UnsupportedSpectrum
@@ -232,27 +233,106 @@ def charpoly(a: Matrix) -> list[Scalar]:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues over Q(i), via sympy factorization
+# eigenvalues over Q(i): p-adic roots, each verified by exact division
 # ---------------------------------------------------------------------------
+#
+# With den the common denominator of its coefficients, a monic squarefree g
+# in Q(i)[t] becomes under t = s/den a monic polynomial in Z[i][s], whose
+# roots in Q(i) are Gaussian integers a + b*i (they are algebraic integers).
+# At a prime p = 1 (mod 4) with iota^2 = -1 (mod p), such a root maps to the
+# root a + b*iota of the image of g under i -> iota and to a - b*iota under
+# i -> -iota.  Once both are Hensel-lifted modulo p^k > 4 * (root bound),
+# a and b are their half sum and half difference over iota, read as symmetric
+# residues.  Candidates are checked by exact division, so a wrong pairing or
+# a root outside Q(i) can never slip through.
 
 
-def _scalar_to_sympy(s: Scalar):
-    import sympy
-
-    return sympy.Rational(s.re.numerator, s.re.denominator) + sympy.Rational(
-        s.im.numerator, s.im.denominator
-    ) * sympy.I
+def _strip(f: list) -> list:
+    return f[next((k for k, c in enumerate(f) if c), len(f)):]
 
 
-def _sympy_to_scalar(x) -> Scalar:
-    import sympy
+def _poly_divmod(f: list, g: list) -> tuple[list, list]:
+    """Quotient and remainder of f by g over Q(i), coefficients leading first."""
+    f = list(f)
+    inv = g[0].inverse()
+    n = max(len(f) - len(g) + 1, 0)
+    for k in range(n):
+        c = f[k] = f[k] * inv
+        if c:
+            for j in range(1, len(g)):
+                f[k + j] = f[k + j] - c * g[j]
+    return f[:n], _strip(f[n:])
 
-    xr, xi = sympy.re(x), sympy.im(x)
-    if not (xr.is_rational and xi.is_rational):
-        raise UnsupportedSpectrum(f"non-Gaussian-rational value {x}")
-    return Scalar(
-        Fraction(int(xr.p), int(xr.q)), Fraction(int(xi.p), int(xi.q))
+
+def _derivative(f: list) -> list:
+    return [c * (len(f) - 1 - k) for k, c in enumerate(f[:-1])]
+
+
+def _squarefree(f: list) -> list:
+    """f divided by gcd(f, f') and made monic, by Euclid's algorithm
+    (deg f >= 1)."""
+    g, h = f, _derivative(f)
+    while h:
+        g, h = h, _poly_divmod(g, h)[1]
+    q = _poly_divmod(f, g)[0]
+    inv = q[0].inverse()
+    return [c * inv for c in q]
+
+
+def _eval_mod(f: list, x: int, m: int) -> int:
+    acc = 0
+    for c in f:
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _hensel(f: list, x: int, p: int, m: int) -> int:
+    """The root modulo m = p^k of the integer polynomial f that is congruent
+    to x, a simple root of f modulo p (Newton's iteration)."""
+    df = _derivative(f)
+    q = p
+    while q < m:
+        q *= q
+        x = (x - _eval_mod(f, x, m) * pow(_eval_mod(df, x, m), -1, m)) % m
+    return x
+
+
+def _primes_1_mod_4():
+    p = 5
+    while True:
+        if all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 4
+
+
+def _gaussian_integer_roots(g: list) -> list[tuple[int, int]]:
+    """Candidates (a, b) holding every root a + b*i in Z[i] of the monic
+    polynomial g, given as (re, im) integer pairs leading first."""
+    bound = 1 + max(abs(re) + abs(im) for re, im in g)  # Cauchy
+    for p in _primes_1_mod_4():
+        iota = next(r for r in (pow(x, (p - 1) // 4, p) for x in range(2, p))
+                    if r * r % p == p - 1)
+        images = [[(re + sign * im * iota) % p for re, im in g] for sign in (1, -1)]
+        roots = [[x for x in range(p) if not _eval_mod(f, x, p)] for f in images]
+        if all(_eval_mod(_derivative(f), x, p) for f, xs in zip(images, roots) for x in xs):
+            break  # every root of both images is simple, so each one lifts
+    m = p
+    while m <= 4 * bound:
+        m *= p
+    iota = _hensel([1, 0, 1], iota, p, m)
+    plus, minus = (
+        [_hensel([(re + sign * im * iota) % m for re, im in g], x, p, m) for x in xs]
+        for sign, xs in zip((1, -1), roots)
     )
+    half, half_iota = pow(2, -1, m), pow(2 * iota, -1, m)
+    out = []
+    for x in plus:
+        for y in minus:
+            a, b = (x + y) * half % m, (x - y) * half_iota % m
+            a, b = a - m if 2 * a > m else a, b - m if 2 * b > m else b
+            if abs(a) <= bound and abs(b) <= bound:
+                out.append((a, b))
+    return out
 
 
 def poly_roots_qi(coeffs: Sequence[Scalar]) -> list[tuple[Scalar, int]]:
@@ -262,27 +342,33 @@ def poly_roots_qi(coeffs: Sequence[Scalar]) -> list[tuple[Scalar, int]]:
     Raises UnsupportedSpectrum when the polynomial does not split over Q(i):
     results beyond that field cannot be represented exactly by this library.
     """
-    import sympy
-
-    t = sympy.Symbol("t")
-    poly = sympy.Poly([_scalar_to_sympy(c) for c in coeffs], t, domain="QQ_I")
-    degree = poly.degree()
-    _, factors = poly.factor_list()
-    roots: list[tuple[Scalar, int]] = []
-    covered = 0
-    for fac, mult in factors:
-        d = fac.degree()
-        if d == 0:
-            continue
-        if d > 1:
-            raise UnsupportedSpectrum(
-                f"irreducible factor of degree {d} over Q(i): {fac.as_expr()}"
-            )
-        lead, const = fac.all_coeffs()
-        roots.append((_sympy_to_scalar(-const / lead), mult))
-        covered += mult
+    f = _strip(list(coeffs))
+    if not f:
+        raise UnsupportedSpectrum("the zero polynomial has no finite set of roots")
+    degree = len(f) - 1
+    zeros = next(k for k, c in enumerate(reversed(f)) if c)
+    f = f[:len(f) - zeros]
+    roots = [(ZERO, zeros)] if zeros else []
+    if len(f) > 1:
+        g = _squarefree(f)
+        den = lcm(*(c.den for c in g))
+        monic = [(c.re_num * den**k // c.den, c.im_num * den**k // c.den)
+                 for k, c in enumerate(g)]
+        for a, b in _gaussian_integer_roots(monic):
+            # Exact division verifies the candidate and counts its multiplicity.
+            root, count = Scalar(a, b) / den, 0
+            quotient, rest = _poly_divmod(f, [ONE, -root])
+            while not rest:
+                f, count = quotient, count + 1
+                quotient, rest = _poly_divmod(f, [ONE, -root])
+            if count:
+                roots.append((root, count))
+    covered = sum(count for _, count in roots)
     if covered != degree:
-        raise UnsupportedSpectrum("factorization did not account for all roots")
+        raise UnsupportedSpectrum(
+            f"polynomial of degree {degree} does not split over Q(i)"
+            f" (roots there, with multiplicity: {covered})"
+        )
     roots.sort(key=lambda rm: rm[0].sort_key())
     return roots
 

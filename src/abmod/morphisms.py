@@ -206,11 +206,14 @@ def find_invertible(system: IntertwinerSystem, seed: int = 0, tries: int = 40):
 
     symbols = {pid: sympy.Symbol("c%d" % pid) for pid in free0}
 
+    def to_sympy(s: Scalar):
+        return sympy.Rational(s.re_num, s.den) + sympy.Rational(s.im_num, s.den) * sympy.I
+
     def entry_expr(entry: dict):
-        acc = linalg._scalar_to_sympy(entry.get(CONST, ZERO))
+        acc = to_sympy(entry.get(CONST, ZERO))
         for key, coeff in entry.items():
             if key != CONST:
-                acc = acc + linalg._scalar_to_sympy(coeff) * symbols[key]
+                acc = acc + to_sympy(coeff) * symbols[key]
         return acc
 
     generic = sympy.Matrix(

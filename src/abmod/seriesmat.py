@@ -43,11 +43,18 @@ def a_image(m, cols, shift: int = 0) -> list:
     columns in the same frame.  Elements, lattices, base changes and the
     intertwiner check all apply a through here; only the coefficient-level
     forms (truncate, the intertwiner solver) write the rule out again.
+
+    m holds one common precision, as a structure matrix does.  An image is
+    known to min(that precision, the least precision of its column), so each
+    entry is cut to it before it is differentiated.
     """
+    wm = smat_min_precision(m)
     out = []
     for v in cols:
+        w = min(wm, min(x.precision for x in v))
         img = []
         for row, x in zip(m, v):
+            x = x.at_precision(w)
             acc = x.derivative().shift_up(2)
             if shift:
                 acc = acc - x.shift_up(1) * shift

@@ -1,5 +1,6 @@
-"""Base change M -> Q^{-1}(M Q + b^2 Q'): group laws, intertwining, and the
-invariance of the numerical invariants at ranks 3 and 4."""
+"""Base change M -> Q^{-1}(M Q + b^2 Q'): group laws, intertwining, the
+invariance of the numerical invariants and of Ext at ranks 3 and 4, and the
+dual and twist laws on base-changed modules."""
 
 from fractions import Fraction
 
@@ -16,12 +17,15 @@ from abmod import (
     alpha_invariant,
     base_change,
     delta_index,
+    dual,
+    ext_dims,
     from_expression,
     module_iso,
     n0_bound,
     regularity_order,
     saturate,
     spectrum,
+    twist,
     verify_intertwiner,
     width_table,
 )
@@ -157,5 +161,50 @@ def test_invariants_survive_base_change_at_rank_3_and_4(expr):
     @given(base_changes(module.rank, INVARIANCE_W))
     def check(q):
         assert _invariants(base_change(module, q)) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("expr", ["J(3;0)", "rand(3;1000)", "rand(4;1001)"])
+def test_ext_dims_survive_base_change_at_rank_3_and_4(expr):
+    module = from_expression(expr, INVARIANCE_W)
+    partner = from_expression("E(0)", INVARIANCE_W)
+    expected = (ext_dims(module, partner), ext_dims(partner, module))
+
+    @SLOW_PROPERTY
+    @given(base_changes(module.rank, INVARIANCE_W))
+    def check(q):
+        changed = base_change(module, q)
+        assert (ext_dims(changed, partner), ext_dims(partner, changed)) == expected
+
+    check()
+
+
+# -- dual and twist laws --------------------------------------------------------
+
+
+@pytest.mark.parametrize("expr", LAW_MODULES + ["rand(4;1001)"])
+def test_dual_is_an_involution(expr):
+    module = from_expression(expr, W)
+    assert dual(dual(module)) == module
+
+    @PROPERTY
+    @given(base_changes(module.rank, W))
+    def check(q):
+        changed = base_change(module, q)
+        assert dual(dual(changed)) == changed
+
+    check()
+
+
+@pytest.mark.parametrize("expr", LAW_MODULES)
+def test_twists_add(expr):
+    module = from_expression(expr, W)
+
+    @PROPERTY
+    @given(base_changes(module.rank, W), scalars, scalars)
+    def check(q, m, n):
+        changed = base_change(module, q)
+        assert twist(twist(changed, m), n) == twist(changed, m + n)
 
     check()

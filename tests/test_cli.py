@@ -1,7 +1,13 @@
 """Command-line interface: reports, exit codes, byte stability."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import abmod
 from abmod.cli import main
 
 
@@ -205,3 +211,32 @@ def test_reports_are_byte_stable(capsys):
     first = run(["fd", "J(2;0)", "--trials", "2"], capsys)
     second = run(["fd", "J(2;0)", "--trials", "2"], capsys)
     assert first == second
+
+
+# -- imports -------------------------------------------------------------------
+
+SPECTRUM_COMMANDS = [
+    ["info", "rand(4;1001)"],
+    ["jh", "J(3;0)"],
+    ["classify2", "E(1/2,1/3)"],
+    ["saturate", "J(3;0)"],
+]
+
+SYMPY_PROBE = """
+import contextlib, io, sys
+from abmod.cli import main
+for argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("sympy" in sys.modules)
+"""
+
+
+def test_spectrum_commands_run_without_sympy():
+    env = dict(os.environ, PYTHONPATH=str(Path(abmod.__file__).resolve().parents[1]))
+    probe = subprocess.run(
+        [sys.executable, "-c", SYMPY_PROBE % (SPECTRUM_COMMANDS,)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"

@@ -36,15 +36,13 @@ def _rand_matrix(rng, rows, cols):
     ]
 
 
+def _sym(x):
+    return (sympy.Rational(x.re.numerator, x.re.denominator)
+            + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator))
+
+
 def _to_sympy(a):
-    return sympy.Matrix(
-        [
-            [sympy.Rational(x.re.numerator, x.re.denominator)
-             + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator)
-             for x in row]
-            for row in a
-        ]
-    )
+    return sympy.Matrix([[_sym(x) for x in row] for row in a])
 
 
 def test_rank_and_nullspace_against_sympy():
@@ -228,3 +226,99 @@ def test_poly_roots_multiplicities():
     coeffs = [Scalar(1), Scalar(-2, 1), Scalar(1, -2), Scalar(0, 1)]
     roots = dict((str(v), m) for v, m in poly_roots_qi(coeffs))
     assert roots == {"1": 2, "-i": 1}
+
+
+# -- roots over Q(i), against sympy's factorization -------------------------
+
+ROOTS_PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+def _poly_mul(f, g):
+    out = [Scalar(0)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _poly(*factors):
+    """The product of the given coefficient lists (leading first)."""
+    out = [Scalar(1)]
+    for f in factors:
+        out = _poly_mul(out, [Scalar.of(c) for c in f])
+    return out
+
+
+def _sympy_roots(coeffs):
+    """Roots with multiplicities from sympy's ``factor_list`` over QQ_I, or
+    None when an irreducible factor of degree above 1 is left."""
+    t = sympy.Symbol("t")
+    poly = sympy.Poly([_sym(c) for c in coeffs], t, domain="QQ_I")
+    roots = []
+    for fac, mult in poly.factor_list()[1]:
+        if fac.degree() > 1:
+            return None
+        lead, const = fac.all_coeffs()
+        roots.append((_from_sympy(-const / lead), mult))
+    return sorted(roots, key=lambda rm: rm[0].sort_key())
+
+
+gaussian_rationals = st.builds(
+    lambda re, im, d1, d2: Scalar(Fraction(re, d1), Fraction(im, d2)),
+    st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+    st.integers(1, 10**3), st.integers(1, 10**3),
+)
+
+
+@st.composite
+def split_polynomials(draw):
+    """lead * t^z * prod (t - r)^m: 1-6 Gaussian-rational roots r with
+    multiplicities 1-3, sometimes zero roots and a leading coefficient != 1."""
+    roots = draw(st.lists(gaussian_rationals, min_size=1, max_size=6, unique=True))
+    factors = [[1, -r] for r in roots for _ in range(draw(st.integers(1, 3)))]
+    lead = draw(st.one_of(st.just(Scalar(1)), gaussian_rationals.filter(bool)))
+    zeros = draw(st.integers(0, 2))
+    return [c * lead for c in _poly(*factors)] + [Scalar(0)] * zeros
+
+
+@ROOTS_PROPERTY
+@given(split_polynomials())
+def test_poly_roots_qi_matches_sympy_factorization(coeffs):
+    assert poly_roots_qi(coeffs) == _sympy_roots(coeffs)
+
+
+NON_SPLIT = [
+    _poly([1, 0, -2]),                        # t^2 - 2
+    _poly([1, 0, Scalar(0, -1)]),             # t^2 - i
+    _poly([1, 1, 1]),                         # t^2 + t + 1
+    _poly([1, 0, 0, -2]),                     # t^3 - 2
+    _poly([1, -1], [1, -1], [1, 0, -2]),      # (t - 1)^2 (t^2 - 2)
+]
+
+
+@pytest.mark.parametrize("coeffs", NON_SPLIT)
+def test_poly_roots_qi_refuses_polynomials_that_do_not_split(coeffs):
+    assert _sympy_roots(coeffs) is None
+    with pytest.raises(UnsupportedSpectrum):
+        poly_roots_qi(coeffs)
+
+
+def test_poly_roots_qi_skips_primes_where_roots_collide(monkeypatch):
+    # Every difference of the roots 1, 1 + 1105, 1 + 1105 i is divisible by
+    # 1105 = 5 * 13 * 17, so the images modulo 5, 13 and 17 have repeated
+    # roots; the first prime = 1 (mod 4) that separates them is 29.
+    import abmod.linalg as linalg
+
+    primes = []
+    hensel = linalg._hensel
+
+    def recording(f, x, p, m):
+        primes.append(p)
+        return hensel(f, x, p, m)
+
+    monkeypatch.setattr(linalg, "_hensel", recording)
+    roots = [Scalar(1), Scalar(1106), Scalar(1, 1105)]
+    coeffs = _poly(*([1, -r] for r in roots), [1, -roots[1]])
+    assert poly_roots_qi(coeffs) == [(Scalar(1), 1), (Scalar(1, 1105), 1), (Scalar(1106), 2)]
+    assert poly_roots_qi(coeffs) == _sympy_roots(coeffs)
+    assert set(primes) == {29}

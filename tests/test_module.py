@@ -16,6 +16,7 @@ from abmod import (
     make_J_k,
 )
 from abmod.module import apply_b_inverse
+from abmod.seriesmat import a_image, col_at_precision
 
 
 def _mk(rows, precision):
@@ -88,3 +89,19 @@ def test_basis_element_rejects_index_outside_rank():
     for j in (2, -1):
         with pytest.raises(BadParameter):
             m.basis_element(j)
+
+
+@pytest.mark.parametrize("shift", [0, 1, 3])
+def test_a_image_of_columns_above_the_module_precision(shift):
+    # The image is known only to the module precision; coefficients of the
+    # columns beyond it must not change the result.
+    module = from_expression("rand(3;1000)", 6)
+    cols = [
+        [Series([Scalar(Fraction(i + j + k, 1 + k), k - i) for k in range(11)], 11)
+         for i in range(3)]
+        for j in range(3)
+    ]
+    cut = [col_at_precision(col, 6) for col in cols]
+    images = a_image(module.matrix, cols, shift)
+    assert images == a_image(module.matrix, cut, shift)
+    assert {entry.precision for col in images for entry in col} == {6}
