@@ -1,17 +1,17 @@
 """Compare two checkouts with the benchmark and write a ``BENCH_*.json`` file.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_7.json \\
-        [--workloads classify2,invariants,fd,cli] [--pairs 5] [--seed 100] \\
-        [--seconds 20] [--probe-runs 3] [--labels parent,change]
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_7.json --seed 800
 
 PARENT and CHANGE are the roots of two checkouts, for example a
-``git archive`` of the parent commit and the working tree.  For each workload
-the script runs ``python3 bench/run.py --workload W --seed S --seconds N
---trace 0`` once in each checkout per pair, with the same seed on both sides
-(``--seed`` plus the pair index) and the parent first on even pairs, the
-change first on odd ones.  It then times the scaling probe ``abmod info
-'J(12;0)' --precision 60`` ``--probe-runs`` times in each checkout,
-alternating the same way.  Runs are sequential, one process at a time.
+``git archive`` of the parent commit and the working tree.  For each of the
+four workloads the script runs ``python3 bench/run.py --workload W --seed S
+--trace 0`` (run length: ``bench/run.py``'s default) once in each checkout
+per pair, ten pairs, with the same seed on both sides (``--seed`` plus the
+pair index) and the parent first on even pairs, the change first on odd
+ones.  Pick a seed not used while writing the change.  It then times the
+scaling probe ``abmod info 'J(12;0)' --precision 60`` three times in each
+checkout, alternating the same way.  Runs are sequential, one process at a
+time.
 
 The output holds every run, and for every end-to-end metric the median and
 quartiles on each side, the ratio of the medians (change / parent) and the
@@ -29,14 +29,17 @@ import subprocess
 import sys
 import time
 
+WORKLOADS = ("classify2", "invariants", "fd", "cli")
+PAIRS = 10
+PROBE_RUNS = 3
 BETTER = {"items_per_s": "higher", "item_p50_ms": "lower", "item_tail_ms": "lower",
           "setup_s": "lower", "peak_rss_mb": "lower"}
 PROBE = ["info", "J(12;0)", "--precision", "60"]
 
 
-def _bench(root: str, workload: str, seed: int, seconds: float) -> dict:
+def _bench(root: str, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
     return {"seed": seed, "correct": result["correct"], "failed": result["failed"],
@@ -52,7 +55,7 @@ def _probe(root: str) -> float:
 
 
 def _spread(values: list) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3}
 
 
@@ -71,26 +74,18 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--workloads", default="classify2,invariants,fd,cli")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=100)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--probe-runs", type=int, default=3)
-    parser.add_argument("--labels", default="parent,change")
+    parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent, "change": args.change}
-    labels = dict(zip(("parent", "change"), args.labels.split(",")))
     report = {
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
-        "labels": labels,
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": "python3 bench/run.py --workload W --seed S --trace 0",
         "workloads": {},
     }
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         print(f"{workload}:", file=sys.stderr)
-        runs = _alternate(args.pairs, lambda side, k: _bench(
-            roots[side], workload, args.seed + k, args.seconds))
+        runs = _alternate(PAIRS, lambda side, k: _bench(roots[side], workload, args.seed + k))
         metrics = {}
         for name, better in BETTER.items():
             parent = [r[name] for r in runs["parent"]]
@@ -100,16 +95,15 @@ def main(argv=None) -> int:
             metrics[name] = {"better": better, "parent": _spread(parent),
                              "change": _spread(change),
                              "ratio": statistics.median(change) / statistics.median(parent),
-                             "change_better_pairs": wins, "pairs": args.pairs}
+                             "change_better_pairs": wins, "pairs": PAIRS}
         report["workloads"][workload] = {
             "correct": all(r["correct"] for side in runs.values() for r in side),
             "failed": sum(r["failed"] for side in runs.values() for r in side),
             "metrics": metrics, "runs": runs}
-    if args.probe_runs:
-        print("probe:", file=sys.stderr)
-        times = _alternate(args.probe_runs, lambda side, k: _probe(roots[side]))
-        report["probe"] = {"command": "abmod " + " ".join(PROBE), "unit": "s",
-                           **{side: {**_spread(ts), "runs": ts} for side, ts in times.items()}}
+    print("probe:", file=sys.stderr)
+    times = _alternate(PROBE_RUNS, lambda side, k: _probe(roots[side]))
+    report["probe"] = {"command": "abmod " + " ".join(PROBE), "unit": "s",
+                       **{side: {**_spread(ts), "runs": ts} for side, ts in times.items()}}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
