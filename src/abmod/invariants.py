@@ -98,6 +98,7 @@ def delta_index(module: AbModule) -> int:
     return max(lat.shift - v for _, v in lat.pivots)
 
 
+@lru_cache(maxsize=512)
 def regularity_order(module: AbModule) -> int:
     """The least k with a^{k+1} E inside sum_j b^{k-j+1} a^j E.
 
