@@ -26,7 +26,7 @@ from . import linalg
 from .errors import PrecisionExhausted
 from .scalars import ONE, ZERO, Scalar
 from .series import Series
-from .seriesmat import a_image, smat_coefficient, smat_mul, smat_sub
+from .seriesmat import a_image, smat_mul, smat_sub
 
 CONST = -1
 
@@ -70,8 +70,10 @@ class IntertwinerSystem:
             raise PrecisionExhausted(
                 "structure matrices are not known to the requested order"
             )
-        self.ms = [smat_coefficient(source, t) for t in range(w)]
-        self.mt = [smat_coefficient(target, t) for t in range(w)]
+        # Per matrix entry, its nonzero (order, coefficient) terms; the
+        # target's are negated once here, as the equation subtracts Mt * P.
+        self.ms = [[entry.terms for entry in row] for row in source]
+        self.mt = [[(-entry).terms for entry in row] for row in target]
         self.fixed = dict(fixed) if fixed else {}
         self.blocks = []
         self.occurrences = {}
@@ -117,14 +119,17 @@ class IntertwinerSystem:
 
     def _equation_entry(self, k: int, i: int, j: int) -> dict:
         expr = {}
-        for m in range(k + 1):
-            block = self.blocks[m]
-            ms = self.ms[k - m]
-            for l in range(self.pe):
-                _aff_add_scaled(expr, block[i][l], ms[l][j])
-            mt = self.mt[k - m]
-            for l in range(self.pf):
-                _aff_add_scaled(expr, block[l][j], -mt[i][l])
+        blocks = self.blocks
+        for l in range(self.pe):
+            for t, c in self.ms[l][j]:
+                if t > k:
+                    break
+                _aff_add_scaled(expr, blocks[k - t][i][l], c)
+        for l in range(self.pf):
+            for t, c in self.mt[i][l]:
+                if t > k:
+                    break
+                _aff_add_scaled(expr, blocks[k - t][l][j], c)
         if k >= 2:
             _aff_add_scaled(expr, self.blocks[k - 1][i][j], Scalar(1 - k))
         return expr

@@ -8,7 +8,14 @@ carries no information: operations may *produce* one, but any operation that
 needs to look at a coefficient of a precision-0 operand raises
 ``PrecisionExhausted`` instead of silently inventing data.
 
-The invariant throughout: ``len(coeffs) == precision``.
+Only the nonzero coefficients are stored.  The invariant throughout:
+``terms`` is a tuple of ``(k, c)`` pairs with ``c != 0``, ``k < precision``
+and k strictly increasing.  That form is unique, so equality, hash and
+pickle are structural.  The series met in practice are sparse (mostly zero
+or a single monomial), so every operation works on the terms alone and
+costs O(nonzeros), not O(W).  ``coeffs`` is a dense read-only view built on
+demand; the public constructor takes dense input, and results are built by
+the private ``_make``, which trusts its terms.
 """
 
 from __future__ import annotations
@@ -28,18 +35,63 @@ def _as_scalar(x) -> Scalar:
     raise TypeError(f"cannot use {type(x).__name__} as a series coefficient")
 
 
+def _check_precision(precision: int) -> None:
+    if precision < 0:
+        raise ValueError("precision must be >= 0")
+
+
+def _below(terms: tuple, w: int) -> tuple:
+    """The terms of order < w."""
+    if not terms or terms[-1][0] < w:
+        return terms
+    n = 0
+    for k, _ in terms:
+        if k >= w:
+            break
+        n += 1
+    return terms[:n]
+
+
+def _combine(x: tuple, y: tuple, w: int, sign: int) -> tuple:
+    """The terms of x + sign * y below w (sign is 1 or -1)."""
+    out = []
+    i = j = 0
+    nx, ny = len(x), len(y)
+    while i < nx or j < ny:
+        if j == ny or (i < nx and x[i][0] < y[j][0]):
+            k, c = x[i]
+            i += 1
+        elif i == nx or y[j][0] < x[i][0]:
+            k, c = y[j]
+            j += 1
+            if sign < 0:
+                c = -c
+        else:
+            k = x[i][0]
+            c = x[i][1] + y[j][1] if sign > 0 else x[i][1] - y[j][1]
+            i += 1
+            j += 1
+            if not c:
+                continue
+        if k >= w:
+            break
+        out.append((k, c))
+    return tuple(out)
+
+
 class Series:
     """An element of C[[b]] known modulo b^precision."""
 
-    __slots__ = ("coeffs", "precision")
+    __slots__ = ("terms", "precision")
 
     def __init__(self, coeffs: Sequence, precision: int):
-        if precision < 0:
-            raise ValueError("precision must be >= 0")
-        cs = [_as_scalar(c) for c in coeffs[:precision]]
-        if len(cs) < precision:
-            cs.extend([ZERO] * (precision - len(cs)))
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _check_precision(precision)
+        terms = []
+        for k, c in enumerate(coeffs[:precision]):
+            c = _as_scalar(c)
+            if c:
+                terms.append((k, c))
+        object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "precision", precision)
 
     def __setattr__(self, name, value):
@@ -51,22 +103,34 @@ class Series:
     def __reduce__(self):
         return (Series, (self.coeffs, self.precision))
 
+    @property
+    def coeffs(self) -> tuple:
+        """The dense coefficient tuple of b^0 .. b^{precision-1}."""
+        out = [ZERO] * self.precision
+        for k, c in self.terms:
+            out[k] = c
+        return tuple(out)
+
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def zero(precision: int) -> "Series":
-        return Series((), precision)
+        _check_precision(precision)
+        return _make((), precision)
 
     @staticmethod
     def one(precision: int) -> "Series":
-        return Series((ONE,), precision)
+        _check_precision(precision)
+        return _make(((0, ONE),) if precision else (), precision)
 
     @staticmethod
     def monomial(c, k: int, precision: int) -> "Series":
         """The series c * b^k at the given precision."""
         if k < 0:
             raise ValueError("monomial exponent must be >= 0")
-        return Series([ZERO] * k + [_as_scalar(c)], precision)
+        c = _as_scalar(c)
+        _check_precision(precision)
+        return _make(((k, c),) if c and k < precision else (), precision)
 
     @staticmethod
     def b(precision: int) -> "Series":
@@ -84,15 +148,20 @@ class Series:
             raise PrecisionExhausted(
                 f"coefficient of b^{k} requested at precision {self.precision}"
             )
-        return self.coeffs[k]
+        if k < 0:
+            return self.coeffs[k]
+        for j, c in self.terms:
+            if j >= k:
+                return c if j == k else ZERO
+        return ZERO
 
     def constant_term(self) -> Scalar:
         self._need()
-        return self.coeffs[0]
+        return self.coefficient(0)
 
     def is_zero(self) -> bool:
         """True when every *visible* coefficient vanishes."""
-        return all(not c for c in self.coeffs)
+        return not self.terms
 
     def valuation(self):
         """The b-adic valuation, or None meaning ">= precision".
@@ -100,14 +169,11 @@ class Series:
         None is the only honest answer for a series whose visible
         coefficients all vanish: it may be 0 or b^1000.
         """
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return None
+        return self.terms[0][0] if self.terms else None
 
     def is_unit(self) -> bool:
         self._need()
-        return bool(self.coeffs[0])
+        return bool(self.terms) and self.terms[0][0] == 0
 
     # -- precision plumbing ----------------------------------------------
 
@@ -119,7 +185,8 @@ class Series:
             )
         if precision == self.precision:
             return self
-        return Series(self.coeffs[:precision], precision)
+        _check_precision(precision)
+        return _make(_below(self.terms, precision), precision)
 
     # -- ring operations --------------------------------------------------
 
@@ -128,67 +195,93 @@ class Series:
             return NotImplemented
         self._need(); other._need()
         w = min(self.precision, other.precision)
-        return Series([self.coeffs[k] + other.coeffs[k] for k in range(w)], w)
+        return _make(_combine(self.terms, other.terms, w, 1), w)
 
     def __sub__(self, other) -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
         self._need(); other._need()
         w = min(self.precision, other.precision)
-        return Series([self.coeffs[k] - other.coeffs[k] for k in range(w)], w)
+        return _make(_combine(self.terms, other.terms, w, -1), w)
 
     def __neg__(self) -> "Series":
-        return Series([-c for c in self.coeffs], self.precision)
+        return _make(tuple((k, -c) for k, c in self.terms), self.precision)
 
     def __mul__(self, other) -> "Series":
         if isinstance(other, (Scalar, int, Fraction)):
             s = _as_scalar(other)
             if not s:
-                return Series.zero(self.precision)
-            return Series([c * s for c in self.coeffs], self.precision)
+                return _make((), self.precision)
+            return _make(tuple((k, c * s) for k, c in self.terms), self.precision)
         if not isinstance(other, Series):
             return NotImplemented
         self._need(); other._need()
         w = min(self.precision, other.precision)
-        out = [ZERO] * w
-        for j, a in enumerate(self.coeffs[:w]):
-            if not a:
-                continue
-            for k, b in enumerate(other.coeffs[: w - j]):
-                if b:
-                    out[j + k] = out[j + k] + a * b
-        return Series(out, w)
+        x, y = self.terms, other.terms
+        if len(x) > len(y):
+            x, y = y, x
+        if len(x) == 1:
+            # A monomial times a series: the products land on distinct orders.
+            j, a = x[0]
+            out = []
+            for k, c in y:
+                if j + k >= w:
+                    break
+                out.append((j + k, a * c))
+            return _make(tuple(out), w)
+        acc = {}
+        for j, a in x:
+            for k, c in y:
+                n = j + k
+                if n >= w:
+                    break
+                t = a * c
+                cur = acc.get(n)
+                acc[n] = t if cur is None else cur + t
+        return _make(tuple((n, c) for n, c in sorted(acc.items()) if c), w)
 
     __rmul__ = __mul__
 
     def invert(self) -> "Series":
         """Multiplicative inverse; ``NotAUnit`` when the constant term is 0."""
         self._need()
-        c0 = self.coeffs[0]
-        if not c0:
+        if not self.is_unit():
             raise NotAUnit("series has zero constant term, cannot invert")
-        inv0 = c0.inverse()
+        inv0 = self.terms[0][1].inverse()
+        neg0 = -inv0
+        rest = self.terms[1:]
         w = self.precision
-        out = [inv0] + [ZERO] * (w - 1)
-        for k in range(1, w):
-            acc = ZERO
-            for j in range(1, k + 1):
-                if self.coeffs[j]:
-                    acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return Series(out, w)
+        # out[k] is the coefficient of b^k, or None when it vanishes; the
+        # recurrence reads out[k - j] for every term j of the input.
+        out = [inv0]
+        terms = [(0, inv0)]
+        for k in range(1, w if rest else 1):
+            acc = None
+            for j, c in rest:
+                if j > k:
+                    break
+                o = out[k - j]
+                if o is not None:
+                    acc = c * o if acc is None else acc + c * o
+            if acc is None or not acc:
+                out.append(None)
+            else:
+                v = neg0 * acc
+                out.append(v)
+                terms.append((k, v))
+        return _make(tuple(terms), w)
 
     def derivative(self) -> "Series":
         """d/db; knows one order less than its input."""
         self._need()
-        w = self.precision - 1
-        return Series([self.coeffs[k + 1] * (k + 1) for k in range(w)], w)
+        return _make(
+            tuple((k - 1, c * k) for k, c in self.terms if k), self.precision - 1
+        )
 
     def negate_variable(self) -> "Series":
         """The substitution b -> -b (a ring automorphism and an involution)."""
-        return Series(
-            [(-c if k % 2 else c) for k, c in enumerate(self.coeffs)],
-            self.precision,
+        return _make(
+            tuple((k, -c if k % 2 else c) for k, c in self.terms), self.precision
         )
 
     # -- b-power plumbing -------------------------------------------------
@@ -200,7 +293,7 @@ class Series:
             raise ValueError("shift_up takes m >= 0")
         if m == 0:
             return self
-        return Series([ZERO] * m + list(self.coeffs), self.precision + m)
+        return _make(tuple((k + m, c) for k, c in self.terms), self.precision + m)
 
     def shift_down(self, m: int) -> "Series":
         """Exact division by b^m; the first m coefficients must vanish.
@@ -215,9 +308,9 @@ class Series:
             raise PrecisionExhausted(
                 f"dividing by b^{m} at precision {self.precision}"
             )
-        if any(self.coeffs[k] for k in range(m)):
+        if self.terms and self.terms[0][0] < m:
             raise ValueError("series is not divisible by the requested b power")
-        return Series(self.coeffs[m:], self.precision - m)
+        return _make(tuple((k - m, c) for k, c in self.terms), self.precision - m)
 
     def split_at(self, m: int) -> tuple["Series", "Series"]:
         """Quotient and remainder by b^m: self = b^m * q + r, deg r < m."""
@@ -227,19 +320,21 @@ class Series:
             raise PrecisionExhausted(
                 f"splitting at b^{m} at precision {self.precision}"
             )
-        q = Series(self.coeffs[m:], self.precision - m)
-        r = Series(self.coeffs[:m], self.precision)
-        return q, r
+        low = _below(self.terms, m)
+        q = _make(
+            tuple((k - m, c) for k, c in self.terms[len(low):]), self.precision - m
+        )
+        return q, _make(low, self.precision)
 
     # -- structure --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self.precision == other.precision and self.coeffs == other.coeffs
+        return self.precision == other.precision and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.coeffs, self.precision))
+        return hash((self.terms, self.precision))
 
     def __repr__(self) -> str:
         from .textio import format_series
@@ -250,3 +345,16 @@ class Series:
         from .textio import format_series
 
         return format_series(self)
+
+
+_new = object.__new__
+_set_terms = Series.terms.__set__
+_set_precision = Series.precision.__set__
+
+
+def _make(terms: tuple, precision: int) -> Series:
+    """The Series with these canonical terms; no check, no padding."""
+    s = _new(Series)
+    _set_terms(s, terms)
+    _set_precision(s, precision)
+    return s

@@ -81,9 +81,7 @@ def _leading_negative(s: Scalar) -> bool:
 def format_series(s: Series) -> str:
     """Canonical text of a series; precision is *not* part of the text."""
     parts: list[str] = []
-    for k, c in enumerate(s.coeffs):
-        if not c:
-            continue
+    for k, c in s.terms:
         neg = _leading_negative(c)
         mag = -c if neg else c
         if k == 0:

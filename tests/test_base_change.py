@@ -1,6 +1,6 @@
-"""Base change M -> Q^{-1}(M Q + b^2 Q'): group laws, intertwining, the
-invariance of the numerical invariants and of Ext at ranks 3 and 4, and the
-dual and twist laws on base-changed modules."""
+"""Base change M -> Q^{-1}(M Q + b^2 Q'): group laws, intertwining, module
+files round-tripping, the invariance of the numerical invariants and of Ext
+at ranks 3 and 4, and the dual and twist laws on base-changed modules."""
 
 from fractions import Fraction
 
@@ -18,10 +18,12 @@ from abmod import (
     base_change,
     delta_index,
     dual,
+    emit_module_file,
     ext_dims,
     from_expression,
     module_iso,
     n0_bound,
+    parse_module_file,
     regularity_order,
     saturate,
     spectrum,
@@ -134,6 +136,22 @@ def test_base_change_refuses_singular_or_misshapen_matrices():
         base_change(module, _identity(3, W))
     with pytest.raises(BadParameter):
         base_change(module, [[Series.one(W)], [Series.one(W)]])
+
+
+@pytest.mark.parametrize("expr", LAW_MODULES + ["rand(4;1001)", "F(3;0;2)"])
+def test_module_file_round_trip(expr):
+    module = from_expression(expr, W)
+    assert parse_module_file(emit_module_file(module)) == module
+
+    @PROPERTY
+    @given(base_changes(module.rank, W))
+    def check(q):
+        changed = base_change(module, q)
+        text = emit_module_file(changed)
+        assert parse_module_file(text) == changed
+        assert emit_module_file(parse_module_file(text)) == text
+
+    check()
 
 
 # -- invariance at ranks 3 and 4 -----------------------------------------------

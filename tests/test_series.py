@@ -1,5 +1,6 @@
 """Truncated power series with precision tracking."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -159,3 +160,200 @@ def test_units_invert(s, c0):
     s = Series((c0,) + s.coeffs[1:], s.precision)
     assert s.invert() * s == Series.one(s.precision)
     assert s * s.invert() == Series.one(s.precision)
+
+
+# -- the sparse representation against a dense reference ---------------------
+#
+# ``_Dense`` spells out every operation on a plain list of W Scalars, the way
+# the coefficients are defined; each Series operation must give the same
+# coefficients and precision, or raise the same exception.
+
+ZERO = Scalar(0)
+
+
+class _Dense:
+    def __init__(self, coeffs, precision):
+        self.c = list(coeffs[:precision]) + [ZERO] * (precision - len(coeffs))
+        self.w = precision
+
+    def need(self):
+        if self.w == 0:
+            raise PrecisionExhausted("precision 0")
+
+    def add(self, other, sign=1):
+        self.need(); other.need()
+        w = min(self.w, other.w)
+        return _Dense([self.c[k] + other.c[k] * sign for k in range(w)], w)
+
+    def neg(self):
+        return _Dense([-c for c in self.c], self.w)
+
+    def scale(self, s):
+        return _Dense([c * s for c in self.c], self.w)
+
+    def mul(self, other):
+        self.need(); other.need()
+        w = min(self.w, other.w)
+        out = [ZERO] * w
+        for j in range(w):
+            for k in range(w - j):
+                out[j + k] = out[j + k] + self.c[j] * other.c[k]
+        return _Dense(out, w)
+
+    def invert(self):
+        self.need()
+        if not self.c[0]:
+            raise NotAUnit("zero constant term")
+        out = [self.c[0].inverse()]
+        for k in range(1, self.w):
+            acc = sum((self.c[j] * out[k - j] for j in range(1, k + 1)), ZERO)
+            out.append(-out[0] * acc)
+        return _Dense(out, self.w)
+
+    def derivative(self):
+        self.need()
+        return _Dense([self.c[k] * k for k in range(1, self.w)], self.w - 1)
+
+    def negate_variable(self):
+        return _Dense([-c if k % 2 else c for k, c in enumerate(self.c)], self.w)
+
+    def shift_up(self, m):
+        if m < 0:
+            raise ValueError("m < 0")
+        return _Dense([ZERO] * m + self.c, self.w + m)
+
+    def shift_down(self, m):
+        if m < 0:
+            raise ValueError("m < 0")
+        if m > self.w:
+            raise PrecisionExhausted("past the precision")
+        if any(self.c[:m]):
+            raise ValueError("not divisible")
+        return _Dense(self.c[m:], self.w - m)
+
+    def split_at(self, m):
+        if m < 0:
+            raise ValueError("m < 0")
+        if m > self.w:
+            raise PrecisionExhausted("past the precision")
+        return _Dense(self.c[m:], self.w - m), _Dense(self.c[:m], self.w)
+
+    def at_precision(self, m):
+        if m > self.w:
+            raise PrecisionExhausted("raising the precision")
+        if m < 0:
+            raise ValueError("m < 0")
+        return _Dense(self.c[:m], m)
+
+    def valuation(self):
+        return next((k for k, c in enumerate(self.c) if c), None)
+
+    def is_zero(self):
+        return not any(self.c)
+
+    def is_unit(self):
+        self.need()
+        return bool(self.c[0])
+
+    def coefficient(self, k):
+        if k >= self.w:
+            raise PrecisionExhausted("past the precision")
+        return self.c[k]
+
+    def constant_term(self):
+        self.need()
+        return self.c[0]
+
+
+def _assert_canonical(s):
+    orders = [k for k, _ in s.terms]
+    assert orders == sorted(set(orders))
+    assert all(c and 0 <= k < s.precision for k, c in s.terms)
+
+
+def _outcome(thunk):
+    """What a call gives, in comparable form: the exception type it raises,
+    or its value with every series (Series or _Dense) as (coeffs, precision)."""
+    try:
+        value = thunk()
+    except (PrecisionExhausted, NotAUnit, ValueError) as exc:
+        return type(exc)
+
+    def plain(v):
+        if isinstance(v, tuple):
+            return tuple(plain(x) for x in v)
+        if isinstance(v, Series):
+            _assert_canonical(v)
+            return (list(v.coeffs), v.precision)
+        if isinstance(v, _Dense):
+            return (v.c, v.w)
+        return v
+
+    return plain(value)
+
+
+sparse_scalars = st.one_of(st.just(ZERO), st.just(ZERO), scalars)
+
+
+@st.composite
+def dense_pairs(draw, max_w=8):
+    """(Series, _Dense) with the same coefficients, W in 0..max_w, mostly zero."""
+    w = draw(st.integers(0, max_w))
+    coeffs = draw(st.lists(sparse_scalars, min_size=0, max_size=w))
+    return Series(coeffs, w), _Dense(coeffs, w)
+
+
+REFERENCE = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@REFERENCE
+@given(dense_pairs(), dense_pairs(), sparse_scalars, st.integers(-1, 10))
+def test_every_operation_matches_the_dense_reference(x, y, c, m):
+    (s, d), (t, e) = x, y
+    cases = [
+        (lambda: s + t, lambda: d.add(e)),
+        (lambda: s - t, lambda: d.add(e, -1)),
+        (lambda: -s, d.neg),
+        (lambda: s * c, lambda: d.scale(c)),
+        (lambda: 3 * s, lambda: d.scale(Scalar(3))),
+        (lambda: s * t, lambda: d.mul(e)),
+        (s.invert, d.invert),
+        (s.derivative, d.derivative),
+        (s.negate_variable, d.negate_variable),
+        (lambda: s.shift_up(m), lambda: d.shift_up(m)),
+        (lambda: s.shift_down(m), lambda: d.shift_down(m)),
+        (lambda: s.split_at(m), lambda: d.split_at(m)),
+        (lambda: s.at_precision(m), lambda: d.at_precision(m)),
+        (s.valuation, d.valuation),
+        (s.is_zero, d.is_zero),
+        (s.is_unit, d.is_unit),
+        (s.constant_term, d.constant_term),
+        (lambda: s.coefficient(max(m, 0)), lambda: d.coefficient(max(m, 0))),
+        (lambda: Series.monomial(c, max(m, 0), s.precision),
+         lambda: _Dense([ZERO] * max(m, 0) + [c], d.w)),
+    ]
+    for sparse, dense in cases:
+        assert _outcome(sparse) == _outcome(dense)
+
+
+@REFERENCE
+@given(dense_pairs(), dense_pairs(max_w=4), st.integers(0, 4))
+def test_equal_series_are_built_equal_and_hash_equal(x, y, m):
+    s, d = x
+    t, _ = y
+    _assert_canonical(s)
+    routes = [
+        Series(d.c + [Scalar(1)], d.w),     # a coefficient past the precision
+        Series(list(s.coeffs), s.precision),
+        pickle.loads(pickle.dumps(s)),
+        s.shift_up(m).shift_down(m),
+        s.negate_variable().negate_variable(),
+        -(-s),
+    ]
+    if s.precision:
+        routes += [s * Series.one(s.precision), s + Series.zero(s.precision)]
+        if t.precision >= s.precision:
+            routes.append((s + t) - t.at_precision(s.precision))
+    for r in routes:
+        _assert_canonical(r)
+        assert r == s and hash(r) == hash(s) and r.terms == s.terms
