@@ -34,7 +34,6 @@ from .invariants import (
 )
 from .module import AbModule
 from .morphisms import (
-    CONST,
     IntertwinerSystem,
     find_invertible,
     verify_intertwiner,
@@ -327,35 +326,9 @@ def _default_lift_precision(module: AbModule, N: int) -> int:
 def _rigidity_violation(system, N: int, hi: int) -> bool:
     """True when two solutions share all blocks below N yet differ in some
     block of [N, hi) — i.e. the induced map on E/b^N E fails to pin the
-    isomorphism down to the certifiable window."""
-    params = system.parameters_in_blocks(0, hi)
-    if not params:
-        return False
-    idx = {p: c for c, p in enumerate(params)}
-    rows = []
-    for k in range(N):
-        for row in system.blocks[k]:
-            for entry in row:
-                vec = [ZERO] * len(params)
-                nonzero = False
-                for key, c in entry.items():
-                    if key != CONST and key in idx:
-                        vec[idx[key]] = c
-                        nonzero = True
-                if nonzero:
-                    rows.append(vec)
-    directions = linalg.nullspace(rows) if rows else linalg.identity(len(params))
-    for v in directions:
-        for k in range(N, hi):
-            for row in system.blocks[k]:
-                for entry in row:
-                    acc = ZERO
-                    for key, c in entry.items():
-                        if key != CONST and key in idx:
-                            acc = acc + c * v[idx[key]]
-                    if not acc.is_zero():
-                        return True
-    return False
+    isomorphism down to the certifiable window: the free parameters reach
+    more of blocks 0..hi-1 than of blocks 0..N-1."""
+    return system.rank_in_blocks(0, hi) > system.rank_in_blocks(0, N)
 
 
 def _free_lift(e, ep, N, W, slack, seed):

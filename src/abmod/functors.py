@@ -13,6 +13,7 @@ Conventions used throughout:
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
 from .errors import (
@@ -36,6 +37,7 @@ from .invariants import (
 )
 from .lattice import Lattice, lattice_from_columns, standard_lattice
 from .module import AbModule, Element, apply_a, base_change
+from .morphisms import IntertwinerSystem
 from .scalars import ONE, ZERO, Scalar
 from .series import Series
 
@@ -130,29 +132,27 @@ def ext_dims(E: AbModule, F: AbModule) -> tuple:
 
     Both dimensions are read off finite truncations H/b^W H at a level W
     past the point where b^W H falls inside a.H, and certified by
-    recomputing at W+1.
+    recomputing at W+1.  The kernel of a on H/b^W H is solved order by
+    order, as the intertwiners from the rank-1 module [[0]] into H.
     """
-    from .determination import truncate
-
     if not is_regular(E) or not is_regular(F):
         raise NotRegular("ext dimensions are certified for regular modules only")
     H = hom_ab(E, F)
     base = n_lambda(H, ZERO) + 2
 
+    @lru_cache(maxsize=None)
+    def kernel(level: int) -> IntertwinerSystem:
+        if level > H.precision:
+            raise PrecisionExhausted(
+                "truncation level exceeds the module's working precision"
+            )
+        return IntertwinerSystem([[Series.zero(level)]], H.matrix, level).solve()
+
     def cokernel_dim(level: int) -> int:
-        q = truncate(H, level)
-        return len(q.A) - linalg.rank(q.A)
+        return len(kernel(level).alive)
 
     def kernel_dim(level: int) -> int:
-        q = truncate(H, level + 1)
-        null = linalg.nullspace(q.A)
-        if not null:
-            return 0
-        proj = [
-            [v[i * (level + 1) + j] for i in range(H.rank) for j in range(level)]
-            for v in null
-        ]
-        return linalg.rank(proj)
+        return kernel(level + 1).rank_in_blocks(0, level)
 
     d1 = cokernel_dim(base)
     d0 = kernel_dim(base)
@@ -478,24 +478,20 @@ def _has_primitive_eigen(module: AbModule, c: Scalar, gap: int) -> bool:
 
     Decided on truncations: the span of constant blocks of the kernel of
     A - c*B stabilizes once the level passes every obstruction order; the
-    result is certified by agreement at two consecutive levels.
+    result is certified by agreement at two consecutive levels.  Each
+    truncation's kernel is solved order by order, as the intertwiners from
+    the rank-1 module [[c*b]] into E.
     """
-    from .determination import truncate
-
     level = gap + delta_index(module) + regularity_order(module) + 6
     if level + 2 > module.precision:
         raise PrecisionExhausted(
             "not enough precision for the primitive-eigenvector test"
         )
+    source = [[Series.monomial(c, 1, module.precision)]]
 
     def constant_dim(lv: int) -> int:
-        q = truncate(module, lv)
-        mat = linalg.mat_sub(q.A, linalg.mat_scale(q.B, c))
-        null = linalg.nullspace(mat)
-        if not null:
-            return 0
-        consts = [[v[i * lv] for i in range(module.rank)] for v in null]
-        return linalg.rank(consts)
+        system = IntertwinerSystem(source, module.matrix, lv).solve()
+        return system.rank_in_blocks(0, 1)
 
     first = constant_dim(level)
     if constant_dim(level + 1) != first:

@@ -16,9 +16,15 @@ fallback) never leaves exact arithmetic.
 Low-order blocks may be prescribed, which turns the solver into the lifting
 engine for truncation isomorphisms: an inconsistent constraint then means
 the prescribed truncation data does not extend.
+
+The same solver decides eigen-kernels on truncations: with the rank-1
+source [[c*b]] the solutions at w orders are the x in E/b^w E with
+(a - c*b)x = 0, and with the source [[0]] the kernel of a.  Each free
+parameter survives as one block entry, so the kernel has dimension
+``len(alive)``, and ``rank_in_blocks`` gives the rank of its image in
+chosen low-order blocks.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -168,6 +174,18 @@ class IntertwinerSystem:
                         if key != CONST:
                             found.add(key)
         return sorted(found)
+
+    def rank_in_blocks(self, lo: int, hi: int) -> int:
+        """Rank of the linear map from the free parameters to blocks lo..hi-1;
+        block entries are added until the rank reaches the parameter count."""
+        params = self.parameters_in_blocks(lo, hi)
+        span = linalg.Echelon()
+        for k in range(lo, hi):
+            for e in (e for row in self.blocks[k] for e in row if e):
+                if len(span.pivots) == len(params):
+                    return len(params)
+                span.add([e.get(pid, ZERO) for pid in params])
+        return len(span.pivots)
 
     def block_matrix(self, k: int, values: dict):
         return [

@@ -144,12 +144,12 @@ class Series:
 
     def coefficient(self, k: int) -> Scalar:
         """The coefficient of b^k; raises if k is beyond the precision."""
+        if k < 0:
+            raise ValueError("coefficient takes k >= 0")
         if k >= self.precision:
             raise PrecisionExhausted(
                 f"coefficient of b^{k} requested at precision {self.precision}"
             )
-        if k < 0:
-            return self.coeffs[k]
         for j, c in self.terms:
             if j >= k:
                 return c if j == k else ZERO

@@ -34,8 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .scalars import Scalar
-from .series import Series
+from .scalars import ZERO, Scalar
+from .series import Series, _make
 
 # ---------------------------------------------------------------------------
 # scalar formatting
@@ -265,7 +265,7 @@ def parse_series(text: str, precision: int, line: int | None = None) -> Series:
     silently discard information the text claims to carry.
     """
     ts = _TokenStream(_tokenize(text, line=line), line=line)
-    coeffs = [Scalar(0)] * precision
+    terms: dict[int, Scalar] = {}
     first = True
     while not ts.done() or first:
         if first:
@@ -288,8 +288,8 @@ def parse_series(text: str, precision: int, line: int | None = None) -> Series:
                 f"term of order b^{power} exceeds stated precision {precision}",
                 line=line,
             )
-        coeffs[power] = coeffs[power] + (coef if sign > 0 else -coef)
-    return Series(coeffs, precision)
+        terms[power] = terms.get(power, ZERO) + (coef if sign > 0 else -coef)
+    return _make(tuple(sorted((k, c) for k, c in terms.items() if c)), precision)
 
 
 # ---------------------------------------------------------------------------

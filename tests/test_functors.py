@@ -237,6 +237,7 @@ def test_classify_families_and_base_changes():
         (make_E_lambda_mu(HALF, HALF + ONE, 12), "NonSplit(1/2, 3/2)"),
         (make_E_lambda_mu(HALF + ONE, HALF, 12), "NonSplit(1/2, 3/2)"),
         (make_E_lambda_mu_alpha(HALF, 2, Scalar(3), 14), "NonSplitAlpha(1/2, 2, 3)"),
+        (make_E_lambda_n(HALF, 1, 12), "SimplePoleJordan(1/2, 1)"),
     ]
     for module, expected in cases:
         assert str(classify_rank2(module)) == expected

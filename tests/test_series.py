@@ -110,6 +110,15 @@ def test_at_precision_truncates():
         t.coefficient(3)
 
 
+def test_coefficient_refuses_negative_order():
+    a = S([1, 2, 3], 3)
+    for k in (-1, -3, -4):
+        with pytest.raises(ValueError):
+            a.coefficient(k)
+    with pytest.raises(ValueError):
+        Series.zero(0).coefficient(-1)
+
+
 def test_equality_respects_common_precision():
     assert S([1, 2], 4) == S([1, 2, 0, 0], 4)
     assert S([1, 2], 4) != S([1, 3], 4)
@@ -256,6 +265,8 @@ class _Dense:
         return bool(self.c[0])
 
     def coefficient(self, k):
+        if k < 0:
+            raise ValueError("k < 0")
         if k >= self.w:
             raise PrecisionExhausted("past the precision")
         return self.c[k]
@@ -328,7 +339,7 @@ def test_every_operation_matches_the_dense_reference(x, y, c, m):
         (s.is_zero, d.is_zero),
         (s.is_unit, d.is_unit),
         (s.constant_term, d.constant_term),
-        (lambda: s.coefficient(max(m, 0)), lambda: d.coefficient(max(m, 0))),
+        (lambda: s.coefficient(m), lambda: d.coefficient(m)),
         (lambda: Series.monomial(c, max(m, 0), s.precision),
          lambda: _Dense([ZERO] * max(m, 0) + [c], d.w)),
     ]

@@ -1,8 +1,18 @@
 """Text grammar for scalars, series, and module files."""
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import abmod
 
 from abmod import (
     ParseError,
@@ -18,6 +28,7 @@ from abmod import (
     parse_series,
     random_regular,
 )
+from abmod.cli import main
 
 
 # -- scalars ----------------------------------------------------------------
@@ -87,6 +98,22 @@ def test_series_round_trip():
     for text in ["0", "1", "b", "2*b^2 - b + 1/3", "(1-i)*b^4"]:
         s = parse_series(text, 8)
         assert parse_series(format_series(s), 8) == s
+
+
+def test_parse_series_cost_follows_the_text_not_the_precision():
+    # Only the terms are built: a one-term entry at a stated precision of
+    # 10^7 must not allocate anything of that size.
+    tracemalloc.start()
+    try:
+        s = parse_series("(1/2)*b^3 + b - b^3 + 2 - b", 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.precision == 10**7
+    assert s.terms == ((0, Scalar(2)), (3, Scalar(Fraction(-1, 2))))
+    assert peak < 100_000
+    with pytest.raises(ParseError, match="exceeds stated precision 10000000"):
+        parse_series("b^10000000", 10**7)
 
 
 # -- module files -----------------------------------------------------------
@@ -161,3 +188,71 @@ def test_parse_module_file_requires_exact_header_keyword_and_one_integer(header)
     with pytest.raises(ParseError) as info:
         parse_module_file("\n".join(lines) + "\n")
     assert info.value.line == (1 if header.startswith("rank") else 2)
+
+
+# -- fuzzing ----------------------------------------------------------------
+
+FUZZ_SOURCES = [
+    emit_module_file(from_expression(expr, 10))
+    for expr in ("E(1/2,1/3)", "J(3;0)", "rand(3;1000)", "E(1/3,2;(1+i))")
+]
+
+# Inserted characters are never digits: one digit inserted into the rank
+# header can ask for a rank in the thousands, whose zero matrix alone takes
+# gigabytes (there is no ceiling on the rank yet).  Replacements, which
+# cannot lengthen a number, may be digits.
+INSERTED = " \n\t#:;,.+-*/^()ibmrankpecisoxyzé\x00"
+REPLACED = INSERTED + "0123456789"
+
+
+@st.composite
+def mutated_files(draw):
+    text = draw(st.sampled_from(FUZZ_SOURCES))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(("insert", "delete", "replace", "cut")))
+        if kind == "insert":
+            text = text[:pos] + draw(st.sampled_from(INSERTED)) + text[pos:]
+        elif kind == "delete":
+            text = text[:pos] + text[pos + draw(st.integers(1, 3)):]
+        elif kind == "replace":
+            text = text[:pos] + draw(st.sampled_from(REPLACED)) + text[pos + 1:]
+        else:
+            text = text[:pos]
+    return text
+
+
+def test_mutated_module_files_fail_only_with_parse_errors(tmp_path):
+    path = tmp_path / "mutated.txt"
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(mutated_files())
+    def check(text):
+        try:
+            parse_module_file(text)
+        except ParseError:
+            pass
+        else:
+            return
+        path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["info", str(path)]) == 2
+        assert err.getvalue().startswith("abmod: parse error: ")
+        assert "Traceback" not in err.getvalue()
+
+    check()
+
+
+def test_malformed_module_file_exits_2_without_traceback(tmp_path):
+    path = tmp_path / "malformed.txt"
+    path.write_text(FUZZ_SOURCES[1].replace("m 2 2: b", "m 2 2: b +* b"), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(abmod.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "abmod.cli", "info", str(path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("abmod: parse error: ")
+    assert "Traceback" not in proc.stderr
