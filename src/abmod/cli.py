@@ -5,7 +5,8 @@ headers plus ``m i j:`` entry lines) or compact catalog expressions such as
 ``J(3;0)``.  Reports are line oriented, ``key: value``, and byte-stable for
 fixed inputs, seed, and version; ``--verbose`` only adds ``#``-prefixed
 commentary.  Exit codes: 0 success, 1 computational failure, 2 parse error,
-3 unsupported spectrum, 4 usage error.
+3 unsupported spectrum, 4 usage error (also for a module file declaring a
+rank above 256, ``textio.MAX_FILE_RANK``, refused before any entry is built).
 """
 
 from __future__ import annotations

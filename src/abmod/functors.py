@@ -13,7 +13,6 @@ Conventions used throughout:
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import linalg
 from .errors import (
@@ -133,30 +132,19 @@ def ext_dims(E: AbModule, F: AbModule) -> tuple:
     Both dimensions are read off finite truncations H/b^W H at a level W
     past the point where b^W H falls inside a.H, and certified by
     recomputing at W+1.  The kernel of a on H/b^W H is solved order by
-    order, as the intertwiners from the rank-1 module [[0]] into H.
+    order, as the intertwiners from the rank-1 module [[0]] into H, by one
+    system grown through W, W+1 and W+2 orders.
     """
     if not is_regular(E) or not is_regular(F):
         raise NotRegular("ext dimensions are certified for regular modules only")
     H = hom_ab(E, F)
     base = n_lambda(H, ZERO) + 2
-
-    @lru_cache(maxsize=None)
-    def kernel(level: int) -> IntertwinerSystem:
-        if level > H.precision:
-            raise PrecisionExhausted(
-                "truncation level exceeds the module's working precision"
-            )
-        return IntertwinerSystem([[Series.zero(level)]], H.matrix, level).solve()
-
-    def cokernel_dim(level: int) -> int:
-        return len(kernel(level).alive)
-
-    def kernel_dim(level: int) -> int:
-        return kernel(level + 1).rank_in_blocks(0, level)
-
-    d1 = cokernel_dim(base)
-    d0 = kernel_dim(base)
-    if cokernel_dim(base + 1) != d1 or kernel_dim(base + 1) != d0:
+    system = IntertwinerSystem([[Series.zero(H.precision)]], H.matrix, 0)
+    d1 = len(system.solve(base).alive)
+    d0 = system.solve(base + 1).rank_in_blocks(0, base)
+    if len(system.alive) != d1 or (
+        system.solve(base + 2).rank_in_blocks(0, base + 1) != d0
+    ):
         raise PrecisionExhausted(
             "ext dimensions failed to stabilize at consecutive truncation levels"
         )
@@ -316,22 +304,19 @@ _JH_POLICIES = ("lex", "revlex")
 
 
 def _unit_normalizer(g: Series, lam: Scalar) -> Series:
-    """The unit u with u*g + b^2*u' = lam*b*u, i.e. u = exp(int (lam*b-g)/b^2).
+    """The unit u with u*g + b^2*u' = lam*b*u, i.e. u = exp(int (lam*b-g)/b^2):
+    the rank-1 intertwiner from [[lam*b]] into [[g]] with constant term 1.
 
-    Requires g to have residue coefficient lam (so the integrand is regular).
+    Requires g to have residue coefficient lam (so the integrand is regular);
+    otherwise the prescribed constant term is inconsistent.
     """
     w = g.precision
-    diff = Series.monomial(lam, 1, w) - g
-    if not diff.coefficient(0).is_zero() or not diff.coefficient(1).is_zero():
+    source = [[Series.monomial(lam, 1, w)]]
+    system = IntertwinerSystem(source, [[g]], w, fixed={0: [[ONE]]}).solve()
+    if system is None:
         raise HypothesisViolated("series does not have the expected residue")
-    h = diff.shift_down(2)  # precision w - 2
-    coeffs = [ONE]
-    for m in range(1, w - 1):
-        acc = ZERO
-        for j in range(min(m, h.precision)):
-            acc = acc + h.coefficient(j) * coeffs[m - 1 - j]
-        coeffs.append(acc / Scalar(m))
-    return Series(coeffs, w - 1)
+    # order k fixes the coefficient of b^(k-1), so the top one stays free
+    return system.series_matrix({})[0][0].at_precision(w - 1)
 
 
 def _choose_class(values, policy: str):
@@ -488,13 +473,9 @@ def _has_primitive_eigen(module: AbModule, c: Scalar, gap: int) -> bool:
             "not enough precision for the primitive-eigenvector test"
         )
     source = [[Series.monomial(c, 1, module.precision)]]
-
-    def constant_dim(lv: int) -> int:
-        system = IntertwinerSystem(source, module.matrix, lv).solve()
-        return system.rank_in_blocks(0, 1)
-
-    first = constant_dim(level)
-    if constant_dim(level + 1) != first:
+    system = IntertwinerSystem(source, module.matrix, level).solve()
+    first = system.rank_in_blocks(0, 1)
+    if system.solve(level + 1).rank_in_blocks(0, 1) != first:
         raise PrecisionExhausted("primitive-eigenvector test did not stabilize")
     return first > 0
 

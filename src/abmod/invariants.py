@@ -30,6 +30,7 @@ from .lattice import (
 )
 from .linalg import eigenvalues
 from .module import AbModule
+from .morphisms import IntertwinerSystem
 from .scalars import Scalar, ZERO
 from .series import Series
 from .seriesmat import a_image
@@ -270,30 +271,17 @@ def is_geometric(module: AbModule) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _image_contains_power(module: AbModule, lam: Scalar, w: int) -> int:
-    """Smallest N with b^N E inside (a - lam b) E, decided on E/b^w E."""
-    from .determination import truncate
-
-    q = truncate(module, w)
-    a_mat = linalg.mat_sub(q.A, linalg.mat_scale(q.B, lam))
-    image = linalg.Echelon(linalg.transpose(a_mat))
-    b_power = linalg.identity(q.dim)
-    for n in range(w + 1):
-        if all(image.contains(col) for col in linalg.transpose(b_power)):
-            return n
-        b_power = linalg.mat_mul(q.B, b_power)
-    raise PrecisionExhausted(
-        f"no b-power lands in the image at truncation level {w}"
-    )
-
-
 def n_lambda(module: AbModule, lam: Scalar) -> int:
     """The smallest N with b^N E inside (a - lam b) E.
 
     Decided on truncations at the sufficient level (lam - lambda_min of the
     class) + delta + 2 (falling back to delta + rank + 2 when lam's class is
     absent from the spectra), plus margin; the answer must agree at two
-    consecutive levels.
+    consecutive levels.  On E/b^w E it is the least N with k_N = k_w, where
+    k_N = dim ker(a - lam b) on E/b^N E: a - lam b preserves b^N E, so b^N E
+    lies in its image mod b^w exactly when its cokernels mod b^N and mod b^w
+    have equal dimension.  k_N is the live parameter count of one
+    intertwiner system from [[lam b]] into E, grown order by order.
     """
     table = width_table(module)
     delta = delta_index(module)
@@ -306,8 +294,11 @@ def n_lambda(module: AbModule, lam: Scalar) -> int:
     else:
         w = delta + module.rank + 2
     w += 2
-    first = _image_contains_power(module, lam, w)
-    second = _image_contains_power(module, lam, w + 1)
+    source = [[Series.monomial(lam, 1, module.precision)]]
+    system = IntertwinerSystem(source, module.matrix, 0)
+    dims = [0] + [len(system.solve(n).alive) for n in range(1, w + 2)]
+    first = dims.index(dims[w])
+    second = dims.index(dims[w + 1])
     if first != second:
         raise PrecisionExhausted(
             f"n_lambda unstable across levels {w} and {w + 1}: {first} vs {second}"

@@ -23,13 +23,19 @@ source [[c*b]] the solutions at w orders are the x in E/b^w E with
 parameter survives as one block entry, so the kernel has dimension
 ``len(alive)``, and ``rank_in_blocks`` gives the rank of its image in
 chosen low-order blocks.
+
+``solve(w)`` resumes after the orders already processed, so a certificate
+read at two consecutive levels grows one system by one order.  n_lambda
+reads k_N = dim ker(a - lam*b) on E/b^N E off one such system: as
+T = a - lam*b preserves b^N E, b^N E lies in T(E) mod b^w exactly when the
+cokernels of T mod b^N and mod b^w, hence k_N and k_w, are equal.
 """
 
 import random
 from fractions import Fraction
 
 from . import linalg
-from .errors import PrecisionExhausted
+from .errors import BadParameter, PrecisionExhausted
 from .scalars import ONE, ZERO, Scalar
 from .series import Series
 from .seriesmat import a_image, smat_mul, smat_sub
@@ -69,13 +75,8 @@ class IntertwinerSystem:
     def __init__(self, source, target, w: int, fixed=None):
         self.pe = len(source)
         self.pf = len(target)
+        self.precision = min(e.precision for row in (*source, *target) for e in row)
         self.w = w
-        if any(entry.precision < w for row in source for entry in row) or any(
-            entry.precision < w for row in target for entry in row
-        ):
-            raise PrecisionExhausted(
-                "structure matrices are not known to the requested order"
-            )
         # Per matrix entry, its nonzero (order, coefficient) terms; the
         # target's are negated once here, as the equation subtracts Mt * P.
         self.ms = [[entry.terms for entry in row] for row in source]
@@ -85,6 +86,7 @@ class IntertwinerSystem:
         self.occurrences = {}
         self.alive = set()
         self._next_param = 0
+        self._consistent = True
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -154,13 +156,26 @@ class IntertwinerSystem:
 
     # -- public API -------------------------------------------------------
 
-    def solve(self):
-        """Process all orders; None when prescribed blocks are inconsistent."""
-        for k in range(self.w):
+    def solve(self, w: int = None):
+        """Process the orders up to w (default: the count given at
+        construction) after those already processed, as a fresh solve to w
+        would; None when prescribed blocks are inconsistent."""
+        w = self.w if w is None else w
+        if w > self.precision:
+            raise PrecisionExhausted(
+                "truncation level exceeds the module's working precision"
+            )
+        if w < len(self.blocks):
+            raise BadParameter("a system cannot be solved back to fewer orders")
+        self.w = w
+        if not self._consistent:
+            return None
+        for k in range(len(self.blocks), self.w):
             self._new_block(k)
             for i in range(self.pf):
                 for j in range(self.pe):
                     if not self._eliminate(self._equation_entry(k, i, j)):
+                        self._consistent = False
                         return None
         return self
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import BadParameter, ParseError
 from .scalars import ZERO, Scalar
 from .series import Series, _make
 
@@ -297,8 +297,12 @@ def parse_series(text: str, precision: int, line: int | None = None) -> Series:
 # ---------------------------------------------------------------------------
 
 
+MAX_FILE_RANK = 256  # the internal Hom of two rank-16 modules
+
+
 def parse_module_file(text: str):
-    """Parse a module file into an AbModule."""
+    """Parse a module file into an AbModule; a rank above MAX_FILE_RANK raises
+    BadParameter before the rank x rank matrix is built."""
     from .module import AbModule
 
     rank = None
@@ -348,6 +352,10 @@ def parse_module_file(text: str):
         raise ParseError("missing rank line")
     if precision is None:
         raise ParseError("missing precision line")
+    if rank > MAX_FILE_RANK:
+        raise BadParameter(
+            f"rank {rank} exceeds the module-file ceiling {MAX_FILE_RANK}"
+        )
     matrix = [[Series.zero(precision) for _ in range(rank)] for _ in range(rank)]
     for (i, j), expr in entries.items():
         if not (1 <= i <= rank and 1 <= j <= rank):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,12 @@ def test_ext_raises_precision_when_needed(capsys):
     assert out == ["precision_raised: 28", "ext0: 7", "ext1: 10"]
 
 
+def test_ext_of_a_rank16_hom(capsys):
+    code, out, _ = run(["ext", "J(4;0)", "F(4;0;1/2)"], capsys)
+    assert code == 0
+    assert out == ["precision_raised: 48", "ext0: 12", "ext1: 16"]
+
+
 def test_jh_classify_truncate_golden(capsys):
     code, out, _ = run(["jh", "J(3;1)"], capsys)
     assert code == 0 and out == ["jh: 3, 2, 1"]
@@ -158,6 +165,16 @@ def test_shallow_file_is_computational_error(tmp_path, capsys):
     code, out, err = run(["info", str(path)], capsys)
     assert code == 1 and out == []
     assert "precision" in err
+
+
+def test_file_rank_above_the_ceiling_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("rank 100000\nprecision 4\nm 1 1: b\n")
+    start = time.perf_counter()
+    code, out, err = run(["info", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == []
+    assert err == "abmod: error: rank 100000 exceeds the module-file ceiling 256\n"
 
 
 # -- exit codes --------------------------------------------------------------

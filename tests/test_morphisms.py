@@ -3,13 +3,17 @@
 import sys
 from pathlib import Path
 
+import pytest
 import sympy
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from abmod import (
+    BadParameter,
     IntertwinerSystem,
+    PrecisionExhausted,
     Scalar,
+    Series,
     find_invertible,
     from_expression,
     verify_intertwiner,
@@ -114,3 +118,50 @@ def test_fixed_head_block_inconsistent():
     eye = [[ONE]]
     _, _, system = _system("E(1)", "E(2)", fixed={0: eye})
     assert system is None
+
+
+RESUME_W = 12
+
+
+def _resume_cases():
+    """(source, target, fixed): module pairs, one with a prescribed head
+    block, and an eigen-kernel system from the rank-1 module [[c*b]]."""
+    eye = [[ONE if i == j else ZERO for j in range(2)] for i in range(2)]
+    mods = {e: from_expression(e, RESUME_W) for e in
+            ("J(2;1)", "E(1/2,1/3)", "J(2;1/2)", "rand(3;5)")}
+    eigen = [[Series.monomial(Scalar(1) / Scalar(2), 1, RESUME_W)]]
+    return [
+        (mods["J(2;1)"].matrix, mods["J(2;1)"].matrix, None),
+        (mods["J(2;1)"].matrix, mods["J(2;1)"].matrix, {0: eye}),
+        (mods["E(1/2,1/3)"].matrix, mods["J(2;1/2)"].matrix, None),
+        (eigen, mods["rand(3;5)"].matrix, None),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_resumed_solve_matches_a_fresh_solve(case):
+    source, target, fixed = _resume_cases()[case]
+    resumed = IntertwinerSystem(source, target, 1, fixed=fixed).solve()
+    for n in range(2, RESUME_W + 1):
+        assert resumed.solve(n) is resumed
+        fresh = IntertwinerSystem(source, target, n, fixed=fixed).solve()
+        assert resumed.blocks == fresh.blocks, n
+        assert resumed.alive == fresh.alive, n
+        for hi in range(1, n + 1):
+            assert resumed.rank_in_blocks(0, hi) == fresh.rank_in_blocks(0, hi)
+    assert resumed.series_matrix({}) == fresh.series_matrix({})
+
+
+def test_resumed_solve_stays_inconsistent_and_bounded():
+    src = from_expression("E(1)", RESUME_W)
+    tgt = from_expression("E(2)", RESUME_W)
+    system = IntertwinerSystem(src.matrix, tgt.matrix, 1, fixed={0: [[ONE]]})
+    assert system.solve() is system  # the exponents first clash at order 1
+    assert system.solve(4) is None
+    assert system.solve(6) is None
+    free = IntertwinerSystem(src.matrix, tgt.matrix, 3).solve()
+    with pytest.raises(PrecisionExhausted):
+        free.solve(RESUME_W + 1)
+    with pytest.raises(BadParameter):
+        free.solve(2)
+    assert free.solve(RESUME_W) is free

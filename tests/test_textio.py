@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import abmod
 
 from abmod import (
+    BadParameter,
     ParseError,
     Scalar,
     emit_module_file,
@@ -29,6 +30,7 @@ from abmod import (
     random_regular,
 )
 from abmod.cli import main
+from abmod.textio import MAX_FILE_RANK
 
 
 # -- scalars ----------------------------------------------------------------
@@ -175,6 +177,12 @@ def test_parse_module_file_rejects_out_of_range_indices():
     text = "rank 1\nprecision 4\nm 2 1: b\n"
     with pytest.raises(ParseError):
         parse_module_file(text)
+
+
+def test_parse_module_file_rank_ceiling():
+    assert parse_module_file(f"rank {MAX_FILE_RANK}\nprecision 1\n").rank == MAX_FILE_RANK
+    with pytest.raises(BadParameter):
+        parse_module_file(f"rank {MAX_FILE_RANK + 1}\nprecision 1\n")
 
 
 @pytest.mark.parametrize(

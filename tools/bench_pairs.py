@@ -8,14 +8,17 @@ four workloads the script runs ``python3 bench/run.py --workload W --seed S
 --trace 0`` (run length: ``bench/run.py``'s default) once in each checkout
 per pair, ten pairs, with the same seed on both sides (``--seed`` plus the
 pair index) and the parent first on even pairs, the change first on odd
-ones.  Pick a seed not used while writing the change.  It then times the
-scaling probe ``abmod info 'J(12;0)' --precision 60`` three times in each
-checkout, alternating the same way.  Runs are sequential, one process at a
-time.
+ones.  Pick a seed not used while writing the change.  It then times each
+probe command (the scaling probe ``abmod info 'J(12;0)' --precision 60``
+and ``abmod ext 'J(4;0)' 'F(4;0;1/2)'``, whose internal Hom has rank 16)
+three times in each checkout, alternating the same way, and records what
+each printed.  Runs are sequential, one process at a time.
 
 The output holds every run, and for every end-to-end metric the median and
 quartiles on each side, the ratio of the medians (change / parent) and the
-number of pairs in which the change was better.
+number of pairs in which the change was better.  The script exits with
+status 1 when a probe's stdout differs between the checkouts (or between
+runs), after writing the report.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ PAIRS = 10
 PROBE_RUNS = 3
 BETTER = {"items_per_s": "higher", "item_p50_ms": "lower", "item_tail_ms": "lower",
           "setup_s": "lower", "peak_rss_mb": "lower"}
-PROBE = ["info", "J(12;0)", "--precision", "60"]
+PROBES = (["info", "J(12;0)", "--precision", "60"], ["ext", "J(4;0)", "F(4;0;1/2)"])
 
 
 def _bench(root: str, workload: str, seed: int) -> dict:
@@ -46,12 +49,12 @@ def _bench(root: str, workload: str, seed: int) -> dict:
             **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def _probe(root: str) -> float:
+def _probe(root: str, argv: list) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "abmod.cli", *PROBE], cwd=root, env=env,
-                   capture_output=True, check=True)
-    return time.perf_counter() - start
+    out = subprocess.run([sys.executable, "-m", "abmod.cli", *argv], cwd=root, env=env,
+                         capture_output=True, text=True, check=True)
+    return {"s": time.perf_counter() - start, "stdout": out.stdout}
 
 
 def _spread(values: list) -> dict:
@@ -100,13 +103,26 @@ def main(argv=None) -> int:
             "correct": all(r["correct"] for side in runs.values() for r in side),
             "failed": sum(r["failed"] for side in runs.values() for r in side),
             "metrics": metrics, "runs": runs}
-    print("probe:", file=sys.stderr)
-    times = _alternate(PROBE_RUNS, lambda side, k: _probe(roots[side]))
-    report["probe"] = {"command": "abmod " + " ".join(PROBE), "unit": "s",
-                       **{side: {**_spread(ts), "runs": ts} for side, ts in times.items()}}
+    report["probes"] = []
+    same = True
+    for argv in PROBES:
+        command = "abmod " + " ".join(argv)
+        print(f"probe {command}:", file=sys.stderr)
+        runs = _alternate(PROBE_RUNS, lambda side, k: _probe(roots[side], argv))
+        stdout = {side: sorted({r["stdout"] for r in rs}) for side, rs in runs.items()}
+        identical = stdout["parent"] == stdout["change"] and len(stdout["parent"]) == 1
+        same = same and identical
+        report["probes"].append({
+            "command": command, "unit": "s", "same_stdout": identical,
+            "stdout": stdout,
+            **{side: {**_spread([r["s"] for r in rs]), "runs": [r["s"] for r in rs]}
+               for side, rs in runs.items()}})
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
+    if not same:
+        print("probe stdout differs between the checkouts", file=sys.stderr)
+        return 1
     return 0
 
 
