@@ -27,7 +27,7 @@ from .errors import BadParameter, ParseError
 from .module import AbModule
 from .scalars import Scalar
 from .series import Series
-from .textio import parse_scalar
+from .textio import MAX_FILE_RANK, parse_scalar
 
 
 def _scal(x) -> Scalar:
@@ -179,11 +179,19 @@ def _as_int(text: str, what: str) -> int:
     return int(s.re)
 
 
+def _as_rank(text: str, what: str) -> int:
+    k = _as_int(text, what)
+    if k > MAX_FILE_RANK:
+        raise BadParameter(f"{what} {k} exceeds the rank ceiling {MAX_FILE_RANK}")
+    return k
+
+
 def from_expression(text: str, precision: int) -> AbModule:
     """Build a catalog module from compact syntax such as ``J(3;0)``.
 
     Raises ParseError for malformed syntax and BadParameter for parameter
-    values outside a family's constraints.
+    values outside a family's constraints, including a rank above
+    ``textio.MAX_FILE_RANK``, refused before any matrix is built.
     """
     expr = text.strip()
     if "(" not in expr or not expr.endswith(")"):
@@ -213,18 +221,18 @@ def from_expression(text: str, precision: int) -> AbModule:
             )
         if name == "J" and shape == (1, 1):
             return make_J_k(
-                parse_scalar(groups[1][0]), _as_int(groups[0][0], "k"), precision
+                parse_scalar(groups[1][0]), _as_rank(groups[0][0], "k"), precision
             )
         if name == "F" and shape == (1, 1, 1):
             return make_F_rho(
                 parse_scalar(groups[1][0]),
-                _as_int(groups[0][0], "k"),
+                _as_rank(groups[0][0], "k"),
                 parse_scalar(groups[2][0]),
                 precision,
             )
         if name == "rand" and shape == (1, 1):
             return random_regular(
-                _as_int(groups[0][0], "rank"),
+                _as_rank(groups[0][0], "rank"),
                 _as_int(groups[1][0], "seed"),
                 precision,
             )

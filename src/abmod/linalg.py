@@ -66,10 +66,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a: Matrix, s: Scalar) -> Matrix:
     return [[x * s for x in row] for row in a]
 
@@ -143,12 +139,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return out, [pc for pc, _ in ranked]
 
 
-def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
-
-
 def nullspace(a: Matrix) -> list[Vector]:
     """Deterministic basis of ker(a): one vector per free column, with a 1 in
     the free coordinate and the pivot coordinates solved from rref."""
@@ -199,10 +189,6 @@ def det(a: Matrix) -> Scalar:
     p = ech.pivots
     inversions = sum(p[j] > p[i] for i in range(len(p)) for j in range(i))
     return -d if inversions % 2 else d
-
-
-def is_invertible(a: Matrix) -> bool:
-    return len(a) == (len(a[0]) if a else 0) and bool(det(a))
 
 
 def inverse(a: Matrix) -> Optional[Matrix]:

@@ -10,8 +10,9 @@ each order contributes linear constraints which are eliminated immediately,
 expressing the youngest constrained coefficients through older ones.  The
 surviving freedom is carried exactly as affine expressions in free
 parameters, so searching the solution space for an invertible element
-(random rational samples, then a symbolic determinant as the deterministic
-fallback) never leaves exact arithmetic.
+never leaves exact arithmetic: random rational samples first, then, as the
+deterministic fallback, the determinant of the generic block 0 expanded as a
+polynomial in the free parameters by fraction-free (Bareiss) elimination.
 
 Low-order blocks may be prescribed, which turns the solver into the lifting
 engine for truncation isomorphisms: an inconsistent constraint then means
@@ -33,6 +34,7 @@ cokernels of T mod b^N and mod b^w, hence k_N and k_w, are equal.
 
 import random
 from fractions import Fraction
+from operator import add, sub
 
 from . import linalg
 from .errors import BadParameter, PrecisionExhausted
@@ -218,6 +220,101 @@ class IntertwinerSystem:
         ]
 
 
+# Bound on the terms of one intermediate polynomial while the generic block-0
+# determinant is expanded; a block that would pass it is refused with
+# BadParameter rather than left to grow without limit.  The module pairs of
+# the test suite and the benchmark stay below ten terms, the random 4 x 4
+# blocks in five parameters of the oracle test below a hundred.
+MAX_DET_TERMS = 20_000
+
+
+def _poly_add_product(acc: dict, p: dict, q: dict) -> None:
+    """acc += p * q for polynomials {exponent tuple: Scalar}, dropping
+    cancelled terms; BadParameter once acc holds more than MAX_DET_TERMS."""
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            key = tuple(map(add, m1, m2))
+            cur = acc.get(key)
+            val = c1 * c2 if cur is None else cur + c1 * c2
+            if val.is_zero():
+                acc.pop(key, None)
+            else:
+                acc[key] = val
+        if len(acc) > MAX_DET_TERMS:
+            raise BadParameter(
+                f"the generic determinant exceeds {MAX_DET_TERMS} terms"
+            )
+
+
+def _poly_div_exact(p: dict, d: dict) -> dict:
+    """p / d for a nonzero d known to divide p, by lex leading terms."""
+    p = dict(p)
+    lead = max(d)
+    inv = d[lead].inverse()
+    quotient = {}
+    while p:
+        top = max(p)
+        mono = tuple(map(sub, top, lead))
+        c = p[top] * inv
+        quotient[mono] = c
+        _poly_add_product(p, {mono: -c}, d)
+    return quotient
+
+
+def _generic_det(block, params) -> dict:
+    """The determinant of a square block of affine entries, expanded as a
+    polynomial {exponent tuple over params: Scalar} by fraction-free
+    (Bareiss) elimination: row swaps on a zero pivot, and each step divided
+    exactly by the previous pivot.  The zero polynomial is {}."""
+    unit = {pid: tuple(int(q == pid) for q in params) for pid in params}
+    const = (0,) * len(params)
+    a = [
+        [{const if key == CONST else unit[key]: c for key, c in entry.items()}
+         for entry in row]
+        for row in block
+    ]
+    n = len(a)
+    sign, prev = ONE, None
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return {}
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            neg = {m: -c for m, c in a[i][k].items()}
+            for j in range(k + 1, n):
+                num = {}
+                _poly_add_product(num, a[k][k], a[i][j])
+                _poly_add_product(num, neg, a[k][j])
+                a[i][j] = _poly_div_exact(num, prev) if prev else num
+        prev = a[k][k]
+    return {m: c * sign for m, c in a[n - 1][n - 1].items()}
+
+
+def _nonvanishing_point(det: dict, params) -> dict:
+    """Integer values, parameter by parameter, at which a nonzero det stays
+    nonzero: ZERO for a parameter that no longer occurs, otherwise the least
+    c in 0..deg whose substitution leaves a nonzero polynomial."""
+    values = {}
+    for n, pid in enumerate(params):
+        degree = max(m[n] for m in det)
+        if not degree:
+            values[pid] = ZERO
+            continue
+        for c in range(degree + 1):
+            candidate = {}
+            for m, coeff in det.items():
+                key = m[:n] + (0,) + m[n + 1:]
+                _aff_add_scaled(candidate, {key: coeff}, Scalar(c ** m[n]))
+            if candidate:
+                det = candidate
+                values[pid] = Scalar(c)
+                break
+    return values
+
+
 def find_invertible(system: IntertwinerSystem, seed: int = 0, tries: int = 40):
     """An assignment of the free parameters making block 0 invertible.
 
@@ -240,40 +337,8 @@ def find_invertible(system: IntertwinerSystem, seed: int = 0, tries: int = 40):
         }
         if not linalg.det(system.block_matrix(0, values)).is_zero():
             return values
-    import sympy
-
-    symbols = {pid: sympy.Symbol("c%d" % pid) for pid in free0}
-
-    def to_sympy(s: Scalar):
-        return sympy.Rational(s.re_num, s.den) + sympy.Rational(s.im_num, s.den) * sympy.I
-
-    def entry_expr(entry: dict):
-        acc = to_sympy(entry.get(CONST, ZERO))
-        for key, coeff in entry.items():
-            if key != CONST:
-                acc = acc + to_sympy(coeff) * symbols[key]
-        return acc
-
-    generic = sympy.Matrix(
-        [[entry_expr(entry) for entry in row] for row in system.blocks[0]]
-    )
-    det = sympy.expand(generic.det())
-    if det == 0:
-        return None
-    values = {}
-    for pid in free0:
-        sym = symbols[pid]
-        if sym not in det.free_symbols:
-            values[pid] = ZERO
-            continue
-        degree = sympy.degree(det, sym)
-        for c in range(int(degree) + 1):
-            candidate = sympy.expand(det.subs(sym, c))
-            if candidate != 0:
-                det = candidate
-                values[pid] = Scalar(c)
-                break
-    return values
+    det = _generic_det(system.blocks[0], free0)
+    return _nonvanishing_point(det, free0) if det else None
 
 
 def verify_intertwiner(source, target, P, w: int) -> bool:

@@ -12,6 +12,9 @@ from __future__ import annotations
 import sympy
 
 from abmod import AbModule, Scalar
+from abmod.linalg import det, rref
+from abmod.morphisms import CONST
+from abmod.scalars import ZERO
 
 # ---------------------------------------------------------------------------
 # scalar conversion
@@ -262,6 +265,68 @@ def invertible_head_exists(head_span: sympy.Matrix, p: int) -> bool:
             for j in range(p):
                 mat[i, j] += c * head_span[r, i * p + j]
     return sympy.simplify(mat.det()) != 0
+
+
+def symbolic_invertible(system):
+    """Free-parameter values making the generic block 0 of an intertwiner
+    system invertible, decided by sympy: the expanded determinant, then the
+    least integer c in 0..deg per parameter (ZERO where it does not occur)
+    with a nonzero substitution; None when the determinant vanishes
+    identically.  ``find_invertible``'s fallback must return exactly this.
+    sympy's Berkowitz determinant expands to the same polynomial as its
+    default Bareiss one, which takes seconds on some complex 4 x 4 blocks."""
+    free0 = system.parameters_in_blocks(0, 1)
+    symbols = {pid: sympy.Symbol("c%d" % pid) for pid in free0}
+
+    def to_sympy(s: Scalar):
+        return sympy.Rational(s.re_num, s.den) + sympy.Rational(s.im_num, s.den) * sympy.I
+
+    def entry_expr(entry: dict):
+        acc = to_sympy(entry.get(CONST, ZERO))
+        for key, coeff in entry.items():
+            if key != CONST:
+                acc = acc + to_sympy(coeff) * symbols[key]
+        return acc
+
+    generic = sympy.Matrix(
+        [[entry_expr(entry) for entry in row] for row in system.blocks[0]]
+    )
+    det = sympy.expand(generic.det(method="berkowitz"))
+    if det == 0:
+        return None
+    values = {}
+    for pid in free0:
+        sym = symbols[pid]
+        if sym not in det.free_symbols:
+            values[pid] = ZERO
+            continue
+        degree = sympy.degree(det, sym)
+        for c in range(int(degree) + 1):
+            candidate = sympy.expand(det.subs(sym, c))
+            if candidate != 0:
+                det = candidate
+                values[pid] = Scalar(c)
+                break
+    return values
+
+
+# ---------------------------------------------------------------------------
+# dense matrix helpers with no caller in the library
+# ---------------------------------------------------------------------------
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def is_invertible(a) -> bool:
+    return len(a) == (len(a[0]) if a else 0) and bool(det(a))
+
+
+def rank(a) -> int:
+    if not a or not a[0]:
+        return 0
+    return len(rref(a)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -372,7 +372,7 @@ def test_c11_hom_bracket_and_rank():
             H = hom_ab(E, F)
             assert H.rank == E.rank * F.rank
             q = truncate(H, 3)
-            left = linalg.mat_sub(
+            left = oracles.mat_sub(
                 linalg.mat_mul(q.A, q.B), linalg.mat_mul(q.B, q.A)
             )
             right = linalg.mat_mul(q.B, q.B)

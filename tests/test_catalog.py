@@ -20,7 +20,9 @@ from abmod import (
     random_regular,
     regularity_order,
 )
+from abmod import catalog
 from abmod.scalars import ONE
+from abmod.textio import MAX_FILE_RANK
 
 HALF = Scalar(Fraction(1, 2))
 THIRD = Scalar(Fraction(1, 3))
@@ -129,6 +131,18 @@ def test_expression_errors():
             from_expression(bad, 8)
     with pytest.raises(BadParameter):
         from_expression("J(0;1)", 8)
+
+
+def test_expression_rank_ceiling(monkeypatch):
+    def never(*args):
+        raise AssertionError("a module was built above the rank ceiling")
+
+    for name in ("make_J_k", "make_F_rho", "random_regular"):
+        monkeypatch.setattr(catalog, name, never)
+    k = MAX_FILE_RANK + 1
+    for expr in (f"J({k};0)", f"F({k};0;1)", f"rand({k};1)"):
+        with pytest.raises(BadParameter, match=f"{k} exceeds the rank ceiling"):
+            from_expression(expr, 8)
 
 
 # -- random catalog ----------------------------------------------------------

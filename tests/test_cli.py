@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, byte stability."""
 
+import json
 import os
 import subprocess
 import sys
@@ -198,6 +199,7 @@ def test_exit_code_usage(capsys):
     assert run(["truncate", "E(1/2)", "xyz"], capsys)[0] == 4
     assert run(["info", "E(1,2;0)"], capsys)[0] == 4
     assert run(["iso", "E(1/2)", "J(2;0)"], capsys)[0] == 4
+    assert run(["info", "J(257;0)"], capsys)[0] == 4
 
 
 def test_exit_code_usage_for_out_of_range_counts(capsys):
@@ -238,22 +240,30 @@ SPECTRUM_COMMANDS = [
     ["classify2", "E(1/2,1/3)"],
     ["saturate", "J(3;0)"],
 ]
+# Reaches find_invertible's fallback: all 40 random tries give a singular
+# block 0, and the expanded generic determinant vanishes identically.
+FALLBACK_COMMAND = ["iso", "F(3;0;2)", "J(3;0)"]
 
 SYMPY_PROBE = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 from abmod.cli import main
+outputs = []
 for argv in %r:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(argv) == 0, argv
-print("sympy" in sys.modules)
+    outputs.append(out.getvalue())
+print(json.dumps(["sympy" in sys.modules, outputs]))
 """
 
 
 def test_spectrum_commands_run_without_sympy():
     env = dict(os.environ, PYTHONPATH=str(Path(abmod.__file__).resolve().parents[1]))
     probe = subprocess.run(
-        [sys.executable, "-c", SYMPY_PROBE % (SPECTRUM_COMMANDS,)],
+        [sys.executable, "-c", SYMPY_PROBE % (SPECTRUM_COMMANDS + [FALLBACK_COMMAND],)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == "False"
+    sympy_loaded, outputs = json.loads(probe.stdout)
+    assert outputs[-1] == "iso: absent\n"
+    assert sympy_loaded is False
+

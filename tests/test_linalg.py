@@ -1,7 +1,9 @@
 """Exact linear algebra over the rational-complex scalars, checked against sympy."""
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -15,14 +17,16 @@ from abmod.linalg import (
     eigenvalues,
     identity,
     inverse,
-    is_invertible,
     mat_mul,
     nullspace,
     poly_roots_qi,
-    rank,
     rref,
     solve,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from oracles import is_invertible, rank  # noqa: E402
 
 
 def _rand_matrix(rng, rows, cols):

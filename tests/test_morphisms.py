@@ -1,10 +1,13 @@
 """Intertwiner solving: solution-space dimensions, invertible heads, verification."""
 
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -16,9 +19,12 @@ from abmod import (
     Series,
     find_invertible,
     from_expression,
+    module_iso,
     verify_intertwiner,
 )
+from abmod import morphisms
 from abmod.linalg import det
+from abmod.morphisms import CONST, _generic_det
 from abmod.scalars import ONE, ZERO
 
 import oracles
@@ -165,3 +171,136 @@ def test_resumed_solve_stays_inconsistent_and_bounded():
     with pytest.raises(BadParameter):
         free.solve(2)
     assert free.solve(RESUME_W) is free
+
+
+# -- the generic block-0 determinant -----------------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+
+
+class _Block0:
+    """The part of an intertwiner system that find_invertible's fallback
+    reads: block 0 and its free parameters."""
+
+    def __init__(self, block):
+        self.blocks = [block]
+
+    def parameters_in_blocks(self, lo, hi):
+        return sorted({key for row in self.blocks[0] for e in row for key in e
+                       if key != CONST})
+
+
+_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_GAUSSIAN = st.builds(Scalar, _FRACTIONS, st.one_of(st.just(0), _FRACTIONS))
+_NONZERO = _GAUSSIAN.filter(lambda s: not s.is_zero())
+
+
+@st.composite
+def _parameter_blocks(draw):
+    """A square block of affine entries {CONST or pid: Scalar} in up to five
+    parameters, with zero entries (which force row swaps); sometimes a row
+    repeats another, scaled, so the block is singular at every point."""
+    n = draw(st.integers(1, 4))
+    pids = draw(st.lists(st.integers(0, 9), max_size=5, unique=True))
+    keys = [CONST] + pids
+    block = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            if draw(st.integers(0, 3)):
+                chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
+                                       unique=True))
+                row.append({k: draw(_NONZERO) for k in chosen})
+            else:
+                row.append({})
+        block.append(row)
+    if n >= 2 and not draw(st.integers(0, 3)):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        factor = draw(_GAUSSIAN)
+        block[dst] = [{k: c * factor for k, c in e.items() if not factor.is_zero()}
+                      for e in block[src]]
+    return block, sorted(pids)
+
+
+def _to_sympy(poly: dict, symbols: list):
+    """A polynomial {exponent tuple: Scalar} as a sympy expression."""
+    acc = sympy.Integer(0)
+    for mono, coeff in poly.items():
+        term = oracles.to_sym(coeff)
+        for sym, e in zip(symbols, mono):
+            term = term * sym**e
+        acc = acc + term
+    return acc
+
+
+@PROPERTY
+@given(_parameter_blocks())
+def test_generic_det_matches_sympy(case):
+    block, params = case
+    symbols = [sympy.Symbol("c%d" % pid) for pid in params]
+    generic = sympy.Matrix([
+        [oracles.to_sym(e.get(CONST, ZERO))
+         + sum(oracles.to_sym(e[pid]) * sym for pid, sym in zip(params, symbols) if pid in e)
+         for e in row]
+        for row in block
+    ])
+    expanded = _generic_det(block, params)
+    assert all(not c.is_zero() for c in expanded.values())
+    expected = sympy.expand(generic.det(method="berkowitz"))
+    assert sympy.expand(_to_sympy(expanded, symbols) - expected) == 0
+    system = _Block0(block)
+    if system.parameters_in_blocks(0, 1):
+        assert find_invertible(system, tries=0) == oracles.symbolic_invertible(system)
+
+
+def test_generic_det_swaps_rows_on_zero_pivots():
+    # An anti-diagonal block swaps rows at its first steps; the reversal of n
+    # rows has sign (-1)^(n(n-1)/2).
+    for n in range(2, 5):
+        block = [[{i: ONE} if i + j == n - 1 else {} for j in range(n)]
+                 for i in range(n)]
+        sign = -1 if n * (n - 1) // 2 % 2 else 1
+        assert _generic_det(block, list(range(n))) == {(1,) * n: Scalar(sign)}
+    # Here the second pivot cancels only after the first step.
+    one = {CONST: ONE}
+    block = [[one, one, {}], [one, one, {0: ONE}], [{}, {1: ONE}, one]]
+    assert _generic_det(block, [0, 1]) == {(1, 1): Scalar(-1)}
+
+
+ORACLE_PAIRS = PAIRS + [("F(3;0;2)", "J(3;0)"), ("J(3;0)", "J(3;0)"),
+                        ("F(3;0;1/2)", "F(3;0;1/2)")]
+
+
+@pytest.mark.parametrize("src_expr,tgt_expr", ORACLE_PAIRS)
+def test_fallback_values_match_sympy_oracle(src_expr, tgt_expr):
+    _, _, system = _system(src_expr, tgt_expr)
+    if system.parameters_in_blocks(0, 1):
+        assert find_invertible(system, tries=0) == oracles.symbolic_invertible(system)
+
+
+def test_fallback_decides_a_non_isomorphic_pair():
+    # Saturation spectra do not tell F(3;0;2) from J(3;0); every solution of
+    # the intertwining equation is singular, so all 40 random tries fail and
+    # the expanded determinant, identically zero, decides.
+    src = from_expression("F(3;0;2)", 24)
+    tgt = from_expression("J(3;0)", 24)
+    system = IntertwinerSystem(src.matrix, tgt.matrix, 24).solve()
+    free0 = system.parameters_in_blocks(0, 1)
+    assert free0
+    rng = random.Random(0)
+    for _ in range(40):
+        values = {pid: Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                  for pid in free0}
+        assert det(system.block_matrix(0, values)).is_zero()
+    assert _generic_det(system.blocks[0], free0) == {}
+    assert find_invertible(system) is None
+    assert module_iso(src, tgt) is None
+
+
+def test_generic_det_size_budget(monkeypatch):
+    # A generic 3x3 block has a six-term determinant.
+    block = [[{3 * i + j: ONE} for j in range(3)] for i in range(3)]
+    assert len(_generic_det(block, list(range(9)))) == 6
+    monkeypatch.setattr(morphisms, "MAX_DET_TERMS", 3)
+    with pytest.raises(BadParameter, match="exceeds 3 terms"):
+        find_invertible(_Block0(block), tries=0)
