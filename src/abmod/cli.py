@@ -7,8 +7,9 @@ fixed inputs, seed, and version; ``--verbose`` only adds ``#``-prefixed
 commentary.  Exit codes: 0 success, 1 computational failure, 2 parse error,
 3 unsupported spectrum, 4 usage error (also for a module file or a ``J``,
 ``F`` or ``rand`` expression declaring a rank above 256,
-``textio.MAX_FILE_RANK``, refused before any entry is built, and for a
-generic determinant beyond ``morphisms.MAX_DET_TERMS`` terms).
+``textio.MAX_FILE_RANK``, and a ``hom`` or ``ext`` whose internal Hom would
+pass that rank, each refused before any entry is built, and for a generic
+determinant beyond ``morphisms.MAX_DET_TERMS`` terms).
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from .module import AbModule, Element, apply_a, base_change
 from .morphisms import IntertwinerSystem
 from .scalars import ONE, ZERO, Scalar
 from .series import Series
+from .textio import MAX_FILE_RANK
 
 __all__ = [
     "JHSequence",
@@ -100,10 +101,15 @@ def hom_ab(E: AbModule, F: AbModule) -> AbModule:
         Psi |-> Psi * Me(-b) - Mf(-b) * Psi + b^2 * Psi'.
     Flattening Psi row-major gives a module of rank rank(E)*rank(F) whose
     structure matrix is assembled below; the b^2*Psi' part is the intrinsic
-    derivative term of every presentation.
+    derivative term of every presentation.  A rank above
+    textio.MAX_FILE_RANK is refused (BadParameter) before any entry is built.
     """
     pe = E.rank
     pf = F.rank
+    if pe * pf > MAX_FILE_RANK:
+        raise BadParameter(
+            f"the internal Hom has rank {pe * pf}, above the ceiling {MAX_FILE_RANK}"
+        )
     w = min(E.precision, F.precision)
     me = [
         [E.matrix[i][j].negate_variable().at_precision(w) for j in range(pe)]
@@ -135,9 +141,9 @@ def ext_dims(E: AbModule, F: AbModule) -> tuple:
     order, as the intertwiners from the rank-1 module [[0]] into H, by one
     system grown through W, W+1 and W+2 orders.
     """
+    H = hom_ab(E, F)
     if not is_regular(E) or not is_regular(F):
         raise NotRegular("ext dimensions are certified for regular modules only")
-    H = hom_ab(E, F)
     base = n_lambda(H, ZERO) + 2
     system = IntertwinerSystem([[Series.zero(H.precision)]], H.matrix, 0)
     d1 = len(system.solve(base).alive)
@@ -187,8 +193,8 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
             )
     x = list(z.in_frame(0))
     b = Series.b(w)
-    r = [entry for entry in apply_a(module, Element(x, 0)).in_frame(0)]
-    r = [r[i] - (b * x[i]) * lam for i in range(p)]
+    ax = apply_a(module, z).coords
+    r = [ax[i] - (b * x[i]) * lam for i in range(p)]
     for i in range(p):
         for t in range(kappa + 2):
             if not r[i].coefficient(t).is_zero():
@@ -241,7 +247,7 @@ def _eigen_data(module: AbModule, x: Element):
     )
     if pivot is None:
         raise NotPrimitive("element lies in b.E")
-    ax = apply_a(module, Element(coords, 0)).in_frame(0)
+    ax = apply_a(module, z).coords
     ratio = ax[pivot] * coords[pivot].invert()
     lam = ratio.coefficient(1)
     if not ratio.coefficient(0).is_zero():

@@ -23,7 +23,6 @@ from .lattice import (
     Lattice,
     lattice_from_columns,
     lattice_quotient_dim,
-    lattice_sum,
     lattice_equal,
     module_on_lattice,
     standard_lattice,
@@ -49,12 +48,15 @@ class SaturationResult:
 
 
 def _one_saturation_step(module: AbModule, lat: Lattice) -> Lattice:
-    """lat + b^{-1} a (lat)."""
+    """lat + b^{-1} a (lat), echelonized once in the b^{-(k+1)} frame."""
     k = lat.shift
     image_cols = a_image(module.matrix, lat.gens, k)
     # b^{-1} of a vector written in the b^{-k} frame lives in the b^{-(k+1)} frame
-    image = lattice_from_columns(lat.dim, image_cols, shift=k + 1)
-    return lattice_sum(lat, image)
+    deeper = lat.at_shift(k + 1)
+    w = min(deeper.precision, min(e.precision for c in image_cols for e in c))
+    return lattice_from_columns(
+        lat.dim, list(deeper.gens) + image_cols, shift=k + 1, precision=w
+    )
 
 
 @lru_cache(maxsize=512)

@@ -85,14 +85,6 @@ class Lattice:
         pivots = tuple((r, v + d) for r, v in self.pivots)
         return Lattice(self.dim, shift, gens, pivots, self.precision + d)
 
-    def scaled_by_b(self, m: int) -> "Lattice":
-        """b^m * L for m of either sign (negative m raises the shift)."""
-        if m >= 0:
-            gens = tuple(tuple(col_shift_up(list(g), m)) for g in self.gens)
-            pivots = tuple((r, v + m) for r, v in self.pivots)
-            return Lattice(self.dim, self.shift, gens, pivots, self.precision + m)
-        return Lattice(self.dim, self.shift - m, self.gens, self.pivots, self.precision)
-
     # -- membership -------------------------------------------------------
 
     def reduce_column(self, col, shift: int = 0):
@@ -103,20 +95,8 @@ class Lattice:
         remainder is visibly zero.
         """
         k = max(self.shift, shift)
-        lat = self.at_shift(k)
-        work = list(col_shift_up(list(col), k - shift))
-        for (row, v), gen in zip(lat.pivots, lat.gens):
-            entry = work[row]
-            if entry.precision < v:
-                raise PrecisionExhausted(
-                    "column too shallow to reduce against pivot"
-                )
-            q, _ = entry.split_at(v)
-            if q.is_zero():
-                continue
-            sub = scaled_col_mul(q, list(gen), v)
-            work = [x - y for x, y in zip(work, sub)]
-        return work, k
+        work = col_shift_up(list(col), k - shift)
+        return _back_substitute(self.at_shift(k), work)[0], k
 
     def contains_column(self, col, shift: int = 0) -> bool:
         rem, _ = self.reduce_column(col, shift)
@@ -142,6 +122,22 @@ class Lattice:
             f"Lattice(dim={self.dim}, shift={self.shift}, "
             f"pivots=[{pivs}], precision={self.precision})"
         )
+
+
+def _back_substitute(lat: Lattice, work: list):
+    """Reduce a column along the pivots of lat, in order: (remainder, the
+    quotient taken at each pivot)."""
+    quotients = []
+    for (row, v), gen in zip(lat.pivots, lat.gens):
+        entry = work[row]
+        if entry.precision < v:
+            raise PrecisionExhausted("column too shallow to reduce against pivot")
+        q, _ = entry.split_at(v)
+        quotients.append(q)
+        if not q.is_zero():
+            sub = scaled_col_mul(q, list(gen), v)
+            work = [x - y for x, y in zip(work, sub)]
+    return work, quotients
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +235,6 @@ def standard_lattice(module: AbModule) -> Lattice:
 # ---------------------------------------------------------------------------
 
 
-def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
-    if a.dim != b.dim:
-        raise ValueError("lattice sum needs a common ambient module")
-    k = max(a.shift, b.shift)
-    aa, bb = a.at_shift(k), b.at_shift(k)
-    w = min(aa.precision, bb.precision)
-    cols = [list(g) for g in aa.gens] + [list(g) for g in bb.gens]
-    return lattice_from_columns(a.dim, cols, shift=k, precision=w)
-
-
 def lattice_equal(a: Lattice, b: Lattice) -> bool:
     """Equality of the underlying submodules, decided structurally on the
     canonical forms at a common frame and precision."""
@@ -294,29 +280,22 @@ def module_on_lattice(module: AbModule, lat: Lattice) -> AbModule:
     """The structure matrix of a restricted to a full-rank a-stable lattice.
 
     For each generator g_c, the image a(b^{-K} g_c) is re-expressed in the
-    generator basis by back-substitution along the pivots; a fractional
-    coefficient means the lattice was not a-stable (NotAStable).
+    generator basis by back-substitution along the pivots; a nonzero
+    remainder (a fractional coefficient) means the lattice was not a-stable
+    (NotAStable).
     """
     if not lat.is_full_rank():
         raise ValueError("module_on_lattice needs a full-rank lattice")
     p = lat.dim
-    k = lat.shift
-    wmod = module.at_precision(
-        min(module.precision, lat.precision)
-    )
+    wmod = module.at_precision(min(module.precision, lat.precision))
     new_cols = []
-    for residual in a_image(wmod.matrix, lat.gens, k):
-        coeffs = []
-        for (row, v), gen in zip(lat.pivots, lat.gens):
-            q, r = residual[row].split_at(v)
-            if not r.is_zero():
-                raise NotAStable(
-                    "image of a generator has a fractional coefficient: "
-                    "the lattice is not a-stable"
-                )
-            coeffs.append(q)
-            sub = scaled_col_mul(q, list(gen), v)
-            residual = [x - y for x, y in zip(residual, sub)]
+    for image in a_image(wmod.matrix, lat.gens, lat.shift):
+        remainder, coeffs = _back_substitute(lat, image)
+        if not all(x.is_zero() for x in remainder):
+            raise NotAStable(
+                "image of a generator has a fractional coefficient: "
+                "the lattice is not a-stable"
+            )
         new_cols.append(coeffs)
     matrix = [[new_cols[j][i] for j in range(p)] for i in range(p)]
     return AbModule(matrix)

@@ -62,14 +62,6 @@ def mat_vec(a: Matrix, x: Vector) -> Vector:
     return out
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, s: Scalar) -> Matrix:
-    return [[x * s for x in row] for row in a]
-
-
 def trace(a: Matrix) -> Scalar:
     t = ZERO
     for i in range(len(a)):
@@ -214,7 +206,9 @@ def charpoly(a: Matrix) -> list[Scalar]:
         c = -(trace(am) / k)
         coeffs.append(c)
         if k < n:
-            m = mat_add(am, mat_scale(identity(n), c))
+            for i in range(n):
+                am[i][i] = am[i][i] + c
+            m = am
     return coeffs
 
 

@@ -17,14 +17,10 @@ for b^{-K} times its coordinate vector, using  a b^{-K} = b^{-K}(a - K b).
 from __future__ import annotations
 
 from .errors import BadParameter, PrecisionExhausted
-from .scalars import Scalar
 from .series import Series
 from .seriesmat import (
     a_image,
-    col_add,
-    col_scale,
     col_shift_up,
-    col_sub,
     smat_coefficient,
     smat_inverse,
     smat_min_precision,
@@ -177,28 +173,6 @@ class Element:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
 
-    def __add__(self, other) -> "Element":
-        if not isinstance(other, Element):
-            return NotImplemented
-        k = max(self.shift, other.shift)
-        return Element(col_add(self.in_frame(k), other.in_frame(k)), k)
-
-    def __sub__(self, other) -> "Element":
-        if not isinstance(other, Element):
-            return NotImplemented
-        k = max(self.shift, other.shift)
-        return Element(col_sub(self.in_frame(k), other.in_frame(k)), k)
-
-    def __neg__(self) -> "Element":
-        return Element([-c for c in self.coords], self.shift)
-
-    def __mul__(self, other) -> "Element":
-        if isinstance(other, (Scalar, Series, int)):
-            return Element(col_scale(list(self.coords), other), self.shift)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
@@ -215,7 +189,7 @@ class Element:
 
 
 # ---------------------------------------------------------------------------
-# the two operators
+# the a-action on elements, and base change
 # ---------------------------------------------------------------------------
 
 
@@ -225,19 +199,6 @@ def apply_a(module: AbModule, x: Element) -> Element:
     On the b^{-K} frame:  a(b^{-K} v) = b^{-K} (M v + b^2 v' - K b v).
     """
     return Element(a_image(module.matrix, [x.coords], x.shift)[0], x.shift)
-
-
-def apply_b(module: AbModule, x: Element) -> Element:
-    """b(x): lower the shift when possible, otherwise push a b into the
-    coordinates (gaining one order of precision — honestly)."""
-    if x.shift > 0:
-        return Element(list(x.coords), x.shift - 1)
-    return Element(col_shift_up(list(x.coords), 1), 0)
-
-
-def apply_b_inverse(x: Element) -> Element:
-    """b^{-1}(x): always representable by raising the shift."""
-    return Element(list(x.coords), x.shift + 1)
 
 
 def base_change(module: AbModule, q) -> AbModule:

@@ -318,12 +318,16 @@ def _nonvanishing_point(det: dict, params) -> dict:
 def find_invertible(system: IntertwinerSystem, seed: int = 0, tries: int = 40):
     """An assignment of the free parameters making block 0 invertible.
 
-    Random rational samples first; if they all fail, the determinant of the
-    generic block 0 decides: identically zero means no invertible solution
-    exists, otherwise a nonvanishing integer point is found variable by
-    variable.  Returns the value dict, or None when every solution is
-    singular.
+    A row or column of block 0 with no entry makes every solution singular.
+    Otherwise random rational samples come first; if they all fail, the
+    determinant of the generic block 0 decides: identically zero means no
+    invertible solution exists, otherwise a nonvanishing integer point is
+    found variable by variable.  Returns the value dict, or None when every
+    solution is singular.
     """
+    block = system.blocks[0]
+    if not all(map(any, block)) or not all(map(any, zip(*block))):
+        return None
     free0 = system.parameters_in_blocks(0, 1)
     if not free0:
         values = {}

@@ -42,7 +42,8 @@ def a_image(m, cols, shift: int = 0) -> list:
     a(b^{-K} v) = b^{-K} (m v + b^2 v' - K b v); the images come back as
     columns in the same frame.  Elements, lattices, base changes and the
     intertwiner check all apply a through here; only the coefficient-level
-    forms (truncate, the intertwiner solver) write the rule out again.
+    forms (truncate, the intertwiner solver and eigen_lift's residual
+    update) write the rule out again.
 
     m holds one common precision, as a structure matrix does.  An image is
     known to min(that precision, the least precision of its column), so each
@@ -67,18 +68,6 @@ def a_image(m, cols, shift: int = 0) -> list:
 
 def smat_min_precision(a) -> int:
     return min(entry.precision for row in a for entry in row)
-
-
-def col_add(x: list, y: list) -> list:
-    return [u + v for u, v in zip(x, y)]
-
-
-def col_sub(x: list, y: list) -> list:
-    return [u - v for u, v in zip(x, y)]
-
-
-def col_scale(x: list, s) -> list:
-    return [u * s for u in x]
 
 
 def col_shift_up(x: list, m: int) -> list:

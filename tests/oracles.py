@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sympy
 
-from abmod import AbModule, Scalar
+from abmod import AbModule, Lattice, Scalar, lattice_from_columns
 from abmod.linalg import det, rref
 from abmod.morphisms import CONST
 from abmod.scalars import ZERO
@@ -319,6 +319,10 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def mat_scale(a, s: Scalar):
+    return [[x * s for x in row] for row in a]
+
+
 def is_invertible(a) -> bool:
     return len(a) == (len(a[0]) if a else 0) and bool(det(a))
 
@@ -327,6 +331,29 @@ def rank(a) -> int:
     if not a or not a[0]:
         return 0
     return len(rref(a)[1])
+
+
+# ---------------------------------------------------------------------------
+# lattice helpers with no caller in the library
+# ---------------------------------------------------------------------------
+
+
+def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
+    """a + b, echelonized in the deeper frame at the lower precision."""
+    k = max(a.shift, b.shift)
+    aa, bb = a.at_shift(k), b.at_shift(k)
+    w = min(aa.precision, bb.precision)
+    cols = [list(g) for g in aa.gens] + [list(g) for g in bb.gens]
+    return lattice_from_columns(a.dim, cols, shift=k, precision=w)
+
+
+def scaled_by_b(lat: Lattice, m: int) -> Lattice:
+    """b^m * lat for m of either sign (negative m raises the shift)."""
+    if m >= 0:
+        gens = tuple(tuple(g.shift_up(m) for g in col) for col in lat.gens)
+        pivots = tuple((r, v + m) for r, v in lat.pivots)
+        return Lattice(lat.dim, lat.shift, gens, pivots, lat.precision + m)
+    return Lattice(lat.dim, lat.shift - m, lat.gens, lat.pivots, lat.precision)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,27 @@
+"""The package carries no dead helpers."""
+
+import ast
+import re
+from pathlib import Path
+
+import abmod
+
+SRC = Path(abmod.__file__).parent
+
+
+def test_every_public_function_is_exported_or_named_elsewhere():
+    # A public module-level function that abmod does not export must be
+    # named somewhere in the package besides its own definition.
+    paths = sorted(SRC.glob("*.py"))
+    texts = [path.read_text(encoding="utf-8") for path in paths]
+    unused = []
+    for path, text in zip(paths, texts):
+        for node in ast.parse(text).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            if node.name in abmod.__all__:
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            if sum(len(word.findall(t)) for t in texts) < 2:
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []

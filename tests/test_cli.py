@@ -178,6 +178,16 @@ def test_file_rank_above_the_ceiling_is_a_usage_error(tmp_path, capsys):
     assert err == "abmod: error: rank 100000 exceeds the module-file ceiling 256\n"
 
 
+def test_hom_rank_above_the_ceiling_is_a_usage_error(capsys):
+    # 17 * 16 = 272 > 256: refused before any entry of the Hom is built.
+    for command in ("hom", "ext"):
+        start = time.perf_counter()
+        code, out, err = run([command, "J(17;0)", "J(16;0)"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == []
+        assert err == "abmod: error: the internal Hom has rank 272, above the ceiling 256\n"
+
+
 # -- exit codes --------------------------------------------------------------
 
 
@@ -240,9 +250,9 @@ SPECTRUM_COMMANDS = [
     ["classify2", "E(1/2,1/3)"],
     ["saturate", "J(3;0)"],
 ]
-# Reaches find_invertible's fallback: all 40 random tries give a singular
-# block 0, and the expanded generic determinant vanishes identically.
-FALLBACK_COMMAND = ["iso", "F(3;0;2)", "J(3;0)"]
+# Every intertwiner F(3;0;2) -> J(3;0) is singular; find_invertible tells
+# so from the two empty rows of block 0.
+SINGULAR_ISO_COMMAND = ["iso", "F(3;0;2)", "J(3;0)"]
 
 SYMPY_PROBE = """
 import contextlib, io, json, sys
@@ -259,7 +269,7 @@ print(json.dumps(["sympy" in sys.modules, outputs]))
 def test_spectrum_commands_run_without_sympy():
     env = dict(os.environ, PYTHONPATH=str(Path(abmod.__file__).resolve().parents[1]))
     probe = subprocess.run(
-        [sys.executable, "-c", SYMPY_PROBE % (SPECTRUM_COMMANDS + [FALLBACK_COMMAND],)],
+        [sys.executable, "-c", SYMPY_PROBE % (SPECTRUM_COMMANDS + [SINGULAR_ISO_COMMAND],)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert probe.returncode == 0, probe.stderr

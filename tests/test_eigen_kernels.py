@@ -2,8 +2,9 @@
 reference: the kernel of A - c*B on E/b^N E from ``truncate`` and a full
 ``nullspace``; ``n_lambda`` against the dense image test (whether the
 columns of B^N lie in the column span of A - c*B); and ``ext_dims``
-recomputed from dense truncations of the internal Hom.  The
-``PrecisionExhausted`` messages are compared too."""
+recomputed from dense truncations of the internal Hom, also on the
+rank-3 witnesses of the c08 acceptance test.  The ``PrecisionExhausted``
+messages are compared too."""
 
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from abmod import (
+    AbModule,
     IntertwinerSystem,
     PrecisionExhausted,
     Scalar,
@@ -19,13 +21,16 @@ from abmod import (
     base_change,
     delta_index,
     ext_dims,
+    from_expression,
     hom_ab,
     is_regular,
     n_lambda,
+    parse_series,
     random_regular,
     saturate,
     spectrum,
     truncate,
+    verify_fd,
     width_table,
 )
 from abmod.invariants import _class_rep
@@ -33,7 +38,6 @@ from abmod.linalg import (
     Echelon,
     identity,
     mat_mul,
-    mat_scale,
     nullspace,
     transpose,
 )
@@ -41,7 +45,7 @@ from abmod.scalars import ONE, ZERO
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import mat_sub, rank  # noqa: E402
+from oracles import mat_scale, mat_sub, rank  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -209,3 +213,20 @@ def test_n_lambda_matches_the_dense_image_test(case):
 @given(with_value(module_pairs(st.integers(8, 14)).map(lambda pair: hom_ab(*pair))))
 def test_n_lambda_of_hom_matches_the_dense_image_test(case):
     assert _outcome(n_lambda, *case) == _outcome(_dense_n_lambda, *case)
+
+
+def test_c08_witnesses_at_rank_3_are_not_isomorphic():
+    # The NoLift witnesses that verify_fd(J(3;0), 20, 11) reports (the call
+    # the c08 acceptance test makes) are genuine non-isomorphisms: the
+    # perturbed module E' has a smaller Hom from E than E itself has.
+    E = from_expression("J(3;0)", 24)
+    failures = verify_fd(E, 20, 11)["failures"]
+    assert len(failures) == 4
+    assert {f["error"] for f in failures} == {"NoLift"}
+    assert ext_dims(E, E)[0] == _dense_ext_dims(E, E)[0] == 7
+    for f in failures:
+        perturbed = AbModule([
+            [entry + parse_series(text, E.precision) for entry, text in zip(row, texts)]
+            for row, texts in zip(E.matrix, f["witness"])
+        ])
+        assert ext_dims(E, perturbed)[0] == _dense_ext_dims(E, perturbed)[0] == 6, f["trial"]

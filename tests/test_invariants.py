@@ -27,6 +27,7 @@ from abmod import (
     spectrum,
     width_table,
 )
+from abmod.scalars import ONE
 
 HALF = Scalar(Fraction(1, 2))
 THIRD = Scalar(Fraction(1, 3))
@@ -65,6 +66,15 @@ def test_saturate_idempotent():
     sat = saturate(m).saturated
     assert delta_index(sat) == 0
     assert saturate(sat).steps == 0
+
+
+def test_saturation_step_reduces_the_image_against_the_lattice():
+    # a e = b^11 e at precision 12: b^{-1} a e = b^10 e lies in E, so E is
+    # its own saturation, although the image alone has its pivot at the
+    # precision horizon (b^11 in the b^{-1} frame at precision 12).
+    m = AbModule([[Series.monomial(ONE, 11, 12)]])
+    sat = saturate(m)
+    assert sat.steps == 0 and sat.saturated == m
 
 
 def test_index_versus_order_can_differ():

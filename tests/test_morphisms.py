@@ -280,8 +280,8 @@ def test_fallback_values_match_sympy_oracle(src_expr, tgt_expr):
 
 def test_fallback_decides_a_non_isomorphic_pair():
     # Saturation spectra do not tell F(3;0;2) from J(3;0); every solution of
-    # the intertwining equation is singular, so all 40 random tries fail and
-    # the expanded determinant, identically zero, decides.
+    # the intertwining equation is singular, so all 40 random tries would
+    # fail and the expanded determinant is identically zero.
     src = from_expression("F(3;0;2)", 24)
     tgt = from_expression("J(3;0)", 24)
     system = IntertwinerSystem(src.matrix, tgt.matrix, 24).solve()
@@ -295,6 +295,20 @@ def test_fallback_decides_a_non_isomorphic_pair():
     assert _generic_det(system.blocks[0], free0) == {}
     assert find_invertible(system) is None
     assert module_iso(src, tgt) is None
+
+
+def test_empty_row_of_block0_decides_without_determinants(monkeypatch):
+    # The first two rows of block 0 of F(3;0;2) -> J(3;0) are empty, so
+    # block 0 is singular by its shape and no determinant is evaluated.
+    src = from_expression("F(3;0;2)", 24)
+    tgt = from_expression("J(3;0)", 24)
+    system = IntertwinerSystem(src.matrix, tgt.matrix, 24).solve()
+    assert not any(system.blocks[0][0]) and system.parameters_in_blocks(0, 1)
+    calls = []
+    real_det = morphisms.linalg.det
+    monkeypatch.setattr(morphisms.linalg, "det", lambda m: calls.append(m) or real_det(m))
+    assert find_invertible(system) is None
+    assert calls == []
 
 
 def test_generic_det_size_budget(monkeypatch):
