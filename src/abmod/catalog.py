@@ -27,7 +27,7 @@ from .errors import BadParameter, ParseError
 from .module import AbModule
 from .scalars import Scalar
 from .series import Series
-from .textio import MAX_FILE_RANK, parse_scalar
+from .textio import MAX_FILE_RANK, MAX_PRECISION, parse_scalar
 
 
 def _scal(x) -> Scalar:
@@ -191,8 +191,13 @@ def from_expression(text: str, precision: int) -> AbModule:
 
     Raises ParseError for malformed syntax and BadParameter for parameter
     values outside a family's constraints, including a rank above
-    ``textio.MAX_FILE_RANK``, refused before any matrix is built.
+    ``textio.MAX_FILE_RANK`` and a precision above ``textio.MAX_PRECISION``,
+    refused before any matrix is built.
     """
+    if precision > MAX_PRECISION:
+        raise BadParameter(
+            f"precision {precision} exceeds the ceiling {MAX_PRECISION}"
+        )
     expr = text.strip()
     if "(" not in expr or not expr.endswith(")"):
         raise ParseError(f"not a catalog expression: {text!r}")

@@ -7,9 +7,10 @@ fixed inputs, seed, and version; ``--verbose`` only adds ``#``-prefixed
 commentary.  Exit codes: 0 success, 1 computational failure, 2 parse error,
 3 unsupported spectrum, 4 usage error (also for a module file or a ``J``,
 ``F`` or ``rand`` expression declaring a rank above 256,
-``textio.MAX_FILE_RANK``, and a ``hom`` or ``ext`` whose internal Hom would
-pass that rank, each refused before any entry is built, and for a generic
-determinant beyond ``morphisms.MAX_DET_TERMS`` terms).
+``textio.MAX_FILE_RANK``, a precision above 4096, ``textio.MAX_PRECISION``,
+and a ``hom`` or ``ext`` whose internal Hom would pass that rank, each
+refused before any entry is built, and for a generic determinant beyond
+``morphisms.MAX_DET_TERMS`` terms).
 """
 
 from __future__ import annotations
@@ -41,7 +42,13 @@ from .invariants import (
     width_table,
 )
 from .scalars import Scalar
-from .textio import emit_module_file, format_scalar, parse_module_file, parse_scalar
+from .textio import (
+    MAX_PRECISION,
+    emit_module_file,
+    format_scalar,
+    parse_module_file,
+    parse_scalar,
+)
 
 DEFAULT_PRECISION = 24
 
@@ -61,13 +68,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_at_least(low: int):
-    """An argparse type: an int no smaller than ``low``."""
+def _bounded_int(low: int, high: int | None = None):
+    """An argparse type: an int no smaller than ``low`` (nor above ``high``)."""
 
     def parse(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -222,7 +231,7 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(
         "--precision",
-        type=_int_at_least(1),
+        type=_bounded_int(1, MAX_PRECISION),
         default=DEFAULT_PRECISION,
         help="working precision for catalog-expression inputs",
     )
@@ -262,7 +271,7 @@ def _build_parser() -> _Parser:
                    help="compare the level-N truncations instead of the modules")
     i.add_argument("--seed", type=int, default=0, help="search seed")
     f = add("fd", "perturb above the determination bound and verify unique lifts")
-    f.add_argument("--trials", type=_int_at_least(0), default=20,
+    f.add_argument("--trials", type=_bounded_int(0), default=20,
                    help="number of perturbations")
     f.add_argument("--seed", type=int, default=0, help="perturbation seed")
     c = sub.add_parser("catalog", parents=[common],
@@ -280,7 +289,8 @@ def _build_parser() -> _Parser:
 
 def _dispatch(args):
     """Run the selected handler; on PrecisionExhausted with expression-only
-    inputs, retry once at doubled precision and report the raise."""
+    inputs, retry once at doubled precision (at most MAX_PRECISION) and
+    report the raise.  At the ceiling already, the error stands."""
     handler = _HANDLERS[args.command]
     state = {"file_input": False}
 
@@ -297,9 +307,9 @@ def _dispatch(args):
     try:
         return handler(args, make_load(args.precision)), None
     except PrecisionExhausted:
-        if state["file_input"]:
+        if state["file_input"] or args.precision >= MAX_PRECISION:
             raise
-        raised = 2 * args.precision
+        raised = min(2 * args.precision, MAX_PRECISION)
         args.precision = raised
         return handler(args, make_load(raised)), raised
 

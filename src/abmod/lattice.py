@@ -25,7 +25,13 @@ from __future__ import annotations
 from .errors import NotAStable, NotContained, PrecisionExhausted
 from .scalars import Scalar
 from .series import Series
-from .seriesmat import a_image, col_at_precision, col_shift_up, scaled_col_mul
+from .seriesmat import (
+    _sub,
+    a_image,
+    col_at_precision,
+    col_shift_up,
+    scaled_col_mul,
+)
 
 from .module import AbModule, Element
 
@@ -136,7 +142,7 @@ def _back_substitute(lat: Lattice, work: list):
         quotients.append(q)
         if not q.is_zero():
             sub = scaled_col_mul(q, list(gen), v)
-            work = [x - y for x, y in zip(work, sub)]
+            work = [_sub(x, y) for x, y in zip(work, sub)]
     return work, quotients
 
 
@@ -198,14 +204,19 @@ def lattice_from_columns(dim: int, columns, shift: int = 0, precision=None) -> L
             for e in col
         ]
         norm[row] = Series.monomial(Scalar(1), v, precision)
+        # Every entry here is at the working precision, so subtracting
+        # q * norm leaves the rows where norm is zero as they are; the
+        # nonzero entries are divided by b^v once, for all the columns.
+        pivot_col = [(i, e.shift_down(v)) for i, e in enumerate(norm) if e.terms]
         for group in (done, work):
             for other in group:
+                if not other[row].terms:
+                    continue
                 q, r = other[row].split_at(v)
                 if q.is_zero():
                     continue
-                sub = scaled_col_mul(q, norm, v)
-                for i in range(dim):
-                    other[i] = (other[i] - sub[i]).at_precision(precision)
+                for i, e in pivot_col:
+                    other[i] = _sub(other[i], (q * e).shift_up(v))
         done.append(norm)
         pivots.append((row, v))
     return Lattice(

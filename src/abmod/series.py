@@ -208,13 +208,16 @@ class Series:
         return _make(tuple((k, -c) for k, c in self.terms), self.precision)
 
     def __mul__(self, other) -> "Series":
-        if isinstance(other, (Scalar, int, Fraction)):
-            s = _as_scalar(other)
-            if not s:
-                return _make((), self.precision)
-            return _make(tuple((k, c * s) for k, c in self.terms), self.precision)
-        if not isinstance(other, Series):
-            return NotImplemented
+        # The Series case is tested first: ``isinstance(x, Fraction)`` goes
+        # through ABCMeta, and Series x Series is the hot case.
+        if type(other) is not Series:
+            if isinstance(other, (Scalar, int, Fraction)):
+                s = _as_scalar(other)
+                if not s:
+                    return _make((), self.precision)
+                return _make(tuple((k, c * s) for k, c in self.terms), self.precision)
+            if not isinstance(other, Series):
+                return NotImplemented
         self._need(); other._need()
         w = min(self.precision, other.precision)
         x, y = self.terms, other.terms

@@ -3,11 +3,39 @@
 Thin functional helpers shared by the module, lattice and functor layers.
 A "column" here is a list of ``Series`` — the coordinate vector of a module
 element in some basis.
+
+Most entries met in practice are zero, so every kernel here follows one
+rule: a ``Series`` with no terms adds nothing to a sum of products, so it is
+never multiplied or added.  The result's precision is computed directly, as
+the minimum the dense formula gives.  Where the dense formula would raise
+(an operand of precision 0, or a division by b^v that an entry cannot bear),
+the kernel raises the same error.
 """
 
 from __future__ import annotations
 
-from .series import Series
+from .errors import PrecisionExhausted
+from .series import Series, _make
+
+
+def _add(x: Series, y: Series) -> Series:
+    """x + y as ``Series.__add__`` gives it, adding no series without terms."""
+    if x.precision and y.precision:
+        if not y.terms:
+            return x.at_precision(min(x.precision, y.precision))
+        if not x.terms:
+            return y.at_precision(min(x.precision, y.precision))
+    return x + y
+
+
+def _sub(x: Series, y: Series) -> Series:
+    """x - y as ``Series.__sub__`` gives it, subtracting no series without terms."""
+    if x.precision and y.precision:
+        if not y.terms:
+            return x.at_precision(min(x.precision, y.precision))
+        if not x.terms:
+            return (-y).at_precision(min(x.precision, y.precision))
+    return x - y
 
 
 def smat_coefficient(m, k: int) -> list:
@@ -16,22 +44,35 @@ def smat_coefficient(m, k: int) -> list:
 
 
 def smat_sub(a, b) -> list:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[_sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def smat_mul(a, b) -> list:
+    """The product a b; entry (i, j) is known to the least precision of row i
+    of a and column j of b."""
     rb = len(b)
     cb = len(b[0]) if rb else 0
+    if not cb:
+        return [[] for _ in a]
+    col_w = [min(b[k][j].precision for k in range(rb)) for j in range(cb)]
+    wb = min(col_w)
+    brows = [[(j, e) for j, e in enumerate(row) if e.terms] for row in b]
     out = []
     for arow in a:
-        orow = []
-        for j in range(cb):
-            acc = None
-            for k in range(rb):
-                t = arow[k] * b[k][j]
-                acc = t if acc is None else acc + t
-            orow.append(acc)
-        out.append(orow)
+        row_w = min(arow[k].precision for k in range(rb))
+        if not row_w or not wb:
+            raise PrecisionExhausted("operating on a series of precision 0")
+        acc = [None] * cb
+        for k in range(rb):
+            x = arow[k]
+            if x.terms:
+                for j, y in brows[k]:
+                    t = x * y
+                    acc[j] = t if acc[j] is None else _add(acc[j], t)
+        out.append([
+            _make((), min(row_w, w)) if s is None else s.at_precision(min(row_w, w))
+            for s, w in zip(acc, col_w)
+        ])
     return out
 
 
@@ -45,23 +86,35 @@ def a_image(m, cols, shift: int = 0) -> list:
     forms (truncate, the intertwiner solver and eigen_lift's residual
     update) write the rule out again.
 
-    m holds one common precision, as a structure matrix does.  An image is
-    known to min(that precision, the least precision of its column), so each
-    entry is cut to it before it is differentiated.
+    An image entry is known to min(w + 1, the least precision of its row
+    of m, the least precision of v), where w = min(least precision of m,
+    least precision of v); for a structure matrix, which holds one common
+    precision, that is w.  Each entry of v is cut to w before it is
+    differentiated.
     """
-    wm = smat_min_precision(m)
+    row_w = [min(entry.precision for entry in row) for row in m]
+    wm = min(row_w)
+    rows = [[(j, e) for j, e in enumerate(row) if e.terms] for row in m]
     out = []
     for v in cols:
-        w = min(wm, min(x.precision for x in v))
+        v = list(v)
+        cv = min(x.precision for x in v)
+        w = min(wm, cv)
+        if not w:
+            raise PrecisionExhausted("operating on a series of precision 0")
         img = []
-        for row, x in zip(m, v):
+        for i, x in enumerate(v):
+            acc = _make((), w + 1)
             x = x.at_precision(w)
-            acc = x.derivative().shift_up(2)
-            if shift:
-                acc = acc - x.shift_up(1) * shift
-            for mij, xj in zip(row, v):
-                acc = acc + mij * xj
-            img.append(acc)
+            if x.terms:
+                acc = x.derivative().shift_up(2)
+                if shift:
+                    acc = _sub(acc, x.shift_up(1) * shift)
+            for j, mij in rows[i]:
+                xj = v[j]
+                if xj.terms:
+                    acc = _add(acc, mij * xj)
+            img.append(acc.at_precision(min(w + 1, row_w[i], cv)))
         out.append(img)
     return out
 
@@ -84,7 +137,13 @@ def scaled_col_mul(q: Series, col: list, v: int) -> list:
     Computed as b^v * (q * (col / b^v)) so no precision is lost to the
     valuation: the result is known to the full precision of col.
     """
-    return [(q * entry.shift_down(v)).shift_up(v) for entry in col]
+    out = []
+    for entry in col:
+        if entry.terms or entry.precision <= v or not q.precision:
+            out.append((q * entry.shift_down(v)).shift_up(v))
+        else:
+            out.append(_make((), min(q.precision + v, entry.precision)))
+    return out
 
 
 def smat_inverse(a) -> list:
@@ -109,11 +168,15 @@ def smat_inverse(a) -> list:
             raise NotAUnit("series matrix is not invertible over the series ring")
         work[c], work[pivot] = work[pivot], work[c]
         inv = work[c][c].invert()
-        work[c] = [entry * inv for entry in work[c]]
+        # Every entry of work stays at precision w, so a zero entry of the
+        # pivot row leaves the other rows' entries in its column as they are.
+        work[c] = [entry * inv if entry.terms else entry for entry in work[c]]
+        pivot_row = [(j, e) for j, e in enumerate(work[c]) if e.terms]
         for r in range(n):
             if r != c and not work[r][c].is_zero():
                 factor = work[r][c]
-                work[r] = [
-                    work[r][j] - factor * work[c][j] for j in range(2 * n)
-                ]
+                row = list(work[r])
+                for j, e in pivot_row:
+                    row[j] = _sub(row[j], factor * e)
+                work[r] = row
     return [row[n:] for row in work]

@@ -11,7 +11,14 @@ from __future__ import annotations
 
 import sympy
 
-from abmod import AbModule, Lattice, Scalar, lattice_from_columns
+from abmod import (
+    AbModule,
+    Lattice,
+    PrecisionExhausted,
+    Scalar,
+    Series,
+    lattice_from_columns,
+)
 from abmod.linalg import det, rref
 from abmod.morphisms import CONST
 from abmod.scalars import ZERO
@@ -366,3 +373,134 @@ def coker_dim_dense(module: AbModule, lam: Scalar, W: int) -> int:
     A, B, n = dense_frame(module, 0, W)
     T = A + to_sym(lam) * B
     return n - T.rank()
+
+
+# ---------------------------------------------------------------------------
+# the dense series-matrix kernels, as written before zero entries were
+# skipped: every product and sum is formed, zero operands included
+# ---------------------------------------------------------------------------
+
+
+def dense_smat_mul(a, b):
+    rb = len(b)
+    cb = len(b[0]) if rb else 0
+    out = []
+    for arow in a:
+        orow = []
+        for j in range(cb):
+            acc = None
+            for k in range(rb):
+                t = arow[k] * b[k][j]
+                acc = t if acc is None else acc + t
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+def dense_smat_inverse(a):
+    from abmod.errors import NotAUnit
+
+    n = len(a)
+    w = min(entry.precision for row in a for entry in row)
+    work = [
+        [a[i][j].at_precision(w) for j in range(n)]
+        + [Series.one(w) if i == j else Series.zero(w) for j in range(n)]
+        for i in range(n)
+    ]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if work[r][c].is_unit()), None)
+        if pivot is None:
+            raise NotAUnit("series matrix is not invertible over the series ring")
+        work[c], work[pivot] = work[pivot], work[c]
+        inv = work[c][c].invert()
+        work[c] = [entry * inv for entry in work[c]]
+        for r in range(n):
+            if r != c and not work[r][c].is_zero():
+                factor = work[r][c]
+                work[r] = [work[r][j] - factor * work[c][j] for j in range(2 * n)]
+    return [row[n:] for row in work]
+
+
+def dense_a_image(m, cols, shift: int = 0):
+    wm = min(entry.precision for row in m for entry in row)
+    out = []
+    for v in cols:
+        w = min(wm, min(x.precision for x in v))
+        img = []
+        for row, x in zip(m, v):
+            x = x.at_precision(w)
+            acc = x.derivative().shift_up(2)
+            if shift:
+                acc = acc - x.shift_up(1) * shift
+            for mij, xj in zip(row, v):
+                acc = acc + mij * xj
+            img.append(acc)
+        out.append(img)
+    return out
+
+
+def dense_scaled_col_mul(q, col, v: int):
+    return [(q * entry.shift_down(v)).shift_up(v) for entry in col]
+
+
+def dense_back_substitute(lat: Lattice, work: list):
+    quotients = []
+    for (row, v), gen in zip(lat.pivots, lat.gens):
+        entry = work[row]
+        if entry.precision < v:
+            raise PrecisionExhausted("column too shallow to reduce against pivot")
+        q, _ = entry.split_at(v)
+        quotients.append(q)
+        if not q.is_zero():
+            sub = dense_scaled_col_mul(q, list(gen), v)
+            work = [x - y for x, y in zip(work, sub)]
+    return work, quotients
+
+
+def dense_lattice_from_columns(dim: int, columns, shift: int = 0, precision=None):
+    """``lattice_from_columns`` with the dense column update."""
+    cols = [list(c) for c in columns]
+    if precision is None:
+        precision = min((e.precision for c in cols for e in c), default=0)
+    if precision < 1:
+        raise PrecisionExhausted("lattice needs columns of precision >= 1")
+    work = [[u.at_precision(precision) for u in c] for c in cols]
+    for c in work:
+        if len(c) != dim:
+            raise ValueError("column length does not match the ambient rank")
+    done, pivots = [], []
+    while True:
+        best = None
+        for idx, col in enumerate(work):
+            m = None
+            for i, e in enumerate(col):
+                val = e.valuation()
+                if val is not None and (m is None or val < m[0]):
+                    m = (val, i)
+            if m is not None and (best is None or m < best[0]):
+                best = (m, idx)
+        if best is None:
+            break
+        (v, row), idx = best
+        if v >= precision - 1:
+            raise PrecisionExhausted("pivot valuation not safely below precision")
+        col = work.pop(idx)
+        unit_inv = col[row].shift_down(v).invert()
+        norm = [
+            (e.shift_down(v) * unit_inv).shift_up(v).at_precision(precision)
+            if e.valuation() is not None
+            else Series.zero(precision)
+            for e in col
+        ]
+        norm[row] = Series.monomial(Scalar(1), v, precision)
+        for group in (done, work):
+            for other in group:
+                q, _ = other[row].split_at(v)
+                if q.is_zero():
+                    continue
+                sub = dense_scaled_col_mul(q, norm, v)
+                for i in range(dim):
+                    other[i] = (other[i] - sub[i]).at_precision(precision)
+        done.append(norm)
+        pivots.append((row, v))
+    return Lattice(dim, shift, tuple(tuple(c) for c in done), tuple(pivots), precision)

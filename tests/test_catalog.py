@@ -22,7 +22,7 @@ from abmod import (
 )
 from abmod import catalog
 from abmod.scalars import ONE
-from abmod.textio import MAX_FILE_RANK
+from abmod.textio import MAX_FILE_RANK, MAX_PRECISION
 
 HALF = Scalar(Fraction(1, 2))
 THIRD = Scalar(Fraction(1, 3))
@@ -143,6 +143,21 @@ def test_expression_rank_ceiling(monkeypatch):
     for expr in (f"J({k};0)", f"F({k};0;1)", f"rand({k};1)"):
         with pytest.raises(BadParameter, match=f"{k} exceeds the rank ceiling"):
             from_expression(expr, 8)
+
+
+def test_expression_precision_ceiling(monkeypatch):
+    assert from_expression("E(1/2)", MAX_PRECISION).precision == MAX_PRECISION
+
+    def never(*args):
+        raise AssertionError("a module was built above the precision ceiling")
+
+    for name in ("make_E_lambda", "make_E_lambda_n", "make_E_lambda_mu",
+                 "make_E_lambda_mu_alpha", "make_J_k", "make_F_rho", "random_regular"):
+        monkeypatch.setattr(catalog, name, never)
+    above = MAX_PRECISION + 1
+    for expr in ("E(1/2)", "J(3;0)", "F(3;0;2)", "rand(2;5)"):
+        with pytest.raises(BadParameter, match=f"{above} exceeds the ceiling"):
+            from_expression(expr, above)
 
 
 # -- random catalog ----------------------------------------------------------

@@ -10,6 +10,9 @@ from pathlib import Path
 import pytest
 
 import abmod
+from abmod import cli
+from abmod.errors import PrecisionExhausted
+from abmod.textio import MAX_PRECISION
 from abmod.cli import main
 
 
@@ -176,6 +179,42 @@ def test_file_rank_above_the_ceiling_is_a_usage_error(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 4 and out == []
     assert err == "abmod: error: rank 100000 exceeds the module-file ceiling 256\n"
+
+
+def test_precision_above_the_ceiling_is_a_usage_error(tmp_path, capsys):
+    # The case that ran for longer than 15 s before the ceiling existed.
+    start = time.perf_counter()
+    code, out, err = run(["iso", "J(3;0)", "J(3;0)", "--precision", "100000"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == []
+    assert err == (
+        f"abmod: error: argument --precision: must be at most {MAX_PRECISION}, "
+        "got 100000\n"
+    )
+    path = tmp_path / "deep.txt"
+    path.write_text(f"rank 1\nprecision {MAX_PRECISION + 1}\nm 1 1: b\n")
+    code, out, err = run(["info", str(path)], capsys)
+    assert code == 4 and out == []
+    assert err == (
+        f"abmod: error: precision {MAX_PRECISION + 1} exceeds the ceiling 4096\n"
+    )
+
+
+def test_precision_retry_stops_at_the_ceiling(monkeypatch, capsys):
+    tried = []
+
+    def exhausted(args, load):
+        tried.append(load(args.module).precision)
+        raise PrecisionExhausted(f"not enough at {tried[-1]}")
+
+    monkeypatch.setitem(cli._HANDLERS, "info", exhausted)
+    code, out, err = run(["info", "E(0)", "--precision", "3000"], capsys)
+    assert tried == [3000, MAX_PRECISION]
+    assert code == 1 and err == f"abmod: error: not enough at {MAX_PRECISION}\n"
+    tried.clear()
+    code, out, err = run(["info", "E(0)", "--precision", str(MAX_PRECISION)], capsys)
+    assert tried == [MAX_PRECISION]
+    assert code == 1 and err == f"abmod: error: not enough at {MAX_PRECISION}\n"
 
 
 def test_hom_rank_above_the_ceiling_is_a_usage_error(capsys):

@@ -31,6 +31,20 @@ def test_valuation():
     assert S([1], 6).valuation() == 0
 
 
+def test_mul_dispatch_keeps_every_operand_type():
+    a = S([1, 2, 0, 3], 6)
+    assert a * S([0, 1], 5) == S([0, 1, 2, 0, 3], 5)
+    assert a * HALF == S([HALF, 1, 0, Fraction(3, 2)], 6)
+    assert a * 2 == 2 * a == S([2, 4, 0, 6], 6)
+    assert a * Fraction(1, 2) == a * HALF
+    assert a * 0 == Series.zero(6)
+    assert Series.__mul__(a, 1.5) is NotImplemented
+    with pytest.raises(TypeError):
+        a * 1.5
+    with pytest.raises(TypeError):
+        a * "b"
+
+
 def test_add_mul_exact():
     a = S([1, 2, 3], 8)
     b = S([0, 1], 8)

@@ -1,0 +1,162 @@
+"""The series-matrix kernels skip zero entries and keep the dense results.
+
+Each kernel is checked against its dense form in ``oracles.py``: equal
+``Series`` (terms and precision) on sparse inputs of mixed precision, and
+the same exception type wherever the dense form raises.
+"""
+
+import io
+import sys
+from contextlib import redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from abmod import Scalar, Series, invariants, lattice, lattice_from_columns, seriesmat
+from abmod.cli import main
+from abmod.lattice import _back_substitute
+from abmod.seriesmat import a_image, scaled_col_mul, smat_inverse, smat_mul
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from oracles import (  # noqa: E402
+    dense_a_image,
+    dense_back_substitute,
+    dense_lattice_from_columns,
+    dense_scaled_col_mul,
+    dense_smat_inverse,
+    dense_smat_mul,
+)
+
+COEFFS = [Scalar(0)] * 6 + [
+    Scalar(1), Scalar(-2), Scalar(Fraction(1, 2)), Scalar(0, 1), Scalar(3, -1)
+]
+SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+
+
+@st.composite
+def series(draw, precision=None, low=0):
+    """A sparse series, zero in about half the draws; terms start at b^low."""
+    w = draw(st.integers(0, 7)) if precision is None else precision
+    if draw(st.booleans()):
+        return Series.zero(w)
+    coeffs = [Scalar(0)] * min(low, w) + [
+        draw(st.sampled_from(COEFFS)) for _ in range(max(w - low, 0))
+    ]
+    return Series(coeffs, w)
+
+
+def columns(dim, n, precision=None):
+    return st.lists(
+        st.lists(series(precision), min_size=dim, max_size=dim), min_size=n, max_size=n
+    )
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def lattice_parts(lat):
+    if isinstance(lat, type):
+        return lat
+    return lat.dim, lat.shift, lat.gens, lat.pivots, lat.precision
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_smat_mul_matches_dense(n, k, m, data):
+    a = data.draw(columns(k, n))
+    b = data.draw(columns(m, k))
+    assert outcome(smat_mul, a, b) == outcome(dense_smat_mul, a, b)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 7), st.data())
+def test_smat_inverse_matches_dense(n, w, data):
+    a = data.draw(columns(n, n, w))
+    for i in range(n):  # a unit diagonal makes most draws invertible
+        if data.draw(st.booleans()):
+            a[i][i] = a[i][i] + Series.one(w)
+    assert outcome(smat_inverse, a) == outcome(dense_smat_inverse, a)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(0, 7), st.integers(-2, 2), st.data())
+def test_a_image_matches_dense(n, wm, shift, data):
+    # a structure matrix holds one common precision; also try mixed ones
+    m = data.draw(st.one_of(columns(n, n, wm), columns(n, n)))
+    cols = data.draw(st.lists(st.lists(series(), min_size=n, max_size=n), max_size=3))
+    assert outcome(a_image, m, cols, shift) == outcome(dense_a_image, m, cols, shift)
+
+
+@SETTINGS
+@given(series(), st.integers(0, 3), st.data())
+def test_scaled_col_mul_matches_dense(q, v, data):
+    # entries divisible by b^v, except when a draw asks for a bad one
+    col = data.draw(
+        st.lists(st.one_of(series(low=v), series()), min_size=1, max_size=4)
+    )
+    got = outcome(scaled_col_mul, q, col, v)
+    assert got == outcome(dense_scaled_col_mul, q, col, v)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_lattice_from_columns_matches_dense(dim, n, data):
+    cols = data.draw(columns(dim, n))
+    precision = data.draw(st.one_of(st.none(), st.integers(0, 7)))
+    got, want = (
+        outcome(f, dim, [list(c) for c in cols], 0, precision)
+        for f in (lattice_from_columns, dense_lattice_from_columns)
+    )
+    assert lattice_parts(got) == lattice_parts(want)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_back_substitute_matches_dense(dim, n, data):
+    lat = outcome(lattice_from_columns, dim, data.draw(columns(dim, n)))
+    assume(not isinstance(lat, type) and lat.gens)
+    work = data.draw(st.lists(series(), min_size=dim, max_size=dim))
+    assert outcome(_back_substitute, lat, list(work)) == outcome(
+        dense_back_substitute, lat, list(work)
+    )
+
+
+def test_no_kernel_multiplies_or_adds_an_empty_series(monkeypatch):
+    """The census: computing the info invariants of three catalog modules,
+    no Series product, sum or difference formed in the series-matrix or
+    lattice layer has an operand without terms."""
+    kernels = {seriesmat.__file__, lattice.__file__}
+    calls = {"all": 0, "empty": []}
+
+    def wrap(name):
+        dense = getattr(Series, name)
+
+        def counted(self, other):
+            caller = sys._getframe(1).f_code
+            if caller.co_filename in kernels:
+                calls["all"] += 1
+                if not self.terms or (isinstance(other, Series) and not other.terms):
+                    calls["empty"].append(f"{caller.co_name}: {name}")
+            return dense(self, other)
+
+        return counted
+
+    for name in ("__mul__", "__add__", "__sub__"):
+        monkeypatch.setattr(Series, name, wrap(name))
+    for f in vars(invariants).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    for expr in ("J(5;0)", "rand(4;7)", "F(4;0;1/2)"):
+        with redirect_stdout(io.StringIO()):
+            assert main(["info", expr, "--precision", "24"]) == 0
+    assert calls["all"] > 1000
+    assert calls["empty"] == []

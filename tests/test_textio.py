@@ -18,6 +18,7 @@ from abmod import (
     BadParameter,
     ParseError,
     Scalar,
+    Series,
     emit_module_file,
     format_scalar,
     format_series,
@@ -29,8 +30,9 @@ from abmod import (
     parse_series,
     random_regular,
 )
+from abmod import textio
 from abmod.cli import main
-from abmod.textio import MAX_FILE_RANK
+from abmod.textio import MAX_FILE_RANK, MAX_PRECISION
 
 
 # -- scalars ----------------------------------------------------------------
@@ -183,6 +185,19 @@ def test_parse_module_file_rank_ceiling():
     assert parse_module_file(f"rank {MAX_FILE_RANK}\nprecision 1\n").rank == MAX_FILE_RANK
     with pytest.raises(BadParameter):
         parse_module_file(f"rank {MAX_FILE_RANK + 1}\nprecision 1\n")
+
+
+def test_parse_module_file_precision_ceiling(monkeypatch):
+    at = parse_module_file(f"rank 1\nprecision {MAX_PRECISION}\nm 1 1: b\n")
+    assert at.precision == MAX_PRECISION
+
+    def never(*args, **kwargs):
+        raise AssertionError("an entry was built above the precision ceiling")
+
+    monkeypatch.setattr(Series, "zero", staticmethod(never))
+    monkeypatch.setattr(textio, "parse_series", never)
+    with pytest.raises(BadParameter, match=f"{MAX_PRECISION + 1} exceeds the ceiling"):
+        parse_module_file(f"rank 2\nprecision {MAX_PRECISION + 1}\nm 1 1: b\n")
 
 
 @pytest.mark.parametrize(
