@@ -8,9 +8,11 @@ commentary.  Exit codes: 0 success, 1 computational failure, 2 parse error,
 3 unsupported spectrum, 4 usage error (also for a module file or a ``J``,
 ``F`` or ``rand`` expression declaring a rank above 256,
 ``textio.MAX_FILE_RANK``, a precision above 4096, ``textio.MAX_PRECISION``,
-and a ``hom`` or ``ext`` whose internal Hom would pass that rank, each
-refused before any entry is built, and for a generic determinant beyond
-``morphisms.MAX_DET_TERMS`` terms).
+a ``hom`` or ``ext`` whose internal Hom would pass that rank, and a
+``truncate`` or ``iso --trunc`` whose quotient would have dimension
+rank * N above 2048, ``determination.MAX_TRUNCATION_DIM``, each refused
+before any entry is built; for ``fd --trials`` above ``MAX_FD_TRIALS``;
+and for a generic determinant beyond ``morphisms.MAX_DET_TERMS`` terms).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .textio import (
 )
 
 DEFAULT_PRECISION = 24
+MAX_FD_TRIALS = 1000  # fd --trials
 
 EXIT_OK = 0
 EXIT_COMPUTATIONAL = 1
@@ -271,7 +274,7 @@ def _build_parser() -> _Parser:
                    help="compare the level-N truncations instead of the modules")
     i.add_argument("--seed", type=int, default=0, help="search seed")
     f = add("fd", "perturb above the determination bound and verify unique lifts")
-    f.add_argument("--trials", type=_bounded_int(0), default=20,
+    f.add_argument("--trials", type=_bounded_int(0, MAX_FD_TRIALS), default=20,
                    help="number of perturbations")
     f.add_argument("--seed", type=int, default=0, help="perturbation seed")
     c = sub.add_parser("catalog", parents=[common],

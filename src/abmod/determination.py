@@ -88,18 +88,30 @@ def _freeze(mat) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+MAX_TRUNCATION_DIM = 2048  # two dense 2048 x 2048 Scalar matrices
+
+
 def truncate(module: AbModule, N: int) -> FiniteAbQuotient:
-    """The finite quotient E/b^N E with its a and b matrices."""
+    """The finite quotient E/b^N E with its a and b matrices.
+
+    A quotient of dimension rank * N above MAX_TRUNCATION_DIM is refused
+    (BadParameter) before either matrix is allocated.
+    """
     if N < 1:
         raise BadParameter("truncation level must be at least 1")
+    p = module.rank
+    dim = p * N
+    if dim > MAX_TRUNCATION_DIM:
+        raise BadParameter(
+            f"the truncation E/b^{N} E of a rank-{p} module has dimension "
+            f"{dim}, above the ceiling {MAX_TRUNCATION_DIM}"
+        )
     if N > module.precision:
         raise PrecisionExhausted(
             "truncation level exceeds the module's working precision"
         )
-    p = module.rank
-    dim = p * N
-    a = [[ZERO] * dim for _ in range(dim)]
-    b = [[ZERO] * dim for _ in range(dim)]
+    a = linalg.zeros(dim, dim)
+    b = linalg.zeros(dim, dim)
     for i in range(p):
         for j in range(N):
             c = i * N + j

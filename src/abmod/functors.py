@@ -39,6 +39,7 @@ from .module import AbModule, Element, apply_a, base_change
 from .morphisms import IntertwinerSystem
 from .scalars import ONE, ZERO, Scalar
 from .series import Series
+from .seriesmat import _add, _sub
 from .textio import MAX_FILE_RANK
 
 __all__ = [
@@ -126,9 +127,9 @@ def hom_ab(E: AbModule, F: AbModule) -> AbModule:
         for j in range(pe):
             r = i * pe + j
             for l in range(pe):
-                rows[r][i * pe + l] = rows[r][i * pe + l] + me[l][j]
+                rows[r][i * pe + l] = _add(rows[r][i * pe + l], me[l][j])
             for k in range(pf):
-                rows[r][k * pe + j] = rows[r][k * pe + j] - mf[i][k]
+                rows[r][k * pe + j] = _sub(rows[r][k * pe + j], mf[i][k])
     return AbModule(rows)
 
 
@@ -182,9 +183,7 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
     if kappa + 2 > w:
         raise PrecisionExhausted("module precision too small for the given kappa")
     res = module.residue_matrix()
-    same_class = [
-        v for v, _ in linalg.eigenvalues(res) if (lam - v).is_integer()
-    ]
+    same_class = [v for v in spectrum(module) if (lam - v).is_integer()]
     if same_class:
         lo = min(same_class, key=Scalar.sort_key)
         if (lam - lo).re > kappa:
@@ -542,9 +541,8 @@ def classify_rank2(module: AbModule) -> Rank2NormalForm:
         raise NotRegular("classification applies to regular modules")
     if module.is_simple_pole():
         res = module.residue_matrix()
-        eig = linalg.eigenvalues(res)
-        if len(eig) == 1:
-            x = eig[0][0]
+        x, y = spectrum(module)
+        if x == y:
             off_diagonal = [
                 [res[i][j] - x if i == j else res[i][j] for j in range(2)]
                 for i in range(2)
@@ -552,7 +550,6 @@ def classify_rank2(module: AbModule) -> Rank2NormalForm:
             if all(v.is_zero() for row in off_diagonal for v in row):
                 return Rank2NormalForm.direct_sum(x, x)
             return Rank2NormalForm.simple_pole_jordan(x, 0)
-        x, y = eig[0][0], eig[1][0]
         diff = x - y
         if not diff.is_integer():
             return Rank2NormalForm.direct_sum(x, y)

@@ -9,8 +9,10 @@ determination.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import linalg
 from .errors import (
@@ -32,7 +34,7 @@ from .module import AbModule
 from .morphisms import IntertwinerSystem
 from .scalars import Scalar, ZERO
 from .series import Series
-from .seriesmat import a_image
+from .seriesmat import a_image, col_shift_up
 
 
 # ---------------------------------------------------------------------------
@@ -103,28 +105,32 @@ def delta_index(module: AbModule) -> int:
 
 @lru_cache(maxsize=512)
 def regularity_order(module: AbModule) -> int:
-    """The least k with a^{k+1} E inside sum_j b^{k-j+1} a^j E.
+    """The least k with a^{k+1} E inside T_k = sum_j b^{k-j+1} a^j E.
 
     Testing the inclusion on the basis vectors suffices: a^m applied to
     S(b) x lands in S a^m x plus earlier a-iterates with extra b factors.
+    T_k is grown as T_k = b (T_{k-1} + a^k E) from the echelon generators
+    of T_{k-1}, and a^{k+1} E only when step k is reached.  Every iterate
+    keeps the module's precision w, so each T_k is echelonized at w + 1,
+    the least precision of its columns b^{k-j+1} a^j e_i.
     """
     if not is_regular(module):
         raise NotRegular("regularity order is defined for regular modules only")
     p = module.rank
-    # iterates[j][i] = coordinates of a^j e_i
-    iterates = [[list(module.basis_element(i).coords) for i in range(p)]]
-    for _ in range(p):
-        iterates.append(a_image(module.matrix, iterates[-1]))
+    # power[i] = coordinates of a^k e_i
+    power = [list(module.basis_element(i).coords) for i in range(p)]
+    gens = ()
     for k in range(p):
-        cols = []
-        for j in range(k + 1):
-            for col in iterates[j]:
-                cols.append([entry.shift_up(k - j + 1) for entry in col])
-        target = lattice_from_columns(p, cols, shift=0)
-        if all(
-            target.contains_column(iterates[k + 1][i], 0) for i in range(p)
-        ):
+        target = lattice_from_columns(
+            p,
+            [col_shift_up(list(col), 1) for col in (*gens, *power)],
+            shift=0,
+            precision=module.precision + 1,
+        )
+        power = a_image(module.matrix, power)
+        if all(target.contains_column(col, 0) for col in power):
             return k
+        gens = target.gens
     raise NotRegular(
         "no regularity order up to rank-1; inconsistent with a successful saturation"
     )
@@ -190,13 +196,21 @@ def biggest_simple_pole(module: AbModule):
 
 
 def spectrum(module: AbModule) -> list:
-    """Eigenvalue multiset (sorted, with repetition) of b^{-1}a on E/bE."""
+    """Eigenvalue multiset (sorted, with repetition) of b^{-1}a on E/bE.
+
+    A fresh list on every call; the memo behind it holds a tuple.
+    """
+    return list(_spectrum(module))
+
+
+@lru_cache(maxsize=512)
+def _spectrum(module: AbModule) -> tuple:
     if not module.is_simple_pole():
         raise NotSimplePole("the spectrum lives on simple-pole modules")
     out = []
     for value, mult in eigenvalues(module.residue_matrix()):
         out.extend([value] * mult)
-    return out
+    return tuple(out)
 
 
 def _class_rep(s: Scalar) -> Scalar:
@@ -209,9 +223,19 @@ def _class_rep(s: Scalar) -> Scalar:
 
 @dataclass(frozen=True)
 class WidthTable:
-    """Per integer-translation class: the extreme exponents and their gap."""
+    """Per integer-translation class: the extreme exponents and their gap.
 
-    classes: dict  # class representative -> (lam_min, lam_max, L: int)
+    ``classes`` is a read-only mapping, so a memoized table cannot be
+    changed through its result.
+    """
+
+    classes: Mapping  # class representative -> (lam_min, lam_max, L: int)
+
+    def __post_init__(self):
+        object.__setattr__(self, "classes", MappingProxyType(dict(self.classes)))
+
+    def __reduce__(self):
+        return (WidthTable, (dict(self.classes),))
 
     @property
     def width(self) -> int:

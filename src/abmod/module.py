@@ -32,10 +32,11 @@ class AbModule:
     """A rank-p free C[[b]]-module with a-action given by a structure matrix.
 
     All entries are held at one common precision (the minimum of the inputs);
-    a module needs precision >= 1 to mean anything.
+    a module needs precision >= 1 to mean anything.  The hash, the key of
+    every per-module memo, is computed on first use and kept.
     """
 
-    __slots__ = ("matrix", "rank", "precision")
+    __slots__ = ("matrix", "rank", "precision", "_hash")
 
     def __init__(self, matrix):
         p = len(matrix)
@@ -50,6 +51,7 @@ class AbModule:
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "rank", p)
         object.__setattr__(self, "precision", w)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AbModule is immutable")
@@ -104,7 +106,9 @@ class AbModule:
         )
 
     def __hash__(self):
-        return hash(self.matrix)
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.matrix))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"AbModule(rank={self.rank}, precision={self.precision})"

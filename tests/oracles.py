@@ -14,14 +14,17 @@ import sympy
 from abmod import (
     AbModule,
     Lattice,
+    NotRegular,
     PrecisionExhausted,
     Scalar,
     Series,
+    is_regular,
     lattice_from_columns,
 )
 from abmod.linalg import det, rref
 from abmod.morphisms import CONST
 from abmod.scalars import ZERO
+from abmod.seriesmat import a_image
 
 # ---------------------------------------------------------------------------
 # scalar conversion
@@ -504,3 +507,49 @@ def dense_lattice_from_columns(dim: int, columns, shift: int = 0, precision=None
         done.append(norm)
         pivots.append((row, v))
     return Lattice(dim, shift, tuple(tuple(c) for c in done), tuple(pivots), precision)
+
+
+def batch_regularity_order(module: AbModule) -> int:
+    """``regularity_order`` as first written: all p iterates a^k E up front,
+    and each T_k = sum_{j<=k} b^{k-j+1} a^j E echelonized from its
+    (k+1)*p columns."""
+    if not is_regular(module):
+        raise NotRegular("regularity order is defined for regular modules only")
+    p = module.rank
+    iterates = [[list(module.basis_element(i).coords) for i in range(p)]]
+    for _ in range(p):
+        iterates.append(a_image(module.matrix, iterates[-1]))
+    for k in range(p):
+        cols = []
+        for j in range(k + 1):
+            for col in iterates[j]:
+                cols.append([entry.shift_up(k - j + 1) for entry in col])
+        target = lattice_from_columns(p, cols, shift=0)
+        if all(
+            target.contains_column(iterates[k + 1][i], 0) for i in range(p)
+        ):
+            return k
+    raise NotRegular(
+        "no regularity order up to rank-1; inconsistent with a successful saturation"
+    )
+
+
+def dense_hom_ab(E: AbModule, F: AbModule) -> AbModule:
+    """``hom_ab`` with its entries summed by plain ``Series`` ``+``/``-``,
+    empty series included."""
+    pe, pf = E.rank, F.rank
+    w = min(E.precision, F.precision)
+    me = [[E.matrix[i][j].negate_variable().at_precision(w) for j in range(pe)]
+          for i in range(pe)]
+    mf = [[F.matrix[i][j].negate_variable().at_precision(w) for j in range(pf)]
+          for i in range(pf)]
+    q = pe * pf
+    rows = [[Series.zero(w) for _ in range(q)] for _ in range(q)]
+    for i in range(pf):
+        for j in range(pe):
+            r = i * pe + j
+            for l in range(pe):
+                rows[r][i * pe + l] = rows[r][i * pe + l] + me[l][j]
+            for k in range(pf):
+                rows[r][k * pe + j] = rows[r][k * pe + j] - mf[i][k]
+    return AbModule(rows)

@@ -265,6 +265,29 @@ def test_exit_code_usage_for_out_of_range_counts(capsys):
     assert code == 0 and "fd_trials: 0" in out
 
 
+def test_truncation_and_trial_ceilings_are_usage_errors(capsys, monkeypatch):
+    def no_allocation(rows, cols):
+        raise MemoryError(f"allocating a {rows} x {cols} matrix")
+
+    def no_trials(*args):
+        raise AssertionError("verify_fd ran")
+
+    monkeypatch.setattr(abmod.linalg, "zeros", no_allocation)
+    monkeypatch.setattr(cli, "verify_fd", no_trials)
+    for args in (
+        ["truncate", "E(0)", "2049", "--precision", "4096"],
+        ["truncate", "J(4;0)", "513"],
+        ["iso", "E(0)", "E(0)", "--trunc", "2049", "--precision", "4096"],
+    ):
+        code, out, err = run(args, capsys)
+        assert code == 4 and out == [], args
+        assert err.startswith("abmod: error: the truncation E/b^") and "2048" in err
+    for trials in (str(cli.MAX_FD_TRIALS + 1), "1000000000"):
+        code, out, err = run(["fd", "J(2;0)", "--trials", trials], capsys)
+        assert code == 4 and out == []
+        assert err.startswith("abmod: error: argument --trials: must be at most 1000")
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"], capsys)[0] == 0
 

@@ -55,6 +55,26 @@ def test_truncate_guards():
         truncate(m, 9)
 
 
+def test_truncate_refuses_a_quotient_above_the_ceiling(monkeypatch):
+    from abmod import linalg
+    from abmod.determination import MAX_TRUNCATION_DIM
+
+    def no_allocation(rows, cols):
+        raise MemoryError(f"allocating a {rows} x {cols} matrix")
+
+    monkeypatch.setattr(linalg, "zeros", no_allocation)
+    half = MAX_TRUNCATION_DIM // 2
+    m = from_expression("J(2;0)", half + 1)
+    with pytest.raises(BadParameter, match=f"dimension {2 * half + 2}, above"):
+        truncate(m, half + 1)
+    # the ceiling is refused before the precision check
+    with pytest.raises(BadParameter):
+        truncate(from_expression("J(2;0)", 8), half + 1)
+    # at the ceiling the matrices are allocated
+    with pytest.raises(MemoryError):
+        truncate(m, half)
+
+
 # -- quotient isomorphisms ---------------------------------------------------
 
 

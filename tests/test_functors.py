@@ -40,7 +40,7 @@ from abmod.scalars import ONE
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import mat_sub  # noqa: E402
+from oracles import dense_hom_ab, mat_sub  # noqa: E402
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -102,6 +102,21 @@ def test_hom_rank_is_product():
     F = from_expression("E(1/2,1/3)", 12)
     assert hom_ab(E, F).rank == 4
     assert hom_ab(F, E).rank == 4
+
+
+def test_hom_matches_the_dense_assembly():
+    exprs = ["E(0)", "E(1/2,1/3)", "J(3;1)", "F(3;0;1/2)", "rand(2;5)", "E(1/2;2)"]
+    for e in exprs:
+        for f in exprs:
+            for we, wf in ((12, 12), (8, 14)):
+                E, F = from_expression(e, we), from_expression(f, wf)
+                got, want = hom_ab(E, F), dense_hom_ab(E, F)
+                assert got == want, (e, f)
+                assert all(
+                    x.terms == y.terms and x.precision == y.precision
+                    for rx, ry in zip(got.matrix, want.matrix)
+                    for x, y in zip(rx, ry)
+                ), (e, f)
 
 
 def test_hom_output_satisfies_commutation():

@@ -13,7 +13,9 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from abmod import Scalar, Series, invariants, lattice, lattice_from_columns, seriesmat
+from abmod import (
+    Scalar, Series, functors, invariants, lattice, lattice_from_columns, seriesmat
+)
 from abmod.cli import main
 from abmod.lattice import _back_substitute
 from abmod.seriesmat import a_image, scaled_col_mul, smat_inverse, smat_mul
@@ -132,9 +134,10 @@ def test_back_substitute_matches_dense(dim, n, data):
 
 def test_no_kernel_multiplies_or_adds_an_empty_series(monkeypatch):
     """The census: computing the info invariants of three catalog modules,
-    no Series product, sum or difference formed in the series-matrix or
-    lattice layer has an operand without terms."""
-    kernels = {seriesmat.__file__, lattice.__file__}
+    and a Hom and an Ext, no Series product, sum or difference formed in
+    the series-matrix, lattice or functor layer has an operand without
+    terms."""
+    kernels = {seriesmat.__file__, lattice.__file__, functors.__file__}
     calls = {"all": 0, "empty": []}
 
     def wrap(name):
@@ -155,8 +158,10 @@ def test_no_kernel_multiplies_or_adds_an_empty_series(monkeypatch):
     for f in vars(invariants).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()
-    for expr in ("J(5;0)", "rand(4;7)", "F(4;0;1/2)"):
+    commands = [["info", expr] for expr in ("J(5;0)", "rand(4;7)", "F(4;0;1/2)")]
+    commands += [["hom", "E(1/2)", "J(2;0)"], ["ext", "J(2;0)", "E(0)"]]
+    for argv in commands:
         with redirect_stdout(io.StringIO()):
-            assert main(["info", expr, "--precision", "24"]) == 0
+            assert main(argv + ["--precision", "24"]) == 0
     assert calls["all"] > 1000
     assert calls["empty"] == []
