@@ -12,6 +12,7 @@ one engine.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .errors import (
@@ -252,10 +253,8 @@ def quotient_iso(q: FiniteAbQuotient, qp: FiniteAbQuotient, seed: int = 0):
     pp, np_, series_p, change_p, _ = _standard_form(qp)
     if p != pp or n != np_:
         return None
-    system = IntertwinerSystem(series, series_p, n).solve()
-    if system is None:
-        return None
-    values = find_invertible(system, seed)
+    system = IntertwinerSystem(series, series_p, n).solve_until_singular()
+    values = None if system is None else find_invertible(system, seed)
     if values is None:
         return None
     blocks = [system.block_matrix(k, values) for k in range(n)]
@@ -292,7 +291,13 @@ def _saturation_spectra_differ(e: AbModule, ep: AbModule) -> bool:
 def module_iso(e: AbModule, ep: AbModule, W: int = None, seed: int = 0):
     """An isomorphism P with P*M - M'*P - b^2*P' = 0 and P(0) invertible,
     verified at precision W; None when the modules are not isomorphic at
-    that precision."""
+    that precision.
+
+    After the argument checks it decides in this order: the intertwining
+    system is solved to W orders, None as soon as block 0 is singular by its
+    shape; None when the saturations' spectra differ; find_invertible
+    searches block 0 for an invertible value (None when there is none); the
+    map it gives is checked by verify_intertwiner."""
     if e.rank != ep.rank:
         raise BadParameter("module ranks differ")
     if W is None:
@@ -301,10 +306,8 @@ def module_iso(e: AbModule, ep: AbModule, W: int = None, seed: int = 0):
         raise BadParameter("precision must be at least 1")
     if W > min(e.precision, ep.precision):
         raise PrecisionExhausted("requested precision exceeds the structure data")
-    if _saturation_spectra_differ(e, ep):
-        return None
-    system = IntertwinerSystem(e.matrix, ep.matrix, W).solve()
-    if system is None:
+    system = IntertwinerSystem(e.matrix, ep.matrix, W).solve_until_singular()
+    if system is None or _saturation_spectra_differ(e, ep):
         return None
     values = find_invertible(system, seed)
     if values is None:
@@ -339,15 +342,23 @@ def _rigidity_violation(system, N: int, hi: int) -> bool:
     """True when two solutions share all blocks below N yet differ in some
     block of [N, hi) — i.e. the induced map on E/b^N E fails to pin the
     isomorphism down to the certifiable window: the free parameters reach
-    more of blocks 0..hi-1 than of blocks 0..N-1."""
-    return system.rank_in_blocks(0, hi) > system.rank_in_blocks(0, N)
+    more of blocks 0..hi-1 than of blocks 0..N-1.  Both ranks come from one
+    echelon form, the first read on the way to the second."""
+    for k, rank in enumerate(system.block_ranks(0, hi)):
+        if k == N - 1:
+            rank_below_n = rank
+        elif k >= N and rank > rank_below_n:
+            return True
+    return False
 
 
-def _free_lift(e, ep, N, W, slack, seed):
+def _free_lift(system, e, ep, N, W, slack, seed):
     """Existence plus rigidity: find a verified isomorphism and certify
-    that the induced map on E/b^N E determines it below the top band."""
-    system = IntertwinerSystem(e.matrix, ep.matrix, W).solve()
-    values = find_invertible(system, seed)
+    that the induced map on E/b^N E determines it below the top band.
+    ``system`` is the intertwining system from e to ep, solved to at most W
+    orders; it is resumed to W."""
+    system = system.solve_until_singular(W)
+    values = None if system is None else find_invertible(system, seed)
     if values is None:
         raise NoLift(
             "the modules are not isomorphic: every solution of the "
@@ -418,7 +429,8 @@ def lift_truncation_iso(
         if not verify_intertwiner(e.matrix, ep.matrix, mat, W):
             raise HypothesisViolated("constructed lift failed verification")
         return Intertwiner("module", _freeze(mat), W)
-    return _free_lift(e, ep, N, W, slack, seed)
+    system = IntertwinerSystem(e.matrix, ep.matrix, W)
+    return _free_lift(system, e, ep, N, W, slack, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +470,39 @@ def _perturb(module: AbModule, rng, lo: int) -> AbModule:
     return AbModule(rows)
 
 
+@lru_cache(maxsize=16)
+def _prefix_system(module: AbModule, lo: int) -> IntertwinerSystem:
+    """The intertwining system from the module to itself solved to lo
+    orders: the orders below lo of every trial of verify_fd, whose
+    perturbations start at order lo.  The memoized system is shared, so
+    callers resume copies (``retargeted``) and never change it."""
+    return IntertwinerSystem(module.matrix, module.matrix, lo).solve()
+
+
 def verify_fd(module: AbModule, trials: int, seed: int, lo: int = None) -> dict:
     """Perturb the structure matrix at orders >= lo (default: n0_bound) and
     check finite determination on each pair: the perturbed module has the
     same truncation below lo, so determination at that level predicts an
     isomorphism pinned down by its induced truncation map.  Every failure
     is reported with its witness perturbation, so a bound that is too low
-    is surfaced rather than hidden."""
+    is surfaced rather than hidden.
+
+    A trial decides in this order: the intertwining system E -> E' is
+    resumed from the shared system E -> E at lo orders (the two equations
+    agree below lo) and solved to the lifting precision W; NoLift as soon as
+    block 0 is singular by its shape, or when find_invertible finds no
+    invertible value; NonUniqueLift when the solutions are not pinned down
+    below the top band; otherwise the lift is checked by verify_intertwiner.
+    A negative trial count or a level below 1 is refused (BadParameter)."""
+    if trials < 0:
+        raise BadParameter("the number of trials must be nonnegative")
     if not is_regular(module):
         raise NotRegular("finite determination applies to regular modules")
     n0 = n0_bound(module)
     if lo is None:
         lo = n0
+    if lo < 1:
+        raise BadParameter("the perturbation level must be at least 1")
     slack = _slack(module)
     W = _default_lift_precision(module, lo)
     if W > module.precision:
@@ -480,8 +513,9 @@ def verify_fd(module: AbModule, trials: int, seed: int, lo: int = None) -> dict:
     failures = []
     for trial in range(trials):
         perturbed = _perturb(module, rng, lo)
+        system = _prefix_system(module, lo).retargeted(perturbed.matrix)
         try:
-            _free_lift(module, perturbed, lo, W, slack, seed + trial)
+            _free_lift(system, module, perturbed, lo, W, slack, seed + trial)
         except (NoLift, NonUniqueLift) as err:
             witness = [
                 [str(perturbed.matrix[i][j] - module.matrix[i][j])

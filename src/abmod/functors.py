@@ -39,7 +39,7 @@ from .module import AbModule, Element, apply_a, base_change
 from .morphisms import IntertwinerSystem
 from .scalars import ONE, ZERO, Scalar
 from .series import Series
-from .seriesmat import _add, _sub
+from .seriesmat import _add, _mul, _sub
 from .textio import MAX_FILE_RANK
 
 __all__ = [
@@ -81,7 +81,7 @@ def twist(module: AbModule, m) -> AbModule:
     return AbModule(
         [
             [
-                module.matrix[i][j] + shift if i == j else module.matrix[i][j]
+                _add(module.matrix[i][j], shift) if i == j else module.matrix[i][j]
                 for j in range(p)
             ]
             for i in range(p)
@@ -193,7 +193,7 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
     x = list(z.in_frame(0))
     b = Series.b(w)
     ax = apply_a(module, z).coords
-    r = [ax[i] - (b * x[i]) * lam for i in range(p)]
+    r = [_sub(ax[i], _mul(_mul(b, x[i]), lam)) for i in range(p)]
     for i in range(p):
         for t in range(kappa + 2):
             if not r[i].coefficient(t).is_zero():
@@ -215,15 +215,15 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
                 "correction system is singular: lifting hypothesis violated"
             )
         for i in range(p):
-            x[i] = x[i] + Series.monomial(sol[i], k, w)
+            x[i] = _add(x[i], Series.monomial(sol[i], k, w))
         # residual update from the correction b^k * sol
         for i in range(p):
             t = Series.zero(w)
             for j in range(p):
                 if not sol[j].is_zero():
-                    t = t + module.matrix[i][j] * sol[j]
-            t = t + Series.monomial(sol[i] * shift, 1, w)
-            r[i] = r[i] + t.shift_up(k).at_precision(w)
+                    t = _add(t, _mul(module.matrix[i][j], sol[j]))
+            t = _add(t, Series.monomial(sol[i] * shift, 1, w))
+            r[i] = _add(r[i], t.shift_up(k).at_precision(w))
     for i in range(p):
         if not r[i].is_zero():
             raise HypothesisViolated("eigen lifting did not converge")
@@ -257,7 +257,7 @@ def _eigen_data(module: AbModule, x: Element):
         raise NotEigen("a.x is not a constant multiple of b.x")
     b = Series.b(module.precision)
     for i in range(module.rank):
-        if not (ax[i] - (b * coords[i]) * lam).is_zero():
+        if not _sub(ax[i], _mul(_mul(b, coords[i]), lam)).is_zero():
             raise NotEigen("a.x is not lam*b*x")
     return coords, pivot, lam
 
@@ -270,10 +270,10 @@ def _quotient_with_pivot(module: AbModule, x: Element):
     keep = [i for i in range(p) if i != pivot]
     rows = []
     for l in keep:
-        factor = coords[l] * inv
+        factor = _mul(coords[l], inv)
         rows.append(
             [
-                module.matrix[l][m] - module.matrix[pivot][m] * factor
+                _sub(module.matrix[l][m], _mul(module.matrix[pivot][m], factor))
                 for m in keep
             ]
         )
@@ -356,7 +356,7 @@ def _eigen_coords(
     for i in range(module.rank):
         acc = Series.zero(eb_lattice.precision)
         for j, g in enumerate(eb_lattice.gens):
-            acc = acc + g[i] * inner[j]
+            acc = _add(acc, _mul(g[i], inner[j]))
         coords.append(acc)
     vals = [c.valuation() for c in coords if not c.is_zero()]
     if not vals:

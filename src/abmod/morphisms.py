@@ -26,12 +26,19 @@ parameter survives as one block entry, so the kernel has dimension
 chosen low-order blocks.
 
 ``solve(w)`` resumes after the orders already processed, so a certificate
-read at two consecutive levels grows one system by one order.  n_lambda
+read at two consecutive levels grows one system by one order.  A search
+for an isomorphism resumes through ``solve_until_singular`` instead, which
+gives up as soon as block 0 has an empty row or column (``_singular_shape``):
+an empty entry is zero on the whole solution space, and each further order
+only substitutes parameters, so it stays empty.  ``retargeted`` copies a
+partly solved system onto a target that agrees with the old one below the
+orders processed, which are then shared rather than solved again.  n_lambda
 reads k_N = dim ker(a - lam*b) on E/b^N E off one such system: as
 T = a - lam*b preserves b^N E, b^N E lies in T(E) mod b^w exactly when the
 cokernels of T mod b^N and mod b^w, hence k_N and k_w, are equal.
 """
 
+import copy
 import random
 from fractions import Fraction
 from operator import add, sub
@@ -39,7 +46,7 @@ from operator import add, sub
 from . import linalg
 from .errors import BadParameter, PrecisionExhausted
 from .scalars import ONE, ZERO, Scalar
-from .series import Series
+from .series import Series, _below
 from .seriesmat import a_image, smat_mul, smat_sub
 
 CONST = -1
@@ -63,6 +70,12 @@ def _aff_add_scaled(target: dict, expr: dict, c: Scalar) -> None:
                 target[key] = cur
 
 
+def _singular_shape(block) -> bool:
+    """Whether a block of affine entries has an empty row or column, so that
+    it is singular for every value of the free parameters."""
+    return not all(map(any, block)) or not all(map(any, zip(*block)))
+
+
 def _aff_eval(expr: dict, values: dict) -> Scalar:
     acc = expr.get(CONST, ZERO)
     for key, coeff in expr.items():
@@ -77,7 +90,10 @@ class IntertwinerSystem:
     def __init__(self, source, target, w: int, fixed=None):
         self.pe = len(source)
         self.pf = len(target)
-        self.precision = min(e.precision for row in (*source, *target) for e in row)
+        self._source_precision = min(e.precision for row in source for e in row)
+        self.precision = min(
+            self._source_precision, min(e.precision for row in target for e in row)
+        )
         self.w = w
         # Per matrix entry, its nonzero (order, coefficient) terms; the
         # target's are negated once here, as the equation subtracts Mt * P.
@@ -89,6 +105,7 @@ class IntertwinerSystem:
         self.alive = set()
         self._next_param = 0
         self._consistent = True
+        self._until_singular = False
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -156,12 +173,19 @@ class IntertwinerSystem:
         self._substitute(pid, replacement)
         return True
 
+    def _singular(self) -> bool:
+        return self._until_singular and bool(self.blocks) and _singular_shape(
+            self.blocks[0]
+        )
+
     # -- public API -------------------------------------------------------
 
     def solve(self, w: int = None):
         """Process the orders up to w (default: the count given at
         construction) after those already processed, as a fresh solve to w
-        would; None when prescribed blocks are inconsistent."""
+        would; None when prescribed blocks are inconsistent, or, once
+        solve_until_singular has been called, when block 0 is singular by
+        its shape."""
         w = self.w if w is None else w
         if w > self.precision:
             raise PrecisionExhausted(
@@ -173,13 +197,53 @@ class IntertwinerSystem:
         if not self._consistent:
             return None
         for k in range(len(self.blocks), self.w):
+            if self._singular():
+                return None
             self._new_block(k)
             for i in range(self.pf):
                 for j in range(self.pe):
                     if not self._eliminate(self._equation_entry(k, i, j)):
                         self._consistent = False
                         return None
-        return self
+        return None if self._singular() else self
+
+    def solve_until_singular(self, w: int = None):
+        """solve(w) for a search for an invertible block 0: the orders are
+        processed one by one, and None is returned as soon as block 0 has an
+        empty row or column.  Such an entry is zero on the whole solution
+        space and later orders only cut that space down, so the answer at w
+        is already None; from then on every solve returns None."""
+        self._until_singular = True
+        return self.solve(w)
+
+    def retargeted(self, target):
+        """A copy of this system with the target structure matrix replaced,
+        keeping the orders already processed.  Those orders read the target
+        only below their count, so the target must agree with the current
+        one there (BadParameter otherwise); the copy then resumes as a fresh
+        system on the new target would."""
+        n = len(self.blocks)
+        mt = [[(-entry).terms for entry in row] for row in target]
+        if len(mt) != self.pf or any(len(row) != self.pf for row in mt) or any(
+            entry.precision < n or _below(new, n) != _below(old, n)
+            for row, new_row, old_row in zip(target, mt, self.mt)
+            for entry, new, old in zip(row, new_row, old_row)
+        ):
+            raise BadParameter(
+                "the new target differs from the old one below the orders "
+                "already processed"
+            )
+        other = copy.copy(self)
+        other.mt = mt
+        other.precision = min(
+            self._source_precision, min(e.precision for row in target for e in row)
+        )
+        other.blocks = [
+            [[dict(entry) for entry in row] for row in block] for block in self.blocks
+        ]
+        other.occurrences = {pid: set(at) for pid, at in self.occurrences.items()}
+        other.alive = set(self.alive)
+        return other
 
     def parameters_in_blocks(self, lo: int, hi: int):
         """Free parameters genuinely appearing in blocks lo..hi-1."""
@@ -192,17 +256,28 @@ class IntertwinerSystem:
                             found.add(key)
         return sorted(found)
 
-    def rank_in_blocks(self, lo: int, hi: int) -> int:
-        """Rank of the linear map from the free parameters to blocks lo..hi-1;
-        block entries are added until the rank reaches the parameter count."""
+    def block_ranks(self, lo: int, hi: int):
+        """For k = lo..hi-1, the rank of the linear map from the free
+        parameters of blocks lo..hi-1 to blocks lo..k, all from one echelon
+        form; entries stop being added once the rank reaches the parameter
+        count.  A parameter absent from blocks lo..k adds a zero column
+        there, so each value is also the rank over the parameters of blocks
+        lo..k alone."""
         params = self.parameters_in_blocks(lo, hi)
         span = linalg.Echelon()
         for k in range(lo, hi):
             for e in (e for row in self.blocks[k] for e in row if e):
                 if len(span.pivots) == len(params):
-                    return len(params)
+                    break
                 span.add([e.get(pid, ZERO) for pid in params])
-        return len(span.pivots)
+            yield len(span.pivots)
+
+    def rank_in_blocks(self, lo: int, hi: int) -> int:
+        """Rank of the linear map from the free parameters to blocks lo..hi-1."""
+        rank = 0
+        for rank in self.block_ranks(lo, hi):
+            pass
+        return rank
 
     def block_matrix(self, k: int, values: dict):
         return [
@@ -318,15 +393,14 @@ def _nonvanishing_point(det: dict, params) -> dict:
 def find_invertible(system: IntertwinerSystem, seed: int = 0, tries: int = 40):
     """An assignment of the free parameters making block 0 invertible.
 
-    A row or column of block 0 with no entry makes every solution singular.
-    Otherwise random rational samples come first; if they all fail, the
-    determinant of the generic block 0 decides: identically zero means no
-    invertible solution exists, otherwise a nonvanishing integer point is
-    found variable by variable.  Returns the value dict, or None when every
+    A row or column of block 0 with no entry (``_singular_shape``) makes
+    every solution singular.  Otherwise random rational samples come first;
+    if they all fail, the determinant of the generic block 0 decides:
+    identically zero means no invertible solution exists, otherwise a
+    nonvanishing integer point is found variable by variable.  Returns the value dict, or None when every
     solution is singular.
     """
-    block = system.blocks[0]
-    if not all(map(any, block)) or not all(map(any, zip(*block))):
+    if _singular_shape(system.blocks[0]):
         return None
     free0 = system.parameters_in_blocks(0, 1)
     if not free0:

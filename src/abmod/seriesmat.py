@@ -38,6 +38,16 @@ def _sub(x: Series, y: Series) -> Series:
     return x - y
 
 
+def _mul(x: Series, y) -> Series:
+    """x * y as ``Series.__mul__`` gives it, for a series or scalar y,
+    multiplying no series without terms."""
+    if type(y) is not Series:
+        return x * y if x.terms else x
+    if x.precision and y.precision and not (x.terms and y.terms):
+        return _make((), min(x.precision, y.precision))
+    return x * y
+
+
 def smat_coefficient(m, k: int) -> list:
     """The Scalar matrix of b^k coefficients."""
     return [[entry.coefficient(k) for entry in row] for row in m]

@@ -553,3 +553,111 @@ def dense_hom_ab(E: AbModule, F: AbModule) -> AbModule:
             for k in range(pf):
                 rows[r][k * pe + j] = rows[r][k * pe + j] - mf[i][k]
     return AbModule(rows)
+
+
+# ---------------------------------------------------------------------------
+# isomorphism and finite determination by a fresh, full solve
+# ---------------------------------------------------------------------------
+
+
+def fresh_free_lift(e: AbModule, ep: AbModule, N: int, W: int, slack: int, seed: int):
+    """``_free_lift`` as first written: a fresh system solved to all W
+    orders, find_invertible, then the rigidity ranks by two echelon passes."""
+    from abmod.determination import Intertwiner, _freeze
+    from abmod.errors import HypothesisViolated, NoLift, NonUniqueLift
+    from abmod.morphisms import IntertwinerSystem, find_invertible, verify_intertwiner
+
+    system = IntertwinerSystem(e.matrix, ep.matrix, W).solve()
+    values = find_invertible(system, seed)
+    if values is None:
+        raise NoLift(
+            "the modules are not isomorphic: every solution of the "
+            "intertwining system has a singular constant term"
+        )
+    if two_pass_rigidity_violation(system, N, W - slack):
+        raise NonUniqueLift(
+            "distinct isomorphisms induce the same map at this truncation level"
+        )
+    mat = system.series_matrix(values)
+    if not verify_intertwiner(e.matrix, ep.matrix, mat, W):
+        raise HypothesisViolated("constructed lift failed verification")
+    return Intertwiner("module", _freeze(mat), W)
+
+
+def two_pass_rigidity_violation(system, N: int, hi: int) -> bool:
+    """``_rigidity_violation`` as two independent rank computations."""
+    return system.rank_in_blocks(0, hi) > system.rank_in_blocks(0, N)
+
+
+def fresh_module_iso(e: AbModule, ep: AbModule, W: int = None, seed: int = 0):
+    """``module_iso`` as first written: the saturation spectra first, then a
+    fresh system solved to all W orders and find_invertible."""
+    from abmod.determination import Intertwiner, _freeze, _saturation_spectra_differ
+    from abmod.errors import BadParameter, HypothesisViolated
+    from abmod.morphisms import IntertwinerSystem, find_invertible, verify_intertwiner
+
+    if e.rank != ep.rank:
+        raise BadParameter("module ranks differ")
+    if W is None:
+        W = min(e.precision, ep.precision)
+    if W < 1:
+        raise BadParameter("precision must be at least 1")
+    if W > min(e.precision, ep.precision):
+        raise PrecisionExhausted("requested precision exceeds the structure data")
+    if _saturation_spectra_differ(e, ep):
+        return None
+    system = IntertwinerSystem(e.matrix, ep.matrix, W).solve()
+    if system is None:
+        return None
+    values = find_invertible(system, seed)
+    if values is None:
+        return None
+    mat = system.series_matrix(values)
+    if not verify_intertwiner(e.matrix, ep.matrix, mat, W):
+        raise HypothesisViolated("constructed intertwiner failed verification")
+    return Intertwiner("module", _freeze(mat), W)
+
+
+def fresh_verify_fd(module: AbModule, trials: int, seed: int, lo: int = None) -> dict:
+    """``verify_fd`` as first written: every trial solves a fresh system
+    E -> E' to all W orders (``fresh_free_lift``)."""
+    import random
+
+    from abmod import n0_bound
+    from abmod.determination import _default_lift_precision, _perturb, _slack
+    from abmod.errors import NoLift, NonUniqueLift
+
+    if not is_regular(module):
+        raise NotRegular("finite determination applies to regular modules")
+    n0 = n0_bound(module)
+    if lo is None:
+        lo = n0
+    slack = _slack(module)
+    W = _default_lift_precision(module, lo)
+    if W > module.precision:
+        raise PrecisionExhausted(
+            "module precision leaves no room for a certification window"
+        )
+    rng = random.Random(seed)
+    failures = []
+    for trial in range(trials):
+        perturbed = _perturb(module, rng, lo)
+        try:
+            fresh_free_lift(module, perturbed, lo, W, slack, seed + trial)
+        except (NoLift, NonUniqueLift) as err:
+            witness = [
+                [str(perturbed.matrix[i][j] - module.matrix[i][j])
+                 for j in range(module.rank)]
+                for i in range(module.rank)
+            ]
+            failures.append(
+                {"trial": trial, "error": type(err).__name__, "witness": witness}
+            )
+    return {
+        "rank": module.rank,
+        "n0": n0,
+        "lo": lo,
+        "trials": trials,
+        "successes": trials - len(failures),
+        "failures": failures,
+    }

@@ -1,0 +1,329 @@
+"""The early-exit and shared-prefix paths of the intertwiner solver.
+
+``module_iso``, the free lift and ``verify_fd`` stop solving once block 0 is
+singular by its shape, and ``verify_fd`` resumes every trial from one
+memoized system E -> E.  These tests check the results against
+``oracles.fresh_module_iso``, ``oracles.fresh_verify_fd`` and the free lift
+as first written, which solve a fresh system to all W orders; that the shape
+test is monotone in the order; and that the memoized prefix is never
+changed, refuses a target it does not fit and is never read by
+``lift_truncation_iso``.
+"""
+
+import json
+import random
+import sys
+from copy import deepcopy
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from abmod import (
+    BadParameter,
+    IntertwinerSystem,
+    Scalar,
+    Series,
+    base_change,
+    dual,
+    from_expression,
+    identity_truncation_iso,
+    lift_truncation_iso,
+    module_iso,
+    n0_bound,
+    random_regular,
+    twist,
+    verify_fd,
+)
+from abmod import determination
+from abmod.determination import (
+    _default_lift_precision,
+    _free_lift,
+    _perturb,
+    _prefix_system,
+    _rigidity_violation,
+    _slack,
+)
+from abmod.morphisms import _singular_shape, find_invertible
+from abmod.scalars import ONE, ZERO
+
+import oracles
+
+PRECISIONS = (8, 12, 24)
+HALF = Scalar(Fraction(1, 2))
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result of fn, or the type of the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+# -- module variants ----------------------------------------------------------
+
+
+def _constant_change(p, w):
+    """A fixed constant base change: unit lower-triangular, rows rotated."""
+    rows = [[Series.monomial(ONE if j <= i else ZERO, 0, w) for j in range(p)]
+            for i in range(p)]
+    return rows[1:] + rows[:1]
+
+
+def _series_change(p, w):
+    """The constant change plus a b and a b^2 term off the diagonal."""
+    q = _constant_change(p, w)
+    return [
+        [entry + Series.monomial(Scalar(i - j), 1 + (i + j) % 2, w) for j, entry in enumerate(row)]
+        for i, row in enumerate(q)
+    ]
+
+
+VARIANTS = {
+    "same": lambda m: m,
+    "dual": dual,
+    "twist": lambda m: twist(m, HALF),
+    "const": lambda m: base_change(m, _constant_change(m.rank, m.precision)),
+    "series": lambda m: base_change(m, _series_change(m.rank, m.precision)),
+    "dual-series": lambda m: base_change(dual(m), _series_change(m.rank, m.precision)),
+    "twist-const": lambda m: base_change(twist(m, HALF), _constant_change(m.rank, m.precision)),
+}
+# (left variant, right variant): both sides changed, iso and non-iso
+SIDES = [
+    ("same", "same"), ("same", "const"), ("series", "same"), ("const", "series"),
+    ("dual", "dual-series"), ("dual", "same"), ("twist", "twist-const"), ("twist", "same"),
+]
+ISO_FAMILIES = {
+    1: ["E(1/2)", "E(1/3)"],
+    2: ["J(2;0)", "F(2;0;1/2)", "E(1/2,1/3)", "E(1/2;2)", "rand(2;7)"],
+    3: ["J(3;0)", "F(3;0;2)", "rand(3;5)"],
+    4: ["J(4;0)", "F(4;0;1/2)"],
+}
+
+
+@pytest.mark.parametrize("w", PRECISIONS)
+def test_module_iso_matches_a_fresh_full_solve(w):
+    verdicts = set()
+    for exprs in ISO_FAMILIES.values():
+        modules = {x: from_expression(x, w) for x in exprs}
+        for left in exprs:
+            for right in exprs:
+                for lv, rv in SIDES:
+                    e = VARIANTS[lv](modules[left])
+                    ep = VARIANTS[rv](modules[right])
+                    got = _outcome(module_iso, e, ep)
+                    want = _outcome(oracles.fresh_module_iso, e, ep)
+                    assert got == want, (w, left, lv, right, rv)
+                    verdicts.add(got if got is None or isinstance(got, type) else "iso")
+    assert {None, "iso"} <= verdicts
+
+
+FD_MODULES = ["J(2;0)", "J(3;0)", "F(3;0;2)", "E(1/2,1/3)", "E(1/2;2)", "rand(3;1000)"]
+
+
+@pytest.mark.parametrize("w", PRECISIONS)
+def test_verify_fd_matches_a_fresh_full_solve(w):
+    reports = []
+    for expr in FD_MODULES:
+        base = from_expression(expr, w)
+        for name in ("same", "dual", "twist", "const", "series"):
+            module = VARIANTS[name](base)
+            for lo in (None, 5):
+                got = _outcome(verify_fd, module, 3, 7, lo=lo)
+                want = _outcome(oracles.fresh_verify_fd, module, 3, 7, lo=lo)
+                if isinstance(want, dict):
+                    assert json.dumps(got) == json.dumps(want), (w, expr, name, lo)
+                    reports.append(got)
+                else:
+                    assert got == want, (w, expr, name, lo)
+    if w == 24:
+        assert any(r["failures"] for r in reports)
+        assert any(r["successes"] for r in reports)
+
+
+def test_verify_fd_matches_on_the_nolift_roster():
+    # The J(k;0) modules fail at n0 (the c08 finding); most of their trials
+    # end in the early exit, and their witnesses must not move.
+    for k in (3, 4):
+        module = from_expression(f"J({k};0)", 24)
+        got = verify_fd(module, 8, 11)
+        assert json.dumps(got) == json.dumps(oracles.fresh_verify_fd(module, 8, 11))
+        assert any(f["error"] == "NoLift" for f in got["failures"])
+
+
+def _trial_pairs():
+    """(E, E', lo, W, slack) for verify_fd-like trials and unrelated pairs."""
+    rng = random.Random(3)
+    for expr, prec in (("J(3;0)", 24), ("J(4;0)", 24), ("E(1/2,1/3)", 24), ("rand(3;1000)", 26)):
+        module = from_expression(expr, prec)
+        lo = n0_bound(module)
+        W = _default_lift_precision(module, lo)
+        for _ in range(4):
+            yield module, _perturb(module, rng, lo), lo, W, _slack(module)
+    e, ep = from_expression("F(3;0;2)", 24), from_expression("J(3;0)", 24)
+    yield ep, e, 3, 20, _slack(ep)
+
+
+def test_free_lift_matches_a_fresh_full_solve():
+    for e, ep, N, W, slack in _trial_pairs():
+        for seed in (0, 5):
+            system = IntertwinerSystem(e.matrix, ep.matrix, W)
+            got = _outcome(_free_lift, system, e, ep, N, W, slack, seed)
+            want = _outcome(oracles.fresh_free_lift, e, ep, N, W, slack, seed)
+            assert got == want
+
+
+def test_rigidity_violation_matches_the_two_pass_form():
+    seen = set()
+    for e, ep, _, W, _ in _trial_pairs():
+        for source, target in ((e.matrix, e.matrix), (e.matrix, ep.matrix)):
+            system = IntertwinerSystem(source, target, W).solve()
+            for N in range(1, W):
+                for hi in sorted({N + 1, (N + W) // 2 + 1, W}):
+                    got = _rigidity_violation(system, N, hi)
+                    assert got == oracles.two_pass_rigidity_violation(system, N, hi)
+                    seen.add(got)
+    assert seen == {True, False}
+
+
+# -- monotonicity of the shape test -------------------------------------------
+
+scalars = st.builds(
+    lambda n, d: Scalar(Fraction(n, d)), st.integers(-3, 3), st.sampled_from((1, 2))
+)
+
+
+@st.composite
+def module_pairs(draw):
+    """Two modules of one rank: random regular modules under a random
+    b^0 + b^1 base change, or a catalog pair that agrees to low order."""
+    if draw(st.booleans()):
+        left, right = draw(st.sampled_from(
+            [("F(2;0;1/2)", "J(2;0)"), ("F(3;0;2)", "J(3;0)"), ("E(1/2;2)", "E(1/2,3/2)"),
+             ("J(3;0)", "J(3;1)")]))
+        w = draw(st.integers(4, 12))
+        return from_expression(left, w), from_expression(right, w)
+    p = draw(st.integers(1, 3))
+    w = draw(st.integers(4, 12))
+    pair = []
+    for _ in range(2):
+        module = random_regular(p, draw(st.integers(0, 10**6)), w, draw(st.booleans()))
+        q = [[Series.monomial(ONE if i == j else draw(scalars), 0, w)
+              + Series.monomial(draw(scalars), 1, w) for j in range(p)] for i in range(p)]
+        pair.append(base_change(module, q) if draw(st.booleans()) else module)
+    return tuple(pair)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(module_pairs())
+def test_an_empty_line_of_block0_stays_empty(pair):
+    e, ep = pair
+    w = min(e.precision, ep.precision)
+    system = IntertwinerSystem(e.matrix, ep.matrix, 0)
+    singular = False
+    for k in range(1, w + 1):
+        system.solve(k)
+        now = _singular_shape(system.blocks[0])
+        assert now or not singular, k
+        singular = now
+    early = IntertwinerSystem(e.matrix, ep.matrix, w).solve_until_singular()
+    assert (early is None) == singular
+    if early is not None:
+        assert early.blocks == system.blocks and early.alive == system.alive
+
+
+def test_the_shape_test_fires_before_the_last_order():
+    # F(5;0;2) -> J(5;0): block 0 has an empty line after k+1 of 14 orders.
+    e, ep = from_expression("F(5;0;2)", 14), from_expression("J(5;0)", 14)
+    system = IntertwinerSystem(e.matrix, ep.matrix, 14)
+    assert system.solve_until_singular() is None
+    assert len(system.blocks) == 6
+    assert system.solve() is None and len(system.blocks) == 6
+    # an empty line made by the last order asked for is reported too
+    assert IntertwinerSystem(e.matrix, ep.matrix, 6).solve_until_singular() is None
+    assert IntertwinerSystem(e.matrix, ep.matrix, 5).solve_until_singular() is not None
+    assert find_invertible(IntertwinerSystem(e.matrix, ep.matrix, 14).solve()) is None
+
+
+# -- the shared prefix --------------------------------------------------------
+
+
+def _state(system):
+    return deepcopy((system.blocks, system.occurrences, system.alive, system.w,
+                     system._next_param, system.mt, system.precision))
+
+
+def test_trials_leave_the_shared_prefix_unchanged():
+    _prefix_system.cache_clear()
+    module = from_expression("J(4;0)", 24)
+    lo = n0_bound(module)
+    prefix = _prefix_system(module, lo)
+    before = _state(prefix)
+    report = verify_fd(module, 12, 5)
+    assert report["failures"] and report["successes"]
+    assert _prefix_system(module, lo) is prefix
+    assert _state(prefix) == before
+    assert _prefix_system.cache_info().currsize == 1
+
+
+def test_retargeted_copies_resume_as_a_fresh_solve():
+    module = from_expression("J(3;0)", 12)
+    prefix = IntertwinerSystem(module.matrix, module.matrix, 4).solve()
+    before = _state(prefix)
+    bump = Series.monomial(ONE, 4, 12)
+    target = [[entry + bump if i == j == 0 else entry for j, entry in enumerate(row)]
+              for i, row in enumerate(module.matrix)]
+    resumed = prefix.retargeted(target).solve(10)
+    fresh = IntertwinerSystem(module.matrix, target, 10).solve()
+    assert (resumed.blocks, resumed.occurrences, resumed.alive) == (
+        fresh.blocks, fresh.occurrences, fresh.alive)
+    assert _state(prefix) == before
+
+
+def test_retargeted_refuses_a_target_that_differs_below_the_processed_orders():
+    module = from_expression("J(3;0)", 12)
+    prefix = IntertwinerSystem(module.matrix, module.matrix, 4).solve()
+    for order in (0, 3):
+        bump = Series.monomial(ONE, order, 12)
+        target = [[entry + bump if i == 1 and j == 2 else entry for j, entry in enumerate(row)]
+                  for i, row in enumerate(module.matrix)]
+        with pytest.raises(BadParameter):
+            prefix.retargeted(target)
+    with pytest.raises(BadParameter):
+        prefix.retargeted([[entry.at_precision(3) for entry in row] for row in module.matrix])
+    with pytest.raises(BadParameter):
+        prefix.retargeted([row[:2] for row in module.matrix[:2]])
+
+
+def test_lift_truncation_iso_never_reads_the_prefix_memo(monkeypatch):
+    reads, free = [], []
+    real_prefix, real_free = determination._prefix_system, determination._free_lift
+    monkeypatch.setattr(determination, "_prefix_system",
+                        lambda *args: reads.append(args) or real_prefix(*args))
+    monkeypatch.setattr(determination, "_free_lift",
+                        lambda *args: free.append(args) or real_free(*args))
+    module = from_expression("J(3;0)", 24)
+    lo = n0_bound(module)
+    rng = random.Random(2)
+    for _ in range(6):
+        perturbed = _perturb(module, rng, lo)
+        _outcome(lift_truncation_iso, module, perturbed,
+                 identity_truncation_iso(module, lo), lo)
+    assert free and not reads
+    verify_fd(module, 1, 0)
+    assert reads
+
+
+def test_verify_fd_refuses_negative_trials_and_levels_below_one():
+    module = from_expression("J(2;0)", 24)
+    with pytest.raises(BadParameter):
+        verify_fd(module, -3, 0)
+    for lo in (0, -2):
+        with pytest.raises(BadParameter):
+            verify_fd(module, 1, 0, lo=lo)
+    report = verify_fd(module, 0, 0)
+    assert (report["trials"], report["successes"], report["failures"]) == (0, 0, [])

@@ -134,9 +134,9 @@ def test_back_substitute_matches_dense(dim, n, data):
 
 def test_no_kernel_multiplies_or_adds_an_empty_series(monkeypatch):
     """The census: computing the info invariants of three catalog modules,
-    and a Hom and an Ext, no Series product, sum or difference formed in
-    the series-matrix, lattice or functor layer has an operand without
-    terms."""
+    a Hom and an Ext, two Jordan-Hoelder sequences, a rank-2 classification
+    and a twist, no Series product, sum or difference formed in the
+    series-matrix, lattice or functor layer has an operand without terms."""
     kernels = {seriesmat.__file__, lattice.__file__, functors.__file__}
     calls = {"all": 0, "empty": []}
 
@@ -160,6 +160,8 @@ def test_no_kernel_multiplies_or_adds_an_empty_series(monkeypatch):
             f.cache_clear()
     commands = [["info", expr] for expr in ("J(5;0)", "rand(4;7)", "F(4;0;1/2)")]
     commands += [["hom", "E(1/2)", "J(2;0)"], ["ext", "J(2;0)", "E(0)"]]
+    commands += [["jh", "J(4;0)"], ["jh", "rand(4;7)"], ["classify2", "E(1/2,2;3)"],
+                 ["twist", "J(3;0)", "1/2"]]
     for argv in commands:
         with redirect_stdout(io.StringIO()):
             assert main(argv + ["--precision", "24"]) == 0

@@ -9,10 +9,13 @@ four workloads the script runs ``python3 bench/run.py --workload W --seed S
 per pair, ten pairs, with the same seed on both sides (``--seed`` plus the
 pair index) and the parent first on even pairs, the change first on odd
 ones.  Pick a seed not used while writing the change.  It then times each
-probe command (the scaling probe ``abmod info 'J(12;0)' --precision 60``
-and ``abmod ext 'J(4;0)' 'F(4;0;1/2)'``, whose internal Hom has rank 16)
-three times in each checkout, alternating the same way, and records what
-each printed.  Runs are sequential, one process at a time.
+probe command three times in each checkout, alternating the same way, and
+records what each printed.  The probes are the scaling probe
+``abmod info 'J(12;0)' --precision 60``, ``abmod ext 'J(4;0)' 'F(4;0;1/2)'``
+(its internal Hom has rank 16), ``abmod fd 'J(4;0)' --trials 40`` (the
+intertwiner solver, its early exit and the shared prefix of the trials) and
+``abmod iso 'F(5;0;2)' 'J(5;0)'`` (a pair that agrees to order 5 and is not
+isomorphic).  Runs are sequential, one process at a time.
 
 The output holds every run, and for every end-to-end metric the median and
 quartiles on each side, the ratio of the medians (change / parent) and the
@@ -37,7 +40,8 @@ PAIRS = 10
 PROBE_RUNS = 3
 BETTER = {"items_per_s": "higher", "item_p50_ms": "lower", "item_tail_ms": "lower",
           "setup_s": "lower", "peak_rss_mb": "lower"}
-PROBES = (["info", "J(12;0)", "--precision", "60"], ["ext", "J(4;0)", "F(4;0;1/2)"])
+PROBES = (["info", "J(12;0)", "--precision", "60"], ["ext", "J(4;0)", "F(4;0;1/2)"],
+          ["fd", "J(4;0)", "--trials", "40"], ["iso", "F(5;0;2)", "J(5;0)"])
 
 
 def _bench(root: str, workload: str, seed: int) -> dict:
