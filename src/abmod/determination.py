@@ -278,6 +278,10 @@ def identity_truncation_iso(module: AbModule, N: int) -> Intertwiner:
 
 
 def _saturation_spectra_differ(e: AbModule, ep: AbModule) -> bool:
+    """Whether E# and E'# have different spectra, which rules out E ~ E'.
+
+    It decides pairs whose truncated system cannot, such as F(4;0;2)
+    against J(4;0) at W = 3."""
     try:
         if not is_regular(e) or not is_regular(ep):
             return False

@@ -34,7 +34,7 @@ from .module import AbModule
 from .morphisms import IntertwinerSystem
 from .scalars import Scalar, ZERO
 from .series import Series
-from .seriesmat import a_image, col_shift_up
+from .seriesmat import a_image
 
 
 # ---------------------------------------------------------------------------
@@ -103,37 +103,17 @@ def delta_index(module: AbModule) -> int:
     return max(lat.shift - v for _, v in lat.pivots)
 
 
-@lru_cache(maxsize=512)
 def regularity_order(module: AbModule) -> int:
-    """The least k with a^{k+1} E inside T_k = sum_j b^{k-j+1} a^j E.
+    """The least k with a^{k+1} E inside T_k = sum_{j<=k} b^{k-j+1} a^j E.
 
-    Testing the inclusion on the basis vectors suffices: a^m applied to
-    S(b) x lands in S a^m x plus earlier a-iterates with extra b factors.
-    T_k is grown as T_k = b (T_{k-1} + a^k E) from the echelon generators
-    of T_{k-1}, and a^{k+1} E only when step k is reached.  Every iterate
-    keeps the module's precision w, so each T_k is echelonized at w + 1,
-    the least precision of its columns b^{k-j+1} a^j e_i.
+    This is the saturation's step count.  From ab - ba = b^2 comes
+    a b^{-1} = b^{-1} a - 1, so sum_{j<=k} (b^{-1} a)^j E equals
+    sum_{j<=k} b^{-j} a^j E and T_k = b^{k+1} L_k, where L_k is the k-th
+    saturation iterate; a^{k+1} E lies in T_k exactly when L_{k+1} = L_k.
     """
     if not is_regular(module):
         raise NotRegular("regularity order is defined for regular modules only")
-    p = module.rank
-    # power[i] = coordinates of a^k e_i
-    power = [list(module.basis_element(i).coords) for i in range(p)]
-    gens = ()
-    for k in range(p):
-        target = lattice_from_columns(
-            p,
-            [col_shift_up(list(col), 1) for col in (*gens, *power)],
-            shift=0,
-            precision=module.precision + 1,
-        )
-        power = a_image(module.matrix, power)
-        if all(target.contains_column(col, 0) for col in power):
-            return k
-        gens = target.gens
-    raise NotRegular(
-        "no regularity order up to rank-1; inconsistent with a successful saturation"
-    )
+    return saturate(module).steps
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +224,16 @@ class WidthTable:
 
 @lru_cache(maxsize=512)
 def width_table(module: AbModule) -> WidthTable:
-    """lambda_min per class from S(E^b), lambda_max per class from S(E#)."""
-    sat = saturate(module)
-    upper = spectrum(sat.saturated)
-    eb_module, _ = biggest_simple_pole(module)
-    lower = spectrum(eb_module)
+    """lambda_min per class from S(E^b), lambda_max per class from S(E#).
+
+    S(E^b) is read off the dual saturation: E^b = ((E*)#)*, and the dual's
+    matrix is M(-b)^T, so a simple-pole residue R turns into -R^T and
+    S(E^b) = -S((E*)#).
+    """
+    from .functors import dual  # deferred: functors imports this module
+
+    upper = spectrum(saturate(module).saturated)
+    lower = [-s for s in spectrum(saturate(dual(module)).saturated)]
     classes = {}
     mins: dict = {}
     maxs: dict = {}
@@ -301,13 +286,14 @@ def n_lambda(module: AbModule, lam: Scalar) -> int:
     """The smallest N with b^N E inside (a - lam b) E.
 
     Decided on truncations at the sufficient level (lam - lambda_min of the
-    class) + delta + 2 (falling back to delta + rank + 2 when lam's class is
-    absent from the spectra), plus margin; the answer must agree at two
-    consecutive levels.  On E/b^w E it is the least N with k_N = k_w, where
-    k_N = dim ker(a - lam b) on E/b^N E: a - lam b preserves b^N E, so b^N E
-    lies in its image mod b^w exactly when its cokernels mod b^N and mod b^w
-    have equal dimension.  k_N is the live parameter count of one
-    intertwiner system from [[lam b]] into E, grown order by order.
+    class) + delta + 2, lambda_min as width_table reads it off (E*)#
+    (falling back to delta + rank + 2 when lam's class is absent from the
+    spectra), plus margin; the answer must agree at two consecutive levels.
+    On E/b^w E it is the least N with k_N = k_w, where k_N = dim ker(a - lam
+    b) on E/b^N E: a - lam b preserves b^N E, so b^N E lies in its image mod
+    b^w exactly when its cokernels mod b^N and mod b^w have equal dimension.
+    k_N is the live parameter count of one intertwiner system from [[lam b]]
+    into E, grown order by order.
     """
     table = width_table(module)
     delta = delta_index(module)

@@ -161,6 +161,19 @@ def _column_min(col):
     return best
 
 
+def _reduce_at(col, row, v, pivot_col) -> bool:
+    """col -= q * norm in place, q = col[row] // b^v and pivot_col the
+    nonzero entries of norm divided by b^v; whether col changed."""
+    if not col[row].terms:
+        return False
+    q, _ = col[row].split_at(v)
+    if q.is_zero():
+        return False
+    for i, e in pivot_col:
+        col[i] = _sub(col[i], (q * e).shift_up(v))
+    return True
+
+
 def lattice_from_columns(dim: int, columns, shift: int = 0, precision=None) -> Lattice:
     """Echelonize generating columns into a canonical Lattice.
 
@@ -180,22 +193,17 @@ def lattice_from_columns(dim: int, columns, shift: int = 0, precision=None) -> L
     for c in work:
         if len(c) != dim:
             raise ValueError("column length does not match the ambient rank")
+    # (valuation, row) of each column still to place; zero columns stay zero
+    pending = [(m, c) for c in work if (m := _column_min(c)) is not None]
     done: list[list] = []
     pivots: list[tuple[int, int]] = []
-    while True:
-        best = None
-        for idx, col in enumerate(work):
-            m = _column_min(col)
-            if m is not None and (best is None or m < best[0]):
-                best = (m, idx)
-        if best is None:
-            break
-        (v, row), idx = best
+    while pending:
+        idx = min(range(len(pending)), key=lambda k: pending[k][0])
+        (v, row), col = pending.pop(idx)
         if v >= precision - 1:
             raise PrecisionExhausted(
                 f"pivot valuation {v} is not safely below precision {precision}"
             )
-        col = work.pop(idx)
         unit_inv = col[row].shift_down(v).invert()
         norm = [
             (e.shift_down(v) * unit_inv).shift_up(v).at_precision(precision)
@@ -208,15 +216,15 @@ def lattice_from_columns(dim: int, columns, shift: int = 0, precision=None) -> L
         # q * norm leaves the rows where norm is zero as they are; the
         # nonzero entries are divided by b^v once, for all the columns.
         pivot_col = [(i, e.shift_down(v)) for i, e in enumerate(norm) if e.terms]
-        for group in (done, work):
-            for other in group:
-                if not other[row].terms:
-                    continue
-                q, r = other[row].split_at(v)
-                if q.is_zero():
-                    continue
-                for i, e in pivot_col:
-                    other[i] = _sub(other[i], (q * e).shift_up(v))
+        for other in done:
+            _reduce_at(other, row, v, pivot_col)
+        still = []
+        for m, other in pending:
+            if _reduce_at(other, row, v, pivot_col):
+                m = _column_min(other)
+            if m is not None:
+                still.append((m, other))
+        pending = still
         done.append(norm)
         pivots.append((row, v))
     return Lattice(

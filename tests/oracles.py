@@ -534,6 +534,35 @@ def batch_regularity_order(module: AbModule) -> int:
     )
 
 
+def eb_width_table(module: AbModule):
+    """``width_table`` as first written: lambda_min per class from the
+    spectrum of E^b itself, built by ``biggest_simple_pole``."""
+    from abmod import biggest_simple_pole, saturate, spectrum
+    from abmod.errors import HypothesisViolated
+    from abmod.invariants import WidthTable, _class_rep
+
+    upper = spectrum(saturate(module).saturated)
+    lower = spectrum(biggest_simple_pole(module)[0])
+    mins, maxs = {}, {}
+    for s in lower:
+        rep = _class_rep(s)
+        if rep not in mins or s.re < mins[rep].re:
+            mins[rep] = s
+    for s in upper:
+        rep = _class_rep(s)
+        if rep not in maxs or s.re > maxs[rep].re:
+            maxs[rep] = s
+    if set(mins) != set(maxs):
+        raise HypothesisViolated("spectra of E^b and E# occupy different classes mod Z")
+    classes = {}
+    for rep in sorted(mins, key=Scalar.sort_key):
+        gap = maxs[rep].re - mins[rep].re
+        if gap.denominator != 1:
+            raise HypothesisViolated("extreme exponents of one class differ by a fraction")
+        classes[rep] = (mins[rep], maxs[rep], int(gap))
+    return WidthTable(classes)
+
+
 def dense_hom_ab(E: AbModule, F: AbModule) -> AbModule:
     """``hom_ab`` with its entries summed by plain ``Series`` ``+``/``-``,
     empty series included."""

@@ -5,7 +5,8 @@ singular by its shape, and ``verify_fd`` resumes every trial from one
 memoized system E -> E.  These tests check the results against
 ``oracles.fresh_module_iso``, ``oracles.fresh_verify_fd`` and the free lift
 as first written, which solve a fresh system to all W orders; that the shape
-test is monotone in the order; and that the memoized prefix is never
+test is monotone in the order; that the saturations' spectra decide a pair
+whose truncated system cannot; and that the memoized prefix is never
 changed, refuses a target it does not fit and is never read by
 ``lift_truncation_iso``.
 """
@@ -247,6 +248,18 @@ def test_the_shape_test_fires_before_the_last_order():
     assert IntertwinerSystem(e.matrix, ep.matrix, 6).solve_until_singular() is None
     assert IntertwinerSystem(e.matrix, ep.matrix, 5).solve_until_singular() is not None
     assert find_invertible(IntertwinerSystem(e.matrix, ep.matrix, 14).solve()) is None
+
+
+def test_the_spectra_check_decides_a_pair_the_solve_cannot(monkeypatch):
+    # F(4;0;2) agrees with J(4;0) to order 4: at W = 3 block 0 is not
+    # singular and find_invertible finds a map, so only the saturations'
+    # spectra show that the modules are not isomorphic.
+    e, ep = from_expression("F(4;0;2)", 16), from_expression("J(4;0)", 16)
+    assert IntertwinerSystem(e.matrix, ep.matrix, 3).solve_until_singular() is not None
+    assert determination._saturation_spectra_differ(e, ep)
+    assert module_iso(e, ep, W=3) is None
+    monkeypatch.setattr(determination, "_saturation_spectra_differ", lambda e, ep: False)
+    assert module_iso(e, ep, W=3) is not None
 
 
 # -- the shared prefix --------------------------------------------------------

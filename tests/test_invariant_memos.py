@@ -1,8 +1,8 @@
 """Per-module invariants are computed once and served unchanged.
 
-* ``regularity_order`` grows T_k = b (T_{k-1} + a^k E) step by step; it
-  agrees, errors and messages included, with the batch form kept in
-  ``oracles.py`` on a grid of catalog modules and their duals.
+* ``regularity_order`` (the saturation's step count) agrees, errors and
+  messages included, with the batch form kept in ``oracles.py`` on a grid
+  of catalog modules and their duals.
 * The memoized invariants print the same digests as before the memos
   (``GOLDEN``), cold and again from the warm caches.
 * Cached values cannot be changed through a result, errors are not

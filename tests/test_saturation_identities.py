@@ -1,0 +1,125 @@
+"""The invariants read off the saturations, checked against their own
+constructions.
+
+* or(E) is the saturation's step count: ``regularity_order`` agrees with
+  ``oracles.batch_regularity_order`` (the inclusions a^{k+1} E in T_k tested
+  directly) and with ``saturate(E).steps``.
+* The spectrum of E^b is minus the spectrum of (E*)#: the negated dual
+  saturation spectrum equals ``spectrum(biggest_simple_pole(E)[0])``, and
+  ``width_table`` equals ``oracles.eb_width_table``, which reads lambda_min
+  off E^b itself.
+
+Both run over catalog modules, their duals, twists and random base changes,
+at low and at normal precision; raised errors must have the same type.
+"""
+
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import assume, given, settings, strategies as st
+
+from abmod import (
+    AbModule,
+    AbmodError,
+    Scalar,
+    Series,
+    base_change,
+    biggest_simple_pole,
+    dual,
+    from_expression,
+    invariants,
+    regularity_order,
+    saturate,
+    spectrum,
+    twist,
+    width_table,
+)
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+import oracles  # noqa: E402
+from test_base_change import base_changes  # noqa: E402
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+LAMBDAS = ("0", "1/2", "-1", "1/3", "2")
+
+
+@st.composite
+def expressions(draw):
+    kind = draw(st.sampled_from(("rand", "J", "F", "E")))
+    lam = draw(st.sampled_from(LAMBDAS))
+    if kind == "rand":
+        return f"rand({draw(st.integers(1, 5))};{draw(st.integers(0, 10**4))})"
+    if kind == "J":
+        return f"J({draw(st.integers(1, 5))};{lam})"
+    if kind == "F":
+        return f"F({draw(st.integers(2, 5))};{lam};{draw(st.sampled_from(('1/2', '2')))})"
+    return draw(st.sampled_from((
+        f"E({lam})", f"E({lam};{draw(st.integers(1, 3))})",
+        f"E({lam},{draw(st.sampled_from(LAMBDAS))})",
+        f"E({lam},{draw(st.integers(1, 3))};{draw(st.sampled_from(LAMBDAS))})",
+    )))
+
+
+@st.composite
+def modules(draw):
+    """A catalog module at low (1-8) or normal (12-16) precision, as it is,
+    dualized, twisted, under a random base change (ranks up to 3, whose
+    coefficients stay small), or made irregular by a unit added to one entry
+    of its structure matrix."""
+    w = draw(st.one_of(st.integers(1, 8), st.integers(12, 16)))
+    try:
+        module = from_expression(draw(expressions()), w)
+    except AbmodError:
+        assume(False)
+    variant = draw(st.sampled_from(
+        ("plain", "dual", "twist", "base change", "base change", "irregular")))
+    if variant == "irregular":
+        matrix = [list(row) for row in module.matrix]
+        matrix[-1][0] = matrix[-1][0] + Series.one(w)
+        return AbModule(matrix)
+    if variant == "dual":
+        return dual(module)
+    if variant == "twist":
+        return twist(module, Fraction(draw(st.sampled_from(LAMBDAS))))
+    if variant == "base change" and module.rank <= 3:
+        return base_change(module, draw(base_changes(module.rank, w)))
+    return module
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except AbmodError as exc:
+        return type(exc)
+
+
+def _clear_caches():
+    for f in vars(invariants).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+
+@PROPERTY
+@given(modules())
+def test_regularity_order_is_the_saturation_step_count(module):
+    _clear_caches()
+    got = outcome(regularity_order, module)
+    assert got == outcome(oracles.batch_regularity_order, module)
+    assert got == outcome(lambda m: saturate(m).steps, module)
+
+
+@PROPERTY
+@given(modules())
+def test_the_spectrum_of_eb_is_minus_that_of_the_dual_saturation(module):
+    _clear_caches()
+
+    def negated_dual(m):
+        values = [-s for s in spectrum(saturate(dual(m)).saturated)]
+        return sorted(values, key=Scalar.sort_key)
+
+    eb = outcome(lambda m: spectrum(biggest_simple_pole(m)[0]), module)
+    assert outcome(negated_dual, module) == eb
+    assert outcome(width_table, module) == outcome(oracles.eb_width_table, module)

@@ -6,6 +6,7 @@ the same exception type wherever the dense form raises.
 """
 
 import io
+import random
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -17,6 +18,7 @@ from abmod import (
     Scalar, Series, functors, invariants, lattice, lattice_from_columns, seriesmat
 )
 from abmod.cli import main
+from abmod.errors import PrecisionExhausted
 from abmod.lattice import _back_substitute
 from abmod.seriesmat import a_image, scaled_col_mul, smat_inverse, smat_mul
 
@@ -119,6 +121,56 @@ def test_lattice_from_columns_matches_dense(dim, n, data):
         for f in (lattice_from_columns, dense_lattice_from_columns)
     )
     assert lattice_parts(got) == lattice_parts(want)
+
+
+def _column_set(rng, dim, w):
+    """Sparse columns of dim entries at precision w (a few at w + 2), with
+    visibly zero columns, exact repeats, sums of two columns and entries
+    whose first term sits at or next to the precision horizon."""
+    def entry():
+        if rng.random() < 0.85:
+            return Series.zero(w)
+        low = rng.choice([0, 0, 0, 1, 1, 2, w - 2, w - 1, w])
+        coeffs = [Scalar(0)] * w
+        for k in range(max(low, 0), w):
+            if k == low or rng.random() < 0.3:
+                coeffs[k] = rng.choice(COEFFS[6:])
+        return Series(coeffs, w)
+
+    cols = [[entry() for _ in range(dim)] for _ in range(rng.randint(1, dim + 3))]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(("zero", "repeat", "sum", "deep"))
+        if kind == "zero":
+            cols.append([Series.zero(w) for _ in range(dim)])
+        elif kind == "repeat":
+            cols.append(list(rng.choice(cols)))
+        elif kind == "sum":
+            x, y = rng.choice(cols), rng.choice(cols)
+            cols.append([u + v for u, v in zip(x, y)])
+        else:
+            cols.append([Series(list(e.coeffs) + [Scalar(1)] * 2, w + 2) for e in cols[0]])
+    rng.shuffle(cols)
+    return cols
+
+
+def test_lattice_from_columns_matches_dense_up_to_dim_49():
+    """Random column sets of dims 1 to 49: the same gens and pivots, and the
+    same PrecisionExhausted points (precision given or read off the data)."""
+    rng = random.Random(16)
+    raised = built = 0
+    for case in range(80):
+        dim = rng.choice([1, 2, 3, 5, 8, 13, 21, 34, 49])
+        w = rng.randint(1, 9)
+        cols = _column_set(rng, dim, w)
+        precision = rng.choice([None, w, w - 1, w + 1])
+        got, want = (
+            outcome(f, dim, [list(c) for c in cols], case % 3, precision)
+            for f in (lattice_from_columns, dense_lattice_from_columns)
+        )
+        assert lattice_parts(got) == lattice_parts(want), (case, dim, w, precision)
+        raised += got is PrecisionExhausted
+        built += not isinstance(got, type)
+    assert raised >= 10 and built >= 20
 
 
 @SETTINGS
