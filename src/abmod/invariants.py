@@ -23,9 +23,10 @@ from .errors import (
 )
 from .lattice import (
     Lattice,
+    _lattice_a_image,
+    _quotient_columns,
     lattice_from_columns,
     lattice_quotient_dim,
-    lattice_equal,
     module_on_lattice,
     standard_lattice,
 )
@@ -34,7 +35,6 @@ from .module import AbModule
 from .morphisms import IntertwinerSystem
 from .scalars import Scalar, ZERO
 from .series import Series
-from .seriesmat import a_image
 
 
 # ---------------------------------------------------------------------------
@@ -49,15 +49,38 @@ class SaturationResult:
     steps: int           # first k with Phi_k stable
 
 
-def _one_saturation_step(module: AbModule, lat: Lattice) -> Lattice:
-    """lat + b^{-1} a (lat), echelonized once in the b^{-(k+1)} frame."""
+def _one_saturation_step(module: AbModule, lat: Lattice):
+    """One step from the iterate L_k (shift k): (L_k, the structure matrix of
+    a on it) when L_k is stable, else (L_{k+1}, None).
+
+    a(L_k) is computed once.  L_{k+1} = L_k + b^{-1} a(L_k), so L_k is
+    stable exactly when a(L_k) lies in b L_k.  In the b^{-(k+1)} frame the
+    columns of b^{-1} a(L_k) are the image columns themselves and L_k is
+    presented by b times its generators, so the test is a back-substitution
+    of the image along those pivots that leaves no remainder; along L_k's own
+    pivots it says that every quotient lies in b C[[b]].  Those quotients
+    times b are then the structure matrix module_on_lattice gives, at the
+    same precision.  An unstable L_k grows by one echelon of b L_k's
+    generators and the same image columns.
+
+    A stable step needs no pivot check: L_k contains E, which is
+    b^k C[[b]]^p in this frame, so every pivot of b L_k is at most
+    k + 1 <= rank, far below the module's precision (>= 2 rank + 2) that
+    the lattice keeps.
+    """
     k = lat.shift
-    image_cols = a_image(module.matrix, lat.gens, k)
+    image = _lattice_a_image(module, lat)
     # b^{-1} of a vector written in the b^{-k} frame lives in the b^{-(k+1)} frame
     deeper = lat.at_shift(k + 1)
-    w = min(deeper.precision, min(e.precision for c in image_cols for e in c))
-    return lattice_from_columns(
-        lat.dim, list(deeper.gens) + image_cols, shift=k + 1, precision=w
+    quotients = _quotient_columns(deeper, image)
+    if quotients is None:
+        w = min(deeper.precision, min(e.precision for c in image for e in c))
+        return lattice_from_columns(
+            lat.dim, list(deeper.gens) + image, shift=k + 1, precision=w
+        ), None
+    p = lat.dim
+    return lat, AbModule(
+        [[quotients[j][i].shift_up(1) for j in range(p)] for i in range(p)]
     )
 
 
@@ -65,6 +88,8 @@ def _one_saturation_step(module: AbModule, lat: Lattice) -> Lattice:
 def saturate(module: AbModule) -> SaturationResult:
     """Stabilized sum of (b^{-1} a)-iterates of the standard lattice.
 
+    Each step applies a to the current iterate once; that image both decides
+    stability and, on the stable iterate, gives the structure matrix of E#.
     Regular modules stabilize within rank steps; failure to do so raises
     NotRegular.  Needs working precision >= 2*rank + 2.
     """
@@ -76,14 +101,9 @@ def saturate(module: AbModule) -> SaturationResult:
         )
     current = standard_lattice(module)
     for step in range(p):
-        nxt = _one_saturation_step(module, current)
-        if lattice_equal(nxt, current):
-            return SaturationResult(
-                saturated=module_on_lattice(module, current),
-                lattice=current,
-                steps=step,
-            )
-        current = nxt
+        current, saturated = _one_saturation_step(module, current)
+        if saturated is not None:
+            return SaturationResult(saturated=saturated, lattice=current, steps=step)
     raise NotRegular(
         f"saturation did not stabilize within {p} steps: the module is not regular"
     )

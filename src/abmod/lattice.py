@@ -23,7 +23,7 @@ raised.  All membership decisions are made at the working precision.
 from __future__ import annotations
 
 from .errors import NotAStable, NotContained, PrecisionExhausted
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .series import Series
 from .seriesmat import (
     _sub,
@@ -146,6 +146,19 @@ def _back_substitute(lat: Lattice, work: list):
     return work, quotients
 
 
+def _quotient_columns(lat: Lattice, images):
+    """The quotient column of each image column along the pivots of lat, or
+    None at the first image column with a visibly nonzero remainder (one
+    that lies outside lat)."""
+    out = []
+    for image in images:
+        remainder, quotients = _back_substitute(lat, image)
+        if any(x.terms for x in remainder):
+            return None
+        out.append(quotients)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # echelon construction
 # ---------------------------------------------------------------------------
@@ -204,14 +217,19 @@ def lattice_from_columns(dim: int, columns, shift: int = 0, precision=None) -> L
             raise PrecisionExhausted(
                 f"pivot valuation {v} is not safely below precision {precision}"
             )
-        unit_inv = col[row].shift_down(v).invert()
-        norm = [
-            (e.shift_down(v) * unit_inv).shift_up(v).at_precision(precision)
-            if e.valuation() is not None
-            else Series.zero(precision)
-            for e in col
-        ]
-        norm[row] = Series.monomial(Scalar(1), v, precision)
+        if col[row].terms == ((v, ONE),):
+            # The pivot is already b^v and every entry is at the working
+            # precision: dividing by the unit 1 would give the column back.
+            norm = col
+        else:
+            unit_inv = col[row].shift_down(v).invert()
+            norm = [
+                (e.shift_down(v) * unit_inv).shift_up(v).at_precision(precision)
+                if e.valuation() is not None
+                else Series.zero(precision)
+                for e in col
+            ]
+            norm[row] = Series.monomial(Scalar(1), v, precision)
         # Every entry here is at the working precision, so subtracting
         # q * norm leaves the rows where norm is zero as they are; the
         # nonzero entries are divided by b^v once, for all the columns.
@@ -305,16 +323,18 @@ def module_on_lattice(module: AbModule, lat: Lattice) -> AbModule:
     """
     if not lat.is_full_rank():
         raise ValueError("module_on_lattice needs a full-rank lattice")
+    new_cols = _quotient_columns(lat, _lattice_a_image(module, lat))
+    if new_cols is None:
+        raise NotAStable(
+            "image of a generator has a fractional coefficient: "
+            "the lattice is not a-stable"
+        )
     p = lat.dim
+    return AbModule([[new_cols[j][i] for j in range(p)] for i in range(p)])
+
+
+def _lattice_a_image(module: AbModule, lat: Lattice) -> list:
+    """a on the generators of lat, in lat's frame, with the structure matrix
+    cut to the lattice's precision."""
     wmod = module.at_precision(min(module.precision, lat.precision))
-    new_cols = []
-    for image in a_image(wmod.matrix, lat.gens, lat.shift):
-        remainder, coeffs = _back_substitute(lat, image)
-        if not all(x.is_zero() for x in remainder):
-            raise NotAStable(
-                "image of a generator has a fractional coefficient: "
-                "the lattice is not a-stable"
-            )
-        new_cols.append(coeffs)
-    matrix = [[new_cols[j][i] for j in range(p)] for i in range(p)]
-    return AbModule(matrix)
+    return a_image(wmod.matrix, lat.gens, lat.shift)

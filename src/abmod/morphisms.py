@@ -397,8 +397,11 @@ def find_invertible(system: IntertwinerSystem, seed: int = 0, tries: int = 40):
     every solution singular.  Otherwise random rational samples come first;
     if they all fail, the determinant of the generic block 0 decides:
     identically zero means no invertible solution exists, otherwise a
-    nonvanishing integer point is found variable by variable.  Returns the value dict, or None when every
-    solution is singular.
+    nonvanishing integer point is found variable by variable.  The first
+    case is a block 0 singular for every parameter value without an empty
+    line, as for J(2;0) in the basis (e1 + e2, e1 + 2 e2) against its
+    saturation, where P0 M(0) = 0 at order 0.  Returns the value dict, or
+    None when every solution is singular.
     """
     if _singular_shape(system.blocks[0]):
         return None

@@ -509,6 +509,45 @@ def dense_lattice_from_columns(dim: int, columns, shift: int = 0, precision=None
     return Lattice(dim, shift, tuple(tuple(c) for c in done), tuple(pivots), precision)
 
 
+def echelon_saturate(module: AbModule):
+    """``saturate`` as written before it read stability off one
+    back-substitution: each step echelonizes b L_k's generators with the
+    a-image columns into L_{k+1}, compares the two lattices with
+    ``lattice_equal``, and the stable lattice's structure matrix comes from
+    ``module_on_lattice``, which applies a a second time."""
+    from abmod.invariants import SaturationResult
+    from abmod.lattice import lattice_equal, module_on_lattice, standard_lattice
+
+    def one_step(lat):
+        k = lat.shift
+        image_cols = a_image(module.matrix, lat.gens, k)
+        deeper = lat.at_shift(k + 1)
+        w = min(deeper.precision, min(e.precision for c in image_cols for e in c))
+        return lattice_from_columns(
+            lat.dim, list(deeper.gens) + image_cols, shift=k + 1, precision=w
+        )
+
+    p = module.rank
+    if module.precision < 2 * p + 2:
+        raise PrecisionExhausted(
+            f"saturation of a rank-{p} module needs precision >= {2 * p + 2}, "
+            f"have {module.precision}"
+        )
+    current = standard_lattice(module)
+    for step in range(p):
+        nxt = one_step(current)
+        if lattice_equal(nxt, current):
+            return SaturationResult(
+                saturated=module_on_lattice(module, current),
+                lattice=current,
+                steps=step,
+            )
+        current = nxt
+    raise NotRegular(
+        f"saturation did not stabilize within {p} steps: the module is not regular"
+    )
+
+
 def batch_regularity_order(module: AbModule) -> int:
     """``regularity_order`` as first written: all p iterates a^k E up front,
     and each T_k = sum_{j<=k} b^{k-j+1} a^j E echelonized from its

@@ -6,7 +6,9 @@ memoized system E -> E.  These tests check the results against
 ``oracles.fresh_module_iso``, ``oracles.fresh_verify_fd`` and the free lift
 as first written, which solve a fresh system to all W orders; that the shape
 test is monotone in the order; that the saturations' spectra decide a pair
-whose truncated system cannot; and that the memoized prefix is never
+whose truncated system cannot; that the generic block-0 determinant decides
+a pair that neither the shape test nor the spectra nor 40 random samples
+can; and that the memoized prefix is never
 changed, refuses a target it does not fit and is never read by
 ``lift_truncation_iso``.
 """
@@ -30,16 +32,19 @@ from abmod import (
     Series,
     base_change,
     dual,
+    emit_module_file,
     from_expression,
     identity_truncation_iso,
     lift_truncation_iso,
     module_iso,
     n0_bound,
     random_regular,
+    saturate,
     twist,
     verify_fd,
 )
-from abmod import determination
+from abmod import determination, morphisms
+from abmod.cli import main
 from abmod.determination import (
     _default_lift_precision,
     _free_lift,
@@ -260,6 +265,36 @@ def test_the_spectra_check_decides_a_pair_the_solve_cannot(monkeypatch):
     assert module_iso(e, ep, W=3) is None
     monkeypatch.setattr(determination, "_saturation_spectra_differ", lambda e, ep: False)
     assert module_iso(e, ep, W=3) is not None
+
+
+def test_the_generic_determinant_decides_a_pair_nothing_else_can(
+        tmp_path, monkeypatch, capsys):
+    # J(2;0) in the basis (e1 + e2, e1 + 2 e2) against its saturation: the
+    # order-0 equation P0 M(0) = 0 makes every P0 singular, yet block 0 has
+    # no empty line in this basis and the saturated spectra agree, so after
+    # 40 singular samples only the identically zero determinant says absent.
+    w = 12
+    g = [[Series.monomial(Scalar(x), 0, w) for x in row] for row in ((1, 1), (1, 2))]
+    e = base_change(from_expression("J(2;0)", w), g)
+    ep = saturate(from_expression("J(2;0)", w)).saturated
+    w = min(e.precision, ep.precision)
+    system = IntertwinerSystem(e.matrix, ep.matrix, w).solve_until_singular()
+    assert system is not None and not determination._saturation_spectra_differ(e, ep)
+    dets = []
+    generic_det = morphisms._generic_det
+
+    def spy(block, free0):
+        dets.append(generic_det(block, free0))
+        return dets[-1]
+
+    monkeypatch.setattr(morphisms, "_generic_det", spy)
+    paths = []
+    for name, module in (("e.txt", e), ("ep.txt", ep)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(emit_module_file(module))
+    assert main(["iso", *map(str, paths)]) == 0
+    assert capsys.readouterr().out == "iso: absent\n"
+    assert dets == [{}]
 
 
 # -- the shared prefix --------------------------------------------------------

@@ -1,5 +1,11 @@
-"""The invariants read off the saturations, checked against their own
-constructions.
+"""The saturation and the invariants read off it, checked against their
+own constructions.
+
+* ``saturate`` decides stability with one back-substitution of a(L_k) and
+  reads E#'s structure matrix off the same pass; ``oracles.echelon_saturate``
+  echelonizes L_{k+1}, compares it with ``lattice_equal`` and applies a again
+  in ``module_on_lattice``.  Both must give the same steps, lattice,
+  saturated module and raised errors.
 
 * or(E) is the saturation's step count: ``regularity_order`` agrees with
   ``oracles.batch_regularity_order`` (the inclusions a^{k+1} E in T_k tested
@@ -9,11 +15,13 @@ constructions.
   ``width_table`` equals ``oracles.eb_width_table``, which reads lambda_min
   off E^b itself.
 
-Both run over catalog modules, their duals, twists and random base changes,
-at low and at normal precision; raised errors must have the same type.
+The identities run over catalog modules, their duals, twists and random
+base changes, at low and at normal precision; raised errors must have the
+same type.
 """
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +30,8 @@ from hypothesis import assume, given, settings, strategies as st
 from abmod import (
     AbModule,
     AbmodError,
+    NotRegular,
+    PrecisionExhausted,
     Scalar,
     Series,
     base_change,
@@ -62,6 +72,34 @@ def expressions(draw):
     )))
 
 
+def catalog():
+    """Every J(k;l) and F(k;l;rho) up to rank 6, rand(r;s) up to rank 6, and
+    the E families."""
+    for k in range(1, 7):
+        for lam in LAMBDAS:
+            yield f"J({k};{lam})"
+            if k >= 2:
+                for rho in ("1/2", "2"):
+                    yield f"F({k};{lam};{rho})"
+    for r in range(1, 7):
+        for seed in range(12):
+            yield f"rand({r};{seed})"
+    for lam in LAMBDAS:
+        yield f"E({lam})"
+        for n in range(4):
+            yield f"E({lam};{n})"
+            yield f"E({lam},{n};{LAMBDAS[n]})"
+        for mu in LAMBDAS:
+            yield f"E({lam},{mu})"
+
+
+def irregular(module):
+    """The module with a unit added to the first entry of its last row."""
+    matrix = [list(row) for row in module.matrix]
+    matrix[-1][0] = matrix[-1][0] + Series.one(module.precision)
+    return AbModule(matrix)
+
+
 @st.composite
 def modules(draw):
     """A catalog module at low (1-8) or normal (12-16) precision, as it is,
@@ -76,9 +114,7 @@ def modules(draw):
     variant = draw(st.sampled_from(
         ("plain", "dual", "twist", "base change", "base change", "irregular")))
     if variant == "irregular":
-        matrix = [list(row) for row in module.matrix]
-        matrix[-1][0] = matrix[-1][0] + Series.one(w)
-        return AbModule(matrix)
+        return irregular(module)
     if variant == "dual":
         return dual(module)
     if variant == "twist":
@@ -123,3 +159,43 @@ def test_the_spectrum_of_eb_is_minus_that_of_the_dual_saturation(module):
     eb = outcome(lambda m: spectrum(biggest_simple_pole(m)[0]), module)
     assert outcome(negated_dual, module) == eb
     assert outcome(width_table, module) == outcome(oracles.eb_width_table, module)
+
+
+def saturation_parts(module, saturation=saturate):
+    """Steps, lattice (shift, gens, pivots, precision) and saturated matrix
+    and precision of a saturation, or the type of the error it raised."""
+    _clear_caches()
+    try:
+        sat = saturation(module)
+    except AbmodError as exc:
+        return type(exc)
+    lat = sat.lattice
+    return (sat.steps, lat.shift, lat.gens, lat.pivots, lat.precision,
+            sat.saturated.matrix, sat.saturated.precision)
+
+
+@PROPERTY
+@given(modules())
+def test_saturate_matches_the_echelon_oracle(module):
+    for m in (module, dual(module)):
+        assert saturation_parts(m) == saturation_parts(m, oracles.echelon_saturate)
+
+
+def test_saturate_matches_the_echelon_oracle_over_the_catalog():
+    """The catalog at precisions 10 to 30, as it is, dualized, twisted by
+    1/2 and made irregular: saturated, short of precision (rank 6 needs 14)
+    and not regular all occur."""
+    seen = Counter()
+    for expr in catalog():
+        for w in range(10, 31, 4):
+            try:
+                module = from_expression(expr, w)
+            except AbmodError:
+                continue
+            for m in (module, dual(module), twist(module, Fraction(1, 2)),
+                      irregular(module)):
+                got = saturation_parts(m)
+                assert got == saturation_parts(m, oracles.echelon_saturate), (expr, w)
+                seen[got if isinstance(got, type) else "saturated"] += 1
+    assert seen[PrecisionExhausted] >= 100 and seen[NotRegular] >= 100
+    assert seen["saturated"] >= 2000

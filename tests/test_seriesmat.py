@@ -153,15 +153,35 @@ def _column_set(rng, dim, w):
     return cols
 
 
+def _monic_column_set(rng, dim, w):
+    """Columns whose pivot entries are already b^v, as a saturation step
+    meets them: an echelon basis, the same basis times b, and up to two
+    sparse columns."""
+    base = outcome(dense_lattice_from_columns, dim, _column_set(rng, dim, w))
+    gens = [] if isinstance(base, type) else [list(g) for g in base.gens]
+    cols = gens + [[e.shift_up(1) for e in g] for g in gens]
+    cols += _column_set(rng, dim, w)[:rng.randint(0, 2)]
+    rng.shuffle(cols)
+    return cols
+
+
 def test_lattice_from_columns_matches_dense_up_to_dim_49():
     """Random column sets of dims 1 to 49: the same gens and pivots, and the
-    same PrecisionExhausted points (precision given or read off the data)."""
+    same PrecisionExhausted points (precision given or read off the data).
+    The last 40 sets have pivots that are already monic, which
+    lattice_from_columns takes as they are."""
     rng = random.Random(16)
-    raised = built = 0
-    for case in range(80):
+    raised = built = monic = 0
+    for case in range(120):
         dim = rng.choice([1, 2, 3, 5, 8, 13, 21, 34, 49])
         w = rng.randint(1, 9)
-        cols = _column_set(rng, dim, w)
+        if case < 80:
+            cols = _column_set(rng, dim, w)
+        else:
+            cols = _monic_column_set(rng, dim, w)
+            monic += any(
+                e.terms == ((e.valuation(), Scalar(1)),) for c in cols for e in c
+            )
         precision = rng.choice([None, w, w - 1, w + 1])
         got, want = (
             outcome(f, dim, [list(c) for c in cols], case % 3, precision)
@@ -170,7 +190,7 @@ def test_lattice_from_columns_matches_dense_up_to_dim_49():
         assert lattice_parts(got) == lattice_parts(want), (case, dim, w, precision)
         raised += got is PrecisionExhausted
         built += not isinstance(got, type)
-    assert raised >= 10 and built >= 20
+    assert raised >= 10 and built >= 40 and monic >= 25
 
 
 @SETTINGS
