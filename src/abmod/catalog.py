@@ -30,18 +30,14 @@ from .series import Series
 from .textio import MAX_FILE_RANK, MAX_PRECISION, parse_scalar
 
 
-def _scal(x) -> Scalar:
-    return Scalar.of(x) if not isinstance(x, Scalar) else x
-
-
 def make_E_lambda(lam, precision: int) -> AbModule:
-    lam = _scal(lam)
+    lam = Scalar.of(lam)
     return AbModule([[Series.monomial(lam, 1, precision)]])
 
 
 def make_E_lambda_n(lam, n: int, precision: int) -> AbModule:
     """The simple-pole nonsplit rank-2 family with spectrum {lambda+n, lambda}."""
-    lam = _scal(lam)
+    lam = Scalar.of(lam)
     if n < 0:
         raise BadParameter("E_lambda(n) needs n >= 0")
     z = Series.zero(precision)
@@ -56,7 +52,7 @@ def make_E_lambda_n(lam, n: int, precision: int) -> AbModule:
 
 def make_E_lambda_mu(lam, mu, precision: int) -> AbModule:
     """The nonsplit rank-2 family  a y = mu b y,  a t = y + (lambda-1) b t."""
-    lam, mu = _scal(lam), _scal(mu)
+    lam, mu = Scalar.of(lam), Scalar.of(mu)
     z = Series.zero(precision)
     return AbModule(
         [
@@ -68,7 +64,7 @@ def make_E_lambda_mu(lam, mu, precision: int) -> AbModule:
 
 def make_E_lambda_mu_alpha(lam, n: int, alpha, precision: int) -> AbModule:
     """a y = (lambda-n) b y,  a t = y + (lambda-1) b t + alpha b^n y."""
-    lam, alpha = _scal(lam), _scal(alpha)
+    lam, alpha = Scalar.of(lam), Scalar.of(alpha)
     if n < 1:
         raise BadParameter("the alpha family needs n >= 1")
     if not alpha:
@@ -84,7 +80,7 @@ def make_E_lambda_mu_alpha(lam, n: int, alpha, precision: int) -> AbModule:
 
 
 def make_J_k(lam, k: int, precision: int) -> AbModule:
-    lam = _scal(lam)
+    lam = Scalar.of(lam)
     if k < 1:
         raise BadParameter("J_k needs k >= 1")
     m = [[Series.zero(precision) for _ in range(k)] for _ in range(k)]
@@ -97,7 +93,7 @@ def make_J_k(lam, k: int, precision: int) -> AbModule:
 
 def make_F_rho(lam, k: int, rho, precision: int) -> AbModule:
     """J_k(lambda) perturbed at order exactly k: a e_k gains rho^k b^k e_1."""
-    lam, rho = _scal(lam), _scal(rho)
+    lam, rho = Scalar.of(lam), Scalar.of(rho)
     if k < 2:
         raise BadParameter("F_rho needs k >= 2")
     if not rho:

@@ -34,12 +34,12 @@ from .invariants import (
     saturate,
     spectrum,
 )
-from .lattice import Lattice, lattice_from_columns, standard_lattice
+from .lattice import Lattice, lattice_from_columns
 from .module import AbModule, Element, apply_a, base_change
 from .morphisms import IntertwinerSystem
 from .scalars import ONE, ZERO, Scalar
 from .series import Series
-from .seriesmat import _add, _mul, _sub
+from .seriesmat import a_image
 from .textio import MAX_FILE_RANK
 
 __all__ = [
@@ -81,7 +81,7 @@ def twist(module: AbModule, m) -> AbModule:
     return AbModule(
         [
             [
-                _add(module.matrix[i][j], shift) if i == j else module.matrix[i][j]
+                module.matrix[i][j] + shift if i == j else module.matrix[i][j]
                 for j in range(p)
             ]
             for i in range(p)
@@ -127,9 +127,9 @@ def hom_ab(E: AbModule, F: AbModule) -> AbModule:
         for j in range(pe):
             r = i * pe + j
             for l in range(pe):
-                rows[r][i * pe + l] = _add(rows[r][i * pe + l], me[l][j])
+                rows[r][i * pe + l] = rows[r][i * pe + l] + me[l][j]
             for k in range(pf):
-                rows[r][k * pe + j] = _sub(rows[r][k * pe + j], mf[i][k])
+                rows[r][k * pe + j] = rows[r][k * pe + j] - mf[i][k]
     return AbModule(rows)
 
 
@@ -190,10 +190,15 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
             raise HypothesisViolated(
                 "lam - kappa exceeds the smallest eigenvalue in its class"
             )
-    x = list(z.in_frame(0))
     b = Series.b(w)
-    ax = apply_a(module, z).coords
-    r = [_sub(ax[i], _mul(_mul(b, x[i]), lam)) for i in range(p)]
+
+    def residual(col):
+        """(a - lam*b) applied to col."""
+        image = a_image(module.matrix, [col])[0]
+        return [u - b * v * lam for u, v in zip(image, col)]
+
+    x = list(z.in_frame(0))
+    r = residual(x)
     for i in range(p):
         for t in range(kappa + 2):
             if not r[i].coefficient(t).is_zero():
@@ -214,16 +219,9 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
             raise HypothesisViolated(
                 "correction system is singular: lifting hypothesis violated"
             )
-        for i in range(p):
-            x[i] = _add(x[i], Series.monomial(sol[i], k, w))
-        # residual update from the correction b^k * sol
-        for i in range(p):
-            t = Series.zero(w)
-            for j in range(p):
-                if not sol[j].is_zero():
-                    t = _add(t, _mul(module.matrix[i][j], sol[j]))
-            t = _add(t, Series.monomial(sol[i] * shift, 1, w))
-            r[i] = _add(r[i], t.shift_up(k).at_precision(w))
+        correction = [Series.monomial(v, k, w) for v in sol]
+        x = [u + v for u, v in zip(x, correction)]
+        r = [u + v for u, v in zip(r, residual(correction))]
     for i in range(p):
         if not r[i].is_zero():
             raise HypothesisViolated("eigen lifting did not converge")
@@ -257,7 +255,7 @@ def _eigen_data(module: AbModule, x: Element):
         raise NotEigen("a.x is not a constant multiple of b.x")
     b = Series.b(module.precision)
     for i in range(module.rank):
-        if not _sub(ax[i], _mul(_mul(b, coords[i]), lam)).is_zero():
+        if not (ax[i] - b * coords[i] * lam).is_zero():
             raise NotEigen("a.x is not lam*b*x")
     return coords, pivot, lam
 
@@ -270,10 +268,10 @@ def _quotient_with_pivot(module: AbModule, x: Element):
     keep = [i for i in range(p) if i != pivot]
     rows = []
     for l in keep:
-        factor = _mul(coords[l], inv)
+        factor = coords[l] * inv
         rows.append(
             [
-                _sub(module.matrix[l][m], _mul(module.matrix[pivot][m], factor))
+                module.matrix[l][m] - module.matrix[pivot][m] * factor
                 for m in keep
             ]
         )
@@ -356,7 +354,7 @@ def _eigen_coords(
     for i in range(module.rank):
         acc = Series.zero(eb_lattice.precision)
         for j, g in enumerate(eb_lattice.gens):
-            acc = _add(acc, _mul(g[i], inner[j]))
+            acc = acc + g[i] * inner[j]
         coords.append(acc)
     vals = [c.valuation() for c in coords if not c.is_zero()]
     if not vals:

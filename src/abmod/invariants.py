@@ -50,8 +50,9 @@ class SaturationResult:
 
 
 def _one_saturation_step(module: AbModule, lat: Lattice):
-    """One step from the iterate L_k (shift k): (L_k, the structure matrix of
-    a on it) when L_k is stable, else (L_{k+1}, None).
+    """The stability test of the iterate L_k (shift k): (the structure
+    matrix of a on L_k, None) when L_k is stable, else (None, the arguments
+    of the lattice_from_columns call that builds L_{k+1}).
 
     a(L_k) is computed once.  L_{k+1} = L_k + b^{-1} a(L_k), so L_k is
     stable exactly when a(L_k) lies in b L_k.  In the b^{-(k+1)} frame the
@@ -61,12 +62,15 @@ def _one_saturation_step(module: AbModule, lat: Lattice):
     pivots it says that every quotient lies in b C[[b]].  Those quotients
     times b are then the structure matrix module_on_lattice gives, at the
     same precision.  An unstable L_k grows by one echelon of b L_k's
-    generators and the same image columns.
+    generators and the same image columns, which the caller builds only
+    when another test follows.
 
     A stable step needs no pivot check: L_k contains E, which is
     b^k C[[b]]^p in this frame, so every pivot of b L_k is at most
     k + 1 <= rank, far below the module's precision (>= 2 rank + 2) that
-    the lattice keeps.
+    the lattice keeps.  The same bound keeps the echelon of L_{k+1} from
+    raising PrecisionExhausted, so skipping it after the last test changes
+    no outcome.
     """
     k = lat.shift
     image = _lattice_a_image(module, lat)
@@ -75,13 +79,11 @@ def _one_saturation_step(module: AbModule, lat: Lattice):
     quotients = _quotient_columns(deeper, image)
     if quotients is None:
         w = min(deeper.precision, min(e.precision for c in image for e in c))
-        return lattice_from_columns(
-            lat.dim, list(deeper.gens) + image, shift=k + 1, precision=w
-        ), None
+        return None, (lat.dim, list(deeper.gens) + image, k + 1, w)
     p = lat.dim
-    return lat, AbModule(
+    return AbModule(
         [[quotients[j][i].shift_up(1) for j in range(p)] for i in range(p)]
-    )
+    ), None
 
 
 @lru_cache(maxsize=512)
@@ -100,8 +102,11 @@ def saturate(module: AbModule) -> SaturationResult:
             f"have {module.precision}"
         )
     current = standard_lattice(module)
+    grown = None
     for step in range(p):
-        current, saturated = _one_saturation_step(module, current)
+        if grown is not None:
+            current = lattice_from_columns(*grown)
+        saturated, grown = _one_saturation_step(module, current)
         if saturated is not None:
             return SaturationResult(saturated=saturated, lattice=current, steps=step)
     raise NotRegular(

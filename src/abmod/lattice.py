@@ -26,14 +26,13 @@ from .errors import NotAStable, NotContained, PrecisionExhausted
 from .scalars import ONE, Scalar
 from .series import Series
 from .seriesmat import (
-    _sub,
     a_image,
     col_at_precision,
     col_shift_up,
     scaled_col_mul,
 )
 
-from .module import AbModule, Element
+from .module import AbModule
 
 
 class Lattice:
@@ -108,15 +107,24 @@ class Lattice:
         rem, _ = self.reduce_column(col, shift)
         return all(x.is_zero() for x in rem)
 
-    def contains(self, x: Element) -> bool:
-        return self.contains_column(list(x.coords), x.shift)
-
     # -- structure --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        """Equality of the underlying submodules, decided structurally on
+        the canonical forms at a common frame and precision."""
         if not isinstance(other, Lattice):
             return NotImplemented
-        return lattice_equal(self, other)
+        if self.dim != other.dim:
+            return False
+        k = max(self.shift, other.shift)
+        a, b = self.at_shift(k), other.at_shift(k)
+        if a.pivots != b.pivots:
+            return False
+        w = min(a.precision, b.precision)
+        return all(
+            col_at_precision(list(ga), w) == col_at_precision(list(gb), w)
+            for ga, gb in zip(a.gens, b.gens)
+        )
 
     def __hash__(self):
         # Hash only frame-free invariants; equality is finer.
@@ -142,7 +150,7 @@ def _back_substitute(lat: Lattice, work: list):
         quotients.append(q)
         if not q.is_zero():
             sub = scaled_col_mul(q, list(gen), v)
-            work = [_sub(x, y) for x, y in zip(work, sub)]
+            work = [x - y for x, y in zip(work, sub)]
     return work, quotients
 
 
@@ -183,7 +191,7 @@ def _reduce_at(col, row, v, pivot_col) -> bool:
     if q.is_zero():
         return False
     for i, e in pivot_col:
-        col[i] = _sub(col[i], (q * e).shift_up(v))
+        col[i] = col[i] - (q * e).shift_up(v)
     return True
 
 
@@ -270,22 +278,6 @@ def standard_lattice(module: AbModule) -> Lattice:
 # ---------------------------------------------------------------------------
 # lattice arithmetic
 # ---------------------------------------------------------------------------
-
-
-def lattice_equal(a: Lattice, b: Lattice) -> bool:
-    """Equality of the underlying submodules, decided structurally on the
-    canonical forms at a common frame and precision."""
-    if a.dim != b.dim:
-        return False
-    k = max(a.shift, b.shift)
-    aa, bb = a.at_shift(k), b.at_shift(k)
-    if aa.pivots != bb.pivots:
-        return False
-    w = min(aa.precision, bb.precision)
-    for ga, gb in zip(aa.gens, bb.gens):
-        if col_at_precision(list(ga), w) != col_at_precision(list(gb), w):
-            return False
-    return True
 
 
 def lattice_quotient_dim(big: Lattice, small: Lattice) -> int:

@@ -16,6 +16,13 @@ or a single monomial), so every operation works on the terms alone and
 costs O(nonzeros), not O(W).  ``coeffs`` is a dense read-only view built on
 demand; the public constructor takes dense input, and results are built by
 the private ``_make``, which trusts its terms.
+
+Most series met in practice have no terms at all, and such an operand adds
+nothing to a sum and makes a product vanish.  So ``+``, ``-`` and ``*``
+return at once when an operand has no terms: the term loops ``_combine``
+and ``_product`` only ever see two nonempty operands.  The early result is
+exactly the one the loops would give, at the same precision, and an
+operand of precision 0 still raises ``PrecisionExhausted`` first.
 """
 
 from __future__ import annotations
@@ -77,6 +84,31 @@ def _combine(x: tuple, y: tuple, w: int, sign: int) -> tuple:
             break
         out.append((k, c))
     return tuple(out)
+
+
+def _product(x: tuple, y: tuple, w: int) -> tuple:
+    """The terms of x * y below w."""
+    if len(x) > len(y):
+        x, y = y, x
+    if len(x) == 1:
+        # A monomial times a series: the products land on distinct orders.
+        j, a = x[0]
+        out = []
+        for k, c in y:
+            if j + k >= w:
+                break
+            out.append((j + k, a * c))
+        return tuple(out)
+    acc = {}
+    for j, a in x:
+        for k, c in y:
+            n = j + k
+            if n >= w:
+                break
+            t = a * c
+            cur = acc.get(n)
+            acc[n] = t if cur is None else cur + t
+    return tuple((n, c) for n, c in sorted(acc.items()) if c)
 
 
 class Series:
@@ -193,15 +225,25 @@ class Series:
     def __add__(self, other) -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        self._need(); other._need()
         w = min(self.precision, other.precision)
+        if not w:
+            raise PrecisionExhausted("operating on a series of precision 0")
+        if not other.terms:
+            return self.at_precision(w)
+        if not self.terms:
+            return other.at_precision(w)
         return _make(_combine(self.terms, other.terms, w, 1), w)
 
     def __sub__(self, other) -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        self._need(); other._need()
         w = min(self.precision, other.precision)
+        if not w:
+            raise PrecisionExhausted("operating on a series of precision 0")
+        if not other.terms:
+            return self.at_precision(w)
+        if not self.terms:
+            return _make(tuple((k, -c) for k, c in _below(other.terms, w)), w)
         return _make(_combine(self.terms, other.terms, w, -1), w)
 
     def __neg__(self) -> "Series":
@@ -212,36 +254,20 @@ class Series:
         # through ABCMeta, and Series x Series is the hot case.
         if type(other) is not Series:
             if isinstance(other, (Scalar, int, Fraction)):
+                if not self.terms:
+                    return self
                 s = _as_scalar(other)
                 if not s:
                     return _make((), self.precision)
                 return _make(tuple((k, c * s) for k, c in self.terms), self.precision)
             if not isinstance(other, Series):
                 return NotImplemented
-        self._need(); other._need()
         w = min(self.precision, other.precision)
-        x, y = self.terms, other.terms
-        if len(x) > len(y):
-            x, y = y, x
-        if len(x) == 1:
-            # A monomial times a series: the products land on distinct orders.
-            j, a = x[0]
-            out = []
-            for k, c in y:
-                if j + k >= w:
-                    break
-                out.append((j + k, a * c))
-            return _make(tuple(out), w)
-        acc = {}
-        for j, a in x:
-            for k, c in y:
-                n = j + k
-                if n >= w:
-                    break
-                t = a * c
-                cur = acc.get(n)
-                acc[n] = t if cur is None else cur + t
-        return _make(tuple((n, c) for n, c in sorted(acc.items()) if c), w)
+        if not w:
+            raise PrecisionExhausted("operating on a series of precision 0")
+        if not (self.terms and other.terms):
+            return _make((), w)
+        return _make(_product(self.terms, other.terms, w), w)
 
     __rmul__ = __mul__
 

@@ -4,12 +4,12 @@ Thin functional helpers shared by the module, lattice and functor layers.
 A "column" here is a list of ``Series`` — the coordinate vector of a module
 element in some basis.
 
-Most entries met in practice are zero, so every kernel here follows one
-rule: a ``Series`` with no terms adds nothing to a sum of products, so it is
-never multiplied or added.  The result's precision is computed directly, as
-the minimum the dense formula gives.  Where the dense formula would raise
-(an operand of precision 0, or a division by b^v that an entry cannot bear),
-the kernel raises the same error.
+Most entries met in practice are zero.  The ``Series`` operators already
+return at once on an operand without terms; the kernels here go further and
+skip such entries of a sum of products altogether, computing the result's
+precision directly as the minimum the dense formula gives.  Where the dense
+formula would raise (an operand of precision 0, or a division by b^v that an
+entry cannot bear), the kernel raises the same error.
 """
 
 from __future__ import annotations
@@ -18,43 +18,13 @@ from .errors import PrecisionExhausted
 from .series import Series, _make
 
 
-def _add(x: Series, y: Series) -> Series:
-    """x + y as ``Series.__add__`` gives it, adding no series without terms."""
-    if x.precision and y.precision:
-        if not y.terms:
-            return x.at_precision(min(x.precision, y.precision))
-        if not x.terms:
-            return y.at_precision(min(x.precision, y.precision))
-    return x + y
-
-
-def _sub(x: Series, y: Series) -> Series:
-    """x - y as ``Series.__sub__`` gives it, subtracting no series without terms."""
-    if x.precision and y.precision:
-        if not y.terms:
-            return x.at_precision(min(x.precision, y.precision))
-        if not x.terms:
-            return (-y).at_precision(min(x.precision, y.precision))
-    return x - y
-
-
-def _mul(x: Series, y) -> Series:
-    """x * y as ``Series.__mul__`` gives it, for a series or scalar y,
-    multiplying no series without terms."""
-    if type(y) is not Series:
-        return x * y if x.terms else x
-    if x.precision and y.precision and not (x.terms and y.terms):
-        return _make((), min(x.precision, y.precision))
-    return x * y
-
-
 def smat_coefficient(m, k: int) -> list:
     """The Scalar matrix of b^k coefficients."""
     return [[entry.coefficient(k) for entry in row] for row in m]
 
 
 def smat_sub(a, b) -> list:
-    return [[_sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def smat_mul(a, b) -> list:
@@ -78,7 +48,7 @@ def smat_mul(a, b) -> list:
             if x.terms:
                 for j, y in brows[k]:
                     t = x * y
-                    acc[j] = t if acc[j] is None else _add(acc[j], t)
+                    acc[j] = t if acc[j] is None else acc[j] + t
         out.append([
             _make((), min(row_w, w)) if s is None else s.at_precision(min(row_w, w))
             for s, w in zip(acc, col_w)
@@ -91,10 +61,10 @@ def a_image(m, cols, shift: int = 0) -> list:
 
     For structure matrix m and each column v,
     a(b^{-K} v) = b^{-K} (m v + b^2 v' - K b v); the images come back as
-    columns in the same frame.  Elements, lattices, base changes and the
-    intertwiner check all apply a through here; only the coefficient-level
-    forms (truncate, the intertwiner solver and eigen_lift's residual
-    update) write the rule out again.
+    columns in the same frame.  Elements, lattices, base changes, the
+    intertwiner check and eigen_lift's residual all apply a through here;
+    only the coefficient-level forms (truncate and the intertwiner solver)
+    write the rule out again.
 
     An image entry is known to min(w + 1, the least precision of its row
     of m, the least precision of v), where w = min(least precision of m,
@@ -119,11 +89,11 @@ def a_image(m, cols, shift: int = 0) -> list:
             if x.terms:
                 acc = x.derivative().shift_up(2)
                 if shift:
-                    acc = _sub(acc, x.shift_up(1) * shift)
+                    acc = acc - x.shift_up(1) * shift
             for j, mij in rows[i]:
                 xj = v[j]
                 if xj.terms:
-                    acc = _add(acc, mij * xj)
+                    acc = acc + mij * xj
             img.append(acc.at_precision(min(w + 1, row_w[i], cv)))
         out.append(img)
     return out
@@ -187,6 +157,6 @@ def smat_inverse(a) -> list:
                 factor = work[r][c]
                 row = list(work[r])
                 for j, e in pivot_row:
-                    row[j] = _sub(row[j], factor * e)
+                    row[j] = row[j] - factor * e
                 work[r] = row
     return [row[n:] for row in work]

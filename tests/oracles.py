@@ -512,11 +512,11 @@ def dense_lattice_from_columns(dim: int, columns, shift: int = 0, precision=None
 def echelon_saturate(module: AbModule):
     """``saturate`` as written before it read stability off one
     back-substitution: each step echelonizes b L_k's generators with the
-    a-image columns into L_{k+1}, compares the two lattices with
-    ``lattice_equal``, and the stable lattice's structure matrix comes from
+    a-image columns into L_{k+1}, compares the two lattices with ``==``,
+    and the stable lattice's structure matrix comes from
     ``module_on_lattice``, which applies a a second time."""
     from abmod.invariants import SaturationResult
-    from abmod.lattice import lattice_equal, module_on_lattice, standard_lattice
+    from abmod.lattice import module_on_lattice, standard_lattice
 
     def one_step(lat):
         k = lat.shift
@@ -536,7 +536,7 @@ def echelon_saturate(module: AbModule):
     current = standard_lattice(module)
     for step in range(p):
         nxt = one_step(current)
-        if lattice_equal(nxt, current):
+        if nxt == current:
             return SaturationResult(
                 saturated=module_on_lattice(module, current),
                 lattice=current,

@@ -25,3 +25,23 @@ def test_every_public_function_is_exported_or_named_elsewhere():
             if sum(len(word.findall(t)) for t in texts) < 2:
                 unused.append(f"{path.stem}.{node.name}")
     assert unused == []
+
+
+def test_every_top_level_import_is_used_in_its_module():
+    # A name a package module imports at top level must be read somewhere
+    # in that module; __init__.py re-exports and is exempt.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.stem}.{name}")
+    assert unused == []

@@ -3,7 +3,7 @@ own constructions.
 
 * ``saturate`` decides stability with one back-substitution of a(L_k) and
   reads E#'s structure matrix off the same pass; ``oracles.echelon_saturate``
-  echelonizes L_{k+1}, compares it with ``lattice_equal`` and applies a again
+  echelonizes L_{k+1}, compares it with L_k by ``==`` and applies a again
   in ``module_on_lattice``.  Both must give the same steps, lattice,
   saturated module and raised errors.
 
@@ -25,6 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from abmod import (
@@ -39,6 +40,7 @@ from abmod import (
     dual,
     from_expression,
     invariants,
+    lattice_from_columns,
     regularity_order,
     saturate,
     spectrum,
@@ -199,3 +201,23 @@ def test_saturate_matches_the_echelon_oracle_over_the_catalog():
                 seen[got if isinstance(got, type) else "saturated"] += 1
     assert seen[PrecisionExhausted] >= 100 and seen[NotRegular] >= 100
     assert seen["saturated"] >= 2000
+
+
+def test_an_irregular_module_builds_no_lattice_after_its_last_test(monkeypatch):
+    """saturate echelonizes L_{k+1} only when a stability test follows it:
+    an irregular module of rank p fails all p tests, builds p - 1 lattices
+    and raises NotRegular."""
+    built = []
+
+    def spy(dim, columns, shift=0, precision=None):
+        built.append(shift)
+        return lattice_from_columns(dim, columns, shift, precision)
+
+    monkeypatch.setattr(invariants, "lattice_from_columns", spy)
+    for expr in ("E(1/2)", "E(1/2,2;3)", "rand(3;1)", "rand(4;7)", "rand(5;3)"):
+        module = irregular(from_expression(expr, 16))
+        _clear_caches()
+        built.clear()
+        with pytest.raises(NotRegular):
+            saturate(module)
+        assert built == list(range(1, module.rank)), expr

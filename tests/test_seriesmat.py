@@ -14,9 +14,8 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from abmod import (
-    Scalar, Series, functors, invariants, lattice, lattice_from_columns, seriesmat
-)
+import abmod.series as series_module
+from abmod import Scalar, Series, invariants, lattice_from_columns
 from abmod.cli import main
 from abmod.errors import PrecisionExhausted
 from abmod.lattice import _back_substitute
@@ -207,26 +206,26 @@ def test_back_substitute_matches_dense(dim, n, data):
 def test_no_kernel_multiplies_or_adds_an_empty_series(monkeypatch):
     """The census: computing the info invariants of three catalog modules,
     a Hom and an Ext, two Jordan-Hoelder sequences, a rank-2 classification
-    and a twist, no Series product, sum or difference formed in the
-    series-matrix, lattice or functor layer has an operand without terms."""
-    kernels = {seriesmat.__file__, lattice.__file__, functors.__file__}
+    and a twist, the term loops behind Series sums, differences and
+    products (``series._combine`` and ``series._product``) never receive an
+    operand without terms: the operators return before reaching them."""
     calls = {"all": 0, "empty": []}
 
     def wrap(name):
-        dense = getattr(Series, name)
+        loop = getattr(series_module, name)
 
-        def counted(self, other):
-            caller = sys._getframe(1).f_code
-            if caller.co_filename in kernels:
-                calls["all"] += 1
-                if not self.terms or (isinstance(other, Series) and not other.terms):
-                    calls["empty"].append(f"{caller.co_name}: {name}")
-            return dense(self, other)
+        def counted(x, y, *rest):
+            calls["all"] += 1
+            if not (x and y):
+                operator = sys._getframe(1).f_code.co_name
+                caller = sys._getframe(2).f_code.co_name
+                calls["empty"].append(f"{caller}: {operator}")
+            return loop(x, y, *rest)
 
         return counted
 
-    for name in ("__mul__", "__add__", "__sub__"):
-        monkeypatch.setattr(Series, name, wrap(name))
+    for name in ("_combine", "_product"):
+        monkeypatch.setattr(series_module, name, wrap(name))
     for f in vars(invariants).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()
