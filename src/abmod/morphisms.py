@@ -36,38 +36,61 @@ orders processed, which are then shared rather than solved again.  n_lambda
 reads k_N = dim ker(a - lam*b) on E/b^N E off one such system: as
 T = a - lam*b preserves b^N E, b^N E lies in T(E) mod b^w exactly when the
 cokernels of T mod b^N and mod b^w, hence k_N and k_w, are equal.
+
+Affine expressions are dicts {parameter or CONST: nonzero Scalar}.  A sum of
+products of them (an equation entry, a substitution, an evaluation) is
+accumulated as unnormalized integer triples [re, im, den]: numerators are
+added when the denominators agree, and otherwise brought over the lcm of the
+two denominators, never their bare product, so a long sum keeps its
+denominators small.  ``scalars._make`` then normalizes each output
+coefficient once, which is exact and gives the same canonical Scalar as
+normalizing every partial product and partial sum.
 """
 
 import copy
 import random
 from fractions import Fraction
+from math import gcd
 from operator import add, sub
 
 from . import linalg
 from .errors import BadParameter, PrecisionExhausted
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _make
 from .series import Series, _below
 from .seriesmat import a_image, smat_mul, smat_sub
 
 CONST = -1
 
 
-def _aff_add_scaled(target: dict, expr: dict, c: Scalar) -> None:
-    """target += c * expr, dropping cancelled keys."""
-    if c.is_zero():
-        return
-    for key, val in expr.items():
-        add = val if c.is_one() else val * c
-        cur = target.get(key)
-        if cur is None:
-            if not add.is_zero():
-                target[key] = add
+def _aff_fold(acc: dict, expr: dict, c: Scalar) -> None:
+    """acc += c * expr, where acc maps each key to an unnormalized triple
+    [re, im, den] (``_aff_done`` normalizes it)."""
+    e, f, g = c.re_num, c.im_num, c.den
+    get = acc.get
+    for key, v in expr.items():
+        a, b, d = v.re_num, v.im_num, v.den * g
+        if f:
+            a, b = a * e - b * f, a * f + b * e
         else:
-            cur = cur + add
-            if cur.is_zero():
-                del target[key]
-            else:
-                target[key] = cur
+            a, b = a * e, b * e
+        cur = get(key)
+        if cur is None:
+            acc[key] = [a, b, d]
+        elif cur[2] == d:
+            cur[0] += a
+            cur[1] += b
+        else:
+            h = cur[2]
+            q = gcd(h, d)
+            x, y = d // q, h // q
+            cur[0] = cur[0] * x + a * y
+            cur[1] = cur[1] * x + b * y
+            cur[2] = h * x
+
+
+def _aff_done(acc: dict) -> dict:
+    """The affine expression of raw triples, each normalized, zeros dropped."""
+    return {key: _make(a, b, d) for key, (a, b, d) in acc.items() if a or b}
 
 
 def _singular_shape(block) -> bool:
@@ -77,11 +100,24 @@ def _singular_shape(block) -> bool:
 
 
 def _aff_eval(expr: dict, values: dict) -> Scalar:
-    acc = expr.get(CONST, ZERO)
+    a = b = 0
+    d = 1
     for key, coeff in expr.items():
+        e, f, g = coeff.re_num, coeff.im_num, coeff.den
         if key != CONST:
-            acc = acc + coeff * values.get(key, ZERO)
-    return acc
+            v = values.get(key)
+            if v is None:
+                continue
+            p, r = v.re_num, v.im_num
+            e, f, g = e * p - f * r, e * r + f * p, g * v.den
+        if d == g:
+            a += e
+            b += f
+        else:
+            q = gcd(d, g)
+            x, y = g // q, d // q
+            a, b, d = a * x + e * y, b * x + f * y, d * x
+    return _make(a, b, d)
 
 
 class IntertwinerSystem:
@@ -133,43 +169,64 @@ class IntertwinerSystem:
         self.blocks.append(block)
 
     def _substitute(self, pid: int, replacement: dict) -> None:
-        for (k, i, j) in self.occurrences.pop(pid):
+        keys = [key for key in replacement if key != CONST]
+        occurrences = self.occurrences
+        for (k, i, j) in occurrences.pop(pid):
             entry = self.blocks[k][i][j]
             c = entry.pop(pid, None)
             if c is None:
                 continue
-            _aff_add_scaled(entry, replacement, c)
-            for key in replacement:
-                if key != CONST:
-                    self.occurrences[key].add((k, i, j))
+            if not entry:
+                entry.update(
+                    replacement if c.is_one()
+                    else {key: val * c for key, val in replacement.items()}
+                )
+            else:
+                acc = {
+                    key: [v.re_num, v.im_num, v.den]
+                    for key in replacement
+                    if (v := entry.get(key)) is not None
+                }
+                _aff_fold(acc, replacement, c)
+                for key, (a, b, d) in acc.items():
+                    if a or b:
+                        entry[key] = _make(a, b, d)
+                    else:
+                        del entry[key]
+            for key in keys:
+                occurrences[key].add((k, i, j))
         self.alive.discard(pid)
 
     def _equation_entry(self, k: int, i: int, j: int) -> dict:
-        expr = {}
+        acc = {}
         blocks = self.blocks
         for l in range(self.pe):
             for t, c in self.ms[l][j]:
                 if t > k:
                     break
-                _aff_add_scaled(expr, blocks[k - t][i][l], c)
+                entry = blocks[k - t][i][l]
+                if entry:
+                    _aff_fold(acc, entry, c)
         for l in range(self.pf):
             for t, c in self.mt[i][l]:
                 if t > k:
                     break
-                _aff_add_scaled(expr, blocks[k - t][l][j], c)
+                entry = blocks[k - t][l][j]
+                if entry:
+                    _aff_fold(acc, entry, c)
         if k >= 2:
-            _aff_add_scaled(expr, self.blocks[k - 1][i][j], Scalar(1 - k))
-        return expr
+            entry = blocks[k - 1][i][j]
+            if entry:
+                _aff_fold(acc, entry, _make(1 - k, 0, 1))
+        return _aff_done(acc)
 
     def _eliminate(self, expr: dict) -> bool:
         params = [key for key in expr if key != CONST]
         if not params:
             return CONST not in expr
         pid = max(params)
-        inv = expr[pid].inverse()
-        replacement = {
-            key: -(val * inv) for key, val in expr.items() if key != pid
-        }
+        neg = -expr[pid].inverse()
+        replacement = {key: val * neg for key, val in expr.items() if key != pid}
         self._substitute(pid, replacement)
         return True
 
@@ -379,10 +436,11 @@ def _nonvanishing_point(det: dict, params) -> dict:
             values[pid] = ZERO
             continue
         for c in range(degree + 1):
-            candidate = {}
+            acc = {}
             for m, coeff in det.items():
                 key = m[:n] + (0,) + m[n + 1:]
-                _aff_add_scaled(candidate, {key: coeff}, Scalar(c ** m[n]))
+                _aff_fold(acc, {key: coeff}, Scalar(c ** m[n]))
+            candidate = _aff_done(acc)
             if candidate:
                 det = candidate
                 values[pid] = Scalar(c)

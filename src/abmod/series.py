@@ -23,15 +23,25 @@ return at once when an operand has no terms: the term loops ``_combine``
 and ``_product`` only ever see two nonempty operands.  The early result is
 exactly the one the loops would give, at the same precision, and an
 operand of precision 0 still raises ``PrecisionExhausted`` first.
+
+The sums of products in ``_product`` (past the monomial case) and in the
+recurrence of ``invert`` are accumulated as unnormalized integer triples
+[re, im, den], one per output order: numerators are added when the
+denominators agree, and otherwise brought over the lcm of the two
+denominators, never their bare product.  Each output coefficient is then
+normalized once by ``scalars._make``, which is exact and gives the same
+canonical Scalar as normalizing every partial product and partial sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import NotAUnit, PrecisionExhausted
 from .scalars import Scalar, ZERO, ONE
+from .scalars import _make as _scalar
 
 
 def _as_scalar(x) -> Scalar:
@@ -100,15 +110,34 @@ def _product(x: tuple, y: tuple, w: int) -> tuple:
             out.append((j + k, a * c))
         return tuple(out)
     acc = {}
-    for j, a in x:
+    get = acc.get
+    for j, s in x:
+        e, f, g = s.re_num, s.im_num, s.den
         for k, c in y:
             n = j + k
             if n >= w:
                 break
-            t = a * c
-            cur = acc.get(n)
-            acc[n] = t if cur is None else cur + t
-    return tuple((n, c) for n, c in sorted(acc.items()) if c)
+            a, b, d = c.re_num, c.im_num, c.den * g
+            if f:
+                a, b = a * e - b * f, a * f + b * e
+            else:
+                a, b = a * e, b * e
+            cur = get(n)
+            if cur is None:
+                acc[n] = [a, b, d]
+            elif cur[2] == d:
+                cur[0] += a
+                cur[1] += b
+            else:
+                h = cur[2]
+                q = gcd(h, d)
+                u, v = d // q, h // q
+                cur[0] = cur[0] * u + a * v
+                cur[1] = cur[1] * u + b * v
+                cur[2] = h * u
+    return tuple(
+        (n, _scalar(a, b, d)) for n, (a, b, d) in sorted(acc.items()) if a or b
+    )
 
 
 class Series:
@@ -284,18 +313,29 @@ class Series:
         # recurrence reads out[k - j] for every term j of the input.
         out = [inv0]
         terms = [(0, inv0)]
+        e0, f0, g0 = neg0.re_num, neg0.im_num, neg0.den
         for k in range(1, w if rest else 1):
-            acc = None
+            a = b = 0
+            d = 1
             for j, c in rest:
                 if j > k:
                     break
                 o = out[k - j]
                 if o is not None:
-                    acc = c * o if acc is None else acc + c * o
-            if acc is None or not acc:
+                    e, f, g = c.re_num, c.im_num, c.den * o.den
+                    p, r = o.re_num, o.im_num
+                    e, f = e * p - f * r, e * r + f * p
+                    if d == g:
+                        a += e
+                        b += f
+                    else:
+                        q = gcd(d, g)
+                        u, v = g // q, d // q
+                        a, b, d = a * u + e * v, b * u + f * v, d * u
+            if not (a or b):
                 out.append(None)
             else:
-                v = neg0 * acc
+                v = _scalar(a * e0 - b * f0, a * f0 + b * e0, d * g0)
                 out.append(v)
                 terms.append((k, v))
         return _make(tuple(terms), w)

@@ -22,7 +22,7 @@ from abmod import (
     lattice_from_columns,
 )
 from abmod.linalg import det, rref
-from abmod.morphisms import CONST
+from abmod.morphisms import CONST, IntertwinerSystem
 from abmod.scalars import ZERO
 from abmod.seriesmat import a_image
 
@@ -729,3 +729,86 @@ def fresh_verify_fd(module: AbModule, trials: int, seed: int, lo: int = None) ->
         "successes": trials - len(failures),
         "failures": failures,
     }
+
+
+# ---------------------------------------------------------------------------
+# the intertwiner solver with every partial sum normalized
+# ---------------------------------------------------------------------------
+
+
+def _aff_add_scaled(target: dict, expr: dict, c: Scalar) -> None:
+    """target += c * expr, Scalar by Scalar, dropping cancelled keys."""
+    if c.is_zero():
+        return
+    for key, val in expr.items():
+        add = val if c.is_one() else val * c
+        cur = target.get(key)
+        if cur is None:
+            if not add.is_zero():
+                target[key] = add
+        else:
+            cur = cur + add
+            if cur.is_zero():
+                del target[key]
+            else:
+                target[key] = cur
+
+
+class ScalarIntertwinerSystem(IntertwinerSystem):
+    """``IntertwinerSystem`` as first written: the equation entries, the
+    substitutions and the evaluations build a normalized Scalar for every
+    partial product and partial sum, where the package sums raw integer
+    triples and normalizes once per coefficient.  The elimination order is
+    the package's, so ``blocks``, ``occurrences`` and ``alive`` must agree
+    after every order."""
+
+    def _substitute(self, pid: int, replacement: dict) -> None:
+        for (k, i, j) in self.occurrences.pop(pid):
+            entry = self.blocks[k][i][j]
+            c = entry.pop(pid, None)
+            if c is None:
+                continue
+            _aff_add_scaled(entry, replacement, c)
+            for key in replacement:
+                if key != CONST:
+                    self.occurrences[key].add((k, i, j))
+        self.alive.discard(pid)
+
+    def _equation_entry(self, k: int, i: int, j: int) -> dict:
+        expr = {}
+        blocks = self.blocks
+        for l in range(self.pe):
+            for t, c in self.ms[l][j]:
+                if t > k:
+                    break
+                _aff_add_scaled(expr, blocks[k - t][i][l], c)
+        for l in range(self.pf):
+            for t, c in self.mt[i][l]:
+                if t > k:
+                    break
+                _aff_add_scaled(expr, blocks[k - t][l][j], c)
+        if k >= 2:
+            _aff_add_scaled(expr, self.blocks[k - 1][i][j], Scalar(1 - k))
+        return expr
+
+    def _eliminate(self, expr: dict) -> bool:
+        params = [key for key in expr if key != CONST]
+        if not params:
+            return CONST not in expr
+        pid = max(params)
+        inv = expr[pid].inverse()
+        replacement = {
+            key: -(val * inv) for key, val in expr.items() if key != pid
+        }
+        self._substitute(pid, replacement)
+        return True
+
+    def block_matrix(self, k: int, values: dict):
+        def evaluate(expr):
+            acc = expr.get(CONST, ZERO)
+            for key, coeff in expr.items():
+                if key != CONST:
+                    acc = acc + coeff * values.get(key, ZERO)
+            return acc
+
+        return [[evaluate(entry) for entry in row] for row in self.blocks[k]]

@@ -318,3 +318,133 @@ def test_generic_det_size_budget(monkeypatch):
     monkeypatch.setattr(morphisms, "MAX_DET_TERMS", 3)
     with pytest.raises(BadParameter, match="exceeds 3 terms"):
         find_invertible(_Block0(block), tries=0)
+
+
+# -- raw-triple sums against the Scalar-by-Scalar reference solver ------------
+#
+# ``oracles.ScalarIntertwinerSystem`` normalizes every partial product and
+# partial sum.  The package sums raw integer triples and normalizes once per
+# coefficient; both pick the same pivot, so every intermediate state agrees.
+# FD_ROSTER is the module roster of the ``fd`` benchmark workload.
+
+FD_ROSTER = [
+    ("J(3;0)", 24), ("J(4;0)", 24), ("E(1/2,1/3)", 24), ("E(1/2;2)", 24),
+    ("rand(3;1000)", 26), ("rand(4;1001)", 26), ("rand(3;1002)", 24),
+    ("rand(4;1003)", 25),
+]
+
+
+def _pair_of_systems(source, target, w, fixed=None):
+    return (IntertwinerSystem(source, target, w, fixed=fixed),
+            oracles.ScalarIntertwinerSystem(source, target, w, fixed=fixed))
+
+
+def _assert_same_state(new, ref, where):
+    assert new.blocks == ref.blocks, where
+    assert new.occurrences == ref.occurrences, where
+    assert new.alive == ref.alive, where
+    rng = random.Random(len(new.blocks))
+    values = {
+        pid: Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(-2, 2))
+        for pid in new.alive
+    }
+    assert new.series_matrix(values) == ref.series_matrix(values), where
+
+
+def _solve_both(new, ref, orders, until_singular=False):
+    for n in orders:
+        if until_singular:
+            done = new.solve_until_singular(n), ref.solve_until_singular(n)
+        else:
+            done = new.solve(n), ref.solve(n)
+        assert (done[0] is None) == (done[1] is None), n
+        _assert_same_state(new, ref, n)
+        if done[0] is None:
+            break
+
+
+@pytest.mark.parametrize("expr,precision", FD_ROSTER)
+def test_solver_matches_the_scalar_reference_on_the_fd_roster(expr, precision):
+    from abmod import n0_bound
+    from abmod.determination import _default_lift_precision, _perturb
+
+    module = from_expression(expr, precision)
+    lo = n0_bound(module)
+    new, ref = _pair_of_systems(module.matrix, module.matrix, 0)
+    _solve_both(new, ref, range(1, lo + 1))
+    perturbed = _perturb(module, random.Random(precision), lo)
+    new, ref = new.retargeted(perturbed.matrix), ref.retargeted(perturbed.matrix)
+    _solve_both(new, ref, range(lo + 1, _default_lift_precision(module, lo) + 1))
+
+
+def _iso_pairs():
+    """The module pairs of the c01 duality goldens and of c09 sharpness."""
+    from abmod import (dual, make_E_lambda, make_E_lambda_mu, make_E_lambda_n,
+                       make_F_rho, make_J_k)
+
+    half, third = Scalar(Fraction(1, 2)), Scalar(Fraction(1, 3))
+    pairs = []
+    for lam in [Scalar(0), Scalar(1), Scalar(-2), half, Scalar(3, 1)]:
+        pairs.append((dual(make_E_lambda(lam, 12)), make_E_lambda(-lam, 12)))
+    for lam, mu in [(half, third), (Scalar(2), half), (Scalar(1), Scalar(1))]:
+        pairs.append((dual(make_E_lambda_mu(lam, mu, 14)),
+                      make_E_lambda_mu(-mu + ONE, -lam + ONE, 14)))
+    pairs.append((dual(make_E_lambda_n(Scalar(1), 0, 12)),
+                  make_E_lambda_n(Scalar(-1), 0, 12)))
+    for k in (2, 3, 4, 5):
+        left = dual(make_J_k(half, k, 16))
+        pairs.append((left, make_J_k(-half - Scalar(k - 1), k, 16)))
+        pairs.append((left, make_J_k(-half - Scalar(2 * k - 2), k, 16)))
+        pairs.append((make_F_rho(Scalar(0), k, half, 14), make_J_k(Scalar(0), k, 14)))
+    return pairs
+
+
+def test_solver_matches_the_scalar_reference_on_the_iso_pairs():
+    for e, ep in _iso_pairs():
+        new, ref = _pair_of_systems(e.matrix, ep.matrix, 0)
+        w = min(e.precision, ep.precision)
+        _solve_both(new, ref, range(1, w + 1), until_singular=True)
+
+
+def test_solver_matches_the_scalar_reference_on_an_eigen_kernel():
+    module = from_expression("E(1/2,1/3)", 12)
+    source = [[Series.monomial(Scalar(Fraction(1, 2)), 1, 12)]]
+    new, ref = _pair_of_systems(source, module.matrix, 0)
+    _solve_both(new, ref, range(1, 13))
+    assert new.alive
+
+
+def test_solver_matches_the_scalar_reference_on_a_fixed_block():
+    # The system of functors._unit_normalizer, on a dense g with residue lam.
+    rng = random.Random(19)
+    lam = Scalar(Fraction(2, 3), -1)
+    w = 12
+    g = Series(
+        [ZERO, lam] + [
+            Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                   Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(w - 2)
+        ],
+        w,
+    )
+    source = [[Series.monomial(lam, 1, w)]]
+    new, ref = _pair_of_systems(source, [[g]], 0, fixed={0: [[ONE]]})
+    _solve_both(new, ref, range(1, w + 1))
+    assert len(g.terms) == w - 1 and new.blocks[w - 1][0][0]
+
+
+def test_verify_fd_reports_match_the_scalar_reference(monkeypatch):
+    from abmod import determination, verify_fd
+
+    modules = [from_expression(expr, precision) for expr, precision in FD_ROSTER]
+    reports = [[verify_fd(m, 2, seed) for seed in range(10)] for m in modules]
+    determination._prefix_system.cache_clear()
+    monkeypatch.setattr(determination, "IntertwinerSystem",
+                        oracles.ScalarIntertwinerSystem)
+    try:
+        reference = [[verify_fd(m, 2, seed) for seed in range(10)] for m in modules]
+    finally:
+        determination._prefix_system.cache_clear()
+    assert reports == reference
+    assert any(r["failures"] for row in reports for r in row)
+    assert any(r["successes"] for row in reports for r in row)

@@ -2,11 +2,13 @@
 
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from abmod import NotAUnit, PrecisionExhausted, Scalar, Series
+from abmod.series import _product
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -382,3 +384,59 @@ def test_equal_series_are_built_equal_and_hash_equal(x, y, m):
     for r in routes:
         _assert_canonical(r)
         assert r == s and hash(r) == hash(s) and r.terms == s.terms
+
+
+# -- the raw-triple sums of the product and the inverse ------------------------
+#
+# ``_product`` and ``invert`` sum unnormalized integer triples and normalize
+# once per coefficient; the schoolbook ``_Dense.mul`` and ``_Dense.invert``
+# normalize every partial product and partial sum with Scalar ``+`` and
+# ``*``.  The coefficients mix denominators 1..6 and imaginary parts, so
+# the sums meet unequal denominators, and W reaches 16.
+
+RAW = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+gaussian = st.builds(
+    Scalar,
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+    st.one_of(st.just(0), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))),
+)
+
+
+@st.composite
+def raw_pairs(draw, unit=False):
+    """(Series, _Dense) with W in 1..16, either sparse (mostly zero) or
+    dense (no zero coefficient); a unit when asked."""
+    w = draw(st.integers(1, 16))
+    nonzero = gaussian.filter(bool)
+    sparse = st.one_of(st.just(ZERO), st.just(ZERO), nonzero)
+    coeff = draw(st.sampled_from([nonzero, sparse]))
+    coeffs = draw(st.lists(coeff, min_size=w, max_size=w))
+    if unit:
+        coeffs[0] = draw(nonzero)
+    return Series(coeffs, w), _Dense(coeffs, w)
+
+
+def _assert_canonical_coefficients(terms):
+    for _, c in terms:
+        assert c.den > 0 and gcd(c.re_num, c.im_num, c.den) == 1, c
+
+
+@RAW
+@given(raw_pairs(), raw_pairs())
+def test_product_matches_the_schoolbook_product(x, y):
+    (s, d), (t, e) = x, y
+    w = min(s.precision, t.precision)
+    terms = _product(s.terms, t.terms, w) if s.terms and t.terms else ()
+    _assert_canonical_coefficients(terms)
+    assert Series(d.mul(e).c, w).terms == terms
+    assert (s * t).terms == terms
+
+
+@RAW
+@given(raw_pairs(unit=True))
+def test_invert_matches_the_schoolbook_recurrence(x):
+    s, d = x
+    inverse = s.invert()
+    _assert_canonical_coefficients(inverse.terms)
+    assert _outcome(lambda: inverse) == _outcome(d.invert)

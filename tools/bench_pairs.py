@@ -15,9 +15,11 @@ records what each printed.  The probes are the scaling probe
 (its internal Hom has rank 16), ``abmod fd 'J(4;0)' --trials 40`` (the
 intertwiner solver, its early exit and the shared prefix of the trials),
 ``abmod iso 'F(5;0;2)' 'J(5;0)'`` (a pair that agrees to order 5 and is not
-isomorphic) and ``abmod ext 'J(7;0)' 'J(7;0)' --precision 112`` (saturation
-and the width table of a Hom of rank 49).  Runs are sequential, one process
-at a time.
+isomorphic), ``abmod ext 'J(7;0)' 'J(7;0)' --precision 112`` (saturation
+and the width table of a Hom of rank 49) and ``abmod fd 'rand(4;1001)'
+--precision 26 --trials 100`` (the intertwiner solver on a dense structure
+matrix, where the ``J(4;0)`` probe's is sparse).  Runs are sequential, one
+process at a time.
 
 The output holds every run, and for every end-to-end metric the median and
 quartiles on each side, the ratio of the medians (change / parent) and the
@@ -44,7 +46,8 @@ BETTER = {"items_per_s": "higher", "item_p50_ms": "lower", "item_tail_ms": "lowe
           "setup_s": "lower", "peak_rss_mb": "lower"}
 PROBES = (["info", "J(12;0)", "--precision", "60"], ["ext", "J(4;0)", "F(4;0;1/2)"],
           ["fd", "J(4;0)", "--trials", "40"], ["iso", "F(5;0;2)", "J(5;0)"],
-          ["ext", "J(7;0)", "J(7;0)", "--precision", "112"])
+          ["ext", "J(7;0)", "J(7;0)", "--precision", "112"],
+          ["fd", "rand(4;1001)", "--precision", "26", "--trials", "100"])
 
 
 def _bench(root: str, workload: str, seed: int) -> dict:
