@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from .errors import NotAStable, NotContained, PrecisionExhausted
 from .scalars import ONE, Scalar
-from .series import Series
+from .series import Series, _sub_mul
 from .seriesmat import (
     a_image,
     col_at_precision,
     col_shift_up,
-    scaled_col_mul,
+    col_sub_mul,
 )
 
 from .module import AbModule
@@ -149,8 +149,7 @@ def _back_substitute(lat: Lattice, work: list):
         q, _ = entry.split_at(v)
         quotients.append(q)
         if not q.is_zero():
-            sub = scaled_col_mul(q, list(gen), v)
-            work = [x - y for x, y in zip(work, sub)]
+            work = col_sub_mul(work, q, list(gen), v)
     return work, quotients
 
 
@@ -182,16 +181,18 @@ def _column_min(col):
     return best
 
 
-def _reduce_at(col, row, v, pivot_col) -> bool:
+def _reduce_at(col, row, v, pivot_col, precision) -> bool:
     """col -= q * norm in place, q = col[row] // b^v and pivot_col the
-    nonzero entries of norm divided by b^v; whether col changed."""
+    nonzero entries of norm; whether col changed.  Every entry of norm has
+    valuation >= v and q is known to precision - v, so each difference is
+    known to the working precision."""
     if not col[row].terms:
         return False
     q, _ = col[row].split_at(v)
     if q.is_zero():
         return False
     for i, e in pivot_col:
-        col[i] = col[i] - (q * e).shift_up(v)
+        col[i] = _sub_mul(col[i], q, e, precision)
     return True
 
 
@@ -239,14 +240,13 @@ def lattice_from_columns(dim: int, columns, shift: int = 0, precision=None) -> L
             ]
             norm[row] = Series.monomial(Scalar(1), v, precision)
         # Every entry here is at the working precision, so subtracting
-        # q * norm leaves the rows where norm is zero as they are; the
-        # nonzero entries are divided by b^v once, for all the columns.
-        pivot_col = [(i, e.shift_down(v)) for i, e in enumerate(norm) if e.terms]
+        # q * norm leaves the rows where norm is zero as they are.
+        pivot_col = [(i, e) for i, e in enumerate(norm) if e.terms]
         for other in done:
-            _reduce_at(other, row, v, pivot_col)
+            _reduce_at(other, row, v, pivot_col, precision)
         still = []
         for m, other in pending:
-            if _reduce_at(other, row, v, pivot_col):
+            if _reduce_at(other, row, v, pivot_col, precision):
                 m = _column_min(other)
             if m is not None:
                 still.append((m, other))

@@ -56,8 +56,8 @@ from operator import add, sub
 from . import linalg
 from .errors import BadParameter, PrecisionExhausted
 from .scalars import ONE, ZERO, Scalar, _make
-from .series import Series, _below
-from .seriesmat import a_image, smat_mul, smat_sub
+from .series import _below, _fold
+from .series import _make as _series
 
 CONST = -1
 
@@ -345,7 +345,10 @@ class IntertwinerSystem:
         coeffs = [self.block_matrix(k, values) for k in range(self.w)]
         return [
             [
-                Series([coeffs[k][i][j] for k in range(self.w)], self.w)
+                _series(
+                    tuple((k, c) for k, block in enumerate(coeffs) if (c := block[i][j])),
+                    self.w,
+                )
                 for j in range(self.pe)
             ]
             for i in range(self.pf)
@@ -481,11 +484,45 @@ def find_invertible(system: IntertwinerSystem, seed: int = 0, tries: int = 40):
 
 
 def verify_intertwiner(source, target, P, w: int) -> bool:
-    """Check P*Ms - Mt*P - b^2*P' == 0 at all orders below w."""
-    images = a_image(target, zip(*P))
-    residual = smat_sub(smat_mul(P, source), list(zip(*images)))
-    return all(
-        entry.at_precision(min(w, entry.precision)).is_zero()
-        for row in residual
-        for entry in row
-    )
+    """Check P*Ms - Mt*P - b^2*P' == 0 at all orders below w.
+
+    Entry (i, j) of the residual is known to the least precision of row i
+    of P, column j of Ms, row i of Mt and column j of P, and to at most one
+    order past the least precision of Mt (as ``a_image`` gives it).  Its
+    products are folded into one accumulator of raw integer triples below
+    min(w, that precision), b^2 P' starting it as the terms -k c b^(k+1),
+    and only the numerators are tested for zero: nothing is normalized.
+    Any entry of P, Ms or Mt of precision 0 raises PrecisionExhausted; a P
+    without rows or columns passes.
+    """
+    if not (P and P[0]):
+        return True
+    if not all(e.precision for m in (P, source, target) for row in m for e in row):
+        raise PrecisionExhausted("operating on a series of precision 0")
+    p_row_w = [min(e.precision for e in row) for row in P]
+    p_col_w = [min(e.precision for e in col) for col in zip(*P)]
+    s_col_w = [min(e.precision for e in col) for col in zip(*source)]
+    t_row_w = [min(e.precision for e in row) for row in target]
+    wt = min(t_row_w)
+    p_terms = [[e.terms for e in row] for row in P]
+    s_terms = [[e.terms for e in row] for row in source]
+    t_rows = [[(l, e.terms) for l, e in enumerate(row) if e.terms] for row in target]
+    for i, prow in enumerate(p_terms):
+        for j, cw in enumerate(p_col_w):
+            top = min(w, p_row_w[i], s_col_w[j], wt + 1, t_row_w[i], cw)
+            acc = {
+                k + 1: [-k * c.re_num, -k * c.im_num, c.den]
+                for k, c in prow[j]
+                if k and k + 1 < top
+            }
+            for l, x in enumerate(prow):
+                y = s_terms[l][j]
+                if x and y:
+                    _fold(acc, x, y, top)
+            for l, x in t_rows[i]:
+                y = p_terms[l][j]
+                if y:
+                    _fold(acc, x, y, top, -1)
+            if any(a or b for a, b, _ in acc.values()):
+                return False
+    return True

@@ -24,13 +24,22 @@ and ``_product`` only ever see two nonempty operands.  The early result is
 exactly the one the loops would give, at the same precision, and an
 operand of precision 0 still raises ``PrecisionExhausted`` first.
 
-The sums of products in ``_product`` (past the monomial case) and in the
-recurrence of ``invert`` are accumulated as unnormalized integer triples
-[re, im, den], one per output order: numerators are added when the
+Sums of products of series are accumulated as unnormalized integer
+triples [re, im, den], one per output order: numerators are added when the
 denominators agree, and otherwise brought over the lcm of the two
 denominators, never their bare product.  Each output coefficient is then
 normalized once by ``scalars._make``, which is exact and gives the same
 canonical Scalar as normalizing every partial product and partial sum.
+One loop, ``_fold`` (acc += sign * x * y below w), does this for
+``_product`` past the monomial case, for ``_sub_mul`` (x - q * y) and for
+every sum of products in the series-matrix layer: ``seriesmat.smat_mul``,
+``a_image``, ``col_sub_mul`` and the row updates of ``smat_inverse``, the
+column reductions of ``lattice_from_columns`` and ``verify_intertwiner``.
+A caller folds each product of an entry into one accumulator and calls
+``_done`` once for the entry; ``verify_intertwiner`` only tests the raw
+numerators for zero and normalizes nothing.  Callers skip operands without
+terms before they fold.  The recurrence of ``invert`` reads the
+coefficients it is producing, so it keeps its own raw-triple loop.
 """
 
 from __future__ import annotations
@@ -96,23 +105,14 @@ def _combine(x: tuple, y: tuple, w: int, sign: int) -> tuple:
     return tuple(out)
 
 
-def _product(x: tuple, y: tuple, w: int) -> tuple:
-    """The terms of x * y below w."""
-    if len(x) > len(y):
-        x, y = y, x
-    if len(x) == 1:
-        # A monomial times a series: the products land on distinct orders.
-        j, a = x[0]
-        out = []
-        for k, c in y:
-            if j + k >= w:
-                break
-            out.append((j + k, a * c))
-        return tuple(out)
-    acc = {}
+def _fold(acc: dict, x: tuple, y: tuple, w: int, sign: int = 1) -> None:
+    """acc += sign * x * y below w (sign is 1 or -1), for acc mapping each
+    order to an unnormalized triple [re, im, den]; ``_done`` normalizes it."""
     get = acc.get
     for j, s in x:
         e, f, g = s.re_num, s.im_num, s.den
+        if sign < 0:
+            e, f = -e, -f
         for k, c in y:
             n = j + k
             if n >= w:
@@ -135,9 +135,40 @@ def _product(x: tuple, y: tuple, w: int) -> tuple:
                 cur[0] = cur[0] * u + a * v
                 cur[1] = cur[1] * u + b * v
                 cur[2] = h * u
+
+
+def _done(acc: dict) -> tuple:
+    """The canonical terms of a raw-triple accumulator: each order
+    normalized once, the vanishing ones dropped."""
     return tuple(
         (n, _scalar(a, b, d)) for n, (a, b, d) in sorted(acc.items()) if a or b
     )
+
+
+def _product(x: tuple, y: tuple, w: int) -> tuple:
+    """The terms of x * y below w."""
+    if len(x) > len(y):
+        x, y = y, x
+    if len(x) == 1:
+        # A monomial times a series: the products land on distinct orders.
+        j, a = x[0]
+        out = []
+        for k, c in y:
+            if j + k >= w:
+                break
+            out.append((j + k, a * c))
+        return tuple(out)
+    acc = {}
+    _fold(acc, x, y, w)
+    return _done(acc)
+
+
+def _sub_mul(x: "Series", q: "Series", y: "Series", w: int) -> "Series":
+    """x - q * y below w, for nonempty q and y and w at most the precision
+    of x and of q * y (the caller checks both)."""
+    acc = {k: [c.re_num, c.im_num, c.den] for k, c in _below(x.terms, w)}
+    _fold(acc, q.terms, y.terms, w, -1)
+    return _make(_done(acc), w)
 
 
 class Series:

@@ -10,21 +10,23 @@ skip such entries of a sum of products altogether, computing the result's
 precision directly as the minimum the dense formula gives.  Where the dense
 formula would raise (an operand of precision 0, or a division by b^v that an
 entry cannot bear), the kernel raises the same error.
+
+Each entry of a sum of products is folded into one accumulator of raw
+integer triples by ``series._fold`` and normalized once by ``series._done``
+(see ``series``): no partial product or partial sum becomes a Scalar.  The
+oracles in ``tests/oracles.py`` keep the dense forms built from the
+``Series`` operators, and the tests compare the two.
 """
 
 from __future__ import annotations
 
 from .errors import PrecisionExhausted
-from .series import Series, _make
+from .series import Series, _done, _fold, _make, _sub_mul
 
 
 def smat_coefficient(m, k: int) -> list:
     """The Scalar matrix of b^k coefficients."""
     return [[entry.coefficient(k) for entry in row] for row in m]
-
-
-def smat_sub(a, b) -> list:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def smat_mul(a, b) -> list:
@@ -36,23 +38,20 @@ def smat_mul(a, b) -> list:
         return [[] for _ in a]
     col_w = [min(b[k][j].precision for k in range(rb)) for j in range(cb)]
     wb = min(col_w)
-    brows = [[(j, e) for j, e in enumerate(row) if e.terms] for row in b]
+    brows = [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in b]
     out = []
     for arow in a:
         row_w = min(arow[k].precision for k in range(rb))
         if not row_w or not wb:
             raise PrecisionExhausted("operating on a series of precision 0")
-        acc = [None] * cb
+        ws = [min(row_w, w) for w in col_w]
+        accs = [{} for _ in range(cb)]
         for k in range(rb):
-            x = arow[k]
-            if x.terms:
+            x = arow[k].terms
+            if x:
                 for j, y in brows[k]:
-                    t = x * y
-                    acc[j] = t if acc[j] is None else acc[j] + t
-        out.append([
-            _make((), min(row_w, w)) if s is None else s.at_precision(min(row_w, w))
-            for s, w in zip(acc, col_w)
-        ])
+                    _fold(accs[j], x, y, ws[j])
+        out.append([_make(_done(acc), w) for acc, w in zip(accs, ws)])
     return out
 
 
@@ -61,20 +60,22 @@ def a_image(m, cols, shift: int = 0) -> list:
 
     For structure matrix m and each column v,
     a(b^{-K} v) = b^{-K} (m v + b^2 v' - K b v); the images come back as
-    columns in the same frame.  Elements, lattices, base changes, the
-    intertwiner check and eigen_lift's residual all apply a through here;
-    only the coefficient-level forms (truncate and the intertwiner solver)
-    write the rule out again.
+    columns in the same frame.  Elements, lattices, base changes and
+    eigen_lift's residual all apply a through here; only the
+    coefficient-level forms (truncate, the intertwiner solver and
+    verify_intertwiner) write the rule out again.
 
     An image entry is known to min(w + 1, the least precision of its row
     of m, the least precision of v), where w = min(least precision of m,
     least precision of v); for a structure matrix, which holds one common
     precision, that is w.  Each entry of v is cut to w before it is
-    differentiated.
+    differentiated.  The diagonal part b^2 v' - K b v of an entry is the
+    single term (k - K) c b^(k+1) for each term c b^k of v below w; it
+    starts the entry's accumulator, and each product of m v is folded in.
     """
     row_w = [min(entry.precision for entry in row) for row in m]
     wm = min(row_w)
-    rows = [[(j, e) for j, e in enumerate(row) if e.terms] for row in m]
+    rows = [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in m]
     out = []
     for v in cols:
         v = list(v)
@@ -84,17 +85,17 @@ def a_image(m, cols, shift: int = 0) -> list:
             raise PrecisionExhausted("operating on a series of precision 0")
         img = []
         for i, x in enumerate(v):
-            acc = _make((), w + 1)
-            x = x.at_precision(w)
-            if x.terms:
-                acc = x.derivative().shift_up(2)
-                if shift:
-                    acc = acc - x.shift_up(1) * shift
+            wi = min(w + 1, row_w[i], cv)
+            acc = {
+                k + 1: [(k - shift) * c.re_num, (k - shift) * c.im_num, c.den]
+                for k, c in x.terms
+                if k + 1 < wi and k != shift
+            }
             for j, mij in rows[i]:
-                xj = v[j]
-                if xj.terms:
-                    acc = acc + mij * xj
-            img.append(acc.at_precision(min(w + 1, row_w[i], cv)))
+                xj = v[j].terms
+                if xj:
+                    _fold(acc, mij, xj, wi)
+            img.append(_make(_done(acc), wi))
         out.append(img)
     return out
 
@@ -111,18 +112,30 @@ def col_at_precision(x: list, w: int) -> list:
     return [u.at_precision(w) for u in x]
 
 
-def scaled_col_mul(q: Series, col: list, v: int) -> list:
-    """q * col for a column all of whose entries have valuation >= v.
+def col_sub_mul(x: list, q: Series, col: list, v: int) -> list:
+    """x - q * col for a column all of whose entries have valuation >= v.
 
-    Computed as b^v * (q * (col / b^v)) so no precision is lost to the
-    valuation: the result is known to the full precision of col.
+    q * col is taken as b^v * (q * (col / b^v)), so no precision is lost to
+    the valuation: entry i is known to min(precision of x_i, precision of
+    q + v, precision of col_i).  An entry of col that b^v does not divide
+    raises ValueError, and a product or difference that would have to read
+    a series of precision 0 raises PrecisionExhausted; every entry of col is
+    checked before any of x, as forming q * col first and subtracting it
+    after would.
     """
+    for g in col:
+        if g.precision < v:
+            raise PrecisionExhausted(f"dividing by b^{v} at precision {g.precision}")
+        if g.terms and g.terms[0][0] < v:
+            raise ValueError("series is not divisible by the requested b power")
+        if g.precision == v or not q.precision:
+            raise PrecisionExhausted("operating on a series of precision 0")
     out = []
-    for entry in col:
-        if entry.terms or entry.precision <= v or not q.precision:
-            out.append((q * entry.shift_down(v)).shift_up(v))
-        else:
-            out.append(_make((), min(q.precision + v, entry.precision)))
+    for xi, g in zip(x, col):
+        if not xi.precision:
+            raise PrecisionExhausted("operating on a series of precision 0")
+        w = min(xi.precision, q.precision + v, g.precision)
+        out.append(_sub_mul(xi, q, g, w) if q.terms and g.terms else xi.at_precision(w))
     return out
 
 
@@ -157,6 +170,6 @@ def smat_inverse(a) -> list:
                 factor = work[r][c]
                 row = list(work[r])
                 for j, e in pivot_row:
-                    row[j] = row[j] - factor * e
+                    row[j] = _sub_mul(row[j], factor, e, w)
                 work[r] = row
     return [row[n:] for row in work]

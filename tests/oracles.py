@@ -446,6 +446,24 @@ def dense_scaled_col_mul(q, col, v: int):
     return [(q * entry.shift_down(v)).shift_up(v) for entry in col]
 
 
+def dense_col_sub_mul(x, q, col, v: int):
+    """``col_sub_mul`` as a product column formed whole, then subtracted."""
+    return [u - y for u, y in zip(x, dense_scaled_col_mul(q, col, v))]
+
+
+def dense_verify_intertwiner(source, target, P, w: int) -> bool:
+    """``verify_intertwiner`` as a composition of the dense kernels: the
+    residual P*Ms - (Mt*P + b^2*P') built as series, each entry cut to w
+    and tested for zero."""
+    images = dense_a_image(target, list(zip(*P)))
+    product = dense_smat_mul(P, source)
+    return all(
+        (x - y).at_precision(min(w, (x - y).precision)).is_zero()
+        for prow, irow in zip(product, zip(*images))
+        for x, y in zip(prow, irow)
+    )
+
+
 def dense_back_substitute(lat: Lattice, work: list):
     quotients = []
     for (row, v), gen in zip(lat.pivots, lat.gens):

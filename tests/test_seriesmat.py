@@ -15,21 +15,30 @@ from pathlib import Path
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import abmod.series as series_module
-from abmod import Scalar, Series, invariants, lattice_from_columns
+from abmod import (
+    IntertwinerSystem,
+    Scalar,
+    Series,
+    from_expression,
+    invariants,
+    lattice_from_columns,
+    verify_intertwiner,
+)
 from abmod.cli import main
 from abmod.errors import PrecisionExhausted
 from abmod.lattice import _back_substitute
-from abmod.seriesmat import a_image, scaled_col_mul, smat_inverse, smat_mul
+from abmod.seriesmat import a_image, col_sub_mul, smat_inverse, smat_mul
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import (  # noqa: E402
     dense_a_image,
     dense_back_substitute,
+    dense_col_sub_mul,
     dense_lattice_from_columns,
-    dense_scaled_col_mul,
     dense_smat_inverse,
     dense_smat_mul,
+    dense_verify_intertwiner,
 )
 
 COEFFS = [Scalar(0)] * 6 + [
@@ -101,13 +110,77 @@ def test_a_image_matches_dense(n, wm, shift, data):
 
 @SETTINGS
 @given(series(), st.integers(0, 3), st.data())
-def test_scaled_col_mul_matches_dense(q, v, data):
+def test_col_sub_mul_matches_dense(q, v, data):
     # entries divisible by b^v, except when a draw asks for a bad one
     col = data.draw(
         st.lists(st.one_of(series(low=v), series()), min_size=1, max_size=4)
     )
-    got = outcome(scaled_col_mul, q, col, v)
-    assert got == outcome(dense_scaled_col_mul, q, col, v)
+    x = data.draw(st.lists(series(), min_size=len(col), max_size=len(col)))
+    got = outcome(col_sub_mul, x, q, col, v)
+    assert got == outcome(dense_col_sub_mul, x, q, col, v)
+
+
+def _intertwiners():
+    """(Ms, Mt, P, W) for solutions P of the intertwining system, W = 7: the
+    identity-like and nilpotent maps of Jordan blocks, maps between modules
+    of different ranks, dense random structure matrices and complex ones."""
+    w = 7
+    rng = random.Random(20)
+    pairs = [("J(2;1)", "J(2;1)"), ("E(1/2,1/3)", "J(2;1/2)"), ("E(2)", "E(1)"),
+             ("E(1/2)", "E(1/2,1/3)"), ("J(3;0)", "J(3;0)"),
+             ("rand(3;1000)", "rand(3;1000)"), ("rand(2;4)", "rand(2;4)"),
+             ("J(2;i)", "J(2;i)"), ("E(i)", "F(3;i;1/2)")]
+    out = []
+    for src_expr, tgt_expr in pairs:
+        src, tgt = from_expression(src_expr, w), from_expression(tgt_expr, w)
+        system = IntertwinerSystem(src.matrix, tgt.matrix, w).solve()
+        values = {
+            pid: Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-2, 2))
+            for pid in system.alive
+        }
+        out.append((src.matrix, tgt.matrix, system.series_matrix(values), w))
+    return out
+
+
+INTERTWINERS = _intertwiners()
+
+
+def _changed(entry, k, c, precision):
+    """entry with its b^k coefficient set to c, at the given precision."""
+    coeffs = list(entry.coeffs) + [Scalar(0)] * max(precision - entry.precision, 0)
+    if k < len(coeffs):
+        coeffs[k] = c
+    return Series(coeffs, precision)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(INTERTWINERS))), st.data())
+def test_verify_intertwiner_matches_dense(case, data):
+    """The same verdict, or the same exception type, as the dense
+    composition, on true intertwiners and on copies with up to two
+    coefficients of P, Ms or Mt changed, the changed entries cut to or
+    extended past the precision horizon (precision 0 included), at every
+    check level w up to W + 2."""
+    ms, mt, p, big_w = INTERTWINERS[case]
+    mats = [[list(row) for row in m] for m in (ms, mt, p)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        m = data.draw(st.sampled_from(mats))
+        i = data.draw(st.integers(0, len(m) - 1))
+        j = data.draw(st.integers(0, len(m[0]) - 1))
+        k = data.draw(st.integers(0, big_w))
+        c = data.draw(st.sampled_from(COEFFS))
+        precision = data.draw(st.sampled_from([big_w, big_w, big_w + 1, k, 0]))
+        m[i][j] = _changed(m[i][j], k, c, precision)
+    w = data.draw(st.integers(0, big_w + 2))
+    ms, mt, p = mats
+    got = outcome(verify_intertwiner, ms, mt, p, w)
+    assert got == outcome(dense_verify_intertwiner, ms, mt, p, w)
+
+
+def test_verify_intertwiner_accepts_the_solutions():
+    for ms, mt, p, w in INTERTWINERS:
+        assert verify_intertwiner(ms, mt, p, w)
+        assert verify_intertwiner(ms, mt, p, w + 3)
 
 
 @SETTINGS
@@ -207,25 +280,30 @@ def test_no_kernel_multiplies_or_adds_an_empty_series(monkeypatch):
     """The census: computing the info invariants of three catalog modules,
     a Hom and an Ext, two Jordan-Hoelder sequences, a rank-2 classification
     and a twist, the term loops behind Series sums, differences and
-    products (``series._combine`` and ``series._product``) never receive an
-    operand without terms: the operators return before reaching them."""
+    products (``series._combine`` and ``series._product``) and the fold
+    that sums products in the series-matrix kernels (``series._fold``,
+    wrapped in every module that imports it) never receive an operand
+    without terms: the operators return before reaching them, and the
+    kernels skip empty entries before they fold."""
     calls = {"all": 0, "empty": []}
 
-    def wrap(name):
-        loop = getattr(series_module, name)
-
-        def counted(x, y, *rest):
+    def wrap(loop, first):
+        def counted(*args):
             calls["all"] += 1
-            if not (x and y):
+            if not (args[first] and args[first + 1]):
                 operator = sys._getframe(1).f_code.co_name
                 caller = sys._getframe(2).f_code.co_name
                 calls["empty"].append(f"{caller}: {operator}")
-            return loop(x, y, *rest)
+            return loop(*args)
 
         return counted
 
     for name in ("_combine", "_product"):
-        monkeypatch.setattr(series_module, name, wrap(name))
+        monkeypatch.setattr(series_module, name, wrap(getattr(series_module, name), 0))
+    loop = series_module._fold
+    for module in list(sys.modules.values()):
+        if getattr(module, "_fold", None) is loop:
+            monkeypatch.setattr(module, "_fold", wrap(loop, 1))
     for f in vars(invariants).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()

@@ -9,8 +9,9 @@ four workloads the script runs ``python3 bench/run.py --workload W --seed S
 per pair, ten pairs, with the same seed on both sides (``--seed`` plus the
 pair index) and the parent first on even pairs, the change first on odd
 ones.  Pick a seed not used while writing the change.  It then times each
-probe command three times in each checkout, alternating the same way, and
-records what each printed.  The probes are the scaling probe
+probe command nine times in each checkout, alternating the same way, and
+records what each printed and in how many of the nine alternating runs the
+change was faster.  The probes are the scaling probe
 ``abmod info 'J(12;0)' --precision 60``, ``abmod ext 'J(4;0)' 'F(4;0;1/2)'``
 (its internal Hom has rank 16), ``abmod fd 'J(4;0)' --trials 40`` (the
 intertwiner solver, its early exit and the shared prefix of the trials),
@@ -41,7 +42,7 @@ import time
 
 WORKLOADS = ("classify2", "invariants", "fd", "cli")
 PAIRS = 10
-PROBE_RUNS = 3
+PROBE_RUNS = 9
 BETTER = {"items_per_s": "higher", "item_p50_ms": "lower", "item_tail_ms": "lower",
           "setup_s": "lower", "peak_rss_mb": "lower"}
 PROBES = (["info", "J(12;0)", "--precision", "60"], ["ext", "J(4;0)", "F(4;0;1/2)"],
@@ -122,9 +123,10 @@ def main(argv=None) -> int:
         stdout = {side: sorted({r["stdout"] for r in rs}) for side, rs in runs.items()}
         identical = stdout["parent"] == stdout["change"] and len(stdout["parent"]) == 1
         same = same and identical
+        wins = sum(c["s"] < p["s"] for p, c in zip(runs["parent"], runs["change"]))
         report["probes"].append({
             "command": command, "unit": "s", "same_stdout": identical,
-            "stdout": stdout,
+            "stdout": stdout, "change_faster_runs": wins, "probe_runs": PROBE_RUNS,
             **{side: {**_spread([r["s"] for r in rs]), "runs": [r["s"] for r in rs]}
                for side, rs in runs.items()}})
     with open(args.out, "w") as fh:
