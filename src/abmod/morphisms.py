@@ -44,7 +44,12 @@ added when the denominators agree, and otherwise brought over the lcm of the
 two denominators, never their bare product, so a long sum keeps its
 denominators small.  ``scalars._make`` then normalizes each output
 coefficient once, which is exact and gives the same canonical Scalar as
-normalizing every partial product and partial sum.
+normalizing every partial product and partial sum.  An equation entry is
+never normalized: ``_eliminate`` reads its pivot, the largest parameter
+whose raw numerators are not both zero, off the raw triples, and builds each
+replacement coefficient as one product over the pivot's raw value,
+normalized once; no inverse of the pivot is formed.  ``series_matrix``
+evaluates only the nonempty entries.
 """
 
 import copy
@@ -64,7 +69,8 @@ CONST = -1
 
 def _aff_fold(acc: dict, expr: dict, c: Scalar) -> None:
     """acc += c * expr, where acc maps each key to an unnormalized triple
-    [re, im, den] (``_aff_done`` normalizes it)."""
+    [re, im, den] (``_aff_done`` normalizes it, or ``_eliminate`` reads it
+    as an equation)."""
     e, f, g = c.re_num, c.im_num, c.den
     get = acc.get
     for key, v in expr.items():
@@ -198,6 +204,9 @@ class IntertwinerSystem:
         self.alive.discard(pid)
 
     def _equation_entry(self, k: int, i: int, j: int) -> dict:
+        """Entry (i, j) of the order-k equation as raw triples
+        {key: [re, im, den]}, not normalized; a key whose terms cancelled
+        stays in with zero numerators."""
         acc = {}
         blocks = self.blocks
         for l in range(self.pe):
@@ -218,15 +227,31 @@ class IntertwinerSystem:
             entry = blocks[k - 1][i][j]
             if entry:
                 _aff_fold(acc, entry, _make(1 - k, 0, 1))
-        return _aff_done(acc)
+        return acc
 
-    def _eliminate(self, expr: dict) -> bool:
-        params = [key for key in expr if key != CONST]
-        if not params:
-            return CONST not in expr
-        pid = max(params)
-        neg = -expr[pid].inverse()
-        replacement = {key: val * neg for key, val in expr.items() if key != pid}
+    def _eliminate(self, acc: dict) -> bool:
+        """Solve the raw equation sum(acc) = 0 for its largest parameter
+        whose numerators are not both zero, and substitute.  For the pivot
+        (a + b*i)/d, each other key (e + f*i)/g gets the coefficient
+        (e + f*i)/g * (-d)(a - b*i)/(a^2 + b^2), normalized once; keys that
+        cancelled are dropped.  With no such parameter the equation is
+        consistent exactly when CONST's numerators are zero: CONST is below
+        every parameter, so it is the largest live key only when it is the
+        one left."""
+        pid = max((key for key, (a, b, _) in acc.items() if a or b), default=None)
+        if pid is None or pid == CONST:
+            return pid is None
+        a, b, d = acc.pop(pid)
+        # -1/pivot = (x + y*i)/n with n > 0; a real pivot skips a^2 + b^2.
+        if b:
+            x, y, n = -a * d, b * d, a * a + b * b
+        else:
+            x, y, n = (-d, 0, a) if a > 0 else (d, 0, -a)
+        replacement = {
+            key: _make(e * x - f * y, e * y + f * x, g * n)
+            for key, (e, f, g) in acc.items()
+            if e or f
+        }
         self._substitute(pid, replacement)
         return True
 
@@ -338,21 +363,20 @@ class IntertwinerSystem:
 
     def block_matrix(self, k: int, values: dict):
         return [
-            [_aff_eval(entry, values) for entry in row] for row in self.blocks[k]
+            [_aff_eval(entry, values) if entry else ZERO for entry in row]
+            for row in self.blocks[k]
         ]
 
     def series_matrix(self, values: dict):
-        coeffs = [self.block_matrix(k, values) for k in range(self.w)]
-        return [
-            [
-                _series(
-                    tuple((k, c) for k, block in enumerate(coeffs) if (c := block[i][j])),
-                    self.w,
-                )
-                for j in range(self.pe)
-            ]
-            for i in range(self.pf)
-        ]
+        """The solution at the given parameter values, as series of precision
+        w; only nonempty entries are evaluated, and zero values are dropped."""
+        terms = [[[] for _ in range(self.pe)] for _ in range(self.pf)]
+        for k in range(self.w):
+            for row, out in zip(self.blocks[k], terms):
+                for entry, at in zip(row, out):
+                    if entry and (c := _aff_eval(entry, values)):
+                        at.append((k, c))
+        return [[_series(tuple(at), self.w) for at in row] for row in terms]
 
 
 # Bound on the terms of one intermediate polynomial while the generic block-0

@@ -348,7 +348,17 @@ def _assert_same_state(new, ref, where):
         pid: Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(-2, 2))
         for pid in new.alive
     }
-    assert new.series_matrix(values) == ref.series_matrix(values), where
+    assert new.series_matrix(values) == _reference_series_matrix(ref, values), where
+
+
+def _reference_series_matrix(ref, values):
+    """series_matrix from the reference's Scalar-by-Scalar evaluation of
+    every block entry, the empty ones included."""
+    coeffs = [ref.block_matrix(k, values) for k in range(ref.w)]
+    return [
+        [Series([block[i][j] for block in coeffs], ref.w) for j in range(ref.pe)]
+        for i in range(ref.pf)
+    ]
 
 
 def _solve_both(new, ref, orders, until_singular=False):
@@ -431,6 +441,75 @@ def test_solver_matches_the_scalar_reference_on_a_fixed_block():
     new, ref = _pair_of_systems(source, [[g]], 0, fixed={0: [[ONE]]})
     _solve_both(new, ref, range(1, w + 1))
     assert len(g.terms) == w - 1 and new.blocks[w - 1][0][0]
+
+
+# Pairs whose exponents differ by a non-real amount, so that lam does not
+# cancel in P*M - M'*P and the pivots of the solver get imaginary parts.
+NON_REAL_PIVOT_W = 14
+
+
+def _non_real_pivot_systems():
+    w = NON_REAL_PIVOT_W
+    mods = {e: from_expression(e, w).matrix for e in (
+        "J(2;0)", "J(2;i)", "E(1/2,2;i)", "J(2;(1/2+i))", "rand(3;1000)", "J(3;i)")}
+    return [
+        (mods["J(2;0)"], mods["J(2;i)"]),
+        (mods["E(1/2,2;i)"], mods["J(2;(1/2+i))"]),
+        (mods["rand(3;1000)"], mods["J(3;i)"]),
+        ([[Series.zero(w)]], mods["J(3;i)"]),
+    ]
+
+
+def test_solver_matches_the_scalar_reference_on_non_real_pivots(monkeypatch):
+    non_real = []
+    eliminate = IntertwinerSystem._eliminate
+
+    def spy(self, acc):
+        live = [key for key, (a, b, _) in acc.items() if key != CONST and (a or b)]
+        non_real.append(bool(live) and bool(acc[max(live)][1]))
+        return eliminate(self, acc)
+
+    monkeypatch.setattr(IntertwinerSystem, "_eliminate", spy)
+    for source, target in _non_real_pivot_systems():
+        new, ref = _pair_of_systems(source, target, 0)
+        _solve_both(new, ref, range(1, NON_REAL_PIVOT_W + 1))
+    assert sum(non_real) > 50
+
+
+def test_inconsistent_fixed_block_matches_the_scalar_reference():
+    src = from_expression("E(1)", W)
+    tgt = from_expression("E(2)", W)
+    new, ref = _pair_of_systems(src.matrix, tgt.matrix, 0, fixed={0: [[ONE]]})
+    for n in range(1, W + 1):
+        done = new.solve(n), ref.solve(n)
+        assert new.blocks == ref.blocks and new.alive == ref.alive, n
+        assert new.occurrences == ref.occurrences, n
+        assert (done[0] is None) == (done[1] is None), n
+        if done[0] is None:
+            break
+    assert done == (None, None)
+    assert new.solve(W) is None and ref.solve(W) is None
+    assert new.blocks == ref.blocks and new.alive == ref.alive
+
+
+def test_verify_fd_evaluates_no_empty_entry(monkeypatch):
+    from abmod import determination, verify_fd
+
+    sizes = []
+    evaluate = morphisms._aff_eval
+
+    def spy(expr, values):
+        sizes.append(len(expr))
+        return evaluate(expr, values)
+
+    monkeypatch.setattr(morphisms, "_aff_eval", spy)
+    determination._prefix_system.cache_clear()
+    try:
+        for expr, precision in FD_ROSTER:
+            verify_fd(from_expression(expr, precision), 2, 0)
+    finally:
+        determination._prefix_system.cache_clear()
+    assert sizes and min(sizes) > 0
 
 
 def test_verify_fd_reports_match_the_scalar_reference(monkeypatch):

@@ -10,23 +10,30 @@ per pair, ten pairs, with the same seed on both sides (``--seed`` plus the
 pair index) and the parent first on even pairs, the change first on odd
 ones.  Pick a seed not used while writing the change.  It then times each
 probe command nine times in each checkout, alternating the same way, and
-records what each printed and in how many of the nine alternating runs the
-change was faster.  The probes are the scaling probe
-``abmod info 'J(12;0)' --precision 60``, ``abmod ext 'J(4;0)' 'F(4;0;1/2)'``
+records what each printed on stdout and stderr, its exit code, and in how
+many of the nine alternating runs the change was faster.  The probes are
+the scaling probe ``abmod info 'J(12;0)' --precision 60``,
+``abmod ext 'J(4;0)' 'F(4;0;1/2)'``
 (its internal Hom has rank 16), ``abmod fd 'J(4;0)' --trials 40`` (the
 intertwiner solver, its early exit and the shared prefix of the trials),
 ``abmod iso 'F(5;0;2)' 'J(5;0)'`` (a pair that agrees to order 5 and is not
 isomorphic), ``abmod ext 'J(7;0)' 'J(7;0)' --precision 112`` (saturation
 and the width table of a Hom of rank 49) and ``abmod fd 'rand(4;1001)'
 --precision 26 --trials 100`` (the intertwiner solver on a dense structure
-matrix, where the ``J(4;0)`` probe's is sparse).  Runs are sequential, one
-process at a time.
+matrix, where the ``J(4;0)`` probe's is sparse).  Their times are wall
+times of the whole process, not scaled to the host's speed.  A seventh
+probe times the same solver work in-process: one fresh child per run and
+side imports that side's ``abmod``, pins itself to one CPU as
+``bench/run.py`` does, builds ``rand(4;1001)`` at precision 26 untimed, and
+times ``verify_fd(module, 100, 0)`` between two rounds of ``bench/run.py``'s
+``HostSpeed``, which scale it as the workload items are scaled; its runs are
+compared on the scaled time.  Runs are sequential, one process at a time.
 
 The output holds every run, and for every end-to-end metric the median and
 quartiles on each side, the ratio of the medians (change / parent) and the
 number of pairs in which the change was better.  The script exits with
-status 1 when a probe's stdout differs between the checkouts (or between
-runs), after writing the report.
+status 1 when a probe's stdout, stderr or exit code differs between the
+checkouts (or between runs), after writing the report.
 """
 
 from __future__ import annotations
@@ -60,12 +67,51 @@ def _bench(root: str, workload: str, seed: int) -> dict:
             **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
+OUTPUT = ("stdout", "stderr", "exit")
+
+
+def _output(out) -> dict:
+    return dict(zip(OUTPUT, (out.stdout, out.stderr, out.returncode)))
+
+
 def _probe(root: str, argv: list) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     start = time.perf_counter()
     out = subprocess.run([sys.executable, "-m", "abmod.cli", *argv], cwd=root, env=env,
-                         capture_output=True, text=True, check=True)
-    return {"s": time.perf_counter() - start, "stdout": out.stdout}
+                         capture_output=True, text=True)
+    return {"s": time.perf_counter() - start, **_output(out)}
+
+
+SOLVER_PROBE = "verify_fd(from_expression('rand(4;1001)', 26), 100, 0)"
+# Run in a child with argv [bench/run.py]; prints one JSON line: raw and
+# host-scaled seconds and the report of verify_fd.
+_SOLVER_CHILD = """
+import importlib.util, json, sys, time
+spec = importlib.util.spec_from_file_location("bench_run", sys.argv[1])
+run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run)
+run._pin_to_one_cpu()
+from abmod import from_expression, verify_fd
+module = from_expression("rand(4;1001)", 26)
+speed = run.HostSpeed()
+before = speed.round()
+start = time.perf_counter()
+report = verify_fd(module, 100, 0)
+raw = time.perf_counter() - start
+after = speed.round()
+scaled = raw * run.HostSpeed.REFERENCE_S / ((before + after) / 2)
+print(json.dumps({"s": raw, "scaled_s": scaled, "report": repr(report)}))
+"""
+
+
+def _solver_probe(root: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run([sys.executable, "-c", _SOLVER_CHILD,
+                          os.path.join(root, "bench", "run.py")],
+                         cwd=root, env=env, capture_output=True, text=True, check=True)
+    timed = json.loads(out.stdout)
+    return {**_output(out), "s": timed["s"], "scaled_s": timed["scaled_s"],
+            "stdout": timed["report"]}
 
 
 def _spread(values: list) -> dict:
@@ -116,24 +162,30 @@ def main(argv=None) -> int:
             "metrics": metrics, "runs": runs}
     report["probes"] = []
     same = True
-    for argv in PROBES:
-        command = "abmod " + " ".join(argv)
+    probes = [("abmod " + " ".join(argv), lambda root, argv=argv: _probe(root, argv))
+              for argv in PROBES] + [(SOLVER_PROBE, _solver_probe)]
+    for command, probe in probes:
         print(f"probe {command}:", file=sys.stderr)
-        runs = _alternate(PROBE_RUNS, lambda side, k: _probe(roots[side], argv))
-        stdout = {side: sorted({r["stdout"] for r in rs}) for side, rs in runs.items()}
-        identical = stdout["parent"] == stdout["change"] and len(stdout["parent"]) == 1
+        runs = _alternate(PROBE_RUNS, lambda side, k: probe(roots[side]))
+        outputs = {side: sorted({tuple(r[key] for key in OUTPUT) for r in rs})
+                   for side, rs in runs.items()}
+        identical = outputs["parent"] == outputs["change"] and len(outputs["parent"]) == 1
         same = same and identical
-        wins = sum(c["s"] < p["s"] for p, c in zip(runs["parent"], runs["change"]))
-        report["probes"].append({
-            "command": command, "unit": "s", "same_stdout": identical,
-            "stdout": stdout, "change_faster_runs": wins, "probe_runs": PROBE_RUNS,
-            **{side: {**_spread([r["s"] for r in rs]), "runs": [r["s"] for r in rs]}
-               for side, rs in runs.items()}})
+        timed = "scaled_s" if "scaled_s" in runs["parent"][0] else "s"
+        wins = sum(c[timed] < p[timed] for p, c in zip(runs["parent"], runs["change"]))
+        entry = {"command": command, "unit": "s", "same_output": identical,
+                 "output": {side: [dict(zip(OUTPUT, o)) for o in out]
+                            for side, out in outputs.items()},
+                 "compared_on": timed, "change_faster_runs": wins, "probe_runs": PROBE_RUNS}
+        for side, rs in runs.items():
+            entry[side] = {key: {**_spread([r[key] for r in rs]), "runs": [r[key] for r in rs]}
+                           for key in ("s", "scaled_s") if key in rs[0]}
+        report["probes"].append(entry)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
     if not same:
-        print("probe stdout differs between the checkouts", file=sys.stderr)
+        print("probe output differs between the checkouts", file=sys.stderr)
         return 1
     return 0
 
