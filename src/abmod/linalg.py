@@ -6,16 +6,20 @@ through one kernel, the incremental row basis ``Echelon``, whose every row
 has a 1 at its pivot and a 0 at the pivots of the rows added before it.
 Exact eigenvalues come from ``poly_roots_qi``: the roots in Q(i) of the
 characteristic polynomial, found p-adically (Hensel lifting at a prime
-p = 1 mod 4) and each verified by exact division, with no sympy.
+p = 1 mod 4) and each verified by exact division, with no sympy.  The
+characteristic polynomial itself costs O(n^3): a Hessenberg reduction by
+similarity, then a recurrence over its leading blocks
+(Cohen, Algorithm 2.2.9).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import isqrt, lcm
 from typing import Optional, Sequence
 
 from .errors import BadParameter, UnsupportedSpectrum
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, _make
 
 Matrix = list
 Vector = list
@@ -60,13 +64,6 @@ def mat_vec(a: Matrix, x: Vector) -> Vector:
                 acc = acc + aik * x[k]
         out[i] = acc
     return out
-
-
-def trace(a: Matrix) -> Scalar:
-    t = ZERO
-    for i in range(len(a)):
-        t = t + a[i][i]
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +193,69 @@ def inverse(a: Matrix) -> Optional[Matrix]:
 def charpoly(a: Matrix) -> list[Scalar]:
     """Coefficients of det(t*I - a), leading coefficient first.
 
-    Faddeev-LeVerrier: exact, division only by integers, O(n^4).
+    Exact and O(n^3) (Cohen, *A Course in Computational Algebraic Number
+    Theory*, Algorithm 2.2.9).  a is brought to upper Hessenberg form h by
+    similarity over Q(i); then p_m, the characteristic polynomial of the
+    leading m x m block of h (0-based, p_0 = 1), is
+
+        p_(m+1) = (t - h[m][m]) p_m - sum over i < m of
+                  h[i][m] * h[i+1][i] * h[i+2][i+1] * ... * h[m][m-1] * p_i.
+    """
+    h = _hessenberg(a)
+    polys = [[ONE]]  # p_m, constant coefficient first
+    for m in range(len(h)):
+        prev = polys[-1]
+        diag = -h[m][m]
+        p = [diag * prev[0]] + [x + diag * y for x, y in zip(prev, prev[1:])] + [ONE]
+        t = ONE
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i]  # h[i+1][i] * ... * h[m][m-1]
+            if not t:
+                break  # a zero subdiagonal entry ends every longer product
+            c = h[i][m] * t
+            if c:
+                for k, y in enumerate(polys[i]):
+                    if y:
+                        p[k] = p[k] - c * y
+        polys.append(p)
+    return polys[-1][::-1]
+
+
+def _hessenberg(a: Matrix) -> Matrix:
+    """A matrix similar to a over Q(i), zero below its subdiagonal.
+
+    Column by column: a nonzero entry below the subdiagonal becomes the
+    pivot (its row and column swapped onto the subdiagonal), and each entry
+    below it is cleared by a row operation whose inverse column operation
+    keeps the similarity; a column with nothing below its diagonal but
+    zeros is skipped.
     """
     n = len(a)
-    coeffs = [ONE]
-    m = identity(n)
-    for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        c = -(trace(am) / k)
-        coeffs.append(c)
-        if k < n:
-            for i in range(n):
-                am[i][i] = am[i][i] + c
-            m = am
-    return coeffs
+    h = [list(row) for row in a]
+    for m in range(1, n - 1):
+        c = m - 1
+        r = next((r for r in range(m, n) if h[r][c]), None)
+        if r is None:
+            continue
+        if r != m:
+            h[r], h[m] = h[m], h[r]
+            for line in h:
+                line[r], line[m] = line[m], line[r]
+        pivot_row = h[m]
+        inv = pivot_row[c].inverse()
+        for i in range(m + 1, n):
+            row = h[i]
+            if not row[c]:
+                continue
+            u = row[c] * inv
+            row[c] = ZERO
+            for j in range(m, n):
+                if pivot_row[j]:
+                    row[j] = row[j] - u * pivot_row[j]
+            for line in h:
+                if line[i]:
+                    line[m] = line[m] + u * line[i]
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +270,11 @@ def charpoly(a: Matrix) -> list[Scalar]:
 # i -> -iota.  Once both are Hensel-lifted modulo p^k > 4 * (root bound),
 # a and b are their half sum and half difference over iota, read as symmetric
 # residues.  Candidates are checked by exact division, so a wrong pairing or
-# a root outside Q(i) can never slip through.
+# a root outside Q(i) can never slip through.  The division runs on plain
+# ints: every root r of f is a root of g, so den * r is an algebraic integer
+# and F(s) = den^n f(s/den) / lead is monic in Z[i][s], with the root den * r
+# of the same multiplicity; synthetic division of F by s - (a + b*i) over
+# Z[i] decides the candidate (a + b*i)/den and counts its multiplicity.
 
 
 def _strip(f: list) -> list:
@@ -278,20 +328,28 @@ def _hensel(f: list, x: int, p: int, m: int) -> int:
 
 
 def _primes_1_mod_4():
+    """The primes p = 1 (mod 4) in increasing order, each with a square
+    root iota of -1 modulo p."""
     p = 5
     while True:
         if all(p % d for d in range(3, isqrt(p) + 1, 2)):
-            yield p
+            yield p, _sqrt_minus_one(p)
         p += 4
+
+
+@cache
+def _sqrt_minus_one(p: int) -> int:
+    """A square root of -1 modulo the prime p = 1 (mod 4), found once per
+    prime."""
+    return next(r for r in (pow(x, (p - 1) // 4, p) for x in range(2, p))
+                if r * r % p == p - 1)
 
 
 def _gaussian_integer_roots(g: list) -> list[tuple[int, int]]:
     """Candidates (a, b) holding every root a + b*i in Z[i] of the monic
     polynomial g, given as (re, im) integer pairs leading first."""
     bound = 1 + max(abs(re) + abs(im) for re, im in g)  # Cauchy
-    for p in _primes_1_mod_4():
-        iota = next(r for r in (pow(x, (p - 1) // 4, p) for x in range(2, p))
-                    if r * r % p == p - 1)
+    for p, iota in _primes_1_mod_4():
         images = [[(re + sign * im * iota) % p for re, im in g] for sign in (1, -1)]
         roots = [[x for x in range(p) if not _eval_mod(f, x, p)] for f in images]
         if all(_eval_mod(_derivative(f), x, p) for f, xs in zip(images, roots) for x in xs):
@@ -300,10 +358,11 @@ def _gaussian_integer_roots(g: list) -> list[tuple[int, int]]:
     while m <= 4 * bound:
         m *= p
     iota = _hensel([1, 0, 1], iota, p, m)
-    plus, minus = (
-        [_hensel([(re + sign * im * iota) % m for re, im in g], x, p, m) for x in xs]
-        for sign, xs in zip((1, -1), roots)
-    )
+    lifted = []
+    for sign, xs in zip((1, -1), roots):
+        image = [(re + sign * im * iota) % m for re, im in g]
+        lifted.append([_hensel(image, x, p, m) for x in xs])
+    plus, minus = lifted
     half, half_iota = pow(2, -1, m), pow(2 * iota, -1, m)
     out = []
     for x in plus:
@@ -313,6 +372,25 @@ def _gaussian_integer_roots(g: list) -> list[tuple[int, int]]:
             if abs(a) <= bound and abs(b) <= bound:
                 out.append((a, b))
     return out
+
+
+def _divide_linear(f: list, a: int, b: int) -> tuple[list, bool]:
+    """Synthetic division of f in Z[i][s], given as (re, im) integer pairs
+    leading first, by s - (a + b*i): the quotient, and whether the
+    remainder is zero."""
+    x = y = 0
+    out = []
+    for re, im in f:
+        x, y = re + x * a - y * b, im + x * b + y * a
+        out.append((x, y))
+    return out[:-1], not (x or y)
+
+
+def _gaussian_integer_form(f: list, den: int) -> list:
+    """den^n f(s/den) for a monic f of degree n whose roots times den are
+    algebraic integers, as (re, im) integer pairs leading first."""
+    return [(c.re_num * den**k // c.den, c.im_num * den**k // c.den)
+            for k, c in enumerate(f)]
 
 
 def poly_roots_qi(coeffs: Sequence[Scalar]) -> list[tuple[Scalar, int]]:
@@ -328,29 +406,31 @@ def poly_roots_qi(coeffs: Sequence[Scalar]) -> list[tuple[Scalar, int]]:
     degree = len(f) - 1
     zeros = next(k for k, c in enumerate(reversed(f)) if c)
     f = f[:len(f) - zeros]
-    roots = [(ZERO, zeros)] if zeros else []
+    den = 1
+    found = [((0, 0), zeros)] if zeros else []  # (re, im) of den * root
     if len(f) > 1:
         g = _squarefree(f)
         den = lcm(*(c.den for c in g))
-        monic = [(c.re_num * den**k // c.den, c.im_num * den**k // c.den)
-                 for k, c in enumerate(g)]
-        for a, b in _gaussian_integer_roots(monic):
+        inv = f[0].inverse()
+        form = _gaussian_integer_form([c * inv for c in f], den)
+        for a, b in _gaussian_integer_roots(_gaussian_integer_form(g, den)):
             # Exact division verifies the candidate and counts its multiplicity.
-            root, count = Scalar(a, b) / den, 0
-            quotient, rest = _poly_divmod(f, [ONE, -root])
-            while not rest:
-                f, count = quotient, count + 1
-                quotient, rest = _poly_divmod(f, [ONE, -root])
+            count = 0
+            quotient, exact = _divide_linear(form, a, b)
+            while exact:
+                form, count = quotient, count + 1
+                quotient, exact = _divide_linear(form, a, b)
             if count:
-                roots.append((root, count))
-    covered = sum(count for _, count in roots)
+                found.append(((a, b), count))
+    covered = sum(count for _, count in found)
     if covered != degree:
         raise UnsupportedSpectrum(
             f"polynomial of degree {degree} does not split over Q(i)"
             f" (roots there, with multiplicity: {covered})"
         )
-    roots.sort(key=lambda rm: rm[0].sort_key())
-    return roots
+    # den > 0, so sorting den * root by (re, im) orders the roots as
+    # Scalar.sort_key does.
+    return [(_make(a, b, den), count) for (a, b), count in sorted(found)]
 
 
 def eigenvalues(a: Matrix) -> list[tuple[Scalar, int]]:

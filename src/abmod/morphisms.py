@@ -203,10 +203,11 @@ class IntertwinerSystem:
                 occurrences[key].add((k, i, j))
         self.alive.discard(pid)
 
-    def _equation_entry(self, k: int, i: int, j: int) -> dict:
+    def _equation_entry(self, k: int, i: int, j: int, drift: Scalar) -> dict:
         """Entry (i, j) of the order-k equation as raw triples
         {key: [re, im, den]}, not normalized; a key whose terms cancelled
-        stays in with zero numerators."""
+        stays in with zero numerators.  ``drift`` is the Scalar 1 - k, built
+        once per order."""
         acc = {}
         blocks = self.blocks
         for l in range(self.pe):
@@ -226,7 +227,7 @@ class IntertwinerSystem:
         if k >= 2:
             entry = blocks[k - 1][i][j]
             if entry:
-                _aff_fold(acc, entry, _make(1 - k, 0, 1))
+                _aff_fold(acc, entry, drift)
         return acc
 
     def _eliminate(self, acc: dict) -> bool:
@@ -282,9 +283,10 @@ class IntertwinerSystem:
             if self._singular():
                 return None
             self._new_block(k)
+            drift = _make(1 - k, 0, 1)
             for i in range(self.pf):
                 for j in range(self.pe):
-                    if not self._eliminate(self._equation_entry(k, i, j)):
+                    if not self._eliminate(self._equation_entry(k, i, j, drift)):
                         self._consistent = False
                         return None
         return None if self._singular() else self

@@ -21,7 +21,7 @@ from abmod import (
     is_regular,
     lattice_from_columns,
 )
-from abmod.linalg import det, rref
+from abmod.linalg import det, identity, mat_mul, rref
 from abmod.morphisms import CONST, IntertwinerSystem
 from abmod.scalars import ZERO
 from abmod.seriesmat import a_image
@@ -331,6 +331,23 @@ def mat_sub(a, b):
 
 def mat_scale(a, s: Scalar):
     return [[x * s for x in row] for row in a]
+
+
+def faddeev_leverrier_charpoly(a) -> list:
+    """Coefficients of det(t*I - a), leading first, by Faddeev-LeVerrier:
+    one dense product per degree, O(n^4), division only by integers."""
+    n = len(a)
+    coeffs = [Scalar(1)]
+    m = identity(n)
+    for k in range(1, n + 1):
+        am = mat_mul(a, m)
+        c = -(sum((am[i][i] for i in range(n)), ZERO) / k)
+        coeffs.append(c)
+        if k < n:
+            for i in range(n):
+                am[i][i] = am[i][i] + c
+            m = am
+    return coeffs
 
 
 def is_invertible(a) -> bool:
@@ -792,7 +809,8 @@ class ScalarIntertwinerSystem(IntertwinerSystem):
                     self.occurrences[key].add((k, i, j))
         self.alive.discard(pid)
 
-    def _equation_entry(self, k: int, i: int, j: int) -> dict:
+    def _equation_entry(self, k: int, i: int, j: int, drift: Scalar) -> dict:
+        # ``drift`` is the package's 1 - k; the oracle builds its own below.
         expr = {}
         blocks = self.blocks
         for l in range(self.pe):

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from abmod import BadParameter, Scalar, UnsupportedSpectrum
+from abmod import (BadParameter, Scalar, UnsupportedSpectrum, dual, from_expression,
+                   hom_ab, saturate)
+from abmod import linalg
 from abmod.linalg import (
     Echelon,
     charpoly,
@@ -26,7 +28,7 @@ from abmod.linalg import (
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import is_invertible, rank  # noqa: E402
+from oracles import faddeev_leverrier_charpoly, is_invertible, rank  # noqa: E402
 
 
 def _rand_matrix(rng, rows, cols):
@@ -205,6 +207,66 @@ def test_charpoly_matches_sympy():
             assert mine.im == Fraction(int(im.p), int(im.q))
 
 
+# -- the Hessenberg characteristic polynomial, against Faddeev-LeVerrier ----
+
+CHARPOLY_PROPERTY = settings(derandomize=True, database=None, max_examples=150,
+                             deadline=None)
+
+gaussian_entries = st.builds(
+    lambda re, d1, im, d2: Scalar(Fraction(re, d1), Fraction(im, d2)),
+    st.integers(-5, 5), st.integers(1, 4), st.integers(-3, 3), st.integers(1, 3),
+)
+
+
+def _scalars(rows):
+    return [[Scalar.of(x) for x in row] for row in rows]
+
+
+# Column 0 is zero on the subdiagonal with a nonzero below it: a swap.
+NEEDS_SWAP = _scalars([[1, 2, 3], [0, 4, 5], [6, 0, 7]])
+# Column 0 has only zeros below its diagonal: the column is skipped.
+NEEDS_SKIP = _scalars([[1, 2, 3], [0, 4, 5], [0, 6, 7]])
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n with n in 0..8, entries with fractional and imaginary parts:
+    dense, sparse (about half the entries 0, so a zero subdiagonal entry
+    with a nonzero below it is common) or block upper triangular (zero
+    below the diagonal left of a cut, so some columns are skipped)."""
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["dense", "sparse", "block triangular"]))
+    entry = gaussian_entries if kind == "dense" else st.one_of(st.just(Scalar(0)),
+                                                               gaussian_entries)
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "block triangular" and n > 1:
+        cut = draw(st.integers(1, n - 1))
+        for i in range(cut, n):
+            a[i][:cut] = [Scalar(0)] * cut
+    return a
+
+
+@CHARPOLY_PROPERTY
+@given(square_matrices())
+@example(NEEDS_SWAP)
+@example(NEEDS_SKIP)
+def test_charpoly_matches_faddeev_leverrier(a):
+    h = linalg._hessenberg(a)
+    assert all(not h[i][j] for i in range(len(h)) for j in range(i - 1))
+    assert charpoly(a) == faddeev_leverrier_charpoly(a)
+
+
+def test_charpoly_matches_faddeev_leverrier_on_the_rank_49_residue_matrices():
+    # The two residue spectra read by ext 'J(7;0)' 'J(7;0)' --precision 112:
+    # those of the saturations of its Hom and of the Hom's dual.
+    module = from_expression("J(7;0)", 112)
+    hom = hom_ab(module, module)
+    for m in (hom, dual(hom)):
+        a = saturate(m).saturated.residue_matrix()
+        assert len(a) == 49
+        assert charpoly(a) == faddeev_leverrier_charpoly(a)
+
+
 def test_eigenvalues_rational_and_gaussian():
     a = [[Scalar(2), Scalar(1)], [Scalar(0), Scalar(Fraction(1, 2))]]
     values = dict((str(v), m) for v, m in eigenvalues(a))
@@ -289,6 +351,24 @@ def split_polynomials(draw):
 @given(split_polynomials())
 def test_poly_roots_qi_matches_sympy_factorization(coeffs):
     assert poly_roots_qi(coeffs) == _sympy_roots(coeffs)
+
+
+@ROOTS_PROPERTY
+@given(split_polynomials())
+def test_poly_roots_qi_rejects_bogus_candidates(coeffs):
+    # Every candidate is certified by exact division, so padding the p-adic
+    # candidates with near misses, conjugates, repeats and small Gaussian
+    # integers changes nothing.
+    genuine = linalg._gaussian_integer_roots
+
+    def padded(g):
+        out = genuine(g)
+        return ([(0, 0), (1, 0), (0, 1)] + [(a + 1, b) for a, b in out] + out
+                + [(a, -b) for a, b in out] + [(a, b - 1) for a, b in out] + out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_gaussian_integer_roots", padded)
+        assert poly_roots_qi(coeffs) == _sympy_roots(coeffs)
 
 
 NON_SPLIT = [

@@ -21,13 +21,15 @@ isomorphic), ``abmod ext 'J(7;0)' 'J(7;0)' --precision 112`` (saturation
 and the width table of a Hom of rank 49) and ``abmod fd 'rand(4;1001)'
 --precision 26 --trials 100`` (the intertwiner solver on a dense structure
 matrix, where the ``J(4;0)`` probe's is sparse).  Their times are wall
-times of the whole process, not scaled to the host's speed.  A seventh
-probe times the same solver work in-process: one fresh child per run and
+times of the whole process, not scaled to the host's speed.  Two more
+probes are in-process twins of the last two: one fresh child per run and
 side imports that side's ``abmod``, pins itself to one CPU as
-``bench/run.py`` does, builds ``rand(4;1001)`` at precision 26 untimed, and
-times ``verify_fd(module, 100, 0)`` between two rounds of ``bench/run.py``'s
-``HostSpeed``, which scale it as the workload items are scaled; its runs are
-compared on the scaled time.  Runs are sequential, one process at a time.
+``bench/run.py`` does, builds the modules untimed (``rand(4;1001)`` at
+precision 26, or ``J(7;0)`` twice at precision 112), and times one
+statement (``verify_fd(module, 100, 0)``, or ``ext_dims`` of the pair)
+between two rounds of ``bench/run.py``'s ``HostSpeed``, which scale it as
+the workload items are scaled; their runs are compared on the scaled time.
+Runs are sequential, one process at a time.
 
 The output holds every run, and for every end-to-end metric the median and
 quartiles on each side, the ratio of the medians (change / parent) and the
@@ -82,36 +84,47 @@ def _probe(root: str, argv: list) -> dict:
     return {"s": time.perf_counter() - start, **_output(out)}
 
 
-SOLVER_PROBE = "verify_fd(from_expression('rand(4;1001)', 26), 100, 0)"
-# Run in a child with argv [bench/run.py]; prints one JSON line: raw and
-# host-scaled seconds and the report of verify_fd.
-_SOLVER_CHILD = """
+# In-process probes: (label, setup, statement).  The setup builds the inputs
+# untimed; the statement is what is timed.  Both run with abmod's public
+# names in scope.
+IN_PROCESS_PROBES = (
+    ("verify_fd(from_expression('rand(4;1001)', 26), 100, 0)",
+     "module = from_expression('rand(4;1001)', 26)", "verify_fd(module, 100, 0)"),
+    ("ext_dims(from_expression('J(7;0)', 112), from_expression('J(7;0)', 112))",
+     "left = from_expression('J(7;0)', 112); right = from_expression('J(7;0)', 112)",
+     "ext_dims(left, right)"),
+)
+# Run in a child with argv [bench/run.py, setup, statement]; prints one JSON
+# line: raw and host-scaled seconds of the statement, and the repr of its
+# value.
+_IN_PROCESS_CHILD = """
 import importlib.util, json, sys, time
 spec = importlib.util.spec_from_file_location("bench_run", sys.argv[1])
 run = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(run)
 run._pin_to_one_cpu()
-from abmod import from_expression, verify_fd
-module = from_expression("rand(4;1001)", 26)
+import abmod
+scope = {name: getattr(abmod, name) for name in abmod.__all__}
+exec(sys.argv[2], scope)
 speed = run.HostSpeed()
 before = speed.round()
 start = time.perf_counter()
-report = verify_fd(module, 100, 0)
+value = eval(sys.argv[3], scope)
 raw = time.perf_counter() - start
 after = speed.round()
 scaled = raw * run.HostSpeed.REFERENCE_S / ((before + after) / 2)
-print(json.dumps({"s": raw, "scaled_s": scaled, "report": repr(report)}))
+print(json.dumps({"s": raw, "scaled_s": scaled, "value": repr(value)}))
 """
 
 
-def _solver_probe(root: str) -> dict:
+def _in_process_probe(root: str, setup: str, statement: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    out = subprocess.run([sys.executable, "-c", _SOLVER_CHILD,
-                          os.path.join(root, "bench", "run.py")],
+    out = subprocess.run([sys.executable, "-c", _IN_PROCESS_CHILD,
+                          os.path.join(root, "bench", "run.py"), setup, statement],
                          cwd=root, env=env, capture_output=True, text=True, check=True)
     timed = json.loads(out.stdout)
     return {**_output(out), "s": timed["s"], "scaled_s": timed["scaled_s"],
-            "stdout": timed["report"]}
+            "stdout": timed["value"]}
 
 
 def _spread(values: list) -> dict:
@@ -163,7 +176,10 @@ def main(argv=None) -> int:
     report["probes"] = []
     same = True
     probes = [("abmod " + " ".join(argv), lambda root, argv=argv: _probe(root, argv))
-              for argv in PROBES] + [(SOLVER_PROBE, _solver_probe)]
+              for argv in PROBES] + [
+        (label, lambda root, setup=setup, statement=statement:
+         _in_process_probe(root, setup, statement))
+        for label, setup, statement in IN_PROCESS_PROBES]
     for command, probe in probes:
         print(f"probe {command}:", file=sys.stderr)
         runs = _alternate(PROBE_RUNS, lambda side, k: probe(roots[side]))
