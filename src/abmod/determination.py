@@ -41,6 +41,7 @@ from .morphisms import (
 )
 from .scalars import ONE, ZERO, Scalar
 from .series import Series
+from .seriesmat import a_image
 
 __all__ = [
     "FiniteAbQuotient",
@@ -95,6 +96,8 @@ MAX_TRUNCATION_DIM = 2048  # two dense 2048 x 2048 Scalar matrices
 def truncate(module: AbModule, N: int) -> FiniteAbQuotient:
     """The finite quotient E/b^N E with its a and b matrices.
 
+    Column i N + j of A is a(b^j e_i) below order N, read off one a_image
+    call over the p N monomial columns; B sends b^j e_i to b^(j+1) e_i.
     A quotient of dimension rank * N above MAX_TRUNCATION_DIM is refused
     (BadParameter) before either matrix is allocated.
     """
@@ -113,19 +116,18 @@ def truncate(module: AbModule, N: int) -> FiniteAbQuotient:
         )
     a = linalg.zeros(dim, dim)
     b = linalg.zeros(dim, dim)
-    for i in range(p):
-        for j in range(N):
-            c = i * N + j
-            if j + 1 < N:
-                b[i * N + j + 1][c] = ONE
-                a[i * N + j + 1][c] = a[i * N + j + 1][c] + Scalar(j)
-            for l in range(p):
-                entry = module.matrix[l][i]
-                for t in range(N - j):
-                    v = entry.coefficient(t)
-                    if not v.is_zero():
-                        r = l * N + t + j
-                        a[r][c] = a[r][c] + v
+    zero = Series.zero(N)
+    basis = [
+        [Series.monomial(ONE, j, N) if l == i else zero for l in range(p)]
+        for i in range(p)
+        for j in range(N)
+    ]
+    for c, image in enumerate(a_image(module.matrix, basis)):
+        if c % N + 1 < N:
+            b[c + 1][c] = ONE
+        for l, entry in enumerate(image):
+            for t, v in entry.terms:
+                a[l * N + t][c] = v
     return FiniteAbQuotient(dim, _freeze(a), _freeze(b), p, N)
 
 
@@ -249,7 +251,7 @@ def quotient_iso(q: FiniteAbQuotient, qp: FiniteAbQuotient, seed: int = 0):
     """
     if q.dim != qp.dim:
         raise BadParameter("quotient dimensions differ")
-    p, n, series, change, _ = _standard_form(q)
+    p, n, series, _, inv_change = _standard_form(q)
     pp, np_, series_p, change_p, _ = _standard_form(qp)
     if p != pp or n != np_:
         return None
@@ -259,7 +261,6 @@ def quotient_iso(q: FiniteAbQuotient, qp: FiniteAbQuotient, seed: int = 0):
         return None
     blocks = [system.block_matrix(k, values) for k in range(n)]
     t_std = _toeplitz_from_blocks(blocks, p, n)
-    inv_change = linalg.inverse(change)
     t = linalg.mat_mul(change_p, linalg.mat_mul(t_std, inv_change))
     if not _commutes(t, q, qp) or linalg.det(t).is_zero():
         raise HypothesisViolated("constructed intertwiner failed verification")

@@ -6,7 +6,7 @@ tests and the CLI can react precisely.  All of them derive from ``AbmodError``.
 The taxonomy, roughly by layer:
 
 * scalar/series arithmetic: ``NotAUnit``, ``PrecisionExhausted``
-* lattices and modules: ``NotContained``, ``NotAStable``, ``NotSimplePole``
+* lattices and modules: ``NotAStable``, ``NotSimplePole``
 * invariants: ``NotRegular``, ``UnsupportedSpectrum``
 * eigen machinery: ``HypothesisViolated``, ``NotPrimitive``, ``NotEigen``
 * truncation lifting: ``NoLift``, ``NonUniqueLift``, ``NotFound``
@@ -42,10 +42,6 @@ class NotSimplePole(AbmodError):
 
 class UnsupportedSpectrum(AbmodError):
     """A residue eigenvalue does not lie in the Gaussian rationals."""
-
-
-class NotContained(AbmodError):
-    """Lattice inclusion was required but does not hold."""
 
 
 class NotAStable(AbmodError):

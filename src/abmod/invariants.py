@@ -26,14 +26,13 @@ from .lattice import (
     _lattice_a_image,
     _quotient_columns,
     lattice_from_columns,
-    lattice_quotient_dim,
     module_on_lattice,
     standard_lattice,
 )
 from .linalg import eigenvalues
 from .module import AbModule
 from .morphisms import IntertwinerSystem
-from .scalars import Scalar, ZERO
+from .scalars import Scalar, ZERO, _make
 from .series import Series
 
 
@@ -162,9 +161,8 @@ def biggest_simple_pole(module: AbModule):
     k = sat.lattice.shift
     lat = sat.lattice
     if k == 0:
-        # the dual is simple pole, so E itself has a simple pole
-        lattice = standard_lattice(module)
-        return module_on_lattice(module, lattice), lattice
+        # the dual is simple pole, so E itself has one and E^b = E
+        return module, standard_lattice(module)
     # constraints: for each generator column u of (E*)#, the pairing
     # sum_i u_i(-b) x_i(b) must vanish mod b^K
     rows = []
@@ -220,10 +218,7 @@ def _spectrum(module: AbModule) -> tuple:
 
 def _class_rep(s: Scalar) -> Scalar:
     """Canonical representative of s + Z: real part shifted into [0, 1)."""
-    from math import floor
-
-    shift = floor(s.re)
-    return Scalar(s.re - shift, s.im)
+    return _make(s.re_num % s.den, s.im_num, s.den)
 
 
 @dataclass(frozen=True)
@@ -287,13 +282,18 @@ def width_table(module: AbModule) -> WidthTable:
 
 
 def alpha_invariant(module: AbModule) -> Scalar:
-    """trace of b^{-1}a on E#/bE# plus dim(E#/E)."""
+    """trace of b^{-1}a on E#/bE# plus dim(E#/E).
+
+    In the b^{-K} frame of E#'s echelon E is b^K C[[b]]^p, so E#/E has
+    dimension sum of (K - v) over E#'s pivots (row, v), the quantity whose
+    maximum is delta_index."""
     sat = saturate(module)
     tr = ZERO
     residue = sat.saturated.residue_matrix()
     for i in range(sat.saturated.rank):
         tr = tr + residue[i][i]
-    return tr + Scalar(lattice_quotient_dim(sat.lattice, standard_lattice(module)))
+    lat = sat.lattice
+    return tr + Scalar(sum(lat.shift - v for _, v in lat.pivots))
 
 
 def is_geometric(module: AbModule) -> bool:

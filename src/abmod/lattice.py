@@ -22,7 +22,7 @@ raised.  All membership decisions are made at the working precision.
 
 from __future__ import annotations
 
-from .errors import NotAStable, NotContained, PrecisionExhausted
+from .errors import NotAStable, PrecisionExhausted
 from .scalars import ONE, Scalar
 from .series import Series, _sub_mul
 from .seriesmat import (
@@ -92,19 +92,13 @@ class Lattice:
 
     # -- membership -------------------------------------------------------
 
-    def reduce_column(self, col, shift: int = 0):
-        """Remainder of b^{-shift} col after reduction modulo this lattice.
-
-        Returns (remainder_column, frame_shift): the remainder in the frame
-        of max(self.shift, shift).  The input is in the lattice iff the
-        remainder is visibly zero.
-        """
+    def contains_column(self, col, shift: int = 0) -> bool:
+        """Whether b^{-shift} col lies in this lattice: its remainder after
+        back-substitution along the pivots, in the frame of
+        max(self.shift, shift), is visibly zero."""
         k = max(self.shift, shift)
         work = col_shift_up(list(col), k - shift)
-        return _back_substitute(self.at_shift(k), work)[0], k
-
-    def contains_column(self, col, shift: int = 0) -> bool:
-        rem, _ = self.reduce_column(col, shift)
+        rem = _back_substitute(self.at_shift(k), work)[0]
         return all(x.is_zero() for x in rem)
 
     # -- structure --------------------------------------------------------
@@ -273,31 +267,6 @@ def standard_lattice(module: AbModule) -> Lattice:
     )
     pivots = tuple((j, 0) for j in range(p))
     return Lattice(p, 0, gens, pivots, w)
-
-
-# ---------------------------------------------------------------------------
-# lattice arithmetic
-# ---------------------------------------------------------------------------
-
-
-def lattice_quotient_dim(big: Lattice, small: Lattice) -> int:
-    """dim_C(big / small) for small contained in big with equal rank.
-
-    Raises NotContained when a generator of small falls outside big or when
-    the ranks differ (the quotient would be infinite dimensional).
-    """
-    if big.dim != small.dim:
-        raise ValueError("quotient needs a common ambient module")
-    if len(big.gens) != len(small.gens):
-        raise NotContained(
-            "lattices of different rank: quotient is not finite dimensional"
-        )
-    k = max(big.shift, small.shift)
-    s_small, s_big = small.at_shift(k), big.at_shift(k)
-    for g in s_small.gens:
-        if not s_big.contains_column(list(g), k):
-            raise NotContained("generator of the claimed sublattice falls outside")
-    return s_small.pivot_valuation_sum() - s_big.pivot_valuation_sum()
 
 
 # ---------------------------------------------------------------------------

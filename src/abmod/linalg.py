@@ -352,7 +352,8 @@ def _gaussian_integer_roots(g: list) -> list[tuple[int, int]]:
     for p, iota in _primes_1_mod_4():
         images = [[(re + sign * im * iota) % p for re, im in g] for sign in (1, -1)]
         roots = [[x for x in range(p) if not _eval_mod(f, x, p)] for f in images]
-        if all(_eval_mod(_derivative(f), x, p) for f, xs in zip(images, roots) for x in xs):
+        slopes = [_derivative(f) for f in images]
+        if all(_eval_mod(df, x, p) for df, xs in zip(slopes, roots) for x in xs):
             break  # every root of both images is simple, so each one lifts
     m = p
     while m <= 4 * bound:

@@ -153,12 +153,8 @@ class Element:
         known about the divided series)."""
         if self.shift == 0:
             return self
-        vals = [c.valuation() for c in self.coords]
-        if any(v is None for v in vals):
-            m = self.shift  # treat invisible entries as divisible throughout
-            m = min([m] + [v for v in vals if v is not None])
-        else:
-            m = min([self.shift] + vals)
+        # invisible entries count as divisible throughout
+        m = min([self.shift] + [c.valuation() for c in self.coords if c.terms])
         if m == 0:
             return self
         w = self.precision
@@ -166,13 +162,9 @@ class Element:
             raise PrecisionExhausted(
                 f"normalizing through b^{m} at precision {w}"
             )
-        coords = []
-        for c in self.coords:
-            if c.valuation() is None:
-                coords.append(Series.zero(w - m))
-            else:
-                coords.append(c.shift_down(m))
-        return Element(coords, self.shift - m)
+        # all coordinates share precision w, so an entry without terms
+        # becomes Series.zero(w - m) like every other
+        return Element([c.shift_down(m) for c in self.coords], self.shift - m)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)

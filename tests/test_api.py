@@ -45,3 +45,22 @@ def test_every_top_level_import_is_used_in_its_module():
                     if name not in read:
                         unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+def test_every_error_type_is_raised_somewhere():
+    # Each AbmodError subclass in errors.py is raised by some module of the
+    # package; the base class itself is exempt.
+    from abmod import errors
+
+    texts = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    types = [
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.AbmodError)
+        and value is not errors.AbmodError
+    ]
+    assert types
+    never = [
+        name for name in types
+        if not any(re.search(rf"\braise\s+{name}\b", t) for t in texts)
+    ]
+    assert never == []

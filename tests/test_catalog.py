@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abmod import (
+    AbModule,
+    AbmodError,
     BadParameter,
     ParseError,
     Scalar,
@@ -158,6 +161,45 @@ def test_expression_precision_ceiling(monkeypatch):
     for expr in ("E(1/2)", "J(3;0)", "F(3;0;2)", "rand(2;5)"):
         with pytest.raises(BadParameter, match=f"{above} exceeds the ceiling"):
             from_expression(expr, above)
+
+
+# -- mutated expressions ------------------------------------------------------
+
+MUTATION_SOURCES = ["E(1/2)", "E(-1/3;2)", "E(1/2,1/3)", "E(1/3,2;(1+i))", "E((3+i))",
+                    "J(3;1)", "J(2;-1/2)", "F(3;0;1/2)", "rand(2;5)", "rand(3;1000)"]
+# the characters of the catalog syntax
+ALPHABET = "".join(sorted(set("".join(MUTATION_SOURCES))))
+
+
+@st.composite
+def mutated_expressions(draw):
+    text = draw(st.sampled_from(MUTATION_SOURCES))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(("insert", "delete", "replace")))
+        if kind == "insert":
+            text = text[:pos] + draw(st.sampled_from(ALPHABET)) + text[pos:]
+        elif kind == "delete":
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + draw(st.sampled_from(ALPHABET)) + text[pos + 1:]
+    return text
+
+
+def test_mutated_expressions_give_a_module_or_a_typed_error(monkeypatch):
+    # A rank above 8 meets the rank ceiling, so no draw builds a big module.
+    monkeypatch.setattr(catalog, "MAX_FILE_RANK", 8)
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(mutated_expressions())
+    def check(text):
+        try:
+            module = from_expression(text, 8)
+        except AbmodError:
+            return
+        assert isinstance(module, AbModule)
+
+    check()
 
 
 # -- random catalog ----------------------------------------------------------

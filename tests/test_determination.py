@@ -11,8 +11,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 from abmod import (
     AbModule,
     BadParameter,
+    Intertwiner,
     NoLift,
     NotFound,
+    NotRegular,
     PrecisionExhausted,
     Scalar,
     Series,
@@ -30,6 +32,7 @@ from abmod import (
 )
 
 import oracles
+from test_saturation_identities import irregular
 
 
 # -- truncation --------------------------------------------------------------
@@ -95,6 +98,14 @@ def test_quotient_iso_distinguishes_exponents():
     assert quotient_iso(left, right) is None
 
 
+def test_quotient_iso_of_different_rank_and_level_is_none():
+    # both quotients have dimension 6: rank 2 at level 3, rank 3 at level 2
+    left = truncate(from_expression("J(2;0)", 12), 3)
+    right = truncate(from_expression("J(3;0)", 12), 2)
+    assert left.dim == right.dim == 6
+    assert quotient_iso(left, right) is None
+
+
 def test_truncation_iso_without_module_iso():
     # F(3;0;1/2) and J(3;0) agree to order 3 but are not isomorphic.
     F = from_expression("F(3;0;1/2)", 16)
@@ -139,6 +150,31 @@ def test_lift_rejects_malformed_phi():
         lift_truncation_iso(e, e, phi, 4)
 
 
+def test_lift_refuses_each_broken_precondition():
+    e = from_expression("J(2;0)", 20)
+    N = 3
+    phi = identity_truncation_iso(e, N)
+    with pytest.raises(BadParameter, match="ranks differ"):
+        lift_truncation_iso(e, from_expression("J(3;0)", 20), phi, N)
+    with pytest.raises(NotRegular):
+        lift_truncation_iso(irregular(from_expression("E(1/2,1/3)", 20)), e, phi, N)
+    # an upper entry in block (0, 1) breaks the block-Toeplitz shape
+    skew = [list(row) for row in phi.matrix]
+    skew[0][1] = Scalar(1)
+    with pytest.raises(BadParameter, match="b-action"):
+        lift_truncation_iso(e, e, Intertwiner("quotient", tuple(map(tuple, skew)), N), N)
+    # the identity is Toeplitz but does not intertwine J(3;0) with J(3;1)
+    j0, j1 = from_expression("J(3;0)", 20), from_expression("J(3;1)", 20)
+    with pytest.raises(BadParameter, match="not a verified truncation isomorphism"):
+        lift_truncation_iso(j0, j1, identity_truncation_iso(j0, N), N)
+    with pytest.raises(BadParameter, match="must exceed the truncation level"):
+        lift_truncation_iso(e, e, phi, N, W=N)
+    with pytest.raises(PrecisionExhausted, match="window too small"):
+        lift_truncation_iso(e, e, phi, N, W=N + 1)
+    with pytest.raises(PrecisionExhausted, match="exceeds the structure data"):
+        lift_truncation_iso(e, e, phi, N, W=e.precision + 1)
+
+
 COUNTEREXAMPLE_DELTA = [
     ["-b^5", "0", "2*b^4-(1/2)*b^6"],
     ["0", "-2*b^4", "b^6+b^7"],
@@ -174,6 +210,11 @@ def test_verify_fd_clean_at_level_bound_rank2():
     r = verify_fd(from_expression("J(2;0)", 24), 6, 5)
     assert r["n0"] == 3 and r["lo"] == 3
     assert r["failures"] == [] and r["successes"] == 6
+
+
+def test_verify_fd_refuses_an_irregular_module():
+    with pytest.raises(NotRegular):
+        verify_fd(irregular(from_expression("E(1/2,1/3)", 24)), 1, 0)
 
 
 def test_verify_fd_sharp_failure_and_recovery_rank3():

@@ -9,9 +9,13 @@ import pytest
 
 from abmod import (
     AbModule,
+    BadParameter,
     Element,
     HypothesisViolated,
     NotEigen,
+    NotRegular,
+    NotSimplePole,
+    PrecisionExhausted,
     Scalar,
     Series,
     alpha_invariant,
@@ -41,6 +45,7 @@ from abmod.scalars import ONE
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import dense_hom_ab, mat_sub  # noqa: E402
+from test_saturation_identities import irregular  # noqa: E402
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -153,6 +158,14 @@ def test_ext_duality():
     assert ext_dims(E, F)[1] == ext_dims(dual(F), dual(E))[1]
 
 
+def test_ext_refuses_an_irregular_module():
+    E = from_expression("E(1/2,1/3)", 16)
+    with pytest.raises(NotRegular):
+        ext_dims(irregular(E), E)
+    with pytest.raises(NotRegular):
+        ext_dims(E, irregular(E))
+
+
 # -- eigenvector lifting and rank-1 quotients --------------------------------
 
 
@@ -178,8 +191,27 @@ def test_eigen_lift_corrects_seed():
 
 def test_eigen_lift_guards_class_gap():
     m = _sum_with_cocycle(HALF, HALF + Scalar(2), 3, 12)
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match="exceeds the smallest eigenvalue"):
         eigen_lift(m, HALF + Scalar(2), m.basis_element(1), 1)
+
+
+def test_eigen_lift_refuses_each_broken_hypothesis():
+    third = Scalar(Fraction(1, 3))
+    m = _sum_with_cocycle(HALF, third, 2, 12)
+    seed = m.basis_element(1)
+    with pytest.raises(NotSimplePole):
+        eigen_lift(make_E_lambda_mu(HALF, third, 12), third, seed, 0)
+    with pytest.raises(BadParameter, match="kappa"):
+        eigen_lift(m, third, seed, -1)
+    with pytest.raises(PrecisionExhausted, match="for the given kappa"):
+        eigen_lift(m, third, seed, 11)
+    # b^{-1} e2 lies outside the module
+    outside = Element(seed.coords, 1)
+    with pytest.raises(HypothesisViolated, match="does not lie in the module"):
+        eigen_lift(m, third, outside, 0)
+    # (a - b/3) e1 = b e1/6 is not divisible by b^2
+    with pytest.raises(HypothesisViolated, match="not divisible by b"):
+        eigen_lift(m, third, m.basis_element(0), 0)
 
 
 def test_quotient_by_rank1():
@@ -238,6 +270,12 @@ def _random_base_change(module, rng):
         if not det(const).is_zero():
             break
     return base_change(module, q)
+
+
+def test_classify_a_scalar_residue_as_a_direct_sum():
+    lam_b = Series.monomial(HALF, 1, 12)
+    m = AbModule([[lam_b, Series.zero(12)], [Series.zero(12), lam_b]])
+    assert str(classify_rank2(m)) == "DirectSum(1/2, 1/2)"
 
 
 def test_classify_rejects_wrong_rank():

@@ -160,6 +160,22 @@ def test_alpha_goldens():
     assert alpha_invariant(make_E_lambda_n(HALF, 1, 10)) == Scalar(2)     # 1/2 + 3/2
 
 
+def test_module_lies_in_its_saturation():
+    # alpha_invariant reads dim(E#/E) off E#'s pivots, which counts it only
+    # when every standard generator of E lies in E#
+    exprs = ["E(1/2)", "E(1/2;2)", "E(1/2,1/3)", "E(2,2)", "E(1/2,2;3)",
+             "E(1/2,1;1)", "J(3;1)", "J(4;0)", "F(3;0;1/2)", "F(4;0;2)"]
+    exprs += [f"rand({rank};{seed})" for rank in range(1, 6) for seed in range(3)]
+    for expr in exprs:
+        m = from_expression(expr, 16)
+        lat = saturate(m).lattice
+        for i in range(m.rank):
+            assert lat.contains_column(m.basis_element(i).coords), (expr, i)
+            # E# lies in the b^{-K} frame, so b^{-K-1} e_i falls outside
+            outside = m.basis_element(i).coords
+            assert not lat.contains_column(outside, lat.shift + 1), (expr, i)
+
+
 def test_is_geometric():
     assert is_geometric(from_expression("E(1/2;1)", 10))
     assert not is_geometric(from_expression("E(-1)", 10))

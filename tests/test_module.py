@@ -89,3 +89,46 @@ def test_a_image_of_columns_above_the_module_precision(shift):
     images = a_image(module.matrix, cols, shift)
     assert images == a_image(module.matrix, cut, shift)
     assert {entry.precision for col in images for entry in col} == {6}
+
+
+def _b_series(terms, precision):
+    """The series sum c b^k over the (k, c) pairs, at the given precision."""
+    out = Series.zero(precision)
+    for k, c in terms:
+        out = out + Series.monomial(Scalar.of(c), k, precision)
+    return out
+
+
+def test_element_normalize_cancels_the_common_b_power():
+    from abmod import PrecisionExhausted
+
+    # visible entries of valuations 2 and 3 and an invisible one, shift 4:
+    # b^2 cancels and the invisible entry stays zero at the new precision
+    x = Element(
+        [_b_series([(2, 1), (3, 5)], 6), _b_series([(3, Fraction(1, 2))], 6),
+         Series.zero(6)],
+        4,
+    )
+    z = x.normalize()
+    assert z.shift == 2 and z.precision == 4
+    assert z.coords == (
+        _b_series([(0, 1), (1, 5)], 4),
+        _b_series([(1, Fraction(1, 2))], 4),
+        Series.zero(4),
+    )
+    assert z == x
+    # the shift bounds the cancelled power
+    y = Element([_b_series([(3, 1)], 8), _b_series([(5, 2)], 8)], 2)
+    assert y.normalize().shift == 0
+    assert y.normalize().coords == (_b_series([(1, 1)], 6), _b_series([(3, 2)], 6))
+    # nothing to cancel: the element itself comes back
+    unit = Element([Series.one(5), _b_series([(2, 1)], 5)], 3)
+    assert unit.normalize() is unit
+    origin = Element([_b_series([(2, 1)], 5)], 0)
+    assert origin.normalize() is origin
+    # only invisible entries: the whole shift cancels while it fits
+    zero = Element([Series.zero(6), Series.zero(6)], 3).normalize()
+    assert zero.shift == 0 and zero.coords == (Series.zero(3), Series.zero(3))
+    # ... and a shift above the precision is refused
+    with pytest.raises(PrecisionExhausted, match=r"^normalizing through b\^5 at precision 2$"):
+        Element([Series.zero(2), Series.zero(2)], 5).normalize()
