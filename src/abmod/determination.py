@@ -10,7 +10,6 @@ one engine.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,6 +38,7 @@ from .morphisms import (
     find_invertible,
     verify_intertwiner,
 )
+from .record import Record
 from .scalars import ONE, ZERO, Scalar
 from .series import Series
 from .seriesmat import a_image
@@ -56,19 +56,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteAbQuotient:
-    """The actions of a and b on E/b^N E, basis e_i b^j (index i*N + j)."""
+class FiniteAbQuotient(Record):
+    """The actions of a and b on E/b^N E, basis e_i b^j (index i*N + j):
+    dim, the matrices A and B, rank and level N."""
 
-    dim: int
-    A: tuple
-    B: tuple
-    rank: int
-    level: int
+    __slots__ = ("dim", "A", "B", "rank", "level")
 
 
-@dataclass(frozen=True)
-class Intertwiner:
+class Intertwiner(Record):
     """A verified intertwining map.
 
     kind "quotient": matrix is a dim x dim Scalar matrix at truncation
@@ -76,9 +71,7 @@ class Intertwiner:
     at precision ``order``.
     """
 
-    kind: str
-    matrix: tuple
-    order: int
+    __slots__ = ("kind", "matrix", "order")
 
 
 def _freeze(mat) -> tuple:

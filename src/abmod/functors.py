@@ -12,8 +12,6 @@ Conventions used throughout:
   The sign flip lives only here.
 """
 
-from dataclasses import dataclass
-
 from . import linalg
 from .errors import (
     BadParameter,
@@ -37,6 +35,7 @@ from .invariants import (
 from .lattice import Lattice, lattice_from_columns
 from .module import AbModule, Element, apply_a, base_change
 from .morphisms import IntertwinerSystem
+from .record import Record
 from .scalars import ONE, ZERO, Scalar
 from .series import Series
 from .seriesmat import a_image
@@ -289,12 +288,10 @@ def quotient_by_rank1(module: AbModule, x: Element) -> AbModule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JHSequence:
+class JHSequence(Record):
     """Exponents and the corresponding increasing filtration by normal lattices."""
 
-    exponents: tuple
-    filtration: tuple
+    __slots__ = ("exponents", "filtration")
 
     def exponent_sum(self) -> Scalar:
         total = ZERO
@@ -428,12 +425,10 @@ def jordan_holder(module: AbModule, policy: str = "lex") -> JHSequence:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rank2NormalForm:
+class Rank2NormalForm(Record):
     """Normal form tag and parameters for a regular rank-2 module."""
 
-    tag: str
-    params: tuple
+    __slots__ = ("tag", "params")
 
     @staticmethod
     def direct_sum(lam, mu) -> "Rank2NormalForm":

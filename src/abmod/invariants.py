@@ -10,7 +10,6 @@ determination.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -32,6 +31,7 @@ from .lattice import (
 from .linalg import eigenvalues
 from .module import AbModule
 from .morphisms import IntertwinerSystem
+from .record import Record
 from .scalars import Scalar, ZERO, _make
 from .series import Series
 
@@ -41,11 +41,11 @@ from .series import Series
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SaturationResult:
-    saturated: AbModule  # simple-pole structure on the echelon basis of E#
-    lattice: Lattice     # E# inside b^{-delta} E
-    steps: int           # first k with Phi_k stable
+class SaturationResult(Record):
+    # saturated: the simple-pole structure on the echelon basis of E#
+    # lattice: E# inside b^{-delta} E
+    # steps: the first k with L_k stable
+    __slots__ = ("saturated", "lattice", "steps")
 
 
 def _one_saturation_step(module: AbModule, lat: Lattice):
@@ -89,22 +89,37 @@ def _one_saturation_step(module: AbModule, lat: Lattice):
 def saturate(module: AbModule) -> SaturationResult:
     """Stabilized sum of (b^{-1} a)-iterates of the standard lattice.
 
-    Each step applies a to the current iterate once; that image both decides
+    Step 0 is read off the structure matrix: on the standard lattice a(e_j)
+    is column j of M (the b^2 x' term vanishes on constant vectors), so E is
+    stable exactly when M(0) = 0, and then E# = E.  Otherwise L_1 = C[[b]]^p
+    + b^{-1} a(C[[b]]^p) is spanned by the b e_j and the columns of M(0), in
+    the b^{-1} frame: M - M(0) lies in b Mat, inside b C[[b]]^p.  Each later
+    step applies a to the current iterate once; that image both decides
     stability and, on the stable iterate, gives the structure matrix of E#.
     Regular modules stabilize within rank steps; failure to do so raises
     NotRegular.  Needs working precision >= 2*rank + 2.
     """
-    p = module.rank
-    if module.precision < 2 * p + 2:
+    p, w = module.rank, module.precision
+    if w < 2 * p + 2:
         raise PrecisionExhausted(
             f"saturation of a rank-{p} module needs precision >= {2 * p + 2}, "
-            f"have {module.precision}"
+            f"have {w}"
         )
-    current = standard_lattice(module)
-    grown = None
-    for step in range(p):
-        if grown is not None:
-            current = lattice_from_columns(*grown)
+    if module.is_simple_pole():
+        return SaturationResult(
+            saturated=module, lattice=standard_lattice(module), steps=0
+        )
+    b_gens = [
+        [Series.b(w) if i == j else Series.zero(w) for i in range(p)]
+        for j in range(p)
+    ]
+    constant_cols = [
+        [Series.monomial(c, 0, w) for c in col]
+        for col in zip(*module.constant_matrix())
+    ]
+    grown = (p, b_gens + constant_cols, 1, w)
+    for step in range(1, p):
+        current = lattice_from_columns(*grown)
         saturated, grown = _one_saturation_step(module, current)
         if saturated is not None:
             return SaturationResult(saturated=saturated, lattice=current, steps=step)
@@ -221,18 +236,18 @@ def _class_rep(s: Scalar) -> Scalar:
     return _make(s.re_num % s.den, s.im_num, s.den)
 
 
-@dataclass(frozen=True)
-class WidthTable:
+class WidthTable(Record):
     """Per integer-translation class: the extreme exponents and their gap.
 
-    ``classes`` is a read-only mapping, so a memoized table cannot be
-    changed through its result.
+    ``classes`` maps a class representative to (lam_min, lam_max, L: int).
+    It is a read-only mapping, so a memoized table cannot be changed
+    through its result, and the table is not hashable.
     """
 
-    classes: Mapping  # class representative -> (lam_min, lam_max, L: int)
+    __slots__ = ("classes",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes", MappingProxyType(dict(self.classes)))
+    def __init__(self, classes: Mapping):
+        super().__init__(MappingProxyType(dict(classes)))
 
     def __reduce__(self):
         return (WidthTable, (dict(self.classes),))

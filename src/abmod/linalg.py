@@ -316,10 +316,10 @@ def _eval_mod(f: list, x: int, m: int) -> int:
     return acc
 
 
-def _hensel(f: list, x: int, p: int, m: int) -> int:
-    """The root modulo m = p^k of the integer polynomial f that is congruent
-    to x, a simple root of f modulo p (Newton's iteration)."""
-    df = _derivative(f)
+def _hensel(f: list, df: list, x: int, p: int, m: int) -> int:
+    """The root modulo m = p^k of the integer polynomial f, with derivative
+    df, that is congruent to x, a simple root of f modulo p (Newton's
+    iteration)."""
     q = p
     while q < m:
         q *= q
@@ -358,11 +358,12 @@ def _gaussian_integer_roots(g: list) -> list[tuple[int, int]]:
     m = p
     while m <= 4 * bound:
         m *= p
-    iota = _hensel([1, 0, 1], iota, p, m)
+    iota = _hensel([1, 0, 1], [2, 0], iota, p, m)
     lifted = []
     for sign, xs in zip((1, -1), roots):
         image = [(re + sign * im * iota) % m for re, im in g]
-        lifted.append([_hensel(image, x, p, m) for x in xs])
+        slope = _derivative(image)
+        lifted.append([_hensel(image, slope, x, p, m) for x in xs])
     plus, minus = lifted
     half, half_iota = pow(2, -1, m), pow(2 * iota, -1, m)
     out = []

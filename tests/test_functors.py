@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from abmod import (
     AbModule,
@@ -18,6 +19,7 @@ from abmod import (
     PrecisionExhausted,
     Scalar,
     Series,
+    UnsupportedSpectrum,
     alpha_invariant,
     apply_a,
     base_change,
@@ -156,6 +158,34 @@ def test_ext_duality():
     E = from_expression("E(1/2,1/3)", 16)
     F = from_expression("E(1;1)", 16)
     assert ext_dims(E, F)[1] == ext_dims(dual(F), dual(E))[1]
+
+
+@st.composite
+def small_modules(draw):
+    """A rand, E, J or F module of rank at most 3 at precision 24."""
+    kind = draw(st.sampled_from(("rand", "E", "J", "F")))
+    lam = draw(st.sampled_from(("0", "1/2", "-1", "1/3", "2")))
+    if kind == "rand":
+        expr = f"rand({draw(st.integers(1, 3))};{draw(st.integers(0, 10**4))})"
+    elif kind == "J":
+        expr = f"J({draw(st.integers(1, 3))};{lam})"
+    elif kind == "F":
+        expr = f"F({draw(st.integers(2, 3))};{lam};{draw(st.sampled_from(('1/2', '2')))})"
+    else:
+        n, mu = draw(st.integers(0, 3)), draw(st.sampled_from(("0", "1/2", "-1")))
+        expr = draw(st.sampled_from((f"E({lam})", f"E({lam};{n})", f"E({lam},{mu})")))
+    return from_expression(expr, 24)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(small_modules(), small_modules())
+def test_ext_dims_are_invariant_under_duality(E, F):
+    """Ext^0 and Ext^1 of (E, F) and of (F*, E*) have the same dimensions."""
+    try:
+        dims = ext_dims(E, F)
+    except UnsupportedSpectrum:
+        assume(False)
+    assert dims == ext_dims(dual(F), dual(E))
 
 
 def test_ext_refuses_an_irregular_module():

@@ -396,9 +396,9 @@ def test_poly_roots_qi_skips_primes_where_roots_collide(monkeypatch):
     primes = []
     hensel = linalg._hensel
 
-    def recording(f, x, p, m):
+    def recording(f, df, x, p, m):
         primes.append(p)
-        return hensel(f, x, p, m)
+        return hensel(f, df, x, p, m)
 
     monkeypatch.setattr(linalg, "_hensel", recording)
     roots = [Scalar(1), Scalar(1106), Scalar(1, 1105)]

@@ -1,4 +1,5 @@
-"""The immutable value types survive ``pickle`` and ``copy.deepcopy``."""
+"""The immutable value types and result records survive ``pickle`` and
+``copy.deepcopy``."""
 
 import copy
 import pickle
@@ -9,12 +10,21 @@ import pytest
 from abmod import (
     AbModule,
     Element,
+    Intertwiner,
     Lattice,
+    Rank2NormalForm,
+    SaturationResult,
     Scalar,
     Series,
+    WidthTable,
     apply_a,
+    classify_rank2,
     from_expression,
+    identity_truncation_iso,
+    jordan_holder,
     saturate,
+    truncate,
+    width_table,
 )
 
 CATALOG = ["E(1/2)", "E(1/2;2)", "E(1/2,1/3)", "J(3;0)", "F(3;1/2;1/2)", "rand(3;7)"]
@@ -84,3 +94,44 @@ def test_value_types_refuse_attribute_deletion():
             assert hasattr(obj, name)
     assert s + s == Scalar(Fraction(4, 3), 2)
     assert saturate(module).lattice.dim == module.rank == 3
+
+
+def test_result_records_keep_their_value_semantics():
+    """Each result record round-trips, is built by keyword as by position,
+    compares and hashes by its fields (a WidthTable is not hashable), prints
+    as Name(field=value, ...) and refuses assignment."""
+    module = from_expression("E(1/2,2;3)", 12)
+    sat = saturate(module)
+    records = [
+        sat,
+        width_table(module),
+        truncate(module, 2),
+        identity_truncation_iso(module, 2),
+        jordan_holder(module),
+        classify_rank2(module),
+    ]
+    for record in records:
+        _round_trips(record)
+        fields = {name: getattr(record, name) for name in type(record).__slots__}
+        assert type(record)(**fields) == record
+        assert type(record)(*fields.values()) == record
+        body = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        assert repr(record) == f"{type(record).__name__}({body})"
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+        if isinstance(record, WidthTable):
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(copy.deepcopy(record)) == hash(record)
+    assert SaturationResult(saturated=module, lattice=sat.lattice, steps=1) != sat
+    assert Rank2NormalForm("DirectSum", (1, 2)) != ("DirectSum", (1, 2))
+    assert repr(Intertwiner(kind="module", matrix=(), order=3)) == (
+        "Intertwiner(kind='module', matrix=(), order=3)")
+    with pytest.raises(TypeError):
+        Intertwiner("module", (), order=3, kind="quotient")
+    with pytest.raises(TypeError):
+        Rank2NormalForm("DirectSum")

@@ -51,6 +51,8 @@ from abmod import (
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles  # noqa: E402
+from abmod.lattice import _lattice_a_image, standard_lattice  # noqa: E402
+from abmod.seriesmat import a_image, col_shift_up  # noqa: E402
 from test_base_change import base_changes  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -201,6 +203,66 @@ def test_saturate_matches_the_echelon_oracle_over_the_catalog():
                 seen[got if isinstance(got, type) else "saturated"] += 1
     assert seen[PrecisionExhausted] >= 100 and seen[NotRegular] >= 100
     assert seen["saturated"] >= 2000
+
+
+def test_saturation_step_zero_is_read_off_the_structure_matrix(monkeypatch):
+    """Step 0 applies no a.  Over the catalog at precisions 12 and 24, as it
+    is and made irregular: a simple-pole E is its own saturation on the
+    standard lattice, and otherwise L_1, spanned by the b e_j and the
+    columns of M(0), is the lattice of the b e_j and the images a(e_j)
+    (identical generators, pivots and precision); a is applied once to
+    each later iterate L_k, k = 1 .. steps (k = 1 .. rank - 1 when the
+    module is not regular)."""
+    images, built = [], []
+
+    def image_spy(module, lat):
+        images.append(lat.shift)
+        return _lattice_a_image(module, lat)
+
+    def lattice_spy(dim, columns, shift=0, precision=None):
+        built.append(lattice_from_columns(dim, columns, shift, precision))
+        return built[-1]
+
+    monkeypatch.setattr(invariants, "_lattice_a_image", image_spy)
+    monkeypatch.setattr(invariants, "lattice_from_columns", lattice_spy)
+    seen = Counter()
+    for expr in catalog():
+        for w in (12, 24):
+            try:
+                module = from_expression(expr, w)
+            except AbmodError:
+                continue
+            for m in (module, irregular(module)):
+                _clear_caches()
+                images.clear()
+                built.clear()
+                try:
+                    sat = saturate(m)
+                    steps = sat.steps
+                except PrecisionExhausted:
+                    assert images == built == [], (expr, w)
+                    continue
+                except NotRegular:
+                    steps = m.rank - 1
+                assert images == list(range(1, steps + 1)), (expr, w)
+                p = m.rank
+                if m.is_simple_pole():
+                    assert built == [] and sat.steps == 0
+                    assert sat.saturated == m and sat.lattice == standard_lattice(m)
+                    seen["simple pole"] += 1
+                    continue
+                if p == 1:
+                    assert built == []
+                    continue
+                standard = standard_lattice(m).gens
+                b_gens = [col_shift_up(list(g), 1) for g in standard]
+                first = lattice_from_columns(
+                    p, b_gens + a_image(m.matrix, standard), 1, w)
+                assert (built[0].shift, built[0].gens, built[0].pivots,
+                        built[0].precision) == (
+                    first.shift, first.gens, first.pivots, first.precision), (expr, w)
+                seen["grown"] += 1
+    assert seen["simple pole"] >= 100 and seen["grown"] >= 500
 
 
 def test_an_irregular_module_builds_no_lattice_after_its_last_test(monkeypatch):

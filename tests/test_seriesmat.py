@@ -278,7 +278,7 @@ def test_back_substitute_matches_dense(dim, n, data):
 
 def test_no_kernel_multiplies_or_adds_an_empty_series(monkeypatch):
     """The census: computing the info invariants of three catalog modules,
-    a Hom and an Ext, two Jordan-Hoelder sequences, a rank-2 classification
+    a Hom and two Exts, two Jordan-Hoelder sequences, a rank-2 classification
     and a twist, the term loops behind Series sums, differences and
     products (``series._combine`` and ``series._product``) and the fold
     that sums products in the series-matrix kernels (``series._fold``,
@@ -308,7 +308,8 @@ def test_no_kernel_multiplies_or_adds_an_empty_series(monkeypatch):
         if hasattr(f, "cache_clear"):
             f.cache_clear()
     commands = [["info", expr] for expr in ("J(5;0)", "rand(4;7)", "F(4;0;1/2)")]
-    commands += [["hom", "E(1/2)", "J(2;0)"], ["ext", "J(2;0)", "E(0)"]]
+    commands += [["hom", "E(1/2)", "J(2;0)"], ["ext", "J(2;0)", "E(0)"],
+                 ["ext", "J(3;0)", "J(3;0)"]]
     commands += [["jh", "J(4;0)"], ["jh", "rand(4;7)"], ["classify2", "E(1/2,2;3)"],
                  ["twist", "J(3;0)", "1/2"]]
     for argv in commands:
