@@ -130,15 +130,16 @@ def random_regular(rank: int, seed: int, precision: int,
         Scalar(Fraction(rng.randint(-3 * denom, 3 * denom), denom))
         for _ in range(rank)
     ]
-    deg = max(2, precision // 2)
     lowest = 1 if simple_pole else 0
+    highest = min(max(2, precision // 2), precision - 1)
     m = [[Series.zero(precision) for _ in range(rank)] for _ in range(rank)]
     for j in range(rank):
         m[j][j] = Series.monomial(lams[j], 1, precision)
-        for i in range(j):
+        # a simple pole at precision 1 leaves no order for a cocycle
+        for i in range(j if highest >= lowest else 0):
             coeffs = [Scalar(0)] * precision
             for _ in range(rng.randint(0, 3)):
-                order = rng.randint(lowest, min(deg, precision - 1))
+                order = rng.randint(lowest, highest)
                 coeffs[order] = coeffs[order] + Scalar(
                     Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
                 )
@@ -187,9 +188,11 @@ def from_expression(text: str, precision: int) -> AbModule:
 
     Raises ParseError for malformed syntax and BadParameter for parameter
     values outside a family's constraints, including a rank above
-    ``textio.MAX_FILE_RANK`` and a precision above ``textio.MAX_PRECISION``,
-    refused before any matrix is built.
+    ``textio.MAX_FILE_RANK`` and a precision below 1 or above
+    ``textio.MAX_PRECISION``, refused before any matrix is built.
     """
+    if precision < 1:
+        raise BadParameter(f"precision must be >= 1, got {precision}")
     if precision > MAX_PRECISION:
         raise BadParameter(
             f"precision {precision} exceeds the ceiling {MAX_PRECISION}"

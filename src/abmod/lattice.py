@@ -23,6 +23,7 @@ raised.  All membership decisions are made at the working precision.
 from __future__ import annotations
 
 from .errors import NotAStable, PrecisionExhausted
+from .record import Record
 from .scalars import ONE, Scalar
 from .series import Series, _sub_mul
 from .seriesmat import (
@@ -35,7 +36,7 @@ from .seriesmat import (
 from .module import AbModule
 
 
-class Lattice:
+class Lattice(Record):
     """Canonical echelon presentation of a C[[b]]-submodule of b^{-K} C[[b]]^p.
 
     Build through ``lattice_from_columns`` (or the helpers below); the raw
@@ -43,25 +44,6 @@ class Lattice:
     """
 
     __slots__ = ("dim", "shift", "gens", "pivots", "precision")
-
-    def __init__(self, dim, shift, gens, pivots, precision):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "precision", precision)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Lattice is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Lattice is immutable")
-
-    def __reduce__(self):
-        return (
-            Lattice,
-            (self.dim, self.shift, self.gens, self.pivots, self.precision),
-        )
 
     @property
     def rank(self) -> int:

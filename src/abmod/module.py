@@ -17,6 +17,7 @@ for b^{-K} times its coordinate vector, using  a b^{-K} = b^{-K}(a - K b).
 from __future__ import annotations
 
 from .errors import BadParameter, PrecisionExhausted
+from .record import Immutable, Record
 from .series import Series
 from .seriesmat import (
     a_image,
@@ -28,7 +29,7 @@ from .seriesmat import (
 )
 
 
-class AbModule:
+class AbModule(Immutable):
     """A rank-p free C[[b]]-module with a-action given by a structure matrix.
 
     All entries are held at one common precision (the minimum of the inputs);
@@ -52,12 +53,6 @@ class AbModule:
         object.__setattr__(self, "rank", p)
         object.__setattr__(self, "precision", w)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AbModule is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("AbModule is immutable")
 
     def __reduce__(self):
         return (AbModule, (self.matrix,))
@@ -114,7 +109,7 @@ class AbModule:
         return f"AbModule(rank={self.rank}, precision={self.precision})"
 
 
-class Element:
+class Element(Record):
     """A vector of the localized module: shift K means b^{-K} * coords."""
 
     __slots__ = ("coords", "shift")
@@ -123,19 +118,7 @@ class Element:
         if shift < 0:
             raise ValueError("element shift must be >= 0")
         w = min(c.precision for c in coords)
-        object.__setattr__(
-            self, "coords", tuple(c.at_precision(w) for c in coords)
-        )
-        object.__setattr__(self, "shift", shift)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Element is immutable")
-
-    def __reduce__(self):
-        return (Element, (self.coords, self.shift))
+        super().__init__(tuple(c.at_precision(w) for c in coords), shift)
 
     @property
     def precision(self) -> int:

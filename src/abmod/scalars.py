@@ -25,6 +25,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
+from .record import Immutable
+
 _RatLike = Union[int, Fraction]
 
 
@@ -37,7 +39,7 @@ def _ratio(x: _RatLike) -> tuple:
     raise TypeError(f"cannot build an exact scalar part from {type(x).__name__}")
 
 
-class Scalar:
+class Scalar(Immutable):
     """An element of Q(i), held exactly as (re_num + im_num*i) / den.
 
     All arithmetic is exact; there is no float path anywhere.
@@ -51,12 +53,6 @@ class Scalar:
         if q == t:
             return _make(p, r, q)
         return _make(p * t, r * q, q * t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Scalar is immutable")
 
     def __reduce__(self):
         return (Scalar, (self.re, self.im))

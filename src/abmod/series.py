@@ -49,6 +49,7 @@ from math import gcd
 from typing import Sequence
 
 from .errors import NotAUnit, PrecisionExhausted
+from .record import Immutable
 from .scalars import Scalar, ZERO, ONE
 from .scalars import _make as _scalar
 
@@ -171,7 +172,7 @@ def _sub_mul(x: "Series", q: "Series", y: "Series", w: int) -> "Series":
     return _make(_done(acc), w)
 
 
-class Series:
+class Series(Immutable):
     """An element of C[[b]] known modulo b^precision."""
 
     __slots__ = ("terms", "precision")
@@ -185,12 +186,6 @@ class Series:
                 terms.append((k, c))
         object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "precision", precision)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Series is immutable")
 
     def __reduce__(self):
         return (Series, (self.coeffs, self.precision))

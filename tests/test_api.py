@@ -1,10 +1,13 @@
-"""The package carries no dead helpers."""
+"""The package carries no dead helpers and writes each rule once."""
 
 import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import abmod
+from abmod import AbModule, Element, Lattice, SaturationResult, Scalar, Series, WidthTable
 
 SRC = Path(abmod.__file__).parent
 
@@ -64,3 +67,42 @@ def test_every_error_type_is_raised_somewhere():
         if not any(re.search(rf"\braise\s+{name}\b", t) for t in texts)
     ]
     assert never == []
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_immutability_is_written_once():
+    # __setattr__ and __delattr__ are defined in record.Immutable alone, and
+    # every value type of the package refuses through it.
+    from abmod.record import Immutable, Record
+
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(item): node.name
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
+        defined += [
+            f"{path.stem}.{owner.get(id(node))}.{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("__setattr__", "__delattr__")
+        ]
+    assert sorted(defined) == ["record.Immutable.__delattr__", "record.Immutable.__setattr__"]
+
+    records = [cls for cls in _subclasses(Record) if cls.__module__.startswith("abmod.")]
+    assert {Element, Lattice, SaturationResult, WidthTable} <= set(records)
+    for cls in [Scalar, Series, AbModule, *records]:
+        assert cls.__setattr__ is Immutable.__setattr__
+        assert cls.__delattr__ is Immutable.__delattr__
+        value = object.__new__(cls)
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            value.field = 1
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            del value.field

@@ -1,5 +1,6 @@
 """Catalog constructors: golden matrices, validation, expression parsing."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from abmod import (
 )
 from abmod import catalog
 from abmod.scalars import ONE
-from abmod.textio import MAX_FILE_RANK, MAX_PRECISION
+from abmod.textio import MAX_FILE_RANK, MAX_PRECISION, emit_module_file
 
 HALF = Scalar(Fraction(1, 2))
 THIRD = Scalar(Fraction(1, 3))
@@ -163,6 +164,18 @@ def test_expression_precision_ceiling(monkeypatch):
             from_expression(expr, above)
 
 
+def test_expression_precision_floor(monkeypatch):
+    def never(*args):
+        raise AssertionError("a module was built below precision 1")
+
+    for name in ("make_E_lambda", "make_J_k", "random_regular"):
+        monkeypatch.setattr(catalog, name, never)
+    for precision in (0, -1):
+        for expr in ("E(1/2)", "J(3;0)", "rand(2;5)"):
+            with pytest.raises(BadParameter, match=f"precision must be >= 1, got {precision}"):
+                from_expression(expr, precision)
+
+
 # -- mutated expressions ------------------------------------------------------
 
 MUTATION_SOURCES = ["E(1/2)", "E(-1/3;2)", "E(1/2,1/3)", "E(1/3,2;(1+i))", "E((3+i))",
@@ -224,3 +237,24 @@ def test_random_regular_is_regular_with_bounded_order():
 def test_random_simple_pole_flag():
     m = random_regular(3, 4, 10, simple_pole=True)
     assert m.is_simple_pole()
+
+
+def test_random_simple_pole_at_precision_1():
+    # no cocycle order lies in [1, precision - 1] at precision 1
+    for rank in (1, 2, 3, 4):
+        for seed in range(8):
+            m = random_regular(rank, seed, 1, simple_pole=True)
+            assert (m.rank, m.precision) == (rank, 1)
+            assert m.is_simple_pole()
+
+
+def test_random_regular_draws_are_pinned():
+    # The same seed gives the same module text from one release to the next.
+    text = "".join(
+        emit_module_file(random_regular(rank, seed, w, simple_pole=simple))
+        for w in (2, 12, 24) for rank in (2, 3, 4) for seed in (1, 7, 1001)
+        for simple in (False, True)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f4b89d145dbdfdff757abe7f1ff2634553739855b563b895bcd0c72df3b9e622"
+    )

@@ -38,9 +38,12 @@ from abmod import (
     module_iso,
     quotient_by_rank1,
     random_regular,
+    saturate,
+    spectrum,
     truncate,
     twist,
 )
+from abmod.invariants import _class_rep
 from abmod.linalg import mat_mul
 from abmod.scalars import ONE
 
@@ -161,14 +164,14 @@ def test_ext_duality():
 
 
 @st.composite
-def small_modules(draw):
-    """A rand, E, J or F module of rank at most 3 at precision 24."""
-    kind = draw(st.sampled_from(("rand", "E", "J", "F")))
+def small_modules(draw, kinds=("rand", "E", "J", "F"), max_rank=3):
+    """A module of one of these kinds, of rank at most max_rank, at precision 24."""
+    kind = draw(st.sampled_from(kinds))
     lam = draw(st.sampled_from(("0", "1/2", "-1", "1/3", "2")))
     if kind == "rand":
-        expr = f"rand({draw(st.integers(1, 3))};{draw(st.integers(0, 10**4))})"
+        expr = f"rand({draw(st.integers(1, max_rank))};{draw(st.integers(0, 10**4))})"
     elif kind == "J":
-        expr = f"J({draw(st.integers(1, 3))};{lam})"
+        expr = f"J({draw(st.integers(1, max_rank))};{lam})"
     elif kind == "F":
         expr = f"F({draw(st.integers(2, 3))};{lam};{draw(st.sampled_from(('1/2', '2')))})"
     else:
@@ -186,6 +189,30 @@ def test_ext_dims_are_invariant_under_duality(E, F):
     except UnsupportedSpectrum:
         assume(False)
     assert dims == ext_dims(dual(F), dual(E))
+
+
+RANK_2_MODULES = small_modules(("rand", "E", "J"), 2)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(RANK_2_MODULES, RANK_2_MODULES)
+def test_hom_is_isomorphic_to_the_hom_of_duals(E, F):
+    """Hom(E, F) and Hom(F*, E*) are isomorphic (a, b)-modules."""
+    assert module_iso(hom_ab(E, F), hom_ab(dual(F), dual(E))) is not None
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(RANK_2_MODULES, RANK_2_MODULES)
+def test_saturated_hom_spectrum_is_the_difference_spectrum(E, F):
+    """S(Hom(E, F)#) mod Z is the multiset {mu - lam : lam in S(E#), mu in S(F#)}."""
+    try:
+        hom = spectrum(saturate(hom_ab(E, F)).saturated)
+        left = spectrum(saturate(E).saturated)
+        right = spectrum(saturate(F).saturated)
+    except UnsupportedSpectrum:
+        assume(False)
+    want = sorted((_class_rep(mu - lam) for lam in left for mu in right), key=Scalar.sort_key)
+    assert sorted(map(_class_rep, hom), key=Scalar.sort_key) == want
 
 
 def test_ext_refuses_an_irregular_module():

@@ -131,7 +131,12 @@ def test_result_records_keep_their_value_semantics():
     assert Rank2NormalForm("DirectSum", (1, 2)) != ("DirectSum", (1, 2))
     assert repr(Intertwiner(kind="module", matrix=(), order=3)) == (
         "Intertwiner(kind='module', matrix=(), order=3)")
+    assert Intertwiner("module", order=3, matrix=()) == Intertwiner("module", (), 3)
     with pytest.raises(TypeError):
         Intertwiner("module", (), order=3, kind="quotient")
+    with pytest.raises(TypeError):
+        Intertwiner("module", (), 3, 4)
+    with pytest.raises(TypeError):
+        Intertwiner("module", (), degree=3)
     with pytest.raises(TypeError):
         Rank2NormalForm("DirectSum")

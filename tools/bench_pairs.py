@@ -18,14 +18,15 @@ the scaling probe ``abmod info 'J(12;0)' --precision 60``,
 intertwiner solver, its early exit and the shared prefix of the trials),
 ``abmod iso 'F(5;0;2)' 'J(5;0)'`` (a pair that agrees to order 5 and is not
 isomorphic), ``abmod ext 'J(7;0)' 'J(7;0)' --precision 112`` (saturation
-and the width table of a Hom of rank 49) and ``abmod fd 'rand(4;1001)'
+and the width table of a Hom of rank 49), ``abmod fd 'rand(4;1001)'
 --precision 26 --trials 100`` (the intertwiner solver on a dense structure
-matrix, where the ``J(4;0)`` probe's is sparse).  Their times are wall
-times of the whole process, not scaled to the host's speed.  Two more
-probes are in-process twins of the last two: one fresh child per run and
-side imports that side's ``abmod``, pins itself to one CPU as
-``bench/run.py`` does, builds the modules untimed (``rand(4;1001)`` at
-precision 26, or ``J(7;0)`` twice at precision 112), and times one
+matrix, where the ``J(4;0)`` probe's is sparse) and ``abmod ext 'J(10;0)'
+'J(10;0)' --precision 256`` (a Hom of rank 100).  Their times are wall times
+of the whole process, not scaled to the host's speed.  Two more probes are
+in-process twins of the ``rand(4;1001)`` and ``J(7;0)`` probes: one fresh
+child per run and side imports that side's ``abmod``, pins itself to one
+CPU as ``bench/run.py`` does, builds the modules untimed (``rand(4;1001)``
+at precision 26, or ``J(7;0)`` twice at precision 112), and times one
 statement (``verify_fd(module, 100, 0)``, or ``ext_dims`` of the pair)
 between two rounds of ``bench/run.py``'s ``HostSpeed``, which scale it as
 the workload items are scaled; their runs are compared on the scaled time.
@@ -57,7 +58,8 @@ BETTER = {"items_per_s": "higher", "item_p50_ms": "lower", "item_tail_ms": "lowe
 PROBES = (["info", "J(12;0)", "--precision", "60"], ["ext", "J(4;0)", "F(4;0;1/2)"],
           ["fd", "J(4;0)", "--trials", "40"], ["iso", "F(5;0;2)", "J(5;0)"],
           ["ext", "J(7;0)", "J(7;0)", "--precision", "112"],
-          ["fd", "rand(4;1001)", "--precision", "26", "--trials", "100"])
+          ["fd", "rand(4;1001)", "--precision", "26", "--trials", "100"],
+          ["ext", "J(10;0)", "J(10;0)", "--precision", "256"])
 
 
 def _bench(root: str, workload: str, seed: int) -> dict:
