@@ -16,6 +16,9 @@ j-th basis vector):
 The expression syntax accepted by ``from_expression`` (also the CLI surface):
 ``E(l)``, ``E(l;n)``, ``E(l,m)``, ``E(l,n;alpha)``, ``J(k;l)``,
 ``F(k;l;rho)``, ``rand(rank;seed)``.
+
+Every constructor, and ``from_expression``, refuses a precision below 1 or
+above ``textio.MAX_PRECISION`` with BadParameter before building anything.
 """
 
 from __future__ import annotations
@@ -30,13 +33,26 @@ from .series import Series
 from .textio import MAX_FILE_RANK, MAX_PRECISION, parse_scalar
 
 
+def _check_precision(precision: int) -> None:
+    """Refuse a precision below 1 or above ``textio.MAX_PRECISION``
+    (BadParameter), before any matrix is built."""
+    if precision < 1:
+        raise BadParameter(f"precision must be >= 1, got {precision}")
+    if precision > MAX_PRECISION:
+        raise BadParameter(
+            f"precision {precision} exceeds the ceiling {MAX_PRECISION}"
+        )
+
+
 def make_E_lambda(lam, precision: int) -> AbModule:
+    _check_precision(precision)
     lam = Scalar.of(lam)
     return AbModule([[Series.monomial(lam, 1, precision)]])
 
 
 def make_E_lambda_n(lam, n: int, precision: int) -> AbModule:
     """The simple-pole nonsplit rank-2 family with spectrum {lambda+n, lambda}."""
+    _check_precision(precision)
     lam = Scalar.of(lam)
     if n < 0:
         raise BadParameter("E_lambda(n) needs n >= 0")
@@ -52,6 +68,7 @@ def make_E_lambda_n(lam, n: int, precision: int) -> AbModule:
 
 def make_E_lambda_mu(lam, mu, precision: int) -> AbModule:
     """The nonsplit rank-2 family  a y = mu b y,  a t = y + (lambda-1) b t."""
+    _check_precision(precision)
     lam, mu = Scalar.of(lam), Scalar.of(mu)
     z = Series.zero(precision)
     return AbModule(
@@ -64,6 +81,7 @@ def make_E_lambda_mu(lam, mu, precision: int) -> AbModule:
 
 def make_E_lambda_mu_alpha(lam, n: int, alpha, precision: int) -> AbModule:
     """a y = (lambda-n) b y,  a t = y + (lambda-1) b t + alpha b^n y."""
+    _check_precision(precision)
     lam, alpha = Scalar.of(lam), Scalar.of(alpha)
     if n < 1:
         raise BadParameter("the alpha family needs n >= 1")
@@ -80,6 +98,7 @@ def make_E_lambda_mu_alpha(lam, n: int, alpha, precision: int) -> AbModule:
 
 
 def make_J_k(lam, k: int, precision: int) -> AbModule:
+    _check_precision(precision)
     lam = Scalar.of(lam)
     if k < 1:
         raise BadParameter("J_k needs k >= 1")
@@ -93,6 +112,7 @@ def make_J_k(lam, k: int, precision: int) -> AbModule:
 
 def make_F_rho(lam, k: int, rho, precision: int) -> AbModule:
     """J_k(lambda) perturbed at order exactly k: a e_k gains rho^k b^k e_1."""
+    _check_precision(precision)
     lam, rho = Scalar.of(lam), Scalar.of(rho)
     if k < 2:
         raise BadParameter("F_rho needs k >= 2")
@@ -122,6 +142,7 @@ def random_regular(rank: int, seed: int, precision: int,
     different precision yields a different module.  To study one module at
     several precisions, build it once and use ``at_precision``.
     """
+    _check_precision(precision)
     if rank < 1:
         raise BadParameter("rank must be >= 1")
     rng = random.Random(seed)
@@ -191,12 +212,7 @@ def from_expression(text: str, precision: int) -> AbModule:
     ``textio.MAX_FILE_RANK`` and a precision below 1 or above
     ``textio.MAX_PRECISION``, refused before any matrix is built.
     """
-    if precision < 1:
-        raise BadParameter(f"precision must be >= 1, got {precision}")
-    if precision > MAX_PRECISION:
-        raise BadParameter(
-            f"precision {precision} exceeds the ceiling {MAX_PRECISION}"
-        )
+    _check_precision(precision)
     expr = text.strip()
     if "(" not in expr or not expr.endswith(")"):
         raise ParseError(f"not a catalog expression: {text!r}")

@@ -330,27 +330,32 @@ def _choose_class(values, policy: str):
 
 
 def _eigen_coords(
-    module: AbModule, eb_module: AbModule, eb_lattice: Lattice, lam: Scalar
+    module: AbModule, simple: AbModule, lattice: Lattice, lam: Scalar
 ):
-    """Coordinates in the module of an x in E^b with a.x = lam*b*x exactly,
-    lifted from a residue eigenvector of E^b for the exponent lam, and the
-    least valuation among them."""
-    res = eb_module.residue_matrix()
-    p = eb_module.rank
+    """An x in a simple-pole module with a.x = lam*b*x exactly, lifted from
+    a residue eigenvector for the exponent lam, and the least valuation of
+    its coordinates.
+
+    ``simple`` is the structure on ``lattice``, a lattice in E[b^-1] such as
+    E^b (shift 0) or E# (shift K); the coordinates returned are those of x
+    in the module's b^-K frame, so x is b^-K times them.
+    """
+    res = simple.residue_matrix()
+    p = simple.rank
     shifted = [
         [res[i][j] - lam if i == j else res[i][j] for j in range(p)]
         for i in range(p)
     ]
     null = linalg.nullspace(shifted)
     seed = Element(
-        [Series.monomial(v, 0, eb_module.precision) for v in null[0]], 0
+        [Series.monomial(v, 0, simple.precision) for v in null[0]], 0
     )
-    lifted = eigen_lift(eb_module, lam, seed, 0)
+    lifted = eigen_lift(simple, lam, seed, 0)
     inner = lifted.in_frame(0)
     coords = []
     for i in range(module.rank):
-        acc = Series.zero(eb_lattice.precision)
-        for j, g in enumerate(eb_lattice.gens):
+        acc = Series.zero(lattice.precision)
+        for j, g in enumerate(lattice.gens):
             acc = acc + g[i] * inner[j]
         coords.append(acc)
     vals = [c.valuation() for c in coords if not c.is_zero()]
@@ -479,15 +484,24 @@ def _has_primitive_eigen(module: AbModule, c: Scalar, gap: int) -> bool:
 
 
 def _primitive_eigen_element(module: AbModule, mu: Scalar):
-    """A primitive x in E with a.x = mu*b*x exactly, found through the
-    biggest simple-pole submodule; None when mu is not among its exponents."""
-    eb_module, eb_lattice = biggest_simple_pole(module)
-    if all(v != mu for v in spectrum(eb_module)):
+    """A primitive x in E with a.x = mu*b*x exactly, read off the saturation
+    E#, whose Jordan form on this branch is non-split; None when mu - 1 is
+    not an exponent of E# or b times its eigen element is not primitive.
+
+    On a non-split E# with exponent z = mu - 1 the solutions of
+    (a - mu*b)x = 0 in E#[b^-1] are the line C.b.x#, x# the z-eigen element
+    of E# (from ab - ba = b^2).  In the b^-K frame of E#'s lattice, x# has
+    least valuation v, so b.x# lies in E, and is primitive there, exactly
+    when v = K - 1.
+    """
+    sat = saturate(module)
+    z = mu - ONE
+    if all(v != z for v in spectrum(sat.saturated)):
         return None
-    coords, v = _eigen_coords(module, eb_module, eb_lattice, mu)
-    if v != 0:
+    coords, v = _eigen_coords(module, sat.saturated, sat.lattice, z)
+    if v != sat.lattice.shift - 1:
         return None
-    return coords
+    return [c.shift_down(v) for c in coords]
 
 
 def _alpha_from_presentation(module: AbModule, lam: Scalar, n: int) -> Scalar:

@@ -115,19 +115,24 @@ class Element(Record):
     __slots__ = ("coords", "shift")
 
     def __init__(self, coords, shift: int = 0):
+        if not coords:
+            raise BadParameter("an element needs at least one coordinate")
         if shift < 0:
-            raise ValueError("element shift must be >= 0")
+            raise BadParameter(f"element shift must be >= 0, got {shift}")
         w = min(c.precision for c in coords)
         super().__init__(tuple(c.at_precision(w) for c in coords), shift)
 
     @property
     def precision(self) -> int:
-        return self.coords[0].precision if self.coords else 0
+        return self.coords[0].precision
 
     def in_frame(self, shift: int) -> list:
         """Coordinates as seen in the b^{-shift} frame (shift >= self.shift)."""
         if shift < self.shift:
-            raise ValueError("cannot lower an element's frame without dividing")
+            raise BadParameter(
+                f"cannot lower an element's frame from b^-{self.shift} to "
+                f"b^-{shift} without dividing"
+            )
         return col_shift_up(list(self.coords), shift - self.shift)
 
     def normalize(self) -> "Element":

@@ -637,6 +637,23 @@ def eb_width_table(module: AbModule):
     return WidthTable(classes)
 
 
+def eb_primitive_eigen_element(module: AbModule, mu: Scalar):
+    """``functors._primitive_eigen_element`` as first written: the
+    mu-eigenvector of E^b, built by ``biggest_simple_pole``, lifted and
+    mapped into E, which is primitive there when its least valuation is 0;
+    None when mu is not an exponent of E^b."""
+    from abmod import biggest_simple_pole, spectrum
+    from abmod.functors import _eigen_coords
+
+    eb_module, eb_lattice = biggest_simple_pole(module)
+    if all(v != mu for v in spectrum(eb_module)):
+        return None
+    coords, v = _eigen_coords(module, eb_module, eb_lattice, mu)
+    if v != 0:
+        return None
+    return coords
+
+
 def dense_hom_ab(E: AbModule, F: AbModule) -> AbModule:
     """``hom_ab`` with its entries summed by plain ``Series`` ``+``/``-``,
     empty series included."""

@@ -176,6 +176,35 @@ def test_expression_precision_floor(monkeypatch):
                 from_expression(expr, precision)
 
 
+CONSTRUCTORS = [
+    ("make_E_lambda", lambda w: make_E_lambda(HALF, w)),
+    ("make_E_lambda_n", lambda w: make_E_lambda_n(HALF, 2, w)),
+    ("make_E_lambda_mu", lambda w: make_E_lambda_mu(HALF, THIRD, w)),
+    ("make_E_lambda_mu_alpha", lambda w: make_E_lambda_mu_alpha(HALF, 2, 3, w)),
+    ("make_J_k", lambda w: make_J_k(0, 2, w)),
+    ("make_F_rho", lambda w: make_F_rho(0, 3, 2, w)),
+    ("random_regular", lambda w: random_regular(2, 1, w)),
+]
+
+
+@pytest.mark.parametrize("name,build", CONSTRUCTORS, ids=[n for n, _ in CONSTRUCTORS])
+def test_constructors_check_the_precision_as_expressions_do(monkeypatch, name, build):
+    """Every public constructor refuses what from_expression refuses, with
+    the same BadParameter message, before a module is built."""
+    assert build(MAX_PRECISION).precision == MAX_PRECISION
+
+    def never(*args):
+        raise AssertionError(f"{name} built a module outside the precision range")
+
+    monkeypatch.setattr(catalog, "AbModule", never)
+    for precision, message in ((-1, "precision must be >= 1, got -1"),
+                               (0, "precision must be >= 1, got 0"),
+                               (MAX_PRECISION + 1,
+                                f"precision {MAX_PRECISION + 1} exceeds the ceiling")):
+        with pytest.raises(BadParameter, match=message):
+            build(precision)
+
+
 # -- mutated expressions ------------------------------------------------------
 
 MUTATION_SOURCES = ["E(1/2)", "E(-1/3;2)", "E(1/2,1/3)", "E(1/3,2;(1+i))", "E((3+i))",

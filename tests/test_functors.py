@@ -4,12 +4,14 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from abmod import (
     AbModule,
+    AbmodError,
     BadParameter,
     Element,
     HypothesisViolated,
@@ -43,13 +45,15 @@ from abmod import (
     truncate,
     twist,
 )
+from abmod import functors, invariants
 from abmod.invariants import _class_rep
 from abmod.linalg import mat_mul
 from abmod.scalars import ONE
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import dense_hom_ab, mat_sub  # noqa: E402
+from oracles import dense_hom_ab, eb_primitive_eigen_element, mat_sub  # noqa: E402
+from test_base_change import base_changes  # noqa: E402
 from test_saturation_identities import irregular  # noqa: E402
 
 HALF = Scalar(Fraction(1, 2))
@@ -359,3 +363,81 @@ def test_classify_families_and_base_changes():
         for _ in range(3):
             changed = _random_base_change(module, rng)
             assert str(classify_rank2(changed)) == expected
+
+
+def _attempt(f, *args):
+    """f(*args), or the type and message of the library error it raises."""
+    try:
+        return f(*args)
+    except AbmodError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _classified(module):
+    return _attempt(lambda m: str(classify_rank2(m)), module)
+
+
+def _proportional(x, y) -> bool:
+    """Whether the primitive series vectors x and y differ by a nonzero scalar."""
+    pivot = next(i for i, c in enumerate(y) if c.valuation() == 0)
+    ratio = x[pivot].coefficient(0) / y[pivot].coefficient(0)
+    scale = Series.monomial(ratio, 0, y[pivot].precision)
+    return all((u - v * scale).is_zero() for u, v in zip(x, y))
+
+
+@st.composite
+def twisted_alpha_modules(draw):
+    """E(lam,n;alpha), n = 1..4, at a precision from the saturation floor
+    to 24, twisted, maybe dualized, under a sparse base change."""
+    lam = draw(st.sampled_from(("1/2", "1", "-1/3", "2", "i", "(1/2+i)")))
+    n = draw(st.integers(1, 4))
+    alpha = draw(st.sampled_from(("1", "3", "i", "-2", "1/2")))
+    w = draw(st.integers(6, 24))
+    module = twist(from_expression(f"E({lam},{n};{alpha})", w), draw(st.integers(-3, 3)))
+    if draw(st.booleans()):
+        module = dual(module)
+    return base_change(module, draw(base_changes(2, w)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(twisted_alpha_modules())
+def test_the_saturation_route_to_the_primitive_eigenvector_matches_the_eb_route(module):
+    """On a non-split E# of exponent z the primitive (z+1)-eigenvector read
+    off E# is proportional to the one read off E^b (or neither exists), and
+    classify_rank2 gives the same outcome, messages included, either way."""
+    outcome = _classified(module)
+    with mock.patch.object(functors, "_primitive_eigen_element", eb_primitive_eigen_element):
+        assert _classified(module) == outcome
+    inner = _attempt(lambda m: classify_rank2(saturate(m).saturated), module)
+    if isinstance(inner, tuple) or inner.tag != "SimplePoleJordan" or inner.params[1] < 1:
+        return
+    mu = inner.params[0] + ONE
+    new = _attempt(functors._primitive_eigen_element, module, mu)
+    old = _attempt(eb_primitive_eigen_element, module, mu)
+    if new is None or old is None or isinstance(new, tuple) or isinstance(old, tuple):
+        assert new == old
+    else:
+        assert _proportional(new, old)
+
+
+def test_nonsplit_alpha_classification_builds_no_dual_saturation(monkeypatch):
+    calls = []
+
+    def spy(name, f):
+        def counted(*args):
+            calls.append(name)
+            return f(*args)
+        return counted
+
+    memo = invariants.biggest_simple_pole
+    for owner in (functors, invariants):
+        monkeypatch.setattr(owner, "biggest_simple_pole", spy("biggest_simple_pole", memo))
+    monkeypatch.setattr(functors, "dual", spy("dual", functors.dual))
+    module = _random_base_change(make_E_lambda_mu_alpha(HALF, 2, Scalar(3), 14),
+                                 random.Random(26))
+    assert str(classify_rank2(module)) == "NonSplitAlpha(1/2, 2, 3)"
+    assert calls == []
+    # the spies see the calls that E^b's other users still make
+    memo.cache_clear()
+    jordan_holder(module)
+    assert "biggest_simple_pole" in calls and "dual" in calls

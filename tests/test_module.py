@@ -132,3 +132,14 @@ def test_element_normalize_cancels_the_common_b_power():
     # ... and a shift above the precision is refused
     with pytest.raises(PrecisionExhausted, match=r"^normalizing through b\^5 at precision 2$"):
         Element([Series.zero(2), Series.zero(2)], 5).normalize()
+
+
+def test_element_refuses_bad_input_with_a_typed_error():
+    with pytest.raises(BadParameter, match="at least one coordinate"):
+        Element([], 0)
+    with pytest.raises(BadParameter, match="shift must be >= 0, got -1"):
+        Element([Series.one(4)], -1)
+    x = Element([Series.one(4), _b_series([(1, 2)], 4)], 2)
+    assert x.in_frame(3) == [_b_series([(1, 1)], 5), _b_series([(2, 2)], 5)]
+    with pytest.raises(BadParameter, match=r"from b\^-2 to b\^-1 without dividing"):
+        x.in_frame(1)

@@ -20,16 +20,20 @@ intertwiner solver, its early exit and the shared prefix of the trials),
 isomorphic), ``abmod ext 'J(7;0)' 'J(7;0)' --precision 112`` (saturation
 and the width table of a Hom of rank 49), ``abmod fd 'rand(4;1001)'
 --precision 26 --trials 100`` (the intertwiner solver on a dense structure
-matrix, where the ``J(4;0)`` probe's is sparse) and ``abmod ext 'J(10;0)'
-'J(10;0)' --precision 256`` (a Hom of rank 100).  Their times are wall times
-of the whole process, not scaled to the host's speed.  Two more probes are
-in-process twins of the ``rand(4;1001)`` and ``J(7;0)`` probes: one fresh
-child per run and side imports that side's ``abmod``, pins itself to one
-CPU as ``bench/run.py`` does, builds the modules untimed (``rand(4;1001)``
-at precision 26, or ``J(7;0)`` twice at precision 112), and times one
-statement (``verify_fd(module, 100, 0)``, or ``ext_dims`` of the pair)
-between two rounds of ``bench/run.py``'s ``HostSpeed``, which scale it as
-the workload items are scaled; their runs are compared on the scaled time.
+matrix, where the ``J(4;0)`` probe's is sparse), ``abmod ext 'J(10;0)'
+'J(10;0)' --precision 256`` (a Hom of rank 100) and ``abmod classify2
+'E(1/2,2;3)' --precision 48`` (the ``NonSplitAlpha`` branch: a primitive
+eigenvector read off the saturation, then alpha).  Their times are wall
+times of the whole process, not scaled to the host's speed.  Three more
+probes are in-process twins of the ``rand(4;1001)``, ``J(7;0)`` and
+``E(1/2,2;3)`` probes: one fresh child per run and side imports that side's
+``abmod``, pins itself to one CPU as ``bench/run.py`` does, builds the
+modules untimed (``rand(4;1001)`` at precision 26, ``J(7;0)`` twice at
+precision 112, or ``E(1/2,2;3)`` at precision 48), and times one statement
+(``verify_fd(module, 100, 0)``, ``ext_dims`` of the pair, or
+``classify_rank2`` of its twists by -3..3) between two rounds of
+``bench/run.py``'s ``HostSpeed``, which scale it as the workload items are
+scaled; their runs are compared on the scaled time.
 Runs are sequential, one process at a time.
 
 The output holds every run, and for every end-to-end metric the median and
@@ -59,7 +63,8 @@ PROBES = (["info", "J(12;0)", "--precision", "60"], ["ext", "J(4;0)", "F(4;0;1/2
           ["fd", "J(4;0)", "--trials", "40"], ["iso", "F(5;0;2)", "J(5;0)"],
           ["ext", "J(7;0)", "J(7;0)", "--precision", "112"],
           ["fd", "rand(4;1001)", "--precision", "26", "--trials", "100"],
-          ["ext", "J(10;0)", "J(10;0)", "--precision", "256"])
+          ["ext", "J(10;0)", "J(10;0)", "--precision", "256"],
+          ["classify2", "E(1/2,2;3)", "--precision", "48"])
 
 
 def _bench(root: str, workload: str, seed: int) -> dict:
@@ -95,6 +100,9 @@ IN_PROCESS_PROBES = (
     ("ext_dims(from_expression('J(7;0)', 112), from_expression('J(7;0)', 112))",
      "left = from_expression('J(7;0)', 112); right = from_expression('J(7;0)', 112)",
      "ext_dims(left, right)"),
+    ("[str(classify_rank2(twist(m, k))) for k in range(-3, 4)]",
+     "m = from_expression('E(1/2,2;3)', 48)",
+     "[str(classify_rank2(twist(m, k))) for k in range(-3, 4)]"),
 )
 # Run in a child with argv [bench/run.py, setup, statement]; prints one JSON
 # line: raw and host-scaled seconds of the statement, and the repr of its
