@@ -25,15 +25,13 @@ from .errors import (
 from .invariants import (
     _class_rep,
     biggest_simple_pole,
-    delta_index,
     is_regular,
     n_lambda,
-    regularity_order,
     saturate,
     spectrum,
 )
 from .lattice import Lattice, lattice_from_columns
-from .module import AbModule, Element, apply_a, base_change
+from .module import AbModule, Element, base_change
 from .morphisms import IntertwinerSystem
 from .record import Record
 from .scalars import ONE, ZERO, Scalar
@@ -243,7 +241,7 @@ def _eigen_data(module: AbModule, x: Element):
     )
     if pivot is None:
         raise NotPrimitive("element lies in b.E")
-    ax = apply_a(module, z).coords
+    ax = a_image(module.matrix, [coords])[0]
     ratio = ax[pivot] * coords[pivot].invert()
     lam = ratio.coefficient(1)
     if not ratio.coefficient(0).is_zero():
@@ -462,16 +460,20 @@ class Rank2NormalForm(Record):
 
 
 def _has_primitive_eigen(module: AbModule, c: Scalar, gap: int) -> bool:
-    """Whether a primitive solution of (a - c*b)x = 0 exists.
+    """Whether a primitive solution of (a - c*b)x = 0 exists, for c the
+    larger exponent of a simple-pole module whose exponents differ by gap.
 
-    Decided on truncations: the span of constant blocks of the kernel of
-    A - c*B stabilizes once the level passes every obstruction order; the
-    result is certified by agreement at two consecutive levels.  Each
-    truncation's kernel is solved order by order, as the intertwiners from
-    the rank-1 module [[c*b]] into E.
+    With residue matrix R, order k of the equation reads
+        (R - c + k - 1) x_{k-1} = -sum_{j >= 2} M_j x_{k-j},
+    which is singular only at k = 1, putting x_0 in ker(R - c), and at
+    k = gap + 1, where the matrix is R - (c - gap).  So after gap + 2 orders
+    a nonzero x_0 survives exactly when that resonance is unobstructed, and
+    no later order constrains x_0 again; the answer is certified by the
+    same rank of block 0 after one more order.  The kernel is solved order
+    by order, as the intertwiners from the rank-1 module [[c*b]] into E.
     """
-    level = gap + delta_index(module) + regularity_order(module) + 6
-    if level + 2 > module.precision:
+    level = gap + 2
+    if level + 1 > module.precision:
         raise PrecisionExhausted(
             "not enough precision for the primitive-eigenvector test"
         )

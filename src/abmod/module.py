@@ -177,14 +177,6 @@ class Element(Record):
 # ---------------------------------------------------------------------------
 
 
-def apply_a(module: AbModule, x: Element) -> Element:
-    """a(x) for x in the localized module.
-
-    On the b^{-K} frame:  a(b^{-K} v) = b^{-K} (M v + b^2 v' - K b v).
-    """
-    return Element(a_image(module.matrix, [x.coords], x.shift)[0], x.shift)
-
-
 def base_change(module: AbModule, q) -> AbModule:
     """The same module in the basis formed by the columns of q.
 

@@ -116,6 +116,10 @@ def test_jh_classify_truncate_golden(capsys):
     assert code == 0 and out == ["jh: 3, 2, 1"]
     code, out, _ = run(["classify2", "E(1/2,3/2)"], capsys)
     assert code == 0 and out == ["class2: NonSplit(1/2, 3/2)"]
+    # gap 2: the split test needs gap + 3 = 5 orders, the saturation 6, so
+    # no precision_raised line
+    code, out, _ = run(["classify2", "E(1/2;2)", "--precision", "6"], capsys)
+    assert code == 0 and out == ["class2: SimplePoleJordan(1/2, 2)"]
     code, out, _ = run(["truncate", "E(1/2)", "2"], capsys)
     assert code == 0 and out == ["dim 2", "A 2 1: 1/2", "B 2 1: 1"]
 

@@ -23,7 +23,6 @@ from abmod import (
     Series,
     UnsupportedSpectrum,
     alpha_invariant,
-    apply_a,
     base_change,
     classify_rank2,
     dual,
@@ -49,6 +48,7 @@ from abmod import functors, invariants
 from abmod.invariants import _class_rep
 from abmod.linalg import mat_mul
 from abmod.scalars import ONE
+from abmod.seriesmat import a_image
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -245,9 +245,9 @@ def test_eigen_lift_corrects_seed():
     m = _sum_with_cocycle(HALF, Scalar(Fraction(1, 3)), 2, 12)
     seed = m.basis_element(1)
     x = eigen_lift(m, Scalar(Fraction(1, 3)), seed, 0)
-    lhs = apply_a(m, x)
+    lhs = a_image(m.matrix, [x.coords])[0]
     rhs = [(c * Scalar(Fraction(1, 3))).shift_up(1) for c in x.coords]
-    assert all((u - v).is_zero() for u, v in zip(lhs.coords, rhs))
+    assert all((u - v).is_zero() for u, v in zip(lhs, rhs))
 
 
 def test_eigen_lift_guards_class_gap():
@@ -441,3 +441,99 @@ def test_nonsplit_alpha_classification_builds_no_dual_saturation(monkeypatch):
     memo.cache_clear()
     jordan_holder(module)
     assert "biggest_simple_pole" in calls and "dual" in calls
+
+
+# -- the split test's level -------------------------------------------------
+
+
+def _classification_floor(module):
+    """The least precision at which classify_rank2 answers on a truncation:
+    6 for the saturation, and gap + 3 for the split test on the simple-pole
+    model (E itself, or E#, which is one order shorter)."""
+    x, y = spectrum(saturate(module).saturated)
+    gap = abs(int((x - y).re)) if (x - y).is_integer() else 0
+    return max(6, gap + 3) + (0 if module.is_simple_pole() else 1)
+
+
+def _assert_truncations_agree(module):
+    """Every truncation from the floor to 24 gets the answer of the module
+    at its own precision; just below the floor the precision runs out."""
+    expected = _classified(module)
+    assert not isinstance(expected, tuple), expected
+    floor = _classification_floor(module)
+    below = _classified(module.at_precision(floor - 1))
+    assert below[0] == "PrecisionExhausted", (floor, below)
+    assert "did not stabilize" not in below[1]
+    for w in range(floor, 25):
+        assert _classified(module.at_precision(w)) == expected, (w, expected)
+
+
+_LAMBDAS = ("1/2", "0", "-1/3", "(1/2+i)")
+
+
+@pytest.mark.parametrize("lam", _LAMBDAS)
+@pytest.mark.parametrize("n", (1, 2, 3, 5))
+def test_twisted_family_classification_holds_down_to_its_floor(lam, n):
+    for alpha in ("3", "-2", "i"):
+        _assert_truncations_agree(from_expression(f"E({lam},{n};{alpha})", 60))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    lam=st.sampled_from(_LAMBDAS),
+    n=st.sampled_from((1, 2, 3, 5)),
+    alpha=st.sampled_from(("3", "-2", "i")),
+    k=st.integers(-3, 3),
+    dualized=st.booleans(),
+    q=base_changes(2, 60),
+)
+def test_changed_twisted_family_classification_holds_down_to_its_floor(
+    lam, n, alpha, k, dualized, q
+):
+    module = twist(from_expression(f"E({lam},{n};{alpha})", 60), k)
+    if dualized:
+        module = dual(module)
+    _assert_truncations_agree(base_change(module, q))
+
+
+@pytest.mark.parametrize(
+    "exprs",
+    [
+        [f"E({lam};{n})" for lam in _LAMBDAS for n in (1, 2, 3, 5)],
+        ["E(1/2,1/3)", "E(0,5)", "E(1/2,3/2)", "E(1/2,5/2)", "E(0,0)", "E(1,3)"],
+        [f"rand(2;{seed})" for seed in range(60)],
+    ],
+    ids=["E(l;n)", "E(l,m)", "rand"],
+)
+def test_catalog_classification_holds_down_to_its_floor(exprs):
+    for expr in exprs:
+        module = from_expression(expr, 60)
+        _assert_truncations_agree(module)
+        _assert_truncations_agree(dual(module))
+
+
+def test_split_test_solves_to_the_resonance_order(monkeypatch):
+    """The primitive-eigenvector test solves gap + 2 orders, then certifies
+    with one more, on split and non-split simple-pole modules alike."""
+    levels = []
+
+    class Spy(functors.IntertwinerSystem):
+        def solve(self, w=None):
+            levels.append(self.w if w is None else w)
+            return super().solve(w)
+
+    monkeypatch.setattr(functors, "IntertwinerSystem", Spy)
+    rng = random.Random(27)
+    for gap in (1, 2, 3, 5):
+        jordan = make_E_lambda_n(HALF, gap, 24)
+        split = AbModule(
+            [
+                [Series.monomial(HALF, 1, 24), Series.zero(24)],
+                [Series.zero(24), Series.monomial(HALF + Scalar(gap), 1, 24)],
+            ]
+        )
+        for module, tag in ((jordan, "SimplePoleJordan"), (split, "DirectSum")):
+            for changed in (module, _random_base_change(module, rng)):
+                levels.clear()
+                assert classify_rank2(changed).tag == tag
+                assert levels == [gap + 2, gap + 3]

@@ -126,11 +126,14 @@ QUERIES = {
 }
 
 # sha256 of the lines "label: result" over the grid, as the library printed
-# them before the invariants were memoized.
+# them before the invariants were memoized.  The classify_rank2 digest was
+# taken again when the split test moved to the resonance order gap + 2:
+# fourteen labels that raised PrecisionExhausted at W = 8 or 12 now answer,
+# each as the same module does at W = 24; no other line changed.
 GOLDEN = {
     "spectrum": "9d27b25525ecad3a24a4f6d95a35172d4f1e4e312faa0328312566dd1e7b83a4",
     "width_table": "bffe6d33868fdc47b984b265ab397be044c301d8d2dc47810c2c98873d760c57",
-    "classify_rank2": "4979551e8b402bfca57997f0c4482669c445a33ec74d5bf7f86f390b6ebf892d",
+    "classify_rank2": "20556cc91479498ae51c9774d3dbc34b8dd2e5ab7df0b6663a4ce9d228a2f5f1",
     "jordan_holder lex":
         "d1307d2dbae75059d0f81390da85232f709ae5885515006eee20652364063efb",
     "jordan_holder revlex":

@@ -17,7 +17,6 @@ from abmod import (
     Scalar,
     Series,
     WidthTable,
-    apply_a,
     classify_rank2,
     from_expression,
     identity_truncation_iso,
@@ -26,6 +25,7 @@ from abmod import (
     truncate,
     width_table,
 )
+from abmod.seriesmat import a_image
 
 CATALOG = ["E(1/2)", "E(1/2;2)", "E(1/2,1/3)", "J(3;0)", "F(3;1/2;1/2)", "rand(3;7)"]
 
@@ -64,7 +64,7 @@ def test_module_lattice_and_elements_round_trip(expr):
         lattice.shift, lattice.gens, lattice.pivots, lattice.precision
     )
 
-    x = Element(apply_a(module, module.basis_element(0)).coords, 1)
+    x = Element(a_image(module.matrix, [module.basis_element(0).coords])[0], 1)
     assert isinstance(x, Element)
     _round_trips(x)
     assert pickle.loads(pickle.dumps(x)).shift == x.shift
