@@ -160,12 +160,40 @@ def ext_dims(E: AbModule, F: AbModule) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _eigen_column(matrix, lam: Scalar, fixed: dict) -> list:
+    """The column x with (a - lam*b)x = 0 on a simple-pole structure matrix
+    of precision w, its blocks x_0..x_kappa prescribed by ``fixed``, solved
+    as the intertwiner from the rank-1 module [[lam*b]] and cut to w - 1.
+
+    Order k of the equation only involves x_0..x_{k-1}: orders up to
+    kappa + 1 check the prescribed blocks, and each later order k fixes
+    x_{k-1}.  So data known mod b^w fix x_0..x_{w-2} and nothing more.
+    """
+    w = min(e.precision for row in matrix for e in row)
+    source = [[Series.monomial(lam, 1, w)]]
+    system = IntertwinerSystem(source, matrix, w, fixed=fixed)
+    if system.solve(len(fixed) + 1) is None:
+        raise HypothesisViolated(
+            "residual of the seed is not divisible by b^(kappa+2)"
+        )
+    if system.solve(w) is None or system.parameters_in_blocks(0, w - 1):
+        raise HypothesisViolated(
+            "correction system is singular: lifting hypothesis violated"
+        )
+    return [row[0].at_precision(w - 1) for row in system.series_matrix({})]
+
+
 def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
-    """Correct y order by order into an exact solution of (a - lam*b)x = 0.
+    """The exact solution x of (a - lam*b)x = 0 that agrees with y below
+    b^(kappa+1), known to precision W - 1 on a module of precision W.
 
     Requires a simple pole, a residual (a - lam*b)y divisible by b^(kappa+2),
     and lam - kappa at most the smallest residue eigenvalue congruent to lam
-    modulo 1 (so the correction systems stay nonsingular).
+    modulo 1 (so the correction systems stay nonsingular).  With residue
+    matrix R, order k of the equation reads
+        (R - lam + k - 1) x_{k-1} = -sum_{j >= 2} M_j x_{k-j},
+    so it fixes x_{k-1}: the W orders the module knows fix x_0..x_{W-2},
+    and the coefficient of b^(W-1) is not claimed.
     """
     if not module.is_simple_pole():
         raise NotSimplePole("eigen lifting requires a simple-pole module")
@@ -175,11 +203,8 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
     z = y.normalize()
     if z.shift > 0:
         raise HypothesisViolated("seed element does not lie in the module")
-    p = module.rank
-    w = module.precision
-    if kappa + 2 > w:
+    if kappa + 2 > module.precision:
         raise PrecisionExhausted("module precision too small for the given kappa")
-    res = module.residue_matrix()
     same_class = [v for v in spectrum(module) if (lam - v).is_integer()]
     if same_class:
         lo = min(same_class, key=Scalar.sort_key)
@@ -187,42 +212,9 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
             raise HypothesisViolated(
                 "lam - kappa exceeds the smallest eigenvalue in its class"
             )
-    b = Series.b(w)
-
-    def residual(col):
-        """(a - lam*b) applied to col."""
-        image = a_image(module.matrix, [col])[0]
-        return [u - b * v * lam for u, v in zip(image, col)]
-
-    x = list(z.in_frame(0))
-    r = residual(x)
-    for i in range(p):
-        for t in range(kappa + 2):
-            if not r[i].coefficient(t).is_zero():
-                raise HypothesisViolated(
-                    "residual of the seed is not divisible by b^(kappa+2)"
-                )
-    for k in range(kappa + 1, w - 1):
-        rv = [r[i].coefficient(k + 1) for i in range(p)]
-        if all(v.is_zero() for v in rv):
-            continue
-        shift = Scalar(k) - lam
-        mat = [
-            [res[i][j] + shift if i == j else res[i][j] for j in range(p)]
-            for i in range(p)
-        ]
-        sol = linalg.solve(mat, [-v for v in rv])
-        if sol is None:
-            raise HypothesisViolated(
-                "correction system is singular: lifting hypothesis violated"
-            )
-        correction = [Series.monomial(v, k, w) for v in sol]
-        x = [u + v for u, v in zip(x, correction)]
-        r = [u + v for u, v in zip(r, residual(correction))]
-    for i in range(p):
-        if not r[i].is_zero():
-            raise HypothesisViolated("eigen lifting did not converge")
-    return Element(x, 0)
+    coords = z.in_frame(0)
+    fixed = {k: [[c.coefficient(k)] for c in coords] for k in range(kappa + 1)}
+    return Element(_eigen_column(module.matrix, lam, fixed), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +295,13 @@ _JH_POLICIES = ("lex", "revlex")
 
 def _unit_normalizer(g: Series, lam: Scalar) -> Series:
     """The unit u with u*g + b^2*u' = lam*b*u, i.e. u = exp(int (lam*b-g)/b^2):
-    the rank-1 intertwiner from [[lam*b]] into [[g]] with constant term 1.
+    the rank-1 intertwiner from [[lam*b]] into [[g]] with constant term 1,
+    known to precision g.precision - 1.
 
     Requires g to have residue coefficient lam (so the integrand is regular);
     otherwise the prescribed constant term is inconsistent.
     """
-    w = g.precision
-    source = [[Series.monomial(lam, 1, w)]]
-    system = IntertwinerSystem(source, [[g]], w, fixed={0: [[ONE]]}).solve()
-    if system is None:
-        raise HypothesisViolated("series does not have the expected residue")
-    # order k fixes the coefficient of b^(k-1), so the top one stays free
-    return system.series_matrix({})[0][0].at_precision(w - 1)
+    return _eigen_column([[g]], lam, {0: [[ONE]]})[0]
 
 
 def _choose_class(values, policy: str):
@@ -487,8 +474,8 @@ def _has_primitive_eigen(module: AbModule, c: Scalar, gap: int) -> bool:
 
 def _primitive_eigen_element(module: AbModule, mu: Scalar):
     """A primitive x in E with a.x = mu*b*x exactly, read off the saturation
-    E#, whose Jordan form on this branch is non-split; None when mu - 1 is
-    not an exponent of E# or b times its eigen element is not primitive.
+    E#, whose Jordan form on this branch is non-split; None when b times its
+    eigen element is not primitive.
 
     On a non-split E# with exponent z = mu - 1 the solutions of
     (a - mu*b)x = 0 in E#[b^-1] are the line C.b.x#, x# the z-eigen element
@@ -497,10 +484,7 @@ def _primitive_eigen_element(module: AbModule, mu: Scalar):
     when v = K - 1.
     """
     sat = saturate(module)
-    z = mu - ONE
-    if all(v != z for v in spectrum(sat.saturated)):
-        return None
-    coords, v = _eigen_coords(module, sat.saturated, sat.lattice, z)
+    coords, v = _eigen_coords(module, sat.saturated, sat.lattice, mu - ONE)
     if v != sat.lattice.shift - 1:
         return None
     return [c.shift_down(v) for c in coords]

@@ -1,7 +1,7 @@
 """Dense exact linear algebra over Q(i).
 
 Matrices are lists of rows of ``Scalar``; vectors are lists of ``Scalar``.
-All exact elimination (rref, ranks, solves, nullspaces, determinants) runs
+All exact elimination (rref, ranks, nullspaces, inverses, determinants) runs
 through one kernel, the incremental row basis ``Echelon``, whose every row
 has a 1 at its pivot and a 0 at the pivots of the rows added before it.
 Exact eigenvalues come from ``poly_roots_qi``: the roots in Q(i) of the
@@ -146,20 +146,6 @@ def nullspace(a: Matrix) -> list[Vector]:
             v[pc] = -r[k][free]
         basis.append(v)
     return basis
-
-
-def solve(a: Matrix, b: Vector) -> Optional[Vector]:
-    """One exact solution of a x = b (free coordinates set to 0), or None."""
-    rows = len(a)
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    cols = len(a[0]) if rows else 0
-    r, pivots = rref(aug)
-    if cols in pivots:
-        return None  # inconsistent: pivot in the augmented column
-    x = [ZERO] * cols
-    for k, pc in enumerate(pivots):
-        x[pc] = r[k][cols]
-    return x
 
 
 def det(a: Matrix) -> Scalar:

@@ -23,7 +23,9 @@ source [[c*b]] the solutions at w orders are the x in E/b^w E with
 (a - c*b)x = 0, and with the source [[0]] the kernel of a.  Each free
 parameter survives as one block entry, so the kernel has dimension
 ``len(alive)``, and ``rank_in_blocks`` gives the rank of its image in
-chosen low-order blocks.
+chosen low-order blocks.  With the low blocks of x prescribed it is also
+``functors.eigen_lift``, which lifts a seed to the exact solution of
+(a - c*b)x = 0, and the unit normalizer of a rank-1 Jordan-Hoelder step.
 
 ``solve(w)`` resumes after the orders already processed, so a certificate
 read at two consecutive levels grows one system by one order.  A search

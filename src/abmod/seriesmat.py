@@ -60,10 +60,10 @@ def a_image(m, cols, shift: int = 0) -> list:
 
     For structure matrix m and each column v,
     a(b^{-K} v) = b^{-K} (m v + b^2 v' - K b v); the images come back as
-    columns in the same frame.  Elements, lattices, base changes,
-    truncations and eigen_lift's residual all apply a through here; only
-    the coefficient-level forms of the intertwiner solver and
-    verify_intertwiner write the rule out again, for speed.
+    columns in the same frame.  Elements, lattices, base changes and
+    truncations all apply a through here; only the coefficient-level forms
+    of the intertwiner solver and verify_intertwiner write the rule out
+    again, for speed.
 
     An image entry is known to min(w + 1, the least precision of its row
     of m, the least precision of v), where w = min(least precision of m,

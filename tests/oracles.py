@@ -13,6 +13,7 @@ import sympy
 
 from abmod import (
     AbModule,
+    Element,
     Lattice,
     NotRegular,
     PrecisionExhausted,
@@ -652,6 +653,44 @@ def eb_primitive_eigen_element(module: AbModule, mu: Scalar):
     if v != 0:
         return None
     return coords
+
+
+def hand_eigen_lift(module: AbModule, lam: Scalar, y: Element, kappa: int) -> Element:
+    """``functors.eigen_lift`` as first written: the seed y is corrected order
+    by order, the correction of b^k solving (R - lam + k) x_k = -r_{k+1} for
+    the b^(k+1) coefficient r_{k+1} of the residual (a - lam*b)x, by rref of
+    the augmented matrix.  The loop stops at k = W - 2, so only the
+    coefficients below b^(W-1) are corrected; the one of b^(W-1) keeps the
+    seed's value.  Raises HypothesisViolated where the library refuses a
+    residual or a singular correction; the other hypotheses are the
+    caller's."""
+    from abmod.errors import HypothesisViolated
+
+    p, w = module.rank, module.precision
+    res = module.residue_matrix()
+    b = Series.b(w)
+
+    def residual(col):
+        image = a_image(module.matrix, [col])[0]
+        return [u - b * v * lam for u, v in zip(image, col)]
+
+    x = list(y.normalize().in_frame(0))
+    r = residual(x)
+    if any(not c.coefficient(t).is_zero() for c in r for t in range(kappa + 2)):
+        raise HypothesisViolated("residual of the seed is not divisible by b^(kappa+2)")
+    for k in range(kappa + 1, w - 1):
+        aug = [
+            [res[i][j] + (Scalar(k) - lam if i == j else ZERO) for j in range(p)]
+            + [-r[i].coefficient(k + 1)]
+            for i in range(p)
+        ]
+        red, pivots = rref(aug)
+        if pivots != list(range(p)):
+            raise HypothesisViolated("correction system is singular")
+        correction = [Series.monomial(row[p], k, w) for row in red]
+        x = [u + v for u, v in zip(x, correction)]
+        r = [u + v for u, v in zip(r, residual(correction))]
+    return Element(x, 0)
 
 
 def dense_hom_ab(E: AbModule, F: AbModule) -> AbModule:

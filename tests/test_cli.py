@@ -114,6 +114,10 @@ def test_ext_of_a_rank16_hom(capsys):
 def test_jh_classify_truncate_golden(capsys):
     code, out, _ = run(["jh", "J(3;1)"], capsys)
     assert code == 0 and out == ["jh: 3, 2, 1"]
+    # each lift keeps only the W - 1 orders it knows, so J(3;0)'s sequence
+    # no longer fits in 8 orders
+    code, out, _ = run(["jh", "J(3;0)", "--precision", "8"], capsys)
+    assert code == 0 and out == ["precision_raised: 16", "jh: 2, 1, 0"]
     code, out, _ = run(["classify2", "E(1/2,3/2)"], capsys)
     assert code == 0 and out == ["class2: NonSplit(1/2, 3/2)"]
     # gap 2: the split test needs gap + 3 = 5 orders, the saturation 6, so

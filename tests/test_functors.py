@@ -46,14 +46,20 @@ from abmod import (
 )
 from abmod import functors, invariants
 from abmod.invariants import _class_rep
-from abmod.linalg import mat_mul
+from abmod.linalg import mat_mul, nullspace
 from abmod.scalars import ONE
 from abmod.seriesmat import a_image
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import dense_hom_ab, eb_primitive_eigen_element, mat_sub  # noqa: E402
+from oracles import (  # noqa: E402
+    dense_hom_ab,
+    eb_primitive_eigen_element,
+    hand_eigen_lift,
+    mat_sub,
+)
 from test_base_change import base_changes  # noqa: E402
+from test_invariant_memos import EXPRS as MEMO_EXPRS, _outcome  # noqa: E402
 from test_saturation_identities import irregular  # noqa: E402
 
 HALF = Scalar(Fraction(1, 2))
@@ -275,6 +281,63 @@ def test_eigen_lift_refuses_each_broken_hypothesis():
         eigen_lift(m, third, m.basis_element(0), 0)
 
 
+def _rank1(coeffs, w):
+    """The rank-1 module [[g]], g = sum of c*b^k over coeffs {k: c}, at precision w."""
+    g = Series.zero(w)
+    for k, c in coeffs.items():
+        g = g + Series.monomial(Scalar.of(c), k, w)
+    return AbModule([[g]])
+
+
+def test_eigen_lift_claims_only_the_orders_it_corrects():
+    """Order k of (a - lam*b)x = 0 fixes x_{k-1}, so W known orders fix
+    x_0..x_{W-2}: the lift has precision W - 1 and agrees with a lift from
+    more orders.  The hand loop it replaced claimed precision W and left the
+    seed's 0 at b^(W-1)."""
+    g = {1: HALF, 2: 1, 3: 3, 4: -2, 5: 5}
+    low, high = _rank1(g, 6), _rank1(g, 8)
+    x = eigen_lift(low, HALF, low.basis_element(0), 0).coords[0]
+    y = eigen_lift(high, HALF, high.basis_element(0), 0).coords[0]
+    assert x.precision == 5 and y.precision == 7
+    assert x == y.at_precision(5)
+    assert y.coefficient(5) == Scalar(Fraction(-3, 10))
+    hand = hand_eigen_lift(low, HALF, low.basis_element(0), 0).coords[0]
+    assert hand.precision == 6 and hand.coefficient(5).is_zero()
+    assert hand.at_precision(5) == x
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    rank=st.integers(1, 3),
+    seed=st.integers(0, 10**4),
+    w=st.integers(4, 16),
+)
+def test_eigen_lift_is_the_cut_of_a_longer_lift(rank, seed, w):
+    """For every exponent of a random simple-pole module, the lift from a
+    residue eigenvector at precision W is the lift at precision 40 cut to
+    W - 1, and agrees below b^(W-1) with the hand-written recurrence."""
+    top = random_regular(rank, seed, 40, simple_pole=True)
+    module = top.at_precision(w)
+    res = top.residue_matrix()
+    for lam in sorted(set(spectrum(top)), key=Scalar.sort_key):
+        shifted = [
+            [res[i][j] - lam if i == j else res[i][j] for j in range(rank)]
+            for i in range(rank)
+        ]
+        vector = nullspace(shifted)[0]
+        seed = Element([Series.monomial(c, 0, w) for c in vector], 0)
+        got = _outcome(eigen_lift, module, lam, seed, 0)
+        want = _outcome(eigen_lift, top, lam, seed, 0)
+        if want[0] != "ok":
+            assert got == want
+            continue
+        got, want = got[1].coords, want[1].coords
+        assert [c.precision for c in got] == [w - 1] * rank
+        assert list(got) == [c.at_precision(w - 1) for c in want]
+        hand = hand_eigen_lift(module, lam, seed, 0).coords
+        assert list(got) == [c.at_precision(w - 1) for c in hand]
+
+
 def test_quotient_by_rank1():
     lam, mu = HALF, Scalar(Fraction(1, 3))
     m = make_E_lambda_mu(lam, mu, 12)        # a y = mu b y, a t = y + (lam-1) b t
@@ -310,6 +373,31 @@ def test_jh_filtration_is_nested():
     for small, large in zip(seq.filtration, seq.filtration[1:]):
         for gen in small.gens:
             assert large.contains_column(list(gen), shift=small.shift)
+
+
+def test_jordan_holder_filtrations_hold_under_a_cut():
+    """Every memo-grid expression and its dual, built at W = 40 and cut to
+    W = 8, 12 and 24: each answered Jordan-Hoelder sequence has the W = 40
+    exponents and filtration, under both policies.  The grid's three
+    F(k;...) modules with a spectrum outside Q(i) have no reference."""
+    answered = 0
+    for expr in MEMO_EXPRS:
+        top = from_expression(expr, 40)
+        for module in (top, dual(top)):
+            for policy in ("lex", "revlex"):
+                try:
+                    ref = jordan_holder(module, policy)
+                except UnsupportedSpectrum:
+                    continue
+                for w in (8, 12, 24):
+                    try:
+                        seq = jordan_holder(module.at_precision(w), policy)
+                    except PrecisionExhausted:
+                        continue
+                    answered += 1
+                    assert seq.exponents == ref.exponents, (policy, expr, w)
+                    assert seq.filtration == ref.filtration, (policy, expr, w)
+    assert answered == 292
 
 
 # -- rank-2 classification ---------------------------------------------------

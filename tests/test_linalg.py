@@ -23,7 +23,6 @@ from abmod.linalg import (
     nullspace,
     poly_roots_qi,
     rref,
-    solve,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -175,12 +174,6 @@ def test_edge_cases_keep_their_values():
     for a in (zero, deficient, [[Scalar(0)] * 4 for _ in range(4)]):
         r, _ = rref(a)
         assert len({id(row) for row in r}) == len(r)
-
-
-def test_solve_consistent_and_inconsistent():
-    a = [[Scalar(1), Scalar(2)], [Scalar(2), Scalar(4)]]
-    assert solve(a, [Scalar(3), Scalar(6)]) is not None
-    assert solve(a, [Scalar(3), Scalar(7)]) is None
 
 
 def test_rref_idempotent():
