@@ -4,12 +4,14 @@ Matrices are lists of rows of ``Scalar``; vectors are lists of ``Scalar``.
 All exact elimination (rref, ranks, nullspaces, inverses, determinants) runs
 through one kernel, the incremental row basis ``Echelon``, whose every row
 has a 1 at its pivot and a 0 at the pivots of the rows added before it.
-Exact eigenvalues come from ``poly_roots_qi``: the roots in Q(i) of the
-characteristic polynomial, found p-adically (Hensel lifting at a prime
-p = 1 mod 4) and each verified by exact division, with no sympy.  The
-characteristic polynomial itself costs O(n^3): a Hessenberg reduction by
-similarity, then a recurrence over its leading blocks
-(Cohen, Algorithm 2.2.9).
+Exact eigenvalues are read block by block off the block-triangular form of
+the matrix (the strongly connected components of its nonzero pattern): a
+1 x 1 block is its own eigenvalue, and a larger block gives the roots in
+Q(i) of its characteristic polynomial, found by ``poly_roots_qi``
+p-adically (Hensel lifting at a prime p = 1 mod 4) and each verified by
+exact division, with no sympy.  The characteristic polynomial itself costs
+O(n^3): a Hessenberg reduction by similarity, then a recurrence over its
+leading blocks (Cohen, Algorithm 2.2.9).
 """
 
 from __future__ import annotations
@@ -391,7 +393,15 @@ def poly_roots_qi(coeffs: Sequence[Scalar]) -> list[tuple[Scalar, int]]:
     f = _strip(list(coeffs))
     if not f:
         raise UnsupportedSpectrum("the zero polynomial has no finite set of roots")
-    degree = len(f) - 1
+    roots = _roots_qi(f)
+    _require_split(len(f) - 1, sum(count for _, count in roots))
+    return roots
+
+
+def _roots_qi(f: list) -> list[tuple[Scalar, int]]:
+    """The roots in Q(i), with multiplicities and sorted, of the polynomial f
+    (leading coefficient nonzero); they fall short of its degree when f
+    does not split over Q(i)."""
     zeros = next(k for k, c in enumerate(reversed(f)) if c)
     f = f[:len(f) - zeros]
     den = 1
@@ -410,19 +420,82 @@ def poly_roots_qi(coeffs: Sequence[Scalar]) -> list[tuple[Scalar, int]]:
                 quotient, exact = _divide_linear(form, a, b)
             if count:
                 found.append(((a, b), count))
-    covered = sum(count for _, count in found)
-    if covered != degree:
-        raise UnsupportedSpectrum(
-            f"polynomial of degree {degree} does not split over Q(i)"
-            f" (roots there, with multiplicity: {covered})"
-        )
     # den > 0, so sorting den * root by (re, im) orders the roots as
     # Scalar.sort_key does.
     return [(_make(a, b, den), count) for (a, b), count in sorted(found)]
 
 
+def _require_split(degree: int, covered: int) -> None:
+    if covered != degree:
+        raise UnsupportedSpectrum(
+            f"polynomial of degree {degree} does not split over Q(i)"
+            f" (roots there, with multiplicity: {covered})"
+        )
+
+
+def _diagonal_blocks(a: Matrix) -> list[list[int]]:
+    """The index sets of the diagonal blocks of a's block-triangular form:
+    the strongly connected components of the graph i -> j for a[i][j] != 0.
+
+    Reachability is closed as bit sets (Warshall); i and j share a block
+    when each reaches the other.
+    """
+    n = len(a)
+    reach = []
+    for i, row in enumerate(a):
+        bits = 1 << i
+        for j, x in enumerate(row):
+            if x:
+                bits |= 1 << j
+        reach.append(bits)
+    for k in range(n):
+        bit, row_k = 1 << k, reach[k]
+        for i in range(n):
+            if reach[i] & bit:
+                reach[i] |= row_k
+    blocks = []
+    left = (1 << n) - 1
+    while left:
+        i = (left & -left).bit_length() - 1
+        block = [j for j in range(i, n) if reach[i] >> j & 1 and reach[j] >> i & 1]
+        for j in block:
+            left ^= 1 << j
+        blocks.append(block)
+    return blocks
+
+
 def eigenvalues(a: Matrix) -> list[tuple[Scalar, int]]:
-    """Exact eigenvalues with algebraic multiplicities, sorted."""
-    if not a:
-        return []
-    return poly_roots_qi(charpoly(a))
+    """Exact eigenvalues with algebraic multiplicities, sorted.
+
+    det(tI - a) is the product of the characteristic polynomials of the
+    diagonal blocks of a's block-triangular form (``_diagonal_blocks``), so
+    each block is read on its own: a 1 x 1 block is its diagonal entry, a
+    larger one gives the roots of its ``charpoly``.  A triangular matrix has
+    only 1 x 1 blocks and needs no polynomial at all.  Raises
+    UnsupportedSpectrum, naming the degree n of a and the roots found over
+    all blocks, when det(tI - a) does not split over Q(i).
+    """
+    counts: dict[Scalar, int] = {}
+    for block in _diagonal_blocks(a):
+        if len(block) == 1:
+            i = block[0]
+            roots = [(a[i][i], 1)]
+        else:
+            poly = charpoly([[a[i][j] for j in block] for i in block])
+            try:
+                roots = poly_roots_qi(poly)
+            except UnsupportedSpectrum:
+                # The roots it does have, for the message on the whole matrix.
+                roots = _roots_qi(poly)
+        for value, mult in roots:
+            counts[value] = counts.get(value, 0) + mult
+    _require_split(len(a), sum(counts.values()))
+    den = lcm(*(value.den for value in counts))
+
+    def key(item):
+        # den > 0, so (re, im) of den * value orders the values as
+        # Scalar.sort_key does.
+        value, scale = item[0], den // item[0].den
+        return value.re_num * scale, value.im_num * scale
+
+    return sorted(counts.items(), key=key)

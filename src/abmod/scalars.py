@@ -21,6 +21,7 @@ deterministic output and canonical choices use ``sort_key()``, which orders by
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Union
@@ -28,6 +29,8 @@ from typing import Union
 from .record import Immutable
 
 _RatLike = Union[int, Fraction]
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 
 def _ratio(x: _RatLike) -> tuple:
@@ -202,12 +205,19 @@ class Scalar(Immutable):
         return NotImplemented
 
     def __hash__(self):
-        # A real scalar equals its int/Fraction value, so it hashes like it.
+        # A real scalar equals its int/Fraction value, so it hashes like it:
+        # Fraction.__hash__, computed from the integers without a Fraction.
+        n = self.re_num
         if self.im_num:
-            return hash((self.re_num, self.im_num, self.den))
+            return hash((n, self.im_num, self.den))
         if self.den == 1:
-            return hash(self.re_num)
-        return hash(Fraction(self.re_num, self.den))
+            return hash(n)
+        try:
+            h = hash(hash(abs(n)) * pow(self.den, -1, _HASH_MODULUS))
+        except ValueError:  # den is a multiple of the modulus: no inverse
+            h = _HASH_INF
+        # hash() itself turns a -1 into -2, as Fraction.__hash__ does.
+        return h if n >= 0 else -h
 
     def sort_key(self):
         """Total order on Q(i) used only for canonical output ordering."""

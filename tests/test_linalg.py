@@ -9,8 +9,9 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from abmod import (BadParameter, Scalar, UnsupportedSpectrum, dual, from_expression,
-                   hom_ab, saturate)
+from abmod import (AbModule, BadParameter, Scalar, Series, UnsupportedSpectrum, dual,
+                   from_expression, hom_ab, saturate, spectrum)
+from abmod import invariants
 from abmod import linalg
 from abmod.linalg import (
     Echelon,
@@ -278,6 +279,104 @@ def test_irrational_spectrum_rejected():
     a = [[Scalar(0), Scalar(2)], [Scalar(1), Scalar(0)]]     # eigenvalues +-sqrt(2)
     with pytest.raises(UnsupportedSpectrum):
         eigenvalues(a)
+
+
+# -- eigenvalues block by block, against the whole characteristic polynomial --
+
+# Few values, so that blocks share eigenvalues.
+block_values = st.sampled_from([Scalar(0), Scalar(1), Scalar(-1), Scalar(Fraction(1, 2)),
+                                Scalar(0, 1), Scalar(1, -1)])
+# Its characteristic polynomial t^2 - 2 does not split over Q(i).
+NON_SPLITTING = _scalars([[0, 1], [2, 0]])
+
+
+@st.composite
+def diagonal_blocks(draw):
+    """A block of size 1-3 with its eigenvalues drawn from ``block_values``
+    (L T L^-1 for a triangular T and a unit lower triangular L, so larger
+    blocks are usually irreducible), or sometimes ``NON_SPLITTING`` or a
+    3 x 3 cycle."""
+    shape = draw(st.integers(0, 9))
+    if shape == 0:
+        return NON_SPLITTING
+    if shape == 1:
+        # Irreducible only through the cycle 0 -> 1 -> 2 -> 0.
+        d = [draw(block_values) for _ in range(3)]
+        return [[d[0], Scalar(1), Scalar(0)], [Scalar(0), d[1], Scalar(1)],
+                [draw(gaussian_entries.filter(bool)), Scalar(0), d[2]]]
+    size = draw(st.integers(1, 3))
+    t = [[draw(block_values) if i == j else draw(gaussian_entries) if i < j else Scalar(0)
+          for j in range(size)] for i in range(size)]
+    low = [[Scalar(1) if i == j else draw(gaussian_entries) if i > j else Scalar(0)
+            for j in range(size)] for i in range(size)]
+    return mat_mul(mat_mul(low, t), inverse(low))
+
+
+@st.composite
+def permuted_block_triangular(draw):
+    """n <= 8: diagonal blocks, entries above them sparse, zeros below, then
+    rows and columns permuted alike."""
+    blocks = draw(st.lists(diagonal_blocks(), min_size=1, max_size=8))
+    while sum(map(len, blocks)) > 8:
+        blocks.pop()
+    n = sum(map(len, blocks))
+    a = [[Scalar(0)] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        end = start + len(block)
+        for i, row in enumerate(block):
+            a[start + i][start:end] = row
+            a[start + i][end:] = [draw(st.one_of(st.just(Scalar(0)), gaussian_entries))
+                                  for _ in range(end, n)]
+        start = end
+    order = draw(st.permutations(range(n)))
+    return [[a[i][j] for j in order] for i in order]
+
+
+def _outcome(fn, a):
+    try:
+        return fn(a)
+    except UnsupportedSpectrum as exc:
+        return type(exc), str(exc)
+
+
+@CHARPOLY_PROPERTY
+@given(permuted_block_triangular())
+@example([[Scalar(0)]])
+@example(NON_SPLITTING)
+def test_eigenvalues_by_blocks_match_the_whole_characteristic_polynomial(a):
+    assert _outcome(eigenvalues, a) == _outcome(lambda m: poly_roots_qi(charpoly(m)), a)
+
+
+def _charpoly_arguments(monkeypatch):
+    seen = []
+    real = linalg.charpoly
+
+    def spy(a):
+        seen.append(a)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "charpoly", spy)
+    invariants._spectrum.cache_clear()
+    return seen
+
+
+def test_triangular_residue_needs_no_characteristic_polynomial(monkeypatch):
+    seen = _charpoly_arguments(monkeypatch)
+    assert spectrum(saturate(from_expression("J(5;1/2)", 24)).saturated) == \
+        [Scalar(Fraction(1, 2))] * 5
+    assert seen == []
+
+
+def test_only_an_irreducible_block_gets_a_characteristic_polynomial(monkeypatch):
+    # Residue [[0, -1, 5], [1, 0, 7], [0, 0, 1/2]]: the block on 0, 1 has
+    # eigenvalues -i and i, the block on 2 the eigenvalue 1/2.
+    residue = _scalars([[0, -1, 5], [1, 0, 7], [0, 0, Fraction(1, 2)]])
+    module = AbModule([[Series.monomial(x, 1, 8) for x in row] for row in residue])
+    seen = _charpoly_arguments(monkeypatch)
+    assert spectrum(saturate(module).saturated) == \
+        [Scalar(0, -1), Scalar(0, 1), Scalar(Fraction(1, 2))]
+    assert seen == [_scalars([[0, -1], [1, 0]])]
 
 
 def test_poly_roots_multiplicities():

@@ -1,10 +1,11 @@
 """Exact rational-complex scalar arithmetic."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abmod import ONE, Scalar, ZERO
 
@@ -69,6 +70,29 @@ def test_real_scalar_hashes_like_its_value():
         assert len({Scalar(value), value}) == 1
     assert {Scalar(3): "x"}[3] == "x"
     assert hash(Scalar(Fraction(6, 2))) == hash(3)
+
+
+MODULUS = sys.hash_info.modulus
+
+rationals_for_hashing = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+    # Denominators that are multiples of the hash modulus have no inverse
+    # modulo it: Fraction hashes them as infinity.
+    st.builds(lambda n, k: Fraction(n, k * MODULUS),
+              st.integers(-10**30, 10**30), st.integers(1, 3)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(rationals_for_hashing)
+@example(Fraction(1, MODULUS))
+@example(Fraction(-3, MODULUS))
+@example(Fraction(-(MODULUS + 2), 2))  # hashes to -1 before the -1 -> -2 rule
+@example(Fraction(-1, 2))
+@example(-1)
+def test_real_scalar_hash_is_fraction_hash(q):
+    assert hash(Scalar(q)) == hash(q)
 
 
 def test_parts_are_read_only_fractions():
