@@ -18,7 +18,9 @@ The expression syntax accepted by ``from_expression`` (also the CLI surface):
 ``F(k;l;rho)``, ``rand(rank;seed)``.
 
 Every constructor, and ``from_expression``, refuses a precision below 1 or
-above ``textio.MAX_PRECISION`` with BadParameter before building anything.
+above ``textio.MAX_PRECISION``, and ``make_J_k``, ``make_F_rho`` and
+``random_regular`` a rank above ``textio.MAX_FILE_RANK``, with BadParameter
+before building anything.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ def _check_precision(precision: int) -> None:
         raise BadParameter(
             f"precision {precision} exceeds the ceiling {MAX_PRECISION}"
         )
+
+
+def _check_rank(k: int, what: str) -> None:
+    """Refuse a rank above ``textio.MAX_FILE_RANK`` (BadParameter), before
+    any matrix is built."""
+    if k > MAX_FILE_RANK:
+        raise BadParameter(f"{what} {k} exceeds the rank ceiling {MAX_FILE_RANK}")
 
 
 def make_E_lambda(lam, precision: int) -> AbModule:
@@ -102,6 +111,7 @@ def make_J_k(lam, k: int, precision: int) -> AbModule:
     lam = Scalar.of(lam)
     if k < 1:
         raise BadParameter("J_k needs k >= 1")
+    _check_rank(k, "k")
     m = [[Series.zero(precision) for _ in range(k)] for _ in range(k)]
     for j in range(k):
         m[j][j] = Series.monomial(lam + Scalar(j), 1, precision)
@@ -145,6 +155,7 @@ def random_regular(rank: int, seed: int, precision: int,
     _check_precision(precision)
     if rank < 1:
         raise BadParameter("rank must be >= 1")
+    _check_rank(rank, "rank")
     rng = random.Random(seed)
     denom = rng.choice([1, 1, 2, 3, 4, 6])
     lams = [
@@ -199,8 +210,7 @@ def _as_int(text: str, what: str) -> int:
 
 def _as_rank(text: str, what: str) -> int:
     k = _as_int(text, what)
-    if k > MAX_FILE_RANK:
-        raise BadParameter(f"{what} {k} exceeds the rank ceiling {MAX_FILE_RANK}")
+    _check_rank(k, what)
     return k
 
 

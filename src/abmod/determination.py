@@ -354,7 +354,9 @@ def _free_lift(system, e, ep, N, W, slack, seed):
     """Existence plus rigidity: find a verified isomorphism and certify
     that the induced map on E/b^N E determines it below the top band.
     ``system`` is the intertwining system from e to ep, solved to at most W
-    orders; it is resumed to W."""
+    orders; it is resumed to W.  When its blocks below N are prescribed (a
+    congruent lift), the rank below N is 0, so the rigidity test asks that
+    no free parameter reach blocks below W - slack."""
     system = system.solve_until_singular(W)
     values = None if system is None else find_invertible(system, seed)
     if values is None:
@@ -382,15 +384,18 @@ def lift_truncation_iso(
 ) -> Intertwiner:
     """Extend a verified isomorphism of N-truncations to precision W.
 
-    First the intertwining equation is solved with blocks 0..N-1 prescribed
-    by phi; when that is consistent the exact congruent lift is returned
-    (unique once no free parameters survive below the top band).  Blockwise
-    congruence is not always achievable — a perturbation of the structure
-    matrix at order exactly N forces a correction of the isomorphism at
-    lower orders — so on inconsistency the solver falls back to the content
-    of finite determination: a verified isomorphism must exist (else
-    NoLift), and the induced map on E/b^N E must pin it down below the top
-    band (else NonUniqueLift).
+    phi's Toeplitz blocks prescribe blocks 0..N-1 of one intertwining
+    system.  Its first N orders read only those blocks, so they are
+    consistent exactly when phi commutes with a on E/b^N E, and phi is
+    invertible exactly when block 0 is (det phi = det(block 0)^N); both are
+    checked before the lifting precision.  Resumed to W, the prescribed
+    system is the congruent lift.  Blockwise congruence is not always
+    achievable: a perturbation of the structure matrix at order exactly N
+    forces a correction of the isomorphism at lower orders, and then a
+    system with nothing prescribed replaces it.  ``_free_lift`` certifies
+    either one: a verified isomorphism must exist (else NoLift), and the
+    induced map on E/b^N E must pin it down below the top band (else
+    NonUniqueLift).
     """
     if e.rank != ep.rank:
         raise BadParameter("module ranks differ")
@@ -402,10 +407,10 @@ def lift_truncation_iso(
     blocks = _blocks_from_toeplitz([list(row) for row in phi.matrix], p, N)
     if blocks is None:
         raise BadParameter("phi does not commute with the b-action")
-    qe = truncate(e, N)
-    qp = truncate(ep, N)
-    t = [list(row) for row in phi.matrix]
-    if not _commutes(t, qe, qp) or linalg.det(t).is_zero():
+    if N < 1:
+        raise BadParameter("truncation level must be at least 1")
+    system = IntertwinerSystem(e.matrix, ep.matrix, N, fixed=dict(enumerate(blocks)))
+    if system.solve() is None or linalg.det(blocks[0]).is_zero():
         raise BadParameter("phi is not a verified truncation isomorphism")
     slack = _slack(e)
     if W is None:
@@ -416,18 +421,8 @@ def lift_truncation_iso(
         raise PrecisionExhausted("lifting window too small to certify uniqueness")
     if W > min(e.precision, ep.precision):
         raise PrecisionExhausted("requested precision exceeds the structure data")
-    fixed = {m: blocks[m] for m in range(N)}
-    strict = IntertwinerSystem(e.matrix, ep.matrix, W, fixed=fixed).solve()
-    if strict is not None:
-        if strict.parameters_in_blocks(0, W - slack):
-            raise NonUniqueLift(
-                "the congruence-constrained solution space is not a single point"
-            )
-        mat = strict.series_matrix({})
-        if not verify_intertwiner(e.matrix, ep.matrix, mat, W):
-            raise HypothesisViolated("constructed lift failed verification")
-        return Intertwiner("module", _freeze(mat), W)
-    system = IntertwinerSystem(e.matrix, ep.matrix, W)
+    if system.solve(W) is None:
+        system = IntertwinerSystem(e.matrix, ep.matrix, W)
     return _free_lift(system, e, ep, N, W, slack, seed)
 
 

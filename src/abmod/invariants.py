@@ -322,7 +322,7 @@ def is_geometric(module: AbModule) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def n_lambda(module: AbModule, lam: Scalar) -> int:
+def n_lambda(module: AbModule, lam) -> int:
     """The smallest N with b^N E inside (a - lam b) E.
 
     Decided on truncations at the sufficient level (lam - lambda_min of the
@@ -333,8 +333,9 @@ def n_lambda(module: AbModule, lam: Scalar) -> int:
     b) on E/b^N E: a - lam b preserves b^N E, so b^N E lies in its image mod
     b^w exactly when its cokernels mod b^N and mod b^w have equal dimension.
     k_N is the live parameter count of one intertwiner system from [[lam b]]
-    into E, grown order by order.
+    into E, grown order by order.  lam is anything ``Scalar.of`` takes.
     """
+    lam = Scalar.of(lam)
     table = width_table(module)
     delta = delta_index(module)
     rep = _class_rep(lam)

@@ -743,6 +743,71 @@ def fresh_free_lift(e: AbModule, ep: AbModule, N: int, W: int, slack: int, seed:
     return Intertwiner("module", _freeze(mat), W)
 
 
+def dense_lift_truncation_iso(
+    e: AbModule,
+    ep: AbModule,
+    phi,
+    N: int,
+    W: int = None,
+    seed: int = 0,
+):
+    """``lift_truncation_iso`` as first written: phi is checked on the two
+    dense truncations (``_commutes`` and a pN x pN determinant), and a
+    consistent prescribed system is certified by its own test, "no free
+    parameter in blocks 0..W-slack-1", before the free lift."""
+    from abmod import linalg
+    from abmod.determination import (
+        Intertwiner,
+        _blocks_from_toeplitz,
+        _commutes,
+        _default_lift_precision,
+        _free_lift,
+        _freeze,
+        _slack,
+        truncate,
+    )
+    from abmod.errors import BadParameter, HypothesisViolated, NonUniqueLift
+    from abmod.morphisms import verify_intertwiner
+
+    if e.rank != ep.rank:
+        raise BadParameter("module ranks differ")
+    if not is_regular(e):
+        raise NotRegular("lifting is certified for regular modules")
+    p = e.rank
+    if phi.kind != "quotient" or phi.order != N or len(phi.matrix) != p * N:
+        raise BadParameter("phi is not an intertwiner of the N-truncations")
+    blocks = _blocks_from_toeplitz([list(row) for row in phi.matrix], p, N)
+    if blocks is None:
+        raise BadParameter("phi does not commute with the b-action")
+    qe = truncate(e, N)
+    qp = truncate(ep, N)
+    t = [list(row) for row in phi.matrix]
+    if not _commutes(t, qe, qp) or linalg.det(t).is_zero():
+        raise BadParameter("phi is not a verified truncation isomorphism")
+    slack = _slack(e)
+    if W is None:
+        W = _default_lift_precision(e, N)
+    if W <= N:
+        raise BadParameter("lifting precision must exceed the truncation level")
+    if W - slack <= N:
+        raise PrecisionExhausted("lifting window too small to certify uniqueness")
+    if W > min(e.precision, ep.precision):
+        raise PrecisionExhausted("requested precision exceeds the structure data")
+    fixed = {m: blocks[m] for m in range(N)}
+    strict = IntertwinerSystem(e.matrix, ep.matrix, W, fixed=fixed).solve()
+    if strict is not None:
+        if strict.parameters_in_blocks(0, W - slack):
+            raise NonUniqueLift(
+                "the congruence-constrained solution space is not a single point"
+            )
+        mat = strict.series_matrix({})
+        if not verify_intertwiner(e.matrix, ep.matrix, mat, W):
+            raise HypothesisViolated("constructed lift failed verification")
+        return Intertwiner("module", _freeze(mat), W)
+    system = IntertwinerSystem(e.matrix, ep.matrix, W)
+    return _free_lift(system, e, ep, N, W, slack, seed)
+
+
 def two_pass_rigidity_violation(system, N: int, hi: int) -> bool:
     """``_rigidity_violation`` as two independent rank computations."""
     return system.rank_in_blocks(0, hi) > system.rank_in_blocks(0, N)

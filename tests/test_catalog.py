@@ -149,6 +149,24 @@ def test_expression_rank_ceiling(monkeypatch):
             from_expression(expr, 8)
 
 
+def test_constructors_check_the_rank_as_expressions_do(monkeypatch):
+    """make_J_k, make_F_rho and random_regular refuse a rank above the
+    ceiling with from_expression's message, before any entry is built."""
+
+    class NoSeries:
+        def __getattr__(self, name):
+            raise AssertionError("an entry was built above the rank ceiling")
+
+    monkeypatch.setattr(catalog, "Series", NoSeries())
+    k = MAX_FILE_RANK + 1
+    for what, build in (("k", lambda: make_J_k(0, k, 10)),
+                        ("k", lambda: make_F_rho(0, k, 2, 10)),
+                        ("rank", lambda: random_regular(k, 1, 10)),
+                        ("rank", lambda: random_regular(10**4, 1, 10))):
+        with pytest.raises(BadParameter, match=f"^{what} [0-9]+ exceeds the rank ceiling"):
+            build()
+
+
 def test_expression_precision_ceiling(monkeypatch):
     assert from_expression("E(1/2)", MAX_PRECISION).precision == MAX_PRECISION
 

@@ -150,6 +150,14 @@ def test_lift_rejects_malformed_phi():
         lift_truncation_iso(e, e, phi, 4)
 
 
+def _quotient_map(diagonal, N):
+    """The Toeplitz map of E/b^N E that scales e_i b^j by diagonal[i]."""
+    dim = len(diagonal) * N
+    return Intertwiner("quotient", tuple(
+        tuple(Scalar(diagonal[r // N]) if r == c else Scalar(0) for c in range(dim))
+        for r in range(dim)), N)
+
+
 def test_lift_refuses_each_broken_precondition():
     e = from_expression("J(2;0)", 20)
     N = 3
@@ -158,15 +166,30 @@ def test_lift_refuses_each_broken_precondition():
         lift_truncation_iso(e, from_expression("J(3;0)", 20), phi, N)
     with pytest.raises(NotRegular):
         lift_truncation_iso(irregular(from_expression("E(1/2,1/3)", 20)), e, phi, N)
+    # Each phi below is refused before the lifting precision: W = N + 1
+    # would raise PrecisionExhausted ("window too small").
+    with pytest.raises(BadParameter, match="truncation level must be at least 1"):
+        lift_truncation_iso(e, e, Intertwiner("quotient", (), 0), 0, W=1)
     # an upper entry in block (0, 1) breaks the block-Toeplitz shape
     skew = [list(row) for row in phi.matrix]
     skew[0][1] = Scalar(1)
     with pytest.raises(BadParameter, match="b-action"):
-        lift_truncation_iso(e, e, Intertwiner("quotient", tuple(map(tuple, skew)), N), N)
+        lift_truncation_iso(
+            e, e, Intertwiner("quotient", tuple(map(tuple, skew)), N), N, W=N + 1)
     # the identity is Toeplitz but does not intertwine J(3;0) with J(3;1)
     j0, j1 = from_expression("J(3;0)", 20), from_expression("J(3;1)", 20)
     with pytest.raises(BadParameter, match="not a verified truncation isomorphism"):
-        lift_truncation_iso(j0, j1, identity_truncation_iso(j0, N), N)
+        lift_truncation_iso(j0, j1, identity_truncation_iso(j0, N), N, W=N + 1)
+    # Toeplitz maps commuting with a that are singular: the zero map, and
+    # the projection onto the first summand of E(0) + E(2)
+    split = AbModule([[Series.zero(20), Series.zero(20)],
+                      [Series.zero(20), Series.monomial(Scalar(2), 1, 20)]])
+    for module, singular in ((e, _quotient_map((0, 0), N)),
+                             (split, _quotient_map((1, 0), N))):
+        with pytest.raises(BadParameter, match="not a verified truncation isomorphism"):
+            lift_truncation_iso(module, module, singular, N, W=N + 1)
+    with pytest.raises(PrecisionExhausted, match="exceeds the module's working precision"):
+        lift_truncation_iso(e, e, _quotient_map((1, 1), 21), 21)
     with pytest.raises(BadParameter, match="must exceed the truncation level"):
         lift_truncation_iso(e, e, phi, N, W=N)
     with pytest.raises(PrecisionExhausted, match="window too small"):

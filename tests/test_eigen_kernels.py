@@ -209,6 +209,14 @@ def test_n_lambda_matches_the_dense_image_test(case):
     assert _outcome(n_lambda, *case) == _outcome(_dense_n_lambda, *case)
 
 
+def test_n_lambda_takes_a_plain_number():
+    module = from_expression("J(2;0)", 12)
+    for lam in (0, 1):
+        assert n_lambda(module, lam) == n_lambda(module, Fraction(lam)) == n_lambda(
+            module, Scalar(lam))
+    assert n_lambda(module, Fraction(1, 2)) == n_lambda(module, Scalar(Fraction(1, 2)))
+
+
 @PROPERTY
 @given(with_value(module_pairs(st.integers(8, 14)).map(lambda pair: hom_ab(*pair))))
 def test_n_lambda_of_hom_matches_the_dense_image_test(case):

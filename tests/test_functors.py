@@ -174,8 +174,8 @@ def test_ext_duality():
 
 
 @st.composite
-def small_modules(draw, kinds=("rand", "E", "J", "F"), max_rank=3):
-    """A module of one of these kinds, of rank at most max_rank, at precision 24."""
+def small_modules(draw, kinds=("rand", "E", "J", "F"), max_rank=3, precision=24):
+    """A module of one of these kinds, of rank at most max_rank."""
     kind = draw(st.sampled_from(kinds))
     lam = draw(st.sampled_from(("0", "1/2", "-1", "1/3", "2")))
     if kind == "rand":
@@ -187,7 +187,7 @@ def small_modules(draw, kinds=("rand", "E", "J", "F"), max_rank=3):
     else:
         n, mu = draw(st.integers(0, 3)), draw(st.sampled_from(("0", "1/2", "-1")))
         expr = draw(st.sampled_from((f"E({lam})", f"E({lam};{n})", f"E({lam},{mu})")))
-    return from_expression(expr, 24)
+    return from_expression(expr, precision)
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -223,6 +223,31 @@ def test_saturated_hom_spectrum_is_the_difference_spectrum(E, F):
         assume(False)
     want = sorted((_class_rep(mu - lam) for lam in left for mu in right), key=Scalar.sort_key)
     assert sorted(map(_class_rep, hom), key=Scalar.sort_key) == want
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_modules(precision=40), small_modules(precision=40))
+def test_saturated_hom_spectrum_is_bounded_by_the_differences(E, F):
+    """Each class mod Z of S(Hom(E, F)#) holds some mu - lam, lam in
+    S(E^b) = -S((E*)#) and mu in S(F#), and its least element is at least
+    the least such mu - lam of the class."""
+    assume(E.rank * F.rank <= 6)
+    try:
+        hom = spectrum(saturate(hom_ab(E, F)).saturated)
+        lows = [-s for s in spectrum(saturate(dual(E)).saturated)]
+        highs = spectrum(saturate(F).saturated)
+    except UnsupportedSpectrum:
+        assume(False)
+    least = {}
+    for lam in lows:
+        for mu in highs:
+            d = mu - lam
+            rep = _class_rep(d)
+            if rep not in least or d.re < least[rep].re:
+                least[rep] = d
+    for s in hom:
+        assert _class_rep(s) in least
+        assert s.re >= least[_class_rep(s)].re
 
 
 def test_ext_refuses_an_irregular_module():

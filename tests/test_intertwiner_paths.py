@@ -10,7 +10,11 @@ whose truncated system cannot; that the generic block-0 determinant decides
 a pair that neither the shape test nor the spectra nor 40 random samples
 can; and that the memoized prefix is never
 changed, refuses a target it does not fit and is never read by
-``lift_truncation_iso``.
+``lift_truncation_iso``.  ``lift_truncation_iso`` checks phi on the first N
+orders of its prescribed system and certifies both its lifts through
+``_free_lift``; it is checked against ``oracles.dense_lift_truncation_iso``,
+which checks phi on two dense truncations and certifies a prescribed lift
+by its own test.
 """
 
 import json
@@ -27,7 +31,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from abmod import (
     BadParameter,
+    Intertwiner,
     IntertwinerSystem,
+    NoLift,
+    NonUniqueLift,
     Scalar,
     Series,
     base_change,
@@ -364,6 +371,100 @@ def test_lift_truncation_iso_never_reads_the_prefix_memo(monkeypatch):
     assert free and not reads
     verify_fd(module, 1, 0)
     assert reads
+
+
+# -- lift_truncation_iso against the dense check ------------------------------
+
+# The fd workload's roster, with J(2;0), J(5;0) and rand(2;1004) added.
+LIFT_ROSTER = [
+    ("J(2;0)", 24), ("J(3;0)", 24), ("J(4;0)", 24), ("J(5;0)", 20), ("E(1/2,1/3)", 24),
+    ("E(1/2;2)", 24), ("rand(2;1004)", 24), ("rand(3;1000)", 26), ("rand(4;1001)", 26),
+    ("rand(3;1002)", 24), ("rand(4;1003)", 25),
+]
+IDENTITY_LIFTS = ["E(0)", "E(1;1)", "E(1/2;2)", "E(0;3)", "E(1/2,1/3)", "E(1/2,2;3)",
+                  "J(2;0)", "J(3;1/2)", "F(3;0;2)", "rand(3;5)"]
+STRICT_NONUNIQUE = "the congruence-constrained solution space is not a single point"
+FREE_NONUNIQUE = "distinct isomorphisms induce the same map at this truncation level"
+
+
+def _lift_grid():
+    """(E, E', phi, N): each roster module at levels n0 - 1, n0 and n0 + 1
+    against itself and seven perturbations at that level, phi the identity
+    of E/b^N E; then identity lifts at N = 1..7."""
+    rng = random.Random(7)
+    for expr, prec in LIFT_ROSTER:
+        module = from_expression(expr, prec)
+        n0 = n0_bound(module)
+        for N in (n0 - 1, n0, n0 + 1):
+            phi = identity_truncation_iso(module, N)
+            for target in [module] + [_perturb(module, rng, N) for _ in range(7)]:
+                yield module, target, phi, N
+    for expr in IDENTITY_LIFTS:
+        module = from_expression(expr, 30)
+        for N in range(1, 8):
+            yield module, module, identity_truncation_iso(module, N), N
+
+
+def _lift_outcome(fn, *args):
+    """The lift's kind, matrix and order, or the error's type and message."""
+    try:
+        lift = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    return lift.kind, lift.matrix, lift.order
+
+
+def test_lift_truncation_iso_matches_the_dense_check():
+    """The prescribed system checks phi as the two dense truncations did,
+    and every lift is the one the parent's strict or free branch gave; only
+    the strict branch's NonUniqueLift message is now the free one."""
+    seen = []
+    for e, ep, phi, N in _lift_grid():
+        got = _lift_outcome(lift_truncation_iso, e, ep, phi, N)
+        want = _lift_outcome(oracles.dense_lift_truncation_iso, e, ep, phi, N)
+        seen.append(want[1] if want[0] is NonUniqueLift else want[0])
+        if want == (NonUniqueLift, STRICT_NONUNIQUE):
+            want = (NonUniqueLift, FREE_NONUNIQUE)
+        assert got == want, (e, ep, N)
+    assert {"module", NoLift, STRICT_NONUNIQUE} <= set(seen)
+
+
+def test_lift_truncation_iso_builds_no_dense_truncation(monkeypatch):
+    """phi is checked without truncate or _commutes, and every lift, strict
+    or free, ends in one _free_lift call, which gives its result or error."""
+    module = from_expression("J(3;0)", 24)
+    lo = n0_bound(module)
+    rng = random.Random(2)
+    targets = [module] + [_perturb(module, rng, lo) for _ in range(6)]
+    cases = [(module, target, identity_truncation_iso(module, lo), lo) for target in targets]
+    e03 = from_expression("E(0;3)", 30)
+    cases += [(e03, e03, identity_truncation_iso(e03, N), N) for N in (2, 3, 4, 5)]
+
+    def never(*args):
+        raise AssertionError("lift_truncation_iso built a dense truncation")
+
+    monkeypatch.setattr(determination, "truncate", never)
+    monkeypatch.setattr(determination, "_commutes", never)
+    real_free, ends = determination._free_lift, []
+
+    def spy(*args):
+        try:
+            ends.append(real_free(*args))
+        except (NoLift, NonUniqueLift) as exc:
+            ends.append(exc)
+            raise
+        return ends[-1]
+
+    monkeypatch.setattr(determination, "_free_lift", spy)
+    outcomes = set()
+    for case in cases:
+        try:
+            lift = lift_truncation_iso(*case)
+        except (NoLift, NonUniqueLift) as exc:
+            lift = exc
+        assert ends[-1] is lift
+        outcomes.add(type(lift))
+    assert outcomes == {Intertwiner, NoLift, NonUniqueLift}
 
 
 def test_verify_fd_refuses_negative_trials_and_levels_below_one():

@@ -33,7 +33,13 @@ precision 112, or ``E(1/2,2;3)`` at precision 48), and times one statement
 (``verify_fd(module, 100, 0)``, ``ext_dims`` of the pair, or
 ``classify_rank2`` of its twists by -3..3) between two rounds of
 ``bench/run.py``'s ``HostSpeed``, which scale it as the workload items are
-scaled; their runs are compared on the scaled time.
+scaled; their runs are compared on the scaled time.  A fourth in-process
+probe puts ``lift_truncation_iso``, which no workload reaches, under the
+identical-output check: the identity lift and seven ``_perturb`` lifts of
+``J(6;0)`` at N = 16 (precision 48), and the identity lifts of
+``E(1/2;2)`` and ``E(0;3)`` at N = 2 and 3 (precision 30; three of these
+four raise ``NonUniqueLift``), each printed as its error type's name or a
+sha256 of the lifted matrix's repr.
 Runs are sequential, one process at a time.
 
 The output holds every run, and for every end-to-end metric the median and
@@ -91,6 +97,25 @@ def _probe(root: str, argv: list) -> dict:
     return {"s": time.perf_counter() - start, **_output(out)}
 
 
+# The lifts of the lift_truncation_iso probe, each with the identity of the
+# source's truncation as phi; lift_outcome is the error type's name or a
+# sha256 of the lifted matrix's repr.
+_LIFT_SETUP = """
+import hashlib, random
+from abmod.determination import _perturb
+def lift_outcome(e, ep, phi, N):
+    try:
+        lift = lift_truncation_iso(e, ep, phi, N)
+    except AbmodError as exc:
+        return type(exc).__name__
+    return hashlib.sha256(repr(lift.matrix).encode()).hexdigest()
+j6 = from_expression('J(6;0)', 48)
+rng = random.Random(0)
+pairs = [(j6, j6, 16)] + [(j6, _perturb(j6, rng, 16), 16) for _ in range(7)]
+pairs += [(m, m, N) for m in (from_expression('E(1/2;2)', 30),
+                              from_expression('E(0;3)', 30)) for N in (2, 3)]
+lifts = [(e, ep, identity_truncation_iso(e, N), N) for e, ep, N in pairs]
+"""
 # In-process probes: (label, setup, statement).  The setup builds the inputs
 # untimed; the statement is what is timed.  Both run with abmod's public
 # names in scope.
@@ -103,6 +128,8 @@ IN_PROCESS_PROBES = (
     ("[str(classify_rank2(twist(m, k))) for k in range(-3, 4)]",
      "m = from_expression('E(1/2,2;3)', 48)",
      "[str(classify_rank2(twist(m, k))) for k in range(-3, 4)]"),
+    ("[lift_outcome(e, ep, phi, N) for e, ep, phi, N in lifts]", _LIFT_SETUP,
+     "[lift_outcome(e, ep, phi, N) for e, ep, phi, N in lifts]"),
 )
 # Run in a child with argv [bench/run.py, setup, statement]; prints one JSON
 # line: raw and host-scaled seconds of the statement, and the repr of its
