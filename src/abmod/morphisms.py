@@ -39,19 +39,17 @@ reads k_N = dim ker(a - lam*b) on E/b^N E off one such system: as
 T = a - lam*b preserves b^N E, b^N E lies in T(E) mod b^w exactly when the
 cokernels of T mod b^N and mod b^w, hence k_N and k_w, are equal.
 
-Affine expressions are dicts {parameter or CONST: nonzero Scalar}.  A sum of
-products of them (an equation entry, a substitution, an evaluation) is
-accumulated as unnormalized integer triples [re, im, den]: numerators are
-added when the denominators agree, and otherwise brought over the lcm of the
-two denominators, never their bare product, so a long sum keeps its
-denominators small.  ``scalars._make`` then normalizes each output
-coefficient once, which is exact and gives the same canonical Scalar as
-normalizing every partial product and partial sum.  An equation entry is
-never normalized: ``_eliminate`` reads its pivot, the largest parameter
-whose raw numerators are not both zero, off the raw triples, and builds each
-replacement coefficient as one product over the pivot's raw value,
-normalized once; no inverse of the pivot is formed.  ``series_matrix``
-evaluates only the nonempty entries.
+Affine expressions are dicts {parameter or CONST: coefficient}.  A block
+entry holds each coefficient as a normalized integer triple (re, im, den),
+and a Scalar is built only where a value leaves the system: in
+``block_matrix`` and ``series_matrix`` (through ``_aff_eval``, on nonempty
+entries only), in ``block_ranks`` and in the generic determinant.  Each
+equation entry reads a stencil compiled once per system (``_stencils``;
+``retargeted`` recompiles the target's part).  ``solve`` runs an order's
+equations in one loop: it sums a stencil's products as raw triples, brought
+over the lcm of two denominators, never their product; the pivot is the
+largest parameter whose numerators are not both zero, and each replacement
+coefficient is one product over the pivot's raw value, normalized once.
 """
 
 import copy
@@ -63,45 +61,53 @@ from operator import add, sub
 from . import linalg
 from .errors import BadParameter, PrecisionExhausted
 from .scalars import ONE, ZERO, Scalar, _make
-from .series import _below, _fold
+from .series import _below, _combine, _fold
 from .series import _make as _series
 
 CONST = -1
+_ONE = (1, 0, 1)
 
 
-def _aff_fold(acc: dict, expr: dict, c: Scalar) -> None:
-    """acc += c * expr, where acc maps each key to an unnormalized triple
-    [re, im, den] (``_aff_done`` normalizes it, or ``_eliminate`` reads it
-    as an equation).  The lcm rule stays inline rather than going through
-    ``series._fold`` with the keys read as orders: that route was slower on
-    the ``fd`` workload, and the generic determinant's monomial keys are
-    tuples, not orders."""
-    e, f, g = c.re_num, c.im_num, c.den
-    get = acc.get
-    for key, v in expr.items():
-        a, b, d = v.re_num, v.im_num, v.den * g
-        if f:
-            a, b = a * e - b * f, a * f + b * e
-        else:
-            a, b = a * e, b * e
-        cur = get(key)
-        if cur is None:
-            acc[key] = [a, b, d]
-        elif cur[2] == d:
-            cur[0] += a
-            cur[1] += b
-        else:
-            h = cur[2]
-            q = gcd(h, d)
-            x, y = d // q, h // q
-            cur[0] = cur[0] * x + a * y
-            cur[1] = cur[1] * x + b * y
-            cur[2] = h * x
+def _reduced(a: int, b: int, d: int) -> tuple:
+    """The triple (a, b, d), d > 0, brought to lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return a // g, b // g, d // g
+    return a, b, d
 
 
-def _aff_done(acc: dict) -> dict:
-    """The affine expression of raw triples, each normalized, zeros dropped."""
-    return {key: _make(a, b, d) for key, (a, b, d) in acc.items() if a or b}
+def _source_terms(ms, pf: int) -> list:
+    """Per equation entry (i, j), the terms of Ms off its diagonal entry
+    (j, j), as (t, i, l, re, im, den) reading block entry (i, l)."""
+    return [[[(t, i, l, c.re_num, c.im_num, c.den)
+              for l, col in enumerate(ms) if l != j for t, c in col[j]]
+             for j in range(len(ms))] for i in range(pf)]
+
+
+def _stencils(ms, mt, source_terms, w: int) -> list:
+    """Per equation entry (i, j), its terms (t, row, column, re, im, den),
+    each reading blocks[k - t] at that row and column at order k, sorted by
+    t: the source's off the diagonal, the target's off the diagonal, negated
+    as the equation subtracts Mt * P, and the diagonal terms of both, which
+    read block entry (i, j), merged.  The merged t = 1 coefficient is kept
+    apart, as the drift 1 - k is added to it at order k."""
+    out = []
+    for i, (mt_row, src_row) in enumerate(zip(mt, source_terms)):
+        row = []
+        for j, src in enumerate(src_row):
+            terms = src + [(t, l, j, -c.re_num, -c.im_num, c.den)
+                           for l, x in enumerate(mt_row) if l != i for t, c in x]
+            drift = ZERO
+            for t, c in _combine(ms[j][j], mt_row[i], w, -1):
+                if t == 1:
+                    drift = c
+                else:
+                    terms.append((t, i, j, c.re_num, c.im_num, c.den))
+            terms.sort()
+            row.append((terms, (drift.re_num, drift.im_num, drift.den)))
+        out.append(row)
+    return out
 
 
 def _singular_shape(block) -> bool:
@@ -113,8 +119,7 @@ def _singular_shape(block) -> bool:
 def _aff_eval(expr: dict, values: dict) -> Scalar:
     a = b = 0
     d = 1
-    for key, coeff in expr.items():
-        e, f, g = coeff.re_num, coeff.im_num, coeff.den
+    for key, (e, f, g) in expr.items():
         if key != CONST:
             v = values.get(key)
             if v is None:
@@ -131,10 +136,24 @@ def _aff_eval(expr: dict, values: dict) -> Scalar:
     return _make(a, b, d)
 
 
+def _checked_block(mat, rows: int, cols: int) -> list:
+    """A prescribed block of Scalars; BadParameter unless it is rows x cols
+    with entries ``Scalar.of`` takes."""
+    if len(mat) != rows or any(len(row) != cols for row in mat):
+        raise BadParameter(f"a prescribed block must be {rows} x {cols}")
+    try:
+        return [[Scalar.of(x) for x in row] for row in mat]
+    except TypeError as exc:
+        raise BadParameter(f"a prescribed entry is not exact: {exc}") from None
+
+
 class IntertwinerSystem:
     """Solution space of the intertwining equation at a given order count."""
 
     def __init__(self, source, target, w: int, fixed=None):
+        for m in (source, target):
+            if not m or any(len(row) != len(m) for row in m):
+                raise BadParameter("source and target must be square and nonempty")
         self.pe = len(source)
         self.pf = len(target)
         self._source_precision = min(e.precision for row in source for e in row)
@@ -142,11 +161,15 @@ class IntertwinerSystem:
             self._source_precision, min(e.precision for row in target for e in row)
         )
         self.w = w
-        # Per matrix entry, its nonzero (order, coefficient) terms; the
-        # target's are negated once here, as the equation subtracts Mt * P.
+        fixed = dict(fixed or {})
+        if min(fixed, default=w) < 0 or w < 0:
+            raise BadParameter("the order count and prescribed orders must be >= 0")
+        self.fixed = {k: _checked_block(m, self.pf, self.pe) for k, m in fixed.items()}
+        # Per matrix entry, its nonzero (order, coefficient) terms.
         self.ms = [[entry.terms for entry in row] for row in source]
-        self.mt = [[(-entry).terms for entry in row] for row in target]
-        self.fixed = dict(fixed) if fixed else {}
+        self.mt = [[entry.terms for entry in row] for row in target]
+        self._source_terms = _source_terms(self.ms, self.pf)
+        self._stencils = _stencils(self.ms, self.mt, self._source_terms, self.precision)
         self.blocks = []
         self.occurrences = {}
         self.alive = set()
@@ -158,14 +181,8 @@ class IntertwinerSystem:
 
     def _new_block(self, k: int) -> None:
         if k in self.fixed:
-            mat = self.fixed[k]
-            block = [
-                [
-                    {CONST: mat[i][j]} if not mat[i][j].is_zero() else {}
-                    for j in range(self.pe)
-                ]
-                for i in range(self.pf)
-            ]
+            block = [[{CONST: (x.re_num, x.im_num, x.den)} if x else {} for x in row]
+                     for row in self.fixed[k]]
         else:
             block = []
             for i in range(self.pf):
@@ -175,91 +192,37 @@ class IntertwinerSystem:
                     self._next_param += 1
                     self.alive.add(pid)
                     self.occurrences[pid] = {(k, i, j)}
-                    row.append({pid: ONE})
+                    row.append({pid: _ONE})
                 block.append(row)
         self.blocks.append(block)
 
     def _substitute(self, pid: int, replacement: dict) -> None:
         keys = [key for key in replacement if key != CONST]
         occurrences = self.occurrences
+        blocks = self.blocks
         for (k, i, j) in occurrences.pop(pid):
-            entry = self.blocks[k][i][j]
+            entry = blocks[k][i][j]
             c = entry.pop(pid, None)
             if c is None:
                 continue
-            if not entry:
-                entry.update(
-                    replacement if c.is_one()
-                    else {key: val * c for key, val in replacement.items()}
-                )
+            e, f, g = c
+            if not entry and c == _ONE:
+                entry.update(replacement)
             else:
-                acc = {
-                    key: [v.re_num, v.im_num, v.den]
-                    for key in replacement
-                    if (v := entry.get(key)) is not None
-                }
-                _aff_fold(acc, replacement, c)
-                for key, (a, b, d) in acc.items():
-                    if a or b:
-                        entry[key] = _make(a, b, d)
-                    else:
-                        del entry[key]
+                get = entry.get
+                for key, (a, b, d) in replacement.items():
+                    a, b, d = a * e - b * f, a * f + b * e, d * g
+                    cur = get(key)
+                    if cur is not None:
+                        x, y, h = cur
+                        a, b, d = a * h + x * d, b * h + y * d, d * h
+                        if not (a or b):
+                            del entry[key]
+                            continue
+                    entry[key] = _reduced(a, b, d)
             for key in keys:
                 occurrences[key].add((k, i, j))
         self.alive.discard(pid)
-
-    def _equation_entry(self, k: int, i: int, j: int, drift: Scalar) -> dict:
-        """Entry (i, j) of the order-k equation as raw triples
-        {key: [re, im, den]}, not normalized; a key whose terms cancelled
-        stays in with zero numerators.  ``drift`` is the Scalar 1 - k, built
-        once per order."""
-        acc = {}
-        blocks = self.blocks
-        for l in range(self.pe):
-            for t, c in self.ms[l][j]:
-                if t > k:
-                    break
-                entry = blocks[k - t][i][l]
-                if entry:
-                    _aff_fold(acc, entry, c)
-        for l in range(self.pf):
-            for t, c in self.mt[i][l]:
-                if t > k:
-                    break
-                entry = blocks[k - t][l][j]
-                if entry:
-                    _aff_fold(acc, entry, c)
-        if k >= 2:
-            entry = blocks[k - 1][i][j]
-            if entry:
-                _aff_fold(acc, entry, drift)
-        return acc
-
-    def _eliminate(self, acc: dict) -> bool:
-        """Solve the raw equation sum(acc) = 0 for its largest parameter
-        whose numerators are not both zero, and substitute.  For the pivot
-        (a + b*i)/d, each other key (e + f*i)/g gets the coefficient
-        (e + f*i)/g * (-d)(a - b*i)/(a^2 + b^2), normalized once; keys that
-        cancelled are dropped.  With no such parameter the equation is
-        consistent exactly when CONST's numerators are zero: CONST is below
-        every parameter, so it is the largest live key only when it is the
-        one left."""
-        pid = max((key for key, (a, b, _) in acc.items() if a or b), default=None)
-        if pid is None or pid == CONST:
-            return pid is None
-        a, b, d = acc.pop(pid)
-        # -1/pivot = (x + y*i)/n with n > 0; a real pivot skips a^2 + b^2.
-        if b:
-            x, y, n = -a * d, b * d, a * a + b * b
-        else:
-            x, y, n = (-d, 0, a) if a > 0 else (d, 0, -a)
-        replacement = {
-            key: _make(e * x - f * y, e * y + f * x, g * n)
-            for key, (e, f, g) in acc.items()
-            if e or f
-        }
-        self._substitute(pid, replacement)
-        return True
 
     def _singular(self) -> bool:
         return self._until_singular and bool(self.blocks) and _singular_shape(
@@ -284,16 +247,57 @@ class IntertwinerSystem:
         self.w = w
         if not self._consistent:
             return None
-        for k in range(len(self.blocks), self.w):
+        blocks = self.blocks
+        for k in range(len(blocks), w):
             if self._singular():
                 return None
             self._new_block(k)
-            drift = _make(1 - k, 0, 1)
-            for i in range(self.pf):
-                for j in range(self.pe):
-                    if not self._eliminate(self._equation_entry(k, i, j, drift)):
+            for i, row in enumerate(self._stencils):
+                for j, (terms, (e, f, g)) in enumerate(row):
+                    e += (1 - k) * g
+                    if k and (e or f):
+                        terms = [(1, i, j, e, f, g)] + terms
+                    acc = {}
+                    get = acc.get
+                    for t, r, c, e, f, g in terms:
+                        if t > k:
+                            break
+                        entry = blocks[k - t][r][c]
+                        for key, (a, b, d) in entry.items():
+                            a, b, d = a * e - b * f, a * f + b * e, d * g
+                            cur = get(key)
+                            if cur is None:
+                                acc[key] = [a, b, d]
+                            elif cur[2] == d:
+                                cur[0] += a
+                                cur[1] += b
+                            else:
+                                h = cur[2]
+                                q = gcd(h, d)
+                                x, y = d // q, h // q
+                                cur[0] = cur[0] * x + a * y
+                                cur[1] = cur[1] * x + b * y
+                                cur[2] = h * x
+                    live = [key for key, (a, b, _) in acc.items() if a or b]
+                    if not live:
+                        continue
+                    pid = max(live)
+                    # CONST is below every parameter: as the pivot, it makes
+                    # the equation inconsistent.
+                    if pid == CONST:
                         self._consistent = False
                         return None
+                    a, b, d = acc.pop(pid)
+                    # -1/pivot = (x + y*i)/n, n > 0; a real one skips a^2 + b^2
+                    if b:
+                        x, y, n = -a * d, b * d, a * a + b * b
+                    else:
+                        x, y, n = (-d, 0, a) if a > 0 else (d, 0, -a)
+                    self._substitute(pid, {
+                        key: _reduced(e * x - f * y, e * y + f * x, g * n)
+                        for key, (e, f, g) in acc.items()
+                        if e or f
+                    })
         return None if self._singular() else self
 
     def solve_until_singular(self, w: int = None):
@@ -312,7 +316,7 @@ class IntertwinerSystem:
         one there (BadParameter otherwise); the copy then resumes as a fresh
         system on the new target would."""
         n = len(self.blocks)
-        mt = [[(-entry).terms for entry in row] for row in target]
+        mt = [[entry.terms for entry in row] for row in target]
         if len(mt) != self.pf or any(len(row) != self.pf for row in mt) or any(
             entry.precision < n or _below(new, n) != _below(old, n)
             for row, new_row, old_row in zip(target, mt, self.mt)
@@ -327,6 +331,7 @@ class IntertwinerSystem:
         other.precision = min(
             self._source_precision, min(e.precision for row in target for e in row)
         )
+        other._stencils = _stencils(self.ms, mt, self._source_terms, other.precision)
         other.blocks = [
             [[dict(entry) for entry in row] for row in block] for block in self.blocks
         ]
@@ -358,7 +363,7 @@ class IntertwinerSystem:
             for e in (e for row in self.blocks[k] for e in row if e):
                 if len(span.pivots) == len(params):
                     break
-                span.add([e.get(pid, ZERO) for pid in params])
+                span.add([_make(*e[pid]) if pid in e else ZERO for pid in params])
             yield len(span.pivots)
 
     def rank_in_blocks(self, lo: int, hi: int) -> int:
@@ -435,7 +440,7 @@ def _generic_det(block, params) -> dict:
     unit = {pid: tuple(int(q == pid) for q in params) for pid in params}
     const = (0,) * len(params)
     a = [
-        [{const if key == CONST else unit[key]: c for key, c in entry.items()}
+        [{const if key == CONST else unit[key]: _make(*c) for key, c in entry.items()}
          for entry in row]
         for row in block
     ]
@@ -473,8 +478,8 @@ def _nonvanishing_point(det: dict, params) -> dict:
             acc = {}
             for m, coeff in det.items():
                 key = m[:n] + (0,) + m[n + 1:]
-                _aff_fold(acc, {key: coeff}, Scalar(c ** m[n]))
-            candidate = _aff_done(acc)
+                acc[key] = acc.get(key, ZERO) + coeff * c ** m[n]
+            candidate = {key: v for key, v in acc.items() if v}
             if candidate:
                 det = candidate
                 values[pid] = Scalar(c)

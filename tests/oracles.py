@@ -13,6 +13,7 @@ import sympy
 
 from abmod import (
     AbModule,
+    BadParameter,
     Element,
     Lattice,
     NotRegular,
@@ -22,9 +23,9 @@ from abmod import (
     is_regular,
     lattice_from_columns,
 )
-from abmod.linalg import det, identity, mat_mul, rref
+from abmod.linalg import Echelon, det, identity, mat_mul, rref
 from abmod.morphisms import CONST, IntertwinerSystem
-from abmod.scalars import ZERO
+from abmod.scalars import ONE, ZERO, _make
 from abmod.seriesmat import a_image
 
 # ---------------------------------------------------------------------------
@@ -280,7 +281,8 @@ def invertible_head_exists(head_span: sympy.Matrix, p: int) -> bool:
 
 def symbolic_invertible(system):
     """Free-parameter values making the generic block 0 of an intertwiner
-    system invertible, decided by sympy: the expanded determinant, then the
+    system invertible, its coefficients held as the package's (re, im, den)
+    triples, decided by sympy: the expanded determinant, then the
     least integer c in 0..deg per parameter (ZERO where it does not occur)
     with a nonzero substitution; None when the determinant vanishes
     identically.  ``find_invertible``'s fallback must return exactly this.
@@ -293,10 +295,10 @@ def symbolic_invertible(system):
         return sympy.Rational(s.re_num, s.den) + sympy.Rational(s.im_num, s.den) * sympy.I
 
     def entry_expr(entry: dict):
-        acc = to_sympy(entry.get(CONST, ZERO))
+        acc = sympy.Integer(0)
         for key, coeff in entry.items():
-            if key != CONST:
-                acc = acc + to_sympy(coeff) * symbols[key]
+            term = to_sympy(_make(*coeff))
+            acc = acc + (term if key == CONST else term * symbols[key])
         return acc
 
     generic = sympy.Matrix(
@@ -910,13 +912,68 @@ def _aff_add_scaled(target: dict, expr: dict, c: Scalar) -> None:
                 target[key] = cur
 
 
+def scalar_blocks(blocks):
+    """Blocks of affine entries whose coefficients are the package's
+    (re, im, den) triples, with each coefficient as a Scalar."""
+    return [[[{key: _make(*c) for key, c in entry.items()} for entry in row]
+             for row in block] for block in blocks]
+
+
 class ScalarIntertwinerSystem(IntertwinerSystem):
-    """``IntertwinerSystem`` as first written: the equation entries, the
-    substitutions and the evaluations build a normalized Scalar for every
+    """``IntertwinerSystem`` as first written, standing alone with Scalar
+    block entries: its own solve loop builds each equation entry, picks the
+    pivot, substitutes and evaluates with a normalized Scalar for every
     partial product and partial sum, where the package sums raw integer
-    triples and normalizes once per coefficient.  The elimination order is
-    the package's, so ``blocks``, ``occurrences`` and ``alive`` must agree
-    after every order."""
+    triples over precompiled stencils and normalizes once per coefficient.
+    Only the package's input checks, ``retargeted``'s copy and the methods
+    that read no coefficient are inherited.  The elimination order is the
+    package's, so ``blocks`` (as ``scalar_blocks`` of the package's),
+    ``occurrences`` and ``alive`` must agree after every order."""
+
+    def _new_block(self, k: int) -> None:
+        if k in self.fixed:
+            mat = self.fixed[k]
+            block = [
+                [
+                    {CONST: mat[i][j]} if not mat[i][j].is_zero() else {}
+                    for j in range(self.pe)
+                ]
+                for i in range(self.pf)
+            ]
+        else:
+            block = []
+            for i in range(self.pf):
+                row = []
+                for j in range(self.pe):
+                    pid = self._next_param
+                    self._next_param += 1
+                    self.alive.add(pid)
+                    self.occurrences[pid] = {(k, i, j)}
+                    row.append({pid: ONE})
+                block.append(row)
+        self.blocks.append(block)
+
+    def solve(self, w: int = None):
+        w = self.w if w is None else w
+        if w > self.precision:
+            raise PrecisionExhausted(
+                "truncation level exceeds the module's working precision"
+            )
+        if w < len(self.blocks):
+            raise BadParameter("a system cannot be solved back to fewer orders")
+        self.w = w
+        if not self._consistent:
+            return None
+        for k in range(len(self.blocks), self.w):
+            if self._singular():
+                return None
+            self._new_block(k)
+            for i in range(self.pf):
+                for j in range(self.pe):
+                    if not self._eliminate(self._equation_entry(k, i, j)):
+                        self._consistent = False
+                        return None
+        return None if self._singular() else self
 
     def _substitute(self, pid: int, replacement: dict) -> None:
         for (k, i, j) in self.occurrences.pop(pid):
@@ -930,8 +987,7 @@ class ScalarIntertwinerSystem(IntertwinerSystem):
                     self.occurrences[key].add((k, i, j))
         self.alive.discard(pid)
 
-    def _equation_entry(self, k: int, i: int, j: int, drift: Scalar) -> dict:
-        # ``drift`` is the package's 1 - k; the oracle builds its own below.
+    def _equation_entry(self, k: int, i: int, j: int) -> dict:
         expr = {}
         blocks = self.blocks
         for l in range(self.pe):
@@ -943,7 +999,7 @@ class ScalarIntertwinerSystem(IntertwinerSystem):
             for t, c in self.mt[i][l]:
                 if t > k:
                     break
-                _aff_add_scaled(expr, blocks[k - t][l][j], c)
+                _aff_add_scaled(expr, blocks[k - t][l][j], -c)
         if k >= 2:
             _aff_add_scaled(expr, self.blocks[k - 1][i][j], Scalar(1 - k))
         return expr
@@ -969,3 +1025,20 @@ class ScalarIntertwinerSystem(IntertwinerSystem):
             return acc
 
         return [[evaluate(entry) for entry in row] for row in self.blocks[k]]
+
+    def series_matrix(self, values: dict):
+        coeffs = [self.block_matrix(k, values) for k in range(self.w)]
+        return [
+            [Series([block[i][j] for block in coeffs], self.w) for j in range(self.pe)]
+            for i in range(self.pf)
+        ]
+
+    def block_ranks(self, lo: int, hi: int):
+        params = self.parameters_in_blocks(lo, hi)
+        span = Echelon()
+        for k in range(lo, hi):
+            for e in (e for row in self.blocks[k] for e in row if e):
+                if len(span.pivots) == len(params):
+                    break
+                span.add([e.get(pid, ZERO) for pid in params])
+            yield len(span.pivots)

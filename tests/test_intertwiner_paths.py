@@ -309,7 +309,7 @@ def test_the_generic_determinant_decides_a_pair_nothing_else_can(
 
 def _state(system):
     return deepcopy((system.blocks, system.occurrences, system.alive, system.w,
-                     system._next_param, system.mt, system.precision))
+                     system._next_param, system.mt, system._stencils, system.precision))
 
 
 def test_trials_leave_the_shared_prefix_unchanged():
