@@ -41,7 +41,7 @@ from .morphisms import (
 from .record import Record
 from .scalars import ONE, ZERO, Scalar
 from .series import Series
-from .seriesmat import a_image
+from .seriesmat import _a_image_terms, _sparse_rows
 
 __all__ = [
     "FiniteAbQuotient",
@@ -89,8 +89,9 @@ MAX_TRUNCATION_DIM = 2048  # two dense 2048 x 2048 Scalar matrices
 def truncate(module: AbModule, N: int) -> FiniteAbQuotient:
     """The finite quotient E/b^N E with its a and b matrices.
 
-    Column i N + j of A is a(b^j e_i) below order N, read off one a_image
-    call over the p N monomial columns; B sends b^j e_i to b^(j+1) e_i.
+    Column i N + j of A is a(b^j e_i) below order N: the terms of the
+    monomial column's image under ``seriesmat._a_image_terms``, known below
+    N as a_image would give them; B sends b^j e_i to b^(j+1) e_i.
     A quotient of dimension rank * N above MAX_TRUNCATION_DIM is refused
     (BadParameter) before either matrix is allocated.
     """
@@ -109,17 +110,14 @@ def truncate(module: AbModule, N: int) -> FiniteAbQuotient:
         )
     a = linalg.zeros(dim, dim)
     b = linalg.zeros(dim, dim)
-    zero = Series.zero(N)
-    basis = [
-        [Series.monomial(ONE, j, N) if l == i else zero for l in range(p)]
-        for i in range(p)
-        for j in range(N)
-    ]
-    for c, image in enumerate(a_image(module.matrix, basis)):
-        if c % N + 1 < N:
+    rows, ws = _sparse_rows(module.matrix), [N] * p
+    for c in range(dim):
+        i, j = divmod(c, N)
+        if j + 1 < N:
             b[c + 1][c] = ONE
-        for l, entry in enumerate(image):
-            for t, v in entry.terms:
+        basis = [((j, ONE),) if l == i else () for l in range(p)]
+        for l, terms in enumerate(_a_image_terms(rows, basis, 0, ws)):
+            for t, v in terms:
                 a[l * N + t][c] = v
     return FiniteAbQuotient(dim, _freeze(a), _freeze(b), p, N)
 

@@ -22,8 +22,8 @@ from .errors import (
 )
 from .lattice import (
     Lattice,
-    _lattice_a_image,
-    _quotient_columns,
+    _back_substitute_terms,
+    _echelon,
     lattice_from_columns,
     module_on_lattice,
     standard_lattice,
@@ -32,8 +32,10 @@ from .linalg import eigenvalues
 from .module import AbModule
 from .morphisms import IntertwinerSystem
 from .record import Record
-from .scalars import Scalar, ZERO, _make
-from .series import Series
+from .scalars import ONE, Scalar, ZERO, _make
+from .series import Series, _below
+from .series import _make as _series
+from .seriesmat import _a_image_terms, _sparse_rows
 
 
 # ---------------------------------------------------------------------------
@@ -48,43 +50,6 @@ class SaturationResult(Record):
     __slots__ = ("saturated", "lattice", "steps")
 
 
-def _one_saturation_step(module: AbModule, lat: Lattice):
-    """The stability test of the iterate L_k (shift k): (the structure
-    matrix of a on L_k, None) when L_k is stable, else (None, the arguments
-    of the lattice_from_columns call that builds L_{k+1}).
-
-    a(L_k) is computed once.  L_{k+1} = L_k + b^{-1} a(L_k), so L_k is
-    stable exactly when a(L_k) lies in b L_k.  In the b^{-(k+1)} frame the
-    columns of b^{-1} a(L_k) are the image columns themselves and L_k is
-    presented by b times its generators, so the test is a back-substitution
-    of the image along those pivots that leaves no remainder; along L_k's own
-    pivots it says that every quotient lies in b C[[b]].  Those quotients
-    times b are then the structure matrix module_on_lattice gives, at the
-    same precision.  An unstable L_k grows by one echelon of b L_k's
-    generators and the same image columns, which the caller builds only
-    when another test follows.
-
-    A stable step needs no pivot check: L_k contains E, which is
-    b^k C[[b]]^p in this frame, so every pivot of b L_k is at most
-    k + 1 <= rank, far below the module's precision (>= 2 rank + 2) that
-    the lattice keeps.  The same bound keeps the echelon of L_{k+1} from
-    raising PrecisionExhausted, so skipping it after the last test changes
-    no outcome.
-    """
-    k = lat.shift
-    image = _lattice_a_image(module, lat)
-    # b^{-1} of a vector written in the b^{-k} frame lives in the b^{-(k+1)} frame
-    deeper = lat.at_shift(k + 1)
-    quotients = _quotient_columns(deeper, image)
-    if quotients is None:
-        w = min(deeper.precision, min(e.precision for c in image for e in c))
-        return None, (lat.dim, list(deeper.gens) + image, k + 1, w)
-    p = lat.dim
-    return AbModule(
-        [[quotients[j][i].shift_up(1) for j in range(p)] for i in range(p)]
-    ), None
-
-
 @lru_cache(maxsize=512)
 def saturate(module: AbModule) -> SaturationResult:
     """Stabilized sum of (b^{-1} a)-iterates of the standard lattice.
@@ -93,11 +58,27 @@ def saturate(module: AbModule) -> SaturationResult:
     is column j of M (the b^2 x' term vanishes on constant vectors), so E is
     stable exactly when M(0) = 0, and then E# = E.  Otherwise L_1 = C[[b]]^p
     + b^{-1} a(C[[b]]^p) is spanned by the b e_j and the columns of M(0), in
-    the b^{-1} frame: M - M(0) lies in b Mat, inside b C[[b]]^p.  Each later
-    step applies a to the current iterate once; that image both decides
-    stability and, on the stable iterate, gives the structure matrix of E#.
-    Regular modules stabilize within rank steps; failure to do so raises
-    NotRegular.  Needs working precision >= 2*rank + 2.
+    the b^{-1} frame: M - M(0) lies in b Mat, inside b C[[b]]^p.
+
+    Each later step applies a once to the generators of the iterate L_k
+    (shift k).  L_{k+1} = L_k + b^{-1} a(L_k), so L_k is stable exactly
+    when a(L_k) lies in b L_k.  In the b^{-(k+1)} frame the columns of
+    b^{-1} a(L_k) are the image columns themselves and b L_k is presented by
+    L_k's generators moved up one order, so the test is a back-substitution
+    of the images along those pivots that leaves no remainder.  Along L_k's
+    own pivots it says that every quotient lies in b C[[b]]; those
+    quotients times b are E#'s structure matrix, as module_on_lattice would
+    give it at the same precision.  An unstable L_k grows into the echelon
+    of b L_k's generators and the image columns, which is built only when
+    another test follows.  Regular modules stabilize within rank steps;
+    failure to do so raises NotRegular.  Needs working precision
+    >= 2*rank + 2.
+
+    The loop runs on term columns at the module's precision w (the
+    lattices keep it); only E#, its lattice and their entries are built as
+    Series.  A stable step needs no pivot check: L_k contains E, which is
+    b^k C[[b]]^p in its frame, so every pivot of b L_k is at most
+    k + 1 <= rank, far below w.
     """
     p, w = module.rank, module.precision
     if w < 2 * p + 2:
@@ -109,20 +90,38 @@ def saturate(module: AbModule) -> SaturationResult:
         return SaturationResult(
             saturated=module, lattice=standard_lattice(module), steps=0
         )
-    b_gens = [
-        [Series.b(w) if i == j else Series.zero(w) for i in range(p)]
-        for j in range(p)
+    rows = _sparse_rows(module.matrix)
+    ws = [w] * p
+    columns = [[((1, ONE),) if i == j else () for i in range(p)] for j in range(p)]
+    columns += [
+        [e.terms[:1] if e.terms and not e.terms[0][0] else () for e in col]
+        for col in zip(*module.matrix)
     ]
-    constant_cols = [
-        [Series.monomial(c, 0, w) for c in col]
-        for col in zip(*module.constant_matrix())
-    ]
-    grown = (p, b_gens + constant_cols, 1, w)
-    for step in range(1, p):
-        current = lattice_from_columns(*grown)
-        saturated, grown = _one_saturation_step(module, current)
-        if saturated is not None:
-            return SaturationResult(saturated=saturated, lattice=current, steps=step)
+    for k in range(1, p):
+        gens, pivots = _echelon(columns, w)
+        images = [_a_image_terms(rows, g, k, ws) for g in gens]
+        # b L_k in the b^{-(k+1)} frame, known below w + 1
+        up = [[tuple((n + 1, c) for n, c in t) if t else t for t in g] for g in gens]
+        up_pivots = [(r, v + 1) for r, v in pivots]
+        quotients = []
+        for image in images:
+            remainder, _, q = _back_substitute_terms(up_pivots, up, w + 1, image, ws)
+            if any(remainder):
+                break
+            quotients.append(q)
+        else:
+            top = min(wq for q in quotients for _, wq in q) + 1
+            saturated = AbModule([
+                [_series(tuple((n + 1, c) for n, c in quotients[j][i][0]
+                               if n + 1 < top), top) for j in range(p)]
+                for i in range(p)
+            ])
+            lattice = Lattice(
+                p, k, tuple(tuple(_series(t, w) for t in g) for g in gens),
+                tuple(pivots), w,
+            )
+            return SaturationResult(saturated=saturated, lattice=lattice, steps=k)
+        columns = [[_below(t, w) for t in g] for g in up] + images
     raise NotRegular(
         f"saturation did not stabilize within {p} steps: the module is not regular"
     )

@@ -18,20 +18,21 @@ Precision discipline: a pivot of valuation v is trusted only when v is at
 least two orders below the working precision (v < precision - 1); otherwise
 the lattice is not determined by the data and ``PrecisionExhausted`` is
 raised.  All membership decisions are made at the working precision.
+
+The echelon (``_echelon``) and the back-substitution
+(``_back_substitute_terms``) run on ``Series.terms`` tuples;
+``lattice_from_columns``, ``contains_column`` and ``module_on_lattice``
+(through ``_back_substitute``) build ``Series`` only for what they return, and ``saturate`` calls the
+kernels directly.
 """
 
 from __future__ import annotations
 
 from .errors import NotAStable, PrecisionExhausted
 from .record import Record
-from .scalars import ONE, Scalar
-from .series import Series, _sub_mul
-from .seriesmat import (
-    a_image,
-    col_at_precision,
-    col_shift_up,
-    col_sub_mul,
-)
+from .scalars import ONE
+from .series import Series, _below, _make, _sub_mul
+from .seriesmat import a_image, col_shift_up
 
 from .module import AbModule
 
@@ -98,7 +99,7 @@ class Lattice(Record):
             return False
         w = min(a.precision, b.precision)
         return all(
-            col_at_precision(list(ga), w) == col_at_precision(list(gb), w)
+            [_below(e.terms, w) for e in ga] == [_below(e.terms, w) for e in gb]
             for ga, gb in zip(a.gens, b.gens)
         )
 
@@ -117,29 +118,53 @@ class Lattice(Record):
 def _back_substitute(lat: Lattice, work: list):
     """Reduce a column along the pivots of lat, in order: (remainder, the
     quotient taken at each pivot)."""
+    gens = [[e.terms for e in g] for g in lat.gens]
+    rem, ws, quotients = _back_substitute_terms(
+        lat.pivots, gens, lat.precision,
+        [x.terms for x in work], [x.precision for x in work],
+    )
+    return (
+        [_make(t, w) for t, w in zip(rem, ws)],
+        [_make(q, w) for q, w in quotients],
+    )
+
+
+def _back_substitute_terms(pivots, gens, precision: int, work, ws):
+    """Back-substitution on terms: the term column work, entry i known
+    below ws[i], reduced along the pivots (row, v) of the generator term
+    columns gens, known below precision.  Returns the remainder, the
+    precision of each of its entries and the (terms, precision) of the
+    quotient taken at each pivot.
+
+    The generators are a canonical echelon's: every entry of g has
+    valuation >= v, and precision > v + 1.  So subtracting q * g,
+    q = work[row] // b^v, loses no precision to the division and leaves
+    entry i known to min(ws[i], precision of work[row], precision).  That
+    bound only falls, so the precision of entry i is min(ws[i], cap) for
+    one running cap, and the remainder is cut to it at the end.  A
+    subtraction that would read an entry of precision 0 raises
+    PrecisionExhausted, as the Series difference would.
+    """
+    work, eff, cap = list(work), ws, None
     quotients = []
-    for (row, v), gen in zip(lat.pivots, lat.gens):
-        entry = work[row]
-        if entry.precision < v:
+    for (row, v), gen in zip(pivots, gens):
+        wr = eff[row]
+        if wr < v:
             raise PrecisionExhausted("column too shallow to reduce against pivot")
-        q, _ = entry.split_at(v)
-        quotients.append(q)
-        if not q.is_zero():
-            work = col_sub_mul(work, q, list(gen), v)
-    return work, quotients
-
-
-def _quotient_columns(lat: Lattice, images):
-    """The quotient column of each image column along the pivots of lat, or
-    None at the first image column with a visibly nonzero remainder (one
-    that lies outside lat)."""
-    out = []
-    for image in images:
-        remainder, quotients = _back_substitute(lat, image)
-        if any(x.terms for x in remainder):
-            return None
-        out.append(quotients)
-    return out
+        q = tuple((k - v, c) for k, c in work[row] if v <= k < wr) if work[row] else ()
+        quotients.append((q, wr - v))
+        if q:
+            if 0 in ws:
+                raise PrecisionExhausted("operating on a series of precision 0")
+            if cap != min(wr, precision):
+                cap = min(wr, precision)
+                eff = [x if x < cap else cap for x in ws]
+            for i, g in enumerate(gen):
+                if g:
+                    work[i] = _sub_mul(work[i], q, g, eff[i])
+    if cap is not None:
+        work = [_below(t, x) for t, x in zip(work, eff)]
+    return work, eff, quotients
 
 
 # ---------------------------------------------------------------------------
@@ -147,29 +172,59 @@ def _quotient_columns(lat: Lattice, images):
 # ---------------------------------------------------------------------------
 
 
-def _column_min(col):
-    """(valuation, row) of the deepest-reaching entry, or None if invisible."""
-    best = None
-    for i, e in enumerate(col):
-        v = e.valuation()
-        if v is not None and (best is None or v < best[0]):
-            best = (v, i)
-    return best
+def _echelon(columns, w: int):
+    """The canonical echelon (gens, pivots) of term columns whose entries
+    all lie below w; gens are term columns known below w.
 
+    The pending column of least (valuation, row) is placed next; its pivot
+    is made exactly b^v by the inverse of its unit part (a pivot already
+    b^v is taken as it is), and every column placed or pending is reduced
+    by q times it, q = its entry at the pivot row // b^v.  Every entry of
+    the pivot column has valuation >= v and q is known to w - v, so each
+    difference is known below w.  A pivot valuation v >= w - 1 raises
+    PrecisionExhausted.  The lists of columns are reduced in place.
+    """
 
-def _reduce_at(col, row, v, pivot_col, precision) -> bool:
-    """col -= q * norm in place, q = col[row] // b^v and pivot_col the
-    nonzero entries of norm; whether col changed.  Every entry of norm has
-    valuation >= v and q is known to precision - v, so each difference is
-    known to the working precision."""
-    if not col[row].terms:
-        return False
-    q, _ = col[row].split_at(v)
-    if q.is_zero():
-        return False
-    for i, e in pivot_col:
-        col[i] = _sub_mul(col[i], q, e, precision)
-    return True
+    def lowest(col):  # (valuation, row) of the deepest-reaching entry
+        best = None
+        for i, t in enumerate(col):
+            if t and (best is None or t[0][0] < best[0]):
+                best = (t[0][0], i)
+        return best
+
+    pending = [(m, c) for c in columns if (m := lowest(c)) is not None]
+    gens, pivots = [], []
+    while pending:
+        idx = min(range(len(pending)), key=lambda k: pending[k][0])
+        (v, row), col = pending.pop(idx)
+        if v >= w - 1:
+            raise PrecisionExhausted(
+                f"pivot valuation {v} is not safely below precision {w}"
+            )
+        if col[row] != ((v, ONE),):
+            # t / u is 0 - (-1/u) * t for the unit part u of the pivot
+            neg = _make(tuple((k - v, -c) for k, c in col[row]), w - v).invert().terms
+            col = [_sub_mul((), neg, t, w) if t else t for t in col]
+            col[row] = ((v, ONE),)
+        pivot_col = [(i, t) for i, t in enumerate(col) if t]
+
+        def eliminate(other):  # other -= q * col, q = other[row] // b^v
+            q = tuple((k - v, c) for k, c in other[row] if k >= v)
+            if q:
+                for i, t in pivot_col:
+                    other[i] = _sub_mul(other[i], q, t, w)
+            return q
+
+        for other in gens:
+            if other[row]:
+                eliminate(other)
+        pending = [
+            (lowest(c) if c[row] and eliminate(c) else m, c) for m, c in pending
+        ]
+        pending = [(m, c) for m, c in pending if m is not None]
+        gens.append(col)
+        pivots.append((row, v))
+    return gens, pivots
 
 
 def lattice_from_columns(dim: int, columns, shift: int = 0, precision=None) -> Lattice:
@@ -187,52 +242,15 @@ def lattice_from_columns(dim: int, columns, shift: int = 0, precision=None) -> L
         )
     if precision < 1:
         raise PrecisionExhausted("lattice needs columns of precision >= 1")
-    work = [col_at_precision(c, precision) for c in cols]
+    work = [[e.at_precision(precision).terms for e in c] for c in cols]
     for c in work:
         if len(c) != dim:
             raise ValueError("column length does not match the ambient rank")
-    # (valuation, row) of each column still to place; zero columns stay zero
-    pending = [(m, c) for c in work if (m := _column_min(c)) is not None]
-    done: list[list] = []
-    pivots: list[tuple[int, int]] = []
-    while pending:
-        idx = min(range(len(pending)), key=lambda k: pending[k][0])
-        (v, row), col = pending.pop(idx)
-        if v >= precision - 1:
-            raise PrecisionExhausted(
-                f"pivot valuation {v} is not safely below precision {precision}"
-            )
-        if col[row].terms == ((v, ONE),):
-            # The pivot is already b^v and every entry is at the working
-            # precision: dividing by the unit 1 would give the column back.
-            norm = col
-        else:
-            unit_inv = col[row].shift_down(v).invert()
-            norm = [
-                (e.shift_down(v) * unit_inv).shift_up(v).at_precision(precision)
-                if e.valuation() is not None
-                else Series.zero(precision)
-                for e in col
-            ]
-            norm[row] = Series.monomial(Scalar(1), v, precision)
-        # Every entry here is at the working precision, so subtracting
-        # q * norm leaves the rows where norm is zero as they are.
-        pivot_col = [(i, e) for i, e in enumerate(norm) if e.terms]
-        for other in done:
-            _reduce_at(other, row, v, pivot_col, precision)
-        still = []
-        for m, other in pending:
-            if _reduce_at(other, row, v, pivot_col, precision):
-                m = _column_min(other)
-            if m is not None:
-                still.append((m, other))
-        pending = still
-        done.append(norm)
-        pivots.append((row, v))
+    gens, pivots = _echelon(work, precision)
     return Lattice(
         dim,
         shift,
-        tuple(tuple(c) for c in done),
+        tuple(tuple(_make(t, precision) for t in g) for g in gens),
         tuple(pivots),
         precision,
     )
@@ -266,18 +284,16 @@ def module_on_lattice(module: AbModule, lat: Lattice) -> AbModule:
     """
     if not lat.is_full_rank():
         raise ValueError("module_on_lattice needs a full-rank lattice")
-    new_cols = _quotient_columns(lat, _lattice_a_image(module, lat))
-    if new_cols is None:
-        raise NotAStable(
-            "image of a generator has a fractional coefficient: "
-            "the lattice is not a-stable"
-        )
+    # a on the generators, with the structure matrix cut to lat's precision
+    wmod = module.at_precision(min(module.precision, lat.precision))
+    new_cols = []
+    for image in a_image(wmod.matrix, lat.gens, lat.shift):
+        remainder, quotients = _back_substitute(lat, image)
+        if any(x.terms for x in remainder):
+            raise NotAStable(
+                "image of a generator has a fractional coefficient: "
+                "the lattice is not a-stable"
+            )
+        new_cols.append(quotients)
     p = lat.dim
     return AbModule([[new_cols[j][i] for j in range(p)] for i in range(p)])
-
-
-def _lattice_a_image(module: AbModule, lat: Lattice) -> list:
-    """a on the generators of lat, in lat's frame, with the structure matrix
-    cut to the lattice's precision."""
-    wmod = module.at_precision(min(module.precision, lat.precision))
-    return a_image(wmod.matrix, lat.gens, lat.shift)

@@ -72,7 +72,9 @@ class AbModule(Immutable):
 
     def is_simple_pole(self) -> bool:
         """True when a E is contained in b E, i.e. M has no constant term."""
-        return all(not c for row in self.constant_matrix() for c in row)
+        return not any(
+            e.terms and not e.terms[0][0] for row in self.matrix for e in row
+        )
 
     def at_precision(self, w: int) -> "AbModule":
         if w == self.precision:

@@ -373,7 +373,15 @@ class IntertwinerSystem:
             pass
         return rank
 
+    def _require_blocks(self, n: int) -> None:
+        if len(self.blocks) < n:
+            raise BadParameter(
+                f"the system has processed {len(self.blocks)} orders, not {n}: "
+                "it was not solved that far, or its solve stopped early"
+            )
+
     def block_matrix(self, k: int, values: dict):
+        self._require_blocks(k + 1)
         return [
             [_aff_eval(entry, values) if entry else ZERO for entry in row]
             for row in self.blocks[k]
@@ -381,7 +389,9 @@ class IntertwinerSystem:
 
     def series_matrix(self, values: dict):
         """The solution at the given parameter values, as series of precision
-        w; only nonempty entries are evaluated, and zero values are dropped."""
+        w; only nonempty entries are evaluated, and zero values are dropped.
+        BadParameter when fewer than w orders are processed."""
+        self._require_blocks(self.w)
         terms = [[[] for _ in range(self.pe)] for _ in range(self.pf)]
         for k in range(self.w):
             for row, out in zip(self.blocks[k], terms):
@@ -498,8 +508,11 @@ def find_invertible(system: IntertwinerSystem, seed: int = 0, tries: int = 40):
     case is a block 0 singular for every parameter value without an empty
     line, as for J(2;0) in the basis (e1 + e2, e1 + 2 e2) against its
     saturation, where P0 M(0) = 0 at order 0.  Returns the value dict, or
-    None when every solution is singular.
+    None when every solution is singular.  A system with no order
+    processed has no block 0 (BadParameter).
     """
+    if not system.blocks:
+        raise BadParameter("find_invertible needs a system solved to order 0 at least")
     if _singular_shape(system.blocks[0]):
         return None
     free0 = system.parameters_in_blocks(0, 1)

@@ -31,10 +31,12 @@ denominators, never their bare product.  Each output coefficient is then
 normalized once by ``scalars._make``, which is exact and gives the same
 canonical Scalar as normalizing every partial product and partial sum.
 One loop, ``_fold`` (acc += sign * x * y below w), does this for
-``_product`` past the monomial case, for ``_sub_mul`` (x - q * y) and for
-every sum of products in the series-matrix layer: ``seriesmat.smat_mul``,
-``a_image``, ``col_sub_mul`` and the row updates of ``smat_inverse``, the
-column reductions of ``lattice_from_columns`` and ``verify_intertwiner``.
+``_product`` past the monomial case, for ``_sub_mul`` (the terms of
+x - q * y) and for every sum of products above: ``seriesmat.smat_mul``,
+``seriesmat._a_image_terms`` (under ``a_image``), the row updates of
+``smat_inverse``, the reductions of the lattice kernels ``_echelon`` and
+``_back_substitute_terms`` (through ``_sub_mul``) and
+``verify_intertwiner``.
 A caller folds each product of an entry into one accumulator and calls
 ``_done`` once for the entry; ``verify_intertwiner`` only tests the raw
 numerators for zero and normalizes nothing.  Callers skip operands without
@@ -141,6 +143,8 @@ def _fold(acc: dict, x: tuple, y: tuple, w: int, sign: int = 1) -> None:
 def _done(acc: dict) -> tuple:
     """The canonical terms of a raw-triple accumulator: each order
     normalized once, the vanishing ones dropped."""
+    if not acc:
+        return ()
     return tuple(
         (n, _scalar(a, b, d)) for n, (a, b, d) in sorted(acc.items()) if a or b
     )
@@ -164,12 +168,12 @@ def _product(x: tuple, y: tuple, w: int) -> tuple:
     return _done(acc)
 
 
-def _sub_mul(x: "Series", q: "Series", y: "Series", w: int) -> "Series":
-    """x - q * y below w, for nonempty q and y and w at most the precision
-    of x and of q * y (the caller checks both)."""
-    acc = {k: [c.re_num, c.im_num, c.den] for k, c in _below(x.terms, w)}
-    _fold(acc, q.terms, y.terms, w, -1)
-    return _make(_done(acc), w)
+def _sub_mul(x: tuple, q: tuple, y: tuple, w: int) -> tuple:
+    """The terms of x - q * y below w, for nonempty terms q and y and w at
+    most the precision of x and of q * y (the caller checks both)."""
+    acc = {k: [c.re_num, c.im_num, c.den] for k, c in _below(x, w)}
+    _fold(acc, q, y, w, -1)
+    return _done(acc)
 
 
 class Series(Immutable):

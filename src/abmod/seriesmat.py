@@ -60,22 +60,19 @@ def a_image(m, cols, shift: int = 0) -> list:
 
     For structure matrix m and each column v,
     a(b^{-K} v) = b^{-K} (m v + b^2 v' - K b v); the images come back as
-    columns in the same frame.  Elements, lattices, base changes and
-    truncations all apply a through here; only the coefficient-level forms
-    of the intertwiner solver and verify_intertwiner write the rule out
-    again, for speed.
+    columns in the same frame.  Elements, lattices and base changes apply a
+    through here, saturate and truncate through its term kernel
+    ``_a_image_terms``; only the coefficient-level forms of the intertwiner
+    solver and verify_intertwiner write the rule out again, for speed.
 
     An image entry is known to min(w + 1, the least precision of its row
     of m, the least precision of v), where w = min(least precision of m,
     least precision of v); for a structure matrix, which holds one common
-    precision, that is w.  Each entry of v is cut to w before it is
-    differentiated.  The diagonal part b^2 v' - K b v of an entry is the
-    single term (k - K) c b^(k+1) for each term c b^k of v below w; it
-    starts the entry's accumulator, and each product of m v is folded in.
+    precision, that is w.
     """
     row_w = [min(entry.precision for entry in row) for row in m]
     wm = min(row_w)
-    rows = [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in m]
+    rows = _sparse_rows(m)
     out = []
     for v in cols:
         v = list(v)
@@ -83,20 +80,35 @@ def a_image(m, cols, shift: int = 0) -> list:
         w = min(wm, cv)
         if not w:
             raise PrecisionExhausted("operating on a series of precision 0")
-        img = []
-        for i, x in enumerate(v):
-            wi = min(w + 1, row_w[i], cv)
-            acc = {
-                k + 1: [(k - shift) * c.re_num, (k - shift) * c.im_num, c.den]
-                for k, c in x.terms
-                if k + 1 < wi and k != shift
-            }
-            for j, mij in rows[i]:
-                xj = v[j].terms
-                if xj:
-                    _fold(acc, mij, xj, wi)
-            img.append(_make(_done(acc), wi))
-        out.append(img)
+        ws = [min(w + 1, r, cv) for r in row_w]
+        image = _a_image_terms(rows, [x.terms for x in v], shift, ws)
+        out.append([_make(t, wi) for t, wi in zip(image, ws)])
+    return out
+
+
+def _sparse_rows(m) -> list:
+    """Per row of a series matrix, its (column, terms) pairs with terms."""
+    return [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in m]
+
+
+def _a_image_terms(rows, col, shift: int, ws) -> list:
+    """a on one term column in the b^{-shift} frame, entry i below ws[i]:
+    the terms of (m col + b^2 col' - shift b col)_i for m given by
+    ``_sparse_rows``.  Each entry of col is cut to ws[i] - 1 before it is
+    differentiated: the diagonal part b^2 x' - K b x of an entry is the
+    single term (k - K) c b^(k+1) for each term c b^k of x; it starts the
+    entry's accumulator, and each product of m col is folded in."""
+    out = []
+    for x, row, wi in zip(col, rows, ws):
+        acc = {
+            k + 1: [(k - shift) * c.re_num, (k - shift) * c.im_num, c.den]
+            for k, c in x
+            if k + 1 < wi and k != shift
+        }
+        for j, mij in row:
+            if col[j]:
+                _fold(acc, mij, col[j], wi)
+        out.append(_done(acc))
     return out
 
 
@@ -106,37 +118,6 @@ def smat_min_precision(a) -> int:
 
 def col_shift_up(x: list, m: int) -> list:
     return [u.shift_up(m) for u in x]
-
-
-def col_at_precision(x: list, w: int) -> list:
-    return [u.at_precision(w) for u in x]
-
-
-def col_sub_mul(x: list, q: Series, col: list, v: int) -> list:
-    """x - q * col for a column all of whose entries have valuation >= v.
-
-    q * col is taken as b^v * (q * (col / b^v)), so no precision is lost to
-    the valuation: entry i is known to min(precision of x_i, precision of
-    q + v, precision of col_i).  An entry of col that b^v does not divide
-    raises ValueError, and a product or difference that would have to read
-    a series of precision 0 raises PrecisionExhausted; every entry of col is
-    checked before any of x, as forming q * col first and subtracting it
-    after would.
-    """
-    for g in col:
-        if g.precision < v:
-            raise PrecisionExhausted(f"dividing by b^{v} at precision {g.precision}")
-        if g.terms and g.terms[0][0] < v:
-            raise ValueError("series is not divisible by the requested b power")
-        if g.precision == v or not q.precision:
-            raise PrecisionExhausted("operating on a series of precision 0")
-    out = []
-    for xi, g in zip(x, col):
-        if not xi.precision:
-            raise PrecisionExhausted("operating on a series of precision 0")
-        w = min(xi.precision, q.precision + v, g.precision)
-        out.append(_sub_mul(xi, q, g, w) if q.terms and g.terms else xi.at_precision(w))
-    return out
 
 
 def smat_inverse(a) -> list:
@@ -170,6 +151,6 @@ def smat_inverse(a) -> list:
                 factor = work[r][c]
                 row = list(work[r])
                 for j, e in pivot_row:
-                    row[j] = _sub_mul(row[j], factor, e, w)
+                    row[j] = _make(_sub_mul(row[j].terms, factor.terms, e.terms, w), w)
                 work[r] = row
     return [row[n:] for row in work]

@@ -466,11 +466,6 @@ def dense_scaled_col_mul(q, col, v: int):
     return [(q * entry.shift_down(v)).shift_up(v) for entry in col]
 
 
-def dense_col_sub_mul(x, q, col, v: int):
-    """``col_sub_mul`` as a product column formed whole, then subtracted."""
-    return [u - y for u, y in zip(x, dense_scaled_col_mul(q, col, v))]
-
-
 def dense_verify_intertwiner(source, target, P, w: int) -> bool:
     """``verify_intertwiner`` as a composition of the dense kernels: the
     residual P*Ms - (Mt*P + b^2*P') built as series, each entry cut to w

@@ -13,7 +13,7 @@ from abmod import (
     from_expression,
     make_J_k,
 )
-from abmod.seriesmat import a_image, col_at_precision, col_shift_up
+from abmod.seriesmat import a_image, col_shift_up
 
 
 def _mk(rows, precision):
@@ -85,7 +85,7 @@ def test_a_image_of_columns_above_the_module_precision(shift):
          for i in range(3)]
         for j in range(3)
     ]
-    cut = [col_at_precision(col, 6) for col in cols]
+    cut = [[entry.at_precision(6) for entry in col] for col in cols]
     images = a_image(module.matrix, cols, shift)
     assert images == a_image(module.matrix, cut, shift)
     assert {entry.precision for col in images for entry in col} == {6}

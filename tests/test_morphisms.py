@@ -165,6 +165,43 @@ def test_a_negative_order_count_is_refused():
         IntertwinerSystem(_pair(), _pair(), -1)
 
 
+def test_find_invertible_refuses_a_system_without_block_0():
+    matrix = from_expression("J(2;1)", 8).matrix
+    system = IntertwinerSystem(matrix, matrix, 0).solve()
+    assert system.blocks == []
+    with pytest.raises(BadParameter, match="order 0"):
+        find_invertible(system)
+
+
+def _stopped_early():
+    """A system whose solve stopped at order 1 of 6: E(1) -> E(2) with the
+    identity prescribed at order 0 is inconsistent."""
+    system = IntertwinerSystem(
+        from_expression("E(1)", 8).matrix, from_expression("E(2)", 8).matrix, 6,
+        fixed={0: [[1]]},
+    )
+    assert system.solve() is None
+    return system
+
+
+def test_series_matrix_refuses_a_system_solved_short_of_its_orders():
+    system = _stopped_early()
+    with pytest.raises(BadParameter, match=r"processed \d orders, not 6"):
+        system.series_matrix({})
+    with pytest.raises(BadParameter, match="processed 0 orders, not 4"):
+        IntertwinerSystem(_pair(), _pair(), 4).series_matrix({})
+
+
+def test_block_matrix_refuses_a_block_past_the_processed_orders():
+    system = _stopped_early()
+    n = len(system.blocks)
+    assert system.block_matrix(n - 1, {}) is not None
+    with pytest.raises(BadParameter, match=f"processed {n} orders, not {n + 1}"):
+        system.block_matrix(n, {})
+    with pytest.raises(BadParameter, match="stopped early"):
+        system.block_matrix(5, {})
+
+
 def test_an_empty_or_non_square_structure_matrix_is_refused():
     matrix = _pair()
     for source, target in (([], matrix), (matrix, []), ([[]], matrix),

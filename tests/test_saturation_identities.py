@@ -51,8 +51,8 @@ from abmod import (
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles  # noqa: E402
-from abmod.lattice import _lattice_a_image, standard_lattice  # noqa: E402
-from abmod.seriesmat import a_image, col_shift_up  # noqa: E402
+from abmod.lattice import _echelon, standard_lattice  # noqa: E402
+from abmod.seriesmat import _a_image_terms, a_image, col_shift_up  # noqa: E402
 from test_base_change import base_changes  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -211,20 +211,23 @@ def test_saturation_step_zero_is_read_off_the_structure_matrix(monkeypatch):
     standard lattice, and otherwise L_1, spanned by the b e_j and the
     columns of M(0), is the lattice of the b e_j and the images a(e_j)
     (identical generators, pivots and precision); a is applied once to
-    each later iterate L_k, k = 1 .. steps (k = 1 .. rank - 1 when the
-    module is not regular)."""
+    each generator of each later iterate L_k, k = 1 .. steps
+    (k = 1 .. rank - 1 when the module is not regular).  saturate runs on
+    term columns, so the spies sit on its kernels: the a-image kernel,
+    called once per generator column with the iterate's shift, and the
+    echelon kernel, which gets the term columns and the precision."""
     images, built = [], []
 
-    def image_spy(module, lat):
-        images.append(lat.shift)
-        return _lattice_a_image(module, lat)
+    def image_spy(rows, col, shift, ws):
+        images.append(shift)
+        return _a_image_terms(rows, col, shift, ws)
 
-    def lattice_spy(dim, columns, shift=0, precision=None):
-        built.append(lattice_from_columns(dim, columns, shift, precision))
-        return built[-1]
+    def echelon_spy(columns, w):
+        built.append((*_echelon(columns, w), w))
+        return built[-1][:2]
 
-    monkeypatch.setattr(invariants, "_lattice_a_image", image_spy)
-    monkeypatch.setattr(invariants, "lattice_from_columns", lattice_spy)
+    monkeypatch.setattr(invariants, "_a_image_terms", image_spy)
+    monkeypatch.setattr(invariants, "_echelon", echelon_spy)
     seen = Counter()
     for expr in catalog():
         for w in (12, 24):
@@ -244,8 +247,9 @@ def test_saturation_step_zero_is_read_off_the_structure_matrix(monkeypatch):
                     continue
                 except NotRegular:
                     steps = m.rank - 1
-                assert images == list(range(1, steps + 1)), (expr, w)
                 p = m.rank
+                assert images == [k for k in range(1, steps + 1) for _ in range(p)], (
+                    expr, w)
                 if m.is_simple_pole():
                     assert built == [] and sat.steps == 0
                     assert sat.saturated == m and sat.lattice == standard_lattice(m)
@@ -258,9 +262,9 @@ def test_saturation_step_zero_is_read_off_the_structure_matrix(monkeypatch):
                 b_gens = [col_shift_up(list(g), 1) for g in standard]
                 first = lattice_from_columns(
                     p, b_gens + a_image(m.matrix, standard), 1, w)
-                assert (built[0].shift, built[0].gens, built[0].pivots,
-                        built[0].precision) == (
-                    first.shift, first.gens, first.pivots, first.precision), (expr, w)
+                # built[0] is L_1: the first image calls carry shift 1
+                assert built[0] == ([[e.terms for e in g] for g in first.gens],
+                                    list(first.pivots), first.precision), (expr, w)
                 seen["grown"] += 1
     assert seen["simple pole"] >= 100 and seen["grown"] >= 500
 
@@ -268,18 +272,26 @@ def test_saturation_step_zero_is_read_off_the_structure_matrix(monkeypatch):
 def test_an_irregular_module_builds_no_lattice_after_its_last_test(monkeypatch):
     """saturate echelonizes L_{k+1} only when a stability test follows it:
     an irregular module of rank p fails all p tests, builds p - 1 lattices
-    and raises NotRegular."""
+    (echelon kernel calls, each followed by the test of its lattice, whose
+    shift the a-image kernel receives) and raises NotRegular."""
     built = []
 
-    def spy(dim, columns, shift=0, precision=None):
-        built.append(shift)
-        return lattice_from_columns(dim, columns, shift, precision)
+    def echelon_spy(columns, w):
+        built.append("echelon")
+        return _echelon(columns, w)
 
-    monkeypatch.setattr(invariants, "lattice_from_columns", spy)
+    def image_spy(rows, col, shift, ws):
+        if built[-1] != shift:
+            built.append(shift)
+        return _a_image_terms(rows, col, shift, ws)
+
+    monkeypatch.setattr(invariants, "_echelon", echelon_spy)
+    monkeypatch.setattr(invariants, "_a_image_terms", image_spy)
     for expr in ("E(1/2)", "E(1/2,2;3)", "rand(3;1)", "rand(4;7)", "rand(5;3)"):
         module = irregular(from_expression(expr, 16))
         _clear_caches()
         built.clear()
         with pytest.raises(NotRegular):
             saturate(module)
-        assert built == list(range(1, module.rank)), expr
+        assert built[::2] == ["echelon"] * (module.rank - 1), expr
+        assert built[1::2] == list(range(1, module.rank)), expr

@@ -27,14 +27,13 @@ from abmod import (
 from abmod.cli import main
 from abmod.errors import PrecisionExhausted
 from abmod.lattice import _back_substitute
-from abmod.seriesmat import a_image, col_sub_mul, smat_inverse, smat_mul
+from abmod.seriesmat import a_image, smat_inverse, smat_mul
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import (  # noqa: E402
     dense_a_image,
     dense_back_substitute,
-    dense_col_sub_mul,
     dense_lattice_from_columns,
     dense_smat_inverse,
     dense_smat_mul,
@@ -106,18 +105,6 @@ def test_a_image_matches_dense(n, wm, shift, data):
     m = data.draw(st.one_of(columns(n, n, wm), columns(n, n)))
     cols = data.draw(st.lists(st.lists(series(), min_size=n, max_size=n), max_size=3))
     assert outcome(a_image, m, cols, shift) == outcome(dense_a_image, m, cols, shift)
-
-
-@SETTINGS
-@given(series(), st.integers(0, 3), st.data())
-def test_col_sub_mul_matches_dense(q, v, data):
-    # entries divisible by b^v, except when a draw asks for a bad one
-    col = data.draw(
-        st.lists(st.one_of(series(low=v), series()), min_size=1, max_size=4)
-    )
-    x = data.draw(st.lists(series(), min_size=len(col), max_size=len(col)))
-    got = outcome(col_sub_mul, x, q, col, v)
-    assert got == outcome(dense_col_sub_mul, x, q, col, v)
 
 
 def _intertwiners():
