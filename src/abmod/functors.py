@@ -24,9 +24,9 @@ from .errors import (
 )
 from .invariants import (
     _class_rep,
+    _stable_level,
     biggest_simple_pole,
     is_regular,
-    n_lambda,
     saturate,
     spectrum,
 )
@@ -131,19 +131,24 @@ def hom_ab(E: AbModule, F: AbModule) -> AbModule:
 
 
 def ext_dims(E: AbModule, F: AbModule) -> tuple:
-    """(dim Ext^0, dim Ext^1) of the pair, via the a-action on hom_ab(E,F).
+    """(dim Ext^0, dim Ext^1) of the pair, via the a-action on H = Hom(E, F).
 
     Both dimensions are read off finite truncations H/b^W H at a level W
     past the point where b^W H falls inside a.H, and certified by
-    recomputing at W+1.  The kernel of a on H/b^W H is solved order by
-    order, as the intertwiners from the rank-1 module [[0]] into H, by one
-    system grown through W, W+1 and W+2 orders.
+    recomputing at W+1.  The kernel of a on H/b^W H is the space of
+    intertwiners E -> F mod b^W: hom_ab's a-action on a map Psi, written in
+    the negated variable, is the intertwining equation of P(b) = Psi(-b),
+    up to a sign per order.  So it is solved order by order as
+    IntertwinerSystem(E.matrix, F.matrix), one system grown through W, W+1
+    and W+2 orders.  hom_ab(E, F) is built only for the level: its rank
+    ceiling, and the width table and delta that bound W (the level search
+    runs on a second E -> F system).
     """
     H = hom_ab(E, F)
     if not is_regular(E) or not is_regular(F):
         raise NotRegular("ext dimensions are certified for regular modules only")
-    base = n_lambda(H, ZERO) + 2
-    system = IntertwinerSystem([[Series.zero(H.precision)]], H.matrix, 0)
+    base = _stable_level(H, ZERO, IntertwinerSystem(E.matrix, F.matrix, 0)) + 2
+    system = IntertwinerSystem(E.matrix, F.matrix, 0)
     d1 = len(system.solve(base).alive)
     d0 = system.solve(base + 1).rank_in_blocks(0, base)
     if len(system.alive) != d1 or (

@@ -335,19 +335,29 @@ def n_lambda(module: AbModule, lam) -> int:
     into E, grown order by order.  lam is anything ``Scalar.of`` takes.
     """
     lam = Scalar.of(lam)
+    source = [[Series.monomial(lam, 1, module.precision)]]
+    return _stable_level(module, lam, IntertwinerSystem(source, module.matrix, 0))
+
+
+def _stable_level(module: AbModule, lam: Scalar, system: IntertwinerSystem) -> int:
+    """n_lambda's level search on any system whose live parameter count
+    after N orders is k_N = dim ker(a - lam b) on E/b^N E, E = module.
+
+    The sufficient level w is read off the module's width table and delta
+    as n_lambda describes; the system, unsolved on entry, is grown to
+    w + 1 orders, and the least N with k_N = k_w must equal the least N
+    with k_N = k_(w+1).  ext_dims passes the E -> F intertwiners, whose
+    count is k_N of a on Hom(E, F) with lam = 0.
+    """
     table = width_table(module)
     delta = delta_index(module)
     rep = _class_rep(lam)
+    # the sufficient level, plus a margin of 2
     if rep in table.classes:
-        lo = table.classes[rep][0]
-        gap = lam.re - lo.re
-        base = int(gap) if gap.denominator == 1 and gap > 0 else 0
-        w = base + delta + 2
+        gap = lam.re - table.classes[rep][0].re
+        w = (int(gap) if gap.denominator == 1 and gap > 0 else 0) + delta + 4
     else:
-        w = delta + module.rank + 2
-    w += 2
-    source = [[Series.monomial(lam, 1, module.precision)]]
-    system = IntertwinerSystem(source, module.matrix, 0)
+        w = delta + module.rank + 4
     dims = [0] + [len(system.solve(n).alive) for n in range(1, w + 2)]
     first = dims.index(dims[w])
     second = dims.index(dims[w + 1])

@@ -28,7 +28,7 @@ kernels directly.
 
 from __future__ import annotations
 
-from .errors import NotAStable, PrecisionExhausted
+from .errors import BadParameter, NotAStable, PrecisionExhausted
 from .record import Record
 from .scalars import ONE
 from .series import Series, _below, _make, _sub_mul
@@ -78,7 +78,10 @@ class Lattice(Record):
     def contains_column(self, col, shift: int = 0) -> bool:
         """Whether b^{-shift} col lies in this lattice: its remainder after
         back-substitution along the pivots, in the frame of
-        max(self.shift, shift), is visibly zero."""
+        max(self.shift, shift), is visibly zero.  A column whose length is
+        not the lattice's dimension is refused (BadParameter)."""
+        if len(col) != self.dim:
+            raise BadParameter(f"column length {len(col)} is not the rank {self.dim}")
         k = max(self.shift, shift)
         work = col_shift_up(list(col), k - shift)
         rem = _back_substitute(self.at_shift(k), work)[0]
@@ -245,7 +248,7 @@ def lattice_from_columns(dim: int, columns, shift: int = 0, precision=None) -> L
     work = [[e.at_precision(precision).terms for e in c] for c in cols]
     for c in work:
         if len(c) != dim:
-            raise ValueError("column length does not match the ambient rank")
+            raise BadParameter("column length does not match the ambient rank")
     gens, pivots = _echelon(work, precision)
     return Lattice(
         dim,

@@ -20,7 +20,7 @@ oracles in ``tests/oracles.py`` keep the dense forms built from the
 
 from __future__ import annotations
 
-from .errors import PrecisionExhausted
+from .errors import BadParameter, PrecisionExhausted
 from .series import Series, _done, _fold, _make, _sub_mul
 
 
@@ -68,7 +68,8 @@ def a_image(m, cols, shift: int = 0) -> list:
     An image entry is known to min(w + 1, the least precision of its row
     of m, the least precision of v), where w = min(least precision of m,
     least precision of v); for a structure matrix, which holds one common
-    precision, that is w.
+    precision, that is w.  A column whose length is not the rank of m is
+    refused (BadParameter).
     """
     row_w = [min(entry.precision for entry in row) for row in m]
     wm = min(row_w)
@@ -76,6 +77,8 @@ def a_image(m, cols, shift: int = 0) -> list:
     out = []
     for v in cols:
         v = list(v)
+        if len(v) != len(m):
+            raise BadParameter(f"column length {len(v)} is not the rank {len(m)}")
         cv = min(x.precision for x in v)
         w = min(wm, cv)
         if not w:

@@ -20,8 +20,10 @@ from abmod import (
     PrecisionExhausted,
     Scalar,
     Series,
+    hom_ab,
     is_regular,
     lattice_from_columns,
+    n_lambda,
 )
 from abmod.linalg import Echelon, det, identity, mat_mul, rref
 from abmod.morphisms import CONST, IntertwinerSystem
@@ -709,6 +711,26 @@ def dense_hom_ab(E: AbModule, F: AbModule) -> AbModule:
             for k in range(pf):
                 rows[r][k * pe + j] = rows[r][k * pe + j] - mf[i][k]
     return AbModule(rows)
+
+
+def flattened_ext_dims(E: AbModule, F: AbModule) -> tuple:
+    """``ext_dims`` as it solved the flattened Hom: the kernel of a on
+    H = hom_ab(E, F), as the intertwiners from the rank-1 module [[0]] into
+    H, with the level from ``n_lambda(H, 0)``."""
+    H = hom_ab(E, F)
+    if not is_regular(E) or not is_regular(F):
+        raise NotRegular("ext dimensions are certified for regular modules only")
+    base = n_lambda(H, ZERO) + 2
+    system = IntertwinerSystem([[Series.zero(H.precision)]], H.matrix, 0)
+    d1 = len(system.solve(base).alive)
+    d0 = system.solve(base + 1).rank_in_blocks(0, base)
+    if len(system.alive) != d1 or (
+        system.solve(base + 2).rank_in_blocks(0, base + 1) != d0
+    ):
+        raise PrecisionExhausted(
+            "ext dimensions failed to stabilize at consecutive truncation levels"
+        )
+    return d0, d1
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from abmod import (
     BadParameter,
     Element,
     HypothesisViolated,
+    IntertwinerSystem,
     NotEigen,
     NotRegular,
     NotSimplePole,
@@ -55,6 +56,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (  # noqa: E402
     dense_hom_ab,
     eb_primitive_eigen_element,
+    flattened_ext_dims,
     hand_eigen_lift,
     mat_sub,
 )
@@ -250,6 +252,80 @@ def test_saturated_hom_spectrum_is_bounded_by_the_differences(E, F):
         assert s.re >= least[_class_rep(s)].re
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_modules().map(lambda m: saturate(m).saturated),
+       small_modules().map(lambda m: saturate(m).saturated))
+def test_hom_of_simple_pole_modules_has_the_difference_spectrum(E, F):
+    """When E and F have a simple pole, so does Hom(E, F), with residue
+    R_F (x) I - I (x) tR_E: its spectrum is exactly the multiset
+    {mu - lam : lam in S(E), mu in S(F)}."""
+    hom = hom_ab(E, F)
+    assert hom.is_simple_pole()
+    try:
+        got, left, right = spectrum(hom), spectrum(E), spectrum(F)
+    except UnsupportedSpectrum:
+        assume(False)
+    want = sorted((mu - lam for lam in left for mu in right), key=Scalar.sort_key)
+    assert sorted(got, key=Scalar.sort_key) == want
+
+
+def _ext_outcome(fn, E, F):
+    try:
+        return fn(E, F)
+    except AbmodError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(6, 24).flatmap(lambda w: small_modules(precision=w)),
+       st.integers(6, 24).flatmap(lambda w: small_modules(precision=w)))
+def test_ext_dims_match_the_flattened_hom(E, F):
+    """The E -> F intertwiners give the values, errors and messages that
+    the kernel of a on the flattened Hom gave."""
+    assert _ext_outcome(ext_dims, E, F) == _ext_outcome(flattened_ext_dims, E, F)
+
+
+@pytest.mark.parametrize("left, right", [
+    ("J(3;1)", "E(0)"), ("E(0)", "J(2;0)"), ("rand(2;5)", "rand(3;1000)"),
+])
+def test_ext_dims_solves_only_the_intertwiners_from_e_to_f(monkeypatch, left, right):
+    built = []
+    init = IntertwinerSystem.__init__
+
+    def spy(self, source, target, *args, **kwargs):
+        built.append((source, target))
+        init(self, source, target, *args, **kwargs)
+
+    monkeypatch.setattr(IntertwinerSystem, "__init__", spy)
+    E, F = from_expression(left, 16), from_expression(right, 16)
+    ext_dims(E, F)
+    assert built
+    assert all(source == E.matrix and target == F.matrix for source, target in built)
+
+
+# ext_dims reads Ext^0 as the rank in blocks below the level of the kernel
+# of a one order past it, which counts kernel elements of the truncation
+# living in its top orders (ROADMAP item 1).  The fix changes the ext0
+# goldens of bench/expected.json, so it waits for a change to the benchmark.
+EXT0_OVERCOUNT = pytest.mark.xfail(
+    strict=True, reason="Ext^0 counts truncation artifacts (ROADMAP item 1)"
+)
+
+
+@pytest.mark.parametrize("left, right", [
+    pytest.param("J(2;0)", "J(2;0)", marks=EXT0_OVERCOUNT),   # code 3, law 1
+    pytest.param("J(3;1)", "E(0)", marks=EXT0_OVERCOUNT),     # code 3, law 1
+    pytest.param("J(2;0)", "E(0)", marks=EXT0_OVERCOUNT),     # code 2, law 1
+    ("E(0)", "E(0)"),
+])
+def test_ext0_obeys_the_index_law(left, right):
+    """a has index -rank on a regular module, so on H = Hom(E, F)
+    dim Ext^0 - dim Ext^1 = -rank(E)*rank(F)."""
+    E, F = from_expression(left, 24), from_expression(right, 24)
+    d0, d1 = ext_dims(E, F)
+    assert d0 == d1 - E.rank * F.rank
+
+
 def test_ext_refuses_an_irregular_module():
     E = from_expression("E(1/2,1/3)", 16)
     with pytest.raises(NotRegular):
@@ -371,6 +447,15 @@ def test_quotient_by_rank1():
     assert q.matrix[0][0] == Series.monomial(lam - ONE, 1, 12)
     with pytest.raises(NotEigen):
         quotient_by_rank1(m, m.basis_element(1))
+
+
+def test_quotient_by_rank1_refuses_a_vector_whose_length_is_not_the_rank():
+    m = from_expression("E(1/2;1)", 8)
+    right = [Series.zero(8), Series.one(8)]
+    assert quotient_by_rank1(m, Element(right)).rank == 1
+    for wrong in ([Series.one(8)], right + [Series.one(8)]):
+        with pytest.raises(BadParameter, match="is not the rank 2"):
+            quotient_by_rank1(m, Element(wrong))
 
 
 # -- Jordan-Hoelder ----------------------------------------------------------

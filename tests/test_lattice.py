@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from abmod import (
+    BadParameter,
     NotAStable,
     PrecisionExhausted,
     Scalar,
@@ -46,6 +47,15 @@ def test_membership():
     lat = lattice_from_columns(2, [col([0, 1], [0]), col([0], [1])])  # <b e1, e2>
     assert lat.contains_column(col([0, 0, 5], [1]))        # b^2*5 e1 + e2
     assert not lat.contains_column(col([1], [0]))          # e1 itself
+
+
+def test_a_column_whose_length_is_not_the_rank_is_refused():
+    lat = lattice_from_columns(2, [col([0, 1], [0]), col([0], [1])])
+    for wrong in (col([1]), col([0, 1], [0], [1])):
+        with pytest.raises(BadParameter, match="is not the rank 2"):
+            lat.contains_column(wrong)
+        with pytest.raises(BadParameter, match="does not match the ambient rank"):
+            lattice_from_columns(2, [col([1], [0]), wrong])
 
 
 def test_scaled_and_shifted_frames():

@@ -91,6 +91,13 @@ def test_a_image_of_columns_above_the_module_precision(shift):
     assert {entry.precision for col in images for entry in col} == {6}
 
 
+@pytest.mark.parametrize("length", [1, 3])
+def test_a_image_refuses_a_column_whose_length_is_not_the_rank(length):
+    module = from_expression("E(1/2;1)", 8)
+    with pytest.raises(BadParameter, match=f"column length {length} is not the rank 2"):
+        a_image(module.matrix, [[Series.one(8)] * length])
+
+
 def _b_series(terms, precision):
     """The series sum c b^k over the (k, c) pairs, at the given precision."""
     out = Series.zero(precision)

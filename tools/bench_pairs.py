@@ -21,10 +21,13 @@ isomorphic), ``abmod ext 'J(7;0)' 'J(7;0)' --precision 112`` (saturation
 and the width table of a Hom of rank 49), ``abmod fd 'rand(4;1001)'
 --precision 26 --trials 100`` (the intertwiner solver on a dense structure
 matrix, where the ``J(4;0)`` probe's is sparse), ``abmod ext 'J(10;0)'
-'J(10;0)' --precision 256`` (a Hom of rank 100) and ``abmod classify2
+'J(10;0)' --precision 256`` (a Hom of rank 100), ``abmod classify2
 'E(1/2,2;3)' --precision 48`` (the ``NonSplitAlpha`` branch: a primitive
-eigenvector read off the saturation, then alpha).  Their times are wall
-times of the whole process, not scaled to the host's speed.  Three more
+eigenvector read off the saturation, then alpha), ``abmod ext 'J(2;0)'
+'J(2;0)' --precision 3`` (the precision retry that fails again: it exits 1
+with "saturation of a rank-4 module needs precision >= 10, have 6") and
+``abmod ext 'J(3;1)' 'E(0)'`` (README's quickstart pair).  Their times are
+wall times of the whole process, not scaled to the host's speed.  Three more
 probes are in-process twins of the ``rand(4;1001)``, ``J(7;0)`` and
 ``E(1/2,2;3)`` probes: one fresh child per run and side imports that side's
 ``abmod``, pins itself to one CPU as ``bench/run.py`` does, builds the
@@ -70,7 +73,8 @@ PROBES = (["info", "J(12;0)", "--precision", "60"], ["ext", "J(4;0)", "F(4;0;1/2
           ["ext", "J(7;0)", "J(7;0)", "--precision", "112"],
           ["fd", "rand(4;1001)", "--precision", "26", "--trials", "100"],
           ["ext", "J(10;0)", "J(10;0)", "--precision", "256"],
-          ["classify2", "E(1/2,2;3)", "--precision", "48"])
+          ["classify2", "E(1/2,2;3)", "--precision", "48"],
+          ["ext", "J(2;0)", "J(2;0)", "--precision", "3"], ["ext", "J(3;1)", "E(0)"])
 
 
 def _bench(root: str, workload: str, seed: int) -> dict:
