@@ -24,9 +24,9 @@ from .errors import (
 )
 from .invariants import (
     _class_rep,
-    _stable_level,
     biggest_simple_pole,
     is_regular,
+    n_lambda,
     saturate,
     spectrum,
 )
@@ -141,13 +141,13 @@ def ext_dims(E: AbModule, F: AbModule) -> tuple:
     up to a sign per order.  So it is solved order by order as
     IntertwinerSystem(E.matrix, F.matrix), one system grown through W, W+1
     and W+2 orders.  hom_ab(E, F) is built only for the level: its rank
-    ceiling, and the width table and delta that bound W (the level search
-    runs on a second E -> F system).
+    ceiling, and the width table and delta that bound W (n_lambda(H, 0)
+    searches the level on a second E -> F system).
     """
     H = hom_ab(E, F)
     if not is_regular(E) or not is_regular(F):
         raise NotRegular("ext dimensions are certified for regular modules only")
-    base = _stable_level(H, ZERO, IntertwinerSystem(E.matrix, F.matrix, 0)) + 2
+    base = n_lambda(H, ZERO, _system=IntertwinerSystem(E.matrix, F.matrix, 0)) + 2
     system = IntertwinerSystem(E.matrix, F.matrix, 0)
     d1 = len(system.solve(base).alive)
     d0 = system.solve(base + 1).rank_in_blocks(0, base)

@@ -321,7 +321,7 @@ def is_geometric(module: AbModule) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def n_lambda(module: AbModule, lam) -> int:
+def n_lambda(module: AbModule, lam, *, _system: IntertwinerSystem = None) -> int:
     """The smallest N with b^N E inside (a - lam b) E.
 
     Decided on truncations at the sufficient level (lam - lambda_min of the
@@ -333,31 +333,26 @@ def n_lambda(module: AbModule, lam) -> int:
     b^w exactly when its cokernels mod b^N and mod b^w have equal dimension.
     k_N is the live parameter count of one intertwiner system from [[lam b]]
     into E, grown order by order.  lam is anything ``Scalar.of`` takes.
+
+    ``_system`` is private to ext_dims: an unsolved system grown in place
+    of the [[lam b]] -> E one, whose live count after N orders is also k_N.
+    For E = Hom(E', F') and lam = 0, ext_dims passes the E' -> F'
+    intertwiners.
     """
     lam = Scalar.of(lam)
-    source = [[Series.monomial(lam, 1, module.precision)]]
-    return _stable_level(module, lam, IntertwinerSystem(source, module.matrix, 0))
-
-
-def _stable_level(module: AbModule, lam: Scalar, system: IntertwinerSystem) -> int:
-    """n_lambda's level search on any system whose live parameter count
-    after N orders is k_N = dim ker(a - lam b) on E/b^N E, E = module.
-
-    The sufficient level w is read off the module's width table and delta
-    as n_lambda describes; the system, unsolved on entry, is grown to
-    w + 1 orders, and the least N with k_N = k_w must equal the least N
-    with k_N = k_(w+1).  ext_dims passes the E -> F intertwiners, whose
-    count is k_N of a on Hom(E, F) with lam = 0.
-    """
     table = width_table(module)
     delta = delta_index(module)
     rep = _class_rep(lam)
-    # the sufficient level, plus a margin of 2
     if rep in table.classes:
-        gap = lam.re - table.classes[rep][0].re
-        w = (int(gap) if gap.denominator == 1 and gap > 0 else 0) + delta + 4
+        lo = table.classes[rep][0]
+        gap = lam.re - lo.re
+        base = int(gap) if gap.denominator == 1 and gap > 0 else 0
+        w = base + delta + 2
     else:
-        w = delta + module.rank + 4
+        w = delta + module.rank + 2
+    w += 2
+    source = [[Series.monomial(lam, 1, module.precision)]]
+    system = _system or IntertwinerSystem(source, module.matrix, 0)
     dims = [0] + [len(system.solve(n).alive) for n in range(1, w + 2)]
     first = dims.index(dims[w])
     second = dims.index(dims[w + 1])
