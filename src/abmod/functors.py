@@ -12,7 +12,6 @@ Conventions used throughout:
   The sign flip lives only here.
 """
 
-from . import linalg
 from .errors import (
     BadParameter,
     HypothesisViolated,
@@ -23,14 +22,14 @@ from .errors import (
     PrecisionExhausted,
 )
 from .invariants import (
-    _class_rep,
-    biggest_simple_pole,
+    delta_index,
     is_regular,
     n_lambda,
     saturate,
     spectrum,
+    width_table,
 )
-from .lattice import Lattice, lattice_from_columns
+from .lattice import lattice_from_columns
 from .module import AbModule, Element, base_change
 from .morphisms import IntertwinerSystem
 from .record import Record
@@ -165,29 +164,6 @@ def ext_dims(E: AbModule, F: AbModule) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _eigen_column(matrix, lam: Scalar, fixed: dict) -> list:
-    """The column x with (a - lam*b)x = 0 on a simple-pole structure matrix
-    of precision w, its blocks x_0..x_kappa prescribed by ``fixed``, solved
-    as the intertwiner from the rank-1 module [[lam*b]] and cut to w - 1.
-
-    Order k of the equation only involves x_0..x_{k-1}: orders up to
-    kappa + 1 check the prescribed blocks, and each later order k fixes
-    x_{k-1}.  So data known mod b^w fix x_0..x_{w-2} and nothing more.
-    """
-    w = min(e.precision for row in matrix for e in row)
-    source = [[Series.monomial(lam, 1, w)]]
-    system = IntertwinerSystem(source, matrix, w, fixed=fixed)
-    if system.solve(len(fixed) + 1) is None:
-        raise HypothesisViolated(
-            "residual of the seed is not divisible by b^(kappa+2)"
-        )
-    if system.solve(w) is None or system.parameters_in_blocks(0, w - 1):
-        raise HypothesisViolated(
-            "correction system is singular: lifting hypothesis violated"
-        )
-    return [row[0].at_precision(w - 1) for row in system.series_matrix({})]
-
-
 def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
     """The exact solution x of (a - lam*b)x = 0 that agrees with y below
     b^(kappa+1), known to precision W - 1 on a module of precision W.
@@ -198,7 +174,9 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
     matrix R, order k of the equation reads
         (R - lam + k - 1) x_{k-1} = -sum_{j >= 2} M_j x_{k-j},
     so it fixes x_{k-1}: the W orders the module knows fix x_0..x_{W-2},
-    and the coefficient of b^(W-1) is not claimed.
+    and the coefficient of b^(W-1) is not claimed.  x is solved as the
+    intertwiner from the rank-1 module [[lam*b]] with the blocks
+    x_0..x_kappa prescribed by y; orders up to kappa + 1 check them.
     """
     if not module.is_simple_pole():
         raise NotSimplePole("eigen lifting requires a simple-pole module")
@@ -208,7 +186,8 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
     z = y.normalize()
     if z.shift > 0:
         raise HypothesisViolated("seed element does not lie in the module")
-    if kappa + 2 > module.precision:
+    w = module.precision
+    if kappa + 2 > w:
         raise PrecisionExhausted("module precision too small for the given kappa")
     same_class = [v for v in spectrum(module) if (lam - v).is_integer()]
     if same_class:
@@ -219,7 +198,49 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
             )
     coords = z.in_frame(0)
     fixed = {k: [[c.coefficient(k)] for c in coords] for k in range(kappa + 1)}
-    return Element(_eigen_column(module.matrix, lam, fixed), 0)
+    source = [[Series.monomial(lam, 1, w)]]
+    system = IntertwinerSystem(source, module.matrix, w, fixed=fixed)
+    if system.solve(kappa + 2) is None:
+        raise HypothesisViolated(
+            "residual of the seed is not divisible by b^(kappa+2)"
+        )
+    if system.solve(w) is None or system.parameters_in_blocks(0, w - 1):
+        raise HypothesisViolated(
+            "correction system is singular: lifting hypothesis violated"
+        )
+    return Element([row[0].at_precision(w - 1) for row in system.series_matrix({})], 0)
+
+
+def _eigenvector(module: AbModule, mu: Scalar):
+    """A primitive x in E with a.x = mu*b*x, in E's coordinates; None when
+    no solution of (a - mu*b)x = 0 has x_0 != 0.
+
+    The kernel is solved to the W orders E knows, as the intertwiners from
+    [[mu*b]] into E, and x is the solution with the lowest block-0
+    parameter 1 and every other parameter 0, known to precision
+    W - 1 - delta.  Its residual (b^-1 a - mu)x lies in b^(W-1) E, inside
+    b^(W-1) E#.  On E#, with residue R#, order k of (b^-1 a - mu)y = 0 has
+    the matrix R# + k - mu, invertible once k > mu - z_min, z_min E#'s least
+    exponent in mu's class.  So for W >= max(mu - z_min, delta) + 2, x
+    agrees with an exact eigenvector mod b^(W-1) E#, which lies in
+    b^(W-1-delta) E, and block 0 has its true rank.
+    """
+    w = module.precision
+    delta = delta_index(module)
+    gaps = [int((mu - z).re) for z in spectrum(saturate(module).saturated)
+            if (mu - z).is_integer()]
+    need = max(gaps + [delta]) + 2
+    if w < need:
+        raise PrecisionExhausted(
+            f"the eigenvector for exponent {mu} needs precision >= {need}, have {w}"
+        )
+    source = [[Series.monomial(mu, 1, w)]]
+    system = IntertwinerSystem(source, module.matrix, w).solve()
+    params = system.parameters_in_blocks(0, 1)
+    if not params:
+        return None
+    return [row[0].at_precision(w - 1 - delta)
+            for row in system.series_matrix({params[0]: ONE})]
 
 
 # ---------------------------------------------------------------------------
@@ -306,63 +327,25 @@ def _unit_normalizer(g: Series, lam: Scalar) -> Series:
     Requires g to have residue coefficient lam (so the integrand is regular);
     otherwise the prescribed constant term is inconsistent.
     """
-    return _eigen_column([[g]], lam, {0: [[ONE]]})[0]
-
-
-def _choose_class(values, policy: str):
-    """Group eigenvalues into congruence classes and pick one per policy."""
-    classes = {}
-    for v in values:
-        classes.setdefault(_class_rep(v), []).append(v)
-    reps = sorted(classes, key=Scalar.sort_key)
-    rep = reps[0] if policy == "lex" else reps[-1]
-    return classes[rep]
-
-
-def _eigen_coords(
-    module: AbModule, simple: AbModule, lattice: Lattice, lam: Scalar
-):
-    """An x in a simple-pole module with a.x = lam*b*x exactly, lifted from
-    a residue eigenvector for the exponent lam, and the least valuation of
-    its coordinates.
-
-    ``simple`` is the structure on ``lattice``, a lattice in E[b^-1] such as
-    E^b (shift 0) or E# (shift K); the coordinates returned are those of x
-    in the module's b^-K frame, so x is b^-K times them.
-    """
-    res = simple.residue_matrix()
-    p = simple.rank
-    shifted = [
-        [res[i][j] - lam if i == j else res[i][j] for j in range(p)]
-        for i in range(p)
-    ]
-    null = linalg.nullspace(shifted)
-    seed = Element(
-        [Series.monomial(v, 0, simple.precision) for v in null[0]], 0
-    )
-    lifted = eigen_lift(simple, lam, seed, 0)
-    inner = lifted.in_frame(0)
-    coords = []
-    for i in range(module.rank):
-        acc = Series.zero(lattice.precision)
-        for j, g in enumerate(lattice.gens):
-            acc = acc + g[i] * inner[j]
-        coords.append(acc)
-    vals = [c.valuation() for c in coords if not c.is_zero()]
-    if not vals:
-        raise HypothesisViolated("eigenvector mapped to zero in the module")
-    return coords, min(vals)
+    seed = Element([Series.one(g.precision)], 0)
+    return eigen_lift(AbModule([[g]]), lam, seed, 0).coords[0]
 
 
 def _jh_step(module: AbModule, policy: str):
-    """One Jordan-Hoelder step: a primitive eigenvector realizing the
-    smallest exponent of the chosen class, in the module's coordinates."""
-    eb_module, eb_lattice = biggest_simple_pole(module)
-    values = spectrum(eb_module)
-    lam = min(_choose_class(values, policy), key=Scalar.sort_key)
-    coords, v = _eigen_coords(module, eb_module, eb_lattice, lam)
-    primitive = [c.shift_down(v) for c in coords]
-    return primitive, lam - Scalar(v)
+    """One Jordan-Hoelder step: a primitive eigenvector for lambda_min(E^b)
+    of the class the policy picks, in the module's coordinates.
+
+    A primitive eigenvector spans a simple-pole submodule, so it lies in E^b
+    and is primitive there; width_table reads lambda_min(E^b) off (E*)#
+    without building E^b.
+    """
+    classes = width_table(module).classes
+    pick = min if policy == "lex" else max
+    mu = classes[pick(classes, key=Scalar.sort_key)][0]
+    primitive = _eigenvector(module, mu)
+    if primitive is None:
+        raise HypothesisViolated("no primitive eigenvector for the least exponent")
+    return primitive, mu
 
 
 def _jh_recurse(module: AbModule, policy: str):
@@ -477,28 +460,10 @@ def _has_primitive_eigen(module: AbModule, c: Scalar, gap: int) -> bool:
     return first > 0
 
 
-def _primitive_eigen_element(module: AbModule, mu: Scalar):
-    """A primitive x in E with a.x = mu*b*x exactly, read off the saturation
-    E#, whose Jordan form on this branch is non-split; None when b times its
-    eigen element is not primitive.
-
-    On a non-split E# with exponent z = mu - 1 the solutions of
-    (a - mu*b)x = 0 in E#[b^-1] are the line C.b.x#, x# the z-eigen element
-    of E# (from ab - ba = b^2).  In the b^-K frame of E#'s lattice, x# has
-    least valuation v, so b.x# lies in E, and is primitive there, exactly
-    when v = K - 1.
-    """
-    sat = saturate(module)
-    coords, v = _eigen_coords(module, sat.saturated, sat.lattice, mu - ONE)
-    if v != sat.lattice.shift - 1:
-        return None
-    return [c.shift_down(v) for c in coords]
-
-
 def _alpha_from_presentation(module: AbModule, lam: Scalar, n: int) -> Scalar:
     """Read alpha off by renormalizing to a.t = y + (lam-1)*b*t + alpha*b^n*y."""
     mu = lam - Scalar(n)
-    y = _primitive_eigen_element(module, mu)
+    y = _eigenvector(module, mu)
     if y is None:
         raise HypothesisViolated(
             "no primitive eigenvector for the expected exponent"

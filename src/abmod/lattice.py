@@ -66,7 +66,7 @@ class Lattice(Record):
         """
         d = shift - self.shift
         if d < 0:
-            raise ValueError("cannot shallow a lattice frame; shifts only grow")
+            raise BadParameter("cannot shallow a lattice frame; shifts only grow")
         if d == 0:
             return self
         gens = tuple(tuple(col_shift_up(list(g), d)) for g in self.gens)
@@ -286,7 +286,7 @@ def module_on_lattice(module: AbModule, lat: Lattice) -> AbModule:
     (NotAStable).
     """
     if not lat.is_full_rank():
-        raise ValueError("module_on_lattice needs a full-rank lattice")
+        raise BadParameter("module_on_lattice needs a full-rank lattice")
     # a on the generators, with the structure matrix cut to lat's precision
     wmod = module.at_precision(min(module.precision, lat.precision))
     new_cols = []

@@ -15,16 +15,22 @@ from abmod import (
     AbModule,
     BadParameter,
     Element,
+    HypothesisViolated,
     Lattice,
     NotRegular,
     PrecisionExhausted,
     Scalar,
     Series,
+    biggest_simple_pole,
+    eigen_lift,
     hom_ab,
     is_regular,
     lattice_from_columns,
+    linalg,
     n_lambda,
+    spectrum,
 )
+from abmod.invariants import _class_rep
 from abmod.linalg import Echelon, det, identity, mat_mul, rref
 from abmod.morphisms import CONST, IntertwinerSystem
 from abmod.scalars import ONE, ZERO, _make
@@ -638,13 +644,10 @@ def eb_width_table(module: AbModule):
 
 
 def eb_primitive_eigen_element(module: AbModule, mu: Scalar):
-    """``functors._primitive_eigen_element`` as first written: the
-    mu-eigenvector of E^b, built by ``biggest_simple_pole``, lifted and
-    mapped into E, which is primitive there when its least valuation is 0;
-    None when mu is not an exponent of E^b."""
-    from abmod import biggest_simple_pole, spectrum
-    from abmod.functors import _eigen_coords
-
+    """The primitive mu-eigenvector as first found for the ``NonSplitAlpha``
+    branch: the mu-eigenvector of E^b, built by ``biggest_simple_pole``,
+    lifted and mapped into E, which is primitive there when its least
+    valuation is 0; None when mu is not an exponent of E^b."""
     eb_module, eb_lattice = biggest_simple_pole(module)
     if all(v != mu for v in spectrum(eb_module)):
         return None
@@ -652,6 +655,69 @@ def eb_primitive_eigen_element(module: AbModule, mu: Scalar):
     if v != 0:
         return None
     return coords
+
+
+# The Jordan-Hoelder step as it was before it read its eigenvector off the
+# kernel of a - mu*b on E: the residue eigenvector of E^b (built by
+# biggest_simple_pole) for the least exponent of the chosen class, lifted on
+# E^b and mapped into E.  _choose_class, _eigen_coords and _jh_step are the
+# library's functions of that time, verbatim.
+
+
+def _choose_class(values, policy: str):
+    """Group eigenvalues into congruence classes and pick one per policy."""
+    classes = {}
+    for v in values:
+        classes.setdefault(_class_rep(v), []).append(v)
+    reps = sorted(classes, key=Scalar.sort_key)
+    rep = reps[0] if policy == "lex" else reps[-1]
+    return classes[rep]
+
+
+def _eigen_coords(
+    module: AbModule, simple: AbModule, lattice: Lattice, lam: Scalar
+):
+    """An x in a simple-pole module with a.x = lam*b*x exactly, lifted from
+    a residue eigenvector for the exponent lam, and the least valuation of
+    its coordinates.
+
+    ``simple`` is the structure on ``lattice``, a lattice in E[b^-1] such as
+    E^b (shift 0) or E# (shift K); the coordinates returned are those of x
+    in the module's b^-K frame, so x is b^-K times them.
+    """
+    res = simple.residue_matrix()
+    p = simple.rank
+    shifted = [
+        [res[i][j] - lam if i == j else res[i][j] for j in range(p)]
+        for i in range(p)
+    ]
+    null = linalg.nullspace(shifted)
+    seed = Element(
+        [Series.monomial(v, 0, simple.precision) for v in null[0]], 0
+    )
+    lifted = eigen_lift(simple, lam, seed, 0)
+    inner = lifted.in_frame(0)
+    coords = []
+    for i in range(module.rank):
+        acc = Series.zero(lattice.precision)
+        for j, g in enumerate(lattice.gens):
+            acc = acc + g[i] * inner[j]
+        coords.append(acc)
+    vals = [c.valuation() for c in coords if not c.is_zero()]
+    if not vals:
+        raise HypothesisViolated("eigenvector mapped to zero in the module")
+    return coords, min(vals)
+
+
+def _jh_step(module: AbModule, policy: str):
+    """One Jordan-Hoelder step: a primitive eigenvector realizing the
+    smallest exponent of the chosen class, in the module's coordinates."""
+    eb_module, eb_lattice = biggest_simple_pole(module)
+    values = spectrum(eb_module)
+    lam = min(_choose_class(values, policy), key=Scalar.sort_key)
+    coords, v = _eigen_coords(module, eb_module, eb_lattice, lam)
+    primitive = [c.shift_down(v) for c in coords]
+    return primitive, lam - Scalar(v)
 
 
 def hand_eigen_lift(module: AbModule, lam: Scalar, y: Element, kappa: int) -> Element:

@@ -11,13 +11,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 from abmod import (
     AbModule,
     BadParameter,
+    FiniteAbQuotient,
     Intertwiner,
     NoLift,
     NotFound,
     NotRegular,
+    ONE,
     PrecisionExhausted,
     Scalar,
     Series,
+    ZERO,
     from_expression,
     identity_truncation_iso,
     lift_truncation_iso,
@@ -126,6 +129,29 @@ def test_module_iso_goldens():
         module_iso(from_expression("E(1/2)", 14), from_expression("E(1/3)", 14))
         is None
     )
+
+
+def test_module_iso_refuses_a_precision_outside_the_data():
+    e = from_expression("J(2;0)", 8)
+    with pytest.raises(BadParameter, match="^precision must be at least 1$"):
+        module_iso(e, e, W=0)
+    with pytest.raises(PrecisionExhausted,
+                       match="^requested precision exceeds the structure data$"):
+        module_iso(e, e, W=9)
+
+
+def test_quotient_iso_refuses_quotients_of_different_dimensions():
+    left = truncate(from_expression("J(2;0)", 12), 3)
+    right = truncate(from_expression("J(2;0)", 12), 4)
+    with pytest.raises(BadParameter, match="^quotient dimensions differ$"):
+        quotient_iso(left, right)
+
+
+def test_quotient_iso_refuses_a_b_action_that_is_not_nilpotent():
+    q = truncate(from_expression("E(0)", 8), 2)
+    unipotent = FiniteAbQuotient(q.dim, q.A, ((ONE, ONE), (ZERO, ONE)), q.rank, q.level)
+    with pytest.raises(BadParameter, match="^b-action is not nilpotent$"):
+        quotient_iso(unipotent, q)
 
 
 # -- lifting -----------------------------------------------------------------

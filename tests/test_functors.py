@@ -20,6 +20,7 @@ from abmod import (
     NotRegular,
     NotSimplePole,
     PrecisionExhausted,
+    Rank2NormalForm,
     Scalar,
     Series,
     UnsupportedSpectrum,
@@ -32,6 +33,7 @@ from abmod import (
     from_expression,
     hom_ab,
     jordan_holder,
+    lattice_from_columns,
     make_E_lambda,
     make_E_lambda_mu,
     make_E_lambda_mu_alpha,
@@ -53,6 +55,7 @@ from abmod.seriesmat import a_image
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import oracles  # noqa: E402
 from oracles import (  # noqa: E402
     dense_hom_ab,
     eb_primitive_eigen_element,
@@ -468,6 +471,11 @@ def test_jh_J3_golden():
     assert seq.filtration[0].rank == 1 and seq.filtration[2].rank == 3
 
 
+def test_jordan_holder_refuses_an_unknown_policy():
+    with pytest.raises(BadParameter, match="^unknown class-choice policy: 'bogus'$"):
+        jordan_holder(from_expression("J(2;0)", 8), "bogus")
+
+
 def test_jh_sum_matches_alpha_across_policies():
     for expr in ["J(3;1)", "E(1/2,1/3)", "rand(3;61)", "rand(4;62)"]:
         m = from_expression(expr, 16)
@@ -510,6 +518,93 @@ def test_jordan_holder_filtrations_hold_under_a_cut():
     assert answered == 292
 
 
+def _jh_exponents(module, policy):
+    return _attempt(lambda m: [str(e) for e in jordan_holder(m, policy).exponents],
+                    module)
+
+
+@st.composite
+def jh_modules(draw):
+    """A catalog or rand module of rank <= 4 at a precision from 6 to 24,
+    maybe dualized, under a sparse base change."""
+    w = draw(st.integers(6, 24))
+    catalog = [e for e in MEMO_EXPRS if not e.startswith("rand")]
+    expr = draw(st.sampled_from(catalog) | st.builds(
+        "rand({};{})".format, st.integers(1, 4), st.integers(0, 500)))
+    module = from_expression(expr, w)
+    assume(module.rank <= 4)
+    if draw(st.booleans()):
+        module = dual(module)
+    return base_change(module, draw(base_changes(module.rank, w)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(jh_modules(), st.sampled_from(("lex", "revlex")))
+def test_jordan_holder_exponents_match_the_eb_route(module, policy):
+    """The exponents, or the error type and message, are those of the step
+    that read its eigenvector off E^b (kept as oracles._jh_step)."""
+    new = _jh_exponents(module, policy)
+    with mock.patch.object(functors, "_jh_step", oracles._jh_step):
+        assert _jh_exponents(module, policy) == new
+
+
+def test_the_eigenvector_needs_the_orders_that_fix_it():
+    """W >= max(mu - z_min, delta) + 2 orders decide block 0; E(0) has no
+    primitive solution of a.x = 7*b*x, and below 9 orders that is not
+    decided."""
+    assert functors._eigenvector(from_expression("E(0)", 9), Scalar(7)) is None
+    with pytest.raises(PrecisionExhausted,
+                       match="^the eigenvector for exponent 7 needs precision >= 9, have 8$"):
+        functors._eigenvector(from_expression("E(0)", 8), Scalar(7))
+
+
+def _direct_sum(*modules):
+    """The block-diagonal module with the given summands."""
+    w = min(m.precision for m in modules)
+    rows = []
+    at = 0
+    p = sum(m.rank for m in modules)
+    for m in modules:
+        for row in m.matrix:
+            rows.append([Series.zero(w)] * at + [e.at_precision(w) for e in row]
+                        + [Series.zero(w)] * (p - at - m.rank))
+        at += m.rank
+    return AbModule(rows)
+
+
+@pytest.mark.parametrize("summands", [
+    ("J(2;0)", "J(2;0)"), ("E(1/2;2)", "E(1/2;2)"), ("E(0)", "E(0)", "E(0)"),
+])
+@pytest.mark.parametrize("w", (12, 24))
+def test_jordan_holder_with_a_repeated_least_exponent(summands, w):
+    """Where the least exponent's eigenspace has dimension 2 or more the
+    filtration is not unique, and the kernel route may pick another
+    eigen-line than the E^b route: the exponents still agree, and the
+    filtration is a nested chain of a-stable lattices of ranks 1..p, the
+    first spanned by a primitive eigenvector for the first exponent."""
+    rng = random.Random(w)
+    base = _direct_sum(*(from_expression(e, w) for e in summands))
+    for module in (base, _random_base_change(base, rng), _random_base_change(base, rng)):
+        p = module.rank
+        for policy in ("lex", "revlex"):
+            seq = jordan_holder(module, policy)
+            with mock.patch.object(functors, "_jh_step", oracles._jh_step):
+                assert seq.exponents == jordan_holder(module, policy).exponents
+            assert [lat.rank for lat in seq.filtration] == list(range(1, p + 1))
+            for small, large in zip(seq.filtration, seq.filtration[1:]):
+                assert all(large.contains_column(list(g), small.shift) for g in small.gens)
+            for lat in seq.filtration:
+                images = a_image(module.matrix, [list(g) for g in lat.gens], lat.shift)
+                assert all(lat.contains_column(image, lat.shift) for image in images)
+            # The first lattice's echelon generator is the step's eigenvector
+            # divided by its pivot entry, a unit series, so it is no
+            # eigenvector itself; the step's vector spans the same lattice.
+            x = functors._jh_step(module, policy)[0]
+            assert lattice_from_columns(p, [x]) == seq.filtration[0]
+            assert quotient_by_rank1(module, Element(x)).rank == p - 1
+            assert functors._eigen_data(module, Element(x))[2] == seq.exponents[0]
+
+
 # -- rank-2 classification ---------------------------------------------------
 
 
@@ -541,6 +636,15 @@ def test_classify_rejects_wrong_rank():
     from abmod import BadParameter
     with pytest.raises(BadParameter):
         classify_rank2(from_expression("E(1/2)", 12))
+
+
+def test_normal_forms_refuse_parameters_outside_their_family():
+    with pytest.raises(BadParameter, match="^Jordan parameter must be nonnegative$"):
+        Rank2NormalForm.simple_pole_jordan(0, -1)
+    for n, alpha in ((0, 3), (2, 0)):
+        with pytest.raises(BadParameter,
+                           match="^the twisted family needs n >= 1 and alpha != 0$"):
+            Rank2NormalForm.non_split_alpha(HALF, n, alpha)
 
 
 def test_classify_families_and_base_changes():
@@ -601,16 +705,17 @@ def twisted_alpha_modules(draw):
 @given(twisted_alpha_modules())
 def test_the_saturation_route_to_the_primitive_eigenvector_matches_the_eb_route(module):
     """On a non-split E# of exponent z the primitive (z+1)-eigenvector read
-    off E# is proportional to the one read off E^b (or neither exists), and
-    classify_rank2 gives the same outcome, messages included, either way."""
+    off the kernel of a - (z+1)*b on E is proportional to the one read off
+    E^b (or neither exists), and classify_rank2 gives the same outcome,
+    messages included, either way."""
     outcome = _classified(module)
-    with mock.patch.object(functors, "_primitive_eigen_element", eb_primitive_eigen_element):
+    with mock.patch.object(functors, "_eigenvector", eb_primitive_eigen_element):
         assert _classified(module) == outcome
     inner = _attempt(lambda m: classify_rank2(saturate(m).saturated), module)
     if isinstance(inner, tuple) or inner.tag != "SimplePoleJordan" or inner.params[1] < 1:
         return
     mu = inner.params[0] + ONE
-    new = _attempt(functors._primitive_eigen_element, module, mu)
+    new = _attempt(functors._eigenvector, module, mu)
     old = _attempt(eb_primitive_eigen_element, module, mu)
     if new is None or old is None or isinstance(new, tuple) or isinstance(old, tuple):
         assert new == old
@@ -627,18 +732,49 @@ def test_nonsplit_alpha_classification_builds_no_dual_saturation(monkeypatch):
             return f(*args)
         return counted
 
-    memo = invariants.biggest_simple_pole
-    for owner in (functors, invariants):
-        monkeypatch.setattr(owner, "biggest_simple_pole", spy("biggest_simple_pole", memo))
+    monkeypatch.setattr(invariants, "biggest_simple_pole",
+                        spy("biggest_simple_pole", invariants.biggest_simple_pole))
     monkeypatch.setattr(functors, "dual", spy("dual", functors.dual))
     module = _random_base_change(make_E_lambda_mu_alpha(HALF, 2, Scalar(3), 14),
                                  random.Random(26))
     assert str(classify_rank2(module)) == "NonSplitAlpha(1/2, 2, 3)"
     assert calls == []
-    # the spies see the calls that E^b's other users still make
-    memo.cache_clear()
-    jordan_holder(module)
-    assert "biggest_simple_pole" in calls and "dual" in calls
+
+
+def _abmod_calls(f, *args):
+    """f(*args), and the names of the abmod functions it called."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and "abmod" in frame.f_code.co_filename:
+            module = Path(frame.f_code.co_filename).stem
+            called.add(f"{module}.{frame.f_code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+E_B_ROUTE = {"invariants.biggest_simple_pole", "lattice.module_on_lattice",
+             "linalg.nullspace"}
+
+
+@pytest.mark.parametrize("expr, w", [
+    ("J(5;0)", 24), ("rand(4;11)", 16), ("E(1/2,2;3)", 16), ("F(4;0;2)", 24),
+])
+def test_jordan_holder_and_classification_never_build_e_b(expr, w):
+    """Both read their primitive eigenvector off the kernel of a - mu*b on
+    E: neither builds E^b, a module on a lattice, or a dense nullspace."""
+    invariants.biggest_simple_pole.cache_clear()
+    module = _random_base_change(from_expression(expr, w), random.Random(34))
+    for policy in ("lex", "revlex"):
+        assert not _abmod_calls(jordan_holder, module, policy) & E_B_ROUTE
+        assert "functors._eigenvector" in _abmod_calls(jordan_holder, module, policy)
+    if module.rank == 2:
+        assert not _abmod_calls(classify_rank2, module) & E_B_ROUTE
 
 
 # -- the split test's level -------------------------------------------------

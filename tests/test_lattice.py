@@ -104,6 +104,21 @@ def test_non_stable_lattice_rejected():
         module_on_lattice(m, lat)
 
 
+def test_a_lattice_that_is_not_full_rank_has_no_module():
+    m = from_expression("E(1/2;1)", W)
+    line = lattice_from_columns(2, [[Series.one(W), Series.zero(W)]])
+    with pytest.raises(BadParameter, match="^module_on_lattice needs a full-rank lattice$"):
+        module_on_lattice(m, line)
+
+
+def test_a_lattice_frame_only_deepens():
+    lat = standard_lattice(from_expression("E(1/2;1)", W))
+    assert lat.at_shift(2).shift == 2
+    with pytest.raises(BadParameter,
+                       match="^cannot shallow a lattice frame; shifts only grow$"):
+        lat.at_shift(-1)
+
+
 def test_lattice_sum():
     a = lattice_from_columns(2, [col([0, 1], [0]), col([0], [1])])
     b = lattice_from_columns(2, [col([1], [0]), col([0], [0, 1])])

@@ -141,6 +141,15 @@ def test_element_normalize_cancels_the_common_b_power():
         Element([Series.zero(2), Series.zero(2)], 5).normalize()
 
 
+def test_element_repr_and_zero_test():
+    s = Series([Scalar(1), Scalar(0), Scalar(-2)], 5)
+    e = Element([s, Series.b(5)])
+    assert repr(e) == "Element([1 - 2*b^2, b])"
+    assert repr(Element([s], 2)) == "Element(b^-2 * [1 - 2*b^2])"
+    assert not e.is_zero() and not Element([Series.zero(5), Series.b(5)]).is_zero()
+    assert Element([Series.zero(4), Series.zero(4)], 1).is_zero()
+
+
 def test_element_refuses_bad_input_with_a_typed_error():
     with pytest.raises(BadParameter, match="at least one coordinate"):
         Element([], 0)

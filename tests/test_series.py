@@ -27,6 +27,12 @@ def test_constructors():
     assert Series.b(3).coefficient(1) == Scalar(1)
 
 
+def test_repr_shows_the_series_and_its_precision():
+    s = Series([Scalar(1), Scalar(0), Scalar(-2)], 5)
+    assert repr(s) == "Series('1 - 2*b^2', W=5)"
+    assert repr(Series.zero(3)) == "Series('0', W=3)"
+
+
 def test_valuation():
     assert S([0, 0, 3], 6).valuation() == 2
     assert Series.zero(6).valuation() is None

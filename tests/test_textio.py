@@ -175,6 +175,13 @@ def test_parse_module_file_rejects_duplicates():
         parse_module_file(text)
 
 
+def test_parse_module_file_rejects_a_second_rank_line():
+    text = "rank 1\nprecision 4\nrank 2\nm 1 1: b\n"
+    with pytest.raises(ParseError, match="duplicate rank line") as info:
+        parse_module_file(text)
+    assert info.value.line == 3
+
+
 def test_parse_module_file_rejects_out_of_range_indices():
     text = "rank 1\nprecision 4\nm 2 1: b\n"
     with pytest.raises(ParseError):

@@ -25,8 +25,13 @@ matrix, where the ``J(4;0)`` probe's is sparse), ``abmod ext 'J(10;0)'
 'E(1/2,2;3)' --precision 48`` (the ``NonSplitAlpha`` branch: a primitive
 eigenvector read off the saturation, then alpha), ``abmod ext 'J(2;0)'
 'J(2;0)' --precision 3`` (the precision retry that fails again: it exits 1
-with "saturation of a rank-4 module needs precision >= 10, have 6") and
-``abmod ext 'J(3;1)' 'E(0)'`` (README's quickstart pair).  Their times are
+with "saturation of a rank-4 module needs precision >= 10, have 6"),
+``abmod ext 'J(3;1)' 'E(0)'`` (README's quickstart pair), and three
+Jordan-Hoelder probes, each step a primitive eigenvector read off the kernel
+of a - mu*b on E: ``abmod jh 'J(6;0)' --precision 32``, ``abmod jh
+'rand(5;11)'`` and ``abmod jh 'J(5;0)' --precision 8`` (the precision retry
+that fails again: it exits 1 with "saturation of a rank-3 module needs
+precision >= 8, have 7").  Their times are
 wall times of the whole process, not scaled to the host's speed.  Three more
 probes are in-process twins of the ``rand(4;1001)``, ``J(7;0)`` and
 ``E(1/2,2;3)`` probes: one fresh child per run and side imports that side's
@@ -74,7 +79,9 @@ PROBES = (["info", "J(12;0)", "--precision", "60"], ["ext", "J(4;0)", "F(4;0;1/2
           ["fd", "rand(4;1001)", "--precision", "26", "--trials", "100"],
           ["ext", "J(10;0)", "J(10;0)", "--precision", "256"],
           ["classify2", "E(1/2,2;3)", "--precision", "48"],
-          ["ext", "J(2;0)", "J(2;0)", "--precision", "3"], ["ext", "J(3;1)", "E(0)"])
+          ["ext", "J(2;0)", "J(2;0)", "--precision", "3"], ["ext", "J(3;1)", "E(0)"],
+          ["jh", "J(6;0)", "--precision", "32"], ["jh", "rand(5;11)"],
+          ["jh", "J(5;0)", "--precision", "8"])
 
 
 def _bench(root: str, workload: str, seed: int) -> dict:
