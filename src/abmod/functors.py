@@ -215,15 +215,17 @@ def _eigenvector(module: AbModule, mu: Scalar):
     """A primitive x in E with a.x = mu*b*x, in E's coordinates; None when
     no solution of (a - mu*b)x = 0 has x_0 != 0.
 
-    The kernel is solved to the W orders E knows, as the intertwiners from
-    [[mu*b]] into E, and x is the solution with the lowest block-0
-    parameter 1 and every other parameter 0, known to precision
-    W - 1 - delta.  Its residual (b^-1 a - mu)x lies in b^(W-1) E, inside
-    b^(W-1) E#.  On E#, with residue R#, order k of (b^-1 a - mu)y = 0 has
-    the matrix R# + k - mu, invertible once k > mu - z_min, z_min E#'s least
-    exponent in mu's class.  So for W >= max(mu - z_min, delta) + 2, x
-    agrees with an exact eigenvector mod b^(W-1) E#, which lies in
-    b^(W-1-delta) E, and block 0 has its true rank.
+    The kernel is solved as the intertwiners from [[mu*b]] into E.  On E#,
+    with residue R#, order k of (b^-1 a - mu)y = 0 has the matrix
+    R# + k - mu, invertible once k > mu - z_min, z_min E#'s least exponent
+    in mu's class.  So from level max(mu - z_min, delta) + 2 on, a solution
+    mod b^level agrees with an exact eigenvector mod b^(level-1) E#, which
+    lies in b^(level-1-delta) E, and block 0 has its true rank: the answer
+    None is read there.  On a simple pole (delta = 0) with exponents mu and
+    mu - gap that level is gap + 2, the resonance order.  Otherwise the
+    system resumes to the W orders E knows, and x is the solution with the
+    lowest block-0 parameter 1 and every other parameter 0, known to
+    precision W - 1 - delta.
     """
     w = module.precision
     delta = delta_index(module)
@@ -235,10 +237,10 @@ def _eigenvector(module: AbModule, mu: Scalar):
             f"the eigenvector for exponent {mu} needs precision >= {need}, have {w}"
         )
     source = [[Series.monomial(mu, 1, w)]]
-    system = IntertwinerSystem(source, module.matrix, w).solve()
-    params = system.parameters_in_blocks(0, 1)
-    if not params:
+    system = IntertwinerSystem(source, module.matrix, need).solve()
+    if not system.parameters_in_blocks(0, 1):
         return None
+    params = system.solve(w).parameters_in_blocks(0, 1)
     return [row[0].at_precision(w - 1 - delta)
             for row in system.series_matrix({params[0]: ONE})]
 
@@ -434,32 +436,6 @@ class Rank2NormalForm(Record):
         return "%s(%s)" % (self.tag, ", ".join(str(p) for p in self.params))
 
 
-def _has_primitive_eigen(module: AbModule, c: Scalar, gap: int) -> bool:
-    """Whether a primitive solution of (a - c*b)x = 0 exists, for c the
-    larger exponent of a simple-pole module whose exponents differ by gap.
-
-    With residue matrix R, order k of the equation reads
-        (R - c + k - 1) x_{k-1} = -sum_{j >= 2} M_j x_{k-j},
-    which is singular only at k = 1, putting x_0 in ker(R - c), and at
-    k = gap + 1, where the matrix is R - (c - gap).  So after gap + 2 orders
-    a nonzero x_0 survives exactly when that resonance is unobstructed, and
-    no later order constrains x_0 again; the answer is certified by the
-    same rank of block 0 after one more order.  The kernel is solved order
-    by order, as the intertwiners from the rank-1 module [[c*b]] into E.
-    """
-    level = gap + 2
-    if level + 1 > module.precision:
-        raise PrecisionExhausted(
-            "not enough precision for the primitive-eigenvector test"
-        )
-    source = [[Series.monomial(c, 1, module.precision)]]
-    system = IntertwinerSystem(source, module.matrix, level).solve()
-    first = system.rank_in_blocks(0, 1)
-    if system.solve(level + 1).rank_in_blocks(0, 1) != first:
-        raise PrecisionExhausted("primitive-eigenvector test did not stabilize")
-    return first > 0
-
-
 def _alpha_from_presentation(module: AbModule, lam: Scalar, n: int) -> Scalar:
     """Read alpha off by renormalizing to a.t = y + (lam-1)*b*t + alpha*b^n*y."""
     mu = lam - Scalar(n)
@@ -517,10 +493,9 @@ def classify_rank2(module: AbModule) -> Rank2NormalForm:
         if not diff.is_integer():
             return Rank2NormalForm.direct_sum(x, y)
         small, big = sorted((x, y), key=Scalar.sort_key)
-        gap = int((big - small).re)
-        if _has_primitive_eigen(module, big, gap):
+        if _eigenvector(module, big) is not None:
             return Rank2NormalForm.direct_sum(small, big)
-        return Rank2NormalForm.simple_pole_jordan(small, gap)
+        return Rank2NormalForm.simple_pole_jordan(small, int((big - small).re))
     sharp = saturate(module).saturated
     inner = classify_rank2(sharp)
     if inner.tag == "DirectSum":

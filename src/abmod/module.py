@@ -42,7 +42,7 @@ class AbModule(Immutable):
     def __init__(self, matrix):
         p = len(matrix)
         if p == 0 or any(len(row) != p for row in matrix):
-            raise ValueError("structure matrix must be square and nonempty")
+            raise BadParameter("structure matrix must be square and nonempty")
         w = smat_min_precision(matrix)
         if w < 1:
             raise PrecisionExhausted("module structure matrix has precision 0")

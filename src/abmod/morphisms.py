@@ -26,11 +26,11 @@ Hom(E, F)/b^w is the space of intertwiners E -> F mod b^w, so
 Hom.  Each free parameter survives as one block entry, so the kernel has
 dimension ``len(alive)``, and ``rank_in_blocks`` gives the rank of its
 image in chosen low-order blocks.  With nothing prescribed it gives the
-primitive eigenvector of a Jordan-Hoelder step and of the ``NonSplitAlpha``
-classification (``functors._eigenvector``).  With the low blocks of x
-prescribed it is also ``functors.eigen_lift``, which lifts a seed to the
-exact solution of (a - c*b)x = 0, and the unit normalizer of a rank-1
-Jordan-Hoelder step.
+primitive eigenvector of a Jordan-Hoelder step, of the rank-2 split test
+and of the ``NonSplitAlpha`` classification (``functors._eigenvector``).
+With the low blocks of x prescribed it is also ``functors.eigen_lift``,
+which lifts a seed to the exact solution of (a - c*b)x = 0, and the unit
+normalizer of a rank-1 Jordan-Hoelder step.
 
 ``solve(w)`` resumes after the orders already processed, so a certificate
 read at two consecutive levels grows one system by one order.  A search

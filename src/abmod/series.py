@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .errors import NotAUnit, PrecisionExhausted
+from .errors import BadParameter, NotAUnit, PrecisionExhausted
 from .record import Immutable
 from .scalars import Scalar, ZERO, ONE
 from .scalars import _make as _scalar
@@ -66,7 +66,7 @@ def _as_scalar(x) -> Scalar:
 
 def _check_precision(precision: int) -> None:
     if precision < 0:
-        raise ValueError("precision must be >= 0")
+        raise BadParameter("precision must be >= 0")
 
 
 def _below(terms: tuple, w: int) -> tuple:
@@ -218,7 +218,7 @@ class Series(Immutable):
     def monomial(c, k: int, precision: int) -> "Series":
         """The series c * b^k at the given precision."""
         if k < 0:
-            raise ValueError("monomial exponent must be >= 0")
+            raise BadParameter("monomial exponent must be >= 0")
         c = _as_scalar(c)
         _check_precision(precision)
         return _make(((k, c),) if c and k < precision else (), precision)
@@ -236,7 +236,7 @@ class Series(Immutable):
     def coefficient(self, k: int) -> Scalar:
         """The coefficient of b^k; raises if k is beyond the precision."""
         if k < 0:
-            raise ValueError("coefficient takes k >= 0")
+            raise BadParameter("coefficient takes k >= 0")
         if k >= self.precision:
             raise PrecisionExhausted(
                 f"coefficient of b^{k} requested at precision {self.precision}"
@@ -389,7 +389,7 @@ class Series(Immutable):
         """Multiply by b^m.  Precision *gains* m: if x is known mod b^W then
         b^m * x is honestly known mod b^{W+m}."""
         if m < 0:
-            raise ValueError("shift_up takes m >= 0")
+            raise BadParameter("shift_up takes m >= 0")
         if m == 0:
             return self
         return _make(tuple((k + m, c) for k, c in self.terms), self.precision + m)
@@ -400,7 +400,7 @@ class Series(Immutable):
         The result is known to precision - m only.
         """
         if m < 0:
-            raise ValueError("shift_down takes m >= 0")
+            raise BadParameter("shift_down takes m >= 0")
         if m == 0:
             return self
         if m > self.precision:
@@ -408,13 +408,13 @@ class Series(Immutable):
                 f"dividing by b^{m} at precision {self.precision}"
             )
         if self.terms and self.terms[0][0] < m:
-            raise ValueError("series is not divisible by the requested b power")
+            raise BadParameter("series is not divisible by the requested b power")
         return _make(tuple((k - m, c) for k, c in self.terms), self.precision - m)
 
     def split_at(self, m: int) -> tuple["Series", "Series"]:
         """Quotient and remainder by b^m: self = b^m * q + r, deg r < m."""
         if m < 0:
-            raise ValueError("split_at takes m >= 0")
+            raise BadParameter("split_at takes m >= 0")
         if m > self.precision:
             raise PrecisionExhausted(
                 f"splitting at b^{m} at precision {self.precision}"

@@ -657,6 +657,39 @@ def eb_primitive_eigen_element(module: AbModule, mu: Scalar):
     return coords
 
 
+# The rank-2 split test as it was before classify_rank2 read it off
+# functors._eigenvector: the library's _has_primitive_eigen of that time,
+# verbatim.  It solves to the resonance order gap + 2 and certifies the
+# block-0 rank with one more order.
+
+
+def _has_primitive_eigen(module: AbModule, c: Scalar, gap: int) -> bool:
+    """Whether a primitive solution of (a - c*b)x = 0 exists, for c the
+    larger exponent of a simple-pole module whose exponents differ by gap.
+
+    With residue matrix R, order k of the equation reads
+        (R - c + k - 1) x_{k-1} = -sum_{j >= 2} M_j x_{k-j},
+    which is singular only at k = 1, putting x_0 in ker(R - c), and at
+    k = gap + 1, where the matrix is R - (c - gap).  So after gap + 2 orders
+    a nonzero x_0 survives exactly when that resonance is unobstructed, and
+    no later order constrains x_0 again; the answer is certified by the
+    same rank of block 0 after one more order.  The kernel is solved order
+    by order, as the intertwiners from the rank-1 module [[c*b]] into E.
+    """
+    level = gap + 2
+    if level + 1 > module.precision:
+        raise PrecisionExhausted(
+            "not enough precision for the primitive-eigenvector test"
+        )
+    source = [[Series.monomial(c, 1, module.precision)]]
+    system = IntertwinerSystem(source, module.matrix, level).solve()
+    first = system.rank_in_blocks(0, 1)
+    if system.solve(level + 1).rank_in_blocks(0, 1) != first:
+        raise PrecisionExhausted("primitive-eigenvector test did not stabilize")
+    return first > 0
+
+
+
 # The Jordan-Hoelder step as it was before it read its eigenvector off the
 # kernel of a - mu*b on E: the residue eigenvector of E^b (built by
 # biggest_simple_pole) for the least exponent of the chosen class, lifted on

@@ -120,12 +120,22 @@ def test_jh_classify_truncate_golden(capsys):
     assert code == 0 and out == ["precision_raised: 16", "jh: 2, 1, 0"]
     code, out, _ = run(["classify2", "E(1/2,3/2)"], capsys)
     assert code == 0 and out == ["class2: NonSplit(1/2, 3/2)"]
-    # gap 2: the split test needs gap + 3 = 5 orders, the saturation 6, so
+    # gap 2: the split test needs gap + 2 = 4 orders, the saturation 6, so
     # no precision_raised line
     code, out, _ = run(["classify2", "E(1/2;2)", "--precision", "6"], capsys)
     assert code == 0 and out == ["class2: SimplePoleJordan(1/2, 2)"]
     code, out, _ = run(["truncate", "E(1/2)", "2"], capsys)
     assert code == 0 and out == ["dim 2", "A 2 1: 1/2", "B 2 1: 1"]
+
+
+def test_classify_answers_at_the_resonance_order(capsys):
+    """The split test is certified at gap + 2 orders on the simple-pole
+    model: E(1/2;5) answers at 7, and E(0,5), whose saturation is one order
+    shorter, at 8, with no precision retry."""
+    code, out, _ = run(["classify2", "E(1/2;5)", "--precision", "7"], capsys)
+    assert code == 0 and out == ["class2: SimplePoleJordan(1/2, 5)"]
+    code, out, _ = run(["classify2", "E(0,5)", "--precision", "8"], capsys)
+    assert code == 0 and out == ["class2: NonSplit(0, 5)"]
 
 
 def test_iso_module_and_truncation_level(capsys):

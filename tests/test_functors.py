@@ -707,9 +707,16 @@ def test_the_saturation_route_to_the_primitive_eigenvector_matches_the_eb_route(
     """On a non-split E# of exponent z the primitive (z+1)-eigenvector read
     off the kernel of a - (z+1)*b on E is proportional to the one read off
     E^b (or neither exists), and classify_rank2 gives the same outcome,
-    messages included, either way."""
+    messages included, either way.  Only the NonSplitAlpha call on E takes
+    the E^b route: the split test on the simple-pole E# keeps the kernel,
+    as E^b's lift refuses the larger of two exponents of one class."""
     outcome = _classified(module)
-    with mock.patch.object(functors, "_eigenvector", eb_primitive_eigen_element):
+    kernel = functors._eigenvector
+
+    def eb_route(m, mu):
+        return kernel(m, mu) if m.is_simple_pole() else eb_primitive_eigen_element(m, mu)
+
+    with mock.patch.object(functors, "_eigenvector", eb_route):
         assert _classified(module) == outcome
     inner = _attempt(lambda m: classify_rank2(saturate(m).saturated), module)
     if isinstance(inner, tuple) or inner.tag != "SimplePoleJordan" or inner.params[1] < 1:
@@ -780,13 +787,17 @@ def test_jordan_holder_and_classification_never_build_e_b(expr, w):
 # -- the split test's level -------------------------------------------------
 
 
-def _classification_floor(module):
+def _classification_floor(module, expected):
     """The least precision at which classify_rank2 answers on a truncation:
-    6 for the saturation, and gap + 3 for the split test on the simple-pole
-    model (E itself, or E#, which is one order shorter)."""
+    6 for the saturation, and the eigenvector kernel's certified level
+    gap + 2 for the split test on the simple-pole model (E itself, or E#,
+    which is one order shorter).  A NonSplitAlpha answer also reads alpha
+    off the normalized presentation, which needs max(6, n + 3) + 1."""
     x, y = spectrum(saturate(module).saturated)
     gap = abs(int((x - y).re)) if (x - y).is_integer() else 0
-    return max(6, gap + 3) + (0 if module.is_simple_pole() else 1)
+    if expected.startswith("NonSplitAlpha"):
+        return max(6, gap + 3) + 1
+    return max(6, gap + 2) + (0 if module.is_simple_pole() else 1)
 
 
 def _assert_truncations_agree(module):
@@ -794,10 +805,9 @@ def _assert_truncations_agree(module):
     at its own precision; just below the floor the precision runs out."""
     expected = _classified(module)
     assert not isinstance(expected, tuple), expected
-    floor = _classification_floor(module)
+    floor = _classification_floor(module, expected)
     below = _classified(module.at_precision(floor - 1))
     assert below[0] == "PrecisionExhausted", (floor, below)
-    assert "did not stabilize" not in below[1]
     for w in range(floor, 25):
         assert _classified(module.at_precision(w)) == expected, (w, expected)
 
@@ -847,8 +857,9 @@ def test_catalog_classification_holds_down_to_its_floor(exprs):
 
 
 def test_split_test_solves_to_the_resonance_order(monkeypatch):
-    """The primitive-eigenvector test solves gap + 2 orders, then certifies
-    with one more, on split and non-split simple-pole modules alike."""
+    """The split test is the eigenvector kernel, solved to the resonance
+    order gap + 2: a Jordan module stops there, and only a split one
+    resumes to the W orders the module knows, to build its vector."""
     levels = []
 
     class Spy(functors.IntertwinerSystem):
@@ -866,8 +877,57 @@ def test_split_test_solves_to_the_resonance_order(monkeypatch):
                 [Series.zero(24), Series.monomial(HALF + Scalar(gap), 1, 24)],
             ]
         )
-        for module, tag in ((jordan, "SimplePoleJordan"), (split, "DirectSum")):
+        for module, tag, solved in ((jordan, "SimplePoleJordan", [gap + 2]),
+                                    (split, "DirectSum", [gap + 2, 24])):
             for changed in (module, _random_base_change(module, rng)):
                 levels.clear()
                 assert classify_rank2(changed).tag == tag
-                assert levels == [gap + 2, gap + 3]
+                assert levels == solved
+
+
+@st.composite
+def simple_pole_rank2(draw):
+    """A simple-pole rank-2 module whose exponents differ by an integer
+    gap >= 1: E(l;n), a split diagonal plus a cocycle c*b^k (resonant when
+    k = gap + 1), or the saturation of rand(2;s); maybe dualized, under a
+    sparse base change."""
+    kind = draw(st.sampled_from(("jordan", "diagonal", "rand")))
+    if kind == "jordan":
+        lam = draw(st.sampled_from(_LAMBDAS))
+        module = from_expression(f"E({lam};{draw(st.integers(1, 7))})", 60)
+    elif kind == "diagonal":
+        lam = draw(st.sampled_from((HALF, Scalar(0), Scalar(-2), Scalar(0, 1))))
+        gap = draw(st.integers(1, 7))
+        cocycle = Series.monomial(Scalar(draw(st.integers(-2, 2))),
+                                  draw(st.integers(1, gap + 3)), 60)
+        module = AbModule([
+            [Series.monomial(lam + Scalar(gap), 1, 60), Series.zero(60)],
+            [cocycle, Series.monomial(lam, 1, 60)],
+        ])
+    else:
+        seed = draw(st.integers(0, 59))
+        module = saturate(from_expression(f"rand(2;{seed})", 60)).saturated
+    if draw(st.booleans()):
+        module = dual(module)
+    x, y = spectrum(module)
+    assume((x - y).is_integer() and x != y)
+    return base_change(module, draw(base_changes(2, module.precision)))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(simple_pole_rank2())
+def test_split_test_matches_the_certified_oracle(module):
+    """The split test reads the eigenvector kernel at its certified level.
+    From the old floor max(6, gap + 3) to 24 it answers as the gap + 3 test
+    it replaced (oracles._has_primitive_eigen); at max(6, gap + 2), its own
+    floor (the saturation needs 6), it answers as at the full precision."""
+    small, big = sorted(spectrum(module), key=Scalar.sort_key)
+    gap = int((big - small).re)
+
+    def split(w):
+        return functors._eigenvector(module.at_precision(w), big) is not None
+
+    for w in range(max(6, gap + 3), 25):
+        old = oracles._has_primitive_eigen(module.at_precision(w), big, gap)
+        assert split(w) == old, w
+    assert split(max(6, gap + 2)) == split(module.precision)

@@ -129,7 +129,11 @@ QUERIES = {
 # them before the invariants were memoized.  The classify_rank2 digest was
 # taken again when the split test moved to the resonance order gap + 2:
 # fourteen labels that raised PrecisionExhausted at W = 8 or 12 now answer,
-# each as the same module does at W = 24; no other line changed.  The two
+# each as the same module does at W = 24; no other line changed.  It was
+# taken once more when the split test became the eigenvector kernel at its
+# certified level gap + 2, with no certifying order: "E(0,5)@8" and
+# "dual E(0,5)@8" answer (NonSplit(0, 5) and NonSplit(-4, 1), as at W = 12
+# and 24) where they raised PrecisionExhausted.  The two
 # jordan_holder digests were taken again when eigen_lift stopped claiming the
 # b^(W-1) coefficient it never corrects (its lifts now have precision W - 1):
 # of the 408 lines, 240 change only the filtration, 28 answers become
@@ -138,7 +142,7 @@ QUERIES = {
 GOLDEN = {
     "spectrum": "9d27b25525ecad3a24a4f6d95a35172d4f1e4e312faa0328312566dd1e7b83a4",
     "width_table": "bffe6d33868fdc47b984b265ab397be044c301d8d2dc47810c2c98873d760c57",
-    "classify_rank2": "20556cc91479498ae51c9774d3dbc34b8dd2e5ab7df0b6663a4ce9d228a2f5f1",
+    "classify_rank2": "a068a6efe7c9d41645962a9d4188ea097f9c1d7b41dfb7e3af7c0ecbbe5182bd",
     "jordan_holder lex":
         "385332bddd3464c60daff07cf702aff311c41d6e006b8fa1629894334e0b8cee",
     "jordan_holder revlex":

@@ -23,7 +23,7 @@ def _mk(rows, precision):
 
 
 def test_construction_validates_shape():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         AbModule([[Series.zero(4)], [Series.zero(4)]])  # not square
 
 

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abmod import NotAUnit, PrecisionExhausted, Scalar, Series
+from abmod import BadParameter, NotAUnit, PrecisionExhausted, Scalar, Series
 from abmod.series import _product
 
 HALF = Scalar(Fraction(1, 2))
@@ -92,7 +92,7 @@ def test_shift_down_requires_divisibility():
     down = a.shift_down(2)
     assert down.coefficient(0) == Scalar(1) and down.coefficient(1) == Scalar(4)
     assert down.precision == 4
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         S([1], 4).shift_down(1)
 
 
@@ -135,10 +135,27 @@ def test_at_precision_truncates():
 def test_coefficient_refuses_negative_order():
     a = S([1, 2, 3], 3)
     for k in (-1, -3, -4):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameter):
             a.coefficient(k)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         Series.zero(0).coefficient(-1)
+
+
+def test_bad_orders_and_precisions_raise_bad_parameter():
+    a = S([0, 1, 2], 4)
+    refused = [
+        lambda: Series.zero(-1),
+        lambda: Series([1], -2),
+        lambda: Series.monomial(1, -1, 4),
+        lambda: a.at_precision(-1),
+        lambda: a.shift_up(-1),
+        lambda: a.shift_down(-1),
+        lambda: a.shift_down(2),
+        lambda: a.split_at(-1),
+    ]
+    for call in refused:
+        with pytest.raises(BadParameter):
+            call()
 
 
 def test_equality_respects_common_precision():
@@ -250,21 +267,21 @@ class _Dense:
 
     def shift_up(self, m):
         if m < 0:
-            raise ValueError("m < 0")
+            raise BadParameter("m < 0")
         return _Dense([ZERO] * m + self.c, self.w + m)
 
     def shift_down(self, m):
         if m < 0:
-            raise ValueError("m < 0")
+            raise BadParameter("m < 0")
         if m > self.w:
             raise PrecisionExhausted("past the precision")
         if any(self.c[:m]):
-            raise ValueError("not divisible")
+            raise BadParameter("not divisible")
         return _Dense(self.c[m:], self.w - m)
 
     def split_at(self, m):
         if m < 0:
-            raise ValueError("m < 0")
+            raise BadParameter("m < 0")
         if m > self.w:
             raise PrecisionExhausted("past the precision")
         return _Dense(self.c[m:], self.w - m), _Dense(self.c[:m], self.w)
@@ -273,7 +290,7 @@ class _Dense:
         if m > self.w:
             raise PrecisionExhausted("raising the precision")
         if m < 0:
-            raise ValueError("m < 0")
+            raise BadParameter("m < 0")
         return _Dense(self.c[:m], m)
 
     def valuation(self):
@@ -288,7 +305,7 @@ class _Dense:
 
     def coefficient(self, k):
         if k < 0:
-            raise ValueError("k < 0")
+            raise BadParameter("k < 0")
         if k >= self.w:
             raise PrecisionExhausted("past the precision")
         return self.c[k]
@@ -309,7 +326,7 @@ def _outcome(thunk):
     or its value with every series (Series or _Dense) as (coeffs, precision)."""
     try:
         value = thunk()
-    except (PrecisionExhausted, NotAUnit, ValueError) as exc:
+    except (PrecisionExhausted, NotAUnit, BadParameter) as exc:
         return type(exc)
 
     def plain(v):
