@@ -324,15 +324,16 @@ def is_geometric(module: AbModule) -> bool:
 def n_lambda(module: AbModule, lam, *, _system: IntertwinerSystem = None) -> int:
     """The smallest N with b^N E inside (a - lam b) E.
 
-    Decided on truncations at the sufficient level (lam - lambda_min of the
-    class) + delta + 2, lambda_min as width_table reads it off (E*)#
-    (falling back to delta + rank + 2 when lam's class is absent from the
-    spectra), plus margin; the answer must agree at two consecutive levels.
-    On E/b^w E it is the least N with k_N = k_w, where k_N = dim ker(a - lam
-    b) on E/b^N E: a - lam b preserves b^N E, so b^N E lies in its image mod
-    b^w exactly when its cokernels mod b^N and mod b^w have equal dimension.
-    k_N is the live parameter count of one intertwiner system from [[lam b]]
-    into E, grown order by order.  lam is anything ``Scalar.of`` takes.
+    Decided on one truncation E/b^w E at the certified level
+    w = (lam - lambda_min) + delta + 2, lambda_min the least exponent of E^b
+    in lam's class as width_table reads it off (E*)# (the difference counted
+    only when it is positive), or w = delta + rank + 2 when lam's class is
+    absent from the spectra; README derives b^w E inside (a - lam b) E.
+    With k_N = dim ker(a - lam b) on E/b^N E, which equals the dimension
+    of its cokernel E/((a - lam b) E + b^N E) and so never decreases in N,
+    the answer is the least N with k_N = k_w.  k_N is the live parameter
+    count of one intertwiner system from [[lam b]] into E, grown order by
+    order.  lam is anything ``Scalar.of`` takes.
 
     ``_system`` is private to ext_dims: an unsolved system grown in place
     of the [[lam b]] -> E one, whose live count after N orders is also k_N.
@@ -344,23 +345,14 @@ def n_lambda(module: AbModule, lam, *, _system: IntertwinerSystem = None) -> int
     delta = delta_index(module)
     rep = _class_rep(lam)
     if rep in table.classes:
-        lo = table.classes[rep][0]
-        gap = lam.re - lo.re
-        base = int(gap) if gap.denominator == 1 and gap > 0 else 0
-        w = base + delta + 2
+        gap = lam.re - table.classes[rep][0].re
+        w = max(int(gap), 0) + delta + 2
     else:
         w = delta + module.rank + 2
-    w += 2
     source = [[Series.monomial(lam, 1, module.precision)]]
     system = _system or IntertwinerSystem(source, module.matrix, 0)
-    dims = [0] + [len(system.solve(n).alive) for n in range(1, w + 2)]
-    first = dims.index(dims[w])
-    second = dims.index(dims[w + 1])
-    if first != second:
-        raise PrecisionExhausted(
-            f"n_lambda unstable across levels {w} and {w + 1}: {first} vs {second}"
-        )
-    return first
+    dims = [0] + [len(system.solve(n).alive) for n in range(1, w + 1)]
+    return dims.index(dims[w])
 
 
 def n0_bound(module: AbModule) -> int:

@@ -53,9 +53,6 @@ class Lattice(Record):
     def is_full_rank(self) -> bool:
         return len(self.gens) == self.dim
 
-    def pivot_valuation_sum(self) -> int:
-        return sum(v for _, v in self.pivots)
-
     # -- frame plumbing ---------------------------------------------------
 
     def at_shift(self, shift: int) -> "Lattice":

@@ -63,9 +63,6 @@ class AbModule(Immutable):
         """The Scalar matrix of b^k coefficients of the structure matrix."""
         return smat_coefficient(self.matrix, k)
 
-    def constant_matrix(self):
-        return self.coefficient_matrix(0)
-
     def residue_matrix(self):
         """The b^1 coefficient matrix (the residue when the pole is simple)."""
         return self.coefficient_matrix(1)

@@ -182,9 +182,6 @@ class Scalar(Immutable):
         # 1 / ((a + bi)/d) = d (a - bi) / (a^2 + b^2)
         return _make(d * a, -d * b, a * a + b * b)
 
-    def conjugate(self) -> "Scalar":
-        return _make(self.re_num, -self.im_num, self.den)
-
     # -- structure --------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -246,10 +246,6 @@ class Series(Immutable):
                 return c if j == k else ZERO
         return ZERO
 
-    def constant_term(self) -> Scalar:
-        self._need()
-        return self.coefficient(0)
-
     def is_zero(self) -> bool:
         """True when every *visible* coefficient vanishes."""
         return not self.terms

@@ -22,6 +22,7 @@ from abmod import (
     Scalar,
     Series,
     biggest_simple_pole,
+    delta_index,
     eigen_lift,
     hom_ab,
     is_regular,
@@ -29,6 +30,7 @@ from abmod import (
     linalg,
     n_lambda,
     spectrum,
+    width_table,
 )
 from abmod.invariants import _class_rep
 from abmod.linalg import Echelon, det, identity, mat_mul, rref
@@ -830,6 +832,53 @@ def flattened_ext_dims(E: AbModule, F: AbModule) -> tuple:
             "ext dimensions failed to stabilize at consecutive truncation levels"
         )
     return d0, d1
+
+
+# n_lambda as it was before it solved to its certified level once: the
+# library's function of that time, verbatim but for its name.  It pads the
+# level by two orders and certifies the answer with one more.
+
+
+def two_level_n_lambda(module: AbModule, lam, *, _system: IntertwinerSystem = None) -> int:
+    """The smallest N with b^N E inside (a - lam b) E.
+
+    Decided on truncations at the sufficient level (lam - lambda_min of the
+    class) + delta + 2, lambda_min as width_table reads it off (E*)#
+    (falling back to delta + rank + 2 when lam's class is absent from the
+    spectra), plus margin; the answer must agree at two consecutive levels.
+    On E/b^w E it is the least N with k_N = k_w, where k_N = dim ker(a - lam
+    b) on E/b^N E: a - lam b preserves b^N E, so b^N E lies in its image mod
+    b^w exactly when its cokernels mod b^N and mod b^w have equal dimension.
+    k_N is the live parameter count of one intertwiner system from [[lam b]]
+    into E, grown order by order.  lam is anything ``Scalar.of`` takes.
+
+    ``_system`` is private to ext_dims: an unsolved system grown in place
+    of the [[lam b]] -> E one, whose live count after N orders is also k_N.
+    For E = Hom(E', F') and lam = 0, ext_dims passes the E' -> F'
+    intertwiners.
+    """
+    lam = Scalar.of(lam)
+    table = width_table(module)
+    delta = delta_index(module)
+    rep = _class_rep(lam)
+    if rep in table.classes:
+        lo = table.classes[rep][0]
+        gap = lam.re - lo.re
+        base = int(gap) if gap.denominator == 1 and gap > 0 else 0
+        w = base + delta + 2
+    else:
+        w = delta + module.rank + 2
+    w += 2
+    source = [[Series.monomial(lam, 1, module.precision)]]
+    system = _system or IntertwinerSystem(source, module.matrix, 0)
+    dims = [0] + [len(system.solve(n).alive) for n in range(1, w + 2)]
+    first = dims.index(dims[w])
+    second = dims.index(dims[w + 1])
+    if first != second:
+        raise PrecisionExhausted(
+            f"n_lambda unstable across levels {w} and {w + 1}: {first} vs {second}"
+        )
+    return first
 
 
 # ---------------------------------------------------------------------------

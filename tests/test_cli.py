@@ -105,6 +105,17 @@ def test_ext_raises_precision_when_needed(capsys):
     assert out == ["precision_raised: 28", "ext0: 7", "ext1: 10"]
 
 
+def test_ext_answers_from_the_certified_level_of_its_hom(capsys):
+    # n_lambda of the Hom needs its level w0, not w0 + 3, so this pair
+    # answers at precision 6 with no retry, and from 3 after one.
+    code, out, _ = run(["ext", "E(1/2)", "J(2;0)", "--precision", "6"], capsys)
+    assert code == 0
+    assert out == ["ext0: 1", "ext1: 2"]
+    code, out, _ = run(["ext", "E(1/2)", "J(2;0)", "--precision", "3"], capsys)
+    assert code == 0
+    assert out == ["precision_raised: 6", "ext0: 1", "ext1: 2"]
+
+
 def test_ext_of_a_rank16_hom(capsys):
     code, out, _ = run(["ext", "J(4;0)", "F(4;0;1/2)"], capsys)
     assert code == 0

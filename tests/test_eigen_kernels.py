@@ -3,8 +3,8 @@ reference: the kernel of A - c*B on E/b^N E from ``truncate`` and a full
 ``nullspace``; ``n_lambda`` against the dense image test (whether the
 columns of B^N lie in the column span of A - c*B); and ``ext_dims``
 recomputed from dense truncations of the internal Hom, also on the
-rank-3 witnesses of the c08 acceptance test.  The ``PrecisionExhausted``
-messages are compared too."""
+rank-3 witnesses of the c08 acceptance test.  ``PrecisionExhausted`` is
+compared by type."""
 
 import sys
 from fractions import Fraction
@@ -33,6 +33,7 @@ from abmod import (
     verify_fd,
     width_table,
 )
+from abmod import invariants
 from abmod.invariants import _class_rep
 from abmod.linalg import (
     Echelon,
@@ -45,7 +46,7 @@ from abmod.scalars import ONE, ZERO
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import mat_scale, mat_sub, rank  # noqa: E402
+from oracles import mat_scale, mat_sub, rank, two_level_n_lambda  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -115,24 +116,26 @@ def _image_contains_power(module, c, w):
     raise AssertionError("b^w E is zero on E/b^w E, so n = w always qualifies")
 
 
-def _dense_n_lambda(module, c):
-    """n_lambda by the dense image test at the same two levels."""
+def _level(module, c):
+    """The level README derives for n_lambda: b^w E lies in (a - c b) E for
+    w = (c - lambda_min)^+ + delta + 2, lambda_min the least exponent of E^b
+    in c's class, or w = delta + rank + 2 when the class is absent."""
     table = width_table(module)
     delta = delta_index(module)
     rep = _class_rep(c)
     if rep in table.classes:
-        gap = c.re - table.classes[rep][0].re
-        w = (int(gap) if gap.denominator == 1 and gap > 0 else 0) + delta + 2
-    else:
-        w = delta + module.rank + 2
-    w += 2
-    first = _image_contains_power(module, c, w)
-    second = _image_contains_power(module, c, w + 1)
-    if first != second:
-        raise PrecisionExhausted(
-            f"n_lambda unstable across levels {w} and {w + 1}: {first} vs {second}"
-        )
-    return first
+        return max(int(c.re - table.classes[rep][0].re), 0) + delta + 2
+    return delta + module.rank + 2
+
+
+def _dense_n_lambda(module, c):
+    """n_lambda by the dense image test read at a deep level, twice the
+    certified one or as deep as the module is known; PrecisionExhausted
+    when the module is not known to the certified level."""
+    w = _level(module, c)
+    if w > module.precision:
+        raise PrecisionExhausted("the certified level exceeds the precision")
+    return _image_contains_power(module, c, min(2 * w, module.precision))
 
 
 def _dense_ext_dims(E, F):
@@ -162,7 +165,7 @@ def _outcome(fn, *args):
     try:
         return fn(*args)
     except PrecisionExhausted as exc:
-        return str(exc)
+        return type(exc)
 
 
 def module_pairs(precisions):
@@ -221,6 +224,46 @@ def test_n_lambda_takes_a_plain_number():
 @given(with_value(module_pairs(st.integers(8, 14)).map(lambda pair: hom_ab(*pair))))
 def test_n_lambda_of_hom_matches_the_dense_image_test(case):
     assert _outcome(n_lambda, *case) == _outcome(_dense_n_lambda, *case)
+
+
+@PROPERTY
+@given(st.one_of(
+    with_value(modules(st.integers(1, 4), st.integers(8, 16))),
+    with_value(module_pairs(st.integers(8, 16)).map(lambda pair: hom_ab(*pair))),
+))
+def test_n_lambda_at_its_level_matches_the_two_level_oracle(case):
+    # One solve to the certified level gives the answer of the padded,
+    # two-level search wherever that one answered, and the dense image test
+    # read at twice the level wherever the module is known that deep.
+    module, c = case
+    got = _outcome(n_lambda, module, c)
+    old = _outcome(two_level_n_lambda, module, c)
+    if old is not PrecisionExhausted:
+        assert got == old
+    try:
+        w = _level(module, c)
+    except PrecisionExhausted:
+        assert got is PrecisionExhausted
+        return
+    if 2 * w <= module.precision:
+        assert got == _image_contains_power(module, c, 2 * w)
+
+
+def test_n_lambda_solves_to_its_level_once(monkeypatch):
+    levels = []
+
+    class Spy(invariants.IntertwinerSystem):
+        def solve(self, w=None):
+            levels.append(self.w if w is None else w)
+            return super().solve(w)
+
+    monkeypatch.setattr(invariants, "IntertwinerSystem", Spy)
+    for text, lam in (("J(3;0)", 0), ("J(3;0)", 2), ("E(1/2;2)", Fraction(5, 2)),
+                      ("E(0,1)", 0), ("rand(3;5)", Fraction(1, 5))):
+        module = from_expression(text, 24)
+        levels.clear()
+        n_lambda(module, lam)
+        assert levels == list(range(1, _level(module, Scalar.of(lam)) + 1)), text
 
 
 def test_c08_witnesses_at_rank_3_are_not_isomorphic():

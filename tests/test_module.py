@@ -32,8 +32,6 @@ def test_rank_precision_residue():
     assert m.rank == 2 and m.precision == 6
     res = m.residue_matrix()
     assert res[0][0] == Scalar(Fraction(1, 2)) and res[1][1] == Scalar(2)
-    const = m.constant_matrix()
-    assert const[0][1] == Scalar(1) and const[0][0].is_zero()
 
 
 def test_simple_pole_detection():

@@ -45,12 +45,6 @@ def test_inverse_exact():
         ZERO.inverse()
 
 
-def test_conjugate():
-    a = Scalar(2, 7)
-    assert a.conjugate() == Scalar(2, -7)
-    assert (a * a.conjugate()).is_real()
-
-
 def test_sort_key_orders_by_real_then_imaginary():
     values = [Scalar(1), Scalar(0, 1), Scalar(0, -1), Scalar(Fraction(1, 2)), ZERO]
     ordered = sorted(values, key=Scalar.sort_key)
@@ -165,7 +159,6 @@ def test_field_operations_match_reference(x, y):
     assert _pair(a - b) == (x[0] - y[0], x[1] - y[1])
     assert _pair(-a) == (-x[0], -x[1])
     assert _pair(a * b) == _ref_mul(x, y)
-    assert _pair(a.conjugate()) == (x[0], -x[1])
     if any(y):
         assert _pair(b.inverse()) == _ref_inverse(y)
         assert _pair(a / b) == _ref_mul(x, _ref_inverse(y))

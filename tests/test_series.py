@@ -21,7 +21,7 @@ def test_constructors():
     z = Series.zero(5)
     assert z.is_zero() and z.precision == 5
     one = Series.one(4)
-    assert one.constant_term() == Scalar(1)
+    assert one.coefficient(0) == Scalar(1)
     m = Series.monomial(HALF, 2, 6)
     assert m.coefficient(2) == HALF and m.coefficient(1).is_zero()
     assert Series.b(3).coefficient(1) == Scalar(1)
@@ -310,10 +310,6 @@ class _Dense:
             raise PrecisionExhausted("past the precision")
         return self.c[k]
 
-    def constant_term(self):
-        self.need()
-        return self.c[0]
-
 
 def _assert_canonical(s):
     orders = [k for k, _ in s.terms]
@@ -377,7 +373,6 @@ def test_every_operation_matches_the_dense_reference(x, y, c, m):
         (s.valuation, d.valuation),
         (s.is_zero, d.is_zero),
         (s.is_unit, d.is_unit),
-        (s.constant_term, d.constant_term),
         (lambda: s.coefficient(m), lambda: d.coefficient(m)),
         (lambda: Series.monomial(c, max(m, 0), s.precision),
          lambda: _Dense([ZERO] * max(m, 0) + [c], d.w)),
