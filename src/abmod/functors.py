@@ -141,8 +141,9 @@ def ext_dims(E: AbModule, F: AbModule) -> tuple:
     intertwining equation of P(b) = Psi(-b), up to a sign per order.  So it
     is solved order by order as IntertwinerSystem(E.matrix, F.matrix), one
     system grown through W, W+1 and W+2 orders.  hom_ab(E, F) is built only
-    for the level: its rank ceiling, and the width table and delta that
-    bound W (n_lambda(H, 0) searches the level on a second E -> F system).
+    for the level: its rank ceiling, and the saturation's spectrum and delta
+    that bound W (n_lambda(H, 0) searches the level on a second E -> F
+    system).
     """
     H = hom_ab(E, F)
     if not is_regular(E) or not is_regular(F):
@@ -210,21 +211,23 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
     return Element([row[0].at_precision(w - 1) for row in system.series_matrix({})], 0)
 
 
-def _eigenvector(module: AbModule, mu: Scalar):
+def _eigenvector(module: AbModule, mu: Scalar, orders: int):
     """A primitive x in E with a.x = mu*b*x, in E's coordinates; None when
-    no solution of (a - mu*b)x = 0 has x_0 != 0.
+    no solution of (a - mu*b)x = 0 has x_0 != 0.  x is solved to
+    w = max(level, min(orders, W)) orders, with the certified level below,
+    and known to precision w - 1 - delta.
 
     The kernel is solved as the intertwiners from [[mu*b]] into E.  On E#,
     with residue R#, order k of (b^-1 a - mu)y = 0 has the matrix
     R# + k - mu, invertible once k > mu - z_min, z_min E#'s least exponent
     in mu's class.  So from level max(mu - z_min, delta) + 2 on, a solution
-    mod b^level agrees with an exact eigenvector mod b^(level-1) E#, which
-    lies in b^(level-1-delta) E, and block 0 has its true rank: the answer
-    None is read there.  On a simple pole (delta = 0) with exponents mu and
+    mod b^w agrees with an exact eigenvector mod b^(w-1) E#, which lies in
+    b^(w-1-delta) E, and block 0 has its true rank: the answer None is read
+    at the level.  On a simple pole (delta = 0) with exponents mu and
     mu - gap that level is gap + 2, the resonance order.  Otherwise the
-    system resumes to the W orders E knows, and x is the solution with the
-    lowest block-0 parameter 1 and every other parameter 0, known to
-    precision W - 1 - delta.
+    system resumes to the w orders the caller needs (the split test needs
+    none past the level), and x is the solution with the lowest block-0
+    parameter 1 and every other parameter 0.
     """
     w = module.precision
     delta = delta_index(module)
@@ -239,8 +242,11 @@ def _eigenvector(module: AbModule, mu: Scalar):
     system = IntertwinerSystem(source, module.matrix, need).solve()
     if not system.parameters_in_blocks(0, 1):
         return None
-    params = system.solve(w).parameters_in_blocks(0, 1)
-    return [row[0].at_precision(w - 1 - delta)
+    level = max(need, min(orders, w))
+    if level > need:
+        system.solve(level)
+    params = system.parameters_in_blocks(0, 1)
+    return [row[0].at_precision(level - 1 - delta)
             for row in system.series_matrix({params[0]: ONE})]
 
 
@@ -343,7 +349,7 @@ def _jh_step(module: AbModule, policy: str):
     classes = width_table(module).classes
     pick = min if policy == "lex" else max
     mu = classes[pick(classes, key=Scalar.sort_key)][0]
-    primitive = _eigenvector(module, mu)
+    primitive = _eigenvector(module, mu, module.precision)
     if primitive is None:
         raise HypothesisViolated("no primitive eigenvector for the least exponent")
     return primitive, mu
@@ -436,9 +442,14 @@ class Rank2NormalForm(Record):
 
 
 def _alpha_from_presentation(module: AbModule, lam: Scalar, n: int) -> Scalar:
-    """Read alpha off by renormalizing to a.t = y + (lam-1)*b*t + alpha*b^n*y."""
+    """Read alpha off by renormalizing to a.t = y + (lam-1)*b*t + alpha*b^n*y.
+
+    y is solved to n + 3 + delta orders (at most W), so it is known mod
+    b^(n+2); the base change keeps that precision, the unit u loses one
+    order, and h = u*c, known past b^n, gives alpha = h_n/h_0.
+    """
     mu = lam - Scalar(n)
-    y = _eigenvector(module, mu)
+    y = _eigenvector(module, mu, n + 3 + delta_index(module))
     if y is None:
         raise HypothesisViolated(
             "no primitive eigenvector for the expected exponent"
@@ -492,7 +503,7 @@ def classify_rank2(module: AbModule) -> Rank2NormalForm:
         if not diff.is_integer():
             return Rank2NormalForm.direct_sum(x, y)
         small, big = sorted((x, y), key=Scalar.sort_key)
-        if _eigenvector(module, big) is not None:
+        if _eigenvector(module, big, 0) is not None:
             return Rank2NormalForm.direct_sum(small, big)
         return Rank2NormalForm.simple_pole_jordan(small, int((big - small).re))
     sharp = saturate(module).saturated

@@ -325,10 +325,9 @@ def n_lambda(module: AbModule, lam, *, _system: IntertwinerSystem = None) -> int
     """The smallest N with b^N E inside (a - lam b) E.
 
     Decided on one truncation E/b^w E at the certified level
-    w = (lam - lambda_min) + delta + 2, lambda_min the least exponent of E^b
-    in lam's class as width_table reads it off (E*)# (the difference counted
-    only when it is positive), or w = delta + rank + 2 when lam's class is
-    absent from the spectra; README derives b^w E inside (a - lam b) E.
+    w = max(k0, delta) + 1, k0 = max(lam - z_min + 1, 0), z_min the least
+    exponent of E# in lam's class (k0 = 0 when the class is absent from
+    E#'s spectrum); README derives b^w E inside (a - lam b) E.
     With k_N = dim ker(a - lam b) on E/b^N E, which equals the dimension
     of its cokernel E/((a - lam b) E + b^N E) and so never decreases in N,
     the answer is the least N with k_N = k_w.  k_N is the live parameter
@@ -341,14 +340,9 @@ def n_lambda(module: AbModule, lam, *, _system: IntertwinerSystem = None) -> int
     intertwiners.
     """
     lam = Scalar.of(lam)
-    table = width_table(module)
-    delta = delta_index(module)
-    rep = _class_rep(lam)
-    if rep in table.classes:
-        gap = lam.re - table.classes[rep][0].re
-        w = max(int(gap), 0) + delta + 2
-    else:
-        w = delta + module.rank + 2
+    k0 = max([int((lam - z).re) + 1 for z in spectrum(saturate(module).saturated)
+              if (lam - z).is_integer()] + [0])
+    w = max(k0, delta_index(module)) + 1
     source = [[Series.monomial(lam, 1, module.precision)]]
     system = _system or IntertwinerSystem(source, module.matrix, 0)
     dims = [0] + [len(system.solve(n).alive) for n in range(1, w + 1)]

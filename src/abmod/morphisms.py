@@ -26,8 +26,10 @@ Hom(E, F)/b^w is the space of intertwiners E -> F mod b^w, so
 Hom.  Each free parameter survives as one block entry, so the kernel has
 dimension ``len(alive)``, and ``rank_in_blocks`` gives the rank of its
 image in chosen low-order blocks.  With nothing prescribed it gives the
-primitive eigenvector of a Jordan-Hoelder step, of the rank-2 split test
-and of the ``NonSplitAlpha`` classification (``functors._eigenvector``).
+primitive eigenvector (``functors._eigenvector``) of a Jordan-Hoelder step,
+solved to the module's precision, of the rank-2 split test, solved to its
+certified level alone, and of the ``NonSplitAlpha`` classification, solved
+to the n + 3 + delta orders that alpha, read off b^n, needs.
 With the low blocks of x prescribed it is also ``functors.eigen_lift``,
 which lifts a seed to the exact solution of (a - c*b)x = 0, and the unit
 normalizer of a rank-1 Jordan-Hoelder step.

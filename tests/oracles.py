@@ -21,6 +21,7 @@ from abmod import (
     PrecisionExhausted,
     Scalar,
     Series,
+    base_change,
     biggest_simple_pole,
     delta_index,
     eigen_lift,
@@ -29,9 +30,11 @@ from abmod import (
     lattice_from_columns,
     linalg,
     n_lambda,
+    saturate,
     spectrum,
     width_table,
 )
+from abmod.functors import _unit_normalizer
 from abmod.invariants import _class_rep
 from abmod.linalg import Echelon, det, identity, mat_mul, rref
 from abmod.morphisms import CONST, IntertwinerSystem
@@ -879,6 +882,82 @@ def two_level_n_lambda(module: AbModule, lam, *, _system: IntertwinerSystem = No
             f"n_lambda unstable across levels {w} and {w + 1}: {first} vs {second}"
         )
     return first
+
+
+# The NonSplitAlpha reading as it was before it solved its eigenvector to the
+# n + 3 + delta orders alpha needs: the library's _eigenvector and
+# _alpha_from_presentation of that time, verbatim but for their names.  The
+# eigenvector, the base change and the unit normalizer run at all W orders.
+
+
+def _full_precision_eigenvector(module: AbModule, mu: Scalar):
+    """A primitive x in E with a.x = mu*b*x, in E's coordinates; None when
+    no solution of (a - mu*b)x = 0 has x_0 != 0.
+
+    The kernel is solved as the intertwiners from [[mu*b]] into E.  On E#,
+    with residue R#, order k of (b^-1 a - mu)y = 0 has the matrix
+    R# + k - mu, invertible once k > mu - z_min, z_min E#'s least exponent
+    in mu's class.  So from level max(mu - z_min, delta) + 2 on, a solution
+    mod b^level agrees with an exact eigenvector mod b^(level-1) E#, which
+    lies in b^(level-1-delta) E, and block 0 has its true rank: the answer
+    None is read there.  On a simple pole (delta = 0) with exponents mu and
+    mu - gap that level is gap + 2, the resonance order.  Otherwise the
+    system resumes to the W orders E knows, and x is the solution with the
+    lowest block-0 parameter 1 and every other parameter 0, known to
+    precision W - 1 - delta.
+    """
+    w = module.precision
+    delta = delta_index(module)
+    gaps = [int((mu - z).re) for z in spectrum(saturate(module).saturated)
+            if (mu - z).is_integer()]
+    need = max(gaps + [delta]) + 2
+    if w < need:
+        raise PrecisionExhausted(
+            f"the eigenvector for exponent {mu} needs precision >= {need}, have {w}"
+        )
+    source = [[Series.monomial(mu, 1, w)]]
+    system = IntertwinerSystem(source, module.matrix, need).solve()
+    if not system.parameters_in_blocks(0, 1):
+        return None
+    params = system.solve(w).parameters_in_blocks(0, 1)
+    return [row[0].at_precision(w - 1 - delta)
+            for row in system.series_matrix({params[0]: ONE})]
+
+
+def full_precision_alpha(module: AbModule, lam: Scalar, n: int) -> Scalar:
+    """Read alpha off by renormalizing to a.t = y + (lam-1)*b*t + alpha*b^n*y."""
+    mu = lam - Scalar(n)
+    y = _full_precision_eigenvector(module, mu)
+    if y is None:
+        raise HypothesisViolated(
+            "no primitive eigenvector for the expected exponent"
+        )
+    pivot = next(i for i, c in enumerate(y) if c.valuation() == 0)
+    other = 1 - pivot
+    w = min(c.precision for c in y)
+    zero = Series.zero(w)
+    one = Series.one(w)
+    basis = [
+        [y[0], one if other == 0 else zero],
+        [y[1], one if other == 1 else zero],
+    ]
+    changed = base_change(module, basis).matrix
+    if not changed[1][0].is_zero():
+        raise HypothesisViolated("eigen column of the changed basis is impure")
+    g = changed[1][1]
+    if g.coefficient(1) != lam - ONE:
+        raise HypothesisViolated("quotient exponent is not lam - 1")
+    u = _unit_normalizer(g, lam - ONE)
+    h = u * changed[0][1]
+    c0 = h.coefficient(0)
+    if c0.is_zero():
+        raise HypothesisViolated("the extension coefficient is not a unit")
+    if n >= h.precision:
+        raise PrecisionExhausted("not enough precision to read alpha")
+    alpha = h.coefficient(n) / c0
+    if alpha.is_zero():
+        raise HypothesisViolated("twisted normal form with alpha = 0")
+    return alpha
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,8 @@ from abmod import (
     spectrum,
     truncate,
     verify_fd,
-    width_table,
 )
 from abmod import invariants
-from abmod.invariants import _class_rep
 from abmod.linalg import (
     Echelon,
     identity,
@@ -118,14 +116,11 @@ def _image_contains_power(module, c, w):
 
 def _level(module, c):
     """The level README derives for n_lambda: b^w E lies in (a - c b) E for
-    w = (c - lambda_min)^+ + delta + 2, lambda_min the least exponent of E^b
-    in c's class, or w = delta + rank + 2 when the class is absent."""
-    table = width_table(module)
-    delta = delta_index(module)
-    rep = _class_rep(c)
-    if rep in table.classes:
-        return max(int(c.re - table.classes[rep][0].re), 0) + delta + 2
-    return delta + module.rank + 2
+    w = max(k0, delta) + 1, k0 = max(c - z_min + 1, 0), z_min the least
+    exponent of E# in c's class, or k0 = 0 when the class is absent."""
+    same = [z for z in spectrum(saturate(module).saturated) if (c - z).is_integer()]
+    k0 = max(int((c - min(same, key=lambda z: z.re)).re) + 1, 0) if same else 0
+    return max(k0, delta_index(module)) + 1
 
 
 def _dense_n_lambda(module, c):

@@ -60,6 +60,7 @@ from oracles import (  # noqa: E402
     dense_hom_ab,
     eb_primitive_eigen_element,
     flattened_ext_dims,
+    full_precision_alpha,
     hand_eigen_lift,
     mat_sub,
 )
@@ -552,10 +553,10 @@ def test_the_eigenvector_needs_the_orders_that_fix_it():
     """W >= max(mu - z_min, delta) + 2 orders decide block 0; E(0) has no
     primitive solution of a.x = 7*b*x, and below 9 orders that is not
     decided."""
-    assert functors._eigenvector(from_expression("E(0)", 9), Scalar(7)) is None
+    assert functors._eigenvector(from_expression("E(0)", 9), Scalar(7), 9) is None
     with pytest.raises(PrecisionExhausted,
                        match="^the eigenvector for exponent 7 needs precision >= 9, have 8$"):
-        functors._eigenvector(from_expression("E(0)", 8), Scalar(7))
+        functors._eigenvector(from_expression("E(0)", 8), Scalar(7), 8)
 
 
 def _direct_sum(*modules):
@@ -688,13 +689,14 @@ def _proportional(x, y) -> bool:
 
 
 @st.composite
-def twisted_alpha_modules(draw):
-    """E(lam,n;alpha), n = 1..4, at a precision from the saturation floor
-    to 24, twisted, maybe dualized, under a sparse base change."""
+def twisted_alpha_modules(draw, top_n=4, low_w=6):
+    """E(lam,n;alpha), n = 1..top_n, at a precision from low_w (by default
+    the saturation floor) to 24, twisted, maybe dualized, under a sparse
+    base change."""
     lam = draw(st.sampled_from(("1/2", "1", "-1/3", "2", "i", "(1/2+i)")))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, top_n))
     alpha = draw(st.sampled_from(("1", "3", "i", "-2", "1/2")))
-    w = draw(st.integers(6, 24))
+    w = draw(st.integers(low_w, 24))
     module = twist(from_expression(f"E({lam},{n};{alpha})", w), draw(st.integers(-3, 3)))
     if draw(st.booleans()):
         module = dual(module)
@@ -713,8 +715,10 @@ def test_the_saturation_route_to_the_primitive_eigenvector_matches_the_eb_route(
     outcome = _classified(module)
     kernel = functors._eigenvector
 
-    def eb_route(m, mu):
-        return kernel(m, mu) if m.is_simple_pole() else eb_primitive_eigen_element(m, mu)
+    def eb_route(m, mu, orders):
+        if m.is_simple_pole():
+            return kernel(m, mu, orders)
+        return eb_primitive_eigen_element(m, mu)
 
     with mock.patch.object(functors, "_eigenvector", eb_route):
         assert _classified(module) == outcome
@@ -722,12 +726,23 @@ def test_the_saturation_route_to_the_primitive_eigenvector_matches_the_eb_route(
     if isinstance(inner, tuple) or inner.tag != "SimplePoleJordan" or inner.params[1] < 1:
         return
     mu = inner.params[0] + ONE
-    new = _attempt(functors._eigenvector, module, mu)
+    new = _attempt(functors._eigenvector, module, mu, module.precision)
     old = _attempt(eb_primitive_eigen_element, module, mu)
     if new is None or old is None or isinstance(new, tuple) or isinstance(old, tuple):
         assert new == old
     else:
         assert _proportional(new, old)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(twisted_alpha_modules(top_n=5, low_w=4))
+def test_alpha_read_at_its_level_matches_the_full_precision_route(module):
+    """classify_rank2 reads alpha off an eigenvector solved to n + 3 + delta
+    orders; solving it, the base change and the unit normalizer to all W
+    orders gives the same outcome, error types and messages included."""
+    outcome = _classified(module)
+    with mock.patch.object(functors, "_alpha_from_presentation", full_precision_alpha):
+        assert _classified(module) == outcome
 
 
 def test_nonsplit_alpha_classification_builds_no_dual_saturation(monkeypatch):
@@ -858,8 +873,8 @@ def test_catalog_classification_holds_down_to_its_floor(exprs):
 
 def test_split_test_solves_to_the_resonance_order(monkeypatch):
     """The split test is the eigenvector kernel, solved to the resonance
-    order gap + 2: a Jordan module stops there, and only a split one
-    resumes to the W orders the module knows, to build its vector."""
+    order gap + 2 and no further: it reads only whether block 0 holds a
+    parameter, so a split module stops there as a Jordan one does."""
     levels = []
 
     class Spy(functors.IntertwinerSystem):
@@ -878,7 +893,7 @@ def test_split_test_solves_to_the_resonance_order(monkeypatch):
             ]
         )
         for module, tag, solved in ((jordan, "SimplePoleJordan", [gap + 2]),
-                                    (split, "DirectSum", [gap + 2, 24])):
+                                    (split, "DirectSum", [gap + 2])):
             for changed in (module, _random_base_change(module, rng)):
                 levels.clear()
                 assert classify_rank2(changed).tag == tag
@@ -925,7 +940,7 @@ def test_split_test_matches_the_certified_oracle(module):
     gap = int((big - small).re)
 
     def split(w):
-        return functors._eigenvector(module.at_precision(w), big) is not None
+        return functors._eigenvector(module.at_precision(w), big, 0) is not None
 
     for w in range(max(6, gap + 3), 25):
         old = oracles._has_primitive_eigen(module.at_precision(w), big, gap)
