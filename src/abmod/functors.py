@@ -141,8 +141,8 @@ def ext_dims(E: AbModule, F: AbModule) -> tuple:
     intertwining equation of P(b) = Psi(-b), up to a sign per order.  So it
     is solved order by order as IntertwinerSystem(E.matrix, F.matrix), one
     system grown through W, W+1 and W+2 orders.  hom_ab(E, F) is built only
-    for the level: its rank ceiling, and the saturation's spectrum and delta
-    that bound W (n_lambda(H, 0) searches the level on a second E -> F
+    for the level: its rank ceiling, and the spectrum of H# and delta that
+    bound W (n_lambda(H, 0) searches the level on a second E -> F
     system).
     """
     H = hom_ab(E, F)
@@ -214,8 +214,8 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
 def _eigenvector(module: AbModule, mu: Scalar, orders: int):
     """A primitive x in E with a.x = mu*b*x, in E's coordinates; None when
     no solution of (a - mu*b)x = 0 has x_0 != 0.  x is solved to
-    w = max(level, min(orders, W)) orders, with the certified level below,
-    and known to precision w - 1 - delta.
+    w = max(level, min(orders, W)) orders, level the certified level below,
+    and is known to precision w - 1 - delta.
 
     The kernel is solved as the intertwiners from [[mu*b]] into E.  On E#,
     with residue R#, order k of (b^-1 a - mu)y = 0 has the matrix
