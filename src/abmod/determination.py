@@ -338,14 +338,10 @@ def _rigidity_violation(system, N: int, hi: int) -> bool:
     """True when two solutions share all blocks below N yet differ in some
     block of [N, hi) — i.e. the induced map on E/b^N E fails to pin the
     isomorphism down to the certifiable window: the free parameters reach
-    more of blocks 0..hi-1 than of blocks 0..N-1.  Both ranks come from one
-    echelon form, the first read on the way to the second."""
-    for k, rank in enumerate(system.block_ranks(0, hi)):
-        if k == N - 1:
-            rank_below_n = rank
-        elif k >= N and rank > rank_below_n:
-            return True
-    return False
+    more of blocks 0..hi-1 than of blocks 0..N-1.  Each rank is a count of
+    live parameters by home block, so this asks whether some live parameter
+    has its home in [N, hi)."""
+    return system.rank_in_blocks(hi) > system.rank_in_blocks(N)
 
 
 def _free_lift(system, e, ep, N, W, slack, seed):

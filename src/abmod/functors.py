@@ -151,8 +151,8 @@ def ext_dims(E: AbModule, F: AbModule) -> tuple:
     base = n_lambda(H, ZERO, _system=IntertwinerSystem(E.matrix, F.matrix, 0)) + 2
     system = IntertwinerSystem(E.matrix, F.matrix, 0)
     d1 = len(system.solve(base).alive)
-    d0 = system.solve(base + 1).rank_in_blocks(0, base)
-    if system.solve(base + 2).rank_in_blocks(0, base + 1) != d0:
+    d0 = system.solve(base + 1).rank_in_blocks(base)
+    if system.solve(base + 2).rank_in_blocks(base + 1) != d0:
         raise PrecisionExhausted(
             "ext dimensions failed to stabilize at consecutive truncation levels"
         )
@@ -204,7 +204,7 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
         raise HypothesisViolated(
             "residual of the seed is not divisible by b^(kappa+2)"
         )
-    if system.solve(w) is None or system.parameters_in_blocks(0, w - 1):
+    if system.solve(w) is None or system.parameters_in_blocks(w - 1):
         raise HypothesisViolated(
             "correction system is singular: lifting hypothesis violated"
         )
@@ -240,12 +240,12 @@ def _eigenvector(module: AbModule, mu: Scalar, orders: int):
         )
     source = [[Series.monomial(mu, 1, w)]]
     system = IntertwinerSystem(source, module.matrix, need).solve()
-    if not system.parameters_in_blocks(0, 1):
+    if not system.parameters_in_blocks(1):
         return None
     level = max(need, min(orders, w))
     if level > need:
         system.solve(level)
-    params = system.parameters_in_blocks(0, 1)
+    params = system.parameters_in_blocks(1)
     return [row[0].at_precision(level - 1 - delta)
             for row in system.series_matrix({params[0]: ONE})]
 

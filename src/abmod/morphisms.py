@@ -24,12 +24,14 @@ source [[c*b]] the solutions at w orders are the x in E/b^w E with
 Hom(E, F)/b^w is the space of intertwiners E -> F mod b^w, so
 ``ext_dims`` solves the source E and the target F, never the flattened
 Hom.  Each free parameter survives as one block entry, so the kernel has
-dimension ``len(alive)``, and ``rank_in_blocks`` gives the rank of its
-image in chosen low-order blocks.  With nothing prescribed it gives the
-primitive eigenvector (``functors._eigenvector``) of a Jordan-Hoelder step,
-solved to the module's precision, of the rank-2 split test, solved to its
-certified level alone, and of the ``NonSplitAlpha`` classification, solved
-to the n + 3 + delta orders that alpha, read off b^n, needs.
+dimension ``len(alive)``, and ``rank_in_blocks(hi)`` gives the rank of its
+image in blocks 0..hi-1: the count of live parameters whose home, the order
+of the block that created them, is below hi (README derives it).  With
+nothing prescribed it gives the primitive eigenvector
+(``functors._eigenvector``) of a Jordan-Hoelder step, solved to the
+module's precision, of the rank-2 split test, solved to its certified level
+alone, and of the ``NonSplitAlpha`` classification, solved to the
+n + 3 + delta orders that alpha, read off b^n, needs.
 With the low blocks of x prescribed it is also ``functors.eigen_lift``,
 which lifts a seed to the exact solution of (a - c*b)x = 0, and the unit
 normalizer of a rank-1 Jordan-Hoelder step.
@@ -50,13 +52,16 @@ Affine expressions are dicts {parameter or CONST: coefficient}.  A block
 entry holds each coefficient as a normalized integer triple (re, im, den),
 and a Scalar is built only where a value leaves the system: in
 ``block_matrix`` and ``series_matrix`` (through ``_aff_eval``, on nonempty
-entries only), in ``block_ranks`` and in the generic determinant.  Each
-equation entry reads a stencil compiled once per system (``_stencils``;
-``retargeted`` recompiles the target's part).  ``solve`` runs an order's
-equations in one loop: it sums a stencil's products as raw triples, brought
-over the lcm of two denominators, never their product; the pivot is the
-largest parameter whose numerators are not both zero, and each replacement
-coefficient is one product over the pivot's raw value, normalized once.
+entries only) and in the generic determinant.  Each equation entry reads a
+stencil compiled once per system (``_stencils``; ``retargeted`` recompiles
+the target's part).  ``solve`` runs an order's equations in one loop: the
+drift term starts the sum, which adds a stencil's products as raw triples,
+brought over the lcm of two denominators, never their product, skipping
+empty entries and the complex product of a real coefficient; the pivot is
+the largest parameter whose numerators are not both zero, and each
+replacement coefficient is one product over the pivot's raw value,
+normalized once.  ``_substitute`` records an occurrence only where a key
+first enters an entry.
 """
 
 import copy
@@ -180,7 +185,8 @@ class IntertwinerSystem:
         self.blocks = []
         self.occurrences = {}
         self.alive = set()
-        self._next_param = 0
+        # Per parameter, its home: the order of the block that created it.
+        self.home = []
         self._consistent = True
         self._until_singular = False
 
@@ -195,8 +201,8 @@ class IntertwinerSystem:
             for i in range(self.pf):
                 row = []
                 for j in range(self.pe):
-                    pid = self._next_param
-                    self._next_param += 1
+                    pid = len(self.home)
+                    self.home.append(k)
                     self.alive.add(pid)
                     self.occurrences[pid] = {(k, i, j)}
                     row.append({pid: _ONE})
@@ -207,7 +213,8 @@ class IntertwinerSystem:
         keys = [key for key in replacement if key != CONST]
         occurrences = self.occurrences
         blocks = self.blocks
-        for (k, i, j) in occurrences.pop(pid):
+        for at in occurrences.pop(pid):
+            k, i, j = at
             entry = blocks[k][i][j]
             c = entry.pop(pid, None)
             if c is None:
@@ -215,20 +222,24 @@ class IntertwinerSystem:
             e, f, g = c
             if not entry and c == _ONE:
                 entry.update(replacement)
-            else:
-                get = entry.get
-                for key, (a, b, d) in replacement.items():
-                    a, b, d = a * e - b * f, a * f + b * e, d * g
-                    cur = get(key)
-                    if cur is not None:
-                        x, y, h = cur
-                        a, b, d = a * h + x * d, b * h + y * d, d * h
-                        if not (a or b):
-                            del entry[key]
-                            continue
-                    entry[key] = _reduced(a, b, d)
-            for key in keys:
-                occurrences[key].add((k, i, j))
+                for key in keys:
+                    occurrences[key].add(at)
+                continue
+            get = entry.get
+            for key, (a, b, d) in replacement.items():
+                a, b, d = a * e - b * f, a * f + b * e, d * g
+                cur = get(key)
+                if cur is None:
+                    # a new key; one already in the entry has this occurrence
+                    if key != CONST:
+                        occurrences[key].add(at)
+                else:
+                    x, y, h = cur
+                    a, b, d = a * h + x * d, b * h + y * d, d * h
+                    if not (a or b):
+                        del entry[key]
+                        continue
+                entry[key] = _reduced(a, b, d)
         self.alive.discard(pid)
 
     def _singular(self) -> bool:
@@ -262,16 +273,30 @@ class IntertwinerSystem:
             for i, row in enumerate(self._stencils):
                 for j, (terms, (e, f, g)) in enumerate(row):
                     e += (1 - k) * g
-                    if k and (e or f):
-                        terms = [(1, i, j, e, f, g)] + terms
-                    acc = {}
+                    # The drift-merged t = 1 diagonal term comes first, into
+                    # an empty accumulator.
+                    if not (k and (e or f)):
+                        acc = {}
+                    elif f:
+                        acc = {key: [a * e - b * f, a * f + b * e, d * g]
+                               for key, (a, b, d) in blocks[k - 1][i][j].items()}
+                    else:
+                        acc = {key: [a * e, b * e, d * g]
+                               for key, (a, b, d) in blocks[k - 1][i][j].items()}
                     get = acc.get
                     for t, r, c, e, f, g in terms:
                         if t > k:
                             break
                         entry = blocks[k - t][r][c]
+                        if not entry:
+                            continue
                         for key, (a, b, d) in entry.items():
-                            a, b, d = a * e - b * f, a * f + b * e, d * g
+                            if f:
+                                a, b = a * e - b * f, a * f + b * e
+                            else:
+                                a *= e
+                                b *= e
+                            d *= g
                             cur = get(key)
                             if cur is None:
                                 acc[key] = [a, b, d]
@@ -285,16 +310,20 @@ class IntertwinerSystem:
                                 cur[0] = cur[0] * x + a * y
                                 cur[1] = cur[1] * x + b * y
                                 cur[2] = h * x
-                    live = [key for key, (a, b, _) in acc.items() if a or b]
-                    if not live:
+                    # The pivot is the largest key whose numerators are not
+                    # both zero; larger cancelled keys are dropped on the way.
+                    while acc:
+                        pid = max(acc)
+                        a, b, d = acc.pop(pid)
+                        if a or b:
+                            break
+                    else:
                         continue
-                    pid = max(live)
                     # CONST is below every parameter: as the pivot, it makes
                     # the equation inconsistent.
                     if pid == CONST:
                         self._consistent = False
                         return None
-                    a, b, d = acc.pop(pid)
                     # -1/pivot = (x + y*i)/n, n > 0; a real one skips a^2 + b^2
                     if b:
                         x, y, n = -a * d, b * d, a * a + b * b
@@ -344,43 +373,26 @@ class IntertwinerSystem:
         ]
         other.occurrences = {pid: set(at) for pid, at in self.occurrences.items()}
         other.alive = set(self.alive)
+        other.home = list(self.home)
         return other
 
-    def parameters_in_blocks(self, lo: int, hi: int):
-        """Free parameters genuinely appearing in blocks lo..hi-1."""
-        found = set()
-        for k in range(lo, min(hi, len(self.blocks))):
-            for row in self.blocks[k]:
-                for entry in row:
-                    for key in entry:
-                        if key != CONST:
-                            found.add(key)
-        return sorted(found)
+    def parameters_in_blocks(self, hi: int):
+        """The free parameters appearing in blocks 0..hi-1, sorted: the live
+        ones whose home is below hi (README derives it).  BadParameter
+        unless 1 <= hi <= the orders processed."""
+        self._require_blocks(hi, 1)
+        home = self.home
+        return sorted(pid for pid in self.alive if home[pid] < hi)
 
-    def block_ranks(self, lo: int, hi: int):
-        """For k = lo..hi-1, the rank of the linear map from the free
-        parameters of blocks lo..hi-1 to blocks lo..k, all from one echelon
-        form; entries stop being added once the rank reaches the parameter
-        count.  A parameter absent from blocks lo..k adds a zero column
-        there, so each value is also the rank over the parameters of blocks
-        lo..k alone."""
-        params = self.parameters_in_blocks(lo, hi)
-        span = linalg.Echelon()
-        for k in range(lo, hi):
-            for e in (e for row in self.blocks[k] for e in row if e):
-                if len(span.pivots) == len(params):
-                    break
-                span.add([_make(*e[pid]) if pid in e else ZERO for pid in params])
-            yield len(span.pivots)
+    def rank_in_blocks(self, hi: int) -> int:
+        """Rank of the linear map from the free parameters to blocks 0..hi-1:
+        each parameter there keeps its home entry {pid: 1}, so the rank is
+        their count."""
+        return len(self.parameters_in_blocks(hi))
 
-    def rank_in_blocks(self, lo: int, hi: int) -> int:
-        """Rank of the linear map from the free parameters to blocks lo..hi-1."""
-        rank = 0
-        for rank in self.block_ranks(lo, hi):
-            pass
-        return rank
-
-    def _require_blocks(self, n: int) -> None:
+    def _require_blocks(self, n: int, least: int = 0) -> None:
+        if n < least:
+            raise BadParameter(f"a block count must be at least {least}, not {n}")
         if len(self.blocks) < n:
             raise BadParameter(
                 f"the system has processed {len(self.blocks)} orders, not {n}: "
@@ -388,7 +400,7 @@ class IntertwinerSystem:
             )
 
     def block_matrix(self, k: int, values: dict):
-        self._require_blocks(k + 1)
+        self._require_blocks(k + 1, 1)
         return [
             [_aff_eval(entry, values) if entry else ZERO for entry in row]
             for row in self.blocks[k]
@@ -522,7 +534,7 @@ def find_invertible(system: IntertwinerSystem, seed: int = 0, tries: int = 40):
         raise BadParameter("find_invertible needs a system solved to order 0 at least")
     if _singular_shape(system.blocks[0]):
         return None
-    free0 = system.parameters_in_blocks(0, 1)
+    free0 = system.parameters_in_blocks(1)
     if not free0:
         values = {}
         mat = system.block_matrix(0, values)

@@ -301,7 +301,7 @@ def symbolic_invertible(system):
     identically.  ``find_invertible``'s fallback must return exactly this.
     sympy's Berkowitz determinant expands to the same polynomial as its
     default Bareiss one, which takes seconds on some complex 4 x 4 blocks."""
-    free0 = system.parameters_in_blocks(0, 1)
+    free0 = scanning_parameters_in_blocks(system, 0, 1)
     symbols = {pid: sympy.Symbol("c%d" % pid) for pid in free0}
 
     def to_sympy(s: Scalar):
@@ -688,8 +688,8 @@ def _has_primitive_eigen(module: AbModule, c: Scalar, gap: int) -> bool:
         )
     source = [[Series.monomial(c, 1, module.precision)]]
     system = IntertwinerSystem(source, module.matrix, level).solve()
-    first = system.rank_in_blocks(0, 1)
-    if system.solve(level + 1).rank_in_blocks(0, 1) != first:
+    first = echelon_rank_in_blocks(system, 0, 1)
+    if echelon_rank_in_blocks(system.solve(level + 1), 0, 1) != first:
         raise PrecisionExhausted("primitive-eigenvector test did not stabilize")
     return first > 0
 
@@ -827,9 +827,9 @@ def flattened_ext_dims(E: AbModule, F: AbModule) -> tuple:
     base = n_lambda(H, ZERO) + 2
     system = IntertwinerSystem([[Series.zero(H.precision)]], H.matrix, 0)
     d1 = len(system.solve(base).alive)
-    d0 = system.solve(base + 1).rank_in_blocks(0, base)
+    d0 = echelon_rank_in_blocks(system.solve(base + 1), 0, base)
     if len(system.alive) != d1 or (
-        system.solve(base + 2).rank_in_blocks(0, base + 1) != d0
+        echelon_rank_in_blocks(system.solve(base + 2), 0, base + 1) != d0
     ):
         raise PrecisionExhausted(
             "ext dimensions failed to stabilize at consecutive truncation levels"
@@ -917,9 +917,9 @@ def _full_precision_eigenvector(module: AbModule, mu: Scalar):
         )
     source = [[Series.monomial(mu, 1, w)]]
     system = IntertwinerSystem(source, module.matrix, need).solve()
-    if not system.parameters_in_blocks(0, 1):
+    if not scanning_parameters_in_blocks(system, 0, 1):
         return None
-    params = system.solve(w).parameters_in_blocks(0, 1)
+    params = scanning_parameters_in_blocks(system.solve(w), 0, 1)
     return [row[0].at_precision(w - 1 - delta)
             for row in system.series_matrix({params[0]: ONE})]
 
@@ -958,6 +958,51 @@ def full_precision_alpha(module: AbModule, lam: Scalar, n: int) -> Scalar:
     if alpha.is_zero():
         raise HypothesisViolated("twisted normal form with alpha = 0")
     return alpha
+
+
+# ---------------------------------------------------------------------------
+# rank and parameter queries of an intertwiner system, by scanning its blocks
+# ---------------------------------------------------------------------------
+# ``IntertwinerSystem.parameters_in_blocks`` and ``rank_in_blocks`` as they
+# were before they counted live parameters by home block: a scan of the
+# blocks' keys, and the ranks of one echelon form of their coefficients.
+
+
+def scanning_parameters_in_blocks(system, lo: int, hi: int):
+    """Free parameters genuinely appearing in blocks lo..hi-1."""
+    found = set()
+    for k in range(lo, min(hi, len(system.blocks))):
+        for row in system.blocks[k]:
+            for entry in row:
+                for key in entry:
+                    if key != CONST:
+                        found.add(key)
+    return sorted(found)
+
+
+def echelon_block_ranks(system, lo: int, hi: int):
+    """For k = lo..hi-1, the rank of the linear map from the free
+    parameters of blocks lo..hi-1 to blocks lo..k, all from one echelon
+    form; entries stop being added once the rank reaches the parameter
+    count.  A parameter absent from blocks lo..k adds a zero column
+    there, so each value is also the rank over the parameters of blocks
+    lo..k alone."""
+    params = scanning_parameters_in_blocks(system, lo, hi)
+    span = Echelon()
+    for k in range(lo, hi):
+        for e in (e for row in system.blocks[k] for e in row if e):
+            if len(span.pivots) == len(params):
+                break
+            span.add([_make(*e[pid]) if pid in e else ZERO for pid in params])
+        yield len(span.pivots)
+
+
+def echelon_rank_in_blocks(system, lo: int, hi: int) -> int:
+    """Rank of the linear map from the free parameters to blocks lo..hi-1."""
+    rank = 0
+    for rank in echelon_block_ranks(system, lo, hi):
+        pass
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -1042,7 +1087,7 @@ def dense_lift_truncation_iso(
     fixed = {m: blocks[m] for m in range(N)}
     strict = IntertwinerSystem(e.matrix, ep.matrix, W, fixed=fixed).solve()
     if strict is not None:
-        if strict.parameters_in_blocks(0, W - slack):
+        if scanning_parameters_in_blocks(strict, 0, W - slack):
             raise NonUniqueLift(
                 "the congruence-constrained solution space is not a single point"
             )
@@ -1055,8 +1100,8 @@ def dense_lift_truncation_iso(
 
 
 def two_pass_rigidity_violation(system, N: int, hi: int) -> bool:
-    """``_rigidity_violation`` as two independent rank computations."""
-    return system.rank_in_blocks(0, hi) > system.rank_in_blocks(0, N)
+    """``_rigidity_violation`` as two independent echelon rank computations."""
+    return echelon_rank_in_blocks(system, 0, hi) > echelon_rank_in_blocks(system, 0, N)
 
 
 def fresh_module_iso(e: AbModule, ep: AbModule, W: int = None, seed: int = 0):
@@ -1189,8 +1234,8 @@ class ScalarIntertwinerSystem(IntertwinerSystem):
             for i in range(self.pf):
                 row = []
                 for j in range(self.pe):
-                    pid = self._next_param
-                    self._next_param += 1
+                    pid = len(self.home)
+                    self.home.append(k)
                     self.alive.add(pid)
                     self.occurrences[pid] = {(k, i, j)}
                     row.append({pid: ONE})
@@ -1276,13 +1321,3 @@ class ScalarIntertwinerSystem(IntertwinerSystem):
             [Series([block[i][j] for block in coeffs], self.w) for j in range(self.pe)]
             for i in range(self.pf)
         ]
-
-    def block_ranks(self, lo: int, hi: int):
-        params = self.parameters_in_blocks(lo, hi)
-        span = Echelon()
-        for k in range(lo, hi):
-            for e in (e for row in self.blocks[k] for e in row if e):
-                if len(span.pivots) == len(params):
-                    break
-                span.add([e.get(pid, ZERO) for pid in params])
-            yield len(span.pivots)

@@ -97,9 +97,9 @@ def test_eigen_kernels_match_the_dense_truncation(module, shift, pick):
         system = IntertwinerSystem(source, module.matrix, level).solve()
         null = _dense_kernel(module, c, level)
         assert len(system.alive) == len(null), level
-        for hi in (1, level - 1, level):
+        for hi in {1, level - 1, level} - {0}:
             expected = _dense_rank_in_blocks(null, module.rank, level, hi)
-            assert system.rank_in_blocks(0, hi) == expected, (level, hi)
+            assert system.rank_in_blocks(hi) == expected, (level, hi)
 
 
 def _image_contains_power(module, c, w):

@@ -308,8 +308,8 @@ def test_the_generic_determinant_decides_a_pair_nothing_else_can(
 
 
 def _state(system):
-    return deepcopy((system.blocks, system.occurrences, system.alive, system.w,
-                     system._next_param, system.mt, system._stencils, system.precision))
+    return deepcopy((system.blocks, system.occurrences, system.alive, system.home,
+                     system.w, system.mt, system._stencils, system.precision))
 
 
 def test_trials_leave_the_shared_prefix_unchanged():
@@ -334,8 +334,8 @@ def test_retargeted_copies_resume_as_a_fresh_solve():
               for i, row in enumerate(module.matrix)]
     resumed = prefix.retargeted(target).solve(10)
     fresh = IntertwinerSystem(module.matrix, target, 10).solve()
-    assert (resumed.blocks, resumed.occurrences, resumed.alive) == (
-        fresh.blocks, fresh.occurrences, fresh.alive)
+    assert (resumed.blocks, resumed.occurrences, resumed.alive, resumed.home) == (
+        fresh.blocks, fresh.occurrences, fresh.alive, fresh.home)
     assert _state(prefix) == before
 
 

@@ -19,10 +19,15 @@ from abmod import (
     Series,
     find_invertible,
     from_expression,
+    identity_truncation_iso,
     module_iso,
+    random_regular,
+    saturate,
+    spectrum,
     verify_intertwiner,
 )
 from abmod import morphisms
+from abmod.determination import _blocks_from_toeplitz, _perturb
 from abmod.linalg import det
 from abmod.morphisms import CONST, _generic_det
 from abmod.scalars import ONE, ZERO
@@ -46,7 +51,7 @@ def _package_head_span(system):
     base = system.block_matrix(0, {})
     if any(not c.is_zero() for row in base for c in row):
         rows.append([oracles.to_sym(c) for row in base for c in row])
-    for pid in system.parameters_in_blocks(0, 1):
+    for pid in system.parameters_in_blocks(1):
         mat = system.block_matrix(0, {pid: ONE})
         rows.append(
             [oracles.to_sym(mat[i][j] - base[i][j]) for i in range(p) for j in range(p)]
@@ -99,7 +104,7 @@ def test_find_invertible_absent_when_heads_vanish():
     # top-order coefficient whose constraint sits beyond the window.
     src, tgt, system = _system("E(2)", "E(1)")
     assert len(system.alive) == 2
-    assert not system.parameters_in_blocks(0, 1)
+    assert not system.parameters_in_blocks(1)
     assert find_invertible(system, seed=0) is None
 
 
@@ -238,7 +243,7 @@ def test_resumed_solve_matches_a_fresh_solve(case):
         assert resumed.blocks == fresh.blocks, n
         assert resumed.alive == fresh.alive, n
         for hi in range(1, n + 1):
-            assert resumed.rank_in_blocks(0, hi) == fresh.rank_in_blocks(0, hi)
+            assert resumed.rank_in_blocks(hi) == fresh.rank_in_blocks(hi)
     assert resumed.series_matrix({}) == fresh.series_matrix({})
 
 
@@ -257,6 +262,75 @@ def test_resumed_solve_stays_inconsistent_and_bounded():
     assert free.solve(RESUME_W) is free
 
 
+def test_rank_and_parameter_queries_refuse_blocks_not_processed():
+    module = from_expression("J(2;0)", W)
+    system = IntertwinerSystem(module.matrix, module.matrix, 3).solve()
+    assert system.rank_in_blocks(3) == len(system.parameters_in_blocks(3))
+    with pytest.raises(BadParameter, match="processed 3 orders, not 5"):
+        system.rank_in_blocks(5)
+    with pytest.raises(BadParameter, match="processed 3 orders, not 10"):
+        system.parameters_in_blocks(10)
+    for hi in (0, -1):
+        with pytest.raises(BadParameter, match=f"at least 1, not {hi}"):
+            system.parameters_in_blocks(hi)
+        with pytest.raises(BadParameter, match=f"at least 1, not {hi}"):
+            system.rank_in_blocks(hi)
+    with pytest.raises(BadParameter, match="at least 1, not 0"):
+        system.block_matrix(-1, {})
+
+
+@st.composite
+def _query_systems(draw, kind):
+    """A system of the given kind, with the orders to solve it to: an
+    ``fd`` trial retargeted from its shared prefix, an E -> F pair, an
+    eigen-kernel [[mu*b]] -> E, or a system with its low blocks prescribed
+    by the identity of E/b^N E as ``lift_truncation_iso`` builds it, into E
+    or a perturbation of E at orders >= N; each is solved to w orders at
+    once, or resumed through a drawn order first."""
+    w = draw(st.integers(8, 12))
+    module = random_regular(draw(st.integers(1, 3)), draw(st.integers(0, 10**6)), w,
+                            draw(st.booleans()))
+    lo = draw(st.integers(1, w - 2))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if kind == "fd":
+        prefix = IntertwinerSystem(module.matrix, module.matrix, lo).solve()
+        system = prefix.retargeted(_perturb(module, rng, lo).matrix)
+    elif kind == "pair":
+        other = random_regular(draw(st.integers(1, 3)), draw(st.integers(0, 10**6)), w)
+        system = IntertwinerSystem(module.matrix, other.matrix, 0)
+    elif kind == "kernel":
+        mu = draw(st.sampled_from(spectrum(saturate(module).saturated)))
+        mu = mu + draw(st.builds(Scalar, _FRACTIONS))
+        system = IntertwinerSystem([[Series.monomial(mu, 1, w)]], module.matrix, 0)
+    else:
+        phi = identity_truncation_iso(module, lo)
+        fixed = dict(enumerate(_blocks_from_toeplitz(phi.matrix, module.rank, lo)))
+        target = _perturb(module, rng, lo) if draw(st.booleans()) else module
+        system = IntertwinerSystem(module.matrix, target.matrix, 0, fixed=fixed)
+    steps = sorted({draw(st.integers(len(system.blocks), w)), w})
+    return system, steps
+
+
+@pytest.mark.parametrize("kind", ("fd", "pair", "kernel", "prescribed"))
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_home_block_counts_match_the_echelon_ranks(kind, data):
+    """Every live parameter keeps its home entry {pid: 1}, and the rank and
+    parameter queries equal the scanning and echelon forms at every bound,
+    after each step of a resumed solve."""
+    system, steps = data.draw(_query_systems(kind))
+    for w in steps:
+        system.solve(w)
+        for pid in system.alive:
+            home = system.blocks[system.home[pid]]
+            assert {pid: (1, 0, 1)} in (entry for row in home for entry in row), pid
+        for hi in range(1, len(system.blocks) + 1):
+            assert system.parameters_in_blocks(hi) == \
+                oracles.scanning_parameters_in_blocks(system, 0, hi), (w, hi)
+            assert system.rank_in_blocks(hi) == \
+                oracles.echelon_rank_in_blocks(system, 0, hi), (w, hi)
+
+
 # -- the generic block-0 determinant -----------------------------------------
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -269,7 +343,7 @@ class _Block0:
     def __init__(self, block):
         self.blocks = [block]
 
-    def parameters_in_blocks(self, lo, hi):
+    def parameters_in_blocks(self, hi):
         return sorted({key for row in self.blocks[0] for e in row for key in e
                        if key != CONST})
 
@@ -340,7 +414,7 @@ def test_generic_det_matches_sympy(case):
     expected = sympy.expand(generic.det(method="berkowitz"))
     assert sympy.expand(_to_sympy(expanded, symbols) - expected) == 0
     system = _Block0(_triples(block))
-    if system.parameters_in_blocks(0, 1):
+    if system.parameters_in_blocks(1):
         assert find_invertible(system, tries=0) == oracles.symbolic_invertible(system)
 
 
@@ -366,7 +440,7 @@ ORACLE_PAIRS = PAIRS + [("F(3;0;2)", "J(3;0)"), ("J(3;0)", "J(3;0)"),
 @pytest.mark.parametrize("src_expr,tgt_expr", ORACLE_PAIRS)
 def test_fallback_values_match_sympy_oracle(src_expr, tgt_expr):
     _, _, system = _system(src_expr, tgt_expr)
-    if system.parameters_in_blocks(0, 1):
+    if system.parameters_in_blocks(1):
         assert find_invertible(system, tries=0) == oracles.symbolic_invertible(system)
 
 
@@ -377,7 +451,7 @@ def test_fallback_decides_a_non_isomorphic_pair():
     src = from_expression("F(3;0;2)", 24)
     tgt = from_expression("J(3;0)", 24)
     system = IntertwinerSystem(src.matrix, tgt.matrix, 24).solve()
-    free0 = system.parameters_in_blocks(0, 1)
+    free0 = system.parameters_in_blocks(1)
     assert free0
     rng = random.Random(0)
     for _ in range(40):
@@ -395,7 +469,7 @@ def test_empty_row_of_block0_decides_without_determinants(monkeypatch):
     src = from_expression("F(3;0;2)", 24)
     tgt = from_expression("J(3;0)", 24)
     system = IntertwinerSystem(src.matrix, tgt.matrix, 24).solve()
-    assert not any(system.blocks[0][0]) and system.parameters_in_blocks(0, 1)
+    assert not any(system.blocks[0][0]) and system.parameters_in_blocks(1)
     calls = []
     real_det = morphisms.linalg.det
     monkeypatch.setattr(morphisms.linalg, "det", lambda m: calls.append(m) or real_det(m))
