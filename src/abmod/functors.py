@@ -22,6 +22,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .invariants import (
+    _eigen_system,
     delta_index,
     is_regular,
     n_lambda,
@@ -217,8 +218,8 @@ def _eigenvector(module: AbModule, mu: Scalar, orders: int):
     w = max(level, min(orders, W)) orders, level the certified level below,
     and is known to precision w - 1 - delta.
 
-    The kernel is solved as the intertwiners from [[mu*b]] into E.  On E#,
-    with residue R#, order k of (b^-1 a - mu)y = 0 has the matrix
+    The kernel is ``_eigen_system``'s: the intertwiners from [[mu*b]] into
+    E.  On E#, with residue R#, order k of (b^-1 a - mu)y = 0 has the matrix
     R# + k - mu, invertible once k > mu - z_min, z_min E#'s least exponent
     in mu's class.  So from level max(mu - z_min, delta) + 2 on, a solution
     mod b^w agrees with an exact eigenvector mod b^(w-1) E#, which lies in
@@ -229,24 +230,14 @@ def _eigenvector(module: AbModule, mu: Scalar, orders: int):
     none past the level), and x is the solution with the lowest block-0
     parameter 1 and every other parameter 0.
     """
-    w = module.precision
-    delta = delta_index(module)
-    gaps = [int((mu - z).re) for z in spectrum(saturate(module).saturated)
-            if (mu - z).is_integer()]
-    need = max(gaps + [delta]) + 2
-    if w < need:
-        raise PrecisionExhausted(
-            f"the eigenvector for exponent {mu} needs precision >= {need}, have {w}"
-        )
-    source = [[Series.monomial(mu, 1, w)]]
-    system = IntertwinerSystem(source, module.matrix, need).solve()
+    system = _eigen_system(module, mu)
     if not system.parameters_in_blocks(1):
         return None
-    level = max(need, min(orders, w))
-    if level > need:
+    level = max(system.w, min(orders, module.precision))
+    if level > system.w:
         system.solve(level)
     params = system.parameters_in_blocks(1)
-    return [row[0].at_precision(level - 1 - delta)
+    return [row[0].at_precision(level - 1 - delta_index(module))
             for row in system.series_matrix({params[0]: ONE})]
 
 
@@ -343,8 +334,8 @@ def _jh_step(module: AbModule, policy: str):
     of the class the policy picks, in the module's coordinates.
 
     A primitive eigenvector spans a simple-pole submodule, so it lies in E^b
-    and is primitive there; width_table reads lambda_min(E^b) off (E*)#
-    without building E^b.
+    and is primitive there; width_table reads lambda_min(E^b) off the
+    eigen-kernels of E without building E^b.
     """
     classes = width_table(module).classes
     pick = min if policy == "lex" else max

@@ -2,9 +2,9 @@
 
 Saturation E# (the smallest simple-pole overmodule inside E[b^{-1}]), the
 index delta, the order of regularity, the biggest simple-pole submodule E^b,
-the spectrum, the per-class width table, the alpha invariant, geometricity,
-and the effective bounds n_lambda(E, lambda) and N0(E) driving finite
-determination.
+the spectrum, the per-class width table (lambda_min(E^b) read off kernels
+on E), alpha, geometricity, and the effective bounds n_lambda(E, lambda)
+and N0(E) driving finite determination.
 """
 
 from __future__ import annotations
@@ -256,42 +256,49 @@ class WidthTable(Record):
         return max(entry[2] for entry in self.classes.values())
 
 
+def _eigen_system(module: AbModule, mu: Scalar, extra: int = 0) -> IntertwinerSystem:
+    """The kernel of a - mu*b on E, as the intertwiners from [[mu*b]] into E
+    solved to the certified level max(mu - z_min, delta) + 2
+    (``functors._eigenvector`` derives it) plus ``extra`` orders, which
+    certify the eigenvectors b^v x' with v <= extra too (README)."""
+    w = module.precision
+    gaps = [int((mu - z).re) for z in spectrum(saturate(module).saturated)
+            if (mu - z).is_integer()]
+    need = max(gaps + [delta_index(module)]) + 2 + extra
+    if w < need:
+        raise PrecisionExhausted(
+            f"the eigenvector for exponent {mu} needs precision >= {need}, have {w}"
+        )
+    source = [[Series.monomial(mu, 1, w)]]
+    return IntertwinerSystem(source, module.matrix, need).solve()
+
+
 @lru_cache(maxsize=512)
 def width_table(module: AbModule) -> WidthTable:
-    """lambda_min per class from S(E^b), lambda_max per class from S(E#).
-
-    S(E^b) is read off the dual saturation: E^b = ((E*)#)*, and the dual's
-    matrix is M(-b)^T, so a simple-pole residue R turns into -R^T and
-    S(E^b) = -S((E*)#).
-    """
-    from .functors import dual  # deferred: functors imports this module
-
-    upper = spectrum(saturate(module).saturated)
-    lower = [-s for s in spectrum(saturate(dual(module)).saturated)]
+    """lambda_max per class from S(E#); lambda_min, the least exponent of
+    E^b, from one eigen-kernel on E (README derives it).  With z E#'s least
+    exponent in the class and delta = delta_index(E), lambda_min is z when
+    delta = 0 (E = E# = E^b), and otherwise z + delta - v, v the largest
+    home <= delta of a live parameter of the kernel of a - (z + delta)*b
+    solved to 2*delta + 2 orders."""
+    delta = delta_index(module)
+    spans: dict = {}
+    for s in spectrum(saturate(module).saturated):
+        # sorted: a class's first exponent is its least, its last its largest
+        spans.setdefault(_class_rep(s), [s, s])[1] = s
     classes = {}
-    mins: dict = {}
-    maxs: dict = {}
-    for s in lower:
-        rep = _class_rep(s)
-        if rep not in mins or s.re < mins[rep].re:
-            mins[rep] = s
-    for s in upper:
-        rep = _class_rep(s)
-        if rep not in maxs or s.re > maxs[rep].re:
-            maxs[rep] = s
-    if set(mins) != set(maxs):
-        raise HypothesisViolated(
-            "spectra of E^b and E# occupy different classes mod Z; "
-            "this contradicts their theory — likely a precision fault"
-        )
-    for rep in sorted(mins, key=Scalar.sort_key):
-        lo, hi = mins[rep], maxs[rep]
-        gap = hi.re - lo.re
-        if gap.denominator != 1:
-            raise HypothesisViolated(
-                "extreme exponents of one class do not differ by an integer"
-            )
-        classes[rep] = (lo, hi, int(gap))
+    for rep in sorted(spans, key=Scalar.sort_key):
+        lo, hi = spans[rep]
+        if delta:
+            system = _eigen_system(module, lo + Scalar(delta), delta)
+            homes = [system.home[pid] for pid in system.parameters_in_blocks(delta + 1)]
+            if not homes:
+                raise HypothesisViolated(
+                    "no primitive eigenvector at most delta above the least "
+                    "exponent of a class of E#: likely a precision fault"
+                )
+            lo = lo + Scalar(delta - max(homes))
+        classes[rep] = (lo, hi, int((hi - lo).re))
     return WidthTable(classes)
 
 

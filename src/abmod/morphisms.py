@@ -31,7 +31,9 @@ nothing prescribed it gives the primitive eigenvector
 (``functors._eigenvector``) of a Jordan-Hoelder step, solved to the
 module's precision, of the rank-2 split test, solved to its certified level
 alone, and of the ``NonSplitAlpha`` classification, solved to the
-n + 3 + delta orders that alpha, read off b^n, needs.
+n + 3 + delta orders that alpha, read off b^n, needs; ``width_table``
+solves it to 2*delta + 2 orders for lambda_min(E^b) (all through
+``invariants._eigen_system``).
 With the low blocks of x prescribed it is also ``functors.eigen_lift``,
 which lifts a seed to the exact solution of (a - c*b)x = 0, and the unit
 normalizer of a rank-1 Jordan-Hoelder step.

@@ -648,6 +648,42 @@ def eb_width_table(module: AbModule):
     return WidthTable(classes)
 
 
+def dual_width_table(module: AbModule):
+    """``width_table`` as it read lambda_min through the dual: per class from
+    S(E^b) = -S((E*)#), as E^b = ((E*)#)*, and the dual's matrix is
+    M(-b)^T, so a simple-pole residue R turns into -R^T."""
+    from abmod import dual
+    from abmod.invariants import WidthTable
+
+    upper = spectrum(saturate(module).saturated)
+    lower = [-s for s in spectrum(saturate(dual(module)).saturated)]
+    classes = {}
+    mins: dict = {}
+    maxs: dict = {}
+    for s in lower:
+        rep = _class_rep(s)
+        if rep not in mins or s.re < mins[rep].re:
+            mins[rep] = s
+    for s in upper:
+        rep = _class_rep(s)
+        if rep not in maxs or s.re > maxs[rep].re:
+            maxs[rep] = s
+    if set(mins) != set(maxs):
+        raise HypothesisViolated(
+            "spectra of E^b and E# occupy different classes mod Z; "
+            "this contradicts their theory — likely a precision fault"
+        )
+    for rep in sorted(mins, key=Scalar.sort_key):
+        lo, hi = mins[rep], maxs[rep]
+        gap = hi.re - lo.re
+        if gap.denominator != 1:
+            raise HypothesisViolated(
+                "extreme exponents of one class do not differ by an integer"
+            )
+        classes[rep] = (lo, hi, int(gap))
+    return WidthTable(classes)
+
+
 def eb_primitive_eigen_element(module: AbModule, mu: Scalar):
     """The primitive mu-eigenvector as first found for the ``NonSplitAlpha``
     branch: the mu-eigenvector of E^b, built by ``biggest_simple_pole``,
@@ -846,7 +882,7 @@ def two_level_n_lambda(module: AbModule, lam, *, _system: IntertwinerSystem = No
     """The smallest N with b^N E inside (a - lam b) E.
 
     Decided on truncations at the sufficient level (lam - lambda_min of the
-    class) + delta + 2, lambda_min as width_table reads it off (E*)#
+    class) + delta + 2, lambda_min as width_table reads it
     (falling back to delta + rank + 2 when lam's class is absent from the
     spectra), plus margin; the answer must agree at two consecutive levels.
     On E/b^w E it is the least N with k_N = k_w, where k_N = dim ker(a - lam

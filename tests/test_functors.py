@@ -882,7 +882,8 @@ def test_split_test_solves_to_the_resonance_order(monkeypatch):
             levels.append(self.w if w is None else w)
             return super().solve(w)
 
-    monkeypatch.setattr(functors, "IntertwinerSystem", Spy)
+    # the kernel system is built by invariants._eigen_system
+    monkeypatch.setattr(invariants, "IntertwinerSystem", Spy)
     rng = random.Random(27)
     for gap in (1, 2, 3, 5):
         jordan = make_E_lambda_n(HALF, gap, 24)

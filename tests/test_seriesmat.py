@@ -264,14 +264,15 @@ def test_back_substitute_matches_dense(dim, n, data):
 
 
 def test_no_kernel_multiplies_or_adds_an_empty_series(monkeypatch):
-    """The census: computing the info invariants of three catalog modules,
-    a Hom and two Exts, two Jordan-Hoelder sequences, a rank-2 classification
-    and a twist, the term loops behind Series sums, differences and
-    products (``series._combine`` and ``series._product``) and the fold
-    that sums products in the series-matrix kernels (``series._fold``,
-    wrapped in every module that imports it) never receive an operand
-    without terms: the operators return before reaching them, and the
-    kernels skip empty entries before they fold."""
+    """The census: computing the info invariants and E^b (through the dual's
+    saturation) of three catalog modules, a Hom and two Exts, two
+    Jordan-Hoelder sequences, a rank-2 classification and a twist, the
+    term loops behind Series sums, differences and products
+    (``series._combine`` and ``series._product``) and the fold that sums
+    products in the series-matrix kernels (``series._fold``, wrapped in
+    every module that imports it) never receive an operand without terms:
+    the operators return before reaching them, and the kernels skip empty
+    entries before they fold."""
     calls = {"all": 0, "empty": []}
 
     def wrap(loop, first):
@@ -294,7 +295,8 @@ def test_no_kernel_multiplies_or_adds_an_empty_series(monkeypatch):
     for f in vars(invariants).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()
-    commands = [["info", expr] for expr in ("J(5;0)", "rand(4;7)", "F(4;0;1/2)")]
+    commands = [[name, expr] for expr in ("J(5;0)", "rand(4;7)", "F(4;0;1/2)")
+                for name in ("info", "eb")]
     commands += [["hom", "E(1/2)", "J(2;0)"], ["ext", "J(2;0)", "E(0)"],
                  ["ext", "J(3;0)", "J(3;0)"]]
     commands += [["jh", "J(4;0)"], ["jh", "rand(4;7)"], ["classify2", "E(1/2,2;3)"],

@@ -17,8 +17,9 @@ the scaling probe ``abmod info 'J(12;0)' --precision 60``,
 (its internal Hom has rank 16), ``abmod fd 'J(4;0)' --trials 40`` (the
 intertwiner solver, its early exit and the shared prefix of the trials),
 ``abmod iso 'F(5;0;2)' 'J(5;0)'`` (a pair that agrees to order 5 and is not
-isomorphic), ``abmod ext 'J(7;0)' 'J(7;0)' --precision 112`` (saturation
-and the width table of a Hom of rank 49), ``abmod fd 'rand(4;1001)'
+isomorphic), ``abmod ext 'J(7;0)' 'J(7;0)' --precision 112`` (the
+saturation of a Hom of rank 49 and the intertwiners of the pair, which
+bound and read its Ext), ``abmod fd 'rand(4;1001)'
 --precision 26 --trials 100`` (the intertwiner solver on a dense structure
 matrix, where the ``J(4;0)`` probe's is sparse), ``abmod ext 'J(10;0)'
 'J(10;0)' --precision 256`` (a Hom of rank 100), ``abmod classify2
@@ -41,8 +42,12 @@ precision 112, or ``E(1/2,2;3)`` at precision 48), and times one statement
 (``verify_fd(module, 100, 0)``, ``ext_dims`` of the pair, or
 ``classify_rank2`` of its twists by -3..3) between two rounds of
 ``bench/run.py``'s ``HostSpeed``, which scale it as the workload items are
-scaled; their runs are compared on the scaled time.  A fourth in-process
-probe puts ``lift_truncation_iso``, which no workload reaches, under the
+scaled; their runs are compared on the scaled time.  A fourth, timed and
+scaled the same way, reads the width tables of ``J(12;0)`` at precision 60,
+``J(10;0)`` at 40, ``J(7;0)`` at 112 and ``rand(5;9)`` at 24, whose
+saturations the setup computes, so the statement times lambda_min and
+lambda_max per class alone.  A fifth in-process probe puts
+``lift_truncation_iso``, which no workload reaches, under the
 identical-output check: the identity lift and seven ``_perturb`` lifts of
 ``J(6;0)`` at N = 16 (precision 48), and the identity lifts of
 ``E(1/2;2)`` and ``E(0;3)`` at N = 2 and 3 (precision 30; three of these
@@ -139,6 +144,10 @@ IN_PROCESS_PROBES = (
     ("[str(classify_rank2(twist(m, k))) for k in range(-3, 4)]",
      "m = from_expression('E(1/2,2;3)', 48)",
      "[str(classify_rank2(twist(m, k))) for k in range(-3, 4)]"),
+    ("[width_table(m).classes for m in mods]",
+     "mods = [from_expression(e, w) for e, w in (('J(12;0)', 60), ('J(10;0)', 40), "
+     "('J(7;0)', 112), ('rand(5;9)', 24))]; sats = [saturate(m) for m in mods]",
+     "[width_table(m).classes for m in mods]"),
     ("[lift_outcome(e, ep, phi, N) for e, ep, phi, N in lifts]", _LIFT_SETUP,
      "[lift_outcome(e, ep, phi, N) for e, ep, phi, N in lifts]"),
 )
