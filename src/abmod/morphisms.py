@@ -53,17 +53,20 @@ cokernels of T mod b^N and mod b^w, hence k_N and k_w, are equal.
 Affine expressions are dicts {parameter or CONST: coefficient}.  A block
 entry holds each coefficient as a normalized integer triple (re, im, den),
 and a Scalar is built only where a value leaves the system: in
-``block_matrix`` and ``series_matrix`` (through ``_aff_eval``, on nonempty
-entries only) and in the generic determinant.  Each equation entry reads a
-stencil compiled once per system (``_stencils``; ``retargeted`` recompiles
-the target's part).  ``solve`` runs an order's equations in one loop: the
-drift term starts the sum, which adds a stencil's products as raw triples,
-brought over the lcm of two denominators, never their product, skipping
-empty entries and the complex product of a real coefficient; the pivot is
-the largest parameter whose numerators are not both zero, and each
-replacement coefficient is one product over the pivot's raw value,
-normalized once.  ``_substitute`` records an occurrence only where a key
-first enters an entry.
+``block_matrix`` and ``series_matrix``, which evaluate nonempty entries at
+raw parameter values (``_aff_eval``) and build a Scalar for the result
+(``series_matrix`` for a nonzero one only), and in the generic
+determinant.  Each equation entry reads a stencil compiled once per system
+(``_stencils``; ``retargeted`` recompiles the target's part).  ``solve``
+runs an order's equations in one loop, each in its own frame with no helper
+call or comprehension: the drift term starts the sum, which adds a stencil's
+products as raw triples, brought over the lcm of two denominators, never
+their product, skipping empty entries and the complex product of a real
+coefficient; the pivot is the largest parameter whose numerators are not
+both zero; each replacement coefficient is one product over the pivot's raw
+value, normalized once; and the substitution records an occurrence only
+where a key first enters an entry.  ``_new_block`` creates a block's
+parameters in one batch.
 """
 
 import copy
@@ -75,20 +78,11 @@ from operator import add, sub
 from . import linalg
 from .errors import BadParameter, PrecisionExhausted
 from .scalars import ONE, ZERO, Scalar, _make
-from .series import _below, _combine, _fold
+from .series import Series, _below, _combine, _fold
 from .series import _make as _series
 
 CONST = -1
 _ONE = (1, 0, 1)
-
-
-def _reduced(a: int, b: int, d: int) -> tuple:
-    """The triple (a, b, d), d > 0, brought to lowest terms."""
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            return a // g, b // g, d // g
-    return a, b, d
 
 
 def _source_terms(ms, pf: int) -> list:
@@ -130,7 +124,22 @@ def _singular_shape(block) -> bool:
     return not all(map(any, block)) or not all(map(any, zip(*block)))
 
 
-def _aff_eval(expr: dict, values: dict) -> Scalar:
+def _raw_values(values: dict) -> dict:
+    """Parameter values as raw triples (re, im, den); BadParameter unless
+    each is a value ``Scalar.of`` takes."""
+    raw = {}
+    try:
+        for pid, x in values.items():
+            v = Scalar.of(x)
+            raw[pid] = (v.re_num, v.im_num, v.den)
+    except TypeError as exc:
+        raise BadParameter(f"a parameter value is not exact: {exc}") from None
+    return raw
+
+
+def _aff_eval(expr: dict, values: dict) -> tuple:
+    """An affine entry at raw parameter values (``_raw_values``; an absent
+    parameter is 0), as a raw triple, not normalized."""
     a = b = 0
     d = 1
     for key, (e, f, g) in expr.items():
@@ -138,8 +147,8 @@ def _aff_eval(expr: dict, values: dict) -> Scalar:
             v = values.get(key)
             if v is None:
                 continue
-            p, r = v.re_num, v.im_num
-            e, f, g = e * p - f * r, e * r + f * p, g * v.den
+            p, r, s = v
+            e, f, g = e * p - f * r, e * r + f * p, g * s
         if d == g:
             a += e
             b += f
@@ -147,7 +156,7 @@ def _aff_eval(expr: dict, values: dict) -> Scalar:
             q = gcd(d, g)
             x, y = g // q, d // q
             a, b, d = a * x + e * y, b * x + f * y, d * x
-    return _make(a, b, d)
+    return a, b, d
 
 
 def _checked_block(mat, rows: int, cols: int) -> list:
@@ -161,13 +170,23 @@ def _checked_block(mat, rows: int, cols: int) -> list:
         raise BadParameter(f"a prescribed entry is not exact: {exc}") from None
 
 
+def _structure_terms(matrix) -> list:
+    """Per entry of a structure matrix, its nonzero (order, coefficient)
+    terms; BadParameter unless the matrix is square and nonempty with
+    ``Series`` entries."""
+    if not matrix or any(len(row) != len(matrix) for row in matrix):
+        raise BadParameter("source and target must be square and nonempty")
+    if not all(isinstance(entry, Series) for row in matrix for entry in row):
+        raise BadParameter("structure matrix entries must be Series")
+    return [[entry.terms for entry in row] for row in matrix]
+
+
 class IntertwinerSystem:
     """Solution space of the intertwining equation at a given order count."""
 
     def __init__(self, source, target, w: int, fixed=None):
-        for m in (source, target):
-            if not m or any(len(row) != len(m) for row in m):
-                raise BadParameter("source and target must be square and nonempty")
+        self.ms = _structure_terms(source)
+        self.mt = _structure_terms(target)
         self.pe = len(source)
         self.pf = len(target)
         self._source_precision = min(e.precision for row in source for e in row)
@@ -179,9 +198,6 @@ class IntertwinerSystem:
         if min(fixed, default=w) < 0 or w < 0:
             raise BadParameter("the order count and prescribed orders must be >= 0")
         self.fixed = {k: _checked_block(m, self.pf, self.pe) for k, m in fixed.items()}
-        # Per matrix entry, its nonzero (order, coefficient) terms.
-        self.ms = [[entry.terms for entry in row] for row in source]
-        self.mt = [[entry.terms for entry in row] for row in target]
         self._source_terms = _source_terms(self.ms, self.pf)
         self._stencils = _stencils(self.ms, self.mt, self._source_terms, self.precision)
         self.blocks = []
@@ -199,50 +215,21 @@ class IntertwinerSystem:
             block = [[{CONST: (x.re_num, x.im_num, x.den)} if x else {} for x in row]
                      for row in self.fixed[k]]
         else:
+            # One batch of pf * pe parameters, numbered row by row, each
+            # alone in its home entry.
+            pid = len(self.home)
+            self.home += [k] * (self.pf * self.pe)
+            self.alive.update(range(pid, len(self.home)))
+            occurrences = self.occurrences
             block = []
             for i in range(self.pf):
                 row = []
                 for j in range(self.pe):
-                    pid = len(self.home)
-                    self.home.append(k)
-                    self.alive.add(pid)
-                    self.occurrences[pid] = {(k, i, j)}
+                    occurrences[pid] = {(k, i, j)}
                     row.append({pid: _ONE})
+                    pid += 1
                 block.append(row)
         self.blocks.append(block)
-
-    def _substitute(self, pid: int, replacement: dict) -> None:
-        keys = [key for key in replacement if key != CONST]
-        occurrences = self.occurrences
-        blocks = self.blocks
-        for at in occurrences.pop(pid):
-            k, i, j = at
-            entry = blocks[k][i][j]
-            c = entry.pop(pid, None)
-            if c is None:
-                continue
-            e, f, g = c
-            if not entry and c == _ONE:
-                entry.update(replacement)
-                for key in keys:
-                    occurrences[key].add(at)
-                continue
-            get = entry.get
-            for key, (a, b, d) in replacement.items():
-                a, b, d = a * e - b * f, a * f + b * e, d * g
-                cur = get(key)
-                if cur is None:
-                    # a new key; one already in the entry has this occurrence
-                    if key != CONST:
-                        occurrences[key].add(at)
-                else:
-                    x, y, h = cur
-                    a, b, d = a * h + x * d, b * h + y * d, d * h
-                    if not (a or b):
-                        del entry[key]
-                        continue
-                entry[key] = _reduced(a, b, d)
-        self.alive.discard(pid)
 
     def _singular(self) -> bool:
         return self._until_singular and bool(self.blocks) and _singular_shape(
@@ -268,23 +255,26 @@ class IntertwinerSystem:
         if not self._consistent:
             return None
         blocks = self.blocks
+        occurrences = self.occurrences
+        alive = self.alive
         for k in range(len(blocks), w):
             if self._singular():
                 return None
             self._new_block(k)
+            prev = blocks[k - 1]
             for i, row in enumerate(self._stencils):
                 for j, (terms, (e, f, g)) in enumerate(row):
                     e += (1 - k) * g
                     # The drift-merged t = 1 diagonal term comes first, into
                     # an empty accumulator.
-                    if not (k and (e or f)):
-                        acc = {}
-                    elif f:
-                        acc = {key: [a * e - b * f, a * f + b * e, d * g]
-                               for key, (a, b, d) in blocks[k - 1][i][j].items()}
-                    else:
-                        acc = {key: [a * e, b * e, d * g]
-                               for key, (a, b, d) in blocks[k - 1][i][j].items()}
+                    acc = {}
+                    if k and (e or f):
+                        if f:
+                            for key, (a, b, d) in prev[i][j].items():
+                                acc[key] = [a * e - b * f, a * f + b * e, d * g]
+                        else:
+                            for key, (a, b, d) in prev[i][j].items():
+                                acc[key] = [a * e, b * e, d * g]
                     get = acc.get
                     for t, r, c, e, f, g in terms:
                         if t > k:
@@ -331,11 +321,52 @@ class IntertwinerSystem:
                         x, y, n = -a * d, b * d, a * a + b * b
                     else:
                         x, y, n = (-d, 0, a) if a > 0 else (d, 0, -a)
-                    self._substitute(pid, {
-                        key: _reduced(e * x - f * y, e * y + f * x, g * n)
-                        for key, (e, f, g) in acc.items()
-                        if e or f
-                    })
+                    # Each other key with nonzero numerators times -1/pivot,
+                    # in lowest terms.
+                    replacement = {}
+                    for key, (e, f, g) in acc.items():
+                        if e or f:
+                            e, f, g = e * x - f * y, e * y + f * x, g * n
+                            if g != 1:
+                                q = gcd(e, f, g)
+                                if q != 1:
+                                    e, f, g = e // q, f // q, g // q
+                            replacement[key] = e, f, g
+                    # Substitute the replacement for the pivot in every entry
+                    # it occurs in; an occurrence is recorded only where a key
+                    # first enters an entry, since one already there has it.
+                    for at in occurrences.pop(pid):
+                        o, r, c = at
+                        entry = blocks[o][r][c]
+                        coeff = entry.pop(pid, None)
+                        if coeff is None:
+                            continue
+                        if not entry and coeff == _ONE:
+                            entry.update(replacement)
+                            for key in replacement:
+                                if key != CONST:
+                                    occurrences[key].add(at)
+                            continue
+                        e, f, g = coeff
+                        get = entry.get
+                        for key, (a, b, d) in replacement.items():
+                            a, b, d = a * e - b * f, a * f + b * e, d * g
+                            cur = get(key)
+                            if cur is None:
+                                if key != CONST:
+                                    occurrences[key].add(at)
+                            else:
+                                u, v, h = cur
+                                a, b, d = a * h + u * d, b * h + v * d, d * h
+                                if not (a or b):
+                                    del entry[key]
+                                    continue
+                            if d != 1:
+                                q = gcd(a, b, d)
+                                if q != 1:
+                                    a, b, d = a // q, b // q, d // q
+                            entry[key] = a, b, d
+                    alive.discard(pid)
         return None if self._singular() else self
 
     def solve_until_singular(self, w: int = None):
@@ -354,8 +385,8 @@ class IntertwinerSystem:
         one there (BadParameter otherwise); the copy then resumes as a fresh
         system on the new target would."""
         n = len(self.blocks)
-        mt = [[entry.terms for entry in row] for row in target]
-        if len(mt) != self.pf or any(len(row) != self.pf for row in mt) or any(
+        mt = _structure_terms(target)
+        if len(mt) != self.pf or any(
             entry.precision < n or _below(new, n) != _below(old, n)
             for row, new_row, old_row in zip(target, mt, self.mt)
             for entry, new, old in zip(row, new_row, old_row)
@@ -402,23 +433,30 @@ class IntertwinerSystem:
             )
 
     def block_matrix(self, k: int, values: dict):
+        """Block k at the given parameter values, as Scalars; BadParameter
+        past the orders processed, or for a value ``Scalar.of`` refuses."""
         self._require_blocks(k + 1, 1)
+        raw = _raw_values(values)
         return [
-            [_aff_eval(entry, values) if entry else ZERO for entry in row]
+            [_make(*_aff_eval(entry, raw)) if entry else ZERO for entry in row]
             for row in self.blocks[k]
         ]
 
     def series_matrix(self, values: dict):
         """The solution at the given parameter values, as series of precision
-        w; only nonempty entries are evaluated, and zero values are dropped.
-        BadParameter when fewer than w orders are processed."""
+        w; only nonempty entries are evaluated, and a Scalar is built only for
+        a nonzero coefficient.  BadParameter when fewer than w orders are
+        processed, or for a value ``Scalar.of`` refuses."""
         self._require_blocks(self.w)
+        raw = _raw_values(values)
         terms = [[[] for _ in range(self.pe)] for _ in range(self.pf)]
         for k in range(self.w):
             for row, out in zip(self.blocks[k], terms):
                 for entry, at in zip(row, out):
-                    if entry and (c := _aff_eval(entry, values)):
-                        at.append((k, c))
+                    if entry:
+                        a, b, d = _aff_eval(entry, raw)
+                        if a or b:
+                            at.append((k, _make(a, b, d)))
         return [[_series(tuple(at), self.w) for at in row] for row in terms]
 
 
@@ -562,13 +600,15 @@ def verify_intertwiner(source, target, P, w: int) -> bool:
     products are folded into one accumulator of raw integer triples below
     min(w, that precision), b^2 P' starting it as the terms -k c b^(k+1),
     and only the numerators are tested for zero: nothing is normalized.
-    Any entry of P, Ms or Mt of precision 0 raises PrecisionExhausted; a P
-    without rows or columns passes.  Comparing ``smat_mul(P, Ms)`` with
-    ``a_image(Mt, P)`` instead was slower on the ``fd`` workload, since it
-    normalizes every entry of both sides.
+    A P that is not rank(Mt) x rank(Ms) is refused with BadParameter, and
+    then any entry of P, Ms or Mt of precision 0 raises PrecisionExhausted.
+    Comparing ``smat_mul(P, Ms)`` with ``a_image(Mt, P)`` instead was slower
+    on the ``fd`` workload, since it normalizes every entry of both sides.
     """
-    if not (P and P[0]):
-        return True
+    if len(P) != len(target) or any(len(row) != len(source) for row in P):
+        raise BadParameter(
+            f"P must be {len(target)} x {len(source)}, rank(target) x rank(source)"
+        )
     if not all(e.precision for m in (P, source, target) for row in m for e in row):
         raise PrecisionExhausted("operating on a series of precision 0")
     p_row_w = [min(e.precision for e in row) for row in P]

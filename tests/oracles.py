@@ -1237,11 +1237,12 @@ def _aff_add_scaled(target: dict, expr: dict, c: Scalar) -> None:
                 target[key] = cur
 
 
-def scalar_blocks(blocks):
-    """Blocks of affine entries whose coefficients are the package's
-    (re, im, den) triples, with each coefficient as a Scalar."""
-    return [[[{key: _make(*c) for key, c in entry.items()} for entry in row]
-             for row in block] for block in blocks]
+def triple_blocks(blocks):
+    """Blocks of affine entries with Scalar coefficients, with each
+    coefficient as its normalized (re, im, den) triple, the form the package
+    stores."""
+    return [[[{key: (c.re_num, c.im_num, c.den) for key, c in entry.items()}
+              for entry in row] for row in block] for block in blocks]
 
 
 class ScalarIntertwinerSystem(IntertwinerSystem):
@@ -1252,8 +1253,8 @@ class ScalarIntertwinerSystem(IntertwinerSystem):
     triples over precompiled stencils and normalizes once per coefficient.
     Only the package's input checks, ``retargeted``'s copy and the methods
     that read no coefficient are inherited.  The elimination order is the
-    package's, so ``blocks`` (as ``scalar_blocks`` of the package's),
-    ``occurrences`` and ``alive`` must agree after every order."""
+    package's, so after every order the package's ``blocks`` must equal
+    ``triple_blocks`` of these, and ``occurrences`` and ``alive`` agree."""
 
     def _new_block(self, k: int) -> None:
         if k in self.fixed:

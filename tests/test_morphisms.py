@@ -207,6 +207,46 @@ def test_block_matrix_refuses_a_block_past_the_processed_orders():
         system.block_matrix(5, {})
 
 
+def test_structure_matrix_entries_must_be_series():
+    with pytest.raises(BadParameter, match="must be Series"):
+        IntertwinerSystem([[1]], [[1]], 2)
+    with pytest.raises(BadParameter, match="must be Series"):
+        IntertwinerSystem(_pair(), [[ONE]], 2)
+
+
+def test_retargeted_refuses_a_target_without_series_entries():
+    system = IntertwinerSystem(_pair(), _pair(), 2).solve()
+    with pytest.raises(BadParameter, match="must be Series"):
+        system.retargeted([[1, 2], [3, 4]])
+
+
+def test_parameter_values_go_through_scalar_of():
+    system = IntertwinerSystem(_pair(), _pair(), W).solve()
+    pid = min(system.alive)
+    assert system.series_matrix({pid: 1}) == system.series_matrix({pid: ONE})
+    half = Fraction(1, 2)
+    assert system.block_matrix(0, {pid: half}) == system.block_matrix(0, {pid: Scalar(half)})
+    for bad in (1.0, "1", None):
+        with pytest.raises(BadParameter, match="not exact"):
+            system.series_matrix({pid: bad})
+        with pytest.raises(BadParameter, match="not exact"):
+            system.block_matrix(0, {pid: bad})
+
+
+def test_verify_intertwiner_refuses_a_wrongly_shaped_P():
+    j2 = from_expression("J(2;0)", 8).matrix
+    e0 = from_expression("E(0)", 8).matrix
+    one, zero = Series.one(8), Series.zero(8)
+    cases = [(j2, j2, [[one]]), (e0, e0, [[one], [one]]), (e0, e0, [[one, one]]),
+             (j2, j2, []), (e0, j2, [[zero, zero]]),
+             # refused before the precision checks
+             (j2, j2, [[Series.zero(0)]])]
+    for source, target, P in cases:
+        with pytest.raises(BadParameter, match=r"rank\(target\) x rank\(source\)"):
+            verify_intertwiner(source, target, P, 8)
+    assert verify_intertwiner(e0, j2, [[zero], [zero]], 8)
+
+
 def test_an_empty_or_non_square_structure_matrix_is_refused():
     matrix = _pair()
     for source, target in (([], matrix), (matrix, []), ([[]], matrix),
@@ -492,8 +532,9 @@ def test_generic_det_size_budget(monkeypatch):
 # every partial product and partial sum into a Scalar.  The package sums raw
 # integer triples over precompiled stencils, normalizes once per coefficient
 # and stores triples; both pick the same pivot, so every intermediate state
-# agrees once the package's triples are read as Scalars.  FD_ROSTER is the
-# module roster of the ``fd`` benchmark workload.
+# agrees, each stored triple equal to the reference's Scalar in lowest
+# terms.  FD_ROSTER is the module roster of the ``fd`` benchmark workload,
+# and ``_fd_iso_pairs`` below gives its iso pools.
 
 FD_ROSTER = [
     ("J(3;0)", 24), ("J(4;0)", 24), ("E(1/2,1/3)", 24), ("E(1/2;2)", 24),
@@ -508,7 +549,7 @@ def _pair_of_systems(source, target, w, fixed=None):
 
 
 def _assert_same_state(new, ref, where):
-    assert oracles.scalar_blocks(new.blocks) == ref.blocks, where
+    assert new.blocks == oracles.triple_blocks(ref.blocks), where
     assert new.occurrences == ref.occurrences, where
     assert new.alive == ref.alive, where
     if len(new.blocks) < new.w:  # an inconsistent order stopped the solve
@@ -533,6 +574,11 @@ def _solve_both(new, ref, orders, until_singular=False):
             break
 
 
+# The trial seeds of the roster test: each gives the first perturbation of
+# ``verify_fd(module, 1, seed)``, an ``fd`` workload item.
+FD_TRIAL_SEEDS = range(5)
+
+
 @pytest.mark.parametrize("expr,precision", FD_ROSTER)
 def test_solver_matches_the_scalar_reference_on_the_fd_roster(expr, precision):
     from abmod import n0_bound
@@ -540,11 +586,18 @@ def test_solver_matches_the_scalar_reference_on_the_fd_roster(expr, precision):
 
     module = from_expression(expr, precision)
     lo = n0_bound(module)
+    top = _default_lift_precision(module, lo)
     new, ref = _pair_of_systems(module.matrix, module.matrix, 0)
     _solve_both(new, ref, range(1, lo + 1))
+    # As verify_fd's trials: copies of the shared prefix, retargeted and
+    # resumed through solve_until_singular.
+    for seed in FD_TRIAL_SEEDS:
+        perturbed = _perturb(module, random.Random(seed), lo)
+        trial = new.retargeted(perturbed.matrix), ref.retargeted(perturbed.matrix)
+        _solve_both(*trial, range(lo + 1, top + 1), until_singular=True)
     perturbed = _perturb(module, random.Random(precision), lo)
     new, ref = new.retargeted(perturbed.matrix), ref.retargeted(perturbed.matrix)
-    _solve_both(new, ref, range(lo + 1, _default_lift_precision(module, lo) + 1))
+    _solve_both(new, ref, range(lo + 1, top + 1))
 
 
 def _iso_pairs():
@@ -569,8 +622,32 @@ def _iso_pairs():
     return pairs
 
 
+# The exponents of the ``fd`` workload's iso:dual pool.
+ISO_LAMBDAS = ["0", "1/2", "-1/3", "1", "2/3", "-1/2", "1/4", "3/2"]
+
+
+def _fd_iso_pairs():
+    """The module pairs of the ``fd`` workload's iso:dual (c01 duality) and
+    iso:sharp (c09 sharpness) pools, which ``module_iso`` decides."""
+    from abmod import (dual, make_E_lambda, make_E_lambda_mu, make_F_rho, make_J_k,
+                       parse_scalar)
+
+    lambdas = [parse_scalar(l) for l in ISO_LAMBDAS]
+    one, third = Scalar(1), Scalar(Fraction(1, 3))
+    pairs = [(dual(make_J_k(l, k, 16)), make_J_k(-l - Scalar(k - 1), k, 16))
+             for k in (2, 3, 4, 5) for l in lambdas]
+    for l in lambdas:
+        pairs.append((dual(make_E_lambda(l, 12)), make_E_lambda(-l, 12)))
+        pairs.append((dual(make_E_lambda_mu(l, third, 14)),
+                      make_E_lambda_mu(-third + one, -l + one, 14)))
+    pairs += [(make_F_rho(l, k, rho, 14), make_J_k(l, k, 14))
+              for k in (2, 3, 4, 5) for l in map(parse_scalar, ("0", "1/2", "-1/3"))
+              for rho in map(parse_scalar, ("1/2", "2"))]
+    return pairs
+
+
 def test_solver_matches_the_scalar_reference_on_the_iso_pairs():
-    for e, ep in _iso_pairs():
+    for e, ep in _iso_pairs() + _fd_iso_pairs():
         new, ref = _pair_of_systems(e.matrix, ep.matrix, 0)
         w = min(e.precision, ep.precision)
         _solve_both(new, ref, range(1, w + 1), until_singular=True)
@@ -700,7 +777,7 @@ def test_inconsistent_fixed_block_matches_the_scalar_reference():
     new, ref = _pair_of_systems(src.matrix, tgt.matrix, 0, fixed={0: [[ONE]]})
     for n in range(1, W + 1):
         done = new.solve(n), ref.solve(n)
-        assert oracles.scalar_blocks(new.blocks) == ref.blocks, n
+        assert new.blocks == oracles.triple_blocks(ref.blocks), n
         assert new.alive == ref.alive, n
         assert new.occurrences == ref.occurrences, n
         assert (done[0] is None) == (done[1] is None), n
@@ -708,7 +785,7 @@ def test_inconsistent_fixed_block_matches_the_scalar_reference():
             break
     assert done == (None, None)
     assert new.solve(W) is None and ref.solve(W) is None
-    assert oracles.scalar_blocks(new.blocks) == ref.blocks and new.alive == ref.alive
+    assert new.blocks == oracles.triple_blocks(ref.blocks) and new.alive == ref.alive
 
 
 def test_verify_fd_evaluates_no_empty_entry(monkeypatch):

@@ -52,7 +52,11 @@ identical-output check: the identity lift and seven ``_perturb`` lifts of
 ``J(6;0)`` at N = 16 (precision 48), and the identity lifts of
 ``E(1/2;2)`` and ``E(0;3)`` at N = 2 and 3 (precision 30; three of these
 four raise ``NonUniqueLift``), each printed as its error type's name or a
-sha256 of the lifted matrix's repr.
+sha256 of the lifted matrix's repr.  A sixth, timed and scaled as the
+first four, runs ``module_iso`` on the ``fd`` workload's heaviest items,
+the ``iso:dual`` J pairs: dual(J(k;l)) against J(k;-l-k+1) at precision 16
+for k = 2..5 and the workload's eight exponents l (the pairs are built in
+the setup; the statement solves, saturates and verifies).
 Runs are sequential, one process at a time.
 
 The output holds every run, and for every end-to-end metric the median and
@@ -132,6 +136,13 @@ pairs += [(m, m, N) for m in (from_expression('E(1/2;2)', 30),
                               from_expression('E(0;3)', 30)) for N in (2, 3)]
 lifts = [(e, ep, identity_truncation_iso(e, N), N) for e, ep, N in pairs]
 """
+# The J pairs of the fd workload's iso:dual pool: dual(J(k;l)) against
+# J(k;-l-k+1) at precision 16, for k = 2..5 and l in its ISO_LAMBDAS.
+_JDUAL_SETUP = """
+lams = [parse_scalar(l) for l in ('0', '1/2', '-1/3', '1', '2/3', '-1/2', '1/4', '3/2')]
+jdual = [(dual(make_J_k(l, k, 16)), make_J_k(-l - Scalar(k - 1), k, 16))
+         for k in (2, 3, 4, 5) for l in lams]
+"""
 # In-process probes: (label, setup, statement).  The setup builds the inputs
 # untimed; the statement is what is timed.  Both run with abmod's public
 # names in scope.
@@ -150,6 +161,8 @@ IN_PROCESS_PROBES = (
      "[width_table(m).classes for m in mods]"),
     ("[lift_outcome(e, ep, phi, N) for e, ep, phi, N in lifts]", _LIFT_SETUP,
      "[lift_outcome(e, ep, phi, N) for e, ep, phi, N in lifts]"),
+    ("[module_iso(e, ep) for e, ep in jdual]", _JDUAL_SETUP,
+     "[module_iso(e, ep) for e, ep in jdual]"),
 )
 # Run in a child with argv [bench/run.py, setup, statement]; prints one JSON
 # line: raw and host-scaled seconds of the statement, and the repr of its
