@@ -43,7 +43,9 @@ from .invariants import (
     spectrum,
     width_table,
 )
+from .module import AbModule
 from .scalars import Scalar
+from .series import _make
 from .textio import (
     MAX_PRECISION,
     emit_module_file,
@@ -293,9 +295,14 @@ def _build_parser() -> _Parser:
 def _dispatch(args):
     """Run the selected handler; on PrecisionExhausted with expression-only
     inputs, retry once at doubled precision (at most MAX_PRECISION) and
-    report the raise.  At the ceiling already, the error stands."""
+    report the raise.  At the ceiling already, the error stands.  A retry
+    answers about the modules asked for: ``rand`` draws a different module
+    at each precision, so its expression is drawn at the requested
+    precision and widened with zero terms, which is exact, since the draw
+    has no terms at or above that precision; other expressions are rebuilt."""
     handler = _HANDLERS[args.command]
     state = {"file_input": False}
+    requested = args.precision
 
     def make_load(precision):
         def load(text):
@@ -303,12 +310,15 @@ def _dispatch(args):
                 state["file_input"] = True
                 with open(text, encoding="utf-8") as handle:
                     return parse_module_file(handle.read())
-            return from_expression(text, precision)
+            if text.partition("(")[0].strip() != "rand":
+                return from_expression(text, precision)
+            drawn = from_expression(text, requested).matrix
+            return AbModule([[_make(e.terms, precision) for e in row] for row in drawn])
 
         return load
 
     try:
-        return handler(args, make_load(args.precision)), None
+        return handler(args, make_load(requested)), None
     except PrecisionExhausted:
         if state["file_input"] or args.precision >= MAX_PRECISION:
             raise

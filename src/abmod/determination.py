@@ -6,7 +6,11 @@ basis e_i * b^j.  A quotient isomorphism is an invertible matrix commuting
 with both actions; because commuting with B forces the block-Toeplitz
 shape, the search reduces to the same order-by-order intertwiner solver
 used for whole modules, so quotient and module isomorphism testing share
-one engine.
+one engine.  Every map found is certified by one step, ``_certified``:
+find_invertible on the solved system, then verify_intertwiner on its series
+matrix.  For a quotient the n-order check is the dense one: the Toeplitz T
+of P commutes with B by its shape, TA = A'T on E/b^n E reads
+P*M - M'*P - b^2*P' = 0 mod b^n, and det T = det(P_0)^n.
 """
 
 import random
@@ -35,6 +39,7 @@ from .invariants import (
 from .module import AbModule
 from .morphisms import (
     IntertwinerSystem,
+    _checked_count,
     find_invertible,
     verify_intertwiner,
 )
@@ -86,6 +91,26 @@ def _freeze(mat) -> tuple:
 MAX_TRUNCATION_DIM = 2048  # two dense 2048 x 2048 Scalar matrices
 
 
+def _truncation_dim(module: AbModule, N: int) -> int:
+    """The dimension rank * N of E/b^N E; BadParameter unless N is an
+    integer >= 1 and the dimension is at most MAX_TRUNCATION_DIM, and
+    PrecisionExhausted when N exceeds the module's precision."""
+    _checked_count(N, "truncation level")
+    if N < 1:
+        raise BadParameter("truncation level must be at least 1")
+    dim = module.rank * N
+    if dim > MAX_TRUNCATION_DIM:
+        raise BadParameter(
+            f"the truncation E/b^{N} E of a rank-{module.rank} module has dimension "
+            f"{dim}, above the ceiling {MAX_TRUNCATION_DIM}"
+        )
+    if N > module.precision:
+        raise PrecisionExhausted(
+            "truncation level exceeds the module's working precision"
+        )
+    return dim
+
+
 def truncate(module: AbModule, N: int) -> FiniteAbQuotient:
     """The finite quotient E/b^N E with its a and b matrices.
 
@@ -95,19 +120,8 @@ def truncate(module: AbModule, N: int) -> FiniteAbQuotient:
     A quotient of dimension rank * N above MAX_TRUNCATION_DIM is refused
     (BadParameter) before either matrix is allocated.
     """
-    if N < 1:
-        raise BadParameter("truncation level must be at least 1")
     p = module.rank
-    dim = p * N
-    if dim > MAX_TRUNCATION_DIM:
-        raise BadParameter(
-            f"the truncation E/b^{N} E of a rank-{p} module has dimension "
-            f"{dim}, above the ceiling {MAX_TRUNCATION_DIM}"
-        )
-    if N > module.precision:
-        raise PrecisionExhausted(
-            "truncation level exceeds the module's working precision"
-        )
+    dim = _truncation_dim(module, N)
     a = linalg.zeros(dim, dim)
     b = linalg.zeros(dim, dim)
     rows, ws = _sparse_rows(module.matrix), [N] * p
@@ -189,19 +203,6 @@ def _standard_form(q: FiniteAbQuotient):
     return p, level, series, change, inv
 
 
-def _toeplitz_from_blocks(blocks, p: int, n: int):
-    t = [[ZERO] * (p * n) for _ in range(p * n)]
-    for m, block in enumerate(blocks):
-        for l in range(p):
-            for i in range(p):
-                v = block[l][i]
-                if v.is_zero():
-                    continue
-                for j in range(n - m):
-                    t[l * n + j + m][i * n + j] = v
-    return t
-
-
 def _blocks_from_toeplitz(mat, p: int, n: int):
     blocks = [
         [[mat[l * n + m][i * n] for i in range(p)] for l in range(p)]
@@ -219,16 +220,6 @@ def _blocks_from_toeplitz(mat, p: int, n: int):
     return blocks
 
 
-def _commutes(t, q: FiniteAbQuotient, qp: FiniteAbQuotient) -> bool:
-    a = [list(row) for row in q.A]
-    b = [list(row) for row in q.B]
-    ap = [list(row) for row in qp.A]
-    bp = [list(row) for row in qp.B]
-    return linalg.mat_mul(t, a) == linalg.mat_mul(ap, t) and linalg.mat_mul(
-        t, b
-    ) == linalg.mat_mul(bp, t)
-
-
 # ---------------------------------------------------------------------------
 # isomorphism of quotients
 # ---------------------------------------------------------------------------
@@ -237,8 +228,10 @@ def _commutes(t, q: FiniteAbQuotient, qp: FiniteAbQuotient) -> bool:
 def quotient_iso(q: FiniteAbQuotient, qp: FiniteAbQuotient, seed: int = 0):
     """An invertible intertwiner between two finite quotients, or None.
 
-    The solution space of {T : TA = A'T, TB = B'T} is parameterized through
-    the block-Toeplitz reduction and searched for an invertible element.
+    Both quotients are brought to their standard presentations; an
+    intertwiner P of those, certified at n orders by ``_certified``, gives
+    the block-Toeplitz T_std with block m at offset m below the diagonal
+    the coefficient of b^m in P, which is read back in the quotients' bases.
     """
     if q.dim != qp.dim:
         raise BadParameter("quotient dimensions differ")
@@ -247,26 +240,42 @@ def quotient_iso(q: FiniteAbQuotient, qp: FiniteAbQuotient, seed: int = 0):
     if p != pp or n != np_:
         return None
     system = IntertwinerSystem(series, series_p, n).solve_until_singular()
-    values = None if system is None else find_invertible(system, seed)
-    if values is None:
+    mat = _certified(system, series, series_p, n, seed)
+    if mat is None:
         return None
-    blocks = [system.block_matrix(k, values) for k in range(n)]
-    t_std = _toeplitz_from_blocks(blocks, p, n)
+    t_std = linalg.zeros(q.dim, q.dim)
+    for l, row in enumerate(mat):
+        for i, entry in enumerate(row):
+            for m, v in entry.terms:
+                for j in range(n - m):
+                    t_std[l * n + j + m][i * n + j] = v
     t = linalg.mat_mul(change_p, linalg.mat_mul(t_std, inv_change))
-    if not _commutes(t, q, qp) or linalg.det(t).is_zero():
-        raise HypothesisViolated("constructed intertwiner failed verification")
     return Intertwiner("quotient", _freeze(t), n)
 
 
 def identity_truncation_iso(module: AbModule, N: int) -> Intertwiner:
-    """The identity map of E/b^N E as a verified Intertwiner."""
-    q = truncate(module, N)
-    return Intertwiner("quotient", _freeze(linalg.identity(q.dim)), N)
+    """The identity map of E/b^N E as a verified Intertwiner; N is checked
+    as ``truncate`` checks it."""
+    dim = _truncation_dim(module, N)
+    return Intertwiner("quotient", _freeze(linalg.identity(dim)), N)
 
 
 # ---------------------------------------------------------------------------
 # isomorphism of modules
 # ---------------------------------------------------------------------------
+
+
+def _certified(system, source, target, w: int, seed: int):
+    """The series matrix of an invertible solution of ``system``, solved to
+    w orders from source to target (None for a solve that gave up), checked
+    by verify_intertwiner at w; None when no block 0 is invertible."""
+    values = None if system is None else find_invertible(system, seed)
+    if values is None:
+        return None
+    mat = system.series_matrix(values)
+    if not verify_intertwiner(source, target, mat, w):
+        raise HypothesisViolated("constructed intertwiner failed verification")
+    return mat
 
 
 def _saturation_spectra_differ(e: AbModule, ep: AbModule) -> bool:
@@ -291,9 +300,9 @@ def module_iso(e: AbModule, ep: AbModule, W: int = None, seed: int = 0):
 
     After the argument checks it decides in this order: the intertwining
     system is solved to W orders, None as soon as block 0 is singular by its
-    shape; None when the saturations' spectra differ; find_invertible
-    searches block 0 for an invertible value (None when there is none); the
-    map it gives is checked by verify_intertwiner."""
+    shape; None when the saturations' spectra differ; then ``_certified``
+    searches block 0 for an invertible value (None when there is none) and
+    checks the map it gives by verify_intertwiner."""
     if e.rank != ep.rank:
         raise BadParameter("module ranks differ")
     if W is None:
@@ -305,13 +314,8 @@ def module_iso(e: AbModule, ep: AbModule, W: int = None, seed: int = 0):
     system = IntertwinerSystem(e.matrix, ep.matrix, W).solve_until_singular()
     if system is None or _saturation_spectra_differ(e, ep):
         return None
-    values = find_invertible(system, seed)
-    if values is None:
-        return None
-    mat = system.series_matrix(values)
-    if not verify_intertwiner(e.matrix, ep.matrix, mat, W):
-        raise HypothesisViolated("constructed intertwiner failed verification")
-    return Intertwiner("module", _freeze(mat), W)
+    mat = _certified(system, e.matrix, ep.matrix, W, seed)
+    return None if mat is None else Intertwiner("module", _freeze(mat), W)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +352,14 @@ def _free_lift(system, e, ep, N, W, slack, seed):
     """Existence plus rigidity: find a verified isomorphism and certify
     that the induced map on E/b^N E determines it below the top band.
     ``system`` is the intertwining system from e to ep, solved to at most W
-    orders; it is resumed to W.  When its blocks below N are prescribed (a
+    orders; it is resumed to W and certified by ``_certified`` (NoLift when
+    no block 0 is invertible), and only then tested for rigidity, so NoLift
+    comes before NonUniqueLift.  When its blocks below N are prescribed (a
     congruent lift), the rank below N is 0, so the rigidity test asks that
     no free parameter reach blocks below W - slack."""
     system = system.solve_until_singular(W)
-    values = None if system is None else find_invertible(system, seed)
-    if values is None:
+    mat = _certified(system, e.matrix, ep.matrix, W, seed)
+    if mat is None:
         raise NoLift(
             "the modules are not isomorphic: every solution of the "
             "intertwining system has a singular constant term"
@@ -362,9 +368,6 @@ def _free_lift(system, e, ep, N, W, slack, seed):
         raise NonUniqueLift(
             "distinct isomorphisms induce the same map at this truncation level"
         )
-    mat = system.series_matrix(values)
-    if not verify_intertwiner(e.matrix, ep.matrix, mat, W):
-        raise HypothesisViolated("constructed lift failed verification")
     return Intertwiner("module", _freeze(mat), W)
 
 
@@ -478,9 +481,11 @@ def verify_fd(module: AbModule, trials: int, seed: int, lo: int = None) -> dict:
     resumed from the shared system E -> E at lo orders (the two equations
     agree below lo) and solved to the lifting precision W; NoLift as soon as
     block 0 is singular by its shape, or when find_invertible finds no
-    invertible value; NonUniqueLift when the solutions are not pinned down
-    below the top band; otherwise the lift is checked by verify_intertwiner.
-    A negative trial count or a level below 1 is refused (BadParameter)."""
+    invertible value; the lift is checked by verify_intertwiner; then
+    NonUniqueLift when the solutions are not pinned down below the top band.
+    A trial count or level that is not an integer, a negative trial count
+    and a level below 1 are refused (BadParameter)."""
+    _checked_count(trials, "the number of trials")
     if trials < 0:
         raise BadParameter("the number of trials must be nonnegative")
     if not is_regular(module):
@@ -488,6 +493,7 @@ def verify_fd(module: AbModule, trials: int, seed: int, lo: int = None) -> dict:
     n0 = n0_bound(module)
     if lo is None:
         lo = n0
+    _checked_count(lo, "the perturbation level")
     if lo < 1:
         raise BadParameter("the perturbation level must be at least 1")
     slack = _slack(module)

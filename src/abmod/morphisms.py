@@ -170,6 +170,13 @@ def _checked_block(mat, rows: int, cols: int) -> list:
         raise BadParameter(f"a prescribed entry is not exact: {exc}") from None
 
 
+def _checked_count(n, what: str) -> int:
+    """n, when it is an int; BadParameter otherwise."""
+    if not isinstance(n, int):
+        raise BadParameter(f"{what} must be an integer, not {n!r}")
+    return n
+
+
 def _structure_terms(matrix) -> list:
     """Per entry of a structure matrix, its nonzero (order, coefficient)
     terms; BadParameter unless the matrix is square and nonempty with
@@ -193,7 +200,7 @@ class IntertwinerSystem:
         self.precision = min(
             self._source_precision, min(e.precision for row in target for e in row)
         )
-        self.w = w
+        self.w = _checked_count(w, "the order count")
         fixed = dict(fixed or {})
         if min(fixed, default=w) < 0 or w < 0:
             raise BadParameter("the order count and prescribed orders must be >= 0")
@@ -244,7 +251,7 @@ class IntertwinerSystem:
         would; None when prescribed blocks are inconsistent, or, once
         solve_until_singular has been called, when block 0 is singular by
         its shape."""
-        w = self.w if w is None else w
+        w = self.w if w is None else _checked_count(w, "the order count")
         if w > self.precision:
             raise PrecisionExhausted(
                 "truncation level exceeds the module's working precision"
@@ -600,8 +607,10 @@ def verify_intertwiner(source, target, P, w: int) -> bool:
     products are folded into one accumulator of raw integer triples below
     min(w, that precision), b^2 P' starting it as the terms -k c b^(k+1),
     and only the numerators are tested for zero: nothing is normalized.
-    A P that is not rank(Mt) x rank(Ms) is refused with BadParameter, and
-    then any entry of P, Ms or Mt of precision 0 raises PrecisionExhausted.
+    A P that is not rank(Mt) x rank(Ms), an entry of P, Ms or Mt that is
+    not a Series and a w that is not an integer are refused with
+    BadParameter, in that order, and then any entry of precision 0 raises
+    PrecisionExhausted.
     Comparing ``smat_mul(P, Ms)`` with ``a_image(Mt, P)`` instead was slower
     on the ``fd`` workload, since it normalizes every entry of both sides.
     """
@@ -609,7 +618,11 @@ def verify_intertwiner(source, target, P, w: int) -> bool:
         raise BadParameter(
             f"P must be {len(target)} x {len(source)}, rank(target) x rank(source)"
         )
-    if not all(e.precision for m in (P, source, target) for row in m for e in row):
+    entries = [e for m in (P, source, target) for row in m for e in row]
+    if not all(isinstance(e, Series) for e in entries):
+        raise BadParameter("entries of P, Ms and Mt must be Series")
+    _checked_count(w, "the order count")
+    if not all(e.precision for e in entries):
         raise PrecisionExhausted("operating on a series of precision 0")
     p_row_w = [min(e.precision for e in row) for row in P]
     p_col_w = [min(e.precision for e in col) for col in zip(*P)]

@@ -794,6 +794,37 @@ def _jh_step(module: AbModule, policy: str):
     return primitive, lam - Scalar(v)
 
 
+def ratio_eigen_data(module: AbModule, x: Element):
+    """``functors._eigen_data`` as first written: lam is the b^1 coefficient
+    of (a.x)_pivot / x_pivot, and two partial tests on that ratio come
+    before the full test a.x = lam*b*x."""
+    from abmod.errors import NotEigen, NotPrimitive
+
+    z = x.normalize()
+    if z.shift > 0:
+        raise NotPrimitive("element does not lie in the module")
+    coords = z.in_frame(0)
+    pivot = next(
+        (i for i, c in enumerate(coords) if c.valuation() == 0), None
+    )
+    if pivot is None:
+        raise NotPrimitive("element lies in b.E")
+    ax = a_image(module.matrix, [coords])[0]
+    ratio = ax[pivot] * coords[pivot].invert()
+    lam = ratio.coefficient(1)
+    if not ratio.coefficient(0).is_zero():
+        raise NotEigen("a.x has a nonzero constant component along x")
+    if any(
+        not ratio.coefficient(t).is_zero() for t in range(2, ratio.precision)
+    ):
+        raise NotEigen("a.x is not a constant multiple of b.x")
+    b = Series.b(module.precision)
+    for i in range(module.rank):
+        if not (ax[i] - b * coords[i] * lam).is_zero():
+            raise NotEigen("a.x is not lam*b*x")
+    return coords, pivot, lam
+
+
 def hand_eigen_lift(module: AbModule, lam: Scalar, y: Element, kappa: int) -> Element:
     """``functors.eigen_lift`` as first written: the seed y is corrected order
     by order, the correction of b^k solving (R - lam + k) x_k = -r_{k+1} for
@@ -1086,7 +1117,6 @@ def dense_lift_truncation_iso(
     from abmod.determination import (
         Intertwiner,
         _blocks_from_toeplitz,
-        _commutes,
         _default_lift_precision,
         _free_lift,
         _freeze,
@@ -1133,6 +1163,54 @@ def dense_lift_truncation_iso(
         return Intertwiner("module", _freeze(mat), W)
     system = IntertwinerSystem(e.matrix, ep.matrix, W)
     return _free_lift(system, e, ep, N, W, slack, seed)
+
+
+def _toeplitz_from_blocks(blocks, p: int, n: int):
+    t = [[ZERO] * (p * n) for _ in range(p * n)]
+    for m, block in enumerate(blocks):
+        for l in range(p):
+            for i in range(p):
+                v = block[l][i]
+                if v.is_zero():
+                    continue
+                for j in range(n - m):
+                    t[l * n + j + m][i * n + j] = v
+    return t
+
+
+def _commutes(t, q, qp) -> bool:
+    a = [list(row) for row in q.A]
+    b = [list(row) for row in q.B]
+    ap = [list(row) for row in qp.A]
+    bp = [list(row) for row in qp.B]
+    return linalg.mat_mul(t, a) == linalg.mat_mul(ap, t) and linalg.mat_mul(
+        t, b
+    ) == linalg.mat_mul(bp, t)
+
+
+def dense_quotient_iso(q, qp, seed: int = 0):
+    """``quotient_iso`` as first written: T is built from the blocks of the
+    solved system and checked on the two quotients by four dense products
+    (``_commutes``) and a dense determinant."""
+    from abmod.determination import Intertwiner, _freeze, _standard_form
+    from abmod.morphisms import find_invertible
+
+    if q.dim != qp.dim:
+        raise BadParameter("quotient dimensions differ")
+    p, n, series, _, inv_change = _standard_form(q)
+    pp, np_, series_p, change_p, _ = _standard_form(qp)
+    if p != pp or n != np_:
+        return None
+    system = IntertwinerSystem(series, series_p, n).solve_until_singular()
+    values = None if system is None else find_invertible(system, seed)
+    if values is None:
+        return None
+    blocks = [system.block_matrix(k, values) for k in range(n)]
+    t_std = _toeplitz_from_blocks(blocks, p, n)
+    t = linalg.mat_mul(change_p, linalg.mat_mul(t_std, inv_change))
+    if not _commutes(t, q, qp) or linalg.det(t).is_zero():
+        raise HypothesisViolated("constructed intertwiner failed verification")
+    return Intertwiner("quotient", _freeze(t), n)
 
 
 def two_pass_rigidity_violation(system, N: int, hi: int) -> bool:

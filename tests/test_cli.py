@@ -246,6 +246,22 @@ def test_precision_retry_stops_at_the_ceiling(monkeypatch, capsys):
     assert code == 1 and err == f"abmod: error: not enough at {MAX_PRECISION}\n"
 
 
+def test_a_retry_widens_the_rand_draw_asked_for(tmp_path, capsys):
+    """rand draws a different module at each precision, so a retry widens
+    the draw at the requested precision with zero terms: the report is that
+    of the precision-4 draw written as a precision-8 file, not that of the
+    draw at 8 (or 1, n0 7)."""
+    code, out, _ = run(["info", "rand(3;1000)", "--precision", "4"], capsys)
+    assert code == 0 and out[0] == "precision_raised: 8"
+    assert "or: 2" in out and "n0: 8" in out
+    drawn = abmod.emit_module_file(abmod.from_expression("rand(3;1000)", 4))
+    path = tmp_path / "drawn.txt"
+    path.write_text(drawn.replace("precision 4\n", "precision 8\n"))
+    assert run(["info", str(path)], capsys)[:2] == (0, out[1:])
+    code, out, _ = run(["info", "rand(3;1000)", "--precision", "8"], capsys)
+    assert code == 0 and "or: 1" in out and "n0: 7" in out
+
+
 def test_hom_rank_above_the_ceiling_is_a_usage_error(capsys):
     # 17 * 16 = 272 > 256: refused before any entry of the Hom is built.
     for command in ("hom", "ext"):

@@ -1,5 +1,6 @@
 """Truncations, lifting of truncation isomorphisms, finite-determination checks."""
 
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -10,9 +11,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from abmod import (
     AbModule,
+    AbmodError,
     BadParameter,
     FiniteAbQuotient,
     Intertwiner,
+    IntertwinerSystem,
     NoLift,
     NotFound,
     NotRegular,
@@ -32,7 +35,9 @@ from abmod import (
     recover_Eb_from_truncation,
     truncate,
     verify_fd,
+    verify_intertwiner,
 )
+from abmod import linalg
 
 import oracles
 from test_saturation_identities import irregular
@@ -79,6 +84,27 @@ def test_truncate_refuses_a_quotient_above_the_ceiling(monkeypatch):
     # at the ceiling the matrices are allocated
     with pytest.raises(MemoryError):
         truncate(m, half)
+
+
+def _count_calls():
+    j2 = from_expression("J(2;0)", 8)
+    e0 = from_expression("E(0)", 8)
+    one = [[Series.one(8)]]
+    return {
+        "system": lambda: IntertwinerSystem(j2.matrix, j2.matrix, 4.5).solve(),
+        "solve": lambda: IntertwinerSystem(j2.matrix, j2.matrix, 4).solve(3.5),
+        "module_iso": lambda: module_iso(j2, j2, W=4.5),
+        "truncate": lambda: truncate(j2, 2.5),
+        "identity_truncation_iso": lambda: identity_truncation_iso(j2, 2.5),
+        "verify_fd": lambda: verify_fd(from_expression("J(2;0)", 24), 1, 0, lo=2.5),
+        "verify_intertwiner": lambda: verify_intertwiner(e0.matrix, e0.matrix, one, 8.5),
+    }
+
+
+@pytest.mark.parametrize("site", list(_count_calls()))
+def test_a_count_that_is_not_an_integer_is_refused(site):
+    with pytest.raises(BadParameter, match="must be an integer, not [0-9.]+$"):
+        _count_calls()[site]()
 
 
 # -- quotient isomorphisms ---------------------------------------------------
@@ -138,6 +164,61 @@ def test_module_iso_refuses_a_precision_outside_the_data():
     with pytest.raises(PrecisionExhausted,
                        match="^requested precision exceeds the structure data$"):
         module_iso(e, e, W=9)
+
+
+QUOTIENT_GRID = ["J(2;0)", "F(2;0;1)", "F(2;0;1/2)", "E(0;1)", "E(0,1)", "E(1,0)",
+                 "E(0,1;1)", "E(1/2,5/2)", "E(5/2,1/2)", "E(1/2,1/3)", "E(1/3,1/2)",
+                 "E(1/2;2)", "rand(2;1004)", "J(3;0)", "F(3;0;1/2)", "F(3;0;2)"]
+
+
+def _quotient_outcome(fn, q, qp):
+    """The intertwiner's kind, matrix and order, None, or the error's type
+    and message."""
+    try:
+        t = fn(q, qp)
+    except AbmodError as exc:
+        return type(exc), str(exc)
+    return t if t is None else (t.kind, t.matrix, t.order)
+
+
+def _conjugated(q, rng):
+    """q on a drawn basis: A and B conjugated by an invertible integer S."""
+    while True:
+        s = [[Scalar(rng.randint(-2, 2)) for _ in range(q.dim)] for _ in range(q.dim)]
+        inv = linalg.inverse(s)
+        if inv is not None:
+            break
+    a, b = ([list(row) for row in m] for m in (q.A, q.B))
+    a, b = (tuple(map(tuple, linalg.mat_mul(s, linalg.mat_mul(m, inv)))) for m in (a, b))
+    return FiniteAbQuotient(q.dim, a, b, q.rank, q.level)
+
+
+def test_quotient_iso_matches_the_dense_check():
+    """T read off the certified series matrix equals the T that the dense
+    check passed, with the same None or error, on all ordered pairs of 16
+    catalog modules at levels 1-4, on quotients given on a drawn basis, and
+    on a b-action that is not nilpotent; every T found commutes with both
+    actions on the dense quotients and has a nonzero determinant."""
+    rng = random.Random(41)
+    levels = range(1, 5)
+    qs = {N: [truncate(from_expression(e, 8), N) for e in QUOTIENT_GRID] for N in levels}
+    cases = [(q, qp) for N in levels for q in qs[N] for qp in qs[N]]
+    for q in qs[2] + qs[3]:
+        c = _conjugated(q, rng)
+        cases += [(q, c), (c, q), (c, _conjugated(q, rng))]
+    e0 = truncate(from_expression("E(0)", 8), 2)
+    unipotent = FiniteAbQuotient(e0.dim, e0.A, ((ONE, ONE), (ZERO, ONE)), 1, 2)
+    cases += [(unipotent, e0), (e0, unipotent)]
+    seen = []
+    for q, qp in cases:
+        got = _quotient_outcome(quotient_iso, q, qp)
+        assert got == _quotient_outcome(oracles.dense_quotient_iso, q, qp)
+        seen.append(got if got is None else got[0])
+        if got is not None and got[0] == "quotient":
+            t = [list(row) for row in got[1]]
+            assert oracles._commutes(t, q, qp) and not linalg.det(t).is_zero()
+    assert seen.count("quotient") >= 250 and seen.count(None) >= 500
+    assert seen.count(BadParameter) > 300
 
 
 def test_quotient_iso_refuses_quotients_of_different_dimensions():

@@ -17,6 +17,7 @@ from abmod import (
     HypothesisViolated,
     IntertwinerSystem,
     NotEigen,
+    NotPrimitive,
     NotRegular,
     NotSimplePole,
     PrecisionExhausted,
@@ -460,6 +461,63 @@ def test_quotient_by_rank1_refuses_a_vector_whose_length_is_not_the_rank():
     for wrong in ([Series.one(8)], right + [Series.one(8)]):
         with pytest.raises(BadParameter, match="is not the rank 2"):
             quotient_by_rank1(m, Element(wrong))
+
+
+EIGEN_DATA_ROSTER = ["J(3;0)", "J(2;1/2)", "E(1/2,1/3)", "E(1/2;2)", "E(0;3)",
+                     "E(1/2,2;3)", "rand(3;5)", "rand(4;7)"]
+
+
+def _eigen_data_outcome(fn, module, x):
+    """(coords, pivot, lam), or the type of the error raised."""
+    try:
+        return fn(module, x)
+    except AbmodError as exc:
+        return type(exc)
+
+
+def _drawn_elements(module, rng):
+    """Each step's eigenvector x of the module and drawn elements around it:
+    multiples by a unit or a scalar, x through a b^-1 frame, b*x, x read
+    at precision 1 and 2, sums with a perturbation at a drawn order (most
+    not eigen), and drawn vectors."""
+    w, p = module.precision, module.rank
+    x = functors._jh_step(module, "lex")[0]
+    y = functors._jh_step(module, "revlex")[0]
+    b = Series.b(w)
+    unit = Series([Scalar(1 + rng.randint(0, 2))] + [Scalar(rng.randint(-2, 2))
+                                                     for _ in range(w - 1)], w)
+    yield Element(x)
+    yield Element([c * unit for c in x])
+    yield Element([c * Scalar(Fraction(rng.randint(1, 5), rng.randint(1, 3))) for c in x])
+    yield Element([b * c for c in x], 1)
+    yield Element([b * c for c in x])
+    yield Element(x, 1)
+    yield Element([c.at_precision(1) for c in x])
+    yield Element([c.at_precision(2) for c in x])
+    yield Element([c + d for c, d in zip(x, y)])
+    for _ in range(6):
+        k, i = rng.randrange(w), rng.randrange(p)
+        bump = Series.monomial(Scalar(rng.randint(1, 3)), k, w)
+        yield Element([c + bump if j == i else c for j, c in enumerate(x)])
+    for _ in range(3):
+        yield Element([Series([Scalar(rng.randint(-2, 2)) for _ in range(w)], w)
+                       for _ in range(p)])
+
+
+def test_eigen_data_matches_the_ratio_tests():
+    """lam read off (a.x)_pivot and x_pivot, with the one full test
+    a.x = lam*b*x, decides as the ratio (a.x)_pivot / x_pivot and its two
+    partial tests did: the same (coords, pivot, lam), or an error of the same
+    type (the two partial tests' NotEigen messages are gone)."""
+    rng = random.Random(41)
+    seen = set()
+    for expr in EIGEN_DATA_ROSTER:
+        module = from_expression(expr, 12)
+        for x in _drawn_elements(module, rng):
+            got = _eigen_data_outcome(functors._eigen_data, module, x)
+            assert got == _eigen_data_outcome(oracles.ratio_eigen_data, module, x), (expr, x)
+            seen.add(got if isinstance(got, type) else tuple)
+    assert seen == {tuple, NotEigen, NotPrimitive, PrecisionExhausted}
 
 
 # -- Jordan-Hoelder ----------------------------------------------------------

@@ -430,8 +430,14 @@ def test_lift_truncation_iso_matches_the_dense_check():
 
 
 def test_lift_truncation_iso_builds_no_dense_truncation(monkeypatch):
-    """phi is checked without truncate or _commutes, and every lift, strict
-    or free, ends in one _free_lift call, which gives its result or error."""
+    """Neither identity_truncation_iso nor lift_truncation_iso builds a
+    dense truncation, and every lift, strict or free, ends in one _free_lift
+    call, which gives its result or error."""
+
+    def never(*args):
+        raise AssertionError("a dense truncation was built")
+
+    monkeypatch.setattr(determination, "truncate", never)
     module = from_expression("J(3;0)", 24)
     lo = n0_bound(module)
     rng = random.Random(2)
@@ -439,12 +445,6 @@ def test_lift_truncation_iso_builds_no_dense_truncation(monkeypatch):
     cases = [(module, target, identity_truncation_iso(module, lo), lo) for target in targets]
     e03 = from_expression("E(0;3)", 30)
     cases += [(e03, e03, identity_truncation_iso(e03, N), N) for N in (2, 3, 4, 5)]
-
-    def never(*args):
-        raise AssertionError("lift_truncation_iso built a dense truncation")
-
-    monkeypatch.setattr(determination, "truncate", never)
-    monkeypatch.setattr(determination, "_commutes", never)
     real_free, ends = determination._free_lift, []
 
     def spy(*args):

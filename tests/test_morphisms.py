@@ -247,6 +247,16 @@ def test_verify_intertwiner_refuses_a_wrongly_shaped_P():
     assert verify_intertwiner(e0, j2, [[zero], [zero]], 8)
 
 
+@pytest.mark.parametrize("operand", ["P", "Ms", "Mt"])
+def test_verify_intertwiner_refuses_an_entry_that_is_not_a_series(operand):
+    """Refused after the shape check and before the precision checks: the
+    other two operands hold a series of precision 0."""
+    e0 = from_expression("E(0)", 8).matrix
+    args = {"Ms": e0, "Mt": e0, "P": [[Series.zero(0)]], operand: [[1]]}
+    with pytest.raises(BadParameter, match="^entries of P, Ms and Mt must be Series$"):
+        verify_intertwiner(args["Ms"], args["Mt"], args["P"], 8)
+
+
 def test_an_empty_or_non_square_structure_matrix_is_refused():
     matrix = _pair()
     for source, target in (([], matrix), (matrix, []), ([[]], matrix),

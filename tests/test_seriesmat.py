@@ -265,7 +265,7 @@ def test_back_substitute_matches_dense(dim, n, data):
 
 def test_no_kernel_multiplies_or_adds_an_empty_series(monkeypatch):
     """The census: computing the info invariants and E^b (through the dual's
-    saturation) of three catalog modules, a Hom and two Exts, two
+    saturation) of three catalog modules, a Hom and two Exts, three
     Jordan-Hoelder sequences, a rank-2 classification and a twist, the
     term loops behind Series sums, differences and products
     (``series._combine`` and ``series._product``) and the fold that sums
@@ -299,8 +299,8 @@ def test_no_kernel_multiplies_or_adds_an_empty_series(monkeypatch):
                 for name in ("info", "eb")]
     commands += [["hom", "E(1/2)", "J(2;0)"], ["ext", "J(2;0)", "E(0)"],
                  ["ext", "J(3;0)", "J(3;0)"]]
-    commands += [["jh", "J(4;0)"], ["jh", "rand(4;7)"], ["classify2", "E(1/2,2;3)"],
-                 ["twist", "J(3;0)", "1/2"]]
+    commands += [["jh", "J(4;0)"], ["jh", "rand(4;7)"], ["jh", "rand(5;11)"],
+                 ["classify2", "E(1/2,2;3)"], ["twist", "J(3;0)", "1/2"]]
     for argv in commands:
         with redirect_stdout(io.StringIO()):
             assert main(argv + ["--precision", "24"]) == 0

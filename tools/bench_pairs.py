@@ -56,7 +56,12 @@ sha256 of the lifted matrix's repr.  A sixth, timed and scaled as the
 first four, runs ``module_iso`` on the ``fd`` workload's heaviest items,
 the ``iso:dual`` J pairs: dual(J(k;l)) against J(k;-l-k+1) at precision 16
 for k = 2..5 and the workload's eight exponents l (the pairs are built in
-the setup; the statement solves, saturates and verifies).
+the setup; the statement solves, saturates and verifies).  A seventh puts
+``quotient_iso``, which only the ``iso --trunc`` CLI items reach, under the
+identical-output check, timed and scaled as the others: ``truncate(J(6;0),
+16)`` against ``truncate(dual(J(6;-5)), 16)`` (found, dimension 96) and
+against ``truncate(F(6;0;1/2), 16)`` (absent), at precision 24, each printed
+as None or a sha256 of the intertwiner's matrix repr.
 Runs are sequential, one process at a time.
 
 The output holds every run, and for every end-to-end metric the median and
@@ -143,6 +148,17 @@ lams = [parse_scalar(l) for l in ('0', '1/2', '-1/3', '1', '2/3', '-1/2', '1/4',
 jdual = [(dual(make_J_k(l, k, 16)), make_J_k(-l - Scalar(k - 1), k, 16))
          for k in (2, 3, 4, 5) for l in lams]
 """
+# The quotient_iso pairs: truncations at level 16 of J(6;0) and of two
+# partners, at precision 24; quotient_outcome is None or a sha256 of T's repr.
+_QUOTIENT_SETUP = """
+import hashlib
+def quotient_outcome(q, qp):
+    t = quotient_iso(q, qp)
+    return None if t is None else hashlib.sha256(repr(t.matrix).encode()).hexdigest()
+q = truncate(from_expression('J(6;0)', 24), 16)
+partners = [truncate(dual(from_expression('J(6;-5)', 24)), 16),
+            truncate(from_expression('F(6;0;1/2)', 24), 16)]
+"""
 # In-process probes: (label, setup, statement).  The setup builds the inputs
 # untimed; the statement is what is timed.  Both run with abmod's public
 # names in scope.
@@ -163,6 +179,8 @@ IN_PROCESS_PROBES = (
      "[lift_outcome(e, ep, phi, N) for e, ep, phi, N in lifts]"),
     ("[module_iso(e, ep) for e, ep in jdual]", _JDUAL_SETUP,
      "[module_iso(e, ep) for e, ep in jdual]"),
+    ("[quotient_outcome(q, qp) for qp in partners]", _QUOTIENT_SETUP,
+     "[quotient_outcome(q, qp) for qp in partners]"),
 )
 # Run in a child with argv [bench/run.py, setup, statement]; prints one JSON
 # line: raw and host-scaled seconds of the statement, and the repr of its
