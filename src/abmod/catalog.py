@@ -30,15 +30,16 @@ from fractions import Fraction
 
 from .errors import BadParameter, ParseError
 from .module import AbModule
+from .morphisms import _checked_count
 from .scalars import Scalar
 from .series import Series
 from .textio import MAX_FILE_RANK, MAX_PRECISION, parse_scalar
 
 
 def _check_precision(precision: int) -> None:
-    """Refuse a precision below 1 or above ``textio.MAX_PRECISION``
-    (BadParameter), before any matrix is built."""
-    if precision < 1:
+    """Refuse a precision that is not an integer, below 1 or above
+    ``textio.MAX_PRECISION`` (BadParameter), before any matrix is built."""
+    if _checked_count(precision, "precision") < 1:
         raise BadParameter(f"precision must be >= 1, got {precision}")
     if precision > MAX_PRECISION:
         raise BadParameter(
@@ -47,9 +48,9 @@ def _check_precision(precision: int) -> None:
 
 
 def _check_rank(k: int, what: str) -> None:
-    """Refuse a rank above ``textio.MAX_FILE_RANK`` (BadParameter), before
-    any matrix is built."""
-    if k > MAX_FILE_RANK:
+    """Refuse a rank that is not an integer or is above
+    ``textio.MAX_FILE_RANK`` (BadParameter), before any matrix is built."""
+    if _checked_count(k, what) > MAX_FILE_RANK:
         raise BadParameter(f"{what} {k} exceeds the rank ceiling {MAX_FILE_RANK}")
 
 
@@ -63,7 +64,7 @@ def make_E_lambda_n(lam, n: int, precision: int) -> AbModule:
     """The simple-pole nonsplit rank-2 family with spectrum {lambda+n, lambda}."""
     _check_precision(precision)
     lam = Scalar.of(lam)
-    if n < 0:
+    if _checked_count(n, "n") < 0:
         raise BadParameter("E_lambda(n) needs n >= 0")
     z = Series.zero(precision)
     return AbModule(
@@ -92,7 +93,7 @@ def make_E_lambda_mu_alpha(lam, n: int, alpha, precision: int) -> AbModule:
     """a y = (lambda-n) b y,  a t = y + (lambda-1) b t + alpha b^n y."""
     _check_precision(precision)
     lam, alpha = Scalar.of(lam), Scalar.of(alpha)
-    if n < 1:
+    if _checked_count(n, "n") < 1:
         raise BadParameter("the alpha family needs n >= 1")
     if not alpha:
         raise BadParameter("the alpha family needs alpha != 0")

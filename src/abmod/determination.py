@@ -44,7 +44,7 @@ from .morphisms import (
     verify_intertwiner,
 )
 from .record import Record
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 from .series import Series
 from .seriesmat import _a_image_terms, _sparse_rows
 
@@ -73,7 +73,9 @@ class Intertwiner(Record):
 
     kind "quotient": matrix is a dim x dim Scalar matrix at truncation
     level ``order``; kind "module": matrix is a rank x rank Series matrix
-    at precision ``order``.
+    at precision ``order``.  A module map known mod b^N is also a map of
+    the N-truncations, its block-Toeplitz matrix read off its coefficients,
+    and that is the form ``lift_truncation_iso`` takes.
     """
 
     __slots__ = ("kind", "matrix", "order")
@@ -203,23 +205,6 @@ def _standard_form(q: FiniteAbQuotient):
     return p, level, series, change, inv
 
 
-def _blocks_from_toeplitz(mat, p: int, n: int):
-    blocks = [
-        [[mat[l * n + m][i * n] for i in range(p)] for l in range(p)]
-        for m in range(n)
-    ]
-    for l in range(p):
-        for i in range(p):
-            for jl in range(n):
-                for ji in range(n):
-                    expected = (
-                        blocks[jl - ji][l][i] if jl >= ji else ZERO
-                    )
-                    if mat[l * n + jl][i * n + ji] != expected:
-                        return None
-    return blocks
-
-
 # ---------------------------------------------------------------------------
 # isomorphism of quotients
 # ---------------------------------------------------------------------------
@@ -254,10 +239,13 @@ def quotient_iso(q: FiniteAbQuotient, qp: FiniteAbQuotient, seed: int = 0):
 
 
 def identity_truncation_iso(module: AbModule, N: int) -> Intertwiner:
-    """The identity map of E/b^N E as a verified Intertwiner; N is checked
-    as ``truncate`` checks it."""
-    dim = _truncation_dim(module, N)
-    return Intertwiner("quotient", _freeze(linalg.identity(dim)), N)
+    """The identity map of E/b^N E as the "module" Intertwiner I mod b^N,
+    the form ``lift_truncation_iso`` takes; N is checked as ``truncate``
+    checks it, and no dense matrix is built."""
+    _truncation_dim(module, N)
+    rows = range(module.rank)
+    return Intertwiner("module", tuple(
+        tuple(Series.one(N) if i == j else Series.zero(N) for j in rows) for i in rows), N)
 
 
 # ---------------------------------------------------------------------------
@@ -381,33 +369,36 @@ def lift_truncation_iso(
 ) -> Intertwiner:
     """Extend a verified isomorphism of N-truncations to precision W.
 
-    phi's Toeplitz blocks prescribe blocks 0..N-1 of one intertwining
-    system.  Its first N orders read only those blocks, so they are
-    consistent exactly when phi commutes with a on E/b^N E, and phi is
-    invertible exactly when block 0 is (det phi = det(block 0)^N); both are
-    checked before the lifting precision.  Resumed to W, the prescribed
-    system is the congruent lift.  Blockwise congruence is not always
-    achievable: a perturbation of the structure matrix at order exactly N
-    forces a correction of the isomorphism at lower orders, and then a
-    system with nothing prescribed replaces it.  ``_free_lift`` certifies
-    either one: a verified isomorphism must exist (else NoLift), and the
-    induced map on E/b^N E must pin it down below the top band (else
-    NonUniqueLift).
+    phi is the isomorphism as a "module" Intertwiner of order N: a rank x
+    rank Series matrix known mod b^N, as ``identity_truncation_iso`` or
+    ``module_iso(e, ep, W=N)`` gives it.  Its orders below N prescribe
+    blocks 0..N-1 of one intertwining system; the first N orders read only
+    those blocks, so they are consistent exactly when phi commutes with a
+    on E/b^N E, and phi is invertible exactly when its block 0 is; both are
+    checked before the lifting precision.  A series matrix commutes with
+    the b-action by its form, so nothing else is checked and no pN x pN
+    matrix is built.  Resumed to W, the prescribed system is the congruent
+    lift.  Blockwise congruence is not always achievable: a perturbation of
+    the structure matrix at order exactly N forces a correction of the
+    isomorphism at lower orders, and then a system with nothing prescribed
+    replaces it.  ``_free_lift`` certifies either one: a verified
+    isomorphism must exist (else NoLift), and the induced map on E/b^N E
+    must pin it down below the top band (else NonUniqueLift).
     """
     if e.rank != ep.rank:
         raise BadParameter("module ranks differ")
     if not is_regular(e):
         raise NotRegular("lifting is certified for regular modules")
-    p = e.rank
-    if phi.kind != "quotient" or phi.order != N or len(phi.matrix) != p * N:
-        raise BadParameter("phi is not an intertwiner of the N-truncations")
-    blocks = _blocks_from_toeplitz([list(row) for row in phi.matrix], p, N)
-    if blocks is None:
-        raise BadParameter("phi does not commute with the b-action")
     if N < 1:
         raise BadParameter("truncation level must be at least 1")
-    system = IntertwinerSystem(e.matrix, ep.matrix, N, fixed=dict(enumerate(blocks)))
-    if system.solve() is None or linalg.det(blocks[0]).is_zero():
+    p = e.rank
+    if phi.kind != "module" or phi.order != N or len(phi.matrix) != p or any(
+            len(row) != p or not all(isinstance(x, Series) and x.precision >= N
+                                     for x in row) for row in phi.matrix):
+        raise BadParameter("phi is not an intertwiner of the N-truncations")
+    prefix = [[x.at_precision(N) for x in row] for row in phi.matrix]
+    system = IntertwinerSystem(e.matrix, ep.matrix, N, prefix=prefix)
+    if system.solve() is None or linalg.det(system.block_matrix(0, {})).is_zero():
         raise BadParameter("phi is not a verified truncation isomorphism")
     slack = _slack(e)
     if W is None:
@@ -543,8 +534,9 @@ def recover_Eb_from_truncation(q: FiniteAbQuotient, k: int):
     """The largest subspace F of the quotient with B F <= F and A F <= B F,
     required to contain the image of B^k; for a truncation at level
     N >= k+1 with k >= delta this is the image of the biggest simple-pole
-    submodule.  Returns a canonical basis (list of vectors)."""
-    if k < 0 or k + 1 > q.level:
+    submodule.  Returns a canonical basis (list of vectors); a k that is
+    not an integer is refused (BadParameter)."""
+    if _checked_count(k, "the power k") < 0 or k + 1 > q.level:
         raise NotFound("truncation level too small for the requested power")
     dim = q.dim
     a = [list(row) for row in q.A]

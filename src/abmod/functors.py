@@ -32,7 +32,7 @@ from .invariants import (
 )
 from .lattice import lattice_from_columns
 from .module import AbModule, Element, base_change
-from .morphisms import IntertwinerSystem
+from .morphisms import IntertwinerSystem, _checked_count
 from .record import Record
 from .scalars import ONE, ZERO, Scalar
 from .series import Series
@@ -176,13 +176,14 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
         (R - lam + k - 1) x_{k-1} = -sum_{j >= 2} M_j x_{k-j},
     so it fixes x_{k-1}: the W orders the module knows fix x_0..x_{W-2},
     and the coefficient of b^(W-1) is not claimed.  x is solved as the
-    intertwiner from the rank-1 module [[lam*b]] with the blocks
-    x_0..x_kappa prescribed by y; orders up to kappa + 1 check them.
+    intertwiner from the rank-1 module [[lam*b]] whose prefix is y mod
+    b^(kappa+1), which prescribes x_0..x_kappa; orders up to kappa + 1
+    check them.  A kappa that is not an integer is refused (BadParameter).
     """
     if not module.is_simple_pole():
         raise NotSimplePole("eigen lifting requires a simple-pole module")
     lam = Scalar.of(lam)
-    if kappa < 0:
+    if _checked_count(kappa, "kappa") < 0:
         raise BadParameter("kappa must be nonnegative")
     z = y.normalize()
     if z.shift > 0:
@@ -197,10 +198,13 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
             raise HypothesisViolated(
                 "lam - kappa exceeds the smallest eigenvalue in its class"
             )
-    coords = z.in_frame(0)
-    fixed = {k: [[c.coefficient(k)] for c in coords] for k in range(kappa + 1)}
+    if z.precision <= kappa:
+        raise PrecisionExhausted(
+            f"coefficient of b^{z.precision} requested at precision {z.precision}"
+        )
+    prefix = [[c.at_precision(kappa + 1)] for c in z.in_frame(0)]
     source = [[Series.monomial(lam, 1, w)]]
-    system = IntertwinerSystem(source, module.matrix, w, fixed=fixed)
+    system = IntertwinerSystem(source, module.matrix, w, prefix=prefix)
     if system.solve(kappa + 2) is None:
         raise HypothesisViolated(
             "residual of the seed is not divisible by b^(kappa+2)"

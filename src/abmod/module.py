@@ -17,6 +17,7 @@ for b^{-K} times its coordinate vector, using  a b^{-K} = b^{-K}(a - K b).
 from __future__ import annotations
 
 from .errors import BadParameter, PrecisionExhausted
+from .morphisms import _checked_count
 from .record import Immutable, Record
 from .series import Series
 from .seriesmat import (
@@ -116,7 +117,7 @@ class Element(Record):
     def __init__(self, coords, shift: int = 0):
         if not coords:
             raise BadParameter("an element needs at least one coordinate")
-        if shift < 0:
+        if _checked_count(shift, "element shift") < 0:
             raise BadParameter(f"element shift must be >= 0, got {shift}")
         w = min(c.precision for c in coords)
         super().__init__(tuple(c.at_precision(w) for c in coords), shift)

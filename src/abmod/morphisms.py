@@ -14,9 +14,12 @@ never leaves exact arithmetic: random rational samples first, then, as the
 deterministic fallback, the determinant of the generic block 0 expanded as a
 polynomial in the free parameters by fraction-free (Bareiss) elimination.
 
-Low-order blocks may be prescribed, which turns the solver into the lifting
-engine for truncation isomorphisms: an inconsistent constraint then means
-the prescribed truncation data does not extend.
+Low-order blocks may be prescribed by a series prefix: a pf x pe Series
+matrix P known mod b^n fixes blocks 0..n-1 to its coefficients, read once
+from its terms.  A truncation isomorphism is such a matrix mod b^N, so this
+turns the solver into the lifting engine for truncation isomorphisms: an
+inconsistent constraint then means the prescribed truncation data does not
+extend.
 
 The same solver decides eigen-kernels on truncations: with the rank-1
 source [[c*b]] the solutions at w orders are the x in E/b^w E with
@@ -34,7 +37,7 @@ alone, and of the ``NonSplitAlpha`` classification, solved to the
 n + 3 + delta orders that alpha, read off b^n, needs; ``width_table``
 solves it to 2*delta + 2 orders for lambda_min(E^b) (all through
 ``invariants._eigen_system``).
-With the low blocks of x prescribed it is also ``functors.eigen_lift``,
+With x prescribed mod b^(kappa+1) it is also ``functors.eigen_lift``,
 which lifts a seed to the exact solution of (a - c*b)x = 0, and the unit
 normalizer of a rank-1 Jordan-Hoelder step.
 
@@ -159,22 +162,28 @@ def _aff_eval(expr: dict, values: dict) -> tuple:
     return a, b, d
 
 
-def _checked_block(mat, rows: int, cols: int) -> list:
-    """A prescribed block of Scalars; BadParameter unless it is rows x cols
-    with entries ``Scalar.of`` takes."""
-    if len(mat) != rows or any(len(row) != cols for row in mat):
-        raise BadParameter(f"a prescribed block must be {rows} x {cols}")
-    try:
-        return [[Scalar.of(x) for x in row] for row in mat]
-    except TypeError as exc:
-        raise BadParameter(f"a prescribed entry is not exact: {exc}") from None
-
-
 def _checked_count(n, what: str) -> int:
     """n, when it is an int; BadParameter otherwise."""
     if not isinstance(n, int):
         raise BadParameter(f"{what} must be an integer, not {n!r}")
     return n
+
+
+def _prefix_blocks(prefix, rows: int, cols: int) -> list:
+    """The blocks 0..n-1 that a rows x cols Series matrix prescribes, n its
+    entries' least precision, each entry {CONST: raw triple} or {} for 0;
+    BadParameter unless the shape fits and every entry is a Series."""
+    if len(prefix) != rows or any(len(row) != cols for row in prefix):
+        raise BadParameter(f"a prescribed block must be {rows} x {cols}")
+    if not all(isinstance(x, Series) for row in prefix for x in row):
+        raise BadParameter("prescribed entries must be Series")
+    n = min(x.precision for row in prefix for x in row)
+    blocks = [[[{} for _ in range(cols)] for _ in range(rows)] for _ in range(n)]
+    for i, row in enumerate(prefix):
+        for j, x in enumerate(row):
+            for k, c in _below(x.terms, n):
+                blocks[k][i][j] = {CONST: (c.re_num, c.im_num, c.den)}
+    return blocks
 
 
 def _structure_terms(matrix) -> list:
@@ -191,7 +200,7 @@ def _structure_terms(matrix) -> list:
 class IntertwinerSystem:
     """Solution space of the intertwining equation at a given order count."""
 
-    def __init__(self, source, target, w: int, fixed=None):
+    def __init__(self, source, target, w: int, prefix=None):
         self.ms = _structure_terms(source)
         self.mt = _structure_terms(target)
         self.pe = len(source)
@@ -201,10 +210,9 @@ class IntertwinerSystem:
             self._source_precision, min(e.precision for row in target for e in row)
         )
         self.w = _checked_count(w, "the order count")
-        fixed = dict(fixed or {})
-        if min(fixed, default=w) < 0 or w < 0:
-            raise BadParameter("the order count and prescribed orders must be >= 0")
-        self.fixed = {k: _checked_block(m, self.pf, self.pe) for k, m in fixed.items()}
+        if w < 0:
+            raise BadParameter("the order count must be >= 0")
+        self.prefix = [] if prefix is None else _prefix_blocks(prefix, self.pf, self.pe)
         self._source_terms = _source_terms(self.ms, self.pf)
         self._stencils = _stencils(self.ms, self.mt, self._source_terms, self.precision)
         self.blocks = []
@@ -218,9 +226,10 @@ class IntertwinerSystem:
     # -- bookkeeping ------------------------------------------------------
 
     def _new_block(self, k: int) -> None:
-        if k in self.fixed:
-            block = [[{CONST: (x.re_num, x.im_num, x.den)} if x else {} for x in row]
-                     for row in self.fixed[k]]
+        if k < len(self.prefix):
+            # A prescribed entry holds no parameter, so no substitution ever
+            # changes it, and the block is shared with the prefix.
+            block = self.prefix[k]
         else:
             # One batch of pf * pe parameters, numbered row by row, each
             # alone in its home entry.

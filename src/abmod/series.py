@@ -64,9 +64,11 @@ def _as_scalar(x) -> Scalar:
     raise TypeError(f"cannot use {type(x).__name__} as a series coefficient")
 
 
-def _check_precision(precision: int) -> None:
+def _check_precision(precision: int, what: str = "precision") -> None:
+    if not isinstance(precision, int):
+        raise BadParameter(f"{what} must be an integer, not {precision!r}")
     if precision < 0:
-        raise BadParameter("precision must be >= 0")
+        raise BadParameter(f"{what} must be >= 0")
 
 
 def _below(terms: tuple, w: int) -> tuple:
@@ -217,8 +219,7 @@ class Series(Immutable):
     @staticmethod
     def monomial(c, k: int, precision: int) -> "Series":
         """The series c * b^k at the given precision."""
-        if k < 0:
-            raise BadParameter("monomial exponent must be >= 0")
+        _check_precision(k, "monomial exponent")
         c = _as_scalar(c)
         _check_precision(precision)
         return _make(((k, c),) if c and k < precision else (), precision)

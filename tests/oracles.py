@@ -1109,14 +1109,15 @@ def dense_lift_truncation_iso(
     W: int = None,
     seed: int = 0,
 ):
-    """``lift_truncation_iso`` as first written: phi is checked on the two
-    dense truncations (``_commutes`` and a pN x pN determinant), and a
+    """``lift_truncation_iso`` as first written: phi, the series matrix
+    mod b^N of ``lift_truncation_iso``, is turned into its dense pN x pN
+    block-Toeplitz matrix T (``_toeplitz_from_blocks``) and checked on the
+    two dense truncations (``_commutes`` and the determinant of T), and a
     consistent prescribed system is certified by its own test, "no free
     parameter in blocks 0..W-slack-1", before the free lift."""
     from abmod import linalg
     from abmod.determination import (
         Intertwiner,
-        _blocks_from_toeplitz,
         _default_lift_precision,
         _free_lift,
         _freeze,
@@ -1130,15 +1131,17 @@ def dense_lift_truncation_iso(
         raise BadParameter("module ranks differ")
     if not is_regular(e):
         raise NotRegular("lifting is certified for regular modules")
+    if N < 1:
+        raise BadParameter("truncation level must be at least 1")
     p = e.rank
-    if phi.kind != "quotient" or phi.order != N or len(phi.matrix) != p * N:
+    if phi.kind != "module" or phi.order != N or len(phi.matrix) != p or any(
+            len(row) != p or not all(isinstance(x, Series) and x.precision >= N
+                                     for x in row) for row in phi.matrix):
         raise BadParameter("phi is not an intertwiner of the N-truncations")
-    blocks = _blocks_from_toeplitz([list(row) for row in phi.matrix], p, N)
-    if blocks is None:
-        raise BadParameter("phi does not commute with the b-action")
+    blocks = [[[x.coefficient(m) for x in row] for row in phi.matrix] for m in range(N)]
     qe = truncate(e, N)
     qp = truncate(ep, N)
-    t = [list(row) for row in phi.matrix]
+    t = _toeplitz_from_blocks(blocks, p, N)
     if not _commutes(t, qe, qp) or linalg.det(t).is_zero():
         raise BadParameter("phi is not a verified truncation isomorphism")
     slack = _slack(e)
@@ -1150,8 +1153,8 @@ def dense_lift_truncation_iso(
         raise PrecisionExhausted("lifting window too small to certify uniqueness")
     if W > min(e.precision, ep.precision):
         raise PrecisionExhausted("requested precision exceeds the structure data")
-    fixed = {m: blocks[m] for m in range(N)}
-    strict = IntertwinerSystem(e.matrix, ep.matrix, W, fixed=fixed).solve()
+    strict = ScalarIntertwinerSystem(e.matrix, ep.matrix, W,
+                                     fixed=dict(enumerate(blocks))).solve()
     if strict is not None:
         if scanning_parameters_in_blocks(strict, 0, W - slack):
             raise NonUniqueLift(
@@ -1315,6 +1318,15 @@ def _aff_add_scaled(target: dict, expr: dict, c: Scalar) -> None:
                 target[key] = cur
 
 
+def prescribed_blocks(prefix):
+    """The {order: block} dict that a Series matrix prescribes: its
+    coefficient blocks below its entries' least precision (None for None)."""
+    if prefix is None:
+        return None
+    n = min(x.precision for row in prefix for x in row)
+    return {k: [[x.coefficient(k) for x in row] for row in prefix] for k in range(n)}
+
+
 def triple_blocks(blocks):
     """Blocks of affine entries with Scalar coefficients, with each
     coefficient as its normalized (re, im, den) triple, the form the package
@@ -1332,7 +1344,14 @@ class ScalarIntertwinerSystem(IntertwinerSystem):
     Only the package's input checks, ``retargeted``'s copy and the methods
     that read no coefficient are inherited.  The elimination order is the
     package's, so after every order the package's ``blocks`` must equal
-    ``triple_blocks`` of these, and ``occurrences`` and ``alive`` agree."""
+    ``triple_blocks`` of these, and ``occurrences`` and ``alive`` agree.
+    Low-order blocks are prescribed as first written, by a dict
+    {order: block of Scalars}; ``prescribed_blocks`` turns the package's
+    series prefix into that dict."""
+
+    def __init__(self, source, target, w: int, fixed=None):
+        super().__init__(source, target, w)
+        self.fixed = dict(fixed or {})
 
     def _new_block(self, k: int) -> None:
         if k in self.fixed:

@@ -25,13 +25,16 @@ from abmod import (
     Series,
     ZERO,
     from_expression,
+    eigen_lift,
     identity_truncation_iso,
     lift_truncation_iso,
+    make_E_lambda_n,
     make_J_k,
     module_iso,
     n0_bound,
     parse_series,
     quotient_iso,
+    random_regular,
     recover_Eb_from_truncation,
     truncate,
     verify_fd,
@@ -91,6 +94,12 @@ def _count_calls():
     e0 = from_expression("E(0)", 8)
     one = [[Series.one(8)]]
     return {
+        "eigen_lift": lambda: eigen_lift(e0, 0, e0.basis_element(0), 1.5),
+        "recover_Eb_from_truncation": lambda: recover_Eb_from_truncation(
+            truncate(j2, 3), 0.5),
+        "make_J_k": lambda: make_J_k(0, 2.5, 8),
+        "random_regular": lambda: random_regular(2.5, 1, 8),
+        "make_E_lambda_n": lambda: make_E_lambda_n(0, 1.5, 8),
         "system": lambda: IntertwinerSystem(j2.matrix, j2.matrix, 4.5).solve(),
         "solve": lambda: IntertwinerSystem(j2.matrix, j2.matrix, 4).solve(3.5),
         "module_iso": lambda: module_iso(j2, j2, W=4.5),
@@ -251,18 +260,28 @@ def test_identity_lift_is_identity():
 
 
 def test_lift_rejects_malformed_phi():
+    """phi must be a rank x rank "module" Intertwiner of order N whose
+    entries are series known mod b^N at least."""
     e = from_expression("J(2;0)", 20)
     phi = identity_truncation_iso(e, 3)
-    with pytest.raises(BadParameter):
-        lift_truncation_iso(e, e, phi, 4)
+    one, zero = Series.one(3), Series.zero(3)
+    dense = Intertwiner("quotient", tuple(tuple(ONE if r == c else ZERO for c in range(6))
+                                          for r in range(6)), 3)
+    for bad, N in ((phi, 4), (dense, 3), (Intertwiner("module", ((one,),), 3), 3),
+                   (Intertwiner("module", ((one, zero), (zero,)), 3), 3),
+                   (Intertwiner("module", ((one, zero), (zero, ONE)), 3), 3),
+                   (Intertwiner("module", ((one, zero), (zero, Series.one(2))), 3), 3)):
+        with pytest.raises(BadParameter, match="^phi is not an intertwiner of the N-"):
+            lift_truncation_iso(e, e, bad, N, W=N + 1)
 
 
-def _quotient_map(diagonal, N):
-    """The Toeplitz map of E/b^N E that scales e_i b^j by diagonal[i]."""
-    dim = len(diagonal) * N
-    return Intertwiner("quotient", tuple(
-        tuple(Scalar(diagonal[r // N]) if r == c else Scalar(0) for c in range(dim))
-        for r in range(dim)), N)
+def _diagonal_map(diagonal, N):
+    """The map of E/b^N E that scales e_i by diagonal[i], as its series
+    matrix mod b^N."""
+    p = len(diagonal)
+    return Intertwiner("module", tuple(
+        tuple(Series([diagonal[r]], N) if r == c else Series.zero(N) for c in range(p))
+        for r in range(p)), N)
 
 
 def test_lift_refuses_each_broken_precondition():
@@ -276,27 +295,21 @@ def test_lift_refuses_each_broken_precondition():
     # Each phi below is refused before the lifting precision: W = N + 1
     # would raise PrecisionExhausted ("window too small").
     with pytest.raises(BadParameter, match="truncation level must be at least 1"):
-        lift_truncation_iso(e, e, Intertwiner("quotient", (), 0), 0, W=1)
-    # an upper entry in block (0, 1) breaks the block-Toeplitz shape
-    skew = [list(row) for row in phi.matrix]
-    skew[0][1] = Scalar(1)
-    with pytest.raises(BadParameter, match="b-action"):
-        lift_truncation_iso(
-            e, e, Intertwiner("quotient", tuple(map(tuple, skew)), N), N, W=N + 1)
-    # the identity is Toeplitz but does not intertwine J(3;0) with J(3;1)
+        lift_truncation_iso(e, e, Intertwiner("module", (), 0), 0, W=1)
+    # the identity does not intertwine J(3;0) with J(3;1)
     j0, j1 = from_expression("J(3;0)", 20), from_expression("J(3;1)", 20)
     with pytest.raises(BadParameter, match="not a verified truncation isomorphism"):
         lift_truncation_iso(j0, j1, identity_truncation_iso(j0, N), N, W=N + 1)
-    # Toeplitz maps commuting with a that are singular: the zero map, and
-    # the projection onto the first summand of E(0) + E(2)
+    # maps commuting with a that are singular: the zero map, and the
+    # projection onto the first summand of E(0) + E(2)
     split = AbModule([[Series.zero(20), Series.zero(20)],
                       [Series.zero(20), Series.monomial(Scalar(2), 1, 20)]])
-    for module, singular in ((e, _quotient_map((0, 0), N)),
-                             (split, _quotient_map((1, 0), N))):
+    for module, singular in ((e, _diagonal_map((0, 0), N)),
+                             (split, _diagonal_map((1, 0), N))):
         with pytest.raises(BadParameter, match="not a verified truncation isomorphism"):
             lift_truncation_iso(module, module, singular, N, W=N + 1)
     with pytest.raises(PrecisionExhausted, match="exceeds the module's working precision"):
-        lift_truncation_iso(e, e, _quotient_map((1, 1), 21), 21)
+        lift_truncation_iso(e, e, _diagonal_map((1, 1), 21), 21)
     with pytest.raises(BadParameter, match="must exceed the truncation level"):
         lift_truncation_iso(e, e, phi, N, W=N)
     with pytest.raises(PrecisionExhausted, match="window too small"):

@@ -385,6 +385,13 @@ def test_eigen_lift_refuses_each_broken_hypothesis():
     # (a - b/3) e1 = b e1/6 is not divisible by b^2
     with pytest.raises(HypothesisViolated, match="not divisible by b"):
         eigen_lift(m, third, m.basis_element(0), 0)
+    # a seed known below b^(kappa+1) only, and a seed of the wrong rank
+    short = Element([Series.zero(1), Series.one(1)], 0)
+    with pytest.raises(PrecisionExhausted,
+                       match=r"^coefficient of b\^1 requested at precision 1$"):
+        eigen_lift(m, third, short, 1)
+    with pytest.raises(BadParameter, match="^a prescribed block must be 2 x 1$"):
+        eigen_lift(m, third, Element([Series.one(12)], 0), 0)
 
 
 def _rank1(coeffs, w):

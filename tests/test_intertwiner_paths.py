@@ -35,6 +35,7 @@ from abmod import (
     IntertwinerSystem,
     NoLift,
     NonUniqueLift,
+    PrecisionExhausted,
     Scalar,
     Series,
     base_change,
@@ -50,7 +51,7 @@ from abmod import (
     twist,
     verify_fd,
 )
-from abmod import determination, morphisms
+from abmod import determination, linalg, morphisms
 from abmod.cli import main
 from abmod.determination import (
     _default_lift_precision,
@@ -427,6 +428,53 @@ def test_lift_truncation_iso_matches_the_dense_check():
             want = (NonUniqueLift, FREE_NONUNIQUE)
         assert got == want, (e, ep, N)
     assert {"module", NoLift, STRICT_NONUNIQUE} <= set(seen)
+
+
+# (module, variant of it): the target is the variant, so module_iso's phi
+# is not the identity.
+MODULE_ISO_LIFTS = [("J(2;0)", "const"), ("J(3;0)", "series"), ("E(1/2,1/3)", "series"),
+                    ("E(1/2;2)", "const"), ("rand(3;1000)", "series"),
+                    ("rand(2;1004)", "const")]
+
+
+def test_lift_of_a_module_iso_phi_matches_the_dense_check():
+    """phi = module_iso(E, E', W=N), a series matrix mod b^N that is not the
+    identity, lifts as the dense check lifts it: against E' and against
+    perturbations of E' at order N, at N = n0 - 1, n0 and n0 + 1."""
+    rng = random.Random(43)
+    seen = []
+    for expr, variant in MODULE_ISO_LIFTS:
+        e = from_expression(expr, 26)
+        ep = VARIANTS[variant](e)
+        n0 = n0_bound(e)
+        for N in (n0 - 1, n0, n0 + 1):
+            phi = module_iso(e, ep, W=N)
+            assert phi.order == N and phi.matrix != identity_truncation_iso(e, N).matrix
+            for target in [ep] + [_perturb(ep, rng, N) for _ in range(3)]:
+                got = _lift_outcome(lift_truncation_iso, e, target, phi, N)
+                want = _lift_outcome(oracles.dense_lift_truncation_iso, e, target, phi, N)
+                if want == (NonUniqueLift, STRICT_NONUNIQUE):
+                    want = (NonUniqueLift, FREE_NONUNIQUE)
+                assert got == want, (expr, variant, N)
+                seen.append(got[0])
+    assert "module" in seen and NoLift in seen
+
+
+def test_identity_lift_at_the_ceiling_builds_no_dense_matrix(monkeypatch):
+    """On J(8;0) at precision 256 and N = 256 (dimension 2048, the ceiling)
+    neither identity_truncation_iso nor lift_truncation_iso allocates a
+    dense matrix; the lift is refused for want of precision."""
+
+    def never(*args):
+        raise AssertionError("a dense matrix was allocated")
+
+    module = from_expression("J(8;0)", 256)
+    monkeypatch.setattr(linalg, "identity", never)
+    monkeypatch.setattr(linalg, "zeros", never)
+    phi = identity_truncation_iso(module, 256)
+    assert phi.kind == "module" and phi.order == 256
+    with pytest.raises(PrecisionExhausted):
+        lift_truncation_iso(module, module, phi, 256)
 
 
 def test_lift_truncation_iso_builds_no_dense_truncation(monkeypatch):

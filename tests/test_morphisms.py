@@ -27,7 +27,7 @@ from abmod import (
     verify_intertwiner,
 )
 from abmod import morphisms
-from abmod.determination import _blocks_from_toeplitz, _perturb
+from abmod.determination import _perturb
 from abmod.linalg import det
 from abmod.morphisms import CONST, _generic_det
 from abmod.scalars import ONE, ZERO
@@ -37,11 +37,17 @@ import oracles
 W = 8
 
 
-def _system(src_expr, tgt_expr, fixed=None):
+def _system(src_expr, tgt_expr, prefix=None):
     src = from_expression(src_expr, W)
     tgt = from_expression(tgt_expr, W)
-    system = IntertwinerSystem(src.matrix, tgt.matrix, W, fixed=fixed)
+    system = IntertwinerSystem(src.matrix, tgt.matrix, W, prefix=prefix)
     return src, tgt, system.solve()
+
+
+def _head(block):
+    """The prefix that prescribes block 0 alone: the block's entries as
+    series of precision 1."""
+    return [[Series([x], 1) for x in row] for row in block]
 
 
 def _package_head_span(system):
@@ -118,7 +124,7 @@ def test_nonzero_morphism_verifies_even_without_inverse():
 
 def test_fixed_head_block():
     eye = [[ONE if i == j else ZERO for j in range(2)] for i in range(2)]
-    src, tgt, system = _system("J(2;1)", "J(2;1)", fixed={0: eye})
+    src, tgt, system = _system("J(2;1)", "J(2;1)", prefix=_head(eye))
     assert system is not None
     P = system.series_matrix({})
     assert [[P[i][j].coefficient(0) for j in range(2)] for i in range(2)] == eye
@@ -127,7 +133,7 @@ def test_fixed_head_block():
 
 def test_fixed_head_block_inconsistent():
     eye = [[ONE]]
-    _, _, system = _system("E(1)", "E(2)", fixed={0: eye})
+    _, _, system = _system("E(1)", "E(2)", prefix=_head(eye))
     assert system is None
 
 
@@ -139,30 +145,43 @@ def _pair():
 
 
 def test_a_prescribed_block_of_the_wrong_shape_is_refused():
-    with pytest.raises(BadParameter, match="2 x 2"):
-        IntertwinerSystem(_pair(), _pair(), W, fixed={0: [[ONE]]})
+    with pytest.raises(BadParameter, match="^a prescribed block must be 2 x 2$"):
+        IntertwinerSystem(_pair(), _pair(), W, prefix=_head([[ONE]]))
     wide = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]
-    with pytest.raises(BadParameter, match="2 x 2"):
-        IntertwinerSystem(_pair(), _pair(), W, fixed={0: wide})
+    with pytest.raises(BadParameter, match="^a prescribed block must be 2 x 2$"):
+        IntertwinerSystem(_pair(), _pair(), W, prefix=_head(wide))
 
 
-def test_prescribed_entries_go_through_scalar_of():
+def test_prescribed_entries_go_through_the_series_constructor():
     eye = [[ONE, ZERO], [ZERO, ONE]]
     plain = [[1, 0], [Fraction(0), 1]]
-    by_scalars = IntertwinerSystem(_pair(), _pair(), W, fixed={0: eye}).solve()
-    by_numbers = IntertwinerSystem(_pair(), _pair(), W, fixed={0: plain}).solve()
+    by_scalars = IntertwinerSystem(_pair(), _pair(), W, prefix=_head(eye)).solve()
+    by_numbers = IntertwinerSystem(_pair(), _pair(), W, prefix=_head(plain)).solve()
     assert by_numbers.series_matrix({}) == by_scalars.series_matrix({})
 
 
 def test_a_float_prescribed_entry_is_refused():
-    with pytest.raises(BadParameter, match="not exact"):
-        IntertwinerSystem(_pair(), _pair(), W, fixed={0: [[1.0, 0], [0, 1]]})
+    # a prefix entry must be a Series, so a float, an int or a Scalar is refused
+    for entry in (1.0, 1, ONE):
+        with pytest.raises(BadParameter, match="^prescribed entries must be Series$"):
+            IntertwinerSystem(_pair(), _pair(), W,
+                              prefix=[[entry, Series.zero(1)], [Series.zero(1), entry]])
 
 
-def test_a_negative_prescribed_order_is_refused():
-    eye = [[ONE, ZERO], [ZERO, ONE]]
-    with pytest.raises(BadParameter, match="prescribed orders must be >= 0"):
-        IntertwinerSystem(_pair(), _pair(), W, fixed={-1: eye})
+def test_a_prefix_prescribes_the_blocks_below_its_least_precision():
+    """Blocks 0..n-1 are the prefix's coefficients, n the least precision
+    of its entries, and from order n on each block gets its parameters as
+    without a prefix: the identity of J(2;1) known mod b^3 is the identity
+    solution, and with one entry known mod b^2 block 2 is not prescribed."""
+    one, zero = Series.one(3), Series.zero(3)
+    system = IntertwinerSystem(_pair(), _pair(), W, prefix=[[one, zero], [zero, one]])
+    assert system.solve().series_matrix({}) == [[Series.one(W), Series.zero(W)],
+                                                [Series.zero(W), Series.one(W)]]
+    short = IntertwinerSystem(_pair(), _pair(), W,
+                              prefix=[[one, zero], [zero, Series.one(2)]]).solve()
+    assert short.series_matrix({}) == system.series_matrix({})
+    assert sorted(set(system.home)) == list(range(3, W))
+    assert sorted(set(short.home)) == list(range(2, W))
 
 
 def test_a_negative_order_count_is_refused():
@@ -183,7 +202,7 @@ def _stopped_early():
     identity prescribed at order 0 is inconsistent."""
     system = IntertwinerSystem(
         from_expression("E(1)", 8).matrix, from_expression("E(2)", 8).matrix, 6,
-        fixed={0: [[1]]},
+        prefix=[[Series.one(1)]],
     )
     assert system.solve() is None
     return system
@@ -269,7 +288,7 @@ RESUME_W = 12
 
 
 def _resume_cases():
-    """(source, target, fixed): module pairs, one with a prescribed head
+    """(source, target, prefix): module pairs, one with a prescribed head
     block, and an eigen-kernel system from the rank-1 module [[c*b]]."""
     eye = [[ONE if i == j else ZERO for j in range(2)] for i in range(2)]
     mods = {e: from_expression(e, RESUME_W) for e in
@@ -277,7 +296,7 @@ def _resume_cases():
     eigen = [[Series.monomial(Scalar(1) / Scalar(2), 1, RESUME_W)]]
     return [
         (mods["J(2;1)"].matrix, mods["J(2;1)"].matrix, None),
-        (mods["J(2;1)"].matrix, mods["J(2;1)"].matrix, {0: eye}),
+        (mods["J(2;1)"].matrix, mods["J(2;1)"].matrix, _head(eye)),
         (mods["E(1/2,1/3)"].matrix, mods["J(2;1/2)"].matrix, None),
         (eigen, mods["rand(3;5)"].matrix, None),
     ]
@@ -285,11 +304,11 @@ def _resume_cases():
 
 @pytest.mark.parametrize("case", range(4))
 def test_resumed_solve_matches_a_fresh_solve(case):
-    source, target, fixed = _resume_cases()[case]
-    resumed = IntertwinerSystem(source, target, 1, fixed=fixed).solve()
+    source, target, prefix = _resume_cases()[case]
+    resumed = IntertwinerSystem(source, target, 1, prefix=prefix).solve()
     for n in range(2, RESUME_W + 1):
         assert resumed.solve(n) is resumed
-        fresh = IntertwinerSystem(source, target, n, fixed=fixed).solve()
+        fresh = IntertwinerSystem(source, target, n, prefix=prefix).solve()
         assert resumed.blocks == fresh.blocks, n
         assert resumed.alive == fresh.alive, n
         for hi in range(1, n + 1):
@@ -300,7 +319,7 @@ def test_resumed_solve_matches_a_fresh_solve(case):
 def test_resumed_solve_stays_inconsistent_and_bounded():
     src = from_expression("E(1)", RESUME_W)
     tgt = from_expression("E(2)", RESUME_W)
-    system = IntertwinerSystem(src.matrix, tgt.matrix, 1, fixed={0: [[ONE]]})
+    system = IntertwinerSystem(src.matrix, tgt.matrix, 1, prefix=[[Series.one(1)]])
     assert system.solve() is system  # the exponents first clash at order 1
     assert system.solve(4) is None
     assert system.solve(6) is None
@@ -354,9 +373,8 @@ def _query_systems(draw, kind):
         system = IntertwinerSystem([[Series.monomial(mu, 1, w)]], module.matrix, 0)
     else:
         phi = identity_truncation_iso(module, lo)
-        fixed = dict(enumerate(_blocks_from_toeplitz(phi.matrix, module.rank, lo)))
         target = _perturb(module, rng, lo) if draw(st.booleans()) else module
-        system = IntertwinerSystem(module.matrix, target.matrix, 0, fixed=fixed)
+        system = IntertwinerSystem(module.matrix, target.matrix, 0, prefix=phi.matrix)
     steps = sorted({draw(st.integers(len(system.blocks), w)), w})
     return system, steps
 
@@ -553,9 +571,12 @@ FD_ROSTER = [
 ]
 
 
-def _pair_of_systems(source, target, w, fixed=None):
-    return (IntertwinerSystem(source, target, w, fixed=fixed),
-            oracles.ScalarIntertwinerSystem(source, target, w, fixed=fixed))
+def _pair_of_systems(source, target, w, prefix=None):
+    """The package's system with a series prefix, and the reference with
+    the same blocks prescribed as its {order: block} dict."""
+    return (IntertwinerSystem(source, target, w, prefix=prefix),
+            oracles.ScalarIntertwinerSystem(source, target, w,
+                                            fixed=oracles.prescribed_blocks(prefix)))
 
 
 def _assert_same_state(new, ref, where):
@@ -685,7 +706,7 @@ def test_solver_matches_the_scalar_reference_on_a_fixed_block():
         w,
     )
     source = [[Series.monomial(lam, 1, w)]]
-    new, ref = _pair_of_systems(source, [[g]], 0, fixed={0: [[ONE]]})
+    new, ref = _pair_of_systems(source, [[g]], 0, prefix=[[Series.one(1)]])
     _solve_both(new, ref, range(1, w + 1))
     assert len(g.terms) == w - 1 and new.blocks[w - 1][0][0]
 
@@ -752,16 +773,16 @@ def _drawn_systems(draw):
 
     pe, pf = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     source, target = structure(pe), structure(pf)
-    fixed = None
+    prefix = None
     if draw(st.booleans()):
-        fixed = {0: [[draw(st.one_of(st.just(ZERO), coeffs)) for _ in range(pe)]
-                     for _ in range(pf)]}
+        prefix = _head([[draw(st.one_of(st.just(ZERO), coeffs)) for _ in range(pe)]
+                        for _ in range(pf)])
     n = draw(st.integers(0, w - 1))
     i, l = draw(st.integers(0, pf - 1)), draw(st.integers(0, pf - 1))
     bump = Series.monomial(draw(coeffs), draw(st.integers(n, w - 1)), DRAWN_PRECISION)
     bumped = [[e + bump if (r, c) == (i, l) else e for c, e in enumerate(row)]
               for r, row in enumerate(target)]
-    return source, target, fixed, w, n, bumped
+    return source, target, prefix, w, n, bumped
 
 
 def _state(system):
@@ -771,12 +792,12 @@ def _state(system):
 @PROPERTY
 @given(_drawn_systems())
 def test_drawn_systems_match_the_scalar_reference(case):
-    source, target, fixed, w, n, bumped = case
-    new, ref = _pair_of_systems(source, target, 0, fixed=fixed)
+    source, target, prefix, w, n, bumped = case
+    new, ref = _pair_of_systems(source, target, 0, prefix=prefix)
     _solve_both(new, ref, range(1, n + 1))
     new, ref = new.retargeted(bumped), ref.retargeted(bumped)
     _solve_both(new, ref, range(n + 1, w + 1))
-    fresh = IntertwinerSystem(source, bumped, w, fixed=fixed)
+    fresh = IntertwinerSystem(source, bumped, w, prefix=prefix)
     assert (fresh.solve() is None) == (new.solve(w) is None)
     assert _state(fresh) == _state(new)
 
@@ -784,7 +805,7 @@ def test_drawn_systems_match_the_scalar_reference(case):
 def test_inconsistent_fixed_block_matches_the_scalar_reference():
     src = from_expression("E(1)", W)
     tgt = from_expression("E(2)", W)
-    new, ref = _pair_of_systems(src.matrix, tgt.matrix, 0, fixed={0: [[ONE]]})
+    new, ref = _pair_of_systems(src.matrix, tgt.matrix, 0, prefix=[[Series.one(1)]])
     for n in range(1, W + 1):
         done = new.solve(n), ref.solve(n)
         assert new.blocks == oracles.triple_blocks(ref.blocks), n

@@ -158,6 +158,25 @@ def test_bad_orders_and_precisions_raise_bad_parameter():
             call()
 
 
+def _not_integers():
+    from abmod import Element, from_expression
+
+    return {
+        "Series.zero": lambda: Series.zero(2.5),
+        "Series": lambda: Series([1, 2, 3], 2.5),
+        "Series.monomial": lambda: Series.monomial(1, 1.5, 4),
+        "AbModule.at_precision": lambda: from_expression("J(3;0)", 8).at_precision(4.5),
+        "from_expression": lambda: from_expression("J(3;0)", 8.5),
+        "Element": lambda: Element([Series.one(4)], 0.5),
+    }
+
+
+@pytest.mark.parametrize("site", list(_not_integers()))
+def test_a_precision_exponent_or_shift_that_is_not_an_integer_is_refused(site):
+    with pytest.raises(BadParameter, match="must be an integer, not [0-9.]+$"):
+        _not_integers()[site]()
+
+
 def test_equality_respects_common_precision():
     assert S([1, 2], 4) == S([1, 2, 0, 0], 4)
     assert S([1, 2], 4) != S([1, 3], 4)

@@ -46,17 +46,20 @@ scaled; their runs are compared on the scaled time.  A fourth, timed and
 scaled the same way, reads the width tables of ``J(12;0)`` at precision 60,
 ``J(10;0)`` at 40, ``J(7;0)`` at 112 and ``rand(5;9)`` at 24, whose
 saturations the setup computes, so the statement times lambda_min and
-lambda_max per class alone.  A fifth in-process probe puts
-``lift_truncation_iso``, which no workload reaches, under the
-identical-output check: the identity lift and seven ``_perturb`` lifts of
-``J(6;0)`` at N = 16 (precision 48), and the identity lifts of
-``E(1/2;2)`` and ``E(0;3)`` at N = 2 and 3 (precision 30; three of these
-four raise ``NonUniqueLift``), each printed as its error type's name or a
-sha256 of the lifted matrix's repr.  A sixth, timed and scaled as the
-first four, runs ``module_iso`` on the ``fd`` workload's heaviest items,
-the ``iso:dual`` J pairs: dual(J(k;l)) against J(k;-l-k+1) at precision 16
-for k = 2..5 and the workload's eight exponents l (the pairs are built in
-the setup; the statement solves, saturates and verifies).  A seventh puts
+lambda_max per class alone.  A fifth in-process probe, timed and
+scaled as the first four, puts ``lift_truncation_iso``, which no workload
+reaches, under the identical-output check: the identity lift and seven
+``_perturb`` lifts of ``J(6;0)`` at N = 16 (precision 48), the identity
+lifts of ``E(1/2;2)`` and ``E(0;3)`` at N = 2 and 3 (precision 30; three of
+these four raise ``NonUniqueLift``), and the identity lift of ``J(8;0)`` at
+N = 128 (precision 256, a truncation of dimension 1024), each printed as
+its error type's name or a sha256 of the lifted matrix's repr; the setup
+builds each phi with ``identity_truncation_iso``.  A sixth, timed and
+scaled as the first four, runs ``module_iso`` on the ``fd`` workload's
+heaviest items, the ``iso:dual`` J pairs: dual(J(k;l)) against
+J(k;-l-k+1) at precision 16 for k = 2..5 and the workload's eight
+exponents l (the pairs are built in the setup; the statement solves,
+saturates and verifies).  A seventh puts
 ``quotient_iso``, which only the ``iso --trunc`` CLI items reach, under the
 identical-output check, timed and scaled as the others: ``truncate(J(6;0),
 16)`` against ``truncate(dual(J(6;-5)), 16)`` (found, dimension 96) and
@@ -123,8 +126,8 @@ def _probe(root: str, argv: list) -> dict:
 
 
 # The lifts of the lift_truncation_iso probe, each with the identity of the
-# source's truncation as phi; lift_outcome is the error type's name or a
-# sha256 of the lifted matrix's repr.
+# source's truncation as phi, the last one J(8;0) at N = 128; lift_outcome
+# is the error type's name or a sha256 of the lifted matrix's repr.
 _LIFT_SETUP = """
 import hashlib, random
 from abmod.determination import _perturb
@@ -139,6 +142,8 @@ rng = random.Random(0)
 pairs = [(j6, j6, 16)] + [(j6, _perturb(j6, rng, 16), 16) for _ in range(7)]
 pairs += [(m, m, N) for m in (from_expression('E(1/2;2)', 30),
                               from_expression('E(0;3)', 30)) for N in (2, 3)]
+j8 = from_expression('J(8;0)', 256)
+pairs.append((j8, j8, 128))
 lifts = [(e, ep, identity_truncation_iso(e, N), N) for e, ep, N in pairs]
 """
 # The J pairs of the fd workload's iso:dual pool: dual(J(k;l)) against
