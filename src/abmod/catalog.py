@@ -30,9 +30,8 @@ from fractions import Fraction
 
 from .errors import BadParameter, ParseError
 from .module import AbModule
-from .morphisms import _checked_count
 from .scalars import Scalar
-from .series import Series
+from .series import Series, _checked_count
 from .textio import MAX_FILE_RANK, MAX_PRECISION, parse_scalar
 
 

@@ -39,13 +39,12 @@ from .invariants import (
 from .module import AbModule
 from .morphisms import (
     IntertwinerSystem,
-    _checked_count,
     find_invertible,
     verify_intertwiner,
 )
 from .record import Record
 from .scalars import ONE, Scalar
-from .series import Series
+from .series import Series, _checked_count
 from .seriesmat import _a_image_terms, _sparse_rows
 
 __all__ = [

@@ -32,10 +32,10 @@ from .invariants import (
 )
 from .lattice import lattice_from_columns
 from .module import AbModule, Element, base_change
-from .morphisms import IntertwinerSystem, _checked_count
+from .morphisms import IntertwinerSystem
 from .record import Record
 from .scalars import ONE, ZERO, Scalar
-from .series import Series
+from .series import Series, _checked_count
 from .seriesmat import a_image
 from .textio import MAX_FILE_RANK
 
@@ -234,7 +234,7 @@ def _eigenvector(module: AbModule, mu: Scalar, orders: int):
     none past the level), and x is the solution with the lowest block-0
     parameter 1 and every other parameter 0.
     """
-    system = _eigen_system(module, mu)
+    system = _eigen_system(module, [mu])
     if not system.parameters_in_blocks(1):
         return None
     level = max(system.w, min(orders, module.precision))

@@ -2,9 +2,9 @@
 
 Saturation E# (the smallest simple-pole overmodule inside E[b^{-1}]), the
 index delta, the order of regularity, the biggest simple-pole submodule E^b,
-the spectrum, the per-class width table (lambda_min(E^b) read off kernels
-on E), alpha, geometricity, and the effective bounds n_lambda(E, lambda)
-and N0(E) driving finite determination.
+the spectrum, the per-class width table (lambda_min(E^b) read off one
+kernel system on E), alpha, geometricity, and the effective bounds
+n_lambda(E, lambda) and N0(E) driving finite determination.
 """
 
 from __future__ import annotations
@@ -256,48 +256,69 @@ class WidthTable(Record):
         return max(entry[2] for entry in self.classes.values())
 
 
-def _eigen_system(module: AbModule, mu: Scalar, extra: int = 0) -> IntertwinerSystem:
-    """The kernel of a - mu*b on E, as the intertwiners from [[mu*b]] into E
-    solved to the certified level max(mu - z_min, delta) + 2
-    (``functors._eigenvector`` derives it) plus ``extra`` orders, which
-    certify the eigenvectors b^v x' with v <= extra too (README)."""
+def _eigen_system(module: AbModule, mus: list, extra: int = 0) -> IntertwinerSystem:
+    """The kernels of a - mu_j*b on E for the exponents mus, as the
+    intertwiners from the diagonal source diag(mu_1*b, ..., mu_c*b) into E,
+    solved to the largest of the certified levels max(mu_j - z_min, delta)
+    + 2 (``functors._eigenvector`` derives it) plus ``extra`` orders, which
+    certify the eigenvectors b^v x' with v <= extra too (README).
+
+    With a diagonal source, equation (i, j) reads column j of the blocks
+    alone, and each column's keys keep their relative order, so column j
+    has exactly the pivots and homes of the one-exponent system for mu_j.
+    ``_new_block`` numbers a block's parameters row by row and nothing is
+    prescribed, so a parameter's column is pid % c.  PrecisionExhausted
+    names the first exponent that needs the largest level."""
     w = module.precision
-    gaps = [int((mu - z).re) for z in spectrum(saturate(module).saturated)
-            if (mu - z).is_integer()]
-    need = max(gaps + [delta_index(module)]) + 2 + extra
+    spec = spectrum(saturate(module).saturated)
+    delta = delta_index(module)
+    needs = [max([int((mu - z).re) for z in spec if (mu - z).is_integer()] + [delta])
+             + 2 + extra for mu in mus]
+    need = max(needs)
     if w < need:
         raise PrecisionExhausted(
-            f"the eigenvector for exponent {mu} needs precision >= {need}, have {w}"
+            f"the eigenvector for exponent {mus[needs.index(need)]} needs "
+            f"precision >= {need}, have {w}"
         )
-    source = [[Series.monomial(mu, 1, w)]]
+    zero = Series.zero(w)
+    source = [[Series.monomial(mu, 1, w) if i == j else zero for j in range(len(mus))]
+              for i, mu in enumerate(mus)]
     return IntertwinerSystem(source, module.matrix, need).solve()
 
 
 @lru_cache(maxsize=512)
 def width_table(module: AbModule) -> WidthTable:
     """lambda_max per class from S(E#); lambda_min, the least exponent of
-    E^b, from one eigen-kernel on E (README derives it).  With z E#'s least
-    exponent in the class and delta = delta_index(E), lambda_min is z when
-    delta = 0 (E = E# = E^b), and otherwise z + delta - v, v the largest
-    home <= delta of a live parameter of the kernel of a - (z + delta)*b
-    solved to 2*delta + 2 orders."""
+    E^b, from one eigen-kernel system on E (README derives it).  With z
+    E#'s least exponent in a class and delta = delta_index(E), lambda_min
+    is z when delta = 0 (E = E# = E^b), and otherwise z + delta - v, v the
+    largest home <= delta of a live parameter of the kernel of
+    a - (z + delta)*b solved to 2*delta + 2 orders.  Every class shares one
+    ``_eigen_system``, one source column per class in class order; column
+    j holds the parameters pid = j mod c."""
     delta = delta_index(module)
     spans: dict = {}
     for s in spectrum(saturate(module).saturated):
         # sorted: a class's first exponent is its least, its last its largest
         spans.setdefault(_class_rep(s), [s, s])[1] = s
+    reps = sorted(spans, key=Scalar.sort_key)
+    if delta:
+        c = len(reps)
+        system = _eigen_system(
+            module, [spans[rep][0] + Scalar(delta) for rep in reps], delta)
+        homes = [[] for _ in reps]
+        for pid in system.parameters_in_blocks(delta + 1):
+            homes[pid % c].append(system.home[pid])
     classes = {}
-    for rep in sorted(spans, key=Scalar.sort_key):
+    for j, rep in enumerate(reps):
         lo, hi = spans[rep]
         if delta:
-            system = _eigen_system(module, lo + Scalar(delta), delta)
-            homes = [system.home[pid] for pid in system.parameters_in_blocks(delta + 1)]
-            if not homes:
+            if not homes[j]:
                 raise HypothesisViolated(
                     "no primitive eigenvector at most delta above the least "
                     "exponent of a class of E#: likely a precision fault"
                 )
-            lo = lo + Scalar(delta - max(homes))
+            lo = lo + Scalar(delta - max(homes[j]))
         classes[rep] = (lo, hi, int((hi - lo).re))
     return WidthTable(classes)
 

@@ -17,9 +17,8 @@ for b^{-K} times its coordinate vector, using  a b^{-K} = b^{-K}(a - K b).
 from __future__ import annotations
 
 from .errors import BadParameter, PrecisionExhausted
-from .morphisms import _checked_count
 from .record import Immutable, Record
-from .series import Series
+from .series import Series, _checked_count
 from .seriesmat import (
     a_image,
     col_shift_up,
@@ -75,7 +74,7 @@ class AbModule(Immutable):
         )
 
     def at_precision(self, w: int) -> "AbModule":
-        if w == self.precision:
+        if _checked_count(w, "precision") == self.precision:
             return self
         return AbModule(
             [[entry.at_precision(w) for entry in row] for row in self.matrix]
@@ -83,7 +82,7 @@ class AbModule(Immutable):
 
     def basis_element(self, j: int) -> "Element":
         """The j-th basis vector (0-based) as an Element."""
-        if not 0 <= j < self.rank:
+        if not 0 <= _checked_count(j, "basis index") < self.rank:
             raise BadParameter(f"basis index {j} outside 0..{self.rank - 1}")
         w = self.precision
         coords = [

@@ -23,7 +23,9 @@ extend.
 
 The same solver decides eigen-kernels on truncations: with the rank-1
 source [[c*b]] the solutions at w orders are the x in E/b^w E with
-(a - c*b)x = 0.  Hom questions are E -> F systems: the kernel of a on
+(a - c*b)x = 0, and with the diagonal source diag(c_1*b, ..., c_m*b)
+column j of the solutions is the kernel of a - c_j*b, as equation (i, j)
+reads column j alone.  Hom questions are E -> F systems: the kernel of a on
 Hom(E, F)/b^w is the space of intertwiners E -> F mod b^w, so
 ``ext_dims`` solves the source E and the target F, never the flattened
 Hom.  Each free parameter survives as one block entry, so the kernel has
@@ -35,7 +37,8 @@ nothing prescribed it gives the primitive eigenvector
 module's precision, of the rank-2 split test, solved to its certified level
 alone, and of the ``NonSplitAlpha`` classification, solved to the
 n + 3 + delta orders that alpha, read off b^n, needs; ``width_table``
-solves it to 2*delta + 2 orders for lambda_min(E^b) (all through
+solves one diagonal system, a column per class mod Z, to 2*delta + 2
+orders for lambda_min(E^b) of every class (all through
 ``invariants._eigen_system``).
 With x prescribed mod b^(kappa+1) it is also ``functors.eigen_lift``,
 which lifts a seed to the exact solution of (a - c*b)x = 0, and the unit
@@ -81,7 +84,7 @@ from operator import add, sub
 from . import linalg
 from .errors import BadParameter, PrecisionExhausted
 from .scalars import ONE, ZERO, Scalar, _make
-from .series import Series, _below, _combine, _fold
+from .series import Series, _below, _checked_count, _combine, _fold
 from .series import _make as _series
 
 CONST = -1
@@ -160,13 +163,6 @@ def _aff_eval(expr: dict, values: dict) -> tuple:
             x, y = g // q, d // q
             a, b, d = a * x + e * y, b * x + f * y, d * x
     return a, b, d
-
-
-def _checked_count(n, what: str) -> int:
-    """n, when it is an int; BadParameter otherwise."""
-    if not isinstance(n, int):
-        raise BadParameter(f"{what} must be an integer, not {n!r}")
-    return n
 
 
 def _prefix_blocks(prefix, rows: int, cols: int) -> list:

@@ -64,10 +64,15 @@ def _as_scalar(x) -> Scalar:
     raise TypeError(f"cannot use {type(x).__name__} as a series coefficient")
 
 
+def _checked_count(n, what: str) -> int:
+    """n, when it is an int; BadParameter otherwise."""
+    if not isinstance(n, int):
+        raise BadParameter(f"{what} must be an integer, not {n!r}")
+    return n
+
+
 def _check_precision(precision: int, what: str = "precision") -> None:
-    if not isinstance(precision, int):
-        raise BadParameter(f"{what} must be an integer, not {precision!r}")
-    if precision < 0:
+    if _checked_count(precision, what) < 0:
         raise BadParameter(f"{what} must be >= 0")
 
 
@@ -236,7 +241,8 @@ class Series(Immutable):
 
     def coefficient(self, k: int) -> Scalar:
         """The coefficient of b^k; raises if k is beyond the precision."""
-        if k < 0:
+        if not isinstance(k, int) or k < 0:
+            _checked_count(k, "coefficient order")
             raise BadParameter("coefficient takes k >= 0")
         if k >= self.precision:
             raise PrecisionExhausted(
@@ -267,7 +273,7 @@ class Series(Immutable):
 
     def at_precision(self, precision: int) -> "Series":
         """A lower-precision view; raising precision is refused."""
-        if precision > self.precision:
+        if _checked_count(precision, "precision") > self.precision:
             raise PrecisionExhausted(
                 f"cannot raise precision {self.precision} -> {precision}"
             )
@@ -385,7 +391,7 @@ class Series(Immutable):
     def shift_up(self, m: int) -> "Series":
         """Multiply by b^m.  Precision *gains* m: if x is known mod b^W then
         b^m * x is honestly known mod b^{W+m}."""
-        if m < 0:
+        if _checked_count(m, "shift_up's m") < 0:
             raise BadParameter("shift_up takes m >= 0")
         if m == 0:
             return self
@@ -396,7 +402,7 @@ class Series(Immutable):
 
         The result is known to precision - m only.
         """
-        if m < 0:
+        if _checked_count(m, "shift_down's m") < 0:
             raise BadParameter("shift_down takes m >= 0")
         if m == 0:
             return self
@@ -410,7 +416,7 @@ class Series(Immutable):
 
     def split_at(self, m: int) -> tuple["Series", "Series"]:
         """Quotient and remainder by b^m: self = b^m * q + r, deg r < m."""
-        if m < 0:
+        if _checked_count(m, "split_at's m") < 0:
             raise BadParameter("split_at takes m >= 0")
         if m > self.precision:
             raise PrecisionExhausted(

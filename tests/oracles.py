@@ -684,6 +684,49 @@ def dual_width_table(module: AbModule):
     return WidthTable(classes)
 
 
+def one_class_eigen_system(module: AbModule, mu: Scalar, extra: int = 0) -> IntertwinerSystem:
+    """The kernel of a - mu*b on E, as the intertwiners from [[mu*b]] into E
+    solved to the certified level max(mu - z_min, delta) + 2
+    (``functors._eigenvector`` derives it) plus ``extra`` orders:
+    ``invariants._eigen_system`` as it was written for one exponent."""
+    w = module.precision
+    gaps = [int((mu - z).re) for z in spectrum(saturate(module).saturated)
+            if (mu - z).is_integer()]
+    need = max(gaps + [delta_index(module)]) + 2 + extra
+    if w < need:
+        raise PrecisionExhausted(
+            f"the eigenvector for exponent {mu} needs precision >= {need}, have {w}"
+        )
+    source = [[Series.monomial(mu, 1, w)]]
+    return IntertwinerSystem(source, module.matrix, need).solve()
+
+
+def per_class_width_table(module: AbModule):
+    """``width_table`` as it solved one eigen-kernel per class mod Z, each
+    from [[(z + delta)*b]] into E, before one system carried every class."""
+    from abmod.invariants import WidthTable
+
+    delta = delta_index(module)
+    spans: dict = {}
+    for s in spectrum(saturate(module).saturated):
+        # sorted: a class's first exponent is its least, its last its largest
+        spans.setdefault(_class_rep(s), [s, s])[1] = s
+    classes = {}
+    for rep in sorted(spans, key=Scalar.sort_key):
+        lo, hi = spans[rep]
+        if delta:
+            system = one_class_eigen_system(module, lo + Scalar(delta), delta)
+            homes = [system.home[pid] for pid in system.parameters_in_blocks(delta + 1)]
+            if not homes:
+                raise HypothesisViolated(
+                    "no primitive eigenvector at most delta above the least "
+                    "exponent of a class of E#: likely a precision fault"
+                )
+            lo = lo + Scalar(delta - max(homes))
+        classes[rep] = (lo, hi, int((hi - lo).re))
+    return WidthTable(classes)
+
+
 def eb_primitive_eigen_element(module: AbModule, mu: Scalar):
     """The primitive mu-eigenvector as first found for the ``NonSplitAlpha``
     branch: the mu-eigenvector of E^b, built by ``biggest_simple_pole``,

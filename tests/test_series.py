@@ -165,7 +165,22 @@ def _not_integers():
         "Series.zero": lambda: Series.zero(2.5),
         "Series": lambda: Series([1, 2, 3], 2.5),
         "Series.monomial": lambda: Series.monomial(1, 1.5, 4),
+        "Series.coefficient": lambda: Series([1, 2, 3], 4).coefficient(0.5),
+        "Series.shift_up": lambda: Series([1, 2, 3], 4).shift_up(1.5),
+        "Series.shift_down": lambda: Series([0, 0, 3], 4).shift_down(1.5),
+        "Series.split_at": lambda: Series([1, 2, 3], 4).split_at(1.5),
+        "Series.at_precision": lambda: Series([1, 2, 3], 4).at_precision(2.5),
+        "Series.at_precision above": lambda: Series([1, 2, 3], 4).at_precision(4.5),
+        "Series.at_precision equal": lambda: Series([1, 2, 3], 4).at_precision(4.0),
         "AbModule.at_precision": lambda: from_expression("J(3;0)", 8).at_precision(4.5),
+        "AbModule.at_precision above":
+            lambda: from_expression("J(3;0)", 8).at_precision(8.5),
+        "AbModule.at_precision equal":
+            lambda: from_expression("J(3;0)", 8).at_precision(8.0),
+        "AbModule.coefficient_matrix":
+            lambda: from_expression("J(3;0)", 8).coefficient_matrix(0.5),
+        "AbModule.basis_element":
+            lambda: from_expression("J(2;0)", 8).basis_element(0.5),
         "from_expression": lambda: from_expression("J(3;0)", 8.5),
         "Element": lambda: Element([Series.one(4)], 0.5),
     }

@@ -44,9 +44,12 @@ precision 112, or ``E(1/2,2;3)`` at precision 48), and times one statement
 ``bench/run.py``'s ``HostSpeed``, which scale it as the workload items are
 scaled; their runs are compared on the scaled time.  A fourth, timed and
 scaled the same way, reads the width tables of ``J(12;0)`` at precision 60,
-``J(10;0)`` at 40, ``J(7;0)`` at 112 and ``rand(5;9)`` at 24, whose
-saturations the setup computes, so the statement times lambda_min and
-lambda_max per class alone.  A fifth in-process probe, timed and
+``J(10;0)`` at 40, ``J(7;0)`` at 112, and ``rand(5;9)``, ``rand(5;42)``,
+``F(4;0;1/2)`` and ``rand(4;38)`` at 24 (one class each for the first
+three, three or four classes mod Z each for the last four, which one
+eigen-kernel system carries together), whose saturations the setup
+computes, so the statement times lambda_min and lambda_max per class
+alone.  A fifth in-process probe, timed and
 scaled as the first four, puts ``lift_truncation_iso``, which no workload
 reaches, under the identical-output check: the identity lift and seven
 ``_perturb`` lifts of ``J(6;0)`` at N = 16 (precision 48), the identity
@@ -178,7 +181,8 @@ IN_PROCESS_PROBES = (
      "[str(classify_rank2(twist(m, k))) for k in range(-3, 4)]"),
     ("[width_table(m).classes for m in mods]",
      "mods = [from_expression(e, w) for e, w in (('J(12;0)', 60), ('J(10;0)', 40), "
-     "('J(7;0)', 112), ('rand(5;9)', 24))]; sats = [saturate(m) for m in mods]",
+     "('J(7;0)', 112), ('rand(5;9)', 24), ('rand(5;42)', 24), ('F(4;0;1/2)', 24), "
+     "('rand(4;38)', 24))]; sats = [saturate(m) for m in mods]",
      "[width_table(m).classes for m in mods]"),
     ("[lift_outcome(e, ep, phi, N) for e, ep, phi, N in lifts]", _LIFT_SETUP,
      "[lift_outcome(e, ep, phi, N) for e, ep, phi, N in lifts]"),
