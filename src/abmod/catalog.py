@@ -109,9 +109,9 @@ def make_E_lambda_mu_alpha(lam, n: int, alpha, precision: int) -> AbModule:
 def make_J_k(lam, k: int, precision: int) -> AbModule:
     _check_precision(precision)
     lam = Scalar.of(lam)
+    _check_rank(k, "k")
     if k < 1:
         raise BadParameter("J_k needs k >= 1")
-    _check_rank(k, "k")
     m = [[Series.zero(precision) for _ in range(k)] for _ in range(k)]
     for j in range(k):
         m[j][j] = Series.monomial(lam + Scalar(j), 1, precision)
@@ -124,7 +124,7 @@ def make_F_rho(lam, k: int, rho, precision: int) -> AbModule:
     """J_k(lambda) perturbed at order exactly k: a e_k gains rho^k b^k e_1."""
     _check_precision(precision)
     lam, rho = Scalar.of(lam), Scalar.of(rho)
-    if k < 2:
+    if _checked_count(k, "k") < 2:
         raise BadParameter("F_rho needs k >= 2")
     if not rho:
         raise BadParameter("F_rho needs rho != 0")
@@ -153,9 +153,9 @@ def random_regular(rank: int, seed: int, precision: int,
     several precisions, build it once and use ``at_precision``.
     """
     _check_precision(precision)
+    _check_rank(rank, "rank")
     if rank < 1:
         raise BadParameter("rank must be >= 1")
-    _check_rank(rank, "rank")
     rng = random.Random(seed)
     denom = rng.choice([1, 1, 2, 3, 4, 6])
     lams = [

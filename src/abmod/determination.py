@@ -172,8 +172,6 @@ def _standard_form(q: FiniteAbQuotient):
             reps.append(r)
         if len(reps) == p:
             break
-    if len(reps) < p:
-        raise BadParameter("could not complete a basis modulo the image of b")
     cols = []
     for r in reps:
         vec = units[r]
@@ -294,7 +292,7 @@ def module_iso(e: AbModule, ep: AbModule, W: int = None, seed: int = 0):
         raise BadParameter("module ranks differ")
     if W is None:
         W = min(e.precision, ep.precision)
-    if W < 1:
+    if _checked_count(W, "the order count") < 1:
         raise BadParameter("precision must be at least 1")
     if W > min(e.precision, ep.precision):
         raise PrecisionExhausted("requested precision exceeds the structure data")
@@ -388,7 +386,7 @@ def lift_truncation_iso(
         raise BadParameter("module ranks differ")
     if not is_regular(e):
         raise NotRegular("lifting is certified for regular modules")
-    if N < 1:
+    if _checked_count(N, "truncation level") < 1:
         raise BadParameter("truncation level must be at least 1")
     p = e.rank
     if phi.kind != "module" or phi.order != N or len(phi.matrix) != p or any(
@@ -402,7 +400,7 @@ def lift_truncation_iso(
     slack = _slack(e)
     if W is None:
         W = _default_lift_precision(e, N)
-    if W <= N:
+    if _checked_count(W, "lifting precision") <= N:
         raise BadParameter("lifting precision must exceed the truncation level")
     if W - slack <= N:
         raise PrecisionExhausted("lifting window too small to certify uniqueness")

@@ -318,18 +318,6 @@ class JHSequence(Record):
 _JH_POLICIES = ("lex", "revlex")
 
 
-def _unit_normalizer(g: Series, lam: Scalar) -> Series:
-    """The unit u with u*g + b^2*u' = lam*b*u, i.e. u = exp(int (lam*b-g)/b^2):
-    the rank-1 intertwiner from [[lam*b]] into [[g]] with constant term 1,
-    known to precision g.precision - 1.
-
-    Requires g to have residue coefficient lam (so the integrand is regular);
-    otherwise the prescribed constant term is inconsistent.
-    """
-    seed = Element([Series.one(g.precision)], 0)
-    return eigen_lift(AbModule([[g]]), lam, seed, 0).coords[0]
-
-
 def _jh_step(module: AbModule, policy: str):
     """One Jordan-Hoelder step: a primitive eigenvector for lambda_min(E^b)
     of the class the policy picks, in the module's coordinates.
@@ -349,10 +337,10 @@ def _jh_step(module: AbModule, policy: str):
 
 def _jh_recurse(module: AbModule, policy: str):
     if module.rank == 1:
-        g = module.matrix[0][0]
-        lam = module.residue_matrix()[0][0]
-        u = _unit_normalizer(g, lam)
-        return [lam], [[u]]
+        # The filtration holds lattices, C[[b]]-spans, so any unit serves as
+        # the last generator; 1 is known to the precision eigen_lift would
+        # give the unit normalizer.
+        return [module.residue_matrix()[0][0]], [[Series.one(module.precision - 1)]]
     primitive, exponent = _jh_step(module, policy)
     quotient, pivot, lam = _quotient_with_pivot(
         module, Element(primitive, 0)
@@ -437,8 +425,11 @@ def _alpha_from_presentation(module: AbModule, lam: Scalar, n: int) -> Scalar:
     """Read alpha off by renormalizing to a.t = y + (lam-1)*b*t + alpha*b^n*y.
 
     y is solved to n + 3 + delta orders (at most W), so it is known mod
-    b^(n+2); the base change keeps that precision, the unit u loses one
-    order, and h = u*c, known past b^n, gives alpha = h_n/h_0.
+    b^(n+2); the base change keeps that precision.  The quotient entry g
+    has residue lam - 1, and the unit u with u*g + b^2*u' = (lam-1)*b*u,
+    the rank-1 intertwiner from [[(lam-1)*b]] into [[g]] with constant
+    term 1 (``eigen_lift`` of the seed 1), loses one order; h = u*c, known
+    past b^n, gives alpha = h_n/h_0.
     """
     mu = lam - Scalar(n)
     y = _eigenvector(module, mu, n + 3 + delta_index(module))
@@ -461,7 +452,8 @@ def _alpha_from_presentation(module: AbModule, lam: Scalar, n: int) -> Scalar:
     g = changed[1][1]
     if g.coefficient(1) != lam - ONE:
         raise HypothesisViolated("quotient exponent is not lam - 1")
-    u = _unit_normalizer(g, lam - ONE)
+    seed = Element([Series.one(g.precision)], 0)
+    u = eigen_lift(AbModule([[g]]), lam - ONE, seed, 0).coords[0]
     h = u * changed[0][1]
     c0 = h.coefficient(0)
     if c0.is_zero():

@@ -42,7 +42,7 @@ orders for lambda_min(E^b) of every class (all through
 ``invariants._eigen_system``).
 With x prescribed mod b^(kappa+1) it is also ``functors.eigen_lift``,
 which lifts a seed to the exact solution of (a - c*b)x = 0, and the unit
-normalizer of a rank-1 Jordan-Hoelder step.
+normalizer that alpha of a ``NonSplitAlpha`` module is read through.
 
 ``solve(w)`` resumes after the orders already processed, so a certificate
 read at two consecutive levels grows one system by one order.  A search
@@ -84,8 +84,9 @@ from operator import add, sub
 from . import linalg
 from .errors import BadParameter, PrecisionExhausted
 from .scalars import ONE, ZERO, Scalar, _make
-from .series import Series, _below, _checked_count, _combine, _fold
+from .series import Series, _below, _checked_count, _combine
 from .series import _make as _series
+from .seriesmat import _a_image_accs, _fold_row, _sparse_rows
 
 CONST = -1
 _ONE = (1, 0, 1)
@@ -604,20 +605,21 @@ def find_invertible(system: IntertwinerSystem, seed: int = 0, tries: int = 40):
 
 
 def verify_intertwiner(source, target, P, w: int) -> bool:
-    """Check P*Ms - Mt*P - b^2*P' == 0 at all orders below w.
+    """Check a(P) - P*Ms == 0 at all orders below w, where a(P) = Mt*P +
+    b^2*P' is a applied to the columns of P in the target.
 
-    Entry (i, j) of the residual is known to the least precision of row i
-    of P, column j of Ms, row i of Mt and column j of P, and to at most one
-    order past the least precision of Mt (as ``a_image`` gives it).  Its
-    products are folded into one accumulator of raw integer triples below
-    min(w, that precision), b^2 P' starting it as the terms -k c b^(k+1),
-    and only the numerators are tested for zero: nothing is normalized.
+    Entry (i, j) is checked below min(w, the precision ``smat_mul`` gives
+    (P*Ms)_ij, the precision ``a_image`` gives a(P)_ij): the least
+    precision of row i of P, column j of Ms, row i of Mt and column j of P,
+    and at most one order past the least precision of Mt.  Both sides are
+    folded into one accumulator of raw integer triples per entry, a(P) by
+    ``seriesmat._a_image_accs`` column by column and -P*Ms by
+    ``seriesmat._fold_row`` row by row, and only the numerators are tested
+    for zero: nothing is normalized.
     A P that is not rank(Mt) x rank(Ms), an entry of P, Ms or Mt that is
     not a Series and a w that is not an integer are refused with
     BadParameter, in that order, and then any entry of precision 0 raises
     PrecisionExhausted.
-    Comparing ``smat_mul(P, Ms)`` with ``a_image(Mt, P)`` instead was slower
-    on the ``fd`` workload, since it normalizes every entry of both sides.
     """
     if len(P) != len(target) or any(len(row) != len(source) for row in P):
         raise BadParameter(
@@ -634,25 +636,18 @@ def verify_intertwiner(source, target, P, w: int) -> bool:
     s_col_w = [min(e.precision for e in col) for col in zip(*source)]
     t_row_w = [min(e.precision for e in row) for row in target]
     wt = min(t_row_w)
-    p_terms = [[e.terms for e in row] for row in P]
-    s_terms = [[e.terms for e in row] for row in source]
-    t_rows = [[(l, e.terms) for l, e in enumerate(row) if e.terms] for row in target]
-    for i, prow in enumerate(p_terms):
-        for j, cw in enumerate(p_col_w):
-            top = min(w, p_row_w[i], s_col_w[j], wt + 1, t_row_w[i], cw)
-            acc = {
-                k + 1: [-k * c.re_num, -k * c.im_num, c.den]
-                for k, c in prow[j]
-                if k and k + 1 < top
-            }
-            for l, x in enumerate(prow):
-                y = s_terms[l][j]
-                if x and y:
-                    _fold(acc, x, y, top)
-            for l, x in t_rows[i]:
-                y = p_terms[l][j]
-                if y:
-                    _fold(acc, x, y, top, -1)
-            if any(a or b for a, b, _ in acc.values()):
-                return False
+    tops = [
+        [min(w, pw, sw, wt + 1, tw, cw) for sw, cw in zip(s_col_w, p_col_w)]
+        for pw, tw in zip(p_row_w, t_row_w)
+    ]
+    t_rows = _sparse_rows(target)
+    images = [
+        _a_image_accs(t_rows, [e.terms for e in col], 0, col_tops)
+        for col, col_tops in zip(zip(*P), zip(*tops))
+    ]
+    s_rows = _sparse_rows(source)
+    for prow, accs, row_tops in zip(P, zip(*images), tops):
+        _fold_row(accs, prow, s_rows, row_tops, -1)
+        if any(a or b for acc in accs for a, b, _ in acc.values()):
+            return False
     return True

@@ -32,13 +32,14 @@ normalized once by ``scalars._make``, which is exact and gives the same
 canonical Scalar as normalizing every partial product and partial sum.
 One loop, ``_fold`` (acc += sign * x * y below w), does this for
 ``_product`` past the monomial case, for ``_sub_mul`` (the terms of
-x - q * y) and for every sum of products above: ``seriesmat.smat_mul``,
-``seriesmat._a_image_terms`` (under ``a_image``), the row updates of
-``smat_inverse``, the reductions of the lattice kernels ``_echelon`` and
-``_back_substitute_terms`` (through ``_sub_mul``) and
-``verify_intertwiner``.
+x - q * y) and for every sum of products above: ``seriesmat.smat_mul``
+(through its row fold ``_fold_row``), ``seriesmat._a_image_accs`` (under
+``a_image``), the row updates of ``smat_inverse`` and the reductions of
+the lattice kernels ``_echelon`` and ``_back_substitute_terms`` (through
+``_sub_mul``).
 A caller folds each product of an entry into one accumulator and calls
-``_done`` once for the entry; ``verify_intertwiner`` only tests the raw
+``_done`` once for the entry; ``verify_intertwiner`` folds a(P) - P*Ms
+through ``_a_image_accs`` and ``_fold_row``, only tests the raw
 numerators for zero and normalizes nothing.  Callers skip operands without
 terms before they fold.  The recurrence of ``invert`` reads the
 coefficients it is producing, so it keeps its own raw-triple loop.

@@ -14,6 +14,9 @@ entry cannot bear), the kernel raises the same error.
 Each entry of a sum of products is folded into one accumulator of raw
 integer triples by ``series._fold`` and normalized once by ``series._done``
 (see ``series``): no partial product or partial sum becomes a Scalar.  The
+two kernels fill their accumulators in cores that normalize nothing,
+``_fold_row`` under ``smat_mul`` and ``_a_image_accs`` under ``a_image``;
+``morphisms.verify_intertwiner`` folds a(P) - P*Ms through both.  The
 oracles in ``tests/oracles.py`` keep the dense forms built from the
 ``Series`` operators, and the tests compare the two.
 """
@@ -38,7 +41,7 @@ def smat_mul(a, b) -> list:
         return [[] for _ in a]
     col_w = [min(b[k][j].precision for k in range(rb)) for j in range(cb)]
     wb = min(col_w)
-    brows = [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in b]
+    brows = _sparse_rows(b)
     out = []
     for arow in a:
         row_w = min(arow[k].precision for k in range(rb))
@@ -46,13 +49,23 @@ def smat_mul(a, b) -> list:
             raise PrecisionExhausted("operating on a series of precision 0")
         ws = [min(row_w, w) for w in col_w]
         accs = [{} for _ in range(cb)]
-        for k in range(rb):
-            x = arow[k].terms
-            if x:
-                for j, y in brows[k]:
-                    _fold(accs[j], x, y, ws[j])
+        _fold_row(accs, arow, brows, ws)
         out.append([_make(_done(acc), w) for acc, w in zip(accs, ws)])
     return out
+
+
+def _fold_row(accs, row, brows, ws, sign: int = 1) -> None:
+    """accs[j] += sign * (row b)_j below ws[j] (sign is 1 or -1), as
+    ``series._fold`` does for one product: row is a row of Series and
+    brows the rows of b as ``_sparse_rows`` gives them.  Nothing is
+    normalized.  The entry of b leads each fold, so the sign negates its
+    terms: a structure matrix, as b of verify_intertwiner's P*Ms, has
+    fewer terms than a solved P."""
+    for e, brow in zip(row, brows):
+        x = e.terms
+        if x:
+            for j, y in brow:
+                _fold(accs[j], y, x, ws[j], sign)
 
 
 def a_image(m, cols, shift: int = 0) -> list:
@@ -62,8 +75,9 @@ def a_image(m, cols, shift: int = 0) -> list:
     a(b^{-K} v) = b^{-K} (m v + b^2 v' - K b v); the images come back as
     columns in the same frame.  Elements, lattices and base changes apply a
     through here, saturate and truncate through its term kernel
-    ``_a_image_terms``; only the coefficient-level forms of the intertwiner
-    solver and verify_intertwiner write the rule out again, for speed.
+    ``_a_image_terms``, and verify_intertwiner through that kernel's
+    accumulators ``_a_image_accs``; only the compiled stencils of the
+    intertwiner solver write the rule out again, as the drift 1 - k.
 
     An image entry is known to min(w + 1, the least precision of its row
     of m, the least precision of v), where w = min(least precision of m,
@@ -97,11 +111,17 @@ def _sparse_rows(m) -> list:
 def _a_image_terms(rows, col, shift: int, ws) -> list:
     """a on one term column in the b^{-shift} frame, entry i below ws[i]:
     the terms of (m col + b^2 col' - shift b col)_i for m given by
-    ``_sparse_rows``.  Each entry of col is cut to ws[i] - 1 before it is
+    ``_sparse_rows``, each entry of ``_a_image_accs`` normalized once."""
+    return [_done(acc) for acc in _a_image_accs(rows, col, shift, ws)]
+
+
+def _a_image_accs(rows, col, shift: int, ws) -> list:
+    """The raw-triple accumulators of ``_a_image_terms``, one per entry,
+    unnormalized.  Each entry of col is cut to ws[i] - 1 before it is
     differentiated: the diagonal part b^2 x' - K b x of an entry is the
     single term (k - K) c b^(k+1) for each term c b^k of x; it starts the
     entry's accumulator, and each product of m col is folded in."""
-    out = []
+    accs = []
     for x, row, wi in zip(col, rows, ws):
         acc = {
             k + 1: [(k - shift) * c.re_num, (k - shift) * c.im_num, c.den]
@@ -111,8 +131,8 @@ def _a_image_terms(rows, col, shift: int, ws) -> list:
         for j, mij in row:
             if col[j]:
                 _fold(acc, mij, col[j], wi)
-        out.append(_done(acc))
-    return out
+        accs.append(acc)
+    return accs
 
 
 def smat_min_precision(a) -> int:

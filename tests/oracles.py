@@ -32,13 +32,15 @@ from abmod import (
     n_lambda,
     saturate,
     spectrum,
+    truncate,
     width_table,
 )
-from abmod.functors import _unit_normalizer
+from abmod.determination import _freeze
 from abmod.invariants import _class_rep
 from abmod.linalg import Echelon, det, identity, mat_mul, rref
 from abmod.morphisms import CONST, IntertwinerSystem
 from abmod.scalars import ONE, ZERO, _make
+from abmod.series import _checked_count, _fold
 from abmod.seriesmat import a_image
 
 # ---------------------------------------------------------------------------
@@ -490,6 +492,64 @@ def dense_verify_intertwiner(source, target, P, w: int) -> bool:
         for prow, irow in zip(product, zip(*images))
         for x, y in zip(prow, irow)
     )
+
+
+def hand_verify_intertwiner(source, target, P, w: int) -> bool:
+    """``verify_intertwiner`` as written before it was composed of the
+    ``seriesmat`` kernels, verbatim: the residual folded by hand.
+
+    Check P*Ms - Mt*P - b^2*P' == 0 at all orders below w.
+
+    Entry (i, j) of the residual is known to the least precision of row i
+    of P, column j of Ms, row i of Mt and column j of P, and to at most one
+    order past the least precision of Mt (as ``a_image`` gives it).  Its
+    products are folded into one accumulator of raw integer triples below
+    min(w, that precision), b^2 P' starting it as the terms -k c b^(k+1),
+    and only the numerators are tested for zero: nothing is normalized.
+    A P that is not rank(Mt) x rank(Ms), an entry of P, Ms or Mt that is
+    not a Series and a w that is not an integer are refused with
+    BadParameter, in that order, and then any entry of precision 0 raises
+    PrecisionExhausted.
+    Comparing ``smat_mul(P, Ms)`` with ``a_image(Mt, P)`` instead was slower
+    on the ``fd`` workload, since it normalizes every entry of both sides.
+    """
+    if len(P) != len(target) or any(len(row) != len(source) for row in P):
+        raise BadParameter(
+            f"P must be {len(target)} x {len(source)}, rank(target) x rank(source)"
+        )
+    entries = [e for m in (P, source, target) for row in m for e in row]
+    if not all(isinstance(e, Series) for e in entries):
+        raise BadParameter("entries of P, Ms and Mt must be Series")
+    _checked_count(w, "the order count")
+    if not all(e.precision for e in entries):
+        raise PrecisionExhausted("operating on a series of precision 0")
+    p_row_w = [min(e.precision for e in row) for row in P]
+    p_col_w = [min(e.precision for e in col) for col in zip(*P)]
+    s_col_w = [min(e.precision for e in col) for col in zip(*source)]
+    t_row_w = [min(e.precision for e in row) for row in target]
+    wt = min(t_row_w)
+    p_terms = [[e.terms for e in row] for row in P]
+    s_terms = [[e.terms for e in row] for row in source]
+    t_rows = [[(l, e.terms) for l, e in enumerate(row) if e.terms] for row in target]
+    for i, prow in enumerate(p_terms):
+        for j, cw in enumerate(p_col_w):
+            top = min(w, p_row_w[i], s_col_w[j], wt + 1, t_row_w[i], cw)
+            acc = {
+                k + 1: [-k * c.re_num, -k * c.im_num, c.den]
+                for k, c in prow[j]
+                if k and k + 1 < top
+            }
+            for l, x in enumerate(prow):
+                y = s_terms[l][j]
+                if x and y:
+                    _fold(acc, x, y, top)
+            for l, x in t_rows[i]:
+                y = p_terms[l][j]
+                if y:
+                    _fold(acc, x, y, top, -1)
+            if any(a or b for a, b, _ in acc.values()):
+                return False
+    return True
 
 
 def dense_back_substitute(lat: Lattice, work: list):
@@ -1034,6 +1094,71 @@ def _full_precision_eigenvector(module: AbModule, mu: Scalar):
             for row in system.series_matrix({params[0]: ONE})]
 
 
+def unit_normalizer(g: Series, lam: Scalar) -> Series:
+    """``functors._unit_normalizer`` as first written, verbatim.
+
+    The unit u with u*g + b^2*u' = lam*b*u, i.e. u = exp(int (lam*b-g)/b^2):
+    the rank-1 intertwiner from [[lam*b]] into [[g]] with constant term 1,
+    known to precision g.precision - 1.
+
+    Requires g to have residue coefficient lam (so the integrand is regular);
+    otherwise the prescribed constant term is inconsistent.
+    """
+    seed = Element([Series.one(g.precision)], 0)
+    return eigen_lift(AbModule([[g]]), lam, seed, 0).coords[0]
+
+
+def _normalizing_jh_recurse(module: AbModule, policy: str):
+    """``functors._jh_recurse`` as first written, verbatim: its rank-1 base
+    case ends the generators with the unit normalizer of the quotient."""
+    from abmod.functors import _jh_step, _quotient_with_pivot
+
+    if module.rank == 1:
+        g = module.matrix[0][0]
+        lam = module.residue_matrix()[0][0]
+        u = unit_normalizer(g, lam)
+        return [lam], [[u]]
+    primitive, exponent = _jh_step(module, policy)
+    quotient, pivot, lam = _quotient_with_pivot(
+        module, Element(primitive, 0)
+    )
+    if lam != exponent:
+        raise HypothesisViolated("exponent mismatch in the Jordan-Hoelder step")
+    sub_exps, sub_gens = _normalizing_jh_recurse(quotient, policy)
+    w = min(c.precision for c in primitive)
+    lifted_gens = [primitive]
+    for g in sub_gens:
+        col = []
+        k = 0
+        for i in range(module.rank):
+            if i == pivot:
+                col.append(Series.zero(w))
+            else:
+                col.append(g[k])
+                k += 1
+        lifted_gens.append(col)
+    return [exponent] + sub_exps, lifted_gens
+
+
+def normalizing_jordan_holder(module: AbModule, policy: str = "lex"):
+    """``functors.jordan_holder`` on ``_normalizing_jh_recurse``."""
+    from abmod.functors import _JH_POLICIES, JHSequence
+
+    if policy not in _JH_POLICIES:
+        raise BadParameter("unknown class-choice policy: %r" % (policy,))
+    if not is_regular(module):
+        raise NotRegular("Jordan-Hoelder sequences exist for regular modules")
+    exps, gens = _normalizing_jh_recurse(module, policy)
+    lattices = []
+    cols = []
+    for g in gens:
+        cols.append(g)
+        lattices.append(
+            lattice_from_columns(module.rank, [list(c) for c in cols], shift=0)
+        )
+    return JHSequence(tuple(exps), tuple(lattices))
+
+
 def full_precision_alpha(module: AbModule, lam: Scalar, n: int) -> Scalar:
     """Read alpha off by renormalizing to a.t = y + (lam-1)*b*t + alpha*b^n*y."""
     mu = lam - Scalar(n)
@@ -1057,7 +1182,7 @@ def full_precision_alpha(module: AbModule, lam: Scalar, n: int) -> Scalar:
     g = changed[1][1]
     if g.coefficient(1) != lam - ONE:
         raise HypothesisViolated("quotient exponent is not lam - 1")
-    u = _unit_normalizer(g, lam - ONE)
+    u = unit_normalizer(g, lam - ONE)
     h = u * changed[0][1]
     c0 = h.coefficient(0)
     if c0.is_zero():
@@ -1123,7 +1248,7 @@ def echelon_rank_in_blocks(system, lo: int, hi: int) -> int:
 def fresh_free_lift(e: AbModule, ep: AbModule, N: int, W: int, slack: int, seed: int):
     """``_free_lift`` as first written: a fresh system solved to all W
     orders, find_invertible, then the rigidity ranks by two echelon passes."""
-    from abmod.determination import Intertwiner, _freeze
+    from abmod.determination import Intertwiner
     from abmod.errors import HypothesisViolated, NoLift, NonUniqueLift
     from abmod.morphisms import IntertwinerSystem, find_invertible, verify_intertwiner
 
@@ -1234,17 +1359,82 @@ def _commutes(t, q, qp) -> bool:
     ) == linalg.mat_mul(bp, t)
 
 
+def standard_form(q):
+    """``determination._standard_form`` as first written, verbatim, so that
+    ``dense_quotient_iso`` does not share its code.
+
+    Recover (rank, level, structure coefficients, change of basis).
+
+    Finds a basis on which B is the standard shift and A the standard
+    truncated action; raises BadParameter when the pair is not the
+    truncation of a free module on any basis.
+    """
+    dim = q.dim
+    b = [list(row) for row in q.B]
+    a = [list(row) for row in q.A]
+    power = linalg.identity(dim)
+    level = None
+    for t in range(1, dim + 1):
+        power = linalg.mat_mul(b, power)
+        if all(x.is_zero() for row in power for x in row):
+            level = t
+            break
+    if level is None:
+        raise BadParameter("b-action is not nilpotent")
+    if dim % level:
+        raise BadParameter("dimension is not divisible by the b-nilpotency order")
+    p = dim // level
+    span = linalg.Echelon(linalg.transpose(b))
+    units = linalg.identity(dim)
+    reps = []
+    for r in range(dim):
+        if span.add(units[r]) is not None:
+            reps.append(r)
+        if len(reps) == p:
+            break
+    if len(reps) < p:
+        raise BadParameter("could not complete a basis modulo the image of b")
+    cols = []
+    for r in reps:
+        vec = units[r]
+        for _ in range(level):
+            cols.append(vec)
+            vec = linalg.mat_vec(b, vec)
+    change = [[cols[c][r] for c in range(dim)] for r in range(dim)]
+    inv = linalg.inverse(change)
+    if inv is None:
+        raise BadParameter("b-orbits of the chosen representatives are dependent")
+    abar = linalg.mat_mul(inv, linalg.mat_mul(a, change))
+    coeffs = [
+        [[abar[l * level + t][i * level] for i in range(p)] for l in range(p)]
+        for t in range(level)
+    ]
+    series = [
+        [
+            Series([coeffs[t][l][i] for t in range(level)], level)
+            for i in range(p)
+        ]
+        for l in range(p)
+    ]
+    rebuilt = truncate(AbModule(series), level)
+    if _freeze(abar) != rebuilt.A:
+        raise BadParameter(
+            "the (A, B) pair is not the truncation of a module presentation"
+        )
+    return p, level, series, change, inv
+
+
 def dense_quotient_iso(q, qp, seed: int = 0):
     """``quotient_iso`` as first written: T is built from the blocks of the
     solved system and checked on the two quotients by four dense products
     (``_commutes``) and a dense determinant."""
-    from abmod.determination import Intertwiner, _freeze, _standard_form
+    from abmod.determination import Intertwiner, _freeze
     from abmod.morphisms import find_invertible
 
     if q.dim != qp.dim:
         raise BadParameter("quotient dimensions differ")
-    p, n, series, _, inv_change = _standard_form(q)
-    pp, np_, series_p, change_p, _ = _standard_form(qp)
+    p, n, series, _, inv_change = standard_form(q)
+    pp, np_, series_p, change_p, _ = standard_form(qp)
     if p != pp or n != np_:
         return None
     system = IntertwinerSystem(series, series_p, n).solve_until_singular()

@@ -29,6 +29,7 @@ from abmod import (
     identity_truncation_iso,
     lift_truncation_iso,
     make_E_lambda_n,
+    make_F_rho,
     make_J_k,
     module_iso,
     n0_bound,
@@ -114,6 +115,30 @@ def _count_calls():
 def test_a_count_that_is_not_an_integer_is_refused(site):
     with pytest.raises(BadParameter, match="must be an integer, not [0-9.]+$"):
         _count_calls()[site]()
+
+
+def _loose_count_calls():
+    """Counts that are strings or None, at the sites that once compared a
+    count before checking it, and both counts of a lift."""
+    j2 = from_expression("J(2;0)", 30)
+    phi = identity_truncation_iso(j2, 4)
+    return {
+        "module_iso": lambda: module_iso(j2, j2, W="3"),
+        "lift_N": lambda: lift_truncation_iso(j2, j2, phi, "4"),
+        "lift_N_none": lambda: lift_truncation_iso(j2, j2, phi, None),
+        "lift_W": lambda: lift_truncation_iso(j2, j2, phi, 4, W="30"),
+        "make_J_k": lambda: make_J_k(0, "3", 8),
+        "make_J_k_none": lambda: make_J_k(0, None, 8),
+        "make_F_rho": lambda: make_F_rho(0, "3", 2, 8),
+        "random_regular": lambda: random_regular("2", 1, 8),
+        "random_regular_none": lambda: random_regular(None, 1, 8),
+    }
+
+
+@pytest.mark.parametrize("site", list(_loose_count_calls()))
+def test_a_count_that_is_not_a_number_is_refused(site):
+    with pytest.raises(BadParameter, match="must be an integer, not ('[0-9]+'|None)$"):
+        _loose_count_calls()[site]()
 
 
 # -- quotient isomorphisms ---------------------------------------------------
@@ -242,6 +267,34 @@ def test_quotient_iso_refuses_a_b_action_that_is_not_nilpotent():
     unipotent = FiniteAbQuotient(q.dim, q.A, ((ONE, ONE), (ZERO, ONE)), q.rank, q.level)
     with pytest.raises(BadParameter, match="^b-action is not nilpotent$"):
         quotient_iso(unipotent, q)
+
+
+def _shift(sizes):
+    """The nilpotent b-action with Jordan blocks of these sizes: within a
+    block b sends each basis vector to the next."""
+    dim = sum(sizes)
+    b = [[ZERO] * dim for _ in range(dim)]
+    start = 0
+    for size in sizes:
+        for j in range(start, start + size - 1):
+            b[j + 1][j] = ONE
+        start += size
+    return tuple(map(tuple, b))
+
+
+@pytest.mark.parametrize("sizes,a_diagonal,message", [
+    ((2, 1), (0, 0, 0), "dimension is not divisible by the b-nilpotency order"),
+    ((2, 1, 1), (0, 0, 0, 0), "b-orbits of the chosen representatives are dependent"),
+    ((2,), (1, 2), "the (A, B) pair is not the truncation of a module presentation"),
+])
+def test_quotient_iso_refuses_a_pair_without_a_standard_form(sizes, a_diagonal, message):
+    dim = len(a_diagonal)
+    a = tuple(tuple(Scalar(a_diagonal[i]) if i == j else ZERO for j in range(dim))
+              for i in range(dim))
+    q = FiniteAbQuotient(dim, a, _shift(sizes), len(sizes), max(sizes))
+    with pytest.raises(BadParameter) as raised:
+        quotient_iso(q, q)
+    assert str(raised.value) == message
 
 
 # -- lifting -----------------------------------------------------------------

@@ -614,6 +614,24 @@ def test_jordan_holder_exponents_match_the_eb_route(module, policy):
         assert _jh_exponents(module, policy) == new
 
 
+def _jh_sequence(jh, module, policy):
+    """The sequence, its lattices' reprs and precisions, or the error."""
+    seq = _attempt(jh, module, policy)
+    if isinstance(seq, tuple):
+        return seq
+    return seq, [repr(lat) for lat in seq.filtration], [lat.precision for lat in seq.filtration]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(jh_modules(), st.sampled_from(("lex", "revlex")))
+def test_jordan_holder_needs_no_unit_normalizer(module, policy):
+    """Ending the generators with 1 in place of the rank-1 quotient's unit
+    normalizer (kept as oracles.normalizing_jordan_holder) leaves the
+    sequence, every lattice and its precision, or the error, as they were."""
+    assert _jh_sequence(jordan_holder, module, policy) == _jh_sequence(
+        oracles.normalizing_jordan_holder, module, policy)
+
+
 def test_the_eigenvector_needs_the_orders_that_fix_it():
     """W >= max(mu - z_min, delta) + 2 orders decide block 0; E(0) has no
     primitive solution of a.x = 7*b*x, and below 9 orders that is not

@@ -693,7 +693,8 @@ def test_solver_matches_the_scalar_reference_on_an_eigen_kernel():
 
 
 def test_solver_matches_the_scalar_reference_on_a_fixed_block():
-    # The system of functors._unit_normalizer, on a dense g with residue lam.
+    # The unit normalizer's system (eigen_lift of the seed 1 on [[g]]), on a
+    # dense g with residue lam.
     rng = random.Random(19)
     lam = Scalar(Fraction(2, 3), -1)
     w = 12

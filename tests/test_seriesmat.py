@@ -38,6 +38,7 @@ from oracles import (  # noqa: E402
     dense_smat_inverse,
     dense_smat_mul,
     dense_verify_intertwiner,
+    hand_verify_intertwiner,
 )
 
 COEFFS = [Scalar(0)] * 6 + [
@@ -168,6 +169,64 @@ def test_verify_intertwiner_accepts_the_solutions():
     for ms, mt, p, w in INTERTWINERS:
         assert verify_intertwiner(ms, mt, p, w)
         assert verify_intertwiner(ms, mt, p, w + 3)
+
+
+def verdict(f, *args):
+    """f(*args), or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - type and message are compared
+        return type(exc), str(exc)
+
+
+SOLVED = ["E(0)", "E(1/2)", "E(1;2)", "E(1/2,1/3)", "J(2;1)", "J(2;1/2)",
+          "J(3;0)", "rand(2;4)", "rand(3;1000)", "J(2;i)", "F(3;i;1/2)"]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_verify_intertwiner_matches_the_hand_fold(data):
+    """The same verdict, or the same error type and message, as the residual
+    folded by hand, on the series matrices IntertwinerSystem solves between
+    drawn modules (source and target at different precisions): as solved,
+    and with one coefficient of P, Ms or Mt perturbed at a drawn order; with
+    entries cut to mixed precisions (0 included); at every check level w
+    up to two past the largest precision.  The draws favour a horizon h:
+    the perturbation lands next to it, and an entry of Mt, whose least
+    precision bounds that of a(P), is cut to it, so that whether a residual
+    term at h or h + 1 is checked is decided by the precision rule."""
+    src_expr = data.draw(st.sampled_from(SOLVED))
+    tgt_expr = data.draw(st.sampled_from([src_expr] + SOLVED))
+    ws, wt = data.draw(st.integers(3, 8)), data.draw(st.integers(3, 8))
+    src, tgt = from_expression(src_expr, ws), from_expression(tgt_expr, wt)
+    system = IntertwinerSystem(src.matrix, tgt.matrix, min(ws, wt)).solve()
+    values = {pid: data.draw(st.sampled_from(COEFFS)) for pid in system.alive}
+    mats = [[list(row) for row in m]
+            for m in (src.matrix, tgt.matrix, system.series_matrix(values))]
+    h = data.draw(st.integers(1, max(min(ws, wt) - 2, 1)))
+
+    def entry(m):
+        return data.draw(st.integers(0, len(m) - 1)), data.draw(st.integers(0, len(m[0]) - 1))
+
+    if data.draw(st.integers(0, 3)):
+        m = data.draw(st.sampled_from(mats))
+        i, j = entry(m)
+        top = m[i][j].precision
+        near = data.draw(st.integers(0, 4))
+        k = min(h - 2 + near, top - 1) if near else data.draw(st.integers(0, top - 1))
+        m[i][j] = m[i][j] + Series.monomial(data.draw(st.sampled_from(COEFFS[6:])), k, top)
+    if data.draw(st.integers(0, 3)):
+        i, j = entry(mats[1])
+        mats[1][i][j] = mats[1][i][j].at_precision(min(h, mats[1][i][j].precision))
+    for _ in range(data.draw(st.integers(0, 2))):
+        m = data.draw(st.sampled_from(mats))
+        i, j = entry(m)
+        cut = data.draw(st.sampled_from([0, h, h + 1, h + 2]))
+        m[i][j] = m[i][j].at_precision(min(cut, m[i][j].precision))
+    w = data.draw(st.integers(0, max(ws, wt) + 2))
+    ms, mt, p = mats
+    assert verdict(verify_intertwiner, ms, mt, p, w) == verdict(
+        hand_verify_intertwiner, ms, mt, p, w)
 
 
 @SETTINGS
