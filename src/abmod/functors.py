@@ -10,6 +10,12 @@ Conventions used throughout:
   ``rank(E) * rank(F)`` on the coefficient matrices of maps, written in the
   negated variable so that the b-action matches the standard convention.
   The sign flip lives only here.
+* A primitive eigenvector x reaches its rank-1 quotient E/C[[b]].x one
+  way: ``_eigen_basis`` base-changes E to the basis (x, e_l for l != pivot)
+  with ``base_change`` and reads the eigen test and lam off column 0.  The
+  quotient is the lower-right block of that matrix, for Jordan-Hoelder
+  steps and ``quotient_by_rank1``; alpha reads the quotient entry and the
+  extension coefficient off its last column.
 """
 
 from .errors import (
@@ -36,7 +42,6 @@ from .morphisms import IntertwinerSystem
 from .record import Record
 from .scalars import ONE, ZERO, Scalar
 from .series import Series, _checked_count
-from .seriesmat import a_image
 from .textio import MAX_FILE_RANK
 
 __all__ = [
@@ -250,12 +255,14 @@ def _eigenvector(module: AbModule, mu: Scalar, orders: int):
 # ---------------------------------------------------------------------------
 
 
-def _eigen_data(module: AbModule, x: Element):
-    """Validate that x is primitive with a.x = lam*b*x; return (coords, pivot, lam).
+def _eigen_basis(module: AbModule, x: Element):
+    """E's structure matrix in the basis (x, e_l for l != pivot), for a
+    primitive eigenvector x; return (matrix, pivot, lam).
 
-    lam is read where it must sit if x is an eigenvector, the coefficient
-    of b^1 in (a.x)_pivot over the unit constant term of x_pivot, and the
-    one test a.x = lam*b*x decides."""
+    pivot is the first coordinate of x that is a unit, so the basis is one
+    over C[[b]]; the e_l are cut to x's precision.  Column 0 of the matrix
+    is a.x in the new basis: x is an eigenvector exactly when it reads
+    (lam*b, 0, ..., 0), and lam is its b^1 coefficient."""
     z = x.normalize()
     if z.shift > 0:
         raise NotPrimitive("element does not lie in the module")
@@ -265,35 +272,36 @@ def _eigen_data(module: AbModule, x: Element):
     )
     if pivot is None:
         raise NotPrimitive("element lies in b.E")
-    ax = a_image(module.matrix, [coords])[0]
-    lam = ax[pivot].coefficient(1) / coords[pivot].coefficient(0)
-    b = Series.b(module.precision)
-    for i in range(module.rank):
-        if not (ax[i] - b * coords[i] * lam).is_zero():
-            raise NotEigen("a.x is not lam*b*x")
-    return coords, pivot, lam
+    p = module.rank
+    if len(coords) != p:
+        raise BadParameter(f"column length {len(coords)} is not the rank {p}")
+    w = z.precision
+    cols = [coords] + [
+        [Series.one(w) if i == l else Series.zero(w) for i in range(p)]
+        for l in range(p)
+        if l != pivot
+    ]
+    changed = base_change(module, list(zip(*cols))).matrix
+    head = changed[0][0]
+    lam = head.coefficient(1)
+    if not (head - Series.monomial(lam, 1, head.precision)).is_zero() or any(
+        not row[0].is_zero() for row in changed[1:]
+    ):
+        raise NotEigen("a.x is not lam*b*x")
+    return changed, pivot, lam
 
 
 def _quotient_with_pivot(module: AbModule, x: Element):
-    """Quotient by the rank-1 submodule on x; also return pivot and exponent."""
-    coords, pivot, lam = _eigen_data(module, x)
-    p = module.rank
-    inv = coords[pivot].invert()
-    keep = [i for i in range(p) if i != pivot]
-    rows = []
-    for l in keep:
-        factor = coords[l] * inv
-        rows.append(
-            [
-                module.matrix[l][m] - module.matrix[pivot][m] * factor
-                for m in keep
-            ]
-        )
-    return AbModule(rows), pivot, lam
+    """Quotient by the rank-1 submodule on x, the lower-right block of
+    ``_eigen_basis``; also return pivot and exponent."""
+    changed, pivot, lam = _eigen_basis(module, x)
+    return AbModule([row[1:] for row in changed[1:]]), pivot, lam
 
 
 def quotient_by_rank1(module: AbModule, x: Element) -> AbModule:
-    """E/(C[[b]].x) for a primitive eigenvector x, on the basis e_l, l != pivot."""
+    """E/(C[[b]].x) for a primitive eigenvector x, on the images of the
+    e_l, l != pivot: the lower-right block of E's matrix in the basis
+    (x, e_l for l != pivot)."""
     quotient, _, _ = _quotient_with_pivot(module, x)
     return quotient
 
@@ -425,11 +433,13 @@ def _alpha_from_presentation(module: AbModule, lam: Scalar, n: int) -> Scalar:
     """Read alpha off by renormalizing to a.t = y + (lam-1)*b*t + alpha*b^n*y.
 
     y is solved to n + 3 + delta orders (at most W), so it is known mod
-    b^(n+2); the base change keeps that precision.  The quotient entry g
-    has residue lam - 1, and the unit u with u*g + b^2*u' = (lam-1)*b*u,
-    the rank-1 intertwiner from [[(lam-1)*b]] into [[g]] with constant
-    term 1 (``eigen_lift`` of the seed 1), loses one order; h = u*c, known
-    past b^n, gives alpha = h_n/h_0.
+    b^(n+2); ``_eigen_basis`` keeps that precision in E's matrix on the
+    basis (y, e_other), the one the rank-1 quotient E/C[[b]].y is read on.
+    There the quotient entry g has residue lam - 1, and the unit u with
+    u*g + b^2*u' = (lam-1)*b*u, the rank-1 intertwiner from [[(lam-1)*b]]
+    into [[g]] with constant term 1 (``eigen_lift`` of the seed 1), loses
+    one order; h = u*c, c the coefficient of y in a.e_other, known past
+    b^n, gives alpha = h_n/h_0.
     """
     mu = lam - Scalar(n)
     y = _eigenvector(module, mu, n + 3 + delta_index(module))
@@ -437,18 +447,7 @@ def _alpha_from_presentation(module: AbModule, lam: Scalar, n: int) -> Scalar:
         raise HypothesisViolated(
             "no primitive eigenvector for the expected exponent"
         )
-    pivot = next(i for i, c in enumerate(y) if c.valuation() == 0)
-    other = 1 - pivot
-    w = min(c.precision for c in y)
-    zero = Series.zero(w)
-    one = Series.one(w)
-    basis = [
-        [y[0], one if other == 0 else zero],
-        [y[1], one if other == 1 else zero],
-    ]
-    changed = base_change(module, basis).matrix
-    if not changed[1][0].is_zero():
-        raise HypothesisViolated("eigen column of the changed basis is impure")
+    changed, _, _ = _eigen_basis(module, Element(y))
     g = changed[1][1]
     if g.coefficient(1) != lam - ONE:
         raise HypothesisViolated("quotient exponent is not lam - 1")

@@ -135,12 +135,9 @@ def _raw_values(values: dict) -> dict:
     """Parameter values as raw triples (re, im, den); BadParameter unless
     each is a value ``Scalar.of`` takes."""
     raw = {}
-    try:
-        for pid, x in values.items():
-            v = Scalar.of(x)
-            raw[pid] = (v.re_num, v.im_num, v.den)
-    except TypeError as exc:
-        raise BadParameter(f"a parameter value is not exact: {exc}") from None
+    for pid, x in values.items():
+        v = Scalar.of(x)
+        raw[pid] = (v.re_num, v.im_num, v.den)
     return raw
 
 
@@ -581,8 +578,11 @@ def find_invertible(system: IntertwinerSystem, seed: int = 0, tries: int = 40):
     line, as for J(2;0) in the basis (e1 + e2, e1 + 2 e2) against its
     saturation, where P0 M(0) = 0 at order 0.  Returns the value dict, or
     None when every solution is singular.  A system with no order
-    processed has no block 0 (BadParameter).
+    processed has no block 0, and a count of tries that is not an integer or
+    is negative is refused (BadParameter).
     """
+    if _checked_count(tries, "tries") < 0:
+        raise BadParameter(f"tries must be >= 0, got {tries}")
     if not system.blocks:
         raise BadParameter("find_invertible needs a system solved to order 0 at least")
     if _singular_shape(system.blocks[0]):

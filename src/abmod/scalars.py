@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
+from .errors import BadParameter
 from .record import Immutable
 
 _RatLike = Union[int, Fraction]
@@ -64,9 +65,15 @@ class Scalar(Immutable):
 
     @staticmethod
     def of(x: "Scalar | int | Fraction") -> "Scalar":
+        """x as a Scalar; BadParameter for anything else (a float or a
+        string is not exact)."""
         if isinstance(x, Scalar):
             return x
-        return Scalar(x)
+        if isinstance(x, (int, Fraction)):
+            return Scalar(x)
+        raise BadParameter(
+            f"{x!r} is not exact: a scalar is a Scalar, an int or a Fraction"
+        )
 
     # -- parts ------------------------------------------------------------
 

@@ -928,6 +928,56 @@ def ratio_eigen_data(module: AbModule, x: Element):
     return coords, pivot, lam
 
 
+# The rank-1 quotient as it was before it went through base_change: the
+# library's _eigen_data and _quotient_with_pivot of that time, verbatim but
+# for their names.  The eigen test is a.x = lam*b*x on the coordinates, and
+# the quotient's entries are written out as M[l][m] - M[pivot][m]*x_l/x_pivot.
+
+
+def hand_eigen_data(module: AbModule, x: Element):
+    """Validate that x is primitive with a.x = lam*b*x; return (coords, pivot, lam).
+
+    lam is read where it must sit if x is an eigenvector, the coefficient
+    of b^1 in (a.x)_pivot over the unit constant term of x_pivot, and the
+    one test a.x = lam*b*x decides."""
+    from abmod.errors import NotEigen, NotPrimitive
+
+    z = x.normalize()
+    if z.shift > 0:
+        raise NotPrimitive("element does not lie in the module")
+    coords = z.in_frame(0)
+    pivot = next(
+        (i for i, c in enumerate(coords) if c.valuation() == 0), None
+    )
+    if pivot is None:
+        raise NotPrimitive("element lies in b.E")
+    ax = a_image(module.matrix, [coords])[0]
+    lam = ax[pivot].coefficient(1) / coords[pivot].coefficient(0)
+    b = Series.b(module.precision)
+    for i in range(module.rank):
+        if not (ax[i] - b * coords[i] * lam).is_zero():
+            raise NotEigen("a.x is not lam*b*x")
+    return coords, pivot, lam
+
+
+def hand_quotient_with_pivot(module: AbModule, x: Element):
+    """Quotient by the rank-1 submodule on x; also return pivot and exponent."""
+    coords, pivot, lam = hand_eigen_data(module, x)
+    p = module.rank
+    inv = coords[pivot].invert()
+    keep = [i for i in range(p) if i != pivot]
+    rows = []
+    for l in keep:
+        factor = coords[l] * inv
+        rows.append(
+            [
+                module.matrix[l][m] - module.matrix[pivot][m] * factor
+                for m in keep
+            ]
+        )
+    return AbModule(rows), pivot, lam
+
+
 def hand_eigen_lift(module: AbModule, lam: Scalar, y: Element, kappa: int) -> Element:
     """``functors.eigen_lift`` as first written: the seed y is corrected order
     by order, the correction of b^k solving (R - lam + k) x_k = -r_{k+1} for

@@ -511,17 +511,25 @@ def _drawn_elements(module, rng):
                        for _ in range(p)])
 
 
+def _eigen_basis_data(module, x):
+    """(coords, pivot, lam) as ``oracles.ratio_eigen_data`` returns them:
+    pivot and lam from ``functors._eigen_basis``, coords x's own."""
+    _, pivot, lam = functors._eigen_basis(module, x)
+    return x.normalize().in_frame(0), pivot, lam
+
+
 def test_eigen_data_matches_the_ratio_tests():
-    """lam read off (a.x)_pivot and x_pivot, with the one full test
-    a.x = lam*b*x, decides as the ratio (a.x)_pivot / x_pivot and its two
-    partial tests did: the same (coords, pivot, lam), or an error of the same
-    type (the two partial tests' NotEigen messages are gone)."""
+    """lam read off column 0 of E's matrix in the basis (x, e_l), with the
+    one full test that the column is (lam*b, 0, ..., 0), decides as the
+    ratio (a.x)_pivot / x_pivot and its two partial tests did: the same
+    (coords, pivot, lam), or an error of the same type (the two partial
+    tests' NotEigen messages are gone)."""
     rng = random.Random(41)
     seen = set()
     for expr in EIGEN_DATA_ROSTER:
         module = from_expression(expr, 12)
         for x in _drawn_elements(module, rng):
-            got = _eigen_data_outcome(functors._eigen_data, module, x)
+            got = _eigen_data_outcome(_eigen_basis_data, module, x)
             assert got == _eigen_data_outcome(oracles.ratio_eigen_data, module, x), (expr, x)
             seen.add(got if isinstance(got, type) else tuple)
     assert seen == {tuple, NotEigen, NotPrimitive, PrecisionExhausted}
@@ -632,6 +640,66 @@ def test_jordan_holder_needs_no_unit_normalizer(module, policy):
         oracles.normalizing_jordan_holder, module, policy)
 
 
+ELEMENT_KINDS = ("eigen", "unit", "b", "b-frame", "shifted", "bump", "drawn", "cut",
+                 "short", "long")
+
+
+@st.composite
+def quotient_cases(draw):
+    """A module as jh_modules draws it and an element around a Jordan-Hoelder
+    eigenvector x of it (e_0 where the step fails): x, a unit multiple, b*x
+    in the module or in a b^-1 frame, x in a b^-1 frame, x plus a monomial
+    (most not eigen), a drawn vector, x cut to precision 1 or 2, or x with
+    its last coordinate dropped or one more added."""
+    module = draw(jh_modules())
+    w, p = module.precision, module.rank
+    try:
+        x = functors._jh_step(module, draw(st.sampled_from(("lex", "revlex"))))[0]
+    except AbmodError:
+        x = [Series.one(w)] + [Series.zero(w)] * (p - 1)
+    b = Series.b(w)
+    coeffs = st.builds(Scalar, st.integers(-3, 3))
+    kind = draw(st.sampled_from(ELEMENT_KINDS))
+    if kind == "eigen":
+        coords, shift = x, 0
+    elif kind == "unit":
+        unit = Series([Scalar(draw(st.integers(1, 3)))]
+                      + [draw(coeffs) for _ in range(w - 1)], w)
+        coords, shift = [c * unit for c in x], 0
+    elif kind in ("b", "b-frame"):
+        coords, shift = [b * c for c in x], int(kind == "b-frame")
+    elif kind == "shifted":
+        coords, shift = x, 1
+    elif kind == "bump":
+        i, k = draw(st.integers(0, p - 1)), draw(st.integers(0, w - 1))
+        bump = Series.monomial(Scalar(draw(st.integers(1, 3))), k, w)
+        coords, shift = [c + bump if j == i else c for j, c in enumerate(x)], 0
+    elif kind == "drawn":
+        coords = [Series([draw(coeffs) for _ in range(w)], w) for _ in range(p)]
+        shift = 0
+    elif kind == "cut":
+        cut = draw(st.integers(1, 2))
+        coords, shift = [c.at_precision(cut) for c in x], 0
+    elif kind == "short":
+        coords, shift = x[:-1] or [b], 0
+    else:
+        coords, shift = list(x) + [Series.one(w)], 0
+    return module, Element(coords, shift)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(quotient_cases())
+def test_the_quotient_through_base_change_matches_the_hand_formula(case):
+    """The quotient read off E's matrix in the basis (x, e_l for l != pivot),
+    its pivot and exponent, are those of the hand formula
+    M[l][m] - M[pivot][m]*x_l/x_pivot behind the coordinate eigen test
+    a.x = lam*b*x (kept as oracles.hand_quotient_with_pivot); or the error
+    type and message are."""
+    module, x = case
+    assert _attempt(functors._quotient_with_pivot, module, x) == _attempt(
+        oracles.hand_quotient_with_pivot, module, x)
+
+
 def test_the_eigenvector_needs_the_orders_that_fix_it():
     """W >= max(mu - z_min, delta) + 2 orders decide block 0; E(0) has no
     primitive solution of a.x = 7*b*x, and below 9 orders that is not
@@ -686,7 +754,7 @@ def test_jordan_holder_with_a_repeated_least_exponent(summands, w):
             x = functors._jh_step(module, policy)[0]
             assert lattice_from_columns(p, [x]) == seq.filtration[0]
             assert quotient_by_rank1(module, Element(x)).rank == p - 1
-            assert functors._eigen_data(module, Element(x))[2] == seq.exponents[0]
+            assert functors._eigen_basis(module, Element(x))[2] == seq.exponents[0]
 
 
 # -- rank-2 classification ---------------------------------------------------

@@ -197,6 +197,19 @@ def test_find_invertible_refuses_a_system_without_block_0():
         find_invertible(system)
 
 
+@pytest.mark.parametrize("tries", [2.5, "3", None])
+def test_find_invertible_refuses_a_count_of_tries_that_is_not_an_integer(tries):
+    system = _system("J(2;1)", "J(2;1)")[2]
+    with pytest.raises(BadParameter, match="^tries must be an integer, not "):
+        find_invertible(system, tries=tries)
+
+
+def test_find_invertible_refuses_a_negative_count_of_tries():
+    system = _system("J(2;1)", "J(2;1)")[2]
+    with pytest.raises(BadParameter, match="^tries must be >= 0, got -1$"):
+        find_invertible(system, tries=-1)
+
+
 def _stopped_early():
     """A system whose solve stopped at order 1 of 6: E(1) -> E(2) with the
     identity prescribed at order 0 is inconsistent."""

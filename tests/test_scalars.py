@@ -7,7 +7,20 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from abmod import ONE, Scalar, ZERO
+from abmod import (
+    ONE,
+    BadParameter,
+    Element,
+    Scalar,
+    Series,
+    ZERO,
+    eigen_lift,
+    from_expression,
+    make_E_lambda,
+    make_J_k,
+    n_lambda,
+    twist,
+)
 
 
 def test_construction_and_predicates():
@@ -24,6 +37,33 @@ def test_of_coercion():
     assert Scalar.of(Fraction(2, 4)) == Scalar(Fraction(1, 2))
     s = Scalar(1, 2)
     assert Scalar.of(s) is s
+
+
+@pytest.mark.parametrize("x", [0.5, "1/2", None, 1j])
+def test_of_refuses_a_value_that_is_not_exact(x):
+    with pytest.raises(BadParameter, match=r"is not exact: a scalar is a Scalar, an int or a Fraction$"):
+        Scalar.of(x)
+
+
+def _e_half():
+    return from_expression("E(1/2)", 8)
+
+
+# Each library entry point that takes a scalar argument reads it through
+# Scalar.of, so a string or a float is refused with BadParameter there.
+NOT_EXACT_CALLS = {
+    "make_J_k": lambda: make_J_k("1/2", 2, 8),
+    "make_E_lambda": lambda: make_E_lambda(0.5, 8),
+    "twist": lambda: twist(_e_half(), "1"),
+    "n_lambda": lambda: n_lambda(_e_half(), "3"),
+    "eigen_lift": lambda: eigen_lift(_e_half(), "1/2", Element([Series.one(8)]), 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NOT_EXACT_CALLS))
+def test_entry_points_refuse_a_scalar_that_is_not_exact(entry):
+    with pytest.raises(BadParameter, match="is not exact"):
+        NOT_EXACT_CALLS[entry]()
 
 
 def test_field_arithmetic():

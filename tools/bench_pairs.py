@@ -67,7 +67,13 @@ saturates and verifies).  A seventh puts
 identical-output check, timed and scaled as the others: ``truncate(J(6;0),
 16)`` against ``truncate(dual(J(6;-5)), 16)`` (found, dimension 96) and
 against ``truncate(F(6;0;1/2), 16)`` (absent), at precision 24, each printed
-as None or a sha256 of the intertwiner's matrix repr.
+as None or a sha256 of the intertwiner's matrix repr.  An eighth, timed and
+scaled as the others, puts the Jordan-Hoelder filtrations, whose lattices
+the ``jh`` probes do not print, under the identical-output check:
+``jordan_holder`` of ``J(6;0)`` at precision 32, ``rand(5;11)`` at 24,
+``J(4;1/2)`` at 32 and ``rand(4;3)`` at 32, under ``lex`` and ``revlex``,
+each printed as a sha256 of the sequence's repr and of its lattices'
+generators (the modules are built in the setup).
 Runs are sequential, one process at a time.
 
 The output holds every run, and for every end-to-end metric the median and
@@ -167,6 +173,18 @@ q = truncate(from_expression('J(6;0)', 24), 16)
 partners = [truncate(dual(from_expression('J(6;-5)', 24)), 16),
             truncate(from_expression('F(6;0;1/2)', 24), 16)]
 """
+# The Jordan-Hoelder sequences of four modules under both policies;
+# jh_digest is a sha256 of the sequence's repr and of its lattices'
+# generators, which that repr does not show.
+_JH_SETUP = """
+import hashlib
+def jh_digest(m, policy):
+    seq = jordan_holder(m, policy)
+    text = repr((seq, [lat.gens for lat in seq.filtration]))
+    return hashlib.sha256(text.encode()).hexdigest()
+mods = [from_expression(e, w) for e, w in (('J(6;0)', 32), ('rand(5;11)', 24),
+                                          ('J(4;1/2)', 32), ('rand(4;3)', 32))]
+"""
 # In-process probes: (label, setup, statement).  The setup builds the inputs
 # untimed; the statement is what is timed.  Both run with abmod's public
 # names in scope.
@@ -190,6 +208,8 @@ IN_PROCESS_PROBES = (
      "[module_iso(e, ep) for e, ep in jdual]"),
     ("[quotient_outcome(q, qp) for qp in partners]", _QUOTIENT_SETUP,
      "[quotient_outcome(q, qp) for qp in partners]"),
+    ("[jh_digest(m, p) for m in mods for p in ('lex', 'revlex')]", _JH_SETUP,
+     "[jh_digest(m, p) for m in mods for p in ('lex', 'revlex')]"),
 )
 # Run in a child with argv [bench/run.py, setup, statement]; prints one JSON
 # line: raw and host-scaled seconds of the statement, and the repr of its
