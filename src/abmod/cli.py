@@ -210,23 +210,6 @@ def _cmd_catalog(args, load):
     return _emit(from_expression(args.expression, args.precision))
 
 
-_HANDLERS = {
-    "info": _cmd_info,
-    "dual": _cmd_dual,
-    "twist": _cmd_twist,
-    "saturate": _cmd_saturate,
-    "eb": _cmd_eb,
-    "hom": _cmd_hom,
-    "ext": _cmd_ext,
-    "jh": _cmd_jh,
-    "classify2": _cmd_classify2,
-    "truncate": _cmd_truncate,
-    "iso": _cmd_iso,
-    "fd": _cmd_fd,
-    "catalog": _cmd_catalog,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -252,35 +235,41 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, help_text, *, other=False):
+    def add(name, handler, help_text, *, other=False):
         p = sub.add_parser(name, parents=[common], help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("module", help="module file path or catalog expression")
         if other:
             p.add_argument("other", help="second module file path or expression")
         return p
 
-    add("info", "rank, regularity, spectrum, width, alpha, and bounds")
-    add("dual", "emit the dual module")
-    t = add("twist", "emit the twist by a scalar: a becomes a + m*b")
+    add("info", _cmd_info, "rank, regularity, spectrum, width, alpha, and bounds")
+    add("dual", _cmd_dual, "emit the dual module")
+    t = add("twist", _cmd_twist, "emit the twist by a scalar: a becomes a + m*b")
     t.add_argument("scalar", help="twist parameter m")
-    add("saturate", "emit the saturation (smallest simple-pole overmodule)")
-    add("eb", "emit the biggest simple-pole submodule")
-    add("hom", "emit the internal Hom module", other=True)
-    add("ext", "dimensions of Ext^0 and Ext^1", other=True)
-    add("jh", "Jordan-Hoelder exponents")
-    add("classify2", "normal form of a rank-2 module")
-    tr = add("truncate", "matrices of a and b on the finite quotient E/b^N E")
+    add("saturate", _cmd_saturate,
+        "emit the saturation (smallest simple-pole overmodule)")
+    add("eb", _cmd_eb, "emit the biggest simple-pole submodule")
+    add("hom", _cmd_hom, "emit the internal Hom module", other=True)
+    add("ext", _cmd_ext, "dimensions of Ext^0 and Ext^1", other=True)
+    add("jh", _cmd_jh, "Jordan-Hoelder exponents")
+    add("classify2", _cmd_classify2, "normal form of a rank-2 module")
+    tr = add("truncate", _cmd_truncate,
+             "matrices of a and b on the finite quotient E/b^N E")
     tr.add_argument("level", type=int, help="truncation level N")
-    i = add("iso", "decide isomorphism of modules or of truncations", other=True)
+    i = add("iso", _cmd_iso, "decide isomorphism of modules or of truncations",
+            other=True)
     i.add_argument("--trunc", type=int, default=None,
                    help="compare the level-N truncations instead of the modules")
     i.add_argument("--seed", type=int, default=0, help="search seed")
-    f = add("fd", "perturb above the determination bound and verify unique lifts")
+    f = add("fd", _cmd_fd,
+            "perturb above the determination bound and verify unique lifts")
     f.add_argument("--trials", type=_bounded_int(0, MAX_FD_TRIALS), default=20,
                    help="number of perturbations")
     f.add_argument("--seed", type=int, default=0, help="perturbation seed")
     c = sub.add_parser("catalog", parents=[common],
                        help="emit a catalog module as a module file")
+    c.set_defaults(handler=_cmd_catalog)
     c.add_argument("expression",
                    help="E(l), E(l;n), E(l,m), E(l,n;alpha), J(k;l), F(k;l;rho), "
                         "or rand(rank;seed)")
@@ -300,7 +289,6 @@ def _dispatch(args):
     at each precision, so its expression is drawn at the requested
     precision and widened with zero terms, which is exact, since the draw
     has no terms at or above that precision; other expressions are rebuilt."""
-    handler = _HANDLERS[args.command]
     state = {"file_input": False}
     requested = args.precision
 
@@ -318,13 +306,13 @@ def _dispatch(args):
         return load
 
     try:
-        return handler(args, make_load(requested)), None
+        return args.handler(args, make_load(requested)), None
     except PrecisionExhausted:
         if state["file_input"] or args.precision >= MAX_PRECISION:
             raise
         raised = min(2 * args.precision, MAX_PRECISION)
         args.precision = raised
-        return handler(args, make_load(raised)), raised
+        return args.handler(args, make_load(raised)), raised
 
 
 def main(argv=None) -> int:

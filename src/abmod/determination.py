@@ -323,25 +323,18 @@ def _default_lift_precision(module: AbModule, N: int) -> int:
     return max(2 * n0, n0 + module.rank + 4, N + _slack(module) + 1)
 
 
-def _rigidity_violation(system, N: int, hi: int) -> bool:
-    """True when two solutions share all blocks below N yet differ in some
-    block of [N, hi) — i.e. the induced map on E/b^N E fails to pin the
-    isomorphism down to the certifiable window: the free parameters reach
-    more of blocks 0..hi-1 than of blocks 0..N-1.  Each rank is a count of
-    live parameters by home block, so this asks whether some live parameter
-    has its home in [N, hi)."""
-    return system.rank_in_blocks(hi) > system.rank_in_blocks(N)
-
-
 def _free_lift(system, e, ep, N, W, slack, seed):
     """Existence plus rigidity: find a verified isomorphism and certify
     that the induced map on E/b^N E determines it below the top band.
     ``system`` is the intertwining system from e to ep, solved to at most W
     orders; it is resumed to W and certified by ``_certified`` (NoLift when
     no block 0 is invertible), and only then tested for rigidity, so NoLift
-    comes before NonUniqueLift.  When its blocks below N are prescribed (a
-    congruent lift), the rank below N is 0, so the rigidity test asks that
-    no free parameter reach blocks below W - slack."""
+    comes before NonUniqueLift.  Rigidity fails when two solutions share
+    all blocks below N yet differ in a block of [N, W - slack): a rank in
+    blocks is a count of live parameters by home block, so this is a live
+    parameter with its home in [N, W - slack).  When its blocks below N are
+    prescribed (a congruent lift), the rank below N is 0, so the rigidity
+    test asks that no free parameter reach blocks below W - slack."""
     system = system.solve_until_singular(W)
     mat = _certified(system, e.matrix, ep.matrix, W, seed)
     if mat is None:
@@ -349,7 +342,7 @@ def _free_lift(system, e, ep, N, W, slack, seed):
             "the modules are not isomorphic: every solution of the "
             "intertwining system has a singular constant term"
         )
-    if _rigidity_violation(system, N, W - slack):
+    if system.rank_in_blocks(W - slack) > system.rank_in_blocks(N):
         raise NonUniqueLift(
             "distinct isomorphisms induce the same map at this truncation level"
         )

@@ -410,7 +410,7 @@ class Rank2NormalForm(Record):
 
     @staticmethod
     def simple_pole_jordan(lam, n: int) -> "Rank2NormalForm":
-        if n < 0:
+        if _checked_count(n, "n") < 0:
             raise BadParameter("Jordan parameter must be nonnegative")
         return Rank2NormalForm("SimplePoleJordan", (Scalar.of(lam), n))
 
@@ -421,7 +421,7 @@ class Rank2NormalForm(Record):
     @staticmethod
     def non_split_alpha(lam, n: int, alpha) -> "Rank2NormalForm":
         alpha = Scalar.of(alpha)
-        if n < 1 or alpha.is_zero():
+        if _checked_count(n, "n") < 1 or alpha.is_zero():
             raise BadParameter("the twisted family needs n >= 1 and alpha != 0")
         return Rank2NormalForm("NonSplitAlpha", (Scalar.of(lam), n, alpha))
 

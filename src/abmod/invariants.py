@@ -371,9 +371,10 @@ def n_lambda(module: AbModule, lam, *, _system: IntertwinerSystem = None) -> int
     k0 = max([int((lam - z).re) + 1 for z in spectrum(saturate(module).saturated)
               if (lam - z).is_integer()] + [0])
     w = max(k0, delta_index(module)) + 1
-    source = [[Series.monomial(lam, 1, module.precision)]]
-    system = _system or IntertwinerSystem(source, module.matrix, 0)
-    dims = [0] + [len(system.solve(n).alive) for n in range(1, w + 1)]
+    if _system is None:
+        source = [[Series.monomial(lam, 1, module.precision)]]
+        _system = IntertwinerSystem(source, module.matrix, 0)
+    dims = [0] + [len(_system.solve(n).alive) for n in range(1, w + 1)]
     return dims.index(dims[w])
 
 

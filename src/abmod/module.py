@@ -22,7 +22,6 @@ from .series import Series, _checked_count
 from .seriesmat import (
     a_image,
     col_shift_up,
-    smat_coefficient,
     smat_inverse,
     smat_min_precision,
     smat_mul,
@@ -61,7 +60,7 @@ class AbModule(Immutable):
 
     def coefficient_matrix(self, k: int):
         """The Scalar matrix of b^k coefficients of the structure matrix."""
-        return smat_coefficient(self.matrix, k)
+        return [[entry.coefficient(k) for entry in row] for row in self.matrix]
 
     def residue_matrix(self):
         """The b^1 coefficient matrix (the residue when the pole is simple)."""

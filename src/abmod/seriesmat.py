@@ -27,11 +27,6 @@ from .errors import BadParameter, PrecisionExhausted
 from .series import Series, _done, _fold, _make, _sub_mul
 
 
-def smat_coefficient(m, k: int) -> list:
-    """The Scalar matrix of b^k coefficients."""
-    return [[entry.coefficient(k) for entry in row] for row in m]
-
-
 def smat_mul(a, b) -> list:
     """The product a b; entry (i, j) is known to the least precision of row i
     of a and column j of b."""

@@ -10,6 +10,9 @@ Series grammar (whitespace insignificant, ``#`` starts a comment in files)::
     real    :=  ['-'] INT ['/' INT]
     imag    :=  [real '*'] 'i'
 
+INT is a run of decimal digits (``str.isdecimal``, exactly what ``int``
+takes), so a superscript or circled digit is an unexpected character.
+
 Examples: ``(1/2)*b + (3+2*i)*b^2``, ``-b^3``, ``i*b - 2``.
 
 The emitter produces a canonical subset of the grammar (terms in increasing
@@ -42,33 +45,29 @@ from .series import Series, _make
 # ---------------------------------------------------------------------------
 
 
-def _fmt_frac(x: Fraction) -> str:
-    return str(x)
-
-
 def format_scalar(s: Scalar) -> str:
     """Canonical standalone text for a scalar (no enclosing parentheses
     unless the value is complex)."""
     if not s.im:
-        return _fmt_frac(s.re)
+        return str(s.re)
     if not s.re:
         if s.im == 1:
             return "i"
         if s.im == -1:
             return "-i"
-        return f"({_fmt_frac(s.im)}*i)"
+        return f"({s.im}*i)"
     sign = "+" if s.im > 0 else "-"
     mag = abs(s.im)
-    imtxt = "i" if mag == 1 else f"{_fmt_frac(mag)}*i"
-    return f"({_fmt_frac(s.re)}{sign}{imtxt})"
+    imtxt = "i" if mag == 1 else f"{mag}*i"
+    return f"({s.re}{sign}{imtxt})"
 
 
 def _fmt_coefficient(s: Scalar) -> str:
     """Text for a scalar used as a multiplier of a b power."""
     if not s.im:
         if s.re.denominator == 1:
-            return _fmt_frac(s.re)
-        return f"({_fmt_frac(s.re)})"
+            return str(s.re)
+        return f"({s.re})"
     return format_scalar(s)
 
 
@@ -114,9 +113,9 @@ def _tokenize(text: str, line: int | None = None):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(("INT", text[i:j], i))
             i = j

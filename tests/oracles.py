@@ -1500,7 +1500,8 @@ def dense_quotient_iso(q, qp, seed: int = 0):
 
 
 def two_pass_rigidity_violation(system, N: int, hi: int) -> bool:
-    """``_rigidity_violation`` as two independent echelon rank computations."""
+    """``_free_lift``'s rigidity test, rank_in_blocks(hi) > rank_in_blocks(N),
+    as two independent echelon rank computations."""
     return echelon_rank_in_blocks(system, 0, hi) > echelon_rank_in_blocks(system, 0, N)
 
 

@@ -316,6 +316,25 @@ def test_c08_companion_corrected_level():
         assert report["failures"] == [], (k, lo, report["failures"])
 
 
+@pytest.mark.parametrize("expr,precision,n_end", [
+    ("J(3;0)", 24, 5),
+    ("J(4;0)", 40, 7),
+    ("J(5;0)", 56, 9),
+    ("E(1/2,1/3)", 24, 3),
+    ("rand(3;1003)", 24, 4),
+    ("rand(2;1000)", 16, 5),  # a different module at each precision
+    ("E(1/2;1)", 24, 2),
+    ("E(1/2;2)", 24, 2),
+    ("E(0;3)", 24, 2),
+])
+def test_c08_end_level(expr, precision, n_end):
+    # N_End = n_lambda(Hom(E, E), 0), the least N with b^N End(E) inside
+    # a End(E): below it some perturbation b^N X cannot be absorbed to
+    # first order.  A regression table for the determination level.
+    m = from_expression(expr, precision)
+    assert n_lambda(hom_ab(m, m), Scalar(0)) == n_end
+
+
 def test_c09_finite_determination_sharpness():
     # F(k;l;rho) agrees with J_k(l) to order k yet is a different module.
     for k in (2, 3, 4, 5):

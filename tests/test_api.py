@@ -1,6 +1,9 @@
 """The package carries no dead helpers and writes each rule once."""
 
 import ast
+import contextlib
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -106,3 +109,57 @@ def test_immutability_is_written_once():
             value.field = 1
         with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
             del value.field
+
+
+def _abmod_paths(tree) -> set:
+    """Every dotted ``abmod`` path a benchmark file reads: the names its
+    ``from abmod[.x] import`` and ``import abmod[.x]`` statements bind, and
+    each attribute chain on ``abmod``, on ``ab`` (its alias for the
+    package) and on a name bound to an abmod module or member."""
+    bound = {"abmod": "abmod", "ab": "abmod"}
+    paths = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "abmod":
+            for alias in node.names:
+                path = bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                paths.add(path)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "abmod":
+                    paths.add(alias.name)
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            paths.add(".".join([bound[node.id], *reversed(chain)]))
+    return paths
+
+
+def _resolves(path: str) -> bool:
+    parts = path.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part) and inspect.ismodule(obj):
+            with contextlib.suppress(ImportError):  # a submodule not yet loaded
+                importlib.import_module(".".join(parts[:i]))
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_name_the_benchmark_reads_exists():
+    # A helper the benchmark harness imports or reads as an attribute must
+    # not be deleted from under it; code inside string constants is not read.
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted(root.glob("bench/*.py")) + [root / "tools" / "bench_pairs.py"]
+    paths = set()
+    for path in sources:
+        paths |= _abmod_paths(ast.parse(path.read_text(encoding="utf-8")))
+    assert {"abmod.cli.main", "abmod.linalg.inverse", "abmod.seriesmat.smat_inverse",
+            "abmod.invariants.saturate.cache_info"} <= paths
+    assert sorted(p for p in paths if not _resolves(p)) == []

@@ -236,7 +236,7 @@ def test_precision_retry_stops_at_the_ceiling(monkeypatch, capsys):
         tried.append(load(args.module).precision)
         raise PrecisionExhausted(f"not enough at {tried[-1]}")
 
-    monkeypatch.setitem(cli._HANDLERS, "info", exhausted)
+    monkeypatch.setattr(cli, "_cmd_info", exhausted)
     code, out, err = run(["info", "E(0)", "--precision", "3000"], capsys)
     assert tried == [3000, MAX_PRECISION]
     assert code == 1 and err == f"abmod: error: not enough at {MAX_PRECISION}\n"
@@ -280,6 +280,19 @@ def test_exit_code_parse_error(tmp_path, capsys):
     path.write_text("rank 1\nprecision 4\nm 1 1: b//2\n")
     code, out, err = run(["info", str(path)], capsys)
     assert code == 2 and out == []
+
+
+def test_a_digit_int_refuses_is_a_parse_error(tmp_path, capsys):
+    # A superscript digit passes str.isdigit but not int(): it is an
+    # unexpected character, exit 2, in a file, an expression or a scalar.
+    path = tmp_path / "superscript.txt"
+    path.write_text("rank 1\nprecision 4\nm 1 1: b^²\n", encoding="utf-8")
+    for args in (["info", str(path)], ["info", "E(²)"],
+                 ["twist", "E(0)", "²"]):
+        code, out, err = run(args, capsys)
+        assert code == 2 and out == []
+        assert err.startswith("abmod: parse error: ")
+        assert "unexpected character '²'" in err
 
 
 def test_exit_code_unsupported_spectrum(capsys):

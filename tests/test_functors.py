@@ -1,6 +1,7 @@
 """Duality, twists, Hom/Ext, eigenvector lifting, Jordan-Hoelder, rank-2 forms."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -797,6 +798,15 @@ def test_normal_forms_refuse_parameters_outside_their_family():
         with pytest.raises(BadParameter,
                            match="^the twisted family needs n >= 1 and alpha != 0$"):
             Rank2NormalForm.non_split_alpha(HALF, n, alpha)
+
+
+@pytest.mark.parametrize("n", [2.5, "1", None])
+def test_normal_forms_refuse_a_count_that_is_not_an_int(n):
+    message = f"^n must be an integer, not {re.escape(repr(n))}$"
+    with pytest.raises(BadParameter, match=message):
+        Rank2NormalForm.simple_pole_jordan(0, n)
+    with pytest.raises(BadParameter, match=message):
+        Rank2NormalForm.non_split_alpha(0, n, 2)
 
 
 def test_classify_families_and_base_changes():

@@ -74,6 +74,27 @@ def test_parse_scalar_rejects_garbage():
             parse_scalar(bad)
 
 
+@pytest.mark.parametrize("digit", ["²", "①"])  # superscript 2, circled 1
+def test_a_digit_int_refuses_is_an_unexpected_character(digit):
+    message = f"^unexpected character '{digit}'"
+    with pytest.raises(ParseError, match=message):
+        parse_scalar(digit)
+    with pytest.raises(ParseError, match=message):
+        parse_series(f"3/{digit}", 9)
+    with pytest.raises(ParseError, match=f"^in catalog expression 'E\\({digit}\\)': "
+                                         f"unexpected character '{digit}'$"):
+        from_expression(f"E({digit})", 8)
+    with pytest.raises(ParseError) as info:
+        parse_module_file(f"rank 1\nprecision 4\nm 1 1: b^{digit}\n")
+    assert str(info.value) == f"unexpected character '{digit}' (line 3, column 4)"
+
+
+def test_decimal_digits_of_any_script_are_integers():
+    arabic_indic_12 = "١٢"
+    assert parse_scalar(arabic_indic_12) == Scalar(12)
+    assert parse_series(f"{arabic_indic_12}*b", 4) == parse_series("12*b", 4)
+
+
 # -- series -----------------------------------------------------------------
 
 
