@@ -316,12 +316,6 @@ class JHSequence(Record):
 
     __slots__ = ("exponents", "filtration")
 
-    def exponent_sum(self) -> Scalar:
-        total = ZERO
-        for e in self.exponents:
-            total = total + e
-        return total
-
 
 _JH_POLICIES = ("lex", "revlex")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import BadParameter, PrecisionExhausted
 from .record import Immutable, Record
-from .series import Series, _checked_count
+from .series import _checked_count
 from .seriesmat import (
     a_image,
     col_shift_up,
@@ -78,16 +78,6 @@ class AbModule(Immutable):
         return AbModule(
             [[entry.at_precision(w) for entry in row] for row in self.matrix]
         )
-
-    def basis_element(self, j: int) -> "Element":
-        """The j-th basis vector (0-based) as an Element."""
-        if not 0 <= _checked_count(j, "basis index") < self.rank:
-            raise BadParameter(f"basis index {j} outside 0..{self.rank - 1}")
-        w = self.precision
-        coords = [
-            Series.one(w) if i == j else Series.zero(w) for i in range(self.rank)
-        ]
-        return Element(coords, 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AbModule):

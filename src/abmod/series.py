@@ -57,14 +57,6 @@ from .scalars import Scalar, ZERO, ONE
 from .scalars import _make as _scalar
 
 
-def _as_scalar(x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a series coefficient")
-
-
 def _checked_count(n, what: str) -> int:
     """n, when it is an int; BadParameter otherwise."""
     if not isinstance(n, int):
@@ -193,7 +185,7 @@ class Series(Immutable):
         _check_precision(precision)
         terms = []
         for k, c in enumerate(coeffs[:precision]):
-            c = _as_scalar(c)
+            c = Scalar.of(c)
             if c:
                 terms.append((k, c))
         object.__setattr__(self, "terms", tuple(terms))
@@ -226,7 +218,7 @@ class Series(Immutable):
     def monomial(c, k: int, precision: int) -> "Series":
         """The series c * b^k at the given precision."""
         _check_precision(k, "monomial exponent")
-        c = _as_scalar(c)
+        c = Scalar.of(c)
         _check_precision(precision)
         return _make(((k, c),) if c and k < precision else (), precision)
 
@@ -319,7 +311,7 @@ class Series(Immutable):
             if isinstance(other, (Scalar, int, Fraction)):
                 if not self.terms:
                     return self
-                s = _as_scalar(other)
+                s = Scalar.of(other)
                 if not s:
                     return _make((), self.precision)
                 return _make(tuple((k, c * s) for k, c in self.terms), self.precision)
@@ -414,20 +406,6 @@ class Series(Immutable):
         if self.terms and self.terms[0][0] < m:
             raise BadParameter("series is not divisible by the requested b power")
         return _make(tuple((k - m, c) for k, c in self.terms), self.precision - m)
-
-    def split_at(self, m: int) -> tuple["Series", "Series"]:
-        """Quotient and remainder by b^m: self = b^m * q + r, deg r < m."""
-        if _checked_count(m, "split_at's m") < 0:
-            raise BadParameter("split_at takes m >= 0")
-        if m > self.precision:
-            raise PrecisionExhausted(
-                f"splitting at b^{m} at precision {self.precision}"
-            )
-        low = _below(self.terms, m)
-        q = _make(
-            tuple((k - m, c) for k, c in self.terms[len(low):]), self.precision - m
-        )
-        return q, _make(low, self.precision)
 
     # -- structure --------------------------------------------------------
 

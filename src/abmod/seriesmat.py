@@ -23,7 +23,7 @@ oracles in ``tests/oracles.py`` keep the dense forms built from the
 
 from __future__ import annotations
 
-from .errors import BadParameter, PrecisionExhausted
+from .errors import BadParameter, NotAUnit, PrecisionExhausted
 from .series import Series, _done, _fold, _make, _sub_mul
 
 
@@ -145,8 +145,6 @@ def smat_inverse(a) -> list:
     determinant is a unit always offers a unit pivot in every column.
     Raises NotAUnit otherwise.
     """
-    from .errors import NotAUnit
-
     n = len(a)
     w = smat_min_precision(a)
     work = [

@@ -37,6 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadParameter, ParseError
+from .module import AbModule
 from .scalars import ZERO, Scalar
 from .series import Series, _make
 
@@ -144,13 +145,6 @@ class _TokenStream:
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else (None, None, None)
 
-    def next(self):
-        t = self.peek()
-        if t[0] is None:
-            raise ParseError("unexpected end of expression", line=self.line)
-        self.pos += 1
-        return t
-
     def accept(self, kind, value=None):
         k, v, _ = self.peek()
         if k == kind and (value is None or v == value):
@@ -193,8 +187,7 @@ def _parse_rational(ts: _TokenStream) -> Fraction:
 def _parse_complex_body(ts: _TokenStream) -> Scalar:
     """Parse the inside of a parenthesized coefficient."""
     # imag-only form: [rat '*'] 'i'
-    if ts.peek()[:2] == ("NAME", "i"):
-        ts.next()
+    if ts.accept("NAME", "i"):
         return Scalar(0, 1)
     first = _parse_rational(ts)
     if ts.accept("OP", "*"):
@@ -207,8 +200,7 @@ def _parse_complex_body(ts: _TokenStream) -> Scalar:
         sign = -1
     if sign is None:
         return Scalar(first)
-    if ts.peek()[:2] == ("NAME", "i"):
-        ts.next()
+    if ts.accept("NAME", "i"):
         return Scalar(first, sign)
     imag = _parse_rational(ts)
     ts.expect("OP", "*")
@@ -217,14 +209,11 @@ def _parse_complex_body(ts: _TokenStream) -> Scalar:
 
 
 def _parse_coefficient(ts: _TokenStream) -> Scalar:
-    k, v, _ = ts.peek()
-    if k == "OP" and v == "(":
-        ts.next()
+    if ts.accept("OP", "("):
         s = _parse_complex_body(ts)
         ts.expect("OP", ")")
         return s
-    if k == "NAME" and v == "i":
-        ts.next()
+    if ts.accept("NAME", "i"):
         return Scalar(0, 1)
     return Scalar(_parse_rational(ts))
 
@@ -303,15 +292,15 @@ MAX_PRECISION = 4096  # iso J(3;0) J(3;0): 1.2 s at 4096, past 15 s at 10^5
 def parse_module_file(text: str):
     """Parse a module file into an AbModule; a rank above MAX_FILE_RANK or a
     precision above MAX_PRECISION raises BadParameter before the rank x rank
-    matrix is built."""
-    from .module import AbModule
-
+    matrix is built.  A ParseError carries its line, and inside an entry's
+    expression the column counted from the start of that line."""
     rank = None
     precision = None
     entries: dict[tuple[int, int], str] = {}
     entry_lines: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        lineat = raw.split("#", 1)[0].strip()
+        body = raw.split("#", 1)[0]
+        lineat = body.strip()
         if not lineat:
             continue
         key, *args = lineat.split()
@@ -330,7 +319,7 @@ def parse_module_file(text: str):
                 precision = value
             continue
         if lineat.startswith("m"):
-            head, _, expr = lineat.partition(":")
+            head, _, expr = body.partition(":")
             if not _:
                 raise ParseError("entry line is missing ':'", line=lineno)
             parts = head.split()
@@ -345,7 +334,8 @@ def parse_module_file(text: str):
                     f"duplicate entry m {i} {j} (first at line {entry_lines[(i, j)]})",
                     line=lineno,
                 )
-            entries[(i, j)] = expr
+            # blanking the head keeps each character at its column in the line
+            entries[(i, j)] = " " * (len(head) + 1) + expr
             entry_lines[(i, j)] = lineno
             continue
         raise ParseError(f"unrecognized line {lineat!r}", line=lineno)

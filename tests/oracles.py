@@ -64,6 +64,12 @@ def from_sym(x) -> Scalar:
     )
 
 
+def unit_element(module: AbModule, j: int) -> Element:
+    """The j-th basis vector e_j (0-based) of the module as an Element."""
+    w = module.precision
+    return Element([Series.one(w) if i == j else Series.zero(w) for i in range(module.rank)])
+
+
 # ---------------------------------------------------------------------------
 # the dense model of b^{-K} E / b^{H} E
 # ---------------------------------------------------------------------------
@@ -477,6 +483,11 @@ def dense_a_image(m, cols, shift: int = 0):
     return out
 
 
+def _b_quotient(s: Series, v: int) -> Series:
+    """The quotient q of s = b^v * q + r, deg r < v, from s's coefficients."""
+    return Series(s.coeffs[v:], s.precision - v)
+
+
 def dense_scaled_col_mul(q, col, v: int):
     return [(q * entry.shift_down(v)).shift_up(v) for entry in col]
 
@@ -558,7 +569,7 @@ def dense_back_substitute(lat: Lattice, work: list):
         entry = work[row]
         if entry.precision < v:
             raise PrecisionExhausted("column too shallow to reduce against pivot")
-        q, _ = entry.split_at(v)
+        q = _b_quotient(entry, v)
         quotients.append(q)
         if not q.is_zero():
             sub = dense_scaled_col_mul(q, list(gen), v)
@@ -604,7 +615,7 @@ def dense_lattice_from_columns(dim: int, columns, shift: int = 0, precision=None
         norm[row] = Series.monomial(Scalar(1), v, precision)
         for group in (done, work):
             for other in group:
-                q, _ = other[row].split_at(v)
+                q = _b_quotient(other[row], v)
                 if q.is_zero():
                     continue
                 sub = dense_scaled_col_mul(q, norm, v)
@@ -661,7 +672,7 @@ def batch_regularity_order(module: AbModule) -> int:
     if not is_regular(module):
         raise NotRegular("regularity order is defined for regular modules only")
     p = module.rank
-    iterates = [[list(module.basis_element(i).coords) for i in range(p)]]
+    iterates = [[list(unit_element(module, i).coords) for i in range(p)]]
     for _ in range(p):
         iterates.append(a_image(module.matrix, iterates[-1]))
     for k in range(p):

@@ -33,6 +33,37 @@ def test_every_public_function_is_exported_or_named_elsewhere():
     assert unused == []
 
 
+def test_every_public_method_is_named_elsewhere():
+    # A public method of a public class in the package must be read as an
+    # attribute outside its own body, in the package or the benchmark
+    # harness, or be named in README.md; names in string constants do not
+    # count.
+    root = Path(__file__).resolve().parents[1]
+    package = sorted(SRC.glob("*.py"))
+    harness = sorted(root.glob("bench/*.py")) + [root / "tools" / "bench_pairs.py"]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in package + harness]
+    reads = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, set()).add(id(node))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    unused = []
+    for path, tree in zip(package, trees):
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                own = {id(node) for node in ast.walk(method)}
+                if reads.get(method.name, set()) - own:
+                    continue
+                if not re.search(rf"\b{method.name}\b", readme):
+                    unused.append(f"{path.stem}.{cls.name}.{method.name}")
+    assert unused == []
+
+
 def test_every_top_level_import_is_used_in_its_module():
     # A name a package module imports at top level must be read somewhere
     # in that module; __init__.py re-exports and is exempt.

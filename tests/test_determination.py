@@ -95,7 +95,7 @@ def _count_calls():
     e0 = from_expression("E(0)", 8)
     one = [[Series.one(8)]]
     return {
-        "eigen_lift": lambda: eigen_lift(e0, 0, e0.basis_element(0), 1.5),
+        "eigen_lift": lambda: eigen_lift(e0, 0, oracles.unit_element(e0, 0), 1.5),
         "recover_Eb_from_truncation": lambda: recover_Eb_from_truncation(
             truncate(j2, 3), 0.5),
         "make_J_k": lambda: make_J_k(0, 2.5, 8),

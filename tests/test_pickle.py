@@ -3,7 +3,9 @@
 
 import copy
 import pickle
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,10 @@ from abmod import (
     width_table,
 )
 from abmod.seriesmat import a_image
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from oracles import unit_element  # noqa: E402
 
 CATALOG = ["E(1/2)", "E(1/2;2)", "E(1/2,1/3)", "J(3;0)", "F(3;1/2;1/2)", "rand(3;7)"]
 
@@ -64,7 +70,7 @@ def test_module_lattice_and_elements_round_trip(expr):
         lattice.shift, lattice.gens, lattice.pivots, lattice.precision
     )
 
-    x = Element(a_image(module.matrix, [module.basis_element(0).coords])[0], 1)
+    x = Element(a_image(module.matrix, [unit_element(module, 0).coords])[0], 1)
     assert isinstance(x, Element)
     _round_trips(x)
     assert pickle.loads(pickle.dumps(x)).shift == x.shift
@@ -84,7 +90,7 @@ def test_value_types_refuse_attribute_deletion():
         (s, ["re_num", "im_num", "den"]),
         (module.matrix[0][0], ["coeffs", "precision"]),
         (module, ["matrix", "rank", "precision"]),
-        (module.basis_element(0), ["coords", "shift"]),
+        (unit_element(module, 0), ["coords", "shift"]),
         (saturate(module).lattice, ["dim", "shift", "gens", "pivots", "precision"]),
     ]
     for obj, names in cases:

@@ -53,6 +53,16 @@ def test_mul_dispatch_keeps_every_operand_type():
         a * "b"
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Series([0.5], 3),
+    lambda: Series(["1"], 2),
+    lambda: Series.monomial(0.5, 1, 3),
+], ids=["float", "str", "monomial"])
+def test_an_inexact_coefficient_is_refused(build):
+    with pytest.raises(BadParameter, match="is not exact"):
+        build()
+
+
 def test_add_mul_exact():
     a = S([1, 2, 3], 8)
     b = S([0, 1], 8)
@@ -115,14 +125,6 @@ def test_invert_unit():
         S([0, 1], 6).invert()
 
 
-def test_split_at_quotient_remainder():
-    a = S([1, 2, 3, 4], 6)
-    quotient, remainder = a.split_at(2)
-    assert quotient.coefficient(0) == Scalar(3) and quotient.coefficient(1) == Scalar(4)
-    assert remainder.coefficient(0) == Scalar(1) and remainder.coefficient(1) == Scalar(2)
-    assert quotient.shift_up(2) + remainder == a
-
-
 def test_at_precision_truncates():
     a = S([1, 2, 3, 4], 6)
     t = a.at_precision(2)
@@ -151,7 +153,6 @@ def test_bad_orders_and_precisions_raise_bad_parameter():
         lambda: a.shift_up(-1),
         lambda: a.shift_down(-1),
         lambda: a.shift_down(2),
-        lambda: a.split_at(-1),
     ]
     for call in refused:
         with pytest.raises(BadParameter):
@@ -168,7 +169,6 @@ def _not_integers():
         "Series.coefficient": lambda: Series([1, 2, 3], 4).coefficient(0.5),
         "Series.shift_up": lambda: Series([1, 2, 3], 4).shift_up(1.5),
         "Series.shift_down": lambda: Series([0, 0, 3], 4).shift_down(1.5),
-        "Series.split_at": lambda: Series([1, 2, 3], 4).split_at(1.5),
         "Series.at_precision": lambda: Series([1, 2, 3], 4).at_precision(2.5),
         "Series.at_precision above": lambda: Series([1, 2, 3], 4).at_precision(4.5),
         "Series.at_precision equal": lambda: Series([1, 2, 3], 4).at_precision(4.0),
@@ -179,8 +179,6 @@ def _not_integers():
             lambda: from_expression("J(3;0)", 8).at_precision(8.0),
         "AbModule.coefficient_matrix":
             lambda: from_expression("J(3;0)", 8).coefficient_matrix(0.5),
-        "AbModule.basis_element":
-            lambda: from_expression("J(2;0)", 8).basis_element(0.5),
         "from_expression": lambda: from_expression("J(3;0)", 8.5),
         "Element": lambda: Element([Series.one(4)], 0.5),
     }
@@ -313,13 +311,6 @@ class _Dense:
             raise BadParameter("not divisible")
         return _Dense(self.c[m:], self.w - m)
 
-    def split_at(self, m):
-        if m < 0:
-            raise BadParameter("m < 0")
-        if m > self.w:
-            raise PrecisionExhausted("past the precision")
-        return _Dense(self.c[m:], self.w - m), _Dense(self.c[:m], self.w)
-
     def at_precision(self, m):
         if m > self.w:
             raise PrecisionExhausted("raising the precision")
@@ -402,7 +393,6 @@ def test_every_operation_matches_the_dense_reference(x, y, c, m):
         (s.negate_variable, d.negate_variable),
         (lambda: s.shift_up(m), lambda: d.shift_up(m)),
         (lambda: s.shift_down(m), lambda: d.shift_down(m)),
-        (lambda: s.split_at(m), lambda: d.split_at(m)),
         (lambda: s.at_precision(m), lambda: d.at_precision(m)),
         (s.valuation, d.valuation),
         (s.is_zero, d.is_zero),

@@ -52,6 +52,9 @@ from abmod.textio import MAX_FILE_RANK, MAX_PRECISION
         ("(1+i)", Scalar(1, 1)),
         ("(1/2-3*i)", Scalar(Fraction(1, 2), -3)),
         ("(3+i)", Scalar(3, 1)),
+        ("(i)", Scalar(0, 1)),
+        ("(1/2*i)", Scalar(0, Fraction(1, 2))),
+        ("(1-i)", Scalar(1, -1)),
     ],
 )
 def test_parse_scalar(text, value):
@@ -86,7 +89,14 @@ def test_a_digit_int_refuses_is_an_unexpected_character(digit):
         from_expression(f"E({digit})", 8)
     with pytest.raises(ParseError) as info:
         parse_module_file(f"rank 1\nprecision 4\nm 1 1: b^{digit}\n")
-    assert str(info.value) == f"unexpected character '{digit}' (line 3, column 4)"
+    assert str(info.value) == f"unexpected character '{digit}' (line 3, column 10)"
+
+
+@pytest.mark.parametrize("entry,column", [("m 1 1: b +* b", 11), ("  m 1 1: b +* b", 13)])
+def test_a_module_file_error_counts_its_column_in_the_whole_line(entry, column):
+    with pytest.raises(ParseError) as info:
+        parse_module_file(f"rank 1\nprecision 4\n{entry}  # comment\n")
+    assert str(info.value) == f"expected 'INT', found '*' (line 3, column {column})"
 
 
 def test_decimal_digits_of_any_script_are_integers():
@@ -111,6 +121,7 @@ def test_parse_series_complex_coefficients():
     s = parse_series("(1+i)*b + i*b^2", 5)
     assert s.coefficient(1) == Scalar(1, 1)
     assert s.coefficient(2) == Scalar(0, 1)
+    assert parse_series("(i)*b", 5) == parse_series("i*b", 5)
 
 
 def test_parse_series_power_at_or_above_precision_rejected():
@@ -120,7 +131,8 @@ def test_parse_series_power_at_or_above_precision_rejected():
 
 
 def test_series_round_trip():
-    for text in ["0", "1", "b", "2*b^2 - b + 1/3", "(1-i)*b^4"]:
+    for text in ["0", "1", "b", "2*b^2 - b + 1/3", "(1-i)*b^4",
+                 "(i)", "(i)*b", "(1/2*i)", "(1-i)"]:
         s = parse_series(text, 8)
         assert parse_series(format_series(s), 8) == s
 
