@@ -15,7 +15,7 @@ j-th basis vector):
 
 The expression syntax accepted by ``from_expression`` (also the CLI surface):
 ``E(l)``, ``E(l;n)``, ``E(l,m)``, ``E(l,n;alpha)``, ``J(k;l)``,
-``F(k;l;rho)``, ``rand(rank;seed)``.
+``F(k;l;rho)``, ``rand(rank;seed)``, read by ``textio``'s grammar.
 
 Every constructor, and ``from_expression``, refuses a precision below 1 or
 above ``textio.MAX_PRECISION``, and ``make_J_k``, ``make_F_rho`` and
@@ -32,7 +32,7 @@ from .errors import BadParameter, ParseError
 from .module import AbModule
 from .scalars import Scalar
 from .series import Series, _checked_count
-from .textio import MAX_FILE_RANK, MAX_PRECISION, parse_scalar
+from .textio import MAX_FILE_RANK, MAX_PRECISION, _TokenStream, parse_scalar
 
 
 def _check_precision(precision: int) -> None:
@@ -184,32 +184,14 @@ def random_regular(rank: int, seed: int, precision: int,
 # ---------------------------------------------------------------------------
 
 
-def _split_top(text: str, sep: str) -> list:
-    """Split on sep outside parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
-def _as_int(text: str, what: str) -> int:
-    s = parse_scalar(text.strip())
+def _as_int(s: Scalar, what: str) -> int:
     if not s.is_integer():
-        raise BadParameter(f"{what} must be an integer, got {text.strip()!r}")
+        raise BadParameter(f"{what} must be an integer, got {str(s)!r}")
     return int(s.re)
 
 
-def _as_rank(text: str, what: str) -> int:
-    k = _as_int(text, what)
+def _as_rank(s: Scalar, what: str) -> int:
+    k = _as_int(s, what)
     _check_rank(k, what)
     return k
 
@@ -223,51 +205,37 @@ def from_expression(text: str, precision: int) -> AbModule:
     ``textio.MAX_PRECISION``, refused before any matrix is built.
     """
     _check_precision(precision)
-    expr = text.strip()
-    if "(" not in expr or not expr.endswith(")"):
+    ts = _TokenStream(text)
+    name = ts.accept("NAME")
+    if name is None or not ts.accept("OP", "("):
         raise ParseError(f"not a catalog expression: {text!r}")
-    name, _, rest = expr.partition("(")
-    name = name.strip()
-    inside = rest[:-1]
-    groups = [_split_top(g, ",") for g in _split_top(inside, ";")]
-    shape = tuple(len(g) for g in groups)
+    a, shape = [], [0]  # the arguments, and how many sit in each ';' group
     try:
-        if name == "E" and shape == (1,):
-            return make_E_lambda(parse_scalar(groups[0][0]), precision)
-        if name == "E" and shape == (1, 1):
-            return make_E_lambda_n(
-                parse_scalar(groups[0][0]), _as_int(groups[1][0], "n"), precision
-            )
-        if name == "E" and shape == (2,):
-            return make_E_lambda_mu(
-                parse_scalar(groups[0][0]), parse_scalar(groups[0][1]), precision
-            )
-        if name == "E" and shape == (2, 1):
-            return make_E_lambda_mu_alpha(
-                parse_scalar(groups[0][0]),
-                _as_int(groups[0][1], "n"),
-                parse_scalar(groups[1][0]),
-                precision,
-            )
-        if name == "J" and shape == (1, 1):
-            return make_J_k(
-                parse_scalar(groups[1][0]), _as_rank(groups[0][0], "k"), precision
-            )
-        if name == "F" and shape == (1, 1, 1):
-            return make_F_rho(
-                parse_scalar(groups[1][0]),
-                _as_rank(groups[0][0], "k"),
-                parse_scalar(groups[2][0]),
-                precision,
-            )
-        if name == "rand" and shape == (1, 1):
-            return random_regular(
-                _as_rank(groups[0][0], "rank"),
-                _as_int(groups[1][0], "seed"),
-                precision,
-            )
+        while True:
+            a.append(parse_scalar(ts))
+            shape[-1] += 1
+            if ts.accept("OP", ";"):
+                shape.append(0)
+            elif not ts.accept("OP", ","):
+                break
+        ts.expect("OP", ")")
+        ts.expect("END")
     except ParseError as exc:
         raise ParseError(f"in catalog expression {text!r}: {exc}") from None
+    if name == "E" and shape == [1]:
+        return make_E_lambda(a[0], precision)
+    if name == "E" and shape == [1, 1]:
+        return make_E_lambda_n(a[0], _as_int(a[1], "n"), precision)
+    if name == "E" and shape == [2]:
+        return make_E_lambda_mu(a[0], a[1], precision)
+    if name == "E" and shape == [2, 1]:
+        return make_E_lambda_mu_alpha(a[0], _as_int(a[1], "n"), a[2], precision)
+    if name == "J" and shape == [1, 1]:
+        return make_J_k(a[1], _as_rank(a[0], "k"), precision)
+    if name == "F" and shape == [1, 1, 1]:
+        return make_F_rho(a[1], _as_rank(a[0], "k"), a[2], precision)
+    if name == "rand" and shape == [1, 1]:
+        return random_regular(_as_rank(a[0], "rank"), _as_int(a[1], "seed"), precision)
     raise ParseError(
         f"unknown catalog family or argument shape: {text!r} "
         "(expected E(l), E(l;n), E(l,m), E(l,n;alpha), J(k;l), F(k;l;rho), "

@@ -1,7 +1,16 @@
-"""Text formats: series expressions and module files.
+"""Text formats: scalars, series, catalog expressions and module files.
 
-Series grammar (whitespace insignificant, ``#`` starts a comment in files)::
+Every text input is read by one tokenizer and one grammar.  Tokens:
 
+    INT   a run of decimal digits (``str.isdecimal``, exactly what ``int``
+          takes; the only rule for an integer anywhere), so a superscript
+          or circled digit is an unexpected character
+    NAME  a letter followed by letters and digits (``rank1`` is one NAME)
+    OP    one of ``+ - * / ^ ( ) : , ;``
+
+Whitespace between tokens does not matter.  The grammar::
+
+    scalar  :=  ['-'] coef
     series  :=  ['-'] term (('+'|'-') term)*
     term    :=  coef | coef '*' bpow | bpow
     bpow    :=  'b' | 'b' '^' INT
@@ -10,16 +19,24 @@ Series grammar (whitespace insignificant, ``#`` starts a comment in files)::
     real    :=  ['-'] INT ['/' INT]
     imag    :=  [real '*'] 'i'
 
-INT is a run of decimal digits (``str.isdecimal``, exactly what ``int``
-takes), so a superscript or circled digit is an unexpected character.
+    catalog :=  NAME '(' scalar (',' scalar)* (';' scalar (',' scalar)*)* ')'
 
-Examples: ``(1/2)*b + (3+2*i)*b^2``, ``-b^3``, ``i*b - 2``.
+    line    :=  ('rank'|'precision') INT  |  'm' INT INT ':' series
+
+A bare coefficient takes no sign, so ``--1`` and ``1 - -2*b`` are refused;
+only a scalar, a series' first term and a ``real`` carry one.  The catalog
+families and their shapes are listed in ``catalog``; an integer argument
+(``n``, ``k``, ``rank``, ``seed``) is a scalar whose value is an integer.
+
+Examples: ``(1/2)*b + (3+2*i)*b^2``, ``-b^3``, ``i*b - 2``, ``(-1/2+i)``,
+``E(1/3,2;(1-i))``.
 
 The emitter produces a canonical subset of the grammar (terms in increasing
 power of b, integer coefficients bare, other rationals parenthesized, complex
 coefficients as ``(re+im*i)``), so parse/emit round-trips are byte-stable.
 
-Module file format, line oriented::
+Module file format, one ``line`` per line; ``#`` starts a comment that runs
+to the end of the line, and blank lines are skipped::
 
     # optional comments
     rank 2
@@ -30,6 +47,13 @@ Module file format, line oriented::
 ``m i j:`` lines give the matrix entry in row i, column j (1-based); omitted
 entries are zero.  Column j of the matrix holds the coordinates of a applied
 to the j-th basis vector.
+
+A ParseError from a module file names its line and, when a token is at
+fault, that token's column in the line (one past the last character when
+the line ends early); a missing rank or precision line points one line past
+the last.  A ParseError from a bare scalar or series names neither line
+nor column in its message (its ``column`` attribute holds the column), and
+one from a catalog expression quotes the expression instead.
 """
 
 from __future__ import annotations
@@ -99,72 +123,85 @@ def format_series(s: Series) -> str:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# token stream
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*/^():,;")
 
 
-def _tokenize(text: str, line: int | None = None):
-    """Yield (kind, value, column) tokens; kinds are INT, NAME, OP."""
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
+class _TokenStream:
+    """The tokens of one text, scanned one at a time as they are read.
+
+    A token is (kind, value, column), columns counted from 1: kinds INT,
+    NAME, OP and BAD (an unexpected character, refused when it is read),
+    then END, one column past the last character.  ``line`` is the text's
+    line in a module file, or None for a bare expression.
+    """
+
+    __slots__ = ("text", "line", "at", "tok")  # a module file keeps one per entry
+
+    def __init__(self, text: str, line: int | None = None):
+        self.text = text
+        self.line = line
+        self.at = 0
+        self._scan()
+
+    def _scan(self) -> None:
+        text, n, i = self.text, len(self.text), self.at
+        while i < n and text[i].isspace():
             i += 1
-            continue
+        if i == n:
+            self.tok = ("END", "", len(text.rstrip()) + 1)
+            return
+        ch, j = text[i], i + 1
         if ch.isdecimal():
-            j = i
+            kind = "INT"
             while j < n and text[j].isdecimal():
                 j += 1
-            toks.append(("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
+        elif ch.isalpha():
+            kind = "NAME"
+            while j < n and (text[j].isalpha() or text[j].isdecimal()):
                 j += 1
-            toks.append(("NAME", text[i:j], i))
-            i = j
-            continue
-        if ch in _OPS:
-            toks.append(("OP", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line=line, column=i + 1)
-    return toks
+        else:
+            kind = "OP" if ch in _OPS else "BAD"
+        self.tok, self.at = (kind, text[i:j], i + 1), j
 
+    def column(self) -> int:
+        return self.tok[2]
 
-class _TokenStream:
-    def __init__(self, toks, line=None):
-        self.toks = toks
-        self.pos = 0
-        self.line = line
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None, None)
+    def error(self, message: str, column: int | None = None) -> ParseError:
+        return ParseError(message, line=self.line, column=column or self.column())
 
     def accept(self, kind, value=None):
-        k, v, _ = self.peek()
+        k, v, _ = self.tok
         if k == kind and (value is None or v == value):
-            self.pos += 1
+            self._scan()
             return v
         return None
 
     def expect(self, kind, value=None):
-        k, v, c = self.peek()
-        if k != kind or (value is not None and v != value):
-            want = value if value is not None else kind
-            raise ParseError(
-                f"expected {want!r}, found {v!r}", line=self.line,
-                column=(c + 1) if c is not None else None,
-            )
-        self.pos += 1
-        return v
+        got = self.accept(kind, value)
+        if got is not None:
+            return got
+        k, v, _ = self.tok
+        if k == "END":
+            raise self.error("unexpected end of input")
+        if k == "BAD":
+            raise self.error(f"unexpected character {v!r}")
+        want = "end of input" if kind == "END" else repr(value or kind)
+        raise self.error(f"expected {want}, found {v!r}")
+
+    def integer(self) -> int:
+        column = self.column()
+        digits = self.expect("INT")
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            message = f"integer of {len(digits)} digits is too long"
+            raise self.error(message, column) from None
 
     def done(self) -> bool:
-        return self.pos >= len(self.toks)
+        return self.tok[0] == "END"
 
 
 # ---------------------------------------------------------------------------
@@ -172,37 +209,38 @@ class _TokenStream:
 # ---------------------------------------------------------------------------
 
 
-def _parse_rational(ts: _TokenStream) -> Fraction:
-    neg = ts.accept("OP", "-") is not None
-    num = int(ts.expect("INT"))
-    den = 1
-    if ts.accept("OP", "/"):
-        den = int(ts.expect("INT"))
-        if den == 0:
-            raise ParseError("zero denominator", line=ts.line)
-    f = Fraction(num, den)
-    return -f if neg else f
+def _parse_fraction(ts: _TokenStream) -> Fraction:
+    num = ts.integer()
+    if not ts.accept("OP", "/"):
+        return Fraction(num)
+    column = ts.column()
+    den = ts.integer()
+    if not den:
+        raise ts.error("zero denominator", column)
+    return Fraction(num, den)
+
+
+def _parse_real(ts: _TokenStream) -> Fraction:
+    negative = ts.accept("OP", "-") is not None
+    f = _parse_fraction(ts)
+    return -f if negative else f
 
 
 def _parse_complex_body(ts: _TokenStream) -> Scalar:
     """Parse the inside of a parenthesized coefficient."""
-    # imag-only form: [rat '*'] 'i'
+    # imag-only form: [real '*'] 'i'
     if ts.accept("NAME", "i"):
         return Scalar(0, 1)
-    first = _parse_rational(ts)
+    first = _parse_real(ts)
     if ts.accept("OP", "*"):
         ts.expect("NAME", "i")
         return Scalar(0, first)
-    sign = None
-    if ts.accept("OP", "+"):
-        sign = 1
-    elif ts.accept("OP", "-"):
-        sign = -1
-    if sign is None:
+    sign = 1 if ts.accept("OP", "+") else -1 if ts.accept("OP", "-") else 0
+    if not sign:
         return Scalar(first)
     if ts.accept("NAME", "i"):
         return Scalar(first, sign)
-    imag = _parse_rational(ts)
+    imag = _parse_real(ts)
     ts.expect("OP", "*")
     ts.expect("NAME", "i")
     return Scalar(first, sign * imag)
@@ -215,69 +253,63 @@ def _parse_coefficient(ts: _TokenStream) -> Scalar:
         return s
     if ts.accept("NAME", "i"):
         return Scalar(0, 1)
-    return Scalar(_parse_rational(ts))
+    return Scalar(_parse_fraction(ts))
 
 
-def _parse_bpow(ts: _TokenStream) -> int:
-    ts.expect("NAME", "b")
-    if ts.accept("OP", "^"):
-        return int(ts.expect("INT"))
-    return 1
+def _parse_power(ts: _TokenStream) -> int:
+    """The power of b after a 'b'."""
+    return ts.integer() if ts.accept("OP", "^") else 1
 
 
 def _parse_term(ts: _TokenStream) -> tuple[Scalar, int]:
     """One term -> (coefficient, b power)."""
-    k, v, _ = ts.peek()
-    if k == "NAME" and v == "b":
-        return Scalar(1), _parse_bpow(ts)
+    if ts.accept("NAME", "b"):
+        return Scalar(1), _parse_power(ts)
     coef = _parse_coefficient(ts)
     if ts.accept("OP", "*"):
-        return coef, _parse_bpow(ts)
+        ts.expect("NAME", "b")
+        return coef, _parse_power(ts)
     return coef, 0
 
 
-def parse_scalar(text: str) -> Scalar:
-    """Parse a standalone scalar (any coefficient form, optional sign)."""
-    ts = _TokenStream(_tokenize(text))
-    neg = ts.accept("OP", "-") is not None
+def parse_scalar(source: str | _TokenStream) -> Scalar:
+    """Parse a standalone scalar (any coefficient form, optional sign).
+
+    ``source`` is a text, read to its end, or a token stream, off which one
+    scalar is read (an argument of a catalog expression).
+    """
+    ts = _TokenStream(source) if isinstance(source, str) else source
+    negative = ts.accept("OP", "-") is not None
     s = _parse_coefficient(ts)
-    if not ts.done():
-        raise ParseError(f"trailing input in scalar {text!r}")
-    return -s if neg else s
+    if ts is not source:
+        ts.expect("END")
+    return -s if negative else s
 
 
-def parse_series(text: str, precision: int, line: int | None = None) -> Series:
+def parse_series(source: str | _TokenStream, precision: int) -> Series:
     """Parse a series expression at a stated precision.
 
-    A term with power >= precision is a ParseError: accepting it would
-    silently discard information the text claims to carry.
+    ``source`` is a text or a token stream (a module-file entry line after
+    its ``m i j:``), read to its end.  A term with power >= precision is a
+    ParseError: accepting it would silently discard information the text
+    claims to carry.
     """
-    ts = _TokenStream(_tokenize(text, line=line), line=line)
+    ts = _TokenStream(source) if isinstance(source, str) else source
     terms: dict[int, Scalar] = {}
-    first = True
-    while not ts.done() or first:
-        if first:
-            sign = -1 if ts.accept("OP", "-") else 1
-            first = False
-        else:
-            if ts.accept("OP", "+"):
-                sign = 1
-            elif ts.accept("OP", "-"):
-                sign = -1
-            else:
-                k, v, c = ts.peek()
-                raise ParseError(
-                    f"expected '+' or '-', found {v!r}", line=line,
-                    column=(c + 1) if c is not None else None,
-                )
+    negative = ts.accept("OP", "-") is not None
+    while True:
+        column = ts.column()
         coef, power = _parse_term(ts)
         if power >= precision:
-            raise ParseError(
-                f"term of order b^{power} exceeds stated precision {precision}",
-                line=line,
+            raise ts.error(
+                f"term of order b^{power} exceeds stated precision {precision}", column
             )
-        terms[power] = terms.get(power, ZERO) + (coef if sign > 0 else -coef)
-    return _make(tuple(sorted((k, c) for k, c in terms.items() if c)), precision)
+        terms[power] = terms.get(power, ZERO) + (-coef if negative else coef)
+        if ts.done():
+            return _make(tuple(sorted((k, c) for k, c in terms.items() if c)), precision)
+        negative = ts.accept("OP", "-") is not None
+        if not negative:
+            ts.expect("OP", "+")
 
 
 # ---------------------------------------------------------------------------
@@ -292,57 +324,39 @@ MAX_PRECISION = 4096  # iso J(3;0) J(3;0): 1.2 s at 4096, past 15 s at 10^5
 def parse_module_file(text: str):
     """Parse a module file into an AbModule; a rank above MAX_FILE_RANK or a
     precision above MAX_PRECISION raises BadParameter before the rank x rank
-    matrix is built.  A ParseError carries its line, and inside an entry's
-    expression the column counted from the start of that line."""
-    rank = None
-    precision = None
-    entries: dict[tuple[int, int], str] = {}
-    entry_lines: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    matrix or any entry is built.  Every ParseError carries its line; a
+    missing rank or precision line points one line past the last."""
+    header: dict[str, int] = {}
+    entries: dict[tuple[int, int], _TokenStream] = {}
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         body = raw.split("#", 1)[0]
-        lineat = body.strip()
-        if not lineat:
+        ts = _TokenStream(body, line=lineno)
+        if ts.done():
             continue
-        key, *args = lineat.split()
+        key = ts.accept("NAME")
         if key in ("rank", "precision"):
-            if (rank if key == "rank" else precision) is not None:
+            if key in header:
                 raise ParseError(f"duplicate {key} line", line=lineno)
-            try:
-                (value,) = map(int, args)  # exactly one integer
-            except ValueError:
-                raise ParseError(f"malformed {key} line", line=lineno) from None
-            if value < 1:
+            header[key] = ts.integer()
+            ts.expect("END")
+            if header[key] < 1:
                 raise ParseError(f"{key} must be >= 1", line=lineno)
-            if key == "rank":
-                rank = value
-            else:
-                precision = value
-            continue
-        if lineat.startswith("m"):
-            head, _, expr = body.partition(":")
-            if not _:
-                raise ParseError("entry line is missing ':'", line=lineno)
-            parts = head.split()
-            if len(parts) != 3 or parts[0] != "m":
-                raise ParseError("entry line must look like 'm i j: expr'", line=lineno)
-            try:
-                i, j = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("entry indices must be integers", line=lineno) from None
+        elif key == "m":
+            i, j = ts.integer(), ts.integer()
+            ts.expect("OP", ":")
             if (i, j) in entries:
                 raise ParseError(
-                    f"duplicate entry m {i} {j} (first at line {entry_lines[(i, j)]})",
+                    f"duplicate entry m {i} {j} (first at line {entries[(i, j)].line})",
                     line=lineno,
                 )
-            # blanking the head keeps each character at its column in the line
-            entries[(i, j)] = " " * (len(head) + 1) + expr
-            entry_lines[(i, j)] = lineno
-            continue
-        raise ParseError(f"unrecognized line {lineat!r}", line=lineno)
-    if rank is None:
-        raise ParseError("missing rank line")
-    if precision is None:
-        raise ParseError("missing precision line")
+            entries[(i, j)] = ts  # its series is read once the precision is known
+        else:
+            raise ParseError(f"unrecognized line {body.strip()!r}", line=lineno)
+    for key in ("rank", "precision"):
+        if key not in header:
+            raise ParseError(f"missing {key} line", line=len(lines) + 1)
+    rank, precision = header["rank"], header["precision"]
     if rank > MAX_FILE_RANK:
         raise BadParameter(
             f"rank {rank} exceeds the module-file ceiling {MAX_FILE_RANK}"
@@ -352,12 +366,10 @@ def parse_module_file(text: str):
             f"precision {precision} exceeds the ceiling {MAX_PRECISION}"
         )
     matrix = [[Series.zero(precision) for _ in range(rank)] for _ in range(rank)]
-    for (i, j), expr in entries.items():
+    for (i, j), ts in entries.items():
         if not (1 <= i <= rank and 1 <= j <= rank):
-            raise ParseError(
-                f"entry m {i} {j} outside rank {rank}", line=entry_lines[(i, j)]
-            )
-        matrix[i - 1][j - 1] = parse_series(expr, precision, line=entry_lines[(i, j)])
+            raise ParseError(f"entry m {i} {j} outside rank {rank}", line=ts.line)
+        matrix[i - 1][j - 1] = parse_series(ts, precision)
     return AbModule(matrix)
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -97,6 +98,69 @@ def test_a_module_file_error_counts_its_column_in_the_whole_line(entry, column):
     with pytest.raises(ParseError) as info:
         parse_module_file(f"rank 1\nprecision 4\n{entry}  # comment\n")
     assert str(info.value) == f"expected 'INT', found '*' (line 3, column {column})"
+
+
+@pytest.mark.parametrize("entry,column", [("m 1 1: 1/2*b +", 15), ("m 1 1: (1/2", 12),
+                                          ("m 1 1:", 7), ("m 1 1: 1/2*b +   ", 15)])
+def test_a_module_file_line_that_ends_early_points_past_its_last_character(
+        tmp_path, entry, column):
+    text = f"rank 2\nprecision 8\n{entry}  # comment\n"
+    with pytest.raises(ParseError) as info:
+        parse_module_file(text)
+    assert str(info.value) == f"unexpected end of input (line 3, column {column})"
+    path = tmp_path / "early.txt"
+    path.write_text(text, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["info", str(path)]) == 2
+    assert out.getvalue() == ""
+
+
+def test_a_scalar_that_ends_early_says_so_with_its_column():
+    with pytest.raises(ParseError, match="^unexpected end of input$") as info:
+        parse_scalar("(")
+    assert (info.value.line, info.value.column) == (None, 2)
+
+
+@pytest.mark.parametrize("precision,entry,message", [
+    (4, "m 1 1: 1 + 3*b^7",
+     "term of order b^7 exceeds stated precision 4 (line 3, column 12)"),
+    (1, "m 1 1:  b", "term of order b^1 exceeds stated precision 1 (line 3, column 9)"),
+    (4, "m 1 1: 1/0*b", "zero denominator (line 3, column 10)"),
+    (4, "m 1 1: (2+3/0*i)", "zero denominator (line 3, column 13)"),
+])
+def test_precision_and_denominator_errors_carry_their_column(precision, entry, message):
+    with pytest.raises(ParseError) as info:
+        parse_module_file(f"rank 1\nprecision {precision}\n{entry}\n")
+    assert str(info.value) == message
+
+
+def test_an_integer_too_long_for_int_is_a_parse_error():
+    digits = "1" * 5000
+    with pytest.raises(ParseError) as info:
+        parse_module_file(f"rank 1\nprecision 4\nm 1 1: b^{digits}\n")
+    assert str(info.value) == "integer of 5000 digits is too long (line 3, column 10)"
+
+
+@pytest.mark.parametrize("parse", [lambda: parse_scalar("--1"),
+                                   lambda: parse_series("1 - -2*b", 4),
+                                   lambda: parse_series("--b", 4),
+                                   lambda: from_expression("E(--1)", 8)],
+                         ids=["--1", "1 - -2*b", "--b", "E(--1)"])
+def test_a_bare_coefficient_takes_no_sign(parse):
+    with pytest.raises(ParseError, match="expected 'INT', found '-'"):
+        parse()
+
+
+def test_a_scalar_a_first_term_and_a_real_in_parentheses_keep_their_sign():
+    assert parse_series("1 - b", 4) == -parse_series("-1 + b", 4)
+    with pytest.raises(ParseError):
+        parse_series("1 - -b", 4)
+    assert parse_scalar("-2") == Scalar(-2)
+    assert parse_scalar("(-1/2*i)") == Scalar(0, Fraction(-1, 2))
+    assert parse_scalar("(-1/2+i)") == Scalar(Fraction(-1, 2), 1)
+    assert parse_series("-2*b - 1", 4) == parse_series("-1 - 2*b", 4)
+    assert from_expression("E(-1/3)", 8) == from_expression("E((-1/3))", 8)
 
 
 def test_decimal_digits_of_any_script_are_integers():
@@ -242,7 +306,8 @@ def test_parse_module_file_precision_ceiling(monkeypatch):
 
 @pytest.mark.parametrize(
     "header",
-    ["rankle 1", "rank 1 2", "rank", "rank1", "precisionxyz 6 junk", "precision 6 junk"],
+    ["rankle 1", "rank 1 2", "rank", "rank1", "precisionxyz 6 junk", "precision 6 junk",
+     "rank +2", "precision 1_0", "rank 0", "precision -1"],
 )
 def test_parse_module_file_requires_exact_header_keyword_and_one_integer(header):
     # Only the keyword itself followed by exactly one integer is a header.
@@ -251,6 +316,72 @@ def test_parse_module_file_requires_exact_header_keyword_and_one_integer(header)
     with pytest.raises(ParseError) as info:
         parse_module_file("\n".join(lines) + "\n")
     assert info.value.line == (1 if header.startswith("rank") else 2)
+
+
+@pytest.mark.parametrize("entry", ["m1 1: b", "mm 1 1: b", "m +1 1: b", "m 1 x: b",
+                                   "m 1 1 b", "m 1: b", "m 1 1 1: b"])
+def test_an_entry_line_is_m_two_integers_and_a_colon(entry):
+    with pytest.raises(ParseError) as info:
+        parse_module_file(f"rank 1\nprecision 6\n{entry}\n")
+    assert info.value.line == 3
+
+
+def test_a_missing_header_points_one_line_past_the_last():
+    for text, message in (("precision 4\nm 1 1: b\n", "missing rank line (line 3)"),
+                          ("rank 1\n", "missing precision line (line 2)"),
+                          ("", "missing rank line (line 1)")):
+        with pytest.raises(ParseError) as info:
+            parse_module_file(text)
+        assert str(info.value) == message
+
+
+# -- whitespace between tokens ---------------------------------------------
+
+# a run of digits, a run of letters, or any other single non-space character
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z]+|\S")
+_GAPS = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+def _spaced(draw, text):
+    """text with drawn whitespace added before, between and after its
+    tokens (the whitespace it already has stays)."""
+    pieces, at = [], 0
+    for token in _TOKEN.finditer(text):
+        pieces += [text[at:token.start()], draw(_GAPS), token.group()]
+        at = token.end()
+    return "".join(pieces) + text[at:] + draw(_GAPS)
+
+
+_REALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_SCALARS = st.builds(Scalar, _REALS, st.one_of(st.just(0), _REALS))
+_NONZERO = _SCALARS.filter(bool)
+
+
+@st.composite
+def catalog_expressions(draw):
+    """A valid expression of every catalog family, arguments negative and
+    complex included."""
+    s = lambda strategy=_SCALARS: format_scalar(draw(strategy))  # noqa: E731
+    n = lambda lo: draw(st.integers(lo, 3))  # noqa: E731
+    return draw(st.sampled_from([
+        f"E({s()})", f"E({s()};{n(0)})", f"E({s()},{s()})",
+        f"E({s()},{n(1)};{s(_NONZERO)})", f"J({n(1)};{s()})",
+        f"F({n(2)};{s()};{s(_NONZERO)})", f"rand({n(1)};{draw(st.integers(0, 99))})",
+    ]))
+
+
+def test_whitespace_between_tokens_does_not_matter():
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.data())
+    def check(data):
+        expr = data.draw(catalog_expressions())
+        module = from_expression(expr, 6)
+        assert from_expression(_spaced(data.draw, expr), 6) == module
+        text = emit_module_file(module)
+        spaced = "\n".join(_spaced(data.draw, line) for line in text.splitlines())
+        assert parse_module_file(spaced) == module
+
+    check()
 
 
 # -- fuzzing ----------------------------------------------------------------
@@ -293,8 +424,8 @@ def test_mutated_module_files_fail_only_with_parse_errors(tmp_path):
     def check(text):
         try:
             parse_module_file(text)
-        except ParseError:
-            pass
+        except ParseError as exc:
+            assert exc.line is not None
         else:
             return
         path.write_text(text, encoding="utf-8")

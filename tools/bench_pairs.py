@@ -27,20 +27,23 @@ matrix, where the ``J(4;0)`` probe's is sparse), ``abmod ext 'J(10;0)'
 eigenvector read off the saturation, then alpha), ``abmod ext 'J(2;0)'
 'J(2;0)' --precision 3`` (the precision retry that fails again: it exits 1
 with "saturation of a rank-4 module needs precision >= 10, have 6"),
-``abmod ext 'J(3;1)' 'E(0)'`` (README's quickstart pair), and three
+``abmod ext 'J(3;1)' 'E(0)'`` (README's quickstart pair), three
 Jordan-Hoelder probes, each step a primitive eigenvector read off the kernel
 of a - mu*b on E: ``abmod jh 'J(6;0)' --precision 32``, ``abmod jh
 'rand(5;11)'`` and ``abmod jh 'J(5;0)' --precision 8`` (the precision retry
 that fails again: it exits 1 with "saturation of a rank-3 module needs
-precision >= 8, have 7").  Their times are
-wall times of the whole process, not scaled to the host's speed.  Three more
-probes are in-process twins of the ``rand(4;1001)``, ``J(7;0)`` and
-``E(1/2,2;3)`` probes: one fresh child per run and side imports that side's
-``abmod``, pins itself to one CPU as ``bench/run.py`` does, builds the
-modules untimed (``rand(4;1001)`` at precision 26, ``J(7;0)`` twice at
-precision 112, or ``E(1/2,2;3)`` at precision 48), and times one statement
-(``verify_fd(module, 100, 0)``, ``ext_dims`` of the pair, or
-``classify_rank2`` of its twists by -3..3) between two rounds of
+precision >= 8, have 7"), and two probes of the text grammar, a catalog
+expression with complex arguments and whitespace between its tokens,
+``abmod catalog 'E( (1/3+2*i) , 2 ; (1-i) )'``, and a twist by a complex
+scalar with a signed real part, ``abmod twist 'J(3;1/2)' '(-1/2+i)'``.
+Their times are wall times of the whole process, not scaled to the host's
+speed.  Three more probes are in-process twins of the ``rand(4;1001)``,
+``J(7;0)`` and ``E(1/2,2;3)`` probes: one fresh child per run and side
+imports that side's ``abmod``, pins itself to one CPU as ``bench/run.py``
+does, builds the modules untimed (``rand(4;1001)`` at precision 26,
+``J(7;0)`` twice at precision 112, or ``E(1/2,2;3)`` at precision 48), and
+times one statement (``verify_fd(module, 100, 0)``, ``ext_dims`` of the
+pair, or ``classify_rank2`` of its twists by -3..3) between two rounds of
 ``bench/run.py``'s ``HostSpeed``, which scale it as the workload items are
 scaled; their runs are compared on the scaled time.  A fourth, timed and
 scaled the same way, reads the width tables of ``J(12;0)`` at precision 60,
@@ -107,7 +110,8 @@ PROBES = (["info", "J(12;0)", "--precision", "60"], ["ext", "J(4;0)", "F(4;0;1/2
           ["classify2", "E(1/2,2;3)", "--precision", "48"],
           ["ext", "J(2;0)", "J(2;0)", "--precision", "3"], ["ext", "J(3;1)", "E(0)"],
           ["jh", "J(6;0)", "--precision", "32"], ["jh", "rand(5;11)"],
-          ["jh", "J(5;0)", "--precision", "8"])
+          ["jh", "J(5;0)", "--precision", "8"],
+          ["catalog", "E( (1/3+2*i) , 2 ; (1-i) )"], ["twist", "J(3;1/2)", "(-1/2+i)"])
 
 
 def _bench(root: str, workload: str, seed: int) -> dict:
