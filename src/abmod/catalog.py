@@ -17,10 +17,12 @@ The expression syntax accepted by ``from_expression`` (also the CLI surface):
 ``E(l)``, ``E(l;n)``, ``E(l,m)``, ``E(l,n;alpha)``, ``J(k;l)``,
 ``F(k;l;rho)``, ``rand(rank;seed)``, read by ``textio``'s grammar.
 
-Every constructor, and ``from_expression``, refuses a precision below 1 or
-above ``textio.MAX_PRECISION``, and ``make_J_k``, ``make_F_rho`` and
-``random_regular`` a rank above ``textio.MAX_FILE_RANK``, with BadParameter
-before building anything.
+Every constructor, and ``from_expression``, checks each integer argument
+with ``series._checked_count`` before building anything: a precision from 1
+to ``textio.MAX_PRECISION``, a rank (``k`` of ``J`` and ``F``, ``rank`` of
+``rand``) from its least value to ``textio.MAX_FILE_RANK``, each family's
+``n``, and an integer seed.  A value outside is a BadParameter that reads
+"... must be at least ..., got ..." or "... must be at most ..., got ...".
 """
 
 from __future__ import annotations
@@ -35,36 +37,17 @@ from .series import Series, _checked_count
 from .textio import MAX_FILE_RANK, MAX_PRECISION, _TokenStream, parse_scalar
 
 
-def _check_precision(precision: int) -> None:
-    """Refuse a precision that is not an integer, below 1 or above
-    ``textio.MAX_PRECISION`` (BadParameter), before any matrix is built."""
-    if _checked_count(precision, "precision") < 1:
-        raise BadParameter(f"precision must be >= 1, got {precision}")
-    if precision > MAX_PRECISION:
-        raise BadParameter(
-            f"precision {precision} exceeds the ceiling {MAX_PRECISION}"
-        )
-
-
-def _check_rank(k: int, what: str) -> None:
-    """Refuse a rank that is not an integer or is above
-    ``textio.MAX_FILE_RANK`` (BadParameter), before any matrix is built."""
-    if _checked_count(k, what) > MAX_FILE_RANK:
-        raise BadParameter(f"{what} {k} exceeds the rank ceiling {MAX_FILE_RANK}")
-
-
 def make_E_lambda(lam, precision: int) -> AbModule:
-    _check_precision(precision)
+    _checked_count(precision, "precision", 1, MAX_PRECISION)
     lam = Scalar.of(lam)
     return AbModule([[Series.monomial(lam, 1, precision)]])
 
 
 def make_E_lambda_n(lam, n: int, precision: int) -> AbModule:
     """The simple-pole nonsplit rank-2 family with spectrum {lambda+n, lambda}."""
-    _check_precision(precision)
+    _checked_count(precision, "precision", 1, MAX_PRECISION)
     lam = Scalar.of(lam)
-    if _checked_count(n, "n") < 0:
-        raise BadParameter("E_lambda(n) needs n >= 0")
+    _checked_count(n, "n", 0)
     z = Series.zero(precision)
     return AbModule(
         [
@@ -77,7 +60,7 @@ def make_E_lambda_n(lam, n: int, precision: int) -> AbModule:
 
 def make_E_lambda_mu(lam, mu, precision: int) -> AbModule:
     """The nonsplit rank-2 family  a y = mu b y,  a t = y + (lambda-1) b t."""
-    _check_precision(precision)
+    _checked_count(precision, "precision", 1, MAX_PRECISION)
     lam, mu = Scalar.of(lam), Scalar.of(mu)
     z = Series.zero(precision)
     return AbModule(
@@ -90,10 +73,9 @@ def make_E_lambda_mu(lam, mu, precision: int) -> AbModule:
 
 def make_E_lambda_mu_alpha(lam, n: int, alpha, precision: int) -> AbModule:
     """a y = (lambda-n) b y,  a t = y + (lambda-1) b t + alpha b^n y."""
-    _check_precision(precision)
+    _checked_count(precision, "precision", 1, MAX_PRECISION)
     lam, alpha = Scalar.of(lam), Scalar.of(alpha)
-    if _checked_count(n, "n") < 1:
-        raise BadParameter("the alpha family needs n >= 1")
+    _checked_count(n, "n", 1)
     if not alpha:
         raise BadParameter("the alpha family needs alpha != 0")
     z = Series.zero(precision)
@@ -107,11 +89,9 @@ def make_E_lambda_mu_alpha(lam, n: int, alpha, precision: int) -> AbModule:
 
 
 def make_J_k(lam, k: int, precision: int) -> AbModule:
-    _check_precision(precision)
+    _checked_count(precision, "precision", 1, MAX_PRECISION)
     lam = Scalar.of(lam)
-    _check_rank(k, "k")
-    if k < 1:
-        raise BadParameter("J_k needs k >= 1")
+    _checked_count(k, "k", 1, MAX_FILE_RANK)
     m = [[Series.zero(precision) for _ in range(k)] for _ in range(k)]
     for j in range(k):
         m[j][j] = Series.monomial(lam + Scalar(j), 1, precision)
@@ -122,10 +102,9 @@ def make_J_k(lam, k: int, precision: int) -> AbModule:
 
 def make_F_rho(lam, k: int, rho, precision: int) -> AbModule:
     """J_k(lambda) perturbed at order exactly k: a e_k gains rho^k b^k e_1."""
-    _check_precision(precision)
+    _checked_count(precision, "precision", 1, MAX_PRECISION)
     lam, rho = Scalar.of(lam), Scalar.of(rho)
-    if _checked_count(k, "k") < 2:
-        raise BadParameter("F_rho needs k >= 2")
+    _checked_count(k, "k", 2, MAX_FILE_RANK)
     if not rho:
         raise BadParameter("F_rho needs rho != 0")
     base = make_J_k(lam, k, precision)
@@ -152,11 +131,9 @@ def random_regular(rank: int, seed: int, precision: int,
     different precision yields a different module.  To study one module at
     several precisions, build it once and use ``at_precision``.
     """
-    _check_precision(precision)
-    _check_rank(rank, "rank")
-    if rank < 1:
-        raise BadParameter("rank must be >= 1")
-    rng = random.Random(seed)
+    _checked_count(precision, "precision", 1, MAX_PRECISION)
+    _checked_count(rank, "rank", 1, MAX_FILE_RANK)
+    rng = random.Random(_checked_count(seed, "seed"))
     denom = rng.choice([1, 1, 2, 3, 4, 6])
     lams = [
         Scalar(Fraction(rng.randint(-3 * denom, 3 * denom), denom))
@@ -190,12 +167,6 @@ def _as_int(s: Scalar, what: str) -> int:
     return int(s.re)
 
 
-def _as_rank(s: Scalar, what: str) -> int:
-    k = _as_int(s, what)
-    _check_rank(k, what)
-    return k
-
-
 def from_expression(text: str, precision: int) -> AbModule:
     """Build a catalog module from compact syntax such as ``J(3;0)``.
 
@@ -204,7 +175,7 @@ def from_expression(text: str, precision: int) -> AbModule:
     ``textio.MAX_FILE_RANK`` and a precision below 1 or above
     ``textio.MAX_PRECISION``, refused before any matrix is built.
     """
-    _check_precision(precision)
+    _checked_count(precision, "precision", 1, MAX_PRECISION)
     ts = _TokenStream(text)
     name = ts.accept("NAME")
     if name is None or not ts.accept("OP", "("):
@@ -231,11 +202,11 @@ def from_expression(text: str, precision: int) -> AbModule:
     if name == "E" and shape == [2, 1]:
         return make_E_lambda_mu_alpha(a[0], _as_int(a[1], "n"), a[2], precision)
     if name == "J" and shape == [1, 1]:
-        return make_J_k(a[1], _as_rank(a[0], "k"), precision)
+        return make_J_k(a[1], _as_int(a[0], "k"), precision)
     if name == "F" and shape == [1, 1, 1]:
-        return make_F_rho(a[1], _as_rank(a[0], "k"), a[2], precision)
+        return make_F_rho(a[1], _as_int(a[0], "k"), a[2], precision)
     if name == "rand" and shape == [1, 1]:
-        return random_regular(_as_rank(a[0], "rank"), _as_int(a[1], "seed"), precision)
+        return random_regular(_as_int(a[0], "rank"), _as_int(a[1], "seed"), precision)
     raise ParseError(
         f"unknown catalog family or argument shape: {text!r} "
         "(expected E(l), E(l;n), E(l,m), E(l,n;alpha), J(k;l), F(k;l;rho), "

@@ -48,6 +48,7 @@ from .scalars import Scalar
 from .series import _make
 from .textio import (
     MAX_PRECISION,
+    _TokenStream,
     emit_module_file,
     format_scalar,
     parse_module_file,
@@ -298,7 +299,7 @@ def _dispatch(args):
                 state["file_input"] = True
                 with open(text, encoding="utf-8") as handle:
                     return parse_module_file(handle.read())
-            if text.partition("(")[0].strip() != "rand":
+            if _TokenStream(text).accept("NAME") != "rand":
                 return from_expression(text, precision)
             drawn = from_expression(text, requested).matrix
             return AbModule([[_make(e.terms, precision) for e in row] for row in drawn])

@@ -93,18 +93,12 @@ MAX_TRUNCATION_DIM = 2048  # two dense 2048 x 2048 Scalar matrices
 
 
 def _truncation_dim(module: AbModule, N: int) -> int:
-    """The dimension rank * N of E/b^N E; BadParameter unless N is an
-    integer >= 1 and the dimension is at most MAX_TRUNCATION_DIM, and
-    PrecisionExhausted when N exceeds the module's precision."""
-    _checked_count(N, "truncation level")
-    if N < 1:
-        raise BadParameter("truncation level must be at least 1")
-    dim = module.rank * N
-    if dim > MAX_TRUNCATION_DIM:
-        raise BadParameter(
-            f"the truncation E/b^{N} E of a rank-{module.rank} module has dimension "
-            f"{dim}, above the ceiling {MAX_TRUNCATION_DIM}"
-        )
+    """The dimension rank * N of E/b^N E.  ``series._checked_count`` refuses
+    (BadParameter) an N that is not an integer of at least 1, then a
+    dimension above MAX_TRUNCATION_DIM; PrecisionExhausted when N exceeds
+    the module's precision."""
+    dim = module.rank * _checked_count(N, "truncation level", 1)
+    _checked_count(dim, f"the dimension of E/b^{N} E", most=MAX_TRUNCATION_DIM)
     if N > module.precision:
         raise PrecisionExhausted(
             "truncation level exceeds the module's working precision"
@@ -217,6 +211,7 @@ def quotient_iso(q: FiniteAbQuotient, qp: FiniteAbQuotient, seed: int = 0):
     """
     if q.dim != qp.dim:
         raise BadParameter("quotient dimensions differ")
+    _checked_count(seed, "seed")
     p, n, series, _, inv_change = _standard_form(q)
     pp, np_, series_p, change_p, _ = _standard_form(qp)
     if p != pp or n != np_:
@@ -292,8 +287,8 @@ def module_iso(e: AbModule, ep: AbModule, W: int = None, seed: int = 0):
         raise BadParameter("module ranks differ")
     if W is None:
         W = min(e.precision, ep.precision)
-    if _checked_count(W, "the order count") < 1:
-        raise BadParameter("precision must be at least 1")
+    _checked_count(W, "the order count", 1)
+    _checked_count(seed, "seed")
     if W > min(e.precision, ep.precision):
         raise PrecisionExhausted("requested precision exceeds the structure data")
     system = IntertwinerSystem(e.matrix, ep.matrix, W).solve_until_singular()
@@ -379,8 +374,7 @@ def lift_truncation_iso(
         raise BadParameter("module ranks differ")
     if not is_regular(e):
         raise NotRegular("lifting is certified for regular modules")
-    if _checked_count(N, "truncation level") < 1:
-        raise BadParameter("truncation level must be at least 1")
+    _checked_count(N, "truncation level", 1)
     p = e.rank
     if phi.kind != "module" or phi.order != N or len(phi.matrix) != p or any(
             len(row) != p or not all(isinstance(x, Series) and x.precision >= N
@@ -393,8 +387,7 @@ def lift_truncation_iso(
     slack = _slack(e)
     if W is None:
         W = _default_lift_precision(e, N)
-    if _checked_count(W, "lifting precision") <= N:
-        raise BadParameter("lifting precision must exceed the truncation level")
+    _checked_count(W, "lifting precision", N + 1)
     if W - slack <= N:
         raise PrecisionExhausted("lifting window too small to certify uniqueness")
     if W > min(e.precision, ep.precision):
@@ -464,19 +457,16 @@ def verify_fd(module: AbModule, trials: int, seed: int, lo: int = None) -> dict:
     block 0 is singular by its shape, or when find_invertible finds no
     invertible value; the lift is checked by verify_intertwiner; then
     NonUniqueLift when the solutions are not pinned down below the top band.
-    A trial count or level that is not an integer, a negative trial count
-    and a level below 1 are refused (BadParameter)."""
-    _checked_count(trials, "the number of trials")
-    if trials < 0:
-        raise BadParameter("the number of trials must be nonnegative")
+    A trial count, seed or level that is not an integer, a negative trial
+    count and a level below 1 are refused (BadParameter)."""
+    _checked_count(trials, "the number of trials", 0)
+    _checked_count(seed, "seed")
     if not is_regular(module):
         raise NotRegular("finite determination applies to regular modules")
     n0 = n0_bound(module)
     if lo is None:
         lo = n0
-    _checked_count(lo, "the perturbation level")
-    if lo < 1:
-        raise BadParameter("the perturbation level must be at least 1")
+    _checked_count(lo, "the perturbation level", 1)
     slack = _slack(module)
     W = _default_lift_precision(module, lo)
     if W > module.precision:

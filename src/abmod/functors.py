@@ -105,14 +105,13 @@ def hom_ab(E: AbModule, F: AbModule) -> AbModule:
     Flattening Psi row-major gives a module of rank rank(E)*rank(F) whose
     structure matrix is assembled below; the b^2*Psi' part is the intrinsic
     derivative term of every presentation.  A rank above
-    textio.MAX_FILE_RANK is refused (BadParameter) before any entry is built.
+    textio.MAX_FILE_RANK is refused by ``series._checked_count``
+    (BadParameter, "the rank of the internal Hom must be at most ..., got
+    ...") before any entry is built.
     """
     pe = E.rank
     pf = F.rank
-    if pe * pf > MAX_FILE_RANK:
-        raise BadParameter(
-            f"the internal Hom has rank {pe * pf}, above the ceiling {MAX_FILE_RANK}"
-        )
+    _checked_count(pe * pf, "the rank of the internal Hom", most=MAX_FILE_RANK)
     w = min(E.precision, F.precision)
     me = [
         [E.matrix[i][j].negate_variable().at_precision(w) for j in range(pe)]
@@ -188,8 +187,7 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
     if not module.is_simple_pole():
         raise NotSimplePole("eigen lifting requires a simple-pole module")
     lam = Scalar.of(lam)
-    if _checked_count(kappa, "kappa") < 0:
-        raise BadParameter("kappa must be nonnegative")
+    _checked_count(kappa, "kappa", 0)
     z = y.normalize()
     if z.shift > 0:
         raise HypothesisViolated("seed element does not lie in the module")
@@ -404,8 +402,7 @@ class Rank2NormalForm(Record):
 
     @staticmethod
     def simple_pole_jordan(lam, n: int) -> "Rank2NormalForm":
-        if _checked_count(n, "n") < 0:
-            raise BadParameter("Jordan parameter must be nonnegative")
+        _checked_count(n, "n", 0)
         return Rank2NormalForm("SimplePoleJordan", (Scalar.of(lam), n))
 
     @staticmethod
@@ -415,8 +412,9 @@ class Rank2NormalForm(Record):
     @staticmethod
     def non_split_alpha(lam, n: int, alpha) -> "Rank2NormalForm":
         alpha = Scalar.of(alpha)
-        if _checked_count(n, "n") < 1 or alpha.is_zero():
-            raise BadParameter("the twisted family needs n >= 1 and alpha != 0")
+        _checked_count(n, "n", 1)
+        if alpha.is_zero():
+            raise BadParameter("the twisted family needs alpha != 0")
         return Rank2NormalForm("NonSplitAlpha", (Scalar.of(lam), n, alpha))
 
     def __str__(self) -> str:

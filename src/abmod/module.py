@@ -105,8 +105,7 @@ class Element(Record):
     def __init__(self, coords, shift: int = 0):
         if not coords:
             raise BadParameter("an element needs at least one coordinate")
-        if _checked_count(shift, "element shift") < 0:
-            raise BadParameter(f"element shift must be >= 0, got {shift}")
+        _checked_count(shift, "element shift", 0)
         w = min(c.precision for c in coords)
         super().__init__(tuple(c.at_precision(w) for c in coords), shift)
 

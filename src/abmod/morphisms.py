@@ -203,9 +203,7 @@ class IntertwinerSystem:
         self.precision = min(
             self._source_precision, min(e.precision for row in target for e in row)
         )
-        self.w = _checked_count(w, "the order count")
-        if w < 0:
-            raise BadParameter("the order count must be >= 0")
+        self.w = _checked_count(w, "the order count", 0)
         self.prefix = [] if prefix is None else _prefix_blocks(prefix, self.pf, self.pe)
         self._source_terms = _source_terms(self.ms, self.pf)
         self._stencils = _stencils(self.ms, self.mt, self._source_terms, self.precision)
@@ -434,8 +432,7 @@ class IntertwinerSystem:
         return len(self.parameters_in_blocks(hi))
 
     def _require_blocks(self, n: int, least: int = 0) -> None:
-        if n < least:
-            raise BadParameter(f"a block count must be at least {least}, not {n}")
+        _checked_count(n, "a block count", least)
         if len(self.blocks) < n:
             raise BadParameter(
                 f"the system has processed {len(self.blocks)} orders, not {n}: "
@@ -578,11 +575,11 @@ def find_invertible(system: IntertwinerSystem, seed: int = 0, tries: int = 40):
     line, as for J(2;0) in the basis (e1 + e2, e1 + 2 e2) against its
     saturation, where P0 M(0) = 0 at order 0.  Returns the value dict, or
     None when every solution is singular.  A system with no order
-    processed has no block 0, and a count of tries that is not an integer or
-    is negative is refused (BadParameter).
+    processed has no block 0, and a seed or a count of tries that is not an
+    integer, and a negative count of tries, are refused (BadParameter).
     """
-    if _checked_count(tries, "tries") < 0:
-        raise BadParameter(f"tries must be >= 0, got {tries}")
+    _checked_count(tries, "tries", 0)
+    _checked_count(seed, "seed")
     if not system.blocks:
         raise BadParameter("find_invertible needs a system solved to order 0 at least")
     if _singular_shape(system.blocks[0]):

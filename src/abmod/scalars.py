@@ -35,12 +35,13 @@ _HASH_INF = sys.hash_info.inf
 
 
 def _ratio(x: _RatLike) -> tuple:
-    """(numerator, denominator) of an int or Fraction, denominator > 0."""
+    """(numerator, denominator) of an int or Fraction, denominator > 0;
+    BadParameter for anything else, as ``Scalar.of`` refuses it."""
     if isinstance(x, int):
         return x, 1
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
-    raise TypeError(f"cannot build an exact scalar part from {type(x).__name__}")
+    raise BadParameter(f"{x!r} is not exact: a scalar part is an int or a Fraction")
 
 
 class Scalar(Immutable):

@@ -57,16 +57,18 @@ from .scalars import Scalar, ZERO, ONE
 from .scalars import _make as _scalar
 
 
-def _checked_count(n, what: str) -> int:
-    """n, when it is an int; BadParameter otherwise."""
-    if not isinstance(n, int):
+def _checked_count(n, what: str, least: int = None, most: int = None) -> int:
+    """n, when it is an int (a bool is not) and least <= n <= most (a bound
+    of None is absent); BadParameter otherwise.  Every integer argument of
+    the package (a count, level, precision, rank, shift or seed) and every
+    ceiling on one is checked here, so each refusal has the same text."""
+    if not isinstance(n, int) or isinstance(n, bool):
         raise BadParameter(f"{what} must be an integer, not {n!r}")
+    if least is not None and n < least:
+        raise BadParameter(f"{what} must be at least {least}, got {n}")
+    if most is not None and n > most:
+        raise BadParameter(f"{what} must be at most {most}, got {n}")
     return n
-
-
-def _check_precision(precision: int, what: str = "precision") -> None:
-    if _checked_count(precision, what) < 0:
-        raise BadParameter(f"{what} must be >= 0")
 
 
 def _below(terms: tuple, w: int) -> tuple:
@@ -182,7 +184,7 @@ class Series(Immutable):
     __slots__ = ("terms", "precision")
 
     def __init__(self, coeffs: Sequence, precision: int):
-        _check_precision(precision)
+        _checked_count(precision, "precision", 0)
         terms = []
         for k, c in enumerate(coeffs[:precision]):
             c = Scalar.of(c)
@@ -206,20 +208,20 @@ class Series(Immutable):
 
     @staticmethod
     def zero(precision: int) -> "Series":
-        _check_precision(precision)
+        _checked_count(precision, "precision", 0)
         return _make((), precision)
 
     @staticmethod
     def one(precision: int) -> "Series":
-        _check_precision(precision)
+        _checked_count(precision, "precision", 0)
         return _make(((0, ONE),) if precision else (), precision)
 
     @staticmethod
     def monomial(c, k: int, precision: int) -> "Series":
         """The series c * b^k at the given precision."""
-        _check_precision(k, "monomial exponent")
+        _checked_count(k, "monomial exponent", 0)
         c = Scalar.of(c)
-        _check_precision(precision)
+        _checked_count(precision, "precision", 0)
         return _make(((k, c),) if c and k < precision else (), precision)
 
     @staticmethod
@@ -234,10 +236,7 @@ class Series(Immutable):
 
     def coefficient(self, k: int) -> Scalar:
         """The coefficient of b^k; raises if k is beyond the precision."""
-        if not isinstance(k, int) or k < 0:
-            _checked_count(k, "coefficient order")
-            raise BadParameter("coefficient takes k >= 0")
-        if k >= self.precision:
+        if _checked_count(k, "coefficient order", 0) >= self.precision:
             raise PrecisionExhausted(
                 f"coefficient of b^{k} requested at precision {self.precision}"
             )
@@ -266,13 +265,12 @@ class Series(Immutable):
 
     def at_precision(self, precision: int) -> "Series":
         """A lower-precision view; raising precision is refused."""
-        if _checked_count(precision, "precision") > self.precision:
+        if _checked_count(precision, "precision", 0) > self.precision:
             raise PrecisionExhausted(
                 f"cannot raise precision {self.precision} -> {precision}"
             )
         if precision == self.precision:
             return self
-        _check_precision(precision)
         return _make(_below(self.terms, precision), precision)
 
     # -- ring operations --------------------------------------------------
@@ -384,9 +382,7 @@ class Series(Immutable):
     def shift_up(self, m: int) -> "Series":
         """Multiply by b^m.  Precision *gains* m: if x is known mod b^W then
         b^m * x is honestly known mod b^{W+m}."""
-        if _checked_count(m, "shift_up's m") < 0:
-            raise BadParameter("shift_up takes m >= 0")
-        if m == 0:
+        if _checked_count(m, "shift_up's m", 0) == 0:
             return self
         return _make(tuple((k + m, c) for k, c in self.terms), self.precision + m)
 
@@ -395,9 +391,7 @@ class Series(Immutable):
 
         The result is known to precision - m only.
         """
-        if _checked_count(m, "shift_down's m") < 0:
-            raise BadParameter("shift_down takes m >= 0")
-        if m == 0:
+        if _checked_count(m, "shift_down's m", 0) == 0:
             return self
         if m > self.precision:
             raise PrecisionExhausted(

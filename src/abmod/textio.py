@@ -60,10 +60,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BadParameter, ParseError
+from .errors import ParseError
 from .module import AbModule
 from .scalars import ZERO, Scalar
-from .series import Series, _make
+from .series import Series, _checked_count, _make
 
 # ---------------------------------------------------------------------------
 # scalar formatting
@@ -322,10 +322,13 @@ MAX_PRECISION = 4096  # iso J(3;0) J(3;0): 1.2 s at 4096, past 15 s at 10^5
 
 
 def parse_module_file(text: str):
-    """Parse a module file into an AbModule; a rank above MAX_FILE_RANK or a
-    precision above MAX_PRECISION raises BadParameter before the rank x rank
-    matrix or any entry is built.  Every ParseError carries its line; a
-    missing rank or precision line points one line past the last."""
+    """Parse a module file into an AbModule.  A rank or precision line below
+    1 is a ParseError at its line; a rank above MAX_FILE_RANK or a precision
+    above MAX_PRECISION is refused by ``series._checked_count``
+    (BadParameter, "... must be at most ..., got ...") once both lines are
+    read, before the rank x rank matrix or any entry is built.  Every
+    ParseError carries its line; a missing rank or precision line points
+    one line past the last."""
     header: dict[str, int] = {}
     entries: dict[tuple[int, int], _TokenStream] = {}
     lines = text.splitlines()
@@ -341,7 +344,8 @@ def parse_module_file(text: str):
             header[key] = ts.integer()
             ts.expect("END")
             if header[key] < 1:
-                raise ParseError(f"{key} must be >= 1", line=lineno)
+                raise ParseError(f"{key} must be at least 1, got {header[key]}",
+                                 line=lineno)
         elif key == "m":
             i, j = ts.integer(), ts.integer()
             ts.expect("OP", ":")
@@ -356,15 +360,8 @@ def parse_module_file(text: str):
     for key in ("rank", "precision"):
         if key not in header:
             raise ParseError(f"missing {key} line", line=len(lines) + 1)
-    rank, precision = header["rank"], header["precision"]
-    if rank > MAX_FILE_RANK:
-        raise BadParameter(
-            f"rank {rank} exceeds the module-file ceiling {MAX_FILE_RANK}"
-        )
-    if precision > MAX_PRECISION:
-        raise BadParameter(
-            f"precision {precision} exceeds the ceiling {MAX_PRECISION}"
-        )
+    rank = _checked_count(header["rank"], "rank", most=MAX_FILE_RANK)
+    precision = _checked_count(header["precision"], "precision", most=MAX_PRECISION)
     matrix = [[Series.zero(precision) for _ in range(rank)] for _ in range(rank)]
     for (i, j), ts in entries.items():
         if not (1 <= i <= rank and 1 <= j <= rank):

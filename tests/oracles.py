@@ -112,6 +112,30 @@ def _row_space(mat: sympy.Matrix) -> sympy.Matrix:
     return reduced[: len(pivots), :]
 
 
+def eb_truncation_image(module: AbModule, N: int) -> sympy.Matrix:
+    """The image of E^b in E/b^N E, basis b^t e_i at index i*N + t (the
+    order of ``truncate``), as a canonical rref row basis.
+
+    E^b is read off ``biggest_simple_pole``'s lattice in E, and spanned in
+    the quotient by the rows b^j g, j < N, for every generator g, each
+    written from g's dense coefficients; sympy reduces them.  Neither the
+    dense fixpoint of ``recover_Eb_from_truncation`` nor the package's
+    elimination is used."""
+    lattice = biggest_simple_pole(module)[1]
+    assert lattice.shift == 0, "E^b lies in E"
+    p = module.rank
+    rows = []
+    for g in lattice.gens:
+        dense = [entry.coeffs for entry in g]
+        for j in range(N):
+            row = [0] * (p * N)
+            for i in range(p):
+                for t in range(N - j):
+                    row[i * N + j + t] = to_sym(dense[i][t])
+            rows.append(row)
+    return _row_space(sympy.Matrix(rows))
+
+
 def saturation_oracle(module: AbModule, K: int = None, H: int = None):
     """Brute-force saturation data in the dense model.
 

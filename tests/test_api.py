@@ -10,7 +10,33 @@ from pathlib import Path
 import pytest
 
 import abmod
-from abmod import AbModule, Element, Lattice, SaturationResult, Scalar, Series, WidthTable
+from abmod import (
+    AbModule,
+    BadParameter,
+    Element,
+    IntertwinerSystem,
+    Lattice,
+    Rank2NormalForm,
+    SaturationResult,
+    Scalar,
+    Series,
+    WidthTable,
+    eigen_lift,
+    find_invertible,
+    from_expression,
+    identity_truncation_iso,
+    lift_truncation_iso,
+    make_E_lambda,
+    make_E_lambda_mu_alpha,
+    make_E_lambda_n,
+    make_F_rho,
+    make_J_k,
+    module_iso,
+    random_regular,
+    truncate,
+    verify_fd,
+)
+from abmod.textio import MAX_FILE_RANK, MAX_PRECISION
 
 SRC = Path(abmod.__file__).parent
 
@@ -194,3 +220,139 @@ def test_every_name_the_benchmark_reads_exists():
     assert {"abmod.cli.main", "abmod.linalg.inverse", "abmod.seriesmat.smat_inverse",
             "abmod.invariants.saturate.cache_info"} <= paths
     assert sorted(p for p in paths if not _resolves(p)) == []
+
+
+def _is_checked_count(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_checked_count"
+
+
+def _hand_bounds(tree) -> list:
+    """The lines of each ``if`` that compares an integer against a bound by
+    hand and raises BadParameter: one side of the comparison is a
+    ``_checked_count(...)`` call, or a name that its function passes to
+    ``_checked_count`` compared with a constant or a ``MAX_`` ceiling."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        checked = {
+            call.args[0].id for call in ast.walk(func)
+            if _is_checked_count(call) and call.args and isinstance(call.args[0], ast.Name)
+        }
+        for node in ast.walk(func):
+            if not isinstance(node, ast.If) or not any(
+                    isinstance(s, ast.Raise) and isinstance(s.exc, ast.Call)
+                    and getattr(s.exc.func, "id", None) == "BadParameter"
+                    for s in node.body):
+                continue
+            for cmp in (n for n in ast.walk(node.test) if isinstance(n, ast.Compare)):
+                sides = [cmp.left, *cmp.comparators]
+                named = any(isinstance(x, ast.Name) and x.id in checked for x in sides)
+                bound = any(isinstance(x, ast.Constant) or isinstance(x, ast.Name)
+                            and x.id.startswith("MAX_") for x in sides)
+                if any(map(_is_checked_count, sides)) or (named and bound):
+                    found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_hand_bounds_are_found_and_other_checks_are_not():
+    flagged = """
+def f(n, N, W):
+    if _checked_count(n, "n") < 0:
+        raise BadParameter("n >= 0")
+    _checked_count(N, "N")
+    if N > MAX_N:
+        raise BadParameter("too big")
+"""
+    kept = """
+def g(self, precision, k, n):
+    if _checked_count(precision, "precision", 0) > self.precision:
+        raise PrecisionExhausted("cannot raise")
+    if _checked_count(precision, "precision") == self.precision:
+        return self
+    if _checked_count(k, "the power k") < 0 or k + 1 > q.level:
+        raise NotFound("too small")
+    _checked_count(n, "a block count", 1)
+    if len(self.blocks) < n:
+        raise BadParameter("not processed")
+"""
+    assert _hand_bounds(ast.parse(flagged)) == [3, 6]
+    assert _hand_bounds(ast.parse(kept)) == []
+
+
+def test_every_integer_bound_is_checked_by_checked_count():
+    # series._checked_count words every refusal of an integer argument;
+    # no module compares a checked count by hand and raises BadParameter.
+    found = [
+        f"{path.stem}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _hand_bounds(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def _bounded_entries():
+    """(name, call, what, least, most): a public entry taking one integer,
+    its name in the refusal and its bounds (None: no bound)."""
+    s = Series.one(4)
+    j2 = from_expression("J(2;0)", 20)
+    e0 = from_expression("E(0)", 8)
+    nonsplit = from_expression("E(1/2,1/3)", 24)
+    phi = identity_truncation_iso(j2, 3)
+    system = IntertwinerSystem(j2.matrix, j2.matrix, 3).solve()
+    unit = Element([Series.one(8)])
+    return [
+        ("Series", lambda v: Series([1], v), "precision", 0, None),
+        ("Series.zero", Series.zero, "precision", 0, None),
+        ("Series.one", Series.one, "precision", 0, None),
+        ("Series.monomial", lambda v: Series.monomial(1, v, 4), "monomial exponent", 0, None),
+        ("Series.coefficient", s.coefficient, "coefficient order", 0, None),
+        ("Series.at_precision", s.at_precision, "precision", 0, None),
+        ("Series.shift_up", s.shift_up, "shift_up's m", 0, None),
+        ("Series.shift_down", s.shift_down, "shift_down's m", 0, None),
+        ("Element", lambda v: Element([s], v), "element shift", 0, None),
+        ("from_expression", lambda v: from_expression("E(0)", v), "precision", 1,
+         MAX_PRECISION),
+        ("make_E_lambda", lambda v: make_E_lambda(0, v), "precision", 1, MAX_PRECISION),
+        ("make_E_lambda_n", lambda v: make_E_lambda_n(0, v, 8), "n", 0, None),
+        ("make_E_lambda_mu_alpha", lambda v: make_E_lambda_mu_alpha(0, v, 1, 8), "n", 1, None),
+        ("make_J_k", lambda v: make_J_k(0, v, 8), "k", 1, MAX_FILE_RANK),
+        ("make_F_rho", lambda v: make_F_rho(0, v, 1, 8), "k", 2, MAX_FILE_RANK),
+        ("random_regular", lambda v: random_regular(v, 1, 8), "rank", 1, MAX_FILE_RANK),
+        ("truncate", lambda v: truncate(j2, v), "truncation level", 1, None),
+        ("module_iso", lambda v: module_iso(j2, j2, W=v), "the order count", 1, None),
+        ("lift_truncation_iso.N", lambda v: lift_truncation_iso(j2, j2, phi, v),
+         "truncation level", 1, None),
+        ("lift_truncation_iso.W", lambda v: lift_truncation_iso(j2, j2, phi, 3, W=v),
+         "lifting precision", 4, None),
+        ("verify_fd.trials", lambda v: verify_fd(nonsplit, v, 0), "the number of trials",
+         0, None),
+        ("verify_fd.lo", lambda v: verify_fd(nonsplit, 0, 0, lo=v), "the perturbation level",
+         1, None),
+        ("eigen_lift", lambda v: eigen_lift(e0, 0, unit, v), "kappa", 0, None),
+        ("Rank2NormalForm.simple_pole_jordan",
+         lambda v: Rank2NormalForm.simple_pole_jordan(0, v), "n", 0, None),
+        ("Rank2NormalForm.non_split_alpha",
+         lambda v: Rank2NormalForm.non_split_alpha(0, v, 1), "n", 1, None),
+        ("IntertwinerSystem", lambda v: IntertwinerSystem(j2.matrix, j2.matrix, v),
+         "the order count", 0, None),
+        ("find_invertible", lambda v: find_invertible(system, tries=v), "tries", 0, None),
+        ("IntertwinerSystem.parameters_in_blocks", system.parameters_in_blocks,
+         "a block count", 1, None),
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(_bounded_entries())),
+                         ids=[entry[0] for entry in _bounded_entries()])
+def test_each_integer_argument_is_refused_in_one_wording(index):
+    _, call, what, least, most = _bounded_entries()[index]
+    with pytest.raises(BadParameter, match=f"^{re.escape(what)} must be an integer, not True$"):
+        call(True)
+    if least is not None:
+        with pytest.raises(BadParameter,
+                           match=f"^{re.escape(what)} must be at least {least}, got {least - 1}$"):
+            call(least - 1)
+    if most is not None:
+        with pytest.raises(BadParameter,
+                           match=f"^{re.escape(what)} must be at most {most}, got {most + 1}$"):
+            call(most + 1)

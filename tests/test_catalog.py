@@ -137,33 +137,30 @@ def test_expression_errors():
         from_expression("J(0;1)", 8)
 
 
-def test_expression_rank_ceiling(monkeypatch):
-    def never(*args):
-        raise AssertionError("a module was built above the rank ceiling")
+class NoSeries:
+    def __getattr__(self, name):
+        raise AssertionError("an entry was built above the rank ceiling")
 
-    for name in ("make_J_k", "make_F_rho", "random_regular"):
-        monkeypatch.setattr(catalog, name, never)
+
+def test_expression_rank_ceiling(monkeypatch):
+    monkeypatch.setattr(catalog, "Series", NoSeries())
     k = MAX_FILE_RANK + 1
     for expr in (f"J({k};0)", f"F({k};0;1)", f"rand({k};1)"):
-        with pytest.raises(BadParameter, match=f"{k} exceeds the rank ceiling"):
+        with pytest.raises(BadParameter, match=f"must be at most {MAX_FILE_RANK}, got {k}"):
             from_expression(expr, 8)
 
 
 def test_constructors_check_the_rank_as_expressions_do(monkeypatch):
     """make_J_k, make_F_rho and random_regular refuse a rank above the
     ceiling with from_expression's message, before any entry is built."""
-
-    class NoSeries:
-        def __getattr__(self, name):
-            raise AssertionError("an entry was built above the rank ceiling")
-
     monkeypatch.setattr(catalog, "Series", NoSeries())
     k = MAX_FILE_RANK + 1
     for what, build in (("k", lambda: make_J_k(0, k, 10)),
                         ("k", lambda: make_F_rho(0, k, 2, 10)),
                         ("rank", lambda: random_regular(k, 1, 10)),
                         ("rank", lambda: random_regular(10**4, 1, 10))):
-        with pytest.raises(BadParameter, match=f"^{what} [0-9]+ exceeds the rank ceiling"):
+        with pytest.raises(BadParameter,
+                           match=f"^{what} must be at most {MAX_FILE_RANK}, got [0-9]+$"):
             build()
 
 
@@ -178,7 +175,7 @@ def test_expression_precision_ceiling(monkeypatch):
         monkeypatch.setattr(catalog, name, never)
     above = MAX_PRECISION + 1
     for expr in ("E(1/2)", "J(3;0)", "F(3;0;2)", "rand(2;5)"):
-        with pytest.raises(BadParameter, match=f"{above} exceeds the ceiling"):
+        with pytest.raises(BadParameter, match=f"must be at most {MAX_PRECISION}, got {above}"):
             from_expression(expr, above)
 
 
@@ -190,7 +187,8 @@ def test_expression_precision_floor(monkeypatch):
         monkeypatch.setattr(catalog, name, never)
     for precision in (0, -1):
         for expr in ("E(1/2)", "J(3;0)", "rand(2;5)"):
-            with pytest.raises(BadParameter, match=f"precision must be >= 1, got {precision}"):
+            with pytest.raises(BadParameter,
+                               match=f"precision must be at least 1, got {precision}"):
                 from_expression(expr, precision)
 
 
@@ -215,10 +213,11 @@ def test_constructors_check_the_precision_as_expressions_do(monkeypatch, name, b
         raise AssertionError(f"{name} built a module outside the precision range")
 
     monkeypatch.setattr(catalog, "AbModule", never)
-    for precision, message in ((-1, "precision must be >= 1, got -1"),
-                               (0, "precision must be >= 1, got 0"),
+    for precision, message in ((-1, "precision must be at least 1, got -1"),
+                               (0, "precision must be at least 1, got 0"),
                                (MAX_PRECISION + 1,
-                                f"precision {MAX_PRECISION + 1} exceeds the ceiling")):
+                                f"precision must be at most {MAX_PRECISION}, "
+                                f"got {MAX_PRECISION + 1}")):
         with pytest.raises(BadParameter, match=message):
             build(precision)
 

@@ -207,7 +207,7 @@ def test_file_rank_above_the_ceiling_is_a_usage_error(tmp_path, capsys):
     code, out, err = run(["info", str(path)], capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 4 and out == []
-    assert err == "abmod: error: rank 100000 exceeds the module-file ceiling 256\n"
+    assert err == "abmod: error: rank must be at most 256, got 100000\n"
 
 
 def test_precision_above_the_ceiling_is_a_usage_error(tmp_path, capsys):
@@ -225,7 +225,7 @@ def test_precision_above_the_ceiling_is_a_usage_error(tmp_path, capsys):
     code, out, err = run(["info", str(path)], capsys)
     assert code == 4 and out == []
     assert err == (
-        f"abmod: error: precision {MAX_PRECISION + 1} exceeds the ceiling 4096\n"
+        f"abmod: error: precision must be at most 4096, got {MAX_PRECISION + 1}\n"
     )
 
 
@@ -269,7 +269,9 @@ def test_hom_rank_above_the_ceiling_is_a_usage_error(capsys):
         code, out, err = run([command, "J(17;0)", "J(16;0)"], capsys)
         assert time.perf_counter() - start < 1.0
         assert code == 4 and out == []
-        assert err == "abmod: error: the internal Hom has rank 272, above the ceiling 256\n"
+        assert err == (
+            "abmod: error: the rank of the internal Hom must be at most 256, got 272\n"
+        )
 
 
 # -- exit codes --------------------------------------------------------------
@@ -339,7 +341,8 @@ def test_truncation_and_trial_ceilings_are_usage_errors(capsys, monkeypatch):
     ):
         code, out, err = run(args, capsys)
         assert code == 4 and out == [], args
-        assert err.startswith("abmod: error: the truncation E/b^") and "2048" in err
+        assert err.startswith("abmod: error: the dimension of E/b^")
+        assert "must be at most 2048, got " in err
     for trials in (str(cli.MAX_FD_TRIALS + 1), "1000000000"):
         code, out, err = run(["fd", "J(2;0)", "--trials", trials], capsys)
         assert code == 4 and out == []

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -13,6 +15,7 @@ from abmod import (
     AbModule,
     AbmodError,
     BadParameter,
+    Element,
     FiniteAbQuotient,
     Intertwiner,
     IntertwinerSystem,
@@ -24,8 +27,10 @@ from abmod import (
     Scalar,
     Series,
     ZERO,
+    delta_index,
     from_expression,
     eigen_lift,
+    find_invertible,
     identity_truncation_iso,
     lift_truncation_iso,
     make_E_lambda_n,
@@ -80,7 +85,8 @@ def test_truncate_refuses_a_quotient_above_the_ceiling(monkeypatch):
     monkeypatch.setattr(linalg, "zeros", no_allocation)
     half = MAX_TRUNCATION_DIM // 2
     m = from_expression("J(2;0)", half + 1)
-    with pytest.raises(BadParameter, match=f"dimension {2 * half + 2}, above"):
+    with pytest.raises(BadParameter, match=f"must be at most {MAX_TRUNCATION_DIM}, "
+                                           f"got {2 * half + 2}$"):
         truncate(m, half + 1)
     # the ceiling is refused before the precision check
     with pytest.raises(BadParameter):
@@ -141,6 +147,33 @@ def test_a_count_that_is_not_a_number_is_refused(site):
         _loose_count_calls()[site]()
 
 
+def _bool_count_and_loose_seed_calls():
+    """A bool where a count is due (True is an int to Python), and seeds
+    that are not integers (random.Random takes a float or a string)."""
+    j2 = from_expression("J(2;0)", 8)
+    nonsplit = from_expression("E(1/2,1/3)", 24)
+    q = truncate(j2, 3)
+    return {
+        "module_iso_W": lambda: module_iso(j2, j2, W=True),
+        "element_shift": lambda: Element([Series.one(3)], True),
+        "verify_fd_trials": lambda: verify_fd(nonsplit, True, 0),
+        "truncate_N": lambda: truncate(from_expression("J(3;0)", 12), True),
+        "make_J_k_k": lambda: make_J_k(0, True, 8),
+        "random_regular_seed": lambda: random_regular(2, "x", 8),
+        "module_iso_seed": lambda: module_iso(j2, j2, seed=1.5),
+        "quotient_iso_seed": lambda: quotient_iso(q, q, seed=1.5),
+        "verify_fd_seed": lambda: verify_fd(nonsplit, 1, 1.5),
+        "find_invertible_seed": lambda: find_invertible(
+            IntertwinerSystem(j2.matrix, j2.matrix, 3).solve(), seed=1.5),
+    }
+
+
+@pytest.mark.parametrize("site", list(_bool_count_and_loose_seed_calls()))
+def test_a_bool_count_or_a_seed_that_is_not_an_integer_is_refused(site):
+    with pytest.raises(BadParameter, match="must be an integer, not (True|'x'|1.5)$"):
+        _bool_count_and_loose_seed_calls()[site]()
+
+
 # -- quotient isomorphisms ---------------------------------------------------
 
 
@@ -193,7 +226,7 @@ def test_module_iso_goldens():
 
 def test_module_iso_refuses_a_precision_outside_the_data():
     e = from_expression("J(2;0)", 8)
-    with pytest.raises(BadParameter, match="^precision must be at least 1$"):
+    with pytest.raises(BadParameter, match="^the order count must be at least 1, got 0$"):
         module_iso(e, e, W=0)
     with pytest.raises(PrecisionExhausted,
                        match="^requested precision exceeds the structure data$"):
@@ -347,7 +380,7 @@ def test_lift_refuses_each_broken_precondition():
         lift_truncation_iso(irregular(from_expression("E(1/2,1/3)", 20)), e, phi, N)
     # Each phi below is refused before the lifting precision: W = N + 1
     # would raise PrecisionExhausted ("window too small").
-    with pytest.raises(BadParameter, match="truncation level must be at least 1"):
+    with pytest.raises(BadParameter, match="truncation level must be at least 1, got 0"):
         lift_truncation_iso(e, e, Intertwiner("module", (), 0), 0, W=1)
     # the identity does not intertwine J(3;0) with J(3;1)
     j0, j1 = from_expression("J(3;0)", 20), from_expression("J(3;1)", 20)
@@ -363,7 +396,8 @@ def test_lift_refuses_each_broken_precondition():
             lift_truncation_iso(module, module, singular, N, W=N + 1)
     with pytest.raises(PrecisionExhausted, match="exceeds the module's working precision"):
         lift_truncation_iso(e, e, _diagonal_map((1, 1), 21), 21)
-    with pytest.raises(BadParameter, match="must exceed the truncation level"):
+    with pytest.raises(BadParameter, match=f"lifting precision must be at least {N + 1}, "
+                                           f"got {N}"):
         lift_truncation_iso(e, e, phi, N, W=N)
     with pytest.raises(PrecisionExhausted, match="window too small"):
         lift_truncation_iso(e, e, phi, N, W=N + 1)
@@ -444,3 +478,38 @@ def test_recover_simple_pole_part():
 
     with pytest.raises(NotFound):
         recover_Eb_from_truncation(q, 4)
+
+
+RECOVER_MODULES = ["E(1/2)", "E(1/2;2)", "E(-1/3;1)", "E(1/2,1/3)", "E(1/3,2;(1+i))",
+                   "J(2;0)", "J(3;0)", "J(3;1)", "F(3;0;1/2)"]
+
+
+def test_recover_Eb_from_truncation_is_the_image_of_the_simple_pole_part():
+    """For delta <= k < N the recovered subspace is the image of E^b
+    (``biggest_simple_pole``'s lattice) in E/b^N E; for k < delta the image
+    of b^k leaves the stable subspace and NotFound is raised."""
+    expressions = st.one_of(
+        st.sampled_from(RECOVER_MODULES),
+        st.builds("rand({};{})".format, st.integers(1, 3), st.integers(0, 2000)))
+    seen = {"equal": 0, "NotFound": 0, "delta > 1": 0}
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(expressions, st.integers(1, 4), st.data())
+    def check(expr, above, data):
+        module = from_expression(expr, 24)
+        delta = delta_index(module)
+        N = delta + above
+        k = data.draw(st.integers(max(delta - 2, 0), min(delta + 1, N - 1)), label="k")
+        q = truncate(module, N)
+        seen["delta > 1"] += delta > 1
+        if k < delta:
+            with pytest.raises(NotFound):
+                recover_Eb_from_truncation(q, k)
+            seen["NotFound"] += 1
+            return
+        got = [[oracles.to_sym(x) for x in row] for row in recover_Eb_from_truncation(q, k)]
+        assert sympy.Matrix(got) == oracles.eb_truncation_image(module, N)
+        seen["equal"] += 1
+
+    check()
+    assert min(seen.values()) >= 5, seen

@@ -148,7 +148,7 @@ def test_element_repr_and_zero_test():
 def test_element_refuses_bad_input_with_a_typed_error():
     with pytest.raises(BadParameter, match="at least one coordinate"):
         Element([], 0)
-    with pytest.raises(BadParameter, match="shift must be >= 0, got -1"):
+    with pytest.raises(BadParameter, match="shift must be at least 0, got -1"):
         Element([Series.one(4)], -1)
     x = Element([Series.one(4), _b_series([(1, 2)], 4)], 2)
     assert x.in_frame(3) == [_b_series([(1, 1)], 5), _b_series([(2, 2)], 5)]

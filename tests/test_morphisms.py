@@ -206,7 +206,7 @@ def test_find_invertible_refuses_a_count_of_tries_that_is_not_an_integer(tries):
 
 def test_find_invertible_refuses_a_negative_count_of_tries():
     system = _system("J(2;1)", "J(2;1)")[2]
-    with pytest.raises(BadParameter, match="^tries must be >= 0, got -1$"):
+    with pytest.raises(BadParameter, match="^tries must be at least 0, got -1$"):
         find_invertible(system, tries=-1)
 
 
@@ -353,11 +353,11 @@ def test_rank_and_parameter_queries_refuse_blocks_not_processed():
     with pytest.raises(BadParameter, match="processed 3 orders, not 10"):
         system.parameters_in_blocks(10)
     for hi in (0, -1):
-        with pytest.raises(BadParameter, match=f"at least 1, not {hi}"):
+        with pytest.raises(BadParameter, match=f"at least 1, got {hi}"):
             system.parameters_in_blocks(hi)
-        with pytest.raises(BadParameter, match=f"at least 1, not {hi}"):
+        with pytest.raises(BadParameter, match=f"at least 1, got {hi}"):
             system.rank_in_blocks(hi)
-    with pytest.raises(BadParameter, match="at least 1, not 0"):
+    with pytest.raises(BadParameter, match="at least 1, got 0"):
         system.block_matrix(-1, {})
 
 

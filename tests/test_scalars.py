@@ -137,8 +137,9 @@ def test_parts_are_read_only_fractions():
         a.re = Fraction(1)
     with pytest.raises(AttributeError):
         a.den = 2
-    with pytest.raises(TypeError):
-        Scalar(0.5)
+    for parts in ((0.5,), ("1",), (1, 0.5)):
+        with pytest.raises(BadParameter, match="is not exact: a scalar part is an int or"):
+            Scalar(*parts)
 
 
 def test_repr_is_unchanged():

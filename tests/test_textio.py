@@ -300,7 +300,8 @@ def test_parse_module_file_precision_ceiling(monkeypatch):
 
     monkeypatch.setattr(Series, "zero", staticmethod(never))
     monkeypatch.setattr(textio, "parse_series", never)
-    with pytest.raises(BadParameter, match=f"{MAX_PRECISION + 1} exceeds the ceiling"):
+    with pytest.raises(BadParameter,
+                       match=f"must be at most {MAX_PRECISION}, got {MAX_PRECISION + 1}"):
         parse_module_file(f"rank 2\nprecision {MAX_PRECISION + 1}\nm 1 1: b\n")
 
 
