@@ -162,9 +162,8 @@ def random_regular(rank: int, seed: int, precision: int,
 
 
 def _as_int(s: Scalar, what: str) -> int:
-    if not s.is_integer():
-        raise BadParameter(f"{what} must be an integer, got {str(s)!r}")
-    return int(s.re)
+    """s as an int; ``_checked_count`` refuses a non-integer, named by its text."""
+    return _checked_count(int(s.re) if s.is_integer() else str(s), what)
 
 
 def from_expression(text: str, precision: int) -> AbModule:

@@ -74,12 +74,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _bounded_int(low: int, high: int | None = None):
-    """An argparse type: an int no smaller than ``low`` (nor above ``high``)."""
+def _int_option(low: int | None = None, high: int | None = None):
+    """An argparse type: textio's INT after an optional '-', as a module file
+    or catalog expression spells an integer, no smaller than ``low`` (nor
+    above ``high``).  Any other spelling is argparse's "invalid int value"."""
 
     def parse(text):
-        value = int(text)
-        if value < low:
+        ts = _TokenStream(text)
+        try:
+            value = -ts.integer() if ts.accept("OP", "-") else ts.integer()
+            ts.expect("END")
+        except ParseError:
+            raise ValueError(text) from None
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         if high is not None and value > high:
             raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
@@ -220,7 +227,7 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(
         "--precision",
-        type=_bounded_int(1, MAX_PRECISION),
+        type=_int_option(1, MAX_PRECISION),
         default=DEFAULT_PRECISION,
         help="working precision for catalog-expression inputs",
     )
@@ -257,17 +264,17 @@ def _build_parser() -> _Parser:
     add("classify2", _cmd_classify2, "normal form of a rank-2 module")
     tr = add("truncate", _cmd_truncate,
              "matrices of a and b on the finite quotient E/b^N E")
-    tr.add_argument("level", type=int, help="truncation level N")
+    tr.add_argument("level", type=_int_option(), help="truncation level N")
     i = add("iso", _cmd_iso, "decide isomorphism of modules or of truncations",
             other=True)
-    i.add_argument("--trunc", type=int, default=None,
+    i.add_argument("--trunc", type=_int_option(), default=None,
                    help="compare the level-N truncations instead of the modules")
-    i.add_argument("--seed", type=int, default=0, help="search seed")
+    i.add_argument("--seed", type=_int_option(), default=0, help="search seed")
     f = add("fd", _cmd_fd,
             "perturb above the determination bound and verify unique lifts")
-    f.add_argument("--trials", type=_bounded_int(0, MAX_FD_TRIALS), default=20,
+    f.add_argument("--trials", type=_int_option(0, MAX_FD_TRIALS), default=20,
                    help="number of perturbations")
-    f.add_argument("--seed", type=int, default=0, help="perturbation seed")
+    f.add_argument("--seed", type=_int_option(), default=0, help="perturbation seed")
     c = sub.add_parser("catalog", parents=[common],
                        help="emit a catalog module as a module file")
     c.set_defaults(handler=_cmd_catalog)

@@ -44,7 +44,7 @@ from .morphisms import (
 )
 from .record import Record
 from .scalars import ONE, Scalar
-from .series import Series, _checked_count
+from .series import Series, _checked_count, _checked_series
 from .seriesmat import _a_image_terms, _sparse_rows
 
 __all__ = [
@@ -100,9 +100,7 @@ def _truncation_dim(module: AbModule, N: int) -> int:
     dim = module.rank * _checked_count(N, "truncation level", 1)
     _checked_count(dim, f"the dimension of E/b^{N} E", most=MAX_TRUNCATION_DIM)
     if N > module.precision:
-        raise PrecisionExhausted(
-            "truncation level exceeds the module's working precision"
-        )
+        raise PrecisionExhausted(f"the truncation E/b^{N} E", N, module.precision)
     return dim
 
 
@@ -279,7 +277,8 @@ def module_iso(e: AbModule, ep: AbModule, W: int = None, seed: int = 0):
     that precision.
 
     After the argument checks it decides in this order: the intertwining
-    system is solved to W orders, None as soon as block 0 is singular by its
+    system is solved to W orders (PrecisionExhausted from the solve when W
+    exceeds either precision), None as soon as block 0 is singular by its
     shape; None when the saturations' spectra differ; then ``_certified``
     searches block 0 for an invertible value (None when there is none) and
     checks the map it gives by verify_intertwiner."""
@@ -289,8 +288,6 @@ def module_iso(e: AbModule, ep: AbModule, W: int = None, seed: int = 0):
         W = min(e.precision, ep.precision)
     _checked_count(W, "the order count", 1)
     _checked_count(seed, "seed")
-    if W > min(e.precision, ep.precision):
-        raise PrecisionExhausted("requested precision exceeds the structure data")
     system = IntertwinerSystem(e.matrix, ep.matrix, W).solve_until_singular()
     if system is None or _saturation_spectra_differ(e, ep):
         return None
@@ -376,9 +373,9 @@ def lift_truncation_iso(
         raise NotRegular("lifting is certified for regular modules")
     _checked_count(N, "truncation level", 1)
     p = e.rank
+    _checked_series(phi.matrix, "phi's entries")
     if phi.kind != "module" or phi.order != N or len(phi.matrix) != p or any(
-            len(row) != p or not all(isinstance(x, Series) and x.precision >= N
-                                     for x in row) for row in phi.matrix):
+            len(row) != p or any(x.precision < N for x in row) for row in phi.matrix):
         raise BadParameter("phi is not an intertwiner of the N-truncations")
     prefix = [[x.at_precision(N) for x in row] for row in phi.matrix]
     system = IntertwinerSystem(e.matrix, ep.matrix, N, prefix=prefix)
@@ -389,9 +386,9 @@ def lift_truncation_iso(
         W = _default_lift_precision(e, N)
     _checked_count(W, "lifting precision", N + 1)
     if W - slack <= N:
-        raise PrecisionExhausted("lifting window too small to certify uniqueness")
-    if W > min(e.precision, ep.precision):
-        raise PrecisionExhausted("requested precision exceeds the structure data")
+        raise PrecisionExhausted(
+            f"the lifting window above level {N}", N + slack + 1, W
+        )
     if system.solve(W) is None:
         system = IntertwinerSystem(e.matrix, ep.matrix, W)
     return _free_lift(system, e, ep, N, W, slack, seed)
@@ -471,7 +468,7 @@ def verify_fd(module: AbModule, trials: int, seed: int, lo: int = None) -> dict:
     W = _default_lift_precision(module, lo)
     if W > module.precision:
         raise PrecisionExhausted(
-            "module precision leaves no room for a certification window"
+            f"the certification window above level {lo}", W, module.precision
         )
     rng = random.Random(seed)
     failures = []

@@ -29,7 +29,16 @@ class NotAUnit(AbmodError):
 
 
 class PrecisionExhausted(AbmodError):
-    """The working precision is too small to decide the computation exactly."""
+    """The working precision is too small to decide the computation exactly:
+    ``what`` needs precision >= ``need`` and has ``have``, and the message
+    says so.  Without ``need`` the message is ``what`` alone."""
+
+    def __init__(self, what: str, need: int | None = None, have: int | None = None):
+        self.need = need
+        self.have = have
+        if need is not None:
+            what = f"{what} needs precision >= {need}, have {have}"
+        super().__init__(what)
 
 
 class NotRegular(AbmodError):

@@ -42,6 +42,7 @@ from .morphisms import IntertwinerSystem
 from .record import Record
 from .scalars import ONE, ZERO, Scalar
 from .series import Series, _checked_count
+from .seriesmat import _checked_length
 from .textio import MAX_FILE_RANK
 
 __all__ = [
@@ -182,7 +183,8 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
     and the coefficient of b^(W-1) is not claimed.  x is solved as the
     intertwiner from the rank-1 module [[lam*b]] whose prefix is y mod
     b^(kappa+1), which prescribes x_0..x_kappa; orders up to kappa + 1
-    check them.  A kappa that is not an integer is refused (BadParameter).
+    check them.  A kappa that is not an integer, and a seed whose length is
+    not the rank, are refused (BadParameter).
     """
     if not module.is_simple_pole():
         raise NotSimplePole("eigen lifting requires a simple-pole module")
@@ -193,7 +195,7 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
         raise HypothesisViolated("seed element does not lie in the module")
     w = module.precision
     if kappa + 2 > w:
-        raise PrecisionExhausted("module precision too small for the given kappa")
+        raise PrecisionExhausted(f"an eigen lift from kappa {kappa}", kappa + 2, w)
     same_class = [v for v in spectrum(module) if (lam - v).is_integer()]
     if same_class:
         lo = min(same_class, key=Scalar.sort_key)
@@ -201,10 +203,7 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
             raise HypothesisViolated(
                 "lam - kappa exceeds the smallest eigenvalue in its class"
             )
-    if z.precision <= kappa:
-        raise PrecisionExhausted(
-            f"coefficient of b^{z.precision} requested at precision {z.precision}"
-        )
+    _checked_length(z.coords, module.rank)
     prefix = [[c.at_precision(kappa + 1)] for c in z.in_frame(0)]
     source = [[Series.monomial(lam, 1, w)]]
     system = IntertwinerSystem(source, module.matrix, w, prefix=prefix)
@@ -271,8 +270,7 @@ def _eigen_basis(module: AbModule, x: Element):
     if pivot is None:
         raise NotPrimitive("element lies in b.E")
     p = module.rank
-    if len(coords) != p:
-        raise BadParameter(f"column length {len(coords)} is not the rank {p}")
+    _checked_length(coords, p)
     w = z.precision
     cols = [coords] + [
         [Series.one(w) if i == l else Series.zero(w) for i in range(p)]
@@ -449,8 +447,6 @@ def _alpha_from_presentation(module: AbModule, lam: Scalar, n: int) -> Scalar:
     c0 = h.coefficient(0)
     if c0.is_zero():
         raise HypothesisViolated("the extension coefficient is not a unit")
-    if n >= h.precision:
-        raise PrecisionExhausted("not enough precision to read alpha")
     alpha = h.coefficient(n) / c0
     if alpha.is_zero():
         raise HypothesisViolated("twisted normal form with alpha = 0")

@@ -82,10 +82,7 @@ def saturate(module: AbModule) -> SaturationResult:
     """
     p, w = module.rank, module.precision
     if w < 2 * p + 2:
-        raise PrecisionExhausted(
-            f"saturation of a rank-{p} module needs precision >= {2 * p + 2}, "
-            f"have {w}"
-        )
+        raise PrecisionExhausted(f"saturation of a rank-{p} module", 2 * p + 2, w)
     if module.is_simple_pole():
         return SaturationResult(
             saturated=module, lattice=standard_lattice(module), steps=0
@@ -277,8 +274,7 @@ def _eigen_system(module: AbModule, mus: list, extra: int = 0) -> IntertwinerSys
     need = max(needs)
     if w < need:
         raise PrecisionExhausted(
-            f"the eigenvector for exponent {mus[needs.index(need)]} needs "
-            f"precision >= {need}, have {w}"
+            f"the eigenvector for exponent {mus[needs.index(need)]}", need, w
         )
     zero = Series.zero(w)
     source = [[Series.monomial(mu, 1, w) if i == j else zero for j in range(len(mus))]

@@ -31,8 +31,8 @@ from __future__ import annotations
 from .errors import BadParameter, NotAStable, PrecisionExhausted
 from .record import Record
 from .scalars import ONE
-from .series import Series, _below, _make, _sub_mul
-from .seriesmat import a_image, col_shift_up
+from .series import Series, _below, _checked_series, _make, _sub_mul
+from .seriesmat import _checked_length, a_image, col_shift_up
 
 from .module import AbModule
 
@@ -77,8 +77,8 @@ class Lattice(Record):
         back-substitution along the pivots, in the frame of
         max(self.shift, shift), is visibly zero.  A column whose length is
         not the lattice's dimension is refused (BadParameter)."""
-        if len(col) != self.dim:
-            raise BadParameter(f"column length {len(col)} is not the rank {self.dim}")
+        _checked_length(col, self.dim)
+        _checked_series([col], "column entries")
         k = max(self.shift, shift)
         work = col_shift_up(list(col), k - shift)
         rem = _back_substitute(self.at_shift(k), work)[0]
@@ -150,12 +150,12 @@ def _back_substitute_terms(pivots, gens, precision: int, work, ws):
     for (row, v), gen in zip(pivots, gens):
         wr = eff[row]
         if wr < v:
-            raise PrecisionExhausted("column too shallow to reduce against pivot")
+            raise PrecisionExhausted(f"reducing against the pivot b^{v}", v, wr)
         q = tuple((k - v, c) for k, c in work[row] if v <= k < wr) if work[row] else ()
         quotients.append((q, wr - v))
         if q:
             if 0 in ws:
-                raise PrecisionExhausted("operating on a series of precision 0")
+                raise PrecisionExhausted("a series operand", 1, 0)
             if cap != min(wr, precision):
                 cap = min(wr, precision)
                 eff = [x if x < cap else cap for x in ws]
@@ -198,9 +198,7 @@ def _echelon(columns, w: int):
         idx = min(range(len(pending)), key=lambda k: pending[k][0])
         (v, row), col = pending.pop(idx)
         if v >= w - 1:
-            raise PrecisionExhausted(
-                f"pivot valuation {v} is not safely below precision {w}"
-            )
+            raise PrecisionExhausted(f"a lattice pivot b^{v}", v + 2, w)
         if col[row] != ((v, ONE),):
             # t / u is 0 - (-1/u) * t for the unit part u of the pivot
             neg = _make(tuple((k - v, -c) for k, c in col[row]), w - v).invert().terms
@@ -236,16 +234,16 @@ def lattice_from_columns(dim: int, columns, shift: int = 0, precision=None) -> L
     determine the lattice.
     """
     cols = [list(c) for c in columns]
+    _checked_series(cols, "column entries")
     if precision is None:
         precision = min(
             (e.precision for c in cols for e in c), default=0
         )
     if precision < 1:
-        raise PrecisionExhausted("lattice needs columns of precision >= 1")
+        raise PrecisionExhausted("a lattice", 1, precision)
     work = [[e.at_precision(precision).terms for e in c] for c in cols]
     for c in work:
-        if len(c) != dim:
-            raise BadParameter("column length does not match the ambient rank")
+        _checked_length(c, dim)
     gens, pivots = _echelon(work, precision)
     return Lattice(
         dim,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import BadParameter, PrecisionExhausted
 from .record import Immutable, Record
-from .series import _checked_count
+from .series import _checked_count, _checked_series
 from .seriesmat import (
     a_image,
     col_shift_up,
@@ -39,12 +39,13 @@ class AbModule(Immutable):
     __slots__ = ("matrix", "rank", "precision", "_hash")
 
     def __init__(self, matrix):
+        _checked_series(matrix, "structure matrix entries")
         p = len(matrix)
         if p == 0 or any(len(row) != p for row in matrix):
             raise BadParameter("structure matrix must be square and nonempty")
         w = smat_min_precision(matrix)
         if w < 1:
-            raise PrecisionExhausted("module structure matrix has precision 0")
+            raise PrecisionExhausted("a module", 1, w)
         rows = tuple(
             tuple(entry.at_precision(w) for entry in row) for row in matrix
         )
@@ -105,6 +106,7 @@ class Element(Record):
     def __init__(self, coords, shift: int = 0):
         if not coords:
             raise BadParameter("an element needs at least one coordinate")
+        _checked_series([coords], "element coordinates")
         _checked_count(shift, "element shift", 0)
         w = min(c.precision for c in coords)
         super().__init__(tuple(c.at_precision(w) for c in coords), shift)
@@ -115,6 +117,7 @@ class Element(Record):
 
     def in_frame(self, shift: int) -> list:
         """Coordinates as seen in the b^{-shift} frame (shift >= self.shift)."""
+        _checked_count(shift, "the frame shift")
         if shift < self.shift:
             raise BadParameter(
                 f"cannot lower an element's frame from b^-{self.shift} to "
@@ -132,13 +135,9 @@ class Element(Record):
         m = min([self.shift] + [c.valuation() for c in self.coords if c.terms])
         if m == 0:
             return self
-        w = self.precision
-        if m > w:
-            raise PrecisionExhausted(
-                f"normalizing through b^{m} at precision {w}"
-            )
-        # all coordinates share precision w, so an entry without terms
-        # becomes Series.zero(w - m) like every other
+        # all coordinates share one precision w, so shift_down refuses an
+        # m > w, and an entry without terms becomes Series.zero(w - m) like
+        # every other
         return Element([c.shift_down(m) for c in self.coords], self.shift - m)
 
     def is_zero(self) -> bool:
@@ -172,5 +171,6 @@ def base_change(module: AbModule, q) -> AbModule:
     """
     if len(q) != module.rank or any(len(row) != module.rank for row in q):
         raise BadParameter("base change needs a square matrix of the module's rank")
+    _checked_series(q, "base change entries")
     images = a_image(module.matrix, zip(*q))
     return AbModule(smat_mul(smat_inverse(q), list(zip(*images))))

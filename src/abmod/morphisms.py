@@ -84,7 +84,7 @@ from operator import add, sub
 from . import linalg
 from .errors import BadParameter, PrecisionExhausted
 from .scalars import ONE, ZERO, Scalar, _make
-from .series import Series, _below, _checked_count, _combine
+from .series import _below, _checked_count, _checked_series, _combine
 from .series import _make as _series
 from .seriesmat import _a_image_accs, _fold_row, _sparse_rows
 
@@ -169,8 +169,7 @@ def _prefix_blocks(prefix, rows: int, cols: int) -> list:
     BadParameter unless the shape fits and every entry is a Series."""
     if len(prefix) != rows or any(len(row) != cols for row in prefix):
         raise BadParameter(f"a prescribed block must be {rows} x {cols}")
-    if not all(isinstance(x, Series) for row in prefix for x in row):
-        raise BadParameter("prescribed entries must be Series")
+    _checked_series(prefix, "prescribed entries")
     n = min(x.precision for row in prefix for x in row)
     blocks = [[[{} for _ in range(cols)] for _ in range(rows)] for _ in range(n)]
     for i, row in enumerate(prefix):
@@ -186,8 +185,7 @@ def _structure_terms(matrix) -> list:
     ``Series`` entries."""
     if not matrix or any(len(row) != len(matrix) for row in matrix):
         raise BadParameter("source and target must be square and nonempty")
-    if not all(isinstance(entry, Series) for row in matrix for entry in row):
-        raise BadParameter("structure matrix entries must be Series")
+    _checked_series(matrix, "structure matrix entries")
     return [[entry.terms for entry in row] for row in matrix]
 
 
@@ -254,9 +252,7 @@ class IntertwinerSystem:
         its shape."""
         w = self.w if w is None else _checked_count(w, "the order count")
         if w > self.precision:
-            raise PrecisionExhausted(
-                "truncation level exceeds the module's working precision"
-            )
+            raise PrecisionExhausted(f"an intertwiner mod b^{w}", w, self.precision)
         if w < len(self.blocks):
             raise BadParameter("a system cannot be solved back to fewer orders")
         self.w = w
@@ -442,7 +438,7 @@ class IntertwinerSystem:
     def block_matrix(self, k: int, values: dict):
         """Block k at the given parameter values, as Scalars; BadParameter
         past the orders processed, or for a value ``Scalar.of`` refuses."""
-        self._require_blocks(k + 1, 1)
+        self._require_blocks(_checked_count(k, "a block index") + 1, 1)
         raw = _raw_values(values)
         return [
             [_make(*_aff_eval(entry, raw)) if entry else ZERO for entry in row]
@@ -623,11 +619,10 @@ def verify_intertwiner(source, target, P, w: int) -> bool:
             f"P must be {len(target)} x {len(source)}, rank(target) x rank(source)"
         )
     entries = [e for m in (P, source, target) for row in m for e in row]
-    if not all(isinstance(e, Series) for e in entries):
-        raise BadParameter("entries of P, Ms and Mt must be Series")
+    _checked_series([entries], "entries of P, Ms and Mt")
     _checked_count(w, "the order count")
     if not all(e.precision for e in entries):
-        raise PrecisionExhausted("operating on a series of precision 0")
+        raise PrecisionExhausted("a series operand", 1, 0)
     p_row_w = [min(e.precision for e in row) for row in P]
     p_col_w = [min(e.precision for e in col) for col in zip(*P)]
     s_col_w = [min(e.precision for e in col) for col in zip(*source)]

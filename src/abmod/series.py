@@ -71,6 +71,19 @@ def _checked_count(n, what: str, least: int = None, most: int = None) -> int:
     return n
 
 
+def _checked_series(rows, what: str) -> None:
+    """BadParameter ("{what} must be Series") unless every entry of every row
+    is a Series; rows or a row that cannot be iterated, such as None, are
+    refused alike.  Each public entry point that takes Series checks them
+    here, before it reads one."""
+    try:
+        if all(isinstance(e, Series) for row in rows for e in row):
+            return
+    except TypeError:
+        pass
+    raise BadParameter(f"{what} must be Series")
+
+
 def _below(terms: tuple, w: int) -> tuple:
     """The terms of order < w."""
     if not terms or terms[-1][0] < w:
@@ -232,14 +245,12 @@ class Series(Immutable):
 
     def _need(self):
         if self.precision == 0:
-            raise PrecisionExhausted("operating on a series of precision 0")
+            raise PrecisionExhausted("a series operand", 1, 0)
 
     def coefficient(self, k: int) -> Scalar:
         """The coefficient of b^k; raises if k is beyond the precision."""
         if _checked_count(k, "coefficient order", 0) >= self.precision:
-            raise PrecisionExhausted(
-                f"coefficient of b^{k} requested at precision {self.precision}"
-            )
+            raise PrecisionExhausted(f"the coefficient of b^{k}", k + 1, self.precision)
         for j, c in self.terms:
             if j >= k:
                 return c if j == k else ZERO
@@ -266,9 +277,8 @@ class Series(Immutable):
     def at_precision(self, precision: int) -> "Series":
         """A lower-precision view; raising precision is refused."""
         if _checked_count(precision, "precision", 0) > self.precision:
-            raise PrecisionExhausted(
-                f"cannot raise precision {self.precision} -> {precision}"
-            )
+            raise PrecisionExhausted(f"cutting a series at b^{precision}", precision,
+                                     self.precision)
         if precision == self.precision:
             return self
         return _make(_below(self.terms, precision), precision)
@@ -280,7 +290,7 @@ class Series(Immutable):
             return NotImplemented
         w = min(self.precision, other.precision)
         if not w:
-            raise PrecisionExhausted("operating on a series of precision 0")
+            raise PrecisionExhausted("a series operand", 1, 0)
         if not other.terms:
             return self.at_precision(w)
         if not self.terms:
@@ -292,7 +302,7 @@ class Series(Immutable):
             return NotImplemented
         w = min(self.precision, other.precision)
         if not w:
-            raise PrecisionExhausted("operating on a series of precision 0")
+            raise PrecisionExhausted("a series operand", 1, 0)
         if not other.terms:
             return self.at_precision(w)
         if not self.terms:
@@ -317,7 +327,7 @@ class Series(Immutable):
                 return NotImplemented
         w = min(self.precision, other.precision)
         if not w:
-            raise PrecisionExhausted("operating on a series of precision 0")
+            raise PrecisionExhausted("a series operand", 1, 0)
         if not (self.terms and other.terms):
             return _make((), w)
         return _make(_product(self.terms, other.terms, w), w)
@@ -326,7 +336,6 @@ class Series(Immutable):
 
     def invert(self) -> "Series":
         """Multiplicative inverse; ``NotAUnit`` when the constant term is 0."""
-        self._need()
         if not self.is_unit():
             raise NotAUnit("series has zero constant term, cannot invert")
         inv0 = self.terms[0][1].inverse()
@@ -394,9 +403,7 @@ class Series(Immutable):
         if _checked_count(m, "shift_down's m", 0) == 0:
             return self
         if m > self.precision:
-            raise PrecisionExhausted(
-                f"dividing by b^{m} at precision {self.precision}"
-            )
+            raise PrecisionExhausted(f"dividing by b^{m}", m, self.precision)
         if self.terms and self.terms[0][0] < m:
             raise BadParameter("series is not divisible by the requested b power")
         return _make(tuple((k - m, c) for k, c in self.terms), self.precision - m)

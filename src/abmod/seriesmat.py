@@ -41,7 +41,7 @@ def smat_mul(a, b) -> list:
     for arow in a:
         row_w = min(arow[k].precision for k in range(rb))
         if not row_w or not wb:
-            raise PrecisionExhausted("operating on a series of precision 0")
+            raise PrecisionExhausted("a series operand", 1, 0)
         ws = [min(row_w, w) for w in col_w]
         accs = [{} for _ in range(cb)]
         _fold_row(accs, arow, brows, ws)
@@ -86,12 +86,11 @@ def a_image(m, cols, shift: int = 0) -> list:
     out = []
     for v in cols:
         v = list(v)
-        if len(v) != len(m):
-            raise BadParameter(f"column length {len(v)} is not the rank {len(m)}")
+        _checked_length(v, len(m))
         cv = min(x.precision for x in v)
         w = min(wm, cv)
         if not w:
-            raise PrecisionExhausted("operating on a series of precision 0")
+            raise PrecisionExhausted("a series operand", 1, 0)
         ws = [min(w + 1, r, cv) for r in row_w]
         image = _a_image_terms(rows, [x.terms for x in v], shift, ws)
         out.append([_make(t, wi) for t, wi in zip(image, ws)])
@@ -128,6 +127,12 @@ def _a_image_accs(rows, col, shift: int, ws) -> list:
                 _fold(acc, mij, col[j], wi)
         accs.append(acc)
     return accs
+
+
+def _checked_length(col, rank: int) -> None:
+    """BadParameter unless the coordinate column col has rank entries."""
+    if len(col) != rank:
+        raise BadParameter(f"column length {len(col)} is not the rank {rank}")
 
 
 def smat_min_precision(a) -> int:

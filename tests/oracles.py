@@ -557,7 +557,7 @@ def hand_verify_intertwiner(source, target, P, w: int) -> bool:
         raise BadParameter("entries of P, Ms and Mt must be Series")
     _checked_count(w, "the order count")
     if not all(e.precision for e in entries):
-        raise PrecisionExhausted("operating on a series of precision 0")
+        raise PrecisionExhausted("a series operand", 1, 0)
     p_row_w = [min(e.precision for e in row) for row in P]
     p_col_w = [min(e.precision for e in col) for col in zip(*P)]
     s_col_w = [min(e.precision for e in col) for col in zip(*source)]
@@ -1273,7 +1273,7 @@ def full_precision_alpha(module: AbModule, lam: Scalar, n: int) -> Scalar:
     if c0.is_zero():
         raise HypothesisViolated("the extension coefficient is not a unit")
     if n >= h.precision:
-        raise PrecisionExhausted("not enough precision to read alpha")
+        raise PrecisionExhausted(f"the coefficient of b^{n}", n + 1, h.precision)
     alpha = h.coefficient(n) / c0
     if alpha.is_zero():
         raise HypothesisViolated("twisted normal form with alpha = 0")
@@ -1403,9 +1403,10 @@ def dense_lift_truncation_iso(
     if W <= N:
         raise BadParameter("lifting precision must exceed the truncation level")
     if W - slack <= N:
-        raise PrecisionExhausted("lifting window too small to certify uniqueness")
+        raise PrecisionExhausted(f"the lifting window above level {N}", N + slack + 1, W)
     if W > min(e.precision, ep.precision):
-        raise PrecisionExhausted("requested precision exceeds the structure data")
+        raise PrecisionExhausted(f"an intertwiner mod b^{W}", W,
+                                 min(e.precision, ep.precision))
     strict = ScalarIntertwinerSystem(e.matrix, ep.matrix, W,
                                      fixed=dict(enumerate(blocks))).solve()
     if strict is not None:
@@ -1554,7 +1555,8 @@ def fresh_module_iso(e: AbModule, ep: AbModule, W: int = None, seed: int = 0):
     if W < 1:
         raise BadParameter("precision must be at least 1")
     if W > min(e.precision, ep.precision):
-        raise PrecisionExhausted("requested precision exceeds the structure data")
+        raise PrecisionExhausted(f"an intertwiner mod b^{W}", W,
+                                 min(e.precision, ep.precision))
     if _saturation_spectra_differ(e, ep):
         return None
     system = IntertwinerSystem(e.matrix, ep.matrix, W).solve()
@@ -1587,7 +1589,7 @@ def fresh_verify_fd(module: AbModule, trials: int, seed: int, lo: int = None) ->
     W = _default_lift_precision(module, lo)
     if W > module.precision:
         raise PrecisionExhausted(
-            "module precision leaves no room for a certification window"
+            f"the certification window above level {lo}", W, module.precision
         )
     rng = random.Random(seed)
     failures = []
@@ -1698,9 +1700,7 @@ class ScalarIntertwinerSystem(IntertwinerSystem):
     def solve(self, w: int = None):
         w = self.w if w is None else w
         if w > self.precision:
-            raise PrecisionExhausted(
-                "truncation level exceeds the module's working precision"
-            )
+            raise PrecisionExhausted(f"an intertwiner mod b^{w}", w, self.precision)
         if w < len(self.blocks):
             raise BadParameter("a system cannot be solved back to fewer orders")
         self.w = w

@@ -291,6 +291,62 @@ def test_every_integer_bound_is_checked_by_checked_count():
     assert found == []
 
 
+# ext_dims' failure to stabilize compares no precision with a need.
+UNMEASURED_REFUSALS = {"ext dimensions failed to stabilize at consecutive truncation levels"}
+
+
+def _unmeasured_refusals(tree) -> list:
+    """The lines of each ``PrecisionExhausted(...)`` call, by its bare name or
+    as an attribute such as ``errors.PrecisionExhausted``, that does not pass
+    exactly the three positional arguments what, need and have with a need
+    other than the constant None, unless its one argument is a text in
+    UNMEASURED_REFUSALS."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and "PrecisionExhausted" in (getattr(node.func, "id", None),
+                                             getattr(node.func, "attr", None))):
+            continue
+        if (len(node.args) == 3 and not node.keywords
+                and not (isinstance(node.args[1], ast.Constant)
+                         and node.args[1].value is None)):
+            continue
+        if (len(node.args) == 1 and not node.keywords
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value in UNMEASURED_REFUSALS):
+            continue
+        found.append(node.lineno)
+    return found
+
+
+def test_unmeasured_refusals_are_found_and_measured_ones_are_not():
+    flagged = """
+raise PrecisionExhausted("operating on a series of precision 0")
+raise PrecisionExhausted(f"a pivot b^{v}", v + 2)
+raise PrecisionExhausted("a module", need=1, have=w)
+raise errors.PrecisionExhausted("operating on a series of precision 0")
+raise PrecisionExhausted("a series operand", None, None)
+"""
+    kept = """
+raise PrecisionExhausted(f"the truncation E/b^{N} E", N, module.precision)
+raise errors.PrecisionExhausted("a series operand", 1, 0)
+raise PrecisionExhausted("ext dimensions failed to stabilize at consecutive truncation levels")
+"""
+    assert _unmeasured_refusals(ast.parse(flagged)) == [2, 3, 4, 5, 6]
+    assert _unmeasured_refusals(ast.parse(kept)) == []
+
+
+def test_every_precision_refusal_says_what_needs_how_much_and_has():
+    # errors.PrecisionExhausted(what, need, have) words every refusal of too
+    # little precision, so each one names the level it could not reach.
+    found = [
+        f"{path.stem}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _unmeasured_refusals(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
 def _bounded_entries():
     """(name, call, what, least, most): a public entry taking one integer,
     its name in the refusal and its bounds (None: no bound)."""
@@ -339,6 +395,9 @@ def _bounded_entries():
         ("find_invertible", lambda v: find_invertible(system, tries=v), "tries", 0, None),
         ("IntertwinerSystem.parameters_in_blocks", system.parameters_in_blocks,
          "a block count", 1, None),
+        ("IntertwinerSystem.block_matrix", lambda v: system.block_matrix(v, {}),
+         "a block index", None, None),
+        ("Element.in_frame", unit.in_frame, "the frame shift", None, None),
     ]
 
 

@@ -137,6 +137,15 @@ def test_expression_errors():
         from_expression("J(0;1)", 8)
 
 
+@pytest.mark.parametrize("expression, what, value", [
+    ("J(1/2;0)", "k", "1/2"), ("F(5/2;0;1)", "k", "5/2"), ("E(0;3/2)", "n", "3/2"),
+    ("E(0,-1/2;1)", "n", "-1/2"), ("rand(1/3;1)", "rank", "1/3"), ("rand(2;i)", "seed", "i"),
+])
+def test_a_non_integer_argument_has_the_one_integer_refusal(expression, what, value):
+    with pytest.raises(BadParameter, match=rf"^{what} must be an integer, not '{value}'$"):
+        from_expression(expression, 8)
+
+
 class NoSeries:
     def __getattr__(self, name):
         raise AssertionError("an entry was built above the rank ceiling")

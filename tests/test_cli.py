@@ -325,6 +325,35 @@ def test_exit_code_usage_for_out_of_range_counts(capsys):
     assert code == 0 and "fd_trials: 0" in out
 
 
+def test_a_non_integer_catalog_argument_is_a_usage_error(capsys):
+    code, out, err = run(["info", "J(1/2;0)"], capsys)
+    assert (code, out) == (4, [])
+    assert err == "abmod: error: k must be an integer, not '1/2'\n"
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--precision", ["info", "E(0)", "--precision"]),
+    ("--trials", ["fd", "E(0)", "--trials"]),
+    ("--seed", ["fd", "E(0)", "--seed"]),
+    ("--seed", ["iso", "E(0)", "E(0)", "--seed"]),
+    ("--trunc", ["iso", "E(0)", "E(0)", "--trunc"]),
+    ("level", ["truncate", "E(0)"]),
+])
+def test_integer_options_follow_the_text_grammar(capsys, flag, argv):
+    # digits, with a leading '-' where the option's range allows one; no
+    # '_', '+' or other spelling that Python's int() also reads
+    for text in ("1_0", "+3", " +3", "0x3", "3.0", "3e0"):
+        code, out, err = run(argv + [text], capsys)
+        assert (code, out) == (4, []), text
+        assert err == f"abmod: error: argument {flag}: invalid int value: {text!r}\n"
+    code, out, _ = run(argv + ["3"], capsys)
+    assert code == 0 and out, out
+
+
+def test_a_negative_seed_is_read(capsys):
+    assert run(["iso", "E(0)", "E(0)", "--seed", "-3"], capsys)[:2] == (0, ["iso: found"])
+
+
 def test_truncation_and_trial_ceilings_are_usage_errors(capsys, monkeypatch):
     def no_allocation(rows, cols):
         raise MemoryError(f"allocating a {rows} x {cols} matrix")

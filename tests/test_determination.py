@@ -229,7 +229,7 @@ def test_module_iso_refuses_a_precision_outside_the_data():
     with pytest.raises(BadParameter, match="^the order count must be at least 1, got 0$"):
         module_iso(e, e, W=0)
     with pytest.raises(PrecisionExhausted,
-                       match="^requested precision exceeds the structure data$"):
+                       match=r"^an intertwiner mod b\^9 needs precision >= 9, have 8$"):
         module_iso(e, e, W=9)
 
 
@@ -347,18 +347,22 @@ def test_identity_lift_is_identity():
 
 def test_lift_rejects_malformed_phi():
     """phi must be a rank x rank "module" Intertwiner of order N whose
-    entries are series known mod b^N at least."""
+    entries are Series known mod b^N at least."""
     e = from_expression("J(2;0)", 20)
     phi = identity_truncation_iso(e, 3)
     one, zero = Series.one(3), Series.zero(3)
     dense = Intertwiner("quotient", tuple(tuple(ONE if r == c else ZERO for c in range(6))
                                           for r in range(6)), 3)
-    for bad, N in ((phi, 4), (dense, 3), (Intertwiner("module", ((one,),), 3), 3),
+    for bad, N in ((phi, 4), (Intertwiner("quotient", phi.matrix, 3), 3),
+                   (Intertwiner("module", ((one,),), 3), 3),
                    (Intertwiner("module", ((one, zero), (zero,)), 3), 3),
-                   (Intertwiner("module", ((one, zero), (zero, ONE)), 3), 3),
                    (Intertwiner("module", ((one, zero), (zero, Series.one(2))), 3), 3)):
         with pytest.raises(BadParameter, match="^phi is not an intertwiner of the N-"):
             lift_truncation_iso(e, e, bad, N, W=N + 1)
+    # an entry that is not a Series is refused by the one entry check
+    for bad in (dense, Intertwiner("module", ((one, zero), (zero, ONE)), 3)):
+        with pytest.raises(BadParameter, match="^phi's entries must be Series$"):
+            lift_truncation_iso(e, e, bad, 3, W=4)
 
 
 def _diagonal_map(diagonal, N):
@@ -379,7 +383,7 @@ def test_lift_refuses_each_broken_precondition():
     with pytest.raises(NotRegular):
         lift_truncation_iso(irregular(from_expression("E(1/2,1/3)", 20)), e, phi, N)
     # Each phi below is refused before the lifting precision: W = N + 1
-    # would raise PrecisionExhausted ("window too small").
+    # would raise PrecisionExhausted (the lifting window).
     with pytest.raises(BadParameter, match="truncation level must be at least 1, got 0"):
         lift_truncation_iso(e, e, Intertwiner("module", (), 0), 0, W=1)
     # the identity does not intertwine J(3;0) with J(3;1)
@@ -394,14 +398,19 @@ def test_lift_refuses_each_broken_precondition():
                              (split, _diagonal_map((1, 0), N))):
         with pytest.raises(BadParameter, match="not a verified truncation isomorphism"):
             lift_truncation_iso(module, module, singular, N, W=N + 1)
-    with pytest.raises(PrecisionExhausted, match="exceeds the module's working precision"):
+    with pytest.raises(PrecisionExhausted,
+                       match=r"^an intertwiner mod b\^21 needs precision >= 21, have 20$"):
         lift_truncation_iso(e, e, _diagonal_map((1, 1), 21), 21)
     with pytest.raises(BadParameter, match=f"lifting precision must be at least {N + 1}, "
                                            f"got {N}"):
         lift_truncation_iso(e, e, phi, N, W=N)
-    with pytest.raises(PrecisionExhausted, match="window too small"):
+    # the window needs W - slack > N, and J(2;0)'s slack is 4
+    with pytest.raises(PrecisionExhausted,
+                       match="^the lifting window above level 3 needs precision >= 8, "
+                             "have 4$"):
         lift_truncation_iso(e, e, phi, N, W=N + 1)
-    with pytest.raises(PrecisionExhausted, match="exceeds the structure data"):
+    with pytest.raises(PrecisionExhausted,
+                       match=r"^an intertwiner mod b\^21 needs precision >= 21, have 20$"):
         lift_truncation_iso(e, e, phi, N, W=e.precision + 1)
 
 

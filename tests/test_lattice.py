@@ -53,8 +53,17 @@ def test_a_column_whose_length_is_not_the_rank_is_refused():
     for wrong in (col([1]), col([0, 1], [0], [1])):
         with pytest.raises(BadParameter, match="is not the rank 2"):
             lat.contains_column(wrong)
-        with pytest.raises(BadParameter, match="does not match the ambient rank"):
+        with pytest.raises(BadParameter,
+                           match=f"^column length {len(wrong)} is not the rank 2$"):
             lattice_from_columns(2, [col([1], [0]), wrong])
+
+
+def test_a_column_entry_that_is_not_a_series_is_refused():
+    with pytest.raises(BadParameter, match="^column entries must be Series$"):
+        lattice_from_columns(2, [[1, 0]])
+    lat = standard_lattice(from_expression("J(2;0)", W))
+    with pytest.raises(BadParameter, match="^column entries must be Series$"):
+        lat.contains_column([1, 0])
 
 
 def test_scaled_and_shifted_frames():

@@ -12,6 +12,7 @@ from abmod import (
     Element,
     Scalar,
     Series,
+    base_change,
     from_expression,
 )
 from abmod.seriesmat import a_image, col_shift_up
@@ -93,6 +94,27 @@ def test_a_image_refuses_a_column_whose_length_is_not_the_rank(length):
         a_image(module.matrix, [[Series.one(8)] * length])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: AbModule([[1]]), "structure matrix entries must be Series"),
+    (lambda: AbModule(None), "structure matrix entries must be Series"),
+    (lambda: Element([1]), "element coordinates must be Series"),
+    (lambda: base_change(from_expression("J(2;0)", 8), [[1, 0], [0, 1]]),
+     "base change entries must be Series"),
+], ids=["AbModule", "AbModule-None", "Element", "base_change"])
+def test_an_entry_that_is_not_a_series_is_a_bad_parameter(build, message):
+    with pytest.raises(BadParameter, match=f"^{message}$"):
+        build()
+
+
+def test_a_frame_shift_is_an_integer():
+    x = Element([Series.one(4)], 1)
+    with pytest.raises(BadParameter, match="^the frame shift must be an integer, not 1.5$"):
+        x.in_frame(1.5)
+    with pytest.raises(BadParameter, match="^the frame shift must be an integer, not True$"):
+        x.in_frame(True)
+    assert x.in_frame(2) == [Series.monomial(1, 1, 5)]
+
+
 def _b_series(terms, precision):
     """The series sum c b^k over the (k, c) pairs, at the given precision."""
     out = Series.zero(precision)
@@ -132,7 +154,8 @@ def test_element_normalize_cancels_the_common_b_power():
     zero = Element([Series.zero(6), Series.zero(6)], 3).normalize()
     assert zero.shift == 0 and zero.coords == (Series.zero(3), Series.zero(3))
     # ... and a shift above the precision is refused
-    with pytest.raises(PrecisionExhausted, match=r"^normalizing through b\^5 at precision 2$"):
+    with pytest.raises(PrecisionExhausted,
+                       match=r"^dividing by b\^5 needs precision >= 5, have 2$"):
         Element([Series.zero(2), Series.zero(2)], 5).normalize()
 
 
