@@ -292,7 +292,10 @@ def _build_parser() -> _Parser:
 def _dispatch(args):
     """Run the selected handler; on PrecisionExhausted with expression-only
     inputs, retry once at doubled precision (at most MAX_PRECISION) and
-    report the raise.  At the ceiling already, the error stands.  A retry
+    report the raise.  At the ceiling already, or when the refusal needs
+    more than the retry would have, the first refusal stands: every need is
+    fixed by the module, the rank or the level, so a retry below it meets
+    the same refusal (a refusal without a need is retried).  A retry
     answers about the modules asked for: ``rand`` draws a different module
     at each precision, so its expression is drawn at the requested
     precision and widened with zero terms, which is exact, since the draw
@@ -315,10 +318,11 @@ def _dispatch(args):
 
     try:
         return args.handler(args, make_load(requested)), None
-    except PrecisionExhausted:
-        if state["file_input"] or args.precision >= MAX_PRECISION:
-            raise
+    except PrecisionExhausted as err:
         raised = min(2 * args.precision, MAX_PRECISION)
+        if (state["file_input"] or args.precision >= MAX_PRECISION
+                or err.need is not None and err.need > raised):
+            raise
         args.precision = raised
         return args.handler(args, make_load(raised)), raised
 

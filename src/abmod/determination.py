@@ -15,7 +15,6 @@ P*M - M'*P - b^2*P' = 0 mod b^n, and det T = det(P_0)^n.
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
 from .errors import (
@@ -36,7 +35,7 @@ from .invariants import (
     spectrum,
     width_table,
 )
-from .module import AbModule
+from .module import AbModule, _memoized
 from .morphisms import (
     IntertwinerSystem,
     find_invertible,
@@ -431,7 +430,7 @@ def _perturb(module: AbModule, rng, lo: int) -> AbModule:
     return AbModule(rows)
 
 
-@lru_cache(maxsize=16)
+@_memoized
 def _prefix_system(module: AbModule, lo: int) -> IntertwinerSystem:
     """The intertwining system from the module to itself solved to lo
     orders: the orders below lo of every trial of verify_fd, whose

@@ -10,7 +10,6 @@ n_lambda(E, lambda) and N0(E) driving finite determination.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import lru_cache
 from types import MappingProxyType
 
 from . import linalg
@@ -29,7 +28,7 @@ from .lattice import (
     standard_lattice,
 )
 from .linalg import eigenvalues
-from .module import AbModule
+from .module import AbModule, _memoized
 from .morphisms import IntertwinerSystem
 from .record import Record
 from .scalars import ONE, Scalar, ZERO, _make
@@ -50,7 +49,7 @@ class SaturationResult(Record):
     __slots__ = ("saturated", "lattice", "steps")
 
 
-@lru_cache(maxsize=512)
+@_memoized
 def saturate(module: AbModule) -> SaturationResult:
     """Stabilized sum of (b^{-1} a)-iterates of the standard lattice.
 
@@ -156,7 +155,7 @@ def regularity_order(module: AbModule) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
+@_memoized
 def biggest_simple_pole(module: AbModule):
     """E^b with its lattice inside E, via duality: E^b = ((E*)#)*.
 
@@ -217,7 +216,7 @@ def spectrum(module: AbModule) -> list:
     return list(_spectrum(module))
 
 
-@lru_cache(maxsize=512)
+@_memoized
 def _spectrum(module: AbModule) -> tuple:
     if not module.is_simple_pole():
         raise NotSimplePole("the spectrum lives on simple-pole modules")
@@ -282,7 +281,7 @@ def _eigen_system(module: AbModule, mus: list, extra: int = 0) -> IntertwinerSys
     return IntertwinerSystem(source, module.matrix, need).solve()
 
 
-@lru_cache(maxsize=512)
+@_memoized
 def width_table(module: AbModule) -> WidthTable:
     """lambda_max per class from S(E#); lambda_min, the least exponent of
     E^b, from one eigen-kernel system on E (README derives it).  With z

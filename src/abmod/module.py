@@ -16,6 +16,8 @@ for b^{-K} times its coordinate vector, using  a b^{-K} = b^{-K}(a - K b).
 
 from __future__ import annotations
 
+import functools
+
 from .errors import BadParameter, PrecisionExhausted
 from .record import Immutable, Record
 from .series import _checked_count, _checked_series
@@ -32,11 +34,12 @@ class AbModule(Immutable):
     """A rank-p free C[[b]]-module with a-action given by a structure matrix.
 
     All entries are held at one common precision (the minimum of the inputs);
-    a module needs precision >= 1 to mean anything.  The hash, the key of
-    every per-module memo, is computed on first use and kept.
+    a module needs precision >= 1 to mean anything.  ``_memo`` holds the
+    values of the ``_memoized`` invariants of this module object (None until
+    the first is stored); it is never pickled, compared or copied.
     """
 
-    __slots__ = ("matrix", "rank", "precision", "_hash")
+    __slots__ = ("matrix", "rank", "precision", "_memo")
 
     def __init__(self, matrix):
         _checked_series(matrix, "structure matrix entries")
@@ -52,7 +55,7 @@ class AbModule(Immutable):
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "rank", p)
         object.__setattr__(self, "precision", w)
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_memo", None)
 
     def __reduce__(self):
         return (AbModule, (self.matrix,))
@@ -90,12 +93,62 @@ class AbModule(Immutable):
         )
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.matrix))
-        return self._hash
+        return hash(self.matrix)
 
     def __repr__(self) -> str:
         return f"AbModule(rank={self.rank}, precision={self.precision})"
+
+
+class _MemoInfo(Record):
+    # currsize: the values stored since the last cache_clear
+    __slots__ = ("hits", "misses", "currsize")
+
+
+def _memoized(fn):
+    """Memoize ``fn(module, *args)`` on the module object itself.
+
+    The value is stored in ``module._memo`` under ``(fn, args)``, so it
+    lives exactly as long as the module, and a lookup reads an attribute and
+    hashes no matrix.  Equal but distinct modules are computed separately.
+    A raised error is not stored, and a hit returns the identical object.
+    ``cache_info()`` gives the hits, the misses and the values stored since
+    the last ``cache_clear()``, which zeroes the counts and turns every
+    stored value stale by renewing the stamp it was stored with."""
+    stamp = object()
+    hits = misses = stored = 0
+
+    @functools.wraps(fn)
+    def memoized(module, *args):
+        nonlocal hits, misses, stored
+        key = (fn, args)
+        memo = module._memo
+        if memo is not None:
+            entry = memo.get(key)
+            if entry is not None and entry[0] is stamp:
+                hits += 1
+                return entry[1]
+        misses += 1
+        value = fn(module, *args)
+        # fn may have stored the module's first value itself
+        memo = module._memo
+        if memo is None:
+            memo = {}
+            object.__setattr__(module, "_memo", memo)
+        memo[key] = (stamp, value)
+        stored += 1
+        return value
+
+    def cache_info():
+        return _MemoInfo(hits, misses, stored)
+
+    def cache_clear():
+        nonlocal stamp, hits, misses, stored
+        stamp = object()
+        hits = misses = stored = 0
+
+    memoized.cache_info = cache_info
+    memoized.cache_clear = cache_clear
+    return memoized
 
 
 class Element(Record):

@@ -168,6 +168,60 @@ def test_immutability_is_written_once():
             del value.field
 
 
+def _process_caches(tree) -> list:
+    """The name of each function decorated with ``cache`` or ``lru_cache``
+    (bare, called, or as an attribute such as ``functools.cache``), and
+    ``lru_cache`` for each other reference to that name."""
+    found, decorators = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                decorators.add(id(target))
+                if (getattr(target, "id", None) or getattr(target, "attr", None)) in (
+                        "cache", "lru_cache"):
+                    found.append(node.name)
+    for node in ast.walk(tree):
+        if id(node) not in decorators and "lru_cache" in (
+                getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append("lru_cache")
+    return found
+
+
+def test_process_caches_are_found_and_module_memos_are_not():
+    flagged = """
+@lru_cache(maxsize=512)
+def a(module): pass
+@functools.lru_cache
+def b(module): pass
+@cache
+def c(module): pass
+@functools.cache
+def d(module): pass
+e = lru_cache(maxsize=16)(lambda module: module)
+"""
+    kept = """
+@_memoized
+def a(module): pass
+@functools.wraps(fn)
+def b(module): pass
+"""
+    assert _process_caches(ast.parse(flagged)) == ["a", "b", "c", "d", "lru_cache"]
+    assert _process_caches(ast.parse(kept)) == []
+
+
+def test_every_module_memo_lives_on_its_module():
+    # A per-module invariant is memoized by module._memoized, on the module
+    # object; a process-wide cache would key on module equality and keep
+    # modules no caller references.  The one exception is keyed by a prime.
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _process_caches(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == ["linalg._sqrt_minus_one"]
+
+
 def _abmod_paths(tree) -> set:
     """Every dotted ``abmod`` path a benchmark file reads: the names its
     ``from abmod[.x] import`` and ``import abmod[.x]`` statements bind, and

@@ -246,6 +246,24 @@ def test_precision_retry_stops_at_the_ceiling(monkeypatch, capsys):
     assert code == 1 and err == f"abmod: error: not enough at {MAX_PRECISION}\n"
 
 
+def test_no_retry_below_the_need_of_the_first_refusal(monkeypatch, capsys):
+    # a need above twice the precision is not retried; a need at it is
+    tried = []
+
+    def exhausted(args, load):
+        tried.append(load(args.module).precision)
+        raise PrecisionExhausted("the query", need, tried[-1])
+
+    monkeypatch.setattr(cli, "_cmd_info", exhausted)
+    for need, want in ((17, [8]), (16, [8, 16])):
+        tried.clear()
+        code, out, err = run(["info", "E(0)", "--precision", "8"], capsys)
+        assert tried == want
+        assert code == 1 and err == (
+            f"abmod: error: the query needs precision >= {need}, have {want[-1]}\n"
+        )
+
+
 def test_a_retry_widens_the_rand_draw_asked_for(tmp_path, capsys):
     """rand draws a different module at each precision, so a retry widens
     the draw at the requested precision with zero terms: the report is that

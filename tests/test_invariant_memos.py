@@ -4,12 +4,12 @@
   messages included, with the batch form kept in ``oracles.py`` on a grid
   of catalog modules and their duals.
 * The memoized invariants print the same digests as before the memos
-  (``GOLDEN``), cold and again from the warm caches.
+  (``GOLDEN``), cold and again from the memos of the same modules.
 * Cached values cannot be changed through a result, errors are not
-  cached, and a module's matrix is hashed once however often it is looked
-  up.
+  cached, a lookup hashes nothing, and a memo dies with its module.
 """
 
+import gc
 import hashlib
 import pickle
 import sys
@@ -23,6 +23,7 @@ from abmod import (
     Series,
     UnsupportedSpectrum,
     classify_rank2,
+    determination,
     dual,
     eigen_lift,
     from_expression,
@@ -178,8 +179,10 @@ def test_memoized_invariants_print_the_golden_digests():
     _clear_caches()
     modules = list(_grid())
     assert _digests(modules) == GOLDEN
-    # served from the warm caches, to fresh but equal modules
-    assert _digests((label, AbModule(m.matrix)) for label, m in modules) == GOLDEN
+    # served from the memos of the same module objects
+    hits = saturate.cache_info().hits
+    assert _digests(modules) == GOLDEN
+    assert saturate.cache_info().hits > hits
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +235,53 @@ def test_errors_are_raised_again_on_each_call():
     assert invariants.width_table.cache_info().currsize == 0
 
 
-def test_a_module_is_hashed_once(monkeypatch):
-    warm = saturate(from_expression("J(3;0)", 12)).saturated
-    for f in (saturate, regularity_order, spectrum):
-        f(warm)
-    module = AbModule(warm.matrix)  # equal, not yet hashed
-    calls = []
-    dense = Series.__hash__
+# the five memoized functions, each called as its callers call it
+MEMOIZED = (
+    saturate,
+    invariants.biggest_simple_pole,
+    invariants._spectrum,
+    width_table,
+    lambda m: determination._prefix_system(m, 4),
+)
 
-    def counted(self):
-        calls.append(self)
-        return dense(self)
 
-    monkeypatch.setattr(Series, "__hash__", counted)
-    for _ in range(3):
-        for f in (saturate, regularity_order, spectrum):
+def _call_each_memo(module):
+    for f in MEMOIZED:
+        try:
             f(module)
-    assert len(calls) <= module.rank ** 2
+        except NotSimplePole:  # _spectrum of J(3;0) and E(1/2,2;3)
+            pass
+
+
+def test_a_lookup_hashes_nothing(monkeypatch):
+    modules = [from_expression(e, 24) for e in ("J(3;0)", "E(1/2,2;3)", "rand(3;7)")]
+    for m in modules:
+        _call_each_memo(m)
+    calls = []
+    for cls in (Series, AbModule):
+        def counted(self, dense=cls.__hash__):
+            calls.append(self)
+            return dense(self)
+
+        monkeypatch.setattr(cls, "__hash__", counted)
+    for _ in range(3):
+        for m in modules:
+            _call_each_memo(m)
+    assert calls == []
+
+
+def _modules_alive() -> set:
+    return {id(o) for o in gc.get_objects() if isinstance(o, AbModule)}
+
+
+def test_a_memo_does_not_outlive_its_module():
+    _clear_caches()
+    determination._prefix_system.cache_clear()
+    gc.collect()
+    before = _modules_alive()
+    for expr in ("J(3;0)", "E(1/2,2;3)", "rand(3;7)"):
+        module = from_expression(expr, 21)
+        _call_each_memo(module)
+    del module
+    gc.collect()
+    assert _modules_alive() - before == set()

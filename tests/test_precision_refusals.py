@@ -117,10 +117,10 @@ def test_a_refusal_without_a_need_is_its_text_alone():
 
 
 def test_the_cli_names_the_truncation_level_it_could_not_reach(capsys):
-    # retried once at twice the precision, the truncation still needs 30
+    # twice the precision is still short of 30, so no retry is made
     code = main(["iso", "J(3;0)", "J(3;0)", "--trunc", "30", "--precision", "8"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == (
-        "abmod: error: the truncation E/b^30 E needs precision >= 30, have 16\n"
+        "abmod: error: the truncation E/b^30 E needs precision >= 30, have 8\n"
     )

@@ -76,7 +76,15 @@ the ``jh`` probes do not print, under the identical-output check:
 ``jordan_holder`` of ``J(6;0)`` at precision 32, ``rand(5;11)`` at 24,
 ``J(4;1/2)`` at 32 and ``rand(4;3)`` at 32, under ``lex`` and ``revlex``,
 each printed as a sha256 of the sequence's repr and of its lattices'
-generators (the modules are built in the setup).
+generators (the modules are built in the setup).  A ninth is the memory
+twin of the ``classify2`` workload: it builds 1000 fresh rank-2 modules one
+at a time inside the statement, as that workload does (its four families at
+precision 12 under a random ``base_change``, twisted by -3..3), classifies
+each with ``classify_rank2`` and drops it, and prints a sha256 of the class
+tags in order, so its identical-output check covers the tags alone.  Every
+in-process probe also records the growth of its child's ``ru_maxrss`` over
+the statement, in MB; for the ninth that growth is the memory the stream
+leaves behind.
 Runs are sequential, one process at a time.
 
 The output holds every run, and for every end-to-end metric the median and
@@ -189,6 +197,46 @@ def jh_digest(m, policy):
 mods = [from_expression(e, w) for e, w in (('J(6;0)', 32), ('rand(5;11)', 24),
                                           ('J(4;1/2)', 32), ('rand(4;3)', 32))]
 """
+# The classify2 stream as a memory twin: item k is family k % 4 at
+# precision 12 under a random base change drawn as the workload draws it
+# (entries of up to two monomials of degree 0..4, redrawn until invertible),
+# twisted by -3..3; each module is built, classified and dropped in turn, and
+# stream_digest is a sha256 of the class tags in order.
+_STREAM_SETUP = """
+import hashlib, random
+from fractions import Fraction
+def fresh_module(k):
+    rng, w = random.Random(f"stream:{k}"), 12
+    if k % 4 == 0:
+        z = Series.zero(w)
+        base = AbModule([[Series.monomial(Scalar(Fraction(1, 2)), 1, w), z],
+                         [z, Series.monomial(Scalar(2), 1, w)]])
+    else:
+        base = from_expression(('E(1/2;2)', 'E(1/2,1/3)', 'E(1/2,2;3)')[k % 4 - 1], w)
+    def scalar():
+        s = Scalar(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))))
+        return s + Scalar(0, rng.randint(-2, 2)) if rng.random() < 0.25 else s
+    def entry():
+        s = Series.zero(w)
+        for _ in range(rng.randint(0, 2)):
+            c = scalar()
+            if not c.is_zero():
+                s = s + Series.monomial(c, rng.randint(0, 4), w)
+        return s
+    while True:
+        try:
+            module = base_change(base, [[entry() for _ in range(2)] for _ in range(2)])
+            return twist(module, rng.randint(-3, 3))
+        except NotAUnit:
+            pass
+def tag(k):
+    try:
+        return str(classify_rank2(fresh_module(k)))
+    except AbmodError as exc:
+        return type(exc).__name__
+def stream_digest(n):
+    return hashlib.sha256("\\n".join(tag(k) for k in range(n)).encode()).hexdigest()
+"""
 # In-process probes: (label, setup, statement).  The setup builds the inputs
 # untimed; the statement is what is timed.  Both run with abmod's public
 # names in scope.
@@ -214,12 +262,14 @@ IN_PROCESS_PROBES = (
      "[quotient_outcome(q, qp) for qp in partners]"),
     ("[jh_digest(m, p) for m in mods for p in ('lex', 'revlex')]", _JH_SETUP,
      "[jh_digest(m, p) for m in mods for p in ('lex', 'revlex')]"),
+    ("stream_digest(1000)", _STREAM_SETUP, "stream_digest(1000)"),
 )
 # Run in a child with argv [bench/run.py, setup, statement]; prints one JSON
-# line: raw and host-scaled seconds of the statement, and the repr of its
+# line: raw and host-scaled seconds of the statement, the growth of the
+# child's peak resident set over the statement in MB, and the repr of its
 # value.
 _IN_PROCESS_CHILD = """
-import importlib.util, json, sys, time
+import importlib.util, json, resource, sys, time
 spec = importlib.util.spec_from_file_location("bench_run", sys.argv[1])
 run = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(run)
@@ -229,12 +279,15 @@ scope = {name: getattr(abmod, name) for name in abmod.__all__}
 exec(sys.argv[2], scope)
 speed = run.HostSpeed()
 before = speed.round()
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 start = time.perf_counter()
 value = eval(sys.argv[3], scope)
 raw = time.perf_counter() - start
+growth = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak) / 1024
 after = speed.round()
 scaled = raw * run.HostSpeed.REFERENCE_S / ((before + after) / 2)
-print(json.dumps({"s": raw, "scaled_s": scaled, "value": repr(value)}))
+print(json.dumps({"s": raw, "scaled_s": scaled, "rss_growth_mb": growth,
+                  "value": repr(value)}))
 """
 
 
@@ -245,7 +298,7 @@ def _in_process_probe(root: str, setup: str, statement: str) -> dict:
                          cwd=root, env=env, capture_output=True, text=True, check=True)
     timed = json.loads(out.stdout)
     return {**_output(out), "s": timed["s"], "scaled_s": timed["scaled_s"],
-            "stdout": timed["value"]}
+            "rss_growth_mb": timed["rss_growth_mb"], "stdout": timed["value"]}
 
 
 def _spread(values: list) -> dict:
@@ -316,7 +369,7 @@ def main(argv=None) -> int:
                  "compared_on": timed, "change_faster_runs": wins, "probe_runs": PROBE_RUNS}
         for side, rs in runs.items():
             entry[side] = {key: {**_spread([r[key] for r in rs]), "runs": [r[key] for r in rs]}
-                           for key in ("s", "scaled_s") if key in rs[0]}
+                           for key in ("s", "scaled_s", "rss_growth_mb") if key in rs[0]}
         report["probes"].append(entry)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
