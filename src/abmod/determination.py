@@ -28,7 +28,6 @@ from .errors import (
     UnsupportedSpectrum,
 )
 from .invariants import (
-    is_regular,
     n0_bound,
     regularity_order,
     saturate,
@@ -261,8 +260,6 @@ def _saturation_spectra_differ(e: AbModule, ep: AbModule) -> bool:
     It decides pairs whose truncated system cannot, such as F(4;0;2)
     against J(4;0) at W = 3."""
     try:
-        if not is_regular(e) or not is_regular(ep):
-            return False
         se = spectrum(saturate(e).saturated)
         sp = spectrum(saturate(ep).saturated)
         return se != sp
@@ -368,8 +365,7 @@ def lift_truncation_iso(
     """
     if e.rank != ep.rank:
         raise BadParameter("module ranks differ")
-    if not is_regular(e):
-        raise NotRegular("lifting is certified for regular modules")
+    saturate(e)  # certified for a regular e only: saturate refuses any other
     _checked_count(N, "truncation level", 1)
     p = e.rank
     _checked_series(phi.matrix, "phi's entries")
@@ -457,8 +453,6 @@ def verify_fd(module: AbModule, trials: int, seed: int, lo: int = None) -> dict:
     count and a level below 1 are refused (BadParameter)."""
     _checked_count(trials, "the number of trials", 0)
     _checked_count(seed, "seed")
-    if not is_regular(module):
-        raise NotRegular("finite determination applies to regular modules")
     n0 = n0_bound(module)
     if lo is None:
         lo = n0

@@ -42,11 +42,14 @@ class PrecisionExhausted(AbmodError):
 
 
 class NotRegular(AbmodError):
-    """The module's saturation does not stabilize: the module is irregular."""
+    """The module's saturation does not stabilize: the module is irregular.
+    Raised by ``invariants.saturate`` alone, in one wording."""
 
 
 class NotSimplePole(AbmodError):
-    """A simple-pole module was required but a(E) is not contained in b(E)."""
+    """A simple-pole module was required but a(E) is not contained in b(E).
+    Raised by ``invariants._spectrum``, behind ``spectrum``, alone, in one
+    wording."""
 
 
 class UnsupportedSpectrum(AbmodError):

@@ -23,14 +23,11 @@ from .errors import (
     HypothesisViolated,
     NotEigen,
     NotPrimitive,
-    NotRegular,
-    NotSimplePole,
     PrecisionExhausted,
 )
 from .invariants import (
     _eigen_system,
     delta_index,
-    is_regular,
     n_lambda,
     saturate,
     spectrum,
@@ -152,8 +149,9 @@ def ext_dims(E: AbModule, F: AbModule) -> tuple:
     system).
     """
     H = hom_ab(E, F)
-    if not is_regular(E) or not is_regular(F):
-        raise NotRegular("ext dimensions are certified for regular modules only")
+    # certified for regular E and F only: saturate refuses any other
+    saturate(E)
+    saturate(F)
     base = n_lambda(H, ZERO, _system=IntertwinerSystem(E.matrix, F.matrix, 0)) + 2
     system = IntertwinerSystem(E.matrix, F.matrix, 0)
     d1 = len(system.solve(base).alive)
@@ -186,8 +184,7 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
     check them.  A kappa that is not an integer, and a seed whose length is
     not the rank, are refused (BadParameter).
     """
-    if not module.is_simple_pole():
-        raise NotSimplePole("eigen lifting requires a simple-pole module")
+    spec = spectrum(module)
     lam = Scalar.of(lam)
     _checked_count(kappa, "kappa", 0)
     z = y.normalize()
@@ -196,7 +193,7 @@ def eigen_lift(module: AbModule, lam, y: Element, kappa: int) -> Element:
     w = module.precision
     if kappa + 2 > w:
         raise PrecisionExhausted(f"an eigen lift from kappa {kappa}", kappa + 2, w)
-    same_class = [v for v in spectrum(module) if (lam - v).is_integer()]
+    same_class = [v for v in spec if (lam - v).is_integer()]
     if same_class:
         lo = min(same_class, key=Scalar.sort_key)
         if (lam - lo).re > kappa:
@@ -370,8 +367,9 @@ def jordan_holder(module: AbModule, policy: str = "lex") -> JHSequence:
     """
     if policy not in _JH_POLICIES:
         raise BadParameter("unknown class-choice policy: %r" % (policy,))
-    if not is_regular(module):
-        raise NotRegular("Jordan-Hoelder sequences exist for regular modules")
+    # refuses an irregular module, and one too short to saturate, which a
+    # rank-1 module would otherwise not be asked
+    saturate(module)
     exps, gens = _jh_recurse(module, policy)
     lattices = []
     cols = []
@@ -457,8 +455,7 @@ def classify_rank2(module: AbModule) -> Rank2NormalForm:
     """Place a regular rank-2 module in its normal-form family."""
     if module.rank != 2:
         raise BadParameter("classification applies to rank-2 modules")
-    if not is_regular(module):
-        raise NotRegular("classification applies to regular modules")
+    sharp = saturate(module).saturated
     if module.is_simple_pole():
         res = module.residue_matrix()
         x, y = spectrum(module)
@@ -477,7 +474,6 @@ def classify_rank2(module: AbModule) -> Rank2NormalForm:
         if _eigenvector(module, big, 0) is not None:
             return Rank2NormalForm.direct_sum(small, big)
         return Rank2NormalForm.simple_pole_jordan(small, int((big - small).re))
-    sharp = saturate(module).saturated
     inner = classify_rank2(sharp)
     if inner.tag == "DirectSum":
         x, y = inner.params

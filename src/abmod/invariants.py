@@ -119,7 +119,8 @@ def saturate(module: AbModule) -> SaturationResult:
             return SaturationResult(saturated=saturated, lattice=lattice, steps=k)
         columns = [[_below(t, w) for t in g] for g in up] + images
     raise NotRegular(
-        f"saturation did not stabilize within {p} steps: the module is not regular"
+        f"saturation did not stabilize within {p} step{'s' if p > 1 else ''}: "
+        "the module is not regular"
     )
 
 
@@ -145,8 +146,6 @@ def regularity_order(module: AbModule) -> int:
     sum_{j<=k} b^{-j} a^j E and T_k = b^{k+1} L_k, where L_k is the k-th
     saturation iterate; a^{k+1} E lies in T_k exactly when L_{k+1} = L_k.
     """
-    if not is_regular(module):
-        raise NotRegular("regularity order is defined for regular modules only")
     return saturate(module).steps
 
 
@@ -155,7 +154,6 @@ def regularity_order(module: AbModule) -> int:
 # ---------------------------------------------------------------------------
 
 
-@_memoized
 def biggest_simple_pole(module: AbModule):
     """E^b with its lattice inside E, via duality: E^b = ((E*)#)*.
 
@@ -219,7 +217,7 @@ def spectrum(module: AbModule) -> list:
 @_memoized
 def _spectrum(module: AbModule) -> tuple:
     if not module.is_simple_pole():
-        raise NotSimplePole("the spectrum lives on simple-pole modules")
+        raise NotSimplePole("the module does not have a simple pole: a.E is not in b.E")
     out = []
     for value, mult in eigenvalues(module.residue_matrix()):
         out.extend([value] * mult)

@@ -108,9 +108,12 @@ def _memoized(fn):
     """Memoize ``fn(module, *args)`` on the module object itself.
 
     The value is stored in ``module._memo`` under ``(fn, args)``, so it
-    lives exactly as long as the module, and a lookup reads an attribute and
-    hashes no matrix.  Equal but distinct modules are computed separately.
-    A raised error is not stored, and a hit returns the identical object.
+    lives as long as the module, and a lookup reads an attribute and hashes
+    no matrix.  A value that refers back to its module (``saturate`` of a
+    simple-pole module is the module itself) makes a reference cycle, which
+    the cyclic collector frees later than the module's last reference.
+    Equal but distinct modules are computed separately.  A raised error is
+    not stored, and a hit returns the identical object.
     ``cache_info()`` gives the hits, the misses and the values stored since
     the last ``cache_clear()``, which zeroes the counts and turns every
     stored value stale by renewing the stamp it was stored with."""

@@ -401,6 +401,68 @@ def test_every_precision_refusal_says_what_needs_how_much_and_has():
     assert found == []
 
 
+PROPERTY_REFUSALS = ("NotRegular", "NotSimplePole")
+
+
+def _property_refusals(tree) -> list:
+    """(function, error) for each ``NotRegular(...)`` or ``NotSimplePole(...)``
+    call, by its bare name or as an attribute such as ``errors.NotRegular``,
+    with the innermost function that builds it (None at module level)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name in PROPERTY_REFUSALS:
+                    found.append((function, name))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_property_refusals_are_found_where_they_are_built():
+    source = """
+def regularity_order(module):
+    raise NotRegular("regularity order is defined for regular modules only")
+def eigen_lift(module):
+    if not module.is_simple_pole():
+        raise errors.NotSimplePole("eigen lifting requires a simple-pole module")
+def saturate(module):
+    def stable(k):
+        raise NotRegular(f"within {k} steps")
+    try:
+        return stable(1)
+    except NotRegular:
+        pass
+error = NotSimplePole("at import")
+class NotRegular(AbmodError): pass
+isinstance(error, errors.NotSimplePole)
+"""
+    assert _property_refusals(ast.parse(source)) == [
+        ("regularity_order", "NotRegular"), ("eigen_lift", "NotSimplePole"),
+        ("stable", "NotRegular"), (None, "NotSimplePole"),
+    ]
+
+
+def test_one_refusal_per_module_property():
+    # saturate alone decides that a module is not regular and the spectrum
+    # alone that its pole is not simple; an entry point that needs either
+    # calls them, so each refusal has one wording.
+    found = [
+        (f"{path.stem}.{function}", error)
+        for path in sorted(SRC.glob("*.py"))
+        for function, error in _property_refusals(
+            ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("invariants.saturate", "NotRegular"),
+                     ("invariants._spectrum", "NotSimplePole")]
+
+
 def _bounded_entries():
     """(name, call, what, least, most): a public entry taking one integer,
     its name in the refusal and its bounds (None: no bound)."""

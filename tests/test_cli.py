@@ -192,6 +192,28 @@ def test_non_regular_file_reports(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("rank, entries, steps", [
+    (2, "m 1 1: 1\nm 2 2: b\n", "2 steps"),
+    (1, "m 1 1: 1 + b\n", "1 step"),
+])
+def test_the_cli_says_not_regular_one_way(tmp_path, capsys, rank, entries, steps):
+    """Every command that needs a regular module refuses an irregular file
+    with the saturation's one text, worded for its rank; info reports it."""
+    path = tmp_path / "irregular.txt"
+    path.write_text(f"rank {rank}\nprecision 12\n{entries}")
+    want = (f"abmod: error: saturation did not stabilize within {steps}: "
+            "the module is not regular\n")
+    commands = [["jh"], ["fd"], ["ext", str(path)], ["eb"], ["saturate"]]
+    if rank == 2:
+        commands.append(["classify2"])
+    for command in commands:
+        code, out, err = run([command[0], str(path), *command[1:]], capsys)
+        assert (code, out, err) == (1, [], want), command
+    code, out, err = run(["info", str(path)], capsys)
+    assert code == 0 and err == ""
+    assert out[-1] == "regular: false"
+
+
 def test_shallow_file_is_computational_error(tmp_path, capsys):
     path = tmp_path / "shallow.txt"
     path.write_text("rank 3\nprecision 2\nm 2 1: 1\nm 3 2: 1\n")

@@ -235,10 +235,9 @@ def test_errors_are_raised_again_on_each_call():
     assert invariants.width_table.cache_info().currsize == 0
 
 
-# the five memoized functions, each called as its callers call it
+# the four memoized functions, each called as its callers call it
 MEMOIZED = (
     saturate,
-    invariants.biggest_simple_pole,
     invariants._spectrum,
     width_table,
     lambda m: determination._prefix_system(m, 4),

@@ -18,6 +18,10 @@ own constructions.
 The identities run over catalog modules, their duals, twists and random
 base changes, at low and at normal precision; raised errors must have the
 same type.
+
+* No entry point answers for an irregular module: each one that needs a
+  regular module raises the saturation's NotRegular, text and all, exactly
+  when ``saturate`` does, on modules with a random constant term.
 """
 
 import sys
@@ -37,14 +41,21 @@ from abmod import (
     Series,
     base_change,
     biggest_simple_pole,
+    classify_rank2,
     dual,
+    ext_dims,
     from_expression,
+    identity_truncation_iso,
     invariants,
+    is_regular,
+    jordan_holder,
     lattice_from_columns,
+    lift_truncation_iso,
     regularity_order,
     saturate,
     spectrum,
     twist,
+    verify_fd,
     width_table,
 )
 
@@ -295,3 +306,61 @@ def test_an_irregular_module_builds_no_lattice_after_its_last_test(monkeypatch):
             saturate(module)
         assert built[::2] == ["echelon"] * (module.rank - 1), expr
         assert built[1::2] == list(range(1, module.rank)), expr
+
+
+@st.composite
+def constant_term_modules(draw):
+    """A rank 1-3 module at precision 8-16 whose structure matrix is
+    M0 + M1*b with small random entries; M0 is strictly upper triangular
+    in about half the draws, so both regular and irregular modules are
+    common."""
+    p = draw(st.integers(1, 3))
+    w = draw(st.integers(8, 16))
+    triangular = draw(st.booleans())
+    small = st.sampled_from((0, 0, 0, 1, -1))
+    return AbModule([
+        [Series([Scalar(0 if triangular and j <= i else draw(small)),
+                 Scalar(draw(small))], w) for j in range(p)]
+        for i in range(p)
+    ])
+
+
+def _refusal(f, *args):
+    """("ok",) for an answer, else the error's type name and text."""
+    try:
+        f(*args)
+        return ("ok",)
+    except AbmodError as exc:
+        return type(exc).__name__, str(exc)
+
+
+ENTRY_POINTS = {
+    "regularity_order": regularity_order,
+    "ext_dims": lambda m: ext_dims(m, m),
+    "jordan_holder": jordan_holder,
+    "classify_rank2": classify_rank2,
+    "verify_fd": lambda m: verify_fd(m, 1, 0),
+    "lift_truncation_iso": lambda m: lift_truncation_iso(
+        m, m, identity_truncation_iso(m, 1), 1),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(constant_term_modules())
+def test_no_entry_point_answers_for_an_irregular_module(module):
+    p = module.rank
+    saturation = _refusal(saturate, module)
+    if saturation[0] == "NotRegular":
+        assert not is_regular(module)
+        steps = f"{p} step" + ("s" if p > 1 else "")
+        assert saturation[1] == (
+            f"saturation did not stabilize within {steps}: the module is not regular")
+    for name, entry in ENTRY_POINTS.items():
+        if name == "classify_rank2" and p != 2:
+            continue
+        got = _refusal(entry, module)
+        if saturation[0] == "ok":
+            assert got[0] != "NotRegular", name
+        else:
+            # NotRegular, or PrecisionExhausted where saturate needs more
+            assert got == saturation, name
